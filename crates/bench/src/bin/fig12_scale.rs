@@ -153,7 +153,7 @@ fn main() {
     }
     let wall_s = t0.elapsed().as_secs_f64();
     let n_jobs = xs.len() * columns.len();
-    record_bench("sweep", spec.id, wall_s, n_jobs);
+    record_bench("sweep", spec.id, wall_s, n_jobs, threads);
 
     let schemes = vec![Scheme::Flooding, Scheme::Cnlr(CnlrConfig::default())];
     write_manifest(

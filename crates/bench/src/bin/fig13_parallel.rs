@@ -124,7 +124,13 @@ fn main() {
             total_events += r.events;
             walls[ni].push(wall);
             wait_shares[ni].push(profile.barrier_wait_share());
-            record_bench("parallel", &format!("{}_n{}_t{}", spec.id, n, t), wall, 1);
+            record_bench(
+                "parallel",
+                &format!("{}_n{}_t{}", spec.id, n, t),
+                wall,
+                1,
+                t,
+            );
         }
         let r = baselines[ni].as_ref().expect("at least one run");
         params.push((format!("pdr_n{n}"), format!("{:.4}", r.pdr())));
@@ -155,7 +161,9 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep", spec.id, wall_s, node_counts.len() * threads.len());
+    let max_threads = threads.iter().copied().max().unwrap_or(1);
+    let cells = node_counts.len() * threads.len();
+    record_bench("sweep", spec.id, wall_s, cells, max_threads);
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
         id: spec.id.to_string(),

@@ -154,6 +154,7 @@ fn main() {
                 &format!("{}_n{}_t{}_steal_{}", spec.id, n, t, steal),
                 wall,
                 1,
+                t,
             );
         }
         let (base, _) = baseline.as_ref().expect("at least one run per scale");
@@ -188,7 +189,9 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep", spec.id, wall_s, node_counts.len() * threads.len());
+    let max_threads = threads.iter().copied().max().unwrap_or(1);
+    let cells = node_counts.len() * threads.len();
+    record_bench("sweep", spec.id, wall_s, cells, max_threads);
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
         id: spec.id.to_string(),

@@ -65,8 +65,10 @@ pub(crate) fn job_coords(i: usize, n_schemes: usize, n_seeds: usize) -> (usize, 
 
 /// Append a JSONL benchmark record to the file named by `$BENCH_JSON`
 /// (no-op when the variable is unset). The bench harness concatenates these
-/// lines into the dated `BENCH_*.json` snapshot at the repo root.
-pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize) {
+/// lines into the dated `BENCH_*.json` snapshot at the repo root. `threads`
+/// is the worker count the recorded work ran on (for a sweep over several
+/// counts, the largest).
+pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize, threads: usize) {
     let Ok(path) = std::env::var("BENCH_JSON") else {
         return;
     };
@@ -83,8 +85,7 @@ pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize) {
             let _ = writeln!(
                 f,
                 "{{\"kind\":\"{kind}\",\"name\":\"{name}\",\"wall_s\":{wall_s:.3},\
-                 \"jobs\":{jobs},\"threads\":{},\"quick\":{}}}",
-                wmn_metrics::default_threads(),
+                 \"jobs\":{jobs},\"threads\":{threads},\"quick\":{}}}",
                 quick_mode(),
             );
         }
@@ -151,7 +152,7 @@ where
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep", spec.id, wall_s, n_jobs);
+    record_bench("sweep", spec.id, wall_s, n_jobs, threads);
     write_manifest(spec, schemes, &seeds, xs, wall_s, &runs, &[]);
     tables
 }

@@ -106,7 +106,7 @@ where
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep_served", spec.id, wall_s, n_jobs);
+    record_bench("sweep_served", spec.id, wall_s, n_jobs, threads);
     write_manifest_served(spec, schemes, &seeds, xs, wall_s, &runs);
     tables
 }

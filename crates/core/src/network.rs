@@ -444,8 +444,6 @@ impl Network {
             } => {
                 let payload = self.nodes[node as usize].take_payload(sdu_id);
                 if !ok {
-                    let cross = self.nodes[node as usize].cross_layer(now);
-                    let _ = cross;
                     let mut racts = std::mem::take(&mut self.scratch_routing);
                     self.nodes[node as usize].routing.on_link_failure(
                         NodeId(dst.0),

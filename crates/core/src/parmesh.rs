@@ -35,7 +35,7 @@
 //! least [`MIN_REGION_SIDE_M`] (> max hop distance = radio range plus two
 //! drift amplitudes), so a packet can only ever hop into a Chebyshev-
 //! adjacent region. Non-adjacent regions exchange nothing directly; the
-//! engine's shortest-path closure turns that ring structure into
+//! engine's shortest-path planning turns that ring structure into
 //! distance-proportional lookahead — the discrete analogue of propagation
 //! delay between separated areas.
 //!
@@ -44,11 +44,14 @@
 //! vectors with CSR-flattened adjacency (churn intervals, spatial-hash
 //! cells) instead of nested `Vec<Vec<…>>`, node ids are `u32` throughout,
 //! and per-region hot state (exact node loads) is a dense vector parallel
-//! to the sorted owned-id list rather than a hash map. At full trace
-//! volume a merged in-memory trace would dwarf the world itself, so
-//! [`ParMesh::trace_hash`] streams events into O(1)-memory per-region
-//! fingerprints instead — the scale-run stand-in for a byte-level trace
-//! diff.
+//! to the sorted owned-id list rather than a hash map. The next-hop scan —
+//! nearly all of a run's window work — reads a compact copy of the homes
+//! laid out in spatial-hash order and rejects most candidates from it
+//! before any per-node table is touched (see `RegionNet::next_hop`). At
+//! full trace volume a merged in-memory trace would dwarf the world
+//! itself, so [`ParMesh::trace_hash`] streams events into O(1)-memory
+//! per-region fingerprints instead — the scale-run stand-in for a
+//! byte-level trace diff.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -421,22 +424,106 @@ struct Statics {
     churn_idx: Vec<u32>,
     churn_iv: Vec<(u64, u64)>,
     /// Spatial hash over *home* positions; cell `c` owns
-    /// `cell_nodes[cell_idx[c]..cell_idx[c+1]]`.
+    /// `cell_nodes[cell_idx[c]..cell_idx[c+1]]`, and cells of one row are
+    /// adjacent, so a run of cells along x is one contiguous slice.
     cell_idx: Vec<u32>,
     cell_nodes: Vec<u32>,
+    /// Home of `cell_nodes[k]`, rounded to `f32`: what the next-hop scan
+    /// reads instead of `params`, in the order it visits candidates.
+    cell_home: Vec<[f32; 2]>,
+    /// At every instant every node is within `slack` metres of its
+    /// `cell_home` entry: drift amplitude plus the `f32` rounding.
+    slack: f64,
     ncx: usize,
     ncy: usize,
-    side: f64,
-    /// Region grid dimensions.
-    rx: usize,
-    ry: usize,
     region_of_node: Vec<RegionId>,
+    /// Index of each node in its owner region's ascending `own` list.
+    local_of_node: Vec<u32>,
+    /// Chebyshev ring-1 neighbours of region `r`, ascending:
+    /// `adj[adj_idx[r]..adj_idx[r+1]]`.
+    adj_idx: Vec<u32>,
+    adj: Vec<RegionId>,
     flows: Vec<Flow>,
     interval: SimDuration,
     horizon: SimTime,
 }
 
 impl Statics {
+    /// Index a placed world on a `side` × `side` field split into an
+    /// `rx` × `ry` region grid. Flows are attached by the caller.
+    fn new(
+        params: Vec<NodeParams>,
+        churn: &[Vec<(u64, u64)>],
+        side: f64,
+        (rx, ry): (usize, usize),
+        interval: SimDuration,
+        horizon: SimTime,
+    ) -> Statics {
+        let ncx = ((side / CELL_M).ceil() as usize).max(1);
+        let ncy = ncx;
+        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncx * ncy];
+        let mut region_of_node = Vec::with_capacity(params.len());
+        let mut local_of_node = Vec::with_capacity(params.len());
+        let mut owned = vec![0u32; rx * ry];
+        for (i, p) in params.iter().enumerate() {
+            let (cx, cy) = (cell_axis(p.home.0, ncx), cell_axis(p.home.1, ncy));
+            cells[cy * ncx + cx].push(i as u32);
+            let gx = ((p.home.0 / side * rx as f64) as usize).min(rx - 1);
+            let gy = ((p.home.1 / side * ry as f64) as usize).min(ry - 1);
+            let r = gy * rx + gx;
+            region_of_node.push(r as RegionId);
+            local_of_node.push(owned[r]);
+            owned[r] += 1;
+        }
+        let (cell_idx, cell_nodes) = flatten_csr(&cells);
+        drop(cells);
+        let mut slack = 0.0f64;
+        let cell_home = cell_nodes
+            .iter()
+            .map(|&v| {
+                let p = &params[v as usize];
+                let h = [p.home.0 as f32, p.home.1 as f32];
+                slack = slack.max(p.amp + dist(p.home, (h[0] as f64, h[1] as f64)));
+                h
+            })
+            .collect();
+        let mut adj_idx = Vec::with_capacity(rx * ry + 1);
+        let mut adj = Vec::with_capacity(rx * ry * 8);
+        adj_idx.push(0);
+        for gy in 0..ry {
+            for gx in 0..rx {
+                for ny in gy.saturating_sub(1)..=(gy + 1).min(ry - 1) {
+                    for nx in gx.saturating_sub(1)..=(gx + 1).min(rx - 1) {
+                        if (nx, ny) != (gx, gy) {
+                            adj.push((ny * rx + nx) as RegionId);
+                        }
+                    }
+                }
+                adj_idx.push(adj.len() as u32);
+            }
+        }
+        let (churn_idx, churn_iv) = flatten_csr(churn);
+        Statics {
+            params,
+            churn_idx,
+            churn_iv,
+            cell_idx,
+            cell_nodes,
+            cell_home,
+            // Head-room for the rounding of `pos` and of the scan's own sums.
+            slack: slack + 1e-6,
+            ncx,
+            ncy,
+            region_of_node,
+            local_of_node,
+            adj_idx,
+            adj,
+            flows: Vec::new(),
+            interval,
+            horizon,
+        }
+    }
+
     fn pos(&self, node: u32, t: SimTime) -> (f64, f64) {
         let p = &self.params[node as usize];
         if p.amp == 0.0 {
@@ -465,39 +552,17 @@ impl Statics {
     }
 
     fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {
-        let cx = ((x / CELL_M) as usize).min(self.ncx - 1);
-        let cy = ((y / CELL_M) as usize).min(self.ncy - 1);
-        (cx, cy)
+        (cell_axis(x, self.ncx), cell_axis(y, self.ncy))
     }
 
-    fn region_at(&self, x: f64, y: f64) -> RegionId {
-        let gx = ((x / self.side * self.rx as f64) as usize).min(self.rx - 1);
-        let gy = ((y / self.side * self.ry as f64) as usize).min(self.ry - 1);
-        (gy * self.rx + gx) as RegionId
+    fn regions(&self) -> usize {
+        self.adj_idx.len() - 1
     }
 
-    fn region_coords(&self, r: RegionId) -> (usize, usize) {
-        (r as usize % self.rx, r as usize / self.rx)
-    }
-
-    /// Chebyshev ring-1 neighbours of a region, ascending.
-    fn adjacent_regions(&self, r: RegionId) -> Vec<RegionId> {
-        let (gx, gy) = self.region_coords(r);
-        let mut out = Vec::new();
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let nx = gx as i64 + dx;
-                let ny = gy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= self.rx as i64 || ny >= self.ry as i64 {
-                    continue;
-                }
-                out.push((ny as usize * self.rx + nx as usize) as RegionId);
-            }
-        }
-        out
+    /// Chebyshev ring-1 neighbours of a region, ascending (CSR row).
+    fn adjacent_regions(&self, r: RegionId) -> &[RegionId] {
+        let r = r as usize;
+        &self.adj[self.adj_idx[r] as usize..self.adj_idx[r + 1] as usize]
     }
 }
 
@@ -531,6 +596,12 @@ fn combine_region_fps(fps: &[(u64, u64)]) -> (u64, u64) {
         count += c;
     }
     (count, checkpoint::fnv1a(&w.into_inner()))
+}
+
+/// Spatial-hash cell index of coordinate `x` on an axis of `nc` cells;
+/// coordinates off the field fall into the edge cells.
+fn cell_axis(x: f64, nc: usize) -> usize {
+    ((x / CELL_M) as usize).min(nc - 1)
 }
 
 fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -588,7 +659,7 @@ struct RegionNet {
     /// Owned node ids, ascending.
     own: Vec<u32>,
     /// Exact loads of owned nodes, parallel to `own` (dense hot state —
-    /// 8 B per node; look up by binary search over the sorted ids).
+    /// 8 B per node; `Statics::local_of_node` maps an id to its slot).
     loads: Vec<NodeLoad>,
     /// Last digested loads of other regions' nodes (stale by design).
     remote: HashMap<u32, u32>,
@@ -599,64 +670,148 @@ struct RegionNet {
     /// when telemetry is off.
     sink: Option<Arc<Mutex<MemorySink>>>,
     hello_seq: u32,
+    /// The last HELLO's digest. Its receivers drop their handles within a
+    /// hop, so the next tick refills the same allocation in place.
+    digest: Arc<Vec<(u32, u32)>>,
     flow_seq: HashMap<u32, u32>,
     stats: RegionStats,
 }
 
 impl RegionNet {
-    fn load_of(&self, node: u32) -> u32 {
-        match self.own.binary_search(&node) {
-            Ok(i) => {
-                let nl = self.loads[i];
-                nl.load + nl.recent
-            }
-            Err(_) => self.remote.get(&node).copied().unwrap_or(0),
+    fn new(
+        id: RegionId,
+        st: Arc<Statics>,
+        own: Vec<u32>,
+        seed: u64,
+        tel: Tel,
+        sink: Option<Arc<Mutex<MemorySink>>>,
+    ) -> Self {
+        RegionNet {
+            id,
+            st,
+            loads: vec![NodeLoad::default(); own.len()],
+            own,
+            remote: HashMap::new(),
+            rng: SimRng::derive(seed, DOMAIN_REGION, id as u64),
+            tel,
+            sink,
+            hello_seq: 0,
+            digest: Arc::default(),
+            flow_seq: HashMap::new(),
+            stats: RegionStats::default(),
         }
     }
 
-    /// Load-aware geographic next hop from `u` towards `pkt.dst` at `now`:
+    /// The load slot of a node this region owns.
+    fn own_load(&mut self, node: u32) -> &mut NodeLoad {
+        debug_assert_eq!(self.st.region_of_node[node as usize], self.id);
+        &mut self.loads[self.st.local_of_node[node as usize] as usize]
+    }
+
+    fn load_of(&self, node: u32) -> u32 {
+        if self.st.region_of_node[node as usize] == self.id {
+            let nl = self.loads[self.st.local_of_node[node as usize] as usize];
+            nl.load + nl.recent
+        } else {
+            self.remote.get(&node).copied().unwrap_or(0)
+        }
+    }
+
+    /// Load-aware geographic next hop from `u` towards `dst` at `now`:
     /// among up neighbours with positive progress, maximise
-    /// `progress / (1 + load)` — the neighbourhood-load rule — with
-    /// deterministic iteration order (cells, then ascending node id).
+    /// `progress / (1 + load)` — the neighbourhood-load rule — breaking
+    /// ties to the lowest node id. That is a strict total order, so the
+    /// winner does not depend on the order candidates are visited in.
+    ///
+    /// The scan visits only the cells a neighbour's home can lie in and
+    /// drops a candidate from its `cell_home` entry alone when it cannot be
+    /// in range or cannot make progress wherever it has drifted to; only
+    /// the few survivors pay for churn, position and load look-ups. The
+    /// drop tests are necessary conditions of the exact ones below them,
+    /// so they never change the result.
     fn next_hop(&self, u: u32, dst: u32, now: SimTime) -> Option<u32> {
-        let st = &self.st;
+        let st = &*self.st;
         let pu = st.pos(u, now);
         let pdst = st.pos(dst, now);
+        let d_u = dist(pu, pdst);
         // Direct delivery beats any relay.
+        if d_u <= RX_RANGE_M && st.is_up(dst, now) {
+            return Some(dst);
+        }
+        // In range: |pv − pu| ≤ RX_RANGE_M. Progress: |pv − pdst| < d_u − 1.
+        // A node is within `slack` of its stored home, so both bound how
+        // far that home can be from `pu` and from `pdst`.
+        let reach = RX_RANGE_M + st.slack;
+        let near = (d_u - 1.0 + st.slack).max(0.0);
+        let (reach2, near2) = (reach * reach, near * near);
+        let (cx0, cy0) = st.cell_of(pu.0 - reach, pu.1 - reach);
+        let (cx1, cy1) = st.cell_of(pu.0 + reach, pu.1 + reach);
+        let mut best: Option<(f64, u32)> = None;
+        for cy in cy0..=cy1 {
+            let row = cy * st.ncx;
+            let span = st.cell_idx[row + cx0] as usize..st.cell_idx[row + cx1 + 1] as usize;
+            for (&v, home) in st.cell_nodes[span.clone()].iter().zip(&st.cell_home[span]) {
+                let (hx, hy) = (home[0] as f64, home[1] as f64);
+                let (ux, uy) = (hx - pu.0, hy - pu.1);
+                let (tx, ty) = (hx - pdst.0, hy - pdst.1);
+                if ux * ux + uy * uy > reach2 || tx * tx + ty * ty >= near2 {
+                    continue;
+                }
+                if v == u || !st.is_up(v, now) {
+                    continue;
+                }
+                let pv = st.pos(v, now);
+                if dist(pu, pv) > RX_RANGE_M {
+                    continue;
+                }
+                let progress = d_u - dist(pv, pdst);
+                if progress <= 1.0 {
+                    continue;
+                }
+                let score = progress / (1.0 + self.load_of(v) as f64);
+                let better = match best {
+                    None => true,
+                    Some((bs, bv)) => score > bs || (score == bs && v < bv),
+                };
+                if better {
+                    best = Some((score, v));
+                }
+            }
+        }
+        best.map(|(_, v)| v)
+    }
+
+    /// The definition [`next_hop`](RegionNet::next_hop) must reproduce:
+    /// the same rule evaluated over every node of the world.
+    #[cfg(test)]
+    fn next_hop_all_nodes(&self, u: u32, dst: u32, now: SimTime) -> Option<u32> {
+        let st = &*self.st;
+        let pu = st.pos(u, now);
+        let pdst = st.pos(dst, now);
         if dist(pu, pdst) <= RX_RANGE_M && st.is_up(dst, now) {
             return Some(dst);
         }
         let d_u = dist(pu, pdst);
-        let (cx, cy) = st.cell_of(pu.0, pu.1);
         let mut best: Option<(f64, u32)> = None;
-        for dy in -2i64..=2 {
-            for dx in -2i64..=2 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= st.ncx as i64 || ny >= st.ncy as i64 {
-                    continue;
-                }
-                for &v in st.cell_members(ny as usize * st.ncx + nx as usize) {
-                    if v == u || !st.is_up(v, now) {
-                        continue;
-                    }
-                    let pv = st.pos(v, now);
-                    if dist(pu, pv) > RX_RANGE_M {
-                        continue;
-                    }
-                    let progress = d_u - dist(pv, pdst);
-                    if progress <= 1.0 {
-                        continue;
-                    }
-                    let score = progress / (1.0 + self.load_of(v) as f64);
-                    let better = match best {
-                        None => true,
-                        Some((bs, bv)) => score > bs || (score == bs && v < bv),
-                    };
-                    if better {
-                        best = Some((score, v));
-                    }
-                }
+        for v in 0..st.params.len() as u32 {
+            if v == u || !st.is_up(v, now) {
+                continue;
+            }
+            let pv = st.pos(v, now);
+            if dist(pu, pv) > RX_RANGE_M {
+                continue;
+            }
+            let progress = d_u - dist(pv, pdst);
+            if progress <= 1.0 {
+                continue;
+            }
+            let score = progress / (1.0 + self.load_of(v) as f64);
+            let better = match best {
+                None => true,
+                Some((bs, bv)) => score > bs || (score == bs && v < bv),
+            };
+            if better {
+                best = Some((score, v));
             }
         }
         best.map(|(_, v)| v)
@@ -678,11 +833,7 @@ impl RegionNet {
             return;
         };
         // The transmitting node is always owned here; account its work.
-        let i = self
-            .own
-            .binary_search(&pkt.node)
-            .expect("transmitting node is owned by this region");
-        self.loads[i].recent += 1;
+        self.own_load(pkt.node).recent += 1;
         let latency = HOP_FLOOR + SimDuration::from_micros(self.rng.below(HOP_JITTER_US + 1));
         let dst_region = self.st.region_of_node[next as usize];
         ctx.send(
@@ -760,7 +911,8 @@ impl RegionWorld for RegionNet {
                 let now = ctx.now();
                 self.hello_seq += 1;
                 // EWMA load refresh for owned nodes; digest the busy ones.
-                let mut digest: Vec<(u32, u32)> = Vec::new();
+                let digest = Arc::make_mut(&mut self.digest);
+                digest.clear();
                 let probing = self.tel.on();
                 for (i, &node) in self.own.iter().enumerate() {
                     let nl = &mut self.loads[i];
@@ -800,10 +952,9 @@ impl RegionWorld for RegionNet {
                         },
                     );
                 }
-                if !digest.is_empty() {
-                    let digest = Arc::new(digest);
-                    for r in self.st.adjacent_regions(self.id) {
-                        ctx.send(r, now + HOP_FLOOR, PmEvent::Digest(digest.clone()));
+                if !self.digest.is_empty() {
+                    for &r in self.st.adjacent_regions(self.id) {
+                        ctx.send(r, now + HOP_FLOOR, PmEvent::Digest(self.digest.clone()));
                     }
                 }
                 let next = now + HELLO_INTERVAL;
@@ -848,11 +999,8 @@ impl RegionWorld for RegionNet {
             }
             PmEvent::Forward(pkt) => self.handle_forward(pkt, ctx),
             PmEvent::ChurnDown { node } => {
-                let i = self
-                    .own
-                    .binary_search(&node)
-                    .expect("churn events are primed at the owner region");
-                self.loads[i] = NodeLoad::default();
+                // Churn events are primed at the owner region.
+                *self.own_load(node) = NodeLoad::default();
                 self.tel
                     .emit_at(node, ctx.now(), EventKind::NodeDown { incarnation: 0 });
             }
@@ -1067,12 +1215,9 @@ pub fn region_grid(side: f64, nodes: usize, requested: Option<usize>) -> (usize,
     (rx, ry)
 }
 
-fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
-    assert!(
-        !(cfg.trace_hash && cfg.supervised()),
-        "trace_hash folds events away as they are emitted; checkpoints need \
-         the buffered trace, so the two are incompatible"
-    );
+/// Place the scenario's world: homes, drift, churn, indexes and flows — a
+/// pure function of the scenario, drawn from the master seed.
+fn build_statics(cfg: &ParMesh) -> Statics {
     let n = cfg.nodes;
     let cols = (n as f64).sqrt().ceil() as usize;
     let side = cols as f64 * PITCH_M;
@@ -1123,17 +1268,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         }
     }
 
-    // --- spatial hash over homes ---
-    let ncx = ((side / CELL_M).ceil() as usize).max(1);
-    let ncy = ncx;
-    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncx * ncy];
-    for (i, p) in params.iter().enumerate() {
-        let cx = ((p.home.0 / CELL_M) as usize).min(ncx - 1);
-        let cy = ((p.home.1 / CELL_M) as usize).min(ncy - 1);
-        cells[cy * ncx + cx].push(i as u32);
-    }
-
-    // --- region grid + ownership ---
+    // --- region grid, ownership, spatial hash ---
     let (rx, ry) = region_grid(side, n, cfg.regions);
     let regions = rx * ry;
     if let Some(req) = cfg.regions {
@@ -1145,34 +1280,14 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
             );
         }
     }
-    let mut region_of_node = Vec::with_capacity(n);
-    {
-        let probe = Statics {
-            params: Vec::new(),
-            churn_idx: vec![0],
-            churn_iv: Vec::new(),
-            cell_idx: vec![0],
-            cell_nodes: Vec::new(),
-            ncx,
-            ncy,
-            side,
-            rx,
-            ry,
-            region_of_node: Vec::new(),
-            flows: Vec::new(),
-            interval: cfg.interval,
-            horizon,
-        };
-        for p in &params {
-            region_of_node.push(probe.region_at(p.home.0, p.home.1));
-        }
-    }
+    let mut st = Statics::new(params, &churn, side, (rx, ry), cfg.interval, horizon);
+    drop(churn);
 
     // --- flows: local destinations a few hops away ---
     let mut flow_rng = SimRng::derive(cfg.seed, DOMAIN_FLOWS, 0);
     let nearest_to = |x: f64, y: f64, exclude: u32| -> Option<u32> {
-        let cx = ((x / CELL_M) as usize).min(ncx - 1);
-        let cy = ((y / CELL_M) as usize).min(ncy - 1);
+        let (ncx, ncy) = (st.ncx, st.ncy);
+        let (cx, cy) = st.cell_of(x, y);
         let mut best: Option<(f64, u32)> = None;
         for ring in 0..ncx.max(ncy) {
             let r = ring as i64;
@@ -1186,11 +1301,11 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
                     if nx < 0 || ny < 0 || nx >= ncx as i64 || ny >= ncy as i64 {
                         continue;
                     }
-                    for &v in &cells[ny as usize * ncx + nx as usize] {
+                    for &v in st.cell_members(ny as usize * ncx + nx as usize) {
                         if v == exclude {
                             continue;
                         }
-                        let d = dist(params[v as usize].home, (x, y));
+                        let d = dist(st.params[v as usize].home, (x, y));
                         let better = match best {
                             None => true,
                             Some((bd, bv)) => d < bd || (d == bd && v < bv),
@@ -1214,8 +1329,8 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         let src = flow_rng.below(n as u64) as u32;
         let angle = flow_rng.range_f64(0.0, std::f64::consts::TAU);
         let reach = flow_rng.range_f64(500.0, 2_500.0);
-        let tx = (params[src as usize].home.0 + reach * angle.cos()).clamp(0.0, side);
-        let ty = (params[src as usize].home.1 + reach * angle.sin()).clamp(0.0, side);
+        let tx = (st.params[src as usize].home.0 + reach * angle.cos()).clamp(0.0, side);
+        let ty = (st.params[src as usize].home.1 + reach * angle.sin()).clamp(0.0, side);
         let Some(dst) = nearest_to(tx, ty, src) else {
             continue;
         };
@@ -1223,36 +1338,37 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         flows.push(Flow { src, dst, start });
     }
 
-    let (churn_idx, churn_iv) = flatten_csr(&churn);
-    let (cell_idx, cell_nodes) = flatten_csr(&cells);
-    drop(churn);
-    drop(cells);
-    let st = Arc::new(Statics {
-        params,
-        churn_idx,
-        churn_iv,
-        cell_idx,
-        cell_nodes,
-        ncx,
-        ncy,
-        side,
-        rx,
-        ry,
-        region_of_node,
-        flows,
-        interval: cfg.interval,
-        horizon,
-    });
+    st.flows = flows;
+    st
+}
+
+fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
+    assert!(
+        !(cfg.trace_hash && cfg.supervised()),
+        "trace_hash folds events away as they are emitted; checkpoints need \
+         the buffered trace, so the two are incompatible"
+    );
+    let n = cfg.nodes;
+    let horizon = SimTime::ZERO + cfg.duration;
+    let dur_ns = cfg.duration.as_nanos();
+    let st = Arc::new(build_statics(cfg));
+    let regions = st.regions();
 
     // --- per-region worlds, sinks, RNG streams ---
-    let mut own: Vec<Vec<u32>> = vec![Vec::new(); regions];
+    let mut owned = vec![0usize; regions];
+    for &r in &st.region_of_node {
+        owned[r as usize] += 1;
+    }
+    let mut own: Vec<Vec<u32>> = owned.iter().map(|&c| Vec::with_capacity(c)).collect();
     for (i, &r) in st.region_of_node.iter().enumerate() {
         own[r as usize].push(i as u32);
     }
     let mut sinks: Vec<Option<Arc<Mutex<MemorySink>>>> = Vec::with_capacity(regions);
     let mut hash_sinks: Vec<Arc<Mutex<HashSink>>> = Vec::new();
-    let worlds: Vec<RegionNet> = (0..regions)
-        .map(|r| {
+    let worlds: Vec<RegionNet> = own
+        .into_iter()
+        .enumerate()
+        .map(|(r, own)| {
             let (tel, sink) = if cfg.telemetry {
                 let inner = Arc::new(Mutex::new(MemorySink::default()));
                 sinks.push(Some(inner.clone()));
@@ -1266,41 +1382,21 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
                 sinks.push(None);
                 (Tel::off(), None)
             };
-            RegionNet {
-                id: r as RegionId,
-                st: st.clone(),
-                loads: vec![NodeLoad::default(); own[r].len()],
-                own: own[r].clone(),
-                remote: HashMap::new(),
-                rng: SimRng::derive(cfg.seed, DOMAIN_REGION, r as u64),
-                tel,
-                sink,
-                hello_seq: 0,
-                flow_seq: HashMap::new(),
-                stats: RegionStats::default(),
-            }
+            RegionNet::new(r as RegionId, st.clone(), own, cfg.seed, tel, sink)
         })
         .collect();
 
     // Ring-1 regions interact with HOP_FLOOR lookahead; farther regions
-    // only transitively (the engine's closure derives the multi-hop
+    // only transitively (the engine's horizon sweep derives the multi-hop
     // bounds). Geometry (MIN_REGION_SIDE_M > max hop) guarantees no direct
     // send ever spans more than one ring.
-    let lookahead = if regions == 1 {
-        Lookahead::uniform(1, SimDuration::ZERO)
-    } else {
-        let st2 = st.clone();
-        Lookahead::from_fn(regions, move |a, b| {
-            let (ax, ay) = st2.region_coords(a);
-            let (bx, by) = st2.region_coords(b);
-            let cheb = ax.abs_diff(bx).max(ay.abs_diff(by));
-            if cheb <= 1 {
-                HOP_FLOOR
-            } else {
-                wmn_sim::shard::NEVER
-            }
-        })
-    };
+    let lookahead = Lookahead::from_fn(regions, |a, b| {
+        if st.adjacent_regions(a).contains(&b) {
+            HOP_FLOOR
+        } else {
+            wmn_sim::shard::NEVER
+        }
+    });
 
     // The event budget is a runaway guard, not a scenario knob; scale it
     // with the world so million-node runs don't trip it.
@@ -1313,7 +1409,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     // one HELLO timer, one Originate timer per sourced flow, the scheduled
     // churn transitions, plus in-flight packets (a few per flow routed
     // through); reserving up front keeps the steady state reallocation-free.
-    let mut plan: Vec<usize> = own.iter().map(|o| 1 + o.len() / 16).collect();
+    let mut plan: Vec<usize> = owned.iter().map(|&c| 1 + c / 16).collect();
     for flow in &st.flows {
         plan[st.region_of_node[flow.src as usize] as usize] += 4;
     }
@@ -1325,8 +1421,8 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     }
 
     // --- prime: hellos, flows, churn transitions ---
-    for (r, owned) in own.iter().enumerate().take(regions) {
-        if !owned.is_empty() {
+    for (r, &c) in owned.iter().enumerate() {
+        if c > 0 {
             engine.prime(
                 r as RegionId,
                 SimTime::ZERO + HELLO_INTERVAL,
@@ -1489,6 +1585,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small(threads: usize) -> ParMeshOutcome {
         ParMesh::new(400)
@@ -1790,6 +1887,175 @@ mod tests {
         // Threads and steal schedule are invisible to the fingerprint.
         for (threads, steal) in [(2, true), (8, true), (4, false)] {
             assert_eq!(Some(fp), run(threads, steal, false).trace_fp);
+        }
+    }
+
+    /// A region world over `st` with arbitrary small loads — exact ones for
+    /// the nodes it owns, digested ones for half of the others — so that
+    /// load-weighted scores differ and tie.
+    fn loaded_region(st: &Arc<Statics>, region: RegionId, rng: &mut SimRng) -> RegionNet {
+        let nodes = 0..st.params.len() as u32;
+        let own: Vec<u32> = nodes
+            .clone()
+            .filter(|&v| st.region_of_node[v as usize] == region)
+            .collect();
+        let mut net = RegionNet::new(region, st.clone(), own, 1, Tel::off(), None);
+        for nl in &mut net.loads {
+            *nl = NodeLoad {
+                load: rng.below(3) as u32,
+                recent: rng.below(2) as u32,
+            };
+        }
+        for v in nodes {
+            if st.region_of_node[v as usize] != region && rng.chance(0.5) {
+                net.remote.insert(v, rng.below(4) as u32);
+            }
+        }
+        net
+    }
+
+    /// A hand-placed world around one `u → dst` pair near `corner` of a
+    /// 60 km field (where `f32` homes are 4 mm coarse): candidates whose
+    /// reach from `u` and whose progress towards `dst` sit on, just inside
+    /// and just outside the two thresholds, mirrored relays (equal scores),
+    /// some of them down. Node 0 is `u`, node 1 is `dst`.
+    fn threshold_world(corner: u8, mobile: bool, rng: &mut SimRng) -> Statics {
+        const SIDE: f64 = 60_000.0;
+        const NUDGES: [f64; 9] = [0.0, 1e-9, -1e-9, 1e-4, -1e-4, 0.004, -0.004, 0.5, -0.5];
+        let (u, towards) = match corner {
+            0 => ((3.0, 7.0), 0.6),
+            1 => ((SIDE - 3.0, SIDE - 7.0), 0.6 + std::f64::consts::PI),
+            _ => ((31_250.0, 29_750.0), 0.0),
+        };
+        let d_u = rng.range_f64(240.0, 2_500.0);
+        let dst = (u.0 + d_u * towards.cos(), u.1 + d_u * towards.sin());
+        let mut homes = vec![u, dst];
+        for &nudge in &NUDGES {
+            // On the range circle around u, anywhere ahead of it.
+            let a = towards + rng.range_f64(-1.5, 1.5);
+            let amp = if mobile {
+                rng.range_f64(0.0, DRIFT_AMP_M)
+            } else {
+                0.0
+            };
+            let r = RX_RANGE_M + amp + nudge;
+            homes.push((u.0 + r * a.cos(), u.1 + r * a.sin()));
+            // On the circle of one metre's progress around dst, near u.
+            let b = towards + std::f64::consts::PI + rng.range_f64(-0.05, 0.05);
+            let r = d_u - 1.0 + amp + nudge;
+            homes.push((dst.0 + r * b.cos(), dst.1 + r * b.sin()));
+        }
+        // Plain relays part of the way, in pairs mirrored about the u–dst
+        // axis. In the mid-field world that axis is a cell boundary along
+        // x, so a static pair makes bit-equal progress from two cell rows.
+        let (tx, ty) = (towards.cos(), towards.sin());
+        for _ in 0..6 {
+            let (a, h) = (80.0 + rng.below(150) as f64, rng.below(80) as f64);
+            homes.push((u.0 + a * tx - h * ty, u.1 + a * ty + h * tx));
+            homes.push((u.0 + a * tx + h * ty, u.1 + a * ty - h * tx));
+        }
+        let params: Vec<NodeParams> = homes
+            .into_iter()
+            .map(|(x, y)| NodeParams {
+                home: (x.clamp(0.0, SIDE), y.clamp(0.0, SIDE)),
+                amp: if mobile {
+                    rng.range_f64(0.0, DRIFT_AMP_M)
+                } else {
+                    0.0
+                },
+                omega: rng.range_f64(0.05, 0.3),
+                phase: rng.range_f64(0.0, std::f64::consts::TAU),
+            })
+            .collect();
+        let churn: Vec<Vec<(u64, u64)>> = (0..params.len())
+            .map(|_| {
+                if rng.chance(0.15) {
+                    vec![(2_000_000_000, 6_000_000_000)]
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let horizon = SimTime::from_secs(10);
+        Statics::new(
+            params,
+            &churn,
+            SIDE,
+            (2, 2),
+            SimDuration::from_millis(100),
+            horizon,
+        )
+    }
+
+    proptest! {
+        /// The prefiltered cell scan picks the hop the rule defines over
+        /// all nodes, on generated worlds of every size: field corners and
+        /// edges as sources, mobility and churn on and off, any instant.
+        #[test]
+        fn next_hop_equals_the_all_nodes_scan(
+            seed in any::<u64>(),
+            nodes in 2usize..700,
+            mobility in any::<bool>(),
+            churn in any::<bool>(),
+            regions in 1usize..12,
+            t_ms in 0u64..10_000,
+        ) {
+            let cfg = ParMesh::new(nodes)
+                .seed(seed)
+                .mobility(mobility)
+                .churn(churn)
+                .regions(regions);
+            let st = Arc::new(build_statics(&cfg));
+            let now = SimTime::from_millis(t_ms);
+            let mut rng = SimRng::derive(seed, 0x6E68, 0);
+            let n = nodes as u32;
+            let cols = (nodes as f64).sqrt().ceil() as u32;
+            let mut sources = vec![0, (cols - 1).min(n - 1), n - 1, n - n.min(cols), n / 2];
+            sources.extend((0..10).map(|_| rng.below(n as u64) as u32));
+            for u in sources {
+                let net = loaded_region(&st, st.region_of_node[u as usize], &mut rng);
+                for _ in 0..4 {
+                    let dst = rng.below(n as u64) as u32;
+                    let (got, want) = (net.next_hop(u, dst, now), net.next_hop_all_nodes(u, dst, now));
+                    prop_assert!(dst == u || got == want, "{u} -> {dst} at {now}: {got:?}, all-nodes scan {want:?}");
+                }
+            }
+        }
+
+        /// … and on worlds built to sit on the range and progress
+        /// thresholds, at the field's corners, from every node of them.
+        #[test]
+        fn next_hop_agrees_on_the_thresholds(
+            seed in any::<u64>(),
+            corner in 0u8..3,
+            mobile in any::<bool>(),
+            t_ms in 0u64..10_000,
+        ) {
+            let mut rng = SimRng::derive(seed, 0x7468, 0);
+            let st = Arc::new(threshold_world(corner, mobile, &mut rng));
+            let now = SimTime::from_millis(t_ms);
+            for region in 0..4 {
+                let net = loaded_region(&st, region, &mut rng);
+                for u in 0..st.params.len() as u32 {
+                    let (got, want) = (net.next_hop(u, 1, now), net.next_hop_all_nodes(u, 1, now));
+                    prop_assert!(u == 1 || got == want, "{u} -> 1 at {now}: {got:?}, all-nodes scan {want:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hello_adjacency_is_the_chebyshev_ring() {
+        let st = build_statics(&ParMesh::new(10_000).regions(9));
+        assert_eq!(st.regions(), 9);
+        assert_eq!(st.adjacent_regions(0), [1, 3, 4]);
+        assert_eq!(st.adjacent_regions(4), [0, 1, 2, 3, 5, 6, 7, 8]);
+        assert_eq!(st.adjacent_regions(5), [1, 2, 4, 7, 8]);
+        // `local_of_node` indexes the owner's ascending id list.
+        let mut seen = [0u32; 9];
+        for (v, &r) in st.region_of_node.iter().enumerate() {
+            assert_eq!(st.local_of_node[v], seen[r as usize]);
+            seen[r as usize] += 1;
         }
     }
 

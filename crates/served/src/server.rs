@@ -482,9 +482,10 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()
                 )?;
             }
             Ok(Request::Shutdown) => {
-                writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
+                // Drain first: the ack promises that new jobs are refused.
                 core.shutdown.store(true, Ordering::SeqCst);
                 core.begin_drain();
+                writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
             }
             Ok(Request::Run {
                 spec,

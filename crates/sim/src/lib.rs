@@ -54,7 +54,8 @@ pub use engine::{Engine, RunReport, Scheduler, StopReason, World};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SplitMix64};
 pub use shard::{
-    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardRunReport,
-    ShardStopReason, ShardedEngine, StochasticCrash, SupervisorConfig, SupervisorReport,
+    CheckpointState, CrashPlan, HorizonScratch, Lookahead, RegionCtx, RegionId, RegionWorld,
+    ShardRunReport, ShardStopReason, ShardedEngine, StochasticCrash, SupervisorConfig,
+    SupervisorReport,
 };
 pub use time::{SimDuration, SimTime};

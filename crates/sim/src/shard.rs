@@ -22,7 +22,10 @@
 //! the air in less than the PHY preamble/turnaround, and influence between
 //! non-adjacent spatial regions additionally pays propagation over the
 //! inter-region distance — so the lookahead is free: no model change is
-//! needed to expose it.
+//! needed to expose it. The engine never forms `D`: every path into `i`
+//! ends in a direct edge, so one shortest-path sweep over the direct
+//! bounds, seeded with every `T_j`, yields all `H_i` at once (see
+//! [`Lookahead::safe_horizons`]).
 //!
 //! Execution proceeds in epochs. Every epoch the coordinator computes each
 //! region's safe horizon from the current queue states, hands the *active*
@@ -60,10 +63,12 @@ use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Checkpoin
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Instant;
 
 /// Identifies one region (shard) of a partitioned model.
@@ -77,21 +82,31 @@ pub const NEVER: SimDuration = SimDuration(u64::MAX);
 /// `between(src, dst)` is the minimum delay, measured from the event being
 /// processed at `src`, after which an event emitted by `src` may activate
 /// at `dst`. [`NEVER`] marks pairs that never communicate.
+///
+/// Only the finite direct bounds are stored, as per-source neighbour lists,
+/// so a spatial region grid costs O(regions) memory and set-up whatever its
+/// size. Safe horizons are computed from those lists alone
+/// ([`safe_horizons`](Lookahead::safe_horizons)); the dense all-pairs
+/// closure behind [`influence`](Lookahead::influence) is built only if
+/// somebody asks for it.
 #[derive(Clone, Debug)]
 pub struct Lookahead {
     n: usize,
-    /// Row-major `n × n` matrix of *direct* bounds; the diagonal is unused.
-    delta: Vec<SimDuration>,
-    /// All-pairs shortest-path closure of `delta` (Floyd–Warshall). The
-    /// diagonal holds the minimum cycle back to oneself: an event at `i`
-    /// can influence `i` again only via some other region, so `D(i, i)` is
-    /// the cheapest round trip. Safe horizons must use this closure — the
-    /// direct matrix alone under-counts multi-hop influence chains.
-    closed: Vec<SimDuration>,
+    /// CSR rows of finite *direct* bounds: region `s` can send to the
+    /// `(dst, δ)` pairs in `out[out_idx[s]..out_idx[s + 1]]`, ascending in
+    /// `dst`, never `s` itself.
+    out_idx: Vec<u32>,
+    out: Vec<(RegionId, SimDuration)>,
+    /// All-pairs shortest-path closure of the direct bounds, row-major
+    /// `n × n`, built on the first [`influence`](Lookahead::influence)
+    /// call. The diagonal holds the minimum cycle back to oneself: an event
+    /// at `i` can influence `i` again only via some other region, so
+    /// `D(i, i)` is the cheapest round trip.
+    closed: OnceLock<Vec<SimDuration>>,
 }
 
-fn close_over(n: usize, delta: &[SimDuration]) -> Vec<SimDuration> {
-    let mut d = delta.to_vec();
+/// Floyd–Warshall over `n × n` row-major direct bounds (diagonal ignored).
+fn close_over(n: usize, mut d: Vec<SimDuration>) -> Vec<SimDuration> {
     // Self-influence must pass through a cycle; seed the diagonal as ∞.
     for i in 0..n {
         d[i * n + i] = NEVER;
@@ -117,22 +132,30 @@ fn close_over(n: usize, delta: &[SimDuration]) -> Vec<SimDuration> {
     d
 }
 
+/// Reusable working memory of [`Lookahead::safe_horizons`], so the
+/// per-epoch planning pass allocates nothing once warm.
+#[derive(Clone, Debug, Default)]
+pub struct HorizonScratch {
+    /// Pending `(label, region)` entries, smallest label first.
+    heap: BinaryHeap<Reverse<((SimTime, RegionId), RegionId)>>,
+    /// Best known `(earliest influence, origin)` label per region.
+    label: Vec<(SimTime, RegionId)>,
+    /// The origin behind each region's safe horizon.
+    origin: Vec<RegionId>,
+}
+
+/// "No region": the origin of an unbounded label.
+const NO_REGION: RegionId = RegionId::MAX;
+
 impl Lookahead {
     /// A uniform bound: every ordered pair of distinct regions shares the
     /// same minimum latency `delta`.
     pub fn uniform(n: usize, delta: SimDuration) -> Self {
-        assert!(n >= 1, "at least one region");
         assert!(
             n == 1 || delta > SimDuration::ZERO,
             "zero lookahead cannot make progress with more than one region"
         );
-        let matrix = vec![delta; n * n];
-        let closed = close_over(n, &matrix);
-        Lookahead {
-            n,
-            delta: matrix,
-            closed,
-        }
+        Self::from_fn(n, |_, _| delta)
     }
 
     /// Build from a per-pair function (e.g. turnaround floor plus
@@ -140,7 +163,9 @@ impl Lookahead {
     /// pairs that cannot interact. Every finite bound must be positive.
     pub fn from_fn(n: usize, mut f: impl FnMut(RegionId, RegionId) -> SimDuration) -> Self {
         assert!(n >= 1, "at least one region");
-        let mut delta = vec![NEVER; n * n];
+        let mut out_idx = Vec::with_capacity(n + 1);
+        let mut out = Vec::new();
+        out_idx.push(0);
         for s in 0..n {
             for d in 0..n {
                 if s == d {
@@ -148,11 +173,19 @@ impl Lookahead {
                 }
                 let v = f(s as RegionId, d as RegionId);
                 assert!(v > SimDuration::ZERO, "lookahead {s}->{d} must be positive");
-                delta[s * n + d] = v;
+                if v != NEVER {
+                    out.push((d as RegionId, v));
+                }
             }
+            assert!(out.len() <= u32::MAX as usize, "too many lookahead edges");
+            out_idx.push(out.len() as u32);
         }
-        let closed = close_over(n, &delta);
-        Lookahead { n, delta, closed }
+        Lookahead {
+            n,
+            out_idx,
+            out,
+            closed: OnceLock::new(),
+        }
     }
 
     /// Number of regions.
@@ -160,20 +193,122 @@ impl Lookahead {
         self.n
     }
 
+    /// The regions `src` can send to directly, with their bounds,
+    /// ascending in region id.
+    #[inline]
+    fn out_edges(&self, src: RegionId) -> &[(RegionId, SimDuration)] {
+        let s = src as usize;
+        &self.out[self.out_idx[s] as usize..self.out_idx[s + 1] as usize]
+    }
+
     /// The declared *direct* bound for `src → dst` ([`NEVER`] when they
     /// never interact directly). This is the contract [`RegionCtx::send`]
     /// enforces.
     #[inline]
     pub fn between(&self, src: RegionId, dst: RegionId) -> SimDuration {
-        self.delta[src as usize * self.n + dst as usize]
+        let row = self.out_edges(src);
+        match row.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(k) => row[k].1,
+            Err(_) => NEVER,
+        }
     }
 
     /// The shortest influence path `src → … → dst` through any chain of
-    /// regions; `influence(i, i)` is the minimum cycle. Safe horizons are
-    /// computed from this.
-    #[inline]
+    /// regions; `influence(i, i)` is the minimum cycle. The first call pays
+    /// the O(n³) dense closure; a run never makes it —
+    /// [`safe_horizons`](Lookahead::safe_horizons) yields the same horizons
+    /// from the direct bounds — so this is for tests and diagnostics.
     pub fn influence(&self, src: RegionId, dst: RegionId) -> SimDuration {
-        self.closed[src as usize * self.n + dst as usize]
+        let closed = self.closed.get_or_init(|| {
+            let mut delta = vec![NEVER; self.n * self.n];
+            for s in 0..self.n {
+                for &(d, v) in self.out_edges(s as RegionId) {
+                    delta[s * self.n + d as usize] = v;
+                }
+            }
+            close_over(self.n, delta)
+        });
+        closed[src as usize * self.n + dst as usize]
+    }
+
+    /// Every region's safe horizon, given each region's next pending event
+    /// time `peeks[j]` (`None` = idle): region `i` may process events
+    /// strictly below `safe[i] = min_j (peeks[j] + influence(j, i))` over
+    /// non-idle `j` — including `j = i`, whose pending events can cascade
+    /// back through other regions (minimum cycle). An idle region
+    /// constrains nobody: any future activity there descends from some
+    /// region's currently pending event, which the shortest paths already
+    /// account for.
+    ///
+    /// `sources`, when given, receives the lowest-numbered `j` attaining
+    /// each minimum — which pending event the barrier is waiting on — or
+    /// `-1` where the horizon is unbounded.
+    ///
+    /// The closure is never formed. Every influence path into `i` ends in
+    /// a direct edge `k → i`, so with `g_k = min_j (peeks[j] + shortest
+    /// path j ⇝ k, the empty path included)`, `safe[i]` is the minimum of
+    /// `g_k + between(k, i)` over `i`'s direct in-neighbours. `g` is one
+    /// multi-source shortest-path sweep seeded with the peeks; the
+    /// candidates relaxed into `i` during that sweep are exactly those
+    /// terms, so the sweep yields `safe` as it goes, in O(edges · log n).
+    /// Labels are `(time, origin)` pairs compared lexicographically, which
+    /// a positive edge weight preserves, so the origin that survives is
+    /// the lowest `j` among the minimisers.
+    pub fn safe_horizons(
+        &self,
+        peeks: &[Option<SimTime>],
+        scratch: &mut HorizonScratch,
+        safe: &mut Vec<SimTime>,
+        sources: Option<&mut Vec<i64>>,
+    ) {
+        assert_eq!(peeks.len(), self.n, "one peek per region");
+        let HorizonScratch {
+            heap,
+            label,
+            origin,
+        } = scratch;
+        heap.clear();
+        label.clear();
+        safe.clear();
+        safe.resize(self.n, SimTime::MAX);
+        origin.clear();
+        origin.resize(self.n, NO_REGION);
+        for (j, peek) in peeks.iter().enumerate() {
+            let seed = (peek.unwrap_or(SimTime::MAX), j as RegionId);
+            label.push(seed);
+            if peek.is_some() {
+                heap.push(Reverse((seed, j as RegionId)));
+            }
+        }
+        while let Some(Reverse(((g, from), k))) = heap.pop() {
+            // Superseded by a smaller label pushed later, popped earlier.
+            if (g, from) != label[k as usize] {
+                continue;
+            }
+            for &(i, delta) in self.out_edges(k) {
+                let i = i as usize;
+                let via = (g.saturating_add(delta), from);
+                if via.0 == SimTime::MAX {
+                    continue;
+                }
+                // A settled region's label is final, its horizon is not: a
+                // later-settled neighbour still closes a cycle back to it.
+                if via < (safe[i], origin[i]) {
+                    (safe[i], origin[i]) = via;
+                }
+                if via < label[i] {
+                    label[i] = via;
+                    heap.push(Reverse((via, i as RegionId)));
+                }
+            }
+        }
+        if let Some(s) = sources {
+            s.clear();
+            s.extend(origin.iter().map(|&o| match o {
+                NO_REGION => -1,
+                j => j as i64,
+            }));
+        }
     }
 }
 
@@ -829,6 +964,10 @@ pub struct ShardedEngine<W: RegionWorld> {
     /// Reused merge batch so the epoch barrier stops allocating once the
     /// cross-region rate stabilizes.
     merge_buf: Vec<(SimTime, RegionId, u32, RegionId, W::Event)>,
+    /// Reused epoch-planning buffers: every region's next event time, and
+    /// the working memory of [`Lookahead::safe_horizons`].
+    peeks: Vec<Option<SimTime>>,
+    horizon_scratch: HorizonScratch,
     /// Counters restored by [`ShardedEngine::restore`]; zero on a fresh run.
     resume_epochs: u64,
     resume_cross: u64,
@@ -872,6 +1011,8 @@ impl<W: RegionWorld> ShardedEngine<W> {
             event_budget: u64::MAX,
             steal: false,
             merge_buf: Vec::new(),
+            peeks: Vec::new(),
+            horizon_scratch: HorizonScratch::default(),
             resume_epochs: 0,
             resume_cross: 0,
             resume_probe: Vec::new(),
@@ -924,55 +1065,6 @@ impl<W: RegionWorld> ShardedEngine<W> {
             .expect("slot present between epochs")
     }
 
-    /// Compute every region's safe horizon from current queue states.
-    /// Region `i` may process events strictly below
-    /// `min_j (T_j + D(j → i))` over **non-idle** regions `j`, where `D`
-    /// is the shortest-path influence closure — including `j = i`, whose
-    /// pending events can cascade back through other regions (minimum
-    /// cycle). An idle region constrains nobody: any future activity there
-    /// descends from some region's currently pending event, which the
-    /// closure already accounts for.
-    ///
-    /// When `sources` is given (profiling), it is filled with the argmin
-    /// region `j` that bound each horizon — which pending event the barrier
-    /// is waiting on (`-1` when unbounded). Ties break to the lowest `j`,
-    /// so attribution is deterministic.
-    fn compute_safe_horizons(&self, out: &mut Vec<SimTime>, mut sources: Option<&mut Vec<i64>>) {
-        let n = self.slots.len();
-        out.clear();
-        if let Some(s) = sources.as_deref_mut() {
-            s.clear();
-        }
-        if n == 1 {
-            out.push(SimTime::MAX);
-            if let Some(s) = sources {
-                s.push(-1);
-            }
-            return;
-        }
-        let peeks: Vec<Option<SimTime>> = (0..n).map(|i| self.slot(i).queue.peek_time()).collect();
-        for i in 0..n {
-            let mut h = SimTime::MAX;
-            let mut src = -1i64;
-            for (j, peek) in peeks.iter().enumerate() {
-                let Some(t) = peek else { continue };
-                let d = self.lookahead.influence(j as RegionId, i as RegionId);
-                if d == NEVER {
-                    continue;
-                }
-                let bound = t.saturating_add(d);
-                if bound < h {
-                    h = bound;
-                    src = j as i64;
-                }
-            }
-            out.push(h);
-            if let Some(s) = sources.as_deref_mut() {
-                s.push(src);
-            }
-        }
-    }
-
     /// Merge every region's outbox into the destination queues in
     /// deterministic `(timestamp, source region, emission sequence)` order,
     /// checking the conservative invariant against each destination's
@@ -1018,7 +1110,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// the active region indices; returns `Err(reason)` when the run is
     /// over.
     fn epoch_plan(
-        &self,
+        &mut self,
         safe: &mut Vec<SimTime>,
         jobs: &mut Vec<usize>,
         sources: Option<&mut Vec<i64>>,
@@ -1030,22 +1122,23 @@ impl<W: RegionWorld> ShardedEngine<W> {
         if processed >= self.event_budget {
             return Err(ShardStopReason::EventBudget);
         }
-        let Some(t_min) = (0..self.slots.len())
-            .filter_map(|i| self.slot(i).queue.peek_time())
-            .min()
-        else {
+        self.peeks.clear();
+        self.peeks.extend(self.slots.iter().map(|slot| {
+            let slot = slot.as_deref().expect("slot present between epochs");
+            slot.queue.peek_time()
+        }));
+        let Some(t_min) = self.peeks.iter().flatten().min().copied() else {
             return Err(ShardStopReason::QueueEmpty);
         };
         if t_min > self.horizon {
             return Err(ShardStopReason::HorizonReached);
         }
-        self.compute_safe_horizons(safe, sources);
+        self.lookahead
+            .safe_horizons(&self.peeks, &mut self.horizon_scratch, safe, sources);
         jobs.clear();
-        for (i, &safe_i) in safe.iter().enumerate().take(self.slots.len()) {
-            if let Some(t) = self.slot(i).queue.peek_time() {
-                if t < safe_i && t <= self.horizon {
-                    jobs.push(i);
-                }
+        for (i, (peek, &safe_i)) in self.peeks.iter().zip(safe.iter()).enumerate() {
+            if peek.is_some_and(|t| t < safe_i && t <= self.horizon) {
+                jobs.push(i);
             }
         }
         // Progress is guaranteed: the region holding t_min has
@@ -2092,6 +2185,48 @@ mod tests {
         // No links ⇒ every safe horizon is ∞ ⇒ each region drains in one
         // window and the run is a single epoch.
         assert_eq!(report.epochs, 1);
+    }
+
+    #[test]
+    fn closure_is_built_only_when_influence_is_asked() {
+        // The 1 M-node ParMesh grid: 51 × 51 regions, ring-1 adjacency. A
+        // dense closure would be 1.8e10 Floyd–Warshall steps here.
+        const SIDE: u32 = 51;
+        let hop = SimDuration::from_millis(1);
+        let t0 = Instant::now();
+        let la = Lookahead::from_fn((SIDE * SIDE) as usize, |a, b| {
+            let (dx, dy) = ((a % SIDE).abs_diff(b % SIDE), (a / SIDE).abs_diff(b / SIDE));
+            if dx.max(dy) <= 1 {
+                hop
+            } else {
+                NEVER
+            }
+        });
+        let n = la.regions();
+        // Only the corner region has a pending event.
+        let mut peeks = vec![None; n];
+        peeks[0] = Some(SimTime::ZERO);
+        let (mut safe, mut sources) = (Vec::new(), Vec::new());
+        la.safe_horizons(
+            &peeks,
+            &mut HorizonScratch::default(),
+            &mut safe,
+            Some(&mut sources),
+        );
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "{:?}", t0.elapsed());
+        assert!(la.closed.get().is_none(), "planning built the closure");
+        // Its own event can come back to it through a neighbour: 0 → 1 → 0.
+        assert_eq!((safe[0], sources[0]), (SimTime(2_000_000), 0));
+        assert_eq!((safe[1], sources[1]), (SimTime(1_000_000), 0));
+        assert_eq!((safe[n - 1], sources[n - 1]), (SimTime(50_000_000), 0));
+        assert_eq!(la.between(0, 1), hop);
+        assert_eq!(la.between(0, 2), NEVER);
+
+        // Asking for influence builds it, once, on a small instance.
+        let small = Lookahead::uniform(3, hop);
+        assert!(small.closed.get().is_none());
+        assert_eq!(small.influence(0, 0), SimDuration::from_millis(2));
+        assert!(small.closed.get().is_some());
     }
 
     /// Records everything a probe sees, keeping only sim-derived fields so

@@ -10,10 +10,15 @@
 //!    events share a `(timestamp, source region, emission seq)` key, and
 //!    the order every receiver observes is exactly the sorted order —
 //!    independent of the worker count.
+//! 3. **Sparse planning equals the closure formula**: the safe horizons and
+//!    their stall attribution, computed from the direct bounds alone, are
+//!    the ones `min_j (T_j + influence(j, i))` defines.
 
 use proptest::prelude::*;
 use wmn_sim::shard::NEVER;
-use wmn_sim::{Lookahead, RegionCtx, RegionWorld, ShardedEngine, SimDuration, SimRng, SimTime};
+use wmn_sim::{
+    HorizonScratch, Lookahead, RegionCtx, RegionWorld, ShardedEngine, SimDuration, SimRng, SimTime,
+};
 
 /// Build a random all-pairs lookahead matrix with deltas in [1, 10] ms.
 fn random_lookahead(n: usize, seed: u64) -> Lookahead {
@@ -22,6 +27,51 @@ fn random_lookahead(n: usize, seed: u64) -> Lookahead {
         .map(|_| SimDuration::from_micros(1_000 + rng.below(9_000)))
         .collect();
     Lookahead::from_fn(n, move |a, b| deltas[a as usize * n + b as usize])
+}
+
+/// A random lookahead graph of one of five shapes. Bounds come from four
+/// values so that equal-length paths, and with them attribution ties, are
+/// common.
+fn shaped_lookahead(n: usize, shape: u8, rng: &mut SimRng) -> Lookahead {
+    let mute: Vec<bool> = (0..n).map(|_| rng.chance(0.3)).collect();
+    let deaf: Vec<bool> = (0..n).map(|_| rng.chance(0.3)).collect();
+    Lookahead::from_fn(n, |a, b| {
+        let (a, b) = (a as usize, b as usize);
+        let delta = SimDuration::from_millis(1 + rng.below(4));
+        let keep_fifth = rng.chance(0.2);
+        let linked = match shape {
+            0 => keep_fifth,                              // sparse
+            1 => true,                                    // dense
+            2 => (a < n / 2) == (b < n / 2),              // two islands
+            3 => a < b || keep_fifth,                     // mostly one-way
+            _ => !mute[a] && !deaf[b] && rng.chance(0.6), // NEVER rows and columns
+        };
+        if linked {
+            delta
+        } else {
+            NEVER
+        }
+    })
+}
+
+/// The definition the engine used to evaluate every epoch: a dense pass
+/// over the closure, lowest `j` winning ties.
+fn closure_horizons(la: &Lookahead, peeks: &[Option<SimTime>]) -> (Vec<SimTime>, Vec<i64>) {
+    let n = la.regions();
+    let (mut safe, mut sources) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let (mut h, mut src) = (SimTime::MAX, -1i64);
+        for (j, peek) in peeks.iter().enumerate() {
+            let Some(t) = peek else { continue };
+            let d = la.influence(j as u32, i as u32);
+            if d != NEVER && t.saturating_add(d) < h {
+                (h, src) = (t.saturating_add(d), j as i64);
+            }
+        }
+        safe.push(h);
+        sources.push(src);
+    }
+    (safe, sources)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,6 +211,36 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Safe horizons and their `bound_by` attribution, computed sparsely
+    /// from the direct bounds, equal the dense closure formula on every
+    /// graph shape, with any subset of regions idle. The scratch is reused
+    /// across cases' peek sets, as the engine reuses it across epochs.
+    #[test]
+    fn sparse_horizons_equal_the_closure_formula(
+        seed in any::<u64>(),
+        n in 1usize..14,
+        shape in 0u8..5,
+    ) {
+        let mut rng = SimRng::derive(seed, 0x484F5249, 0);
+        let la = shaped_lookahead(n, shape, &mut rng);
+        let mut scratch = HorizonScratch::default();
+        let (mut safe, mut sources) = (Vec::new(), Vec::new());
+        for idle_pct in [0u64, 30, 80, 100] {
+            let peeks: Vec<Option<SimTime>> = (0..n)
+                .map(|_| {
+                    let t = SimTime::from_millis(rng.below(6));
+                    (rng.below(100) >= idle_pct).then_some(t)
+                })
+                .collect();
+            la.safe_horizons(&peeks, &mut scratch, &mut safe, Some(&mut sources));
+            let want = closure_horizons(&la, &peeks);
+            prop_assert!(
+                (&safe, &sources) == (&want.0, &want.1),
+                "shape {shape} peeks {peeks:?}: got {safe:?} by {sources:?}, closure says {want:?}"
+            );
         }
     }
 
