@@ -18,6 +18,7 @@
 
 use crate::energy::{EnergyMeter, EnergyParams, RadioMode};
 use std::collections::HashMap;
+use std::sync::Arc;
 use wmn_mac::{FrameKind, MacFrame};
 use wmn_radio::{frame as radio_frame, PhyParams, Rate};
 use wmn_routing::Packet;
@@ -30,7 +31,7 @@ use wmn_topology::{SpatialIndex, Vec2};
 struct ActiveTx {
     src: u32,
     frame: MacFrame,
-    packet: Option<Packet>,
+    packet: Option<Arc<Packet>>,
     /// Every radio that sensed the frame, in ascending id order. All their
     /// reception windows close at the same instant (fixed propagation
     /// allowance), so one batched RxEnd event serves the whole list.
@@ -208,6 +209,70 @@ impl CachedLinks {
     }
 }
 
+/// One remembered noise-only packet-error rate.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct PerSlot {
+    /// `power_dbm.to_bits()` of the locked signal.
+    power_bits: u64,
+    /// `bits << 2 | rate` of the frame.
+    frame_key: u64,
+    per: f64,
+}
+
+/// Exact direct-mapped memo of `rate.per(phy.sinr(power_dbm, 0.0), bits)`.
+///
+/// That expression is a pure function of its three arguments (the PHY is
+/// fixed for the medium's lifetime) and costs five libm calls, while a mesh
+/// keeps presenting the same few thousand (link budget, frame size) pairs.
+/// A slot is only ever trusted on an exact key match, so a hit returns the
+/// bits the expression would have produced and a collision merely
+/// recomputes. The all-zero initial slot needs no "empty" marker: it is the
+/// key (+0.0 dBm, DBPSK, 0 bits), whose PER is exactly 0.0 at any power.
+#[derive(Clone, Debug)]
+struct PerMemo {
+    /// Empty until the first lookup, so building a medium (and a run that
+    /// never adjudicates a reception) neither fills nor touches the table.
+    slots: Vec<PerSlot>,
+    /// Slot count once allocated, a power of two.
+    len: usize,
+}
+
+impl PerMemo {
+    /// A table for `n` radios. A radio decodes about a dozen neighbours at
+    /// four or five frame sizes, so 64 slots per radio keep a static mesh's
+    /// keys mostly apart (24 B each: 96 KiB for 64 routers); the cap bounds
+    /// a large mesh at 1.5 MiB.
+    fn new(n: usize) -> Self {
+        PerMemo {
+            slots: Vec::new(),
+            len: (64 * n).next_power_of_two().clamp(1 << 10, 1 << 16),
+        }
+    }
+
+    fn slot_of(&self, power_bits: u64, frame_key: u64) -> usize {
+        let h = (power_bits ^ frame_key.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - self.len.trailing_zeros())) as usize
+    }
+
+    fn noise_only_per(&mut self, phy: &PhyParams, power_dbm: f64, rate: Rate, bits: usize) -> f64 {
+        if self.slots.is_empty() {
+            self.slots = vec![PerSlot::default(); self.len];
+        }
+        let power_bits = power_dbm.to_bits();
+        let frame_key = (bits as u64) << 2 | rate as u64;
+        let at = self.slot_of(power_bits, frame_key);
+        let slot = &mut self.slots[at];
+        if slot.power_bits != power_bits || slot.frame_key != frame_key {
+            *slot = PerSlot {
+                power_bits,
+                frame_key,
+                per: rate.per(phy.sinr(power_dbm, 0.0), bits),
+            };
+        }
+        slot.per
+    }
+}
+
 /// What the network layer must do after a medium call.
 #[derive(Clone, Debug)]
 pub enum MediumEffect {
@@ -250,11 +315,29 @@ pub enum MediumEffect {
         node: u32,
         /// Link-layer frame.
         frame: MacFrame,
-        /// Network payload (`None` for control frames).
-        packet: Option<Packet>,
+        /// Network payload (`None` for control frames), shared between
+        /// every receiver of the transmission.
+        packet: Option<Arc<Packet>>,
         /// Receive power, dBm (the RSSI handed to cross-layer consumers).
         rx_dbm: f64,
     },
+}
+
+/// Where a medium call writes its effects, in the order they take place.
+///
+/// The network implements this on its cross-layer work queue, so an effect
+/// is written once, straight into the slot it is drained from; a plain
+/// `Vec<MediumEffect>` collects them for tests and unit benchmarks.
+pub trait EffectSink {
+    /// Append one effect.
+    fn push_effect(&mut self, effect: MediumEffect);
+}
+
+impl EffectSink for Vec<MediumEffect> {
+    #[inline]
+    fn push_effect(&mut self, effect: MediumEffect) {
+        self.push(effect);
+    }
 }
 
 /// The medium.
@@ -308,6 +391,7 @@ pub struct Medium {
     /// assertions: a crash mid-transmission retires the record before its
     /// TxEnd/RxEnd events fire).
     faults_seen: bool,
+    per_memo: PerMemo,
 }
 
 impl Medium {
@@ -342,6 +426,7 @@ impl Medium {
             gain_version: vec![0; n],
             gain_cells: Vec::new(),
             faults_seen: false,
+            per_memo: PerMemo::new(n),
         }
     }
 
@@ -471,7 +556,7 @@ impl Medium {
         node: u32,
         now: SimTime,
         positions: &SpatialIndex,
-        out: &mut Vec<MediumEffect>,
+        out: &mut impl EffectSink,
     ) {
         self.faults_seen = true;
         self.down[node as usize] = true;
@@ -568,26 +653,27 @@ impl Medium {
         radio_frame::airtime(frame.air_bytes, self.rate_for(frame))
     }
 
-    fn update_sense(&mut self, node: u32, out: &mut Vec<MediumEffect>) {
+    fn update_sense(&mut self, node: u32, out: &mut impl EffectSink) {
         let st = &mut self.states[node as usize];
         let busy = !st.signals.is_empty();
         if busy != st.sensed_busy {
             st.sensed_busy = busy;
-            out.push(MediumEffect::Channel { node, busy });
+            out.push_effect(MediumEffect::Channel { node, busy });
         }
     }
 
-    /// Begin a transmission by `src`. `positions` supplies current node
-    /// coordinates; `exact` yields the precise position of a node at `now`
-    /// (the spatial index may lag for mobile nodes).
+    /// Begin a transmission by `src`. `positions` supplies node coordinates
+    /// as of the last position sample (the index may lag a mobile node by
+    /// up to one sample interval, which `range_slack` covers); `packet` is
+    /// the network payload handed to every MAC that decodes the frame.
     pub fn start_tx(
         &mut self,
         src: u32,
         frame: MacFrame,
-        packet: Option<Packet>,
+        packet: Option<Arc<Packet>>,
         now: SimTime,
         positions: &SpatialIndex,
-        out: &mut Vec<MediumEffect>,
+        out: &mut impl EffectSink,
     ) {
         let tx_id = self.next_tx_id;
         self.next_tx_id += 1;
@@ -614,7 +700,7 @@ impl Medium {
 
         let airtime = self.airtime(&frame);
         let end = now + airtime;
-        out.push(MediumEffect::ScheduleTxEnd {
+        out.push_effect(MediumEffect::ScheduleTxEnd {
             node: src,
             tx_id,
             at: end,
@@ -728,7 +814,7 @@ impl Medium {
             self.update_energy(r, now);
         }
         if !receivers.is_empty() {
-            out.push(MediumEffect::ScheduleRxEnd {
+            out.push_effect(MediumEffect::ScheduleRxEnd {
                 tx_id,
                 at: end + self.prop,
             });
@@ -870,7 +956,7 @@ impl Medium {
     }
 
     /// The transmitter's frame has left the air.
-    pub fn tx_end(&mut self, tx_id: u64, now: SimTime, out: &mut Vec<MediumEffect>) {
+    pub fn tx_end(&mut self, tx_id: u64, now: SimTime, out: &mut impl EffectSink) {
         let Some(tx) = self.active.get_mut(&tx_id) else {
             // Only a crash mid-transmission retires a record early.
             debug_assert!(self.faults_seen, "tx_end for unknown tx");
@@ -881,7 +967,7 @@ impl Medium {
         let st = &mut self.states[src as usize];
         debug_assert_eq!(st.transmitting, Some(tx_id));
         st.transmitting = None;
-        out.push(MediumEffect::TxComplete { node: src });
+        out.push_effect(MediumEffect::TxComplete { node: src });
         if done {
             // Nobody sensed the frame, so no RxEnd event will fire.
             self.active.remove(&tx_id);
@@ -891,7 +977,7 @@ impl Medium {
 
     /// All reception windows for `tx_id` closed (they end at the same
     /// instant): adjudicate the frame at every radio that sensed it.
-    pub fn rx_end(&mut self, tx_id: u64, now: SimTime, out: &mut Vec<MediumEffect>) {
+    pub fn rx_end(&mut self, tx_id: u64, now: SimTime, out: &mut impl EffectSink) {
         // TxEnd (at `end`) always precedes RxEnd (at `end + prop`, same-time
         // ties broken by schedule order), so the record can be removed here.
         let Some(tx) = self.active.remove(&tx_id) else {
@@ -922,18 +1008,7 @@ impl Medium {
                     self.tel
                         .emit_at(node, now, EventKind::PhyCollision { tx_id });
                 } else {
-                    // A noise-burst fault raises this receiver's floor by
-                    // `extra` dB: model the rise as equivalent interference
-                    // power. The branch keeps no-fault runs on the exact
-                    // pre-fault arithmetic (`sinr(p, 0.0)`).
-                    let extra = self.extra_noise_db[node as usize];
-                    let interference_mw = if extra > 0.0 {
-                        self.phy.noise_floor_mw() * (10f64.powf(extra / 10.0) - 1.0)
-                    } else {
-                        0.0
-                    };
-                    let snr = self.phy.sinr(a.power_dbm, interference_mw);
-                    let per = rate.per(snr, bits);
+                    let per = self.reception_per(node, a.power_dbm, rate, bits);
                     if self.rng.chance(per) {
                         self.stats.noise_losses += 1;
                         self.tel.emit_at(node, now, EventKind::PhyNoise { tx_id });
@@ -943,7 +1018,7 @@ impl Medium {
                         // reservations carried by frames addressed to others.
                         self.stats.delivered += 1;
                         self.tel.emit_at(node, now, EventKind::PhyRx { tx_id });
-                        out.push(MediumEffect::Deliver {
+                        out.push_effect(MediumEffect::Deliver {
                             node,
                             frame: tx.frame,
                             packet: tx.packet.clone(),
@@ -954,6 +1029,24 @@ impl Medium {
             }
             self.update_sense(node, out);
             self.update_energy(node, now);
+        }
+    }
+
+    /// Probability that noise alone destroys a frame of `bits` bits at
+    /// `rate`, locked at `power_dbm` by `node`.
+    fn reception_per(&mut self, node: u32, power_dbm: f64, rate: Rate, bits: usize) -> f64 {
+        // A noise-burst fault raises this receiver's floor by `extra` dB:
+        // model the rise as equivalent interference power. That case is
+        // rare and depends on the burst, so it bypasses the memo entirely;
+        // everything else is the exact pre-fault arithmetic
+        // (`sinr(p, 0.0)`), remembered.
+        let extra = self.extra_noise_db[node as usize];
+        if extra > 0.0 {
+            let interference_mw = self.phy.noise_floor_mw() * (10f64.powf(extra / 10.0) - 1.0);
+            rate.per(self.phy.sinr(power_dbm, interference_mw), bits)
+        } else {
+            self.per_memo
+                .noise_only_per(&self.phy, power_dbm, rate, bits)
         }
     }
 
@@ -1157,7 +1250,7 @@ mod tests {
         m.start_tx(
             0,
             bcast_frame(0),
-            Some(pkt.clone()),
+            Some(Arc::new(pkt.clone())),
             SimTime::ZERO,
             &idx,
             &mut fx,
@@ -1172,7 +1265,7 @@ mod tests {
                 _ => None,
             })
             .expect("delivery with payload");
-        assert_eq!(got, pkt);
+        assert_eq!(*got, pkt);
     }
 
     #[test]
@@ -1437,6 +1530,135 @@ mod tests {
         assert!(done
             .iter()
             .any(|e| matches!(e, MediumEffect::Deliver { node: 1, .. })));
+    }
+
+    #[test]
+    fn all_zero_memo_slot_is_a_true_entry() {
+        // The memo starts zeroed and has no "empty" marker: the zero slot
+        // must be a correct answer for the key it spells.
+        let phy = PhyParams::classic_802_11b();
+        assert_eq!(Rate::Dbpsk1Mbps as u64, 0);
+        let per = Rate::Dbpsk1Mbps.per(phy.sinr(f64::from_bits(0), 0.0), 0);
+        assert_eq!(per.to_bits(), PerSlot::default().per.to_bits());
+        let mut memo = PerMemo::new(4);
+        let got = memo.noise_only_per(&phy, 0.0, Rate::Dbpsk1Mbps, 0);
+        assert_eq!(got.to_bits(), per.to_bits());
+    }
+
+    mod per_memo_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const RATES: [Rate; 4] = [
+            Rate::Dbpsk1Mbps,
+            Rate::Dqpsk2Mbps,
+            Rate::Cck5_5Mbps,
+            Rate::Cck11Mbps,
+        ];
+        const FRAME_BYTES: [usize; 8] = [14, 20, 62, 66, 128, 546, 1046, 1500];
+        const BURST_DB: [f64; 3] = [3.0, 10.0, 25.0];
+
+        /// Twelve sets of `(power_dbm, rate, bits)` keys that share a memo
+        /// slot, out of 64 powers x 4 rates x 8 sizes. Sets in which two
+        /// keys differ in only one component come first: those are the
+        /// ones a sloppy key comparison would confuse.
+        fn colliding_keys(memo: &PerMemo) -> Vec<Vec<(f64, Rate, usize)>> {
+            let mut by_slot: BTreeMap<usize, Vec<(f64, Rate, usize)>> = BTreeMap::new();
+            for p in 0..64 {
+                let power_dbm = -96.0 + 0.37 * p as f64;
+                for rate in RATES {
+                    for bytes in FRAME_BYTES {
+                        let bits = radio_frame::error_model_bits(bytes);
+                        let at =
+                            memo.slot_of(power_dbm.to_bits(), (bits as u64) << 2 | rate as u64);
+                        by_slot.entry(at).or_default().push((power_dbm, rate, bits));
+                    }
+                }
+            }
+            let near_miss = |set: &Vec<(f64, Rate, usize)>| {
+                set.iter().enumerate().any(|(i, a)| {
+                    set[i + 1..]
+                        .iter()
+                        .any(|b| a.0 == b.0 || (a.1, a.2) == (b.1, b.2))
+                })
+            };
+            let mut sets: Vec<_> = by_slot.into_values().filter(|s| s.len() >= 2).collect();
+            sets.sort_by_key(|s| !near_miss(s));
+            assert!(sets.len() >= 12 && near_miss(&sets[0]));
+            sets.truncate(12);
+            sets
+        }
+
+        proptest! {
+            /// 300 lookups that keep evicting each other from a dozen
+            /// slots, interleaved with noise bursts starting and ending at
+            /// the four receivers. A quiet receiver gets the bits of the
+            /// direct formula whatever the slot held; a receiver under a
+            /// burst gets the burst formula even when the table holds a
+            /// (poisoned) entry for its key, and leaves the table as it
+            /// found it.
+            #[test]
+            fn memo_is_exact_and_bypassed_under_a_burst(
+                ops in prop::collection::vec((0u8..8, 0u32..4, 0usize..12, 0usize..8), 300..301),
+            ) {
+                let phy = PhyParams::classic_802_11b();
+                let (mut m, _) = setup(vec![Vec2::new(0.0, 0.0); 4]);
+                let sets = colliding_keys(&m.per_memo);
+                // Model of each receiver's raised floor; burst id = node.
+                let mut extra = [0.0f64; 4];
+                let mut evictions = 0;
+                for (op, node, set, member) in ops {
+                    match op {
+                        6 if extra[node as usize] == 0.0 => {
+                            let delta = BURST_DB[member % 3];
+                            m.apply_noise(node, delta, &[node]);
+                            extra[node as usize] = delta;
+                            continue;
+                        }
+                        7 => {
+                            m.clear_noise(node);
+                            extra[node as usize] = 0.0;
+                            continue;
+                        }
+                        _ => {}
+                    }
+                    let (power_dbm, rate, bits) = sets[set][member % sets[set].len()];
+                    let key = PerSlot {
+                        power_bits: power_dbm.to_bits(),
+                        frame_key: (bits as u64) << 2 | rate as u64,
+                        per: 2.0,
+                    };
+                    let at = m.per_memo.slot_of(key.power_bits, key.frame_key);
+                    let burst = extra[node as usize];
+                    if burst > 0.0 {
+                        let before = m.per_memo.slots.clone();
+                        if let Some(slot) = m.per_memo.slots.get_mut(at) {
+                            *slot = key; // a wrong answer, were it read
+                        }
+                        let poisoned = m.per_memo.slots.clone();
+                        let interference_mw =
+                            phy.noise_floor_mw() * (10f64.powf(burst / 10.0) - 1.0);
+                        let direct = rate.per(phy.sinr(power_dbm, interference_mw), bits);
+                        let got = m.reception_per(node, power_dbm, rate, bits);
+                        prop_assert_eq!(got.to_bits(), direct.to_bits());
+                        prop_assert!(m.per_memo.slots == poisoned, "memo written under a burst");
+                        m.per_memo.slots = before;
+                    } else {
+                        if let Some(slot) = m.per_memo.slots.get(at) {
+                            let other_key = (slot.power_bits, slot.frame_key)
+                                != (key.power_bits, key.frame_key);
+                            evictions += usize::from(other_key && *slot != PerSlot::default());
+                        }
+                        let direct = rate.per(phy.sinr(power_dbm, 0.0), bits);
+                        let got = m.reception_per(node, power_dbm, rate, bits);
+                        prop_assert_eq!(got.to_bits(), direct.to_bits());
+                        prop_assert_eq!(m.per_memo.slots[at], PerSlot { per: direct, ..key });
+                    }
+                }
+                prop_assert!(evictions > 20, "only {evictions} slot collisions");
+            }
+        }
     }
 
     #[test]

@@ -5,14 +5,29 @@
 //! (never recursively), so arbitrarily long action chains — a reception that
 //! triggers a forward that fills a queue that starts a transmission — are
 //! processed within one event without stack growth.
+//!
+//! # The work-queue contract
+//!
+//! The queue is strictly first-in first-out: everything one item produces
+//! goes to the back, behind every item already waiting, so an event's
+//! consequences are worked off breadth first. That order is part of the
+//! simulation's result, not an implementation detail. It decides the order
+//! of the `sched.at` calls, hence the sequence numbers that break ties
+//! between same-instant events; the order of the draws from the medium's
+//! shared RNG; and the order of the trace. Applying an item the moment it is
+//! produced (direct or recursive dispatch) visits the same items depth
+//! first and is therefore a different simulation, not a faster one. What
+//! may change freely is how an item is stored and how cheaply it is
+//! applied; `tests/work_order_golden.rs` pins the order itself.
 
 use crate::event::Event;
-use crate::medium::{Medium, MediumEffect};
+use crate::medium::{EffectSink, Medium, MediumEffect};
 use crate::node::Node;
 use crate::scheme::Scheme;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use wmn_faults::{FaultKind, TimedFault};
-use wmn_mac::{DropReason, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
+use wmn_mac::{DropReason, Mac, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
 use wmn_metrics::{ProbeSeries, RecoveryTracker, TimeSeries};
 use wmn_routing::{DataDropReason, DataPacket, NodeId, Packet, RoutingAction, RoutingConfig};
 use wmn_sim::SimRng;
@@ -124,10 +139,80 @@ pub struct RebootKit {
     pub scheme: Scheme,
 }
 
+/// One queued unit of cross-layer work other than a carrier-sense edge.
+/// Every item is written once and read once, so it is kept small: a frame's
+/// payload is shared by its receivers (`Arc<Packet>` inside
+/// `MediumEffect::Deliver`) and the wide, comparatively rare routing
+/// actions are boxed.
 enum Work {
     Mac(u32, MacAction),
-    Routing(u32, RoutingAction),
+    Routing(u32, Box<RoutingAction>),
     Medium(MediumEffect),
+}
+
+/// What comes next in the FIFO: a carrier-sense edge, carried right here,
+/// or the front of [`WorkQueue::wide`].
+#[derive(Clone, Copy)]
+enum Next {
+    Channel { node: u32, busy: bool },
+    Wide,
+}
+
+// Enum bloat multiplies into every queued item and every future-event-list
+// move; these fail the build instead of a benchmark.
+const _: () = assert!(std::mem::size_of::<Next>() == 8);
+const _: () = assert!(std::mem::size_of::<Work>() <= 56);
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+/// The cross-layer FIFO (see the module doc for its contract).
+///
+/// Six items in ten are carrier-sense edges, and nine of those ten change
+/// nothing at the MAC. They are queued as 8-byte `Next::Channel` entries of
+/// `order`, which travel in a register; a wider item is an enum that is
+/// assembled on the stack and copied into its slot, so it waits in `wide`
+/// and `order` only records its turn. The two deques together are one
+/// queue: `wide` holds exactly one item per `Next::Wide` in `order`, in the
+/// same order.
+struct WorkQueue {
+    order: VecDeque<Next>,
+    wide: VecDeque<Work>,
+}
+
+impl WorkQueue {
+    fn new() -> Self {
+        WorkQueue {
+            order: VecDeque::with_capacity(64),
+            wide: VecDeque::with_capacity(64),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, work: Work) {
+        self.order.push_back(Next::Wide);
+        self.wide.push_back(work);
+    }
+
+    /// Queue what one routing entry point of `node` asked for.
+    #[inline]
+    fn push_routing(&mut self, node: u32, actions: &mut Vec<RoutingAction>) {
+        for a in actions.drain(..) {
+            self.push(Work::Routing(node, Box::new(a)));
+        }
+    }
+}
+
+/// The medium writes its effects straight into the slots they are drained
+/// from.
+impl EffectSink for WorkQueue {
+    #[inline]
+    fn push_effect(&mut self, effect: MediumEffect) {
+        match effect {
+            MediumEffect::Channel { node, busy } => {
+                self.order.push_back(Next::Channel { node, busy })
+            }
+            other => self.push(Work::Medium(other)),
+        }
+    }
 }
 
 /// The simulated network (implements [`World`]).
@@ -170,15 +255,16 @@ pub struct Network {
     /// Ids of nodes with a mobility model, fixed at build time: position
     /// sampling iterates these instead of scanning all N nodes.
     mobile_ids: Vec<u32>,
-    work: VecDeque<Work>,
-    /// Reusable action/effect buffers: one short-lived `Vec` per event adds
-    /// up to hundreds of thousands of allocations per run, so each layer's
-    /// output is collected into a recycled buffer instead. A buffer is
-    /// `take`n before the layer call and returned (empty) right after the
-    /// drain, so the call sites never hold two of the same kind at once.
+    /// The cross-layer FIFO (see the module doc for its contract). Empty
+    /// between events.
+    work: WorkQueue,
+    /// Reusable output buffers for the MAC and routing entry points, which
+    /// report through `&mut Vec`: one short-lived `Vec` per call adds up to
+    /// hundreds of thousands of allocations per run. Each is filled by one
+    /// layer call and emptied into `work` right after it, so it is empty
+    /// whenever the next call borrows it.
     scratch_mac: Vec<MacAction>,
     scratch_routing: Vec<RoutingAction>,
-    scratch_fx: Vec<MediumEffect>,
     /// One gate per (node, MAC timer kind); see [`TimerGate`].
     timer_gates: Vec<[TimerGate; 3]>,
     /// The expanded fault schedule (empty unless a plan was configured).
@@ -265,10 +351,9 @@ impl Network {
             traffic_rng,
             position_sample,
             mobile_ids,
-            work: VecDeque::with_capacity(64),
+            work: WorkQueue::new(),
             scratch_mac: Vec::with_capacity(8),
             scratch_routing: Vec::with_capacity(8),
-            scratch_fx: Vec::with_capacity(64),
             timer_gates: vec![[TimerGate::default(); 3]; n_nodes],
             fault_schedule: Vec::new(),
             reboot_kit: None,
@@ -382,35 +467,46 @@ impl Network {
 
     fn drain(&mut self, sched: &mut Scheduler<Event>) {
         let now = sched.now();
-        while let Some(w) = self.work.pop_front() {
-            match w {
-                Work::Mac(node, act) => self.apply_mac(node, act, now, sched),
-                Work::Routing(node, act) => self.apply_routing(node, act, now, sched),
-                Work::Medium(eff) => self.apply_medium(eff, now, sched),
+        while let Some(next) = self.work.order.pop_front() {
+            if let Next::Channel { node, busy } = next {
+                self.on_channel(node, busy, now);
+                continue;
+            }
+            match self.work.wide.pop_front() {
+                Some(Work::Mac(node, act)) => self.apply_mac(node, act, now, sched),
+                Some(Work::Routing(node, act)) => self.apply_routing(node, *act, now, sched),
+                Some(Work::Medium(eff)) => self.apply_medium(eff, now, sched),
+                None => unreachable!("`order` promised a wide item"),
             }
         }
     }
 
-    fn queue_mac(&mut self, node: u32, acts: &mut Vec<MacAction>) {
-        self.work.extend(acts.drain(..).map(|a| Work::Mac(node, a)));
+    /// A carrier-sense edge reaches `node`'s MAC.
+    #[inline]
+    fn on_channel(&mut self, node: u32, busy: bool, now: SimTime) {
+        self.with_mac(node, |mac, out| mac.on_channel(busy, now, out));
     }
 
-    fn queue_routing(&mut self, node: u32, acts: &mut Vec<RoutingAction>) {
-        self.work
-            .extend(acts.drain(..).map(|a| Work::Routing(node, a)));
+    /// Run one MAC entry point of `node` and queue what it asks for (most
+    /// carrier-sense edges ask for nothing).
+    #[inline]
+    fn with_mac(&mut self, node: u32, call: impl FnOnce(&mut Mac, &mut Vec<MacAction>)) {
+        call(&mut self.nodes[node as usize].mac, &mut self.scratch_mac);
+        for a in self.scratch_mac.drain(..) {
+            self.work.push(Work::Mac(node, a));
+        }
     }
 
-    fn queue_medium(&mut self, effects: &mut Vec<MediumEffect>) {
-        self.work.extend(effects.drain(..).map(Work::Medium));
+    /// Run one routing entry point of `node` and queue what it asks for.
+    #[inline]
+    fn with_routing(&mut self, node: u32, call: impl FnOnce(&mut Node, &mut Vec<RoutingAction>)) {
+        call(&mut self.nodes[node as usize], &mut self.scratch_routing);
+        self.work.push_routing(node, &mut self.scratch_routing);
     }
 
     fn submit_to_mac(&mut self, node: u32, packet: Packet, dst: MacAddr, now: SimTime) {
-        let n = &mut self.nodes[node as usize];
-        let sdu = n.make_sdu(packet, dst);
-        let mut acts = std::mem::take(&mut self.scratch_mac);
-        self.nodes[node as usize].mac.enqueue(sdu, now, &mut acts);
-        self.queue_mac(node, &mut acts);
-        self.scratch_mac = acts;
+        let sdu = self.nodes[node as usize].make_sdu(packet, dst);
+        self.with_mac(node, |mac, out| mac.enqueue(sdu, now, out));
     }
 
     fn apply_mac(&mut self, node: u32, act: MacAction, now: SimTime, sched: &mut Scheduler<Event>) {
@@ -424,11 +520,8 @@ impl Network {
                 } else {
                     None
                 };
-                let mut fx = std::mem::take(&mut self.scratch_fx);
                 self.medium
-                    .start_tx(node, frame, payload, now, &self.spatial, &mut fx);
-                self.queue_medium(&mut fx);
-                self.scratch_fx = fx;
+                    .start_tx(node, frame, payload, now, &self.spatial, &mut self.work);
             }
             MacAction::Deliver(frame) => {
                 // Deliveries are normally intercepted in `apply_medium`; a
@@ -444,15 +537,10 @@ impl Network {
             } => {
                 let payload = self.nodes[node as usize].take_payload(sdu_id);
                 if !ok {
-                    let mut racts = std::mem::take(&mut self.scratch_routing);
-                    self.nodes[node as usize].routing.on_link_failure(
-                        NodeId(dst.0),
-                        payload,
-                        now,
-                        &mut racts,
-                    );
-                    self.queue_routing(node, &mut racts);
-                    self.scratch_routing = racts;
+                    let payload = payload.map(Arc::unwrap_or_clone);
+                    self.with_routing(node, |n, out| {
+                        n.routing.on_link_failure(NodeId(dst.0), payload, now, out)
+                    });
                 }
             }
             MacAction::SetTimer { kind, at, gen } => {
@@ -481,7 +569,7 @@ impl Network {
             }
             MacAction::Drop { sdu_id, reason } => match reason {
                 DropReason::QueueFull => {
-                    match self.nodes[node as usize].take_payload(sdu_id) {
+                    match self.nodes[node as usize].take_payload(sdu_id).as_deref() {
                         Some(Packet::Data(data)) => {
                             self.drops.queue_full += 1;
                             self.tel.emit_at(
@@ -600,14 +688,9 @@ impl Network {
 
     fn apply_medium(&mut self, eff: MediumEffect, now: SimTime, sched: &mut Scheduler<Event>) {
         match eff {
-            MediumEffect::Channel { node, busy } => {
-                let mut acts = std::mem::take(&mut self.scratch_mac);
-                self.nodes[node as usize]
-                    .mac
-                    .on_channel(busy, now, &mut acts);
-                self.queue_mac(node, &mut acts);
-                self.scratch_mac = acts;
-            }
+            // Queued as `Next::Channel`, never as a wide item; the arm keeps
+            // the match total.
+            MediumEffect::Channel { node, busy } => self.on_channel(node, busy, now),
             MediumEffect::ScheduleTxEnd { node, tx_id, at } => {
                 sched.at(at, Event::TxEnd { node, tx_id });
             }
@@ -615,10 +698,7 @@ impl Network {
                 sched.at(at, Event::RxEnd { tx_id });
             }
             MediumEffect::TxComplete { node } => {
-                let mut acts = std::mem::take(&mut self.scratch_mac);
-                self.nodes[node as usize].mac.on_tx_complete(now, &mut acts);
-                self.queue_mac(node, &mut acts);
-                self.scratch_mac = acts;
+                self.with_mac(node, |mac, out| mac.on_tx_complete(now, out));
             }
             MediumEffect::Deliver {
                 node,
@@ -626,28 +706,30 @@ impl Network {
                 packet,
                 rx_dbm,
             } => {
-                let mut acts = std::mem::take(&mut self.scratch_mac);
-                self.nodes[node as usize]
-                    .mac
-                    .on_rx_frame(frame, now, &mut acts);
-                for a in acts.drain(..) {
-                    if let MacAction::Deliver(f) = a {
-                        if let Some(pkt) = packet.clone() {
-                            let from = NodeId(f.src.0);
-                            let mut cross = self.nodes[node as usize].cross_layer(now);
-                            cross.last_rx_dbm = Some(rx_dbm);
-                            let mut racts = std::mem::take(&mut self.scratch_routing);
-                            self.nodes[node as usize]
-                                .routing
-                                .on_packet(pkt, from, &cross, now, &mut racts);
-                            self.queue_routing(node, &mut racts);
-                            self.scratch_routing = racts;
-                        }
-                    } else {
-                        self.work.push_back(Work::Mac(node, a));
-                    }
+                // The MAC's verdict is applied here rather than queued: a
+                // `Deliver` goes up to routing at once (only this arm holds
+                // the payload), everything else joins the FIFO in order.
+                let n = &mut self.nodes[node as usize];
+                n.mac.on_rx_frame(frame, now, &mut self.scratch_mac);
+                for a in self.scratch_mac.drain(..) {
+                    let MacAction::Deliver(f) = a else {
+                        self.work.push(Work::Mac(node, a));
+                        continue;
+                    };
+                    let Some(pkt) = packet.as_deref() else {
+                        continue;
+                    };
+                    let mut cross = n.cross_layer(now);
+                    cross.last_rx_dbm = Some(rx_dbm);
+                    n.routing.on_packet(
+                        pkt.clone(),
+                        NodeId(f.src.0),
+                        &cross,
+                        now,
+                        &mut self.scratch_routing,
+                    );
+                    self.work.push_routing(node, &mut self.scratch_routing);
                 }
-                self.scratch_mac = acts;
             }
         }
     }
@@ -684,12 +766,7 @@ impl Network {
                 seq,
             },
         );
-        let mut racts = std::mem::take(&mut self.scratch_routing);
-        self.nodes[spec.src.index()]
-            .routing
-            .send_data(data, now, &mut racts);
-        self.queue_routing(spec.src.0, &mut racts);
-        self.scratch_routing = racts;
+        self.with_routing(spec.src.0, |n, out| n.routing.send_data(data, now, out));
     }
 
     fn update_position(&mut self, node: u32, now: SimTime) {
@@ -772,17 +849,15 @@ impl Network {
         }
         // Radio off: abort any frame mid-air, strip the node from every
         // in-flight reception, silence its carrier sense.
-        let mut fx = std::mem::take(&mut self.scratch_fx);
-        self.medium.set_node_down(node, now, &self.spatial, &mut fx);
-        self.queue_medium(&mut fx);
-        self.scratch_fx = fx;
+        self.medium
+            .set_node_down(node, now, &self.spatial, &mut self.work);
         // Everything queued at the interface dies with the node. HashMap
         // iteration order is unstable, so drain in sdu-id (= enqueue) order
         // to keep traces deterministic.
         let mut sdus: Vec<u64> = self.nodes[node as usize].outgoing.keys().copied().collect();
         sdus.sort_unstable();
         for sdu in sdus {
-            match self.nodes[node as usize].take_payload(sdu) {
+            match self.nodes[node as usize].take_payload(sdu).as_deref() {
                 Some(Packet::Data(data)) => {
                     self.drops.node_down += 1;
                     self.tel.emit_at(
@@ -853,10 +928,7 @@ impl Network {
         let inc = self.nodes[node as usize].incarnation;
         self.tel
             .emit_at(node, now, EventKind::NodeUp { incarnation: inc });
-        let mut racts = std::mem::take(&mut self.scratch_routing);
-        self.nodes[node as usize].routing.start(now, &mut racts);
-        self.queue_routing(node, &mut racts);
-        self.scratch_routing = racts;
+        self.with_routing(node, |n, out| n.routing.start(now, out));
         if let Some(o) = self
             .outages
             .iter_mut()
@@ -909,37 +981,23 @@ impl World for Network {
                 if n.down || inc != n.incarnation {
                     return;
                 }
-                let mut acts = std::mem::take(&mut self.scratch_mac);
-                self.nodes[node as usize]
-                    .mac
-                    .on_timer(kind, gen, now, &mut acts);
-                self.queue_mac(node, &mut acts);
-                self.scratch_mac = acts;
+                self.with_mac(node, |mac, out| mac.on_timer(kind, gen, now, out));
             }
             Event::RoutingTimer { node, timer, inc } => {
                 let n = &self.nodes[node as usize];
                 if n.down || inc != n.incarnation {
                     return;
                 }
-                let cross = self.nodes[node as usize].cross_layer(now);
-                let mut racts = std::mem::take(&mut self.scratch_routing);
-                self.nodes[node as usize]
-                    .routing
-                    .on_timer(timer, &cross, now, &mut racts);
-                self.queue_routing(node, &mut racts);
-                self.scratch_routing = racts;
+                self.with_routing(node, |n, out| {
+                    let cross = n.cross_layer(now);
+                    n.routing.on_timer(timer, &cross, now, out)
+                });
             }
             Event::TxEnd { node: _, tx_id } => {
-                let mut fx = std::mem::take(&mut self.scratch_fx);
-                self.medium.tx_end(tx_id, now, &mut fx);
-                self.queue_medium(&mut fx);
-                self.scratch_fx = fx;
+                self.medium.tx_end(tx_id, now, &mut self.work);
             }
             Event::RxEnd { tx_id } => {
-                let mut fx = std::mem::take(&mut self.scratch_fx);
-                self.medium.rx_end(tx_id, now, &mut fx);
-                self.queue_medium(&mut fx);
-                self.scratch_fx = fx;
+                self.medium.rx_end(tx_id, now, &mut self.work);
             }
             Event::DelayedBroadcast { node, packet, inc } => {
                 let n = &self.nodes[node as usize];

@@ -1,6 +1,7 @@
 //! The per-node protocol stack: MAC + routing + mobility + payload store.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use wmn_mac::{Mac, MacAddr, MacParams, MacSdu, MacStats};
 use wmn_mobility::{Mobility, MobilityConfig};
 use wmn_routing::{
@@ -41,8 +42,9 @@ pub struct Node {
     pub mobility: Mobility,
     /// Mobility RNG stream.
     pub mobility_rng: SimRng,
-    /// Payloads of SDUs currently queued at / in flight through the MAC.
-    pub outgoing: HashMap<u64, Packet>,
+    /// Payloads of SDUs currently queued at / in flight through the MAC,
+    /// shared with the medium for as long as a copy is on the air.
+    pub outgoing: HashMap<u64, Arc<Packet>>,
     /// True while the node is crashed (fault schedule).
     pub down: bool,
     /// Reboot count: 0 for the boot-time stack, bumped on every reboot.
@@ -138,7 +140,7 @@ impl Node {
         self.next_sdu += 1;
         let bytes = packet.wire_bytes();
         let priority = !matches!(packet, Packet::Data(_));
-        self.outgoing.insert(id, packet);
+        self.outgoing.insert(id, Arc::new(packet));
         MacSdu {
             id,
             dst,
@@ -148,7 +150,7 @@ impl Node {
     }
 
     /// Reclaim (and forget) the payload of a completed/dropped SDU.
-    pub fn take_payload(&mut self, sdu_id: u64) -> Option<Packet> {
+    pub fn take_payload(&mut self, sdu_id: u64) -> Option<Arc<Packet>> {
         self.outgoing.remove(&sdu_id)
     }
 
@@ -195,9 +197,9 @@ mod tests {
         let s2 = n.make_sdu(p2.clone(), wmn_mac::BROADCAST);
         assert_ne!(s1.id, s2.id);
         assert_eq!(s1.bytes, p1.wire_bytes());
-        assert_eq!(n.take_payload(s2.id), Some(p2));
+        assert_eq!(n.take_payload(s2.id).as_deref(), Some(&p2));
         assert_eq!(n.take_payload(s2.id), None, "payload taken twice");
-        assert_eq!(n.take_payload(s1.id), Some(p1));
+        assert_eq!(n.take_payload(s1.id).as_deref(), Some(&p1));
     }
 
     #[test]

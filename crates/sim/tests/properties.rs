@@ -72,6 +72,73 @@ proptest! {
         }
     }
 
+    /// Differential test against a sorted `Vec`: any interleaving of every
+    /// mutating call pops the same sequence, snapshots in the same order and
+    /// keeps the same tie-break counters. Heap layout (arity, sift style)
+    /// may change; none of this may.
+    #[test]
+    fn queue_matches_sorted_vec_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..64, any::<u64>()), 0..400),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        // The reference: (time, seq, payload), kept sorted by (time, seq).
+        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let (mut next_seq, mut scheduled_total) = (0u64, 0u64);
+        // `schedule_with_seq` restores checkpointed entries, whose seqs are
+        // below `next_seq` and distinct from every pending one: draw them
+        // from a range of their own, far from the live counter.
+        let mut restored_seq = 1u64 << 40;
+        for (op, t, payload) in ops {
+            let time = SimTime(t);
+            match op {
+                // Narrow time range: most schedules tie with a pending event.
+                0..=2 => {
+                    q.schedule(time, payload);
+                    reference.push((time, next_seq, payload));
+                    next_seq += 1;
+                    scheduled_total += 1;
+                }
+                3 | 4 => {
+                    reference.sort_unstable();
+                    let expect = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(q.pop(), expect.map(|(time, _, payload)| (time, payload)));
+                }
+                5 => {
+                    q.schedule_with_seq(time, restored_seq, payload);
+                    reference.push((time, restored_seq, payload));
+                    restored_seq += 1;
+                }
+                6 => {
+                    // Rare, or nothing would ever get deep.
+                    if payload % 8 == 0 {
+                        q.clear();
+                        reference.clear();
+                    }
+                }
+                _ => {
+                    q.reserve((payload % 64) as usize);
+                    prop_assert!(q.capacity() >= q.len() + (payload % 64) as usize);
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.seq_state(), (next_seq, scheduled_total));
+            prop_assert_eq!(q.scheduled_total(), scheduled_total);
+            reference.sort_unstable();
+            prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
+            let snapshot: Vec<(SimTime, u64, u64)> = q
+                .snapshot_entries()
+                .into_iter()
+                .map(|(time, seq, payload)| (time, seq, *payload))
+                .collect();
+            prop_assert_eq!(&snapshot, &reference);
+        }
+        reference.sort_unstable();
+        for (time, _, payload) in reference {
+            prop_assert_eq!(q.pop(), Some((time, payload)));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
     /// Time arithmetic: (t + d) − t == d and (t + d) − d == t.
     #[test]
     fn time_arithmetic_inverts(t in 0u64..(1u64 << 62), d in 0u64..(1u64 << 60)) {
