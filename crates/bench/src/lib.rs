@@ -6,7 +6,7 @@
 //! `results/`. `QUICK=1` in the environment shrinks seeds/durations for CI.
 
 use cnlr::{RunResults, ScenarioBuilder, Scheme};
-use wmn_metrics::{run_jobs, run_replications, seeds_from, MeanCi, ResultTable};
+use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
 use wmn_telemetry::{git_rev, Counters, RunManifest};
 
 pub mod served;
@@ -34,24 +34,6 @@ pub fn replication_seeds() -> Vec<u64> {
     seeds_from(0xC41B, if quick_mode() { 2 } else { 5 })
 }
 
-/// Run one `(x, scheme)` cell: replicate over seeds and aggregate `metric`.
-pub fn run_cell<F, M>(x: f64, scheme: &Scheme, build: &F, metric: &M) -> MeanCi
-where
-    F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
-    M: Fn(&RunResults) -> f64 + Sync,
-{
-    let seeds = replication_seeds();
-    let threads = wmn_metrics::default_threads();
-    let values = run_replications(&seeds, threads, |seed| {
-        let results = build(x, scheme, seed)
-            .build()
-            .unwrap_or_else(|e| panic!("scenario build failed at x={x}: {e}"))
-            .run();
-        metric(&results)
-    });
-    MeanCi::from_samples(&values)
-}
-
 /// A named metric extractor.
 pub type Metric<'a> = (&'a str, &'a (dyn Fn(&RunResults) -> f64 + Sync));
 
@@ -61,6 +43,65 @@ pub type Metric<'a> = (&'a str, &'a (dyn Fn(&RunResults) -> f64 + Sync));
 pub(crate) fn job_coords(i: usize, n_schemes: usize, n_seeds: usize) -> (usize, usize, usize) {
     let (cell, si) = (i / n_seeds, i % n_seeds);
     (cell / n_schemes, cell % n_schemes, si)
+}
+
+/// Fold a finished sweep into one [`ResultTable`] per metric: rows = x
+/// values, one column per scheme, each cell the mean ±95 % CI over the
+/// cell's seeds. `value(job, metric)` reads one metric of one flattened job
+/// (indexed as [`job_coords`] lays them out).
+pub(crate) fn fold_tables(
+    spec: &FigureSpec,
+    metric_names: &[&str],
+    xs: &[f64],
+    schemes: &[Scheme],
+    n_seeds: usize,
+    value: impl Fn(usize, usize) -> f64,
+) -> Vec<ResultTable> {
+    let mut headers: Vec<String> = vec![spec.x_label.to_string()];
+    headers.extend(schemes.iter().map(Scheme::label));
+    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let mut tables: Vec<ResultTable> = metric_names
+        .iter()
+        .map(|name| {
+            ResultTable::new(
+                format!("{} — {} ({name})", spec.id, spec.title),
+                &header_refs,
+            )
+        })
+        .collect();
+    for (xi, &x) in xs.iter().enumerate() {
+        for (mi, table) in tables.iter_mut().enumerate() {
+            let mut row = vec![format!("{x}")];
+            for schi in 0..schemes.len() {
+                let base = (xi * schemes.len() + schi) * n_seeds;
+                let values: Vec<f64> = (base..base + n_seeds).map(|job| value(job, mi)).collect();
+                row.push(MeanCi::from_samples(&values).display(3));
+            }
+            table.add_row(row);
+        }
+    }
+    tables
+}
+
+/// The provenance parameters every sweep manifest carries.
+pub(crate) fn standard_params(
+    spec: &FigureSpec,
+    replications: usize,
+    runs: usize,
+) -> Vec<(String, String)> {
+    let (dur, warm) = sweep_durations();
+    vec![
+        ("x_label".to_string(), spec.x_label.to_string()),
+        ("duration_s".to_string(), format!("{}", dur.as_secs_f64())),
+        ("warmup_s".to_string(), format!("{}", warm.as_secs_f64())),
+        ("quick".to_string(), quick_mode().to_string()),
+        (
+            "threads".to_string(),
+            wmn_metrics::default_threads().to_string(),
+        ),
+        ("replications".to_string(), replications.to_string()),
+        ("runs".to_string(), runs.to_string()),
+    ]
 }
 
 /// Append a JSONL benchmark record to the file named by `$BENCH_JSON`
@@ -113,18 +154,6 @@ where
     F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
 {
     let t0 = std::time::Instant::now();
-    let mut headers: Vec<String> = vec![spec.x_label.to_string()];
-    headers.extend(schemes.iter().map(Scheme::label));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut tables: Vec<ResultTable> = metrics
-        .iter()
-        .map(|(name, _)| {
-            ResultTable::new(
-                format!("{} — {} ({name})", spec.id, spec.title),
-                &header_refs,
-            )
-        })
-        .collect();
     let seeds = replication_seeds();
     let threads = wmn_metrics::default_threads();
     let n_jobs = xs.len() * schemes.len() * seeds.len();
@@ -137,20 +166,10 @@ where
             .unwrap_or_else(|e| panic!("scenario build failed at x={x}: {e}"))
             .run()
     });
-    for (xi, &x) in xs.iter().enumerate() {
-        let mut rows: Vec<Vec<String>> = metrics.iter().map(|_| vec![format!("{x}")]).collect();
-        for schi in 0..schemes.len() {
-            let base = (xi * schemes.len() + schi) * seeds.len();
-            let cell = &runs[base..base + seeds.len()];
-            for (mi, (_, metric)) in metrics.iter().enumerate() {
-                let values: Vec<f64> = cell.iter().map(metric).collect();
-                rows[mi].push(MeanCi::from_samples(&values).display(3));
-            }
-        }
-        for (table, row) in tables.iter_mut().zip(rows) {
-            table.add_row(row);
-        }
-    }
+    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
+    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
+        (metrics[mi].1)(&runs[job])
+    });
     let wall_s = t0.elapsed().as_secs_f64();
     record_bench("sweep", spec.id, wall_s, n_jobs, threads);
     write_manifest(spec, schemes, &seeds, xs, wall_s, &runs, &[]);
@@ -178,19 +197,7 @@ pub fn write_manifest(
         }
         events += r.events;
     }
-    let (dur, warm) = sweep_durations();
-    let mut params = vec![
-        ("x_label".to_string(), spec.x_label.to_string()),
-        ("duration_s".to_string(), format!("{}", dur.as_secs_f64())),
-        ("warmup_s".to_string(), format!("{}", warm.as_secs_f64())),
-        ("quick".to_string(), quick_mode().to_string()),
-        (
-            "threads".to_string(),
-            wmn_metrics::default_threads().to_string(),
-        ),
-        ("replications".to_string(), seeds.len().to_string()),
-        ("runs".to_string(), runs.len().to_string()),
-    ];
+    let mut params = standard_params(spec, seeds.len(), runs.len());
     params.extend(extra_params.iter().map(|(k, v)| (k.to_string(), v.clone())));
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {

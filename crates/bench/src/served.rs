@@ -9,12 +9,14 @@
 //! sweep manifest additionally records the batch's dedup economics:
 //! prefix reuse and warm link-budget cache hits across replications.
 
-use crate::{job_coords, quick_mode, record_bench, replication_seeds, sweep_durations, FigureSpec};
+use crate::{
+    fold_tables, job_coords, record_bench, replication_seeds, standard_params, FigureSpec,
+};
 use cnlr::Scheme;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
-use wmn_metrics::{run_jobs, MeanCi, ResultTable};
+use wmn_metrics::{run_jobs, ResultTable};
 use wmn_served::{Client, JobResult, ScenarioSpec};
 use wmn_telemetry::{git_rev, Counters, RunManifest};
 
@@ -55,18 +57,6 @@ where
     F: Fn(f64, &Scheme, u64) -> ScenarioSpec + Sync,
 {
     let t0 = std::time::Instant::now();
-    let mut headers: Vec<String> = vec![spec.x_label.to_string()];
-    headers.extend(schemes.iter().map(Scheme::label));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut tables: Vec<ResultTable> = metrics
-        .iter()
-        .map(|(name, _)| {
-            ResultTable::new(
-                format!("{} — {} ({name})", spec.id, spec.title),
-                &header_refs,
-            )
-        })
-        .collect();
     let seeds = replication_seeds();
     let threads = wmn_metrics::default_threads();
     let n_jobs = xs.len() * schemes.len() * seeds.len();
@@ -91,20 +81,10 @@ where
         }
         result
     });
-    for (xi, &x) in xs.iter().enumerate() {
-        let mut rows: Vec<Vec<String>> = metrics.iter().map(|_| vec![format!("{x}")]).collect();
-        for schi in 0..schemes.len() {
-            let base = (xi * schemes.len() + schi) * seeds.len();
-            let cell = &runs[base..base + seeds.len()];
-            for (mi, (_, key)) in metrics.iter().enumerate() {
-                let values: Vec<f64> = cell.iter().map(|r| r.metric(key)).collect();
-                rows[mi].push(MeanCi::from_samples(&values).display(3));
-            }
-        }
-        for (table, row) in tables.iter_mut().zip(rows) {
-            table.add_row(row);
-        }
-    }
+    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
+    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
+        runs[job].metric(metrics[mi].1)
+    });
     let wall_s = t0.elapsed().as_secs_f64();
     record_bench("sweep_served", spec.id, wall_s, n_jobs, threads);
     write_manifest_served(spec, schemes, &seeds, xs, wall_s, &runs);
@@ -139,18 +119,8 @@ fn write_manifest_served(
         cache_hits += r.link_cache_hits;
         budgets += r.link_budgets;
     }
-    let (dur, warm) = sweep_durations();
-    let params = vec![
-        ("x_label".to_string(), spec.x_label.to_string()),
-        ("duration_s".to_string(), format!("{}", dur.as_secs_f64())),
-        ("warmup_s".to_string(), format!("{}", warm.as_secs_f64())),
-        ("quick".to_string(), quick_mode().to_string()),
-        (
-            "threads".to_string(),
-            wmn_metrics::default_threads().to_string(),
-        ),
-        ("replications".to_string(), seeds.len().to_string()),
-        ("runs".to_string(), runs.len().to_string()),
+    let mut params = standard_params(spec, seeds.len(), runs.len());
+    params.extend([
         ("served".to_string(), "true".to_string()),
         (
             "prefix_reused_jobs".to_string(),
@@ -163,7 +133,7 @@ fn write_manifest_served(
         ("link_cache_hits".to_string(), cache_hits.to_string()),
         ("pathloss_evals".to_string(), pathloss.to_string()),
         ("link_budgets".to_string(), budgets.to_string()),
-    ];
+    ]);
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
         id: format!("{}_served", spec.id),

@@ -60,8 +60,8 @@ use std::sync::{Arc, Mutex};
 use wmn_metrics::ProbeSeries;
 use wmn_sim::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use wmn_sim::shard::{
-    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardedEngine,
-    SupervisorConfig, SupervisorReport,
+    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe,
+    ShardedEngine, SupervisorConfig, SupervisorReport,
 };
 use wmn_sim::{SimDuration, SimRng, SimTime};
 use wmn_telemetry::{
@@ -281,9 +281,9 @@ impl ParMesh {
         self
     }
 
-    /// True when any robustness feature routes this run through the
-    /// supervised engine. Plain runs take the exact pre-existing path, so
-    /// checkpoints-off behaviour is byte-identical by construction.
+    /// True when any robustness feature is on: the run may then serialize
+    /// region state and reports what its supervisor did. Every run takes
+    /// the same engine loop either way.
     fn supervised(&self) -> bool {
         self.checkpoint_dir.is_some()
             || self.checkpoint_every.is_some()
@@ -1444,56 +1444,42 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         }
     }
 
-    let mut profile = None;
-    let mut supervisor = None;
-    let (report, worlds) = if cfg.supervised() {
-        // Robustness path: resume from the newest checkpoint if asked, then
-        // run under the crash-tolerant supervisor.
-        let scenario = cfg.scenario_fingerprint();
-        if cfg.resume {
-            let dir = cfg.checkpoint_dir.as_ref().ok_or_else(|| {
-                CheckpointError::NotFound("--resume needs a checkpoint dir".into())
-            })?;
-            let newest = checkpoint::list_dir(dir)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|(epoch, _)| epoch.is_some())
-                .max_by_key(|&(epoch, _)| epoch);
-            if let Some((_, path)) = newest {
-                let bytes = checkpoint::read_file(&path)?;
-                engine.restore(&bytes, scenario)?;
-            }
-            // No checkpoints yet: start fresh (first leg of a resumable run).
+    // Robustness path: resume from the newest checkpoint if asked. A run
+    // with no robustness feature gets the default supervisor config, under
+    // which the engine keeps no anchor and writes nothing.
+    let scenario = cfg.scenario_fingerprint();
+    if cfg.resume {
+        let dir = cfg
+            .checkpoint_dir
+            .as_ref()
+            .ok_or_else(|| CheckpointError::NotFound("--resume needs a checkpoint dir".into()))?;
+        let newest = checkpoint::list_dir(dir)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|(epoch, _)| epoch.is_some())
+            .max_by_key(|&(epoch, _)| epoch);
+        if let Some((_, path)) = newest {
+            let bytes = checkpoint::read_file(&path)?;
+            engine.restore(&bytes, scenario)?;
         }
-        let scfg = SupervisorConfig {
-            scenario,
-            checkpoint_dir: cfg.checkpoint_dir.clone(),
-            checkpoint_every: cfg.checkpoint_every.or_else(|| {
-                cfg.checkpoint_dir
-                    .is_some()
-                    .then(|| SimDuration::from_secs(1))
-            }),
-            crash_plan: cfg.crash_plan.clone(),
-            interrupt: cfg.interrupt.clone(),
-        };
-        let (report, worlds, sup) = if cfg.profile {
-            let mut profiler = ShardProfiler::new(cfg.threads);
-            let out = engine.run_supervised(cfg.threads, Some(&mut profiler), &scfg)?;
-            profile = Some(profiler.finish());
-            out
-        } else {
-            engine.run_supervised(cfg.threads, None, &scfg)?
-        };
-        supervisor = Some(sup);
-        (report, worlds)
-    } else if cfg.profile {
-        let mut profiler = ShardProfiler::new(cfg.threads);
-        let out = engine.run_probed(cfg.threads, Some(&mut profiler));
-        profile = Some(profiler.finish());
-        out
-    } else {
-        engine.run(cfg.threads)
+        // No checkpoints yet: start fresh (first leg of a resumable run).
+    }
+    let scfg = SupervisorConfig {
+        scenario,
+        checkpoint_dir: cfg.checkpoint_dir.clone(),
+        checkpoint_every: cfg.checkpoint_every.or_else(|| {
+            cfg.checkpoint_dir
+                .is_some()
+                .then(|| SimDuration::from_secs(1))
+        }),
+        crash_plan: cfg.crash_plan.clone(),
+        interrupt: cfg.interrupt.clone(),
     };
+    let mut profiler = cfg.profile.then(|| ShardProfiler::new(cfg.threads));
+    let probe = profiler.as_mut().map(|p| p as &mut dyn ShardProbe);
+    let (report, worlds, sup) = engine.run_supervised(cfg.threads, probe, &scfg)?;
+    let profile = profiler.map(ShardProfiler::finish);
+    let supervisor = cfg.supervised().then_some(sup);
 
     // --- aggregate ---
     let mut agg = ParMeshReport {

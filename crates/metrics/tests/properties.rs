@@ -1,7 +1,7 @@
 //! Property-based tests of the statistics substrate.
 
 use proptest::prelude::*;
-use wmn_metrics::{jain_index, LogHistogram, MeanCi, Welford};
+use wmn_metrics::{jain_index, MeanCi, Welford};
 
 proptest! {
     /// Welford matches the naive two-pass mean/variance.
@@ -45,24 +45,6 @@ proptest! {
         prop_assert!(j >= 1.0 / xs.len() as f64 - 1e-12);
         let scaled: Vec<f64> = xs.iter().map(|x| x * k).collect();
         prop_assert!((jain_index(&scaled) - j).abs() < 1e-9);
-    }
-
-    /// Histogram quantiles are monotone in q and bracket the sample range.
-    #[test]
-    fn histogram_quantiles_monotone(xs in prop::collection::vec(1e-6f64..1e3, 1..300)) {
-        let mut h = LogHistogram::for_delays();
-        for &x in &xs {
-            h.record(x);
-        }
-        let mut last = 0.0;
-        for i in 0..=10 {
-            let q = h.quantile(i as f64 / 10.0);
-            prop_assert!(q >= last);
-            last = q;
-        }
-        let max = xs.iter().cloned().fold(0.0, f64::max);
-        // Bucket midpoint error ≤ 1 sub-bucket width (1/16 of a doubling).
-        prop_assert!(h.quantile(1.0) <= max * 1.1 + 1e-9);
     }
 
     /// Confidence intervals shrink (weakly) with more identical batches.

@@ -473,9 +473,11 @@ pub struct WindowSample {
 ///
 /// Pass one to [`ShardedEngine::run_probed`] to receive per-region window
 /// samples and per-epoch barrier timings. All callbacks fire on the
-/// coordinator thread in deterministic order (regions ascending within an
-/// epoch, epochs ascending); a probe can never influence simulation
-/// results — it observes slots only between epochs.
+/// coordinator thread in one order, whatever the run mode: per epoch
+/// (ascending), `window` for every region (ascending), then `steal` if the
+/// planner packed the epoch, then `epoch_end`; `run_end` once, last. A probe
+/// can never influence simulation results — it observes slots only between
+/// epochs.
 pub trait ShardProbe {
     /// One region's window observation (called for every region each
     /// epoch, active or not, in ascending region order, before the merge).
@@ -491,7 +493,7 @@ pub trait ShardProbe {
     /// post-steal load balance — the busiest worker's measured window time
     /// over the mean across the pool, ×1000. Both are wall-clock-derived
     /// and must never enter a simulation fingerprint. Fires after the
-    /// epoch's windows complete, before [`epoch_end`](ShardProbe::epoch_end).
+    /// epoch's `window` samples, before [`epoch_end`](ShardProbe::epoch_end).
     fn steal(&mut self, _epoch: u64, _moved: u64, _imbalance_milli: u64) {}
     /// Serialize accumulated observer state into a checkpoint (default:
     /// nothing). A probe that wants its profile to survive a kill-and-resume
@@ -625,20 +627,19 @@ impl CrashPlan {
     }
 }
 
-/// Mutable crash-decision state, owned by the coordinator and deliberately
+/// Mutable crash-decision state — the plan's unfired entries and the
+/// stochastic decision stream — owned by the coordinator and deliberately
 /// outside the rollback scope.
 struct CrashState {
-    scripted: Vec<(u64, RegionId)>,
-    stochastic: Option<(f64, SimRng, u32)>,
+    plan: CrashPlan,
+    rng: Option<SimRng>,
 }
 
 impl CrashState {
     fn new(plan: &CrashPlan) -> Self {
         CrashState {
-            scripted: plan.scripted.clone(),
-            stochastic: plan
-                .stochastic
-                .map(|s| (s.rate, SimRng::new(s.seed), s.max)),
+            plan: plan.clone(),
+            rng: plan.stochastic.map(|s| SimRng::new(s.seed)),
         }
     }
 
@@ -646,17 +647,14 @@ impl CrashState {
     /// matching scripted entry / stochastic budget so it cannot re-fire on
     /// replay.
     fn decide(&mut self, epoch: u64, region: RegionId) -> bool {
-        if let Some(pos) = self
-            .scripted
-            .iter()
-            .position(|&(e, r)| e == epoch && r == region)
-        {
-            self.scripted.remove(pos);
+        let scripted = &mut self.plan.scripted;
+        if let Some(pos) = scripted.iter().position(|&e| e == (epoch, region)) {
+            scripted.remove(pos);
             return true;
         }
-        if let Some((rate, rng, remaining)) = &mut self.stochastic {
-            if *remaining > 0 && rng.chance(*rate) {
-                *remaining -= 1;
+        if let (Some(s), Some(rng)) = (&mut self.plan.stochastic, &mut self.rng) {
+            if s.max > 0 && rng.chance(s.rate) {
+                s.max -= 1;
                 return true;
             }
         }
@@ -664,31 +662,24 @@ impl CrashState {
     }
 }
 
-/// How a worker panic should be handled.
-enum PanicClass {
-    /// A [`CrashPlan`] injection: recover by rollback + replay.
-    Injected,
-    /// A conservative-invariant or lookahead violation: the simulation
-    /// state cannot be trusted; abort loudly.
-    Invariant,
-    /// Anything else: a genuine bug; abort loudly.
-    Unknown,
-}
-
-fn classify_panic(payload: &(dyn std::any::Any + Send)) -> PanicClass {
+/// Why a caught window panic cannot be recovered from, or `None` for a
+/// [`CrashPlan`] injection (recovered by rollback + replay). After a
+/// conservative-invariant or lookahead violation the simulation state cannot
+/// be trusted; anything else is a genuine bug. Both abort loudly.
+fn fatal_panic(payload: &(dyn std::any::Any + Send)) -> Option<&'static str> {
     if payload.is::<InjectedCrash>() {
-        return PanicClass::Injected;
+        return None;
     }
     let msg = payload
         .downcast_ref::<&'static str>()
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-    if let Some(m) = msg {
-        if m.contains("lookahead violation") || m.contains("conservative invariant") {
-            return PanicClass::Invariant;
+    match msg {
+        Some(m) if m.contains("lookahead violation") || m.contains("conservative invariant") => {
+            Some("conservative-invariant violation")
         }
+        _ => Some("unclassified worker panic"),
     }
-    PanicClass::Unknown
 }
 
 /// Silence the default panic printer for [`InjectedCrash`] payloads — they
@@ -761,13 +752,17 @@ impl<W: RegionWorld> Slot<W> {
     /// Process every pending event strictly below `window_end` (and at or
     /// below the run horizon), then commit the window. `timed` records the
     /// window's wall-clock cost into `last_busy_ns` (profiling only — it
-    /// cannot affect event execution).
+    /// cannot affect event execution). When `crash` carries an epoch,
+    /// process at most one event and then die with an [`InjectedCrash`]
+    /// panic — deliberately leaving partially-mutated, uncommitted state,
+    /// the worst case the supervisor's rollback must handle.
     fn run_window(
         &mut self,
         window_end: SimTime,
         horizon: SimTime,
         lookahead: &Lookahead,
         timed: bool,
+        crash: Option<u64>,
     ) {
         let t0 = timed.then(Instant::now);
         while let Some(t) = self.queue.peek_time() {
@@ -786,6 +781,15 @@ impl<W: RegionWorld> Slot<W> {
                 stopped: &mut self.stopped,
             };
             self.world.handle(event, &mut ctx);
+            if crash.is_some() {
+                break;
+            }
+        }
+        if let Some(epoch) = crash {
+            std::panic::panic_any(InjectedCrash {
+                epoch,
+                region: self.region,
+            });
         }
         // The window is committed even when it held no events: adjacent
         // regions may have advanced on the promise that nothing older will
@@ -795,52 +799,32 @@ impl<W: RegionWorld> Slot<W> {
             self.last_busy_ns = t0.elapsed().as_nanos() as u64;
         }
     }
-
-    /// [`run_window`](Slot::run_window), but when `crash` carries an epoch,
-    /// process at most one event and then die with an [`InjectedCrash`]
-    /// panic — deliberately leaving partially-mutated, uncommitted state,
-    /// the worst case the supervisor's rollback must handle.
-    fn run_window_crashing(
-        &mut self,
-        window_end: SimTime,
-        horizon: SimTime,
-        lookahead: &Lookahead,
-        timed: bool,
-        crash: Option<u64>,
-    ) {
-        let Some(epoch) = crash else {
-            return self.run_window(window_end, horizon, lookahead, timed);
-        };
-        if let Some(t) = self.queue.peek_time() {
-            if t < window_end && t <= horizon {
-                let (now, event) = self.queue.pop().expect("peeked event vanished");
-                self.processed += 1;
-                let mut ctx = RegionCtx {
-                    now,
-                    region: self.region,
-                    queue: &mut self.queue,
-                    outbox: &mut self.outbox,
-                    lookahead,
-                    horizon,
-                    stopped: &mut self.stopped,
-                };
-                self.world.handle(event, &mut ctx);
-            }
-        }
-        std::panic::panic_any(InjectedCrash {
-            epoch,
-            region: self.region,
-        });
-    }
 }
 
-/// A job shipped to a worker for one epoch: the region slot plus its safe
-/// window end.
+type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+
+/// One window of one epoch: the region slot, its safe window end, and the
+/// coordinator's injected-crash decision (`Some(epoch)` only under a
+/// supervisor with a [`CrashPlan`]).
 struct Job<W: RegionWorld> {
-    index: usize,
     slot: Box<Slot<W>>,
     window_end: SimTime,
     timed: bool,
+    crash: Option<u64>,
+}
+
+impl<W: RegionWorld> Job<W> {
+    /// Run the window wherever the job landed — a pool worker or the
+    /// coordinator itself — and hand back a panic instead of unwinding, so
+    /// the slot always returns and the coordinator alone decides what a
+    /// panic means.
+    fn run(&mut self, horizon: SimTime, lookahead: &Lookahead) -> Option<PanicPayload> {
+        catch_unwind(AssertUnwindSafe(|| {
+            self.slot
+                .run_window(self.window_end, horizon, lookahead, self.timed, self.crash)
+        }))
+        .err()
+    }
 }
 
 /// Coordinator-side dynamic region→worker packer (work stealing by
@@ -968,9 +952,10 @@ pub struct ShardedEngine<W: RegionWorld> {
     /// the working memory of [`Lookahead::safe_horizons`].
     peeks: Vec<Option<SimTime>>,
     horizon_scratch: HorizonScratch,
-    /// Counters restored by [`ShardedEngine::restore`]; zero on a fresh run.
-    resume_epochs: u64,
-    resume_cross: u64,
+    /// Epochs run and cross-region events merged so far; zero on a fresh
+    /// engine, carried through checkpoints and rolled back with the slots.
+    epochs: u64,
+    cross_region: u64,
     /// Probe bytes restored from a checkpoint, handed to the probe when
     /// [`run_supervised`](ShardedEngine::run_supervised) starts.
     resume_probe: Vec<u8>,
@@ -1013,8 +998,8 @@ impl<W: RegionWorld> ShardedEngine<W> {
             merge_buf: Vec::new(),
             peeks: Vec::new(),
             horizon_scratch: HorizonScratch::default(),
-            resume_epochs: 0,
-            resume_cross: 0,
+            epochs: 0,
+            cross_region: 0,
             resume_probe: Vec::new(),
             resume_from: None,
         }
@@ -1043,26 +1028,36 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// (capacity pre-sizing from a scenario's flow/churn plans, so the
     /// steady state never reallocates mid-window).
     pub fn reserve_region(&mut self, region: RegionId, additional: usize) {
-        self.slots[region as usize]
-            .as_mut()
-            .expect("slot present between epochs")
-            .queue
-            .reserve(additional);
+        self.slot_mut(region as usize).queue.reserve(additional);
     }
 
     /// Schedule an initial event in `region` before the run starts.
     pub fn prime(&mut self, region: RegionId, time: SimTime, event: W::Event) {
-        self.slots[region as usize]
-            .as_mut()
-            .expect("slot present between epochs")
-            .queue
-            .schedule(time, event);
+        self.slot_mut(region as usize).queue.schedule(time, event);
     }
 
     fn slot(&self, i: usize) -> &Slot<W> {
         self.slots[i]
             .as_deref()
             .expect("slot present between epochs")
+    }
+
+    fn slot_mut(&mut self, i: usize) -> &mut Slot<W> {
+        self.slots[i]
+            .as_deref_mut()
+            .expect("slot present between epochs")
+    }
+
+    /// Global minimum pending-event time across regions (the next barrier's
+    /// cut position; `None` when every queue is empty).
+    fn min_peek(&self) -> Option<SimTime> {
+        (0..self.slots.len())
+            .filter_map(|i| self.slot(i).queue.peek_time())
+            .min()
+    }
+
+    fn total_processed(&self) -> u64 {
+        (0..self.slots.len()).map(|i| self.slot(i).processed).sum()
     }
 
     /// Merge every region's outbox into the destination queues in
@@ -1077,7 +1072,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
         let mut batch = std::mem::take(&mut self.merge_buf);
         debug_assert!(batch.is_empty());
         for i in 0..self.slots.len() {
-            let slot = self.slots[i].as_mut().expect("slot present between epochs");
+            let slot = self.slot_mut(i);
             let region = slot.region;
             for (seq, out) in slot.outbox.drain(..).enumerate() {
                 batch.push((out.time, region, seq as u32, out.dst, out.event));
@@ -1090,9 +1085,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
         batch.sort_unstable_by_key(|(t, src, seq, _, _)| (*t, *src, *seq));
         let n = batch.len() as u64;
         for (time, src, _, dst, event) in batch.drain(..) {
-            let slot = self.slots[dst as usize]
-                .as_mut()
-                .expect("slot present between epochs");
+            let slot = self.slot_mut(dst as usize);
             assert!(
                 time >= slot.committed,
                 "conservative invariant violated: region {src} delivered an event at {time:?} \
@@ -1118,8 +1111,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
         if (0..self.slots.len()).any(|i| self.slot(i).stopped) {
             return Err(ShardStopReason::Stopped);
         }
-        let processed: u64 = (0..self.slots.len()).map(|i| self.slot(i).processed).sum();
-        if processed >= self.event_budget {
+        if self.total_processed() >= self.event_budget {
             return Err(ShardStopReason::EventBudget);
         }
         self.peeks.clear();
@@ -1208,147 +1200,168 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// thread; simulation results are identical either way (the probe only
     /// observes slots between epochs).
     pub fn run_probed(
+        self,
+        threads: usize,
+        probe: Option<&mut dyn ShardProbe>,
+    ) -> (ShardRunReport, Vec<W>) {
+        self.drive(threads, probe, None)
+            .expect("only a supervisor reads or writes checkpoints")
+    }
+
+    /// The epoch loop behind [`run`](ShardedEngine::run),
+    /// [`run_probed`](ShardedEngine::run_probed) and
+    /// [`run_supervised`](ShardedEngine::run_supervised).
+    ///
+    /// Each epoch ships the active slots to a persistent pool over channels
+    /// and collects them all back — the channel round-trip is the barrier.
+    /// Assignment is static (`region % workers`, so per-region state tends
+    /// to stay in one worker's cache) unless stealing re-packs it. A
+    /// one-worker engine spawns no pool and a one-window epoch skips the
+    /// round-trip; both run their windows on the coordinator.
+    ///
+    /// A [`Supervisor`] hooks in at three places and nowhere else: the
+    /// pre-epoch barrier (interrupt and cadence checkpoints), window
+    /// dispatch (injected-crash decisions), and the post-window triage of
+    /// caught panics (rollback and replay, or abort). Without one, a caught
+    /// panic is re-raised on the caller with its original payload.
+    fn drive(
         mut self,
         threads: usize,
         mut probe: Option<&mut dyn ShardProbe>,
-    ) -> (ShardRunReport, Vec<W>) {
+        mut sup: Option<&mut Supervisor<'_, W>>,
+    ) -> Result<(ShardRunReport, Vec<W>), CheckpointError> {
         assert!(threads >= 1, "at least one thread");
         let workers = threads.min(self.slots.len());
         let t_run = Instant::now();
-        let mut epochs = 0u64;
-        let mut cross_region = 0u64;
         let mut safe: Vec<SimTime> = Vec::with_capacity(self.slots.len());
         let mut jobs: Vec<usize> = Vec::with_capacity(self.slots.len());
         let mut scratch = EpochScratch::default();
+        let horizon = self.horizon;
+        let lookahead = self.lookahead.clone();
+        // Planner state is wall-clock-only and deliberately not part of any
+        // checkpoint: rollback, replay and resume all start from whatever
+        // (possibly cold, possibly stale) predictions are at hand — any
+        // schedule is equally correct.
+        let stealing = self.steal && workers > 1;
+        let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
 
-        let reason = if workers <= 1 {
-            loop {
-                let sources = probe.is_some().then_some(&mut scratch.sources);
-                if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                    break reason;
-                }
-                let timed = probe.is_some();
-                let t_epoch = timed.then(Instant::now);
-                if timed {
-                    self.snapshot_pre_epoch(&mut scratch);
-                }
-                epochs += 1;
-                for &i in &jobs {
-                    let mut slot = self.slots[i].take().expect("slot present");
-                    slot.run_window(safe[i], self.horizon, &self.lookahead, timed);
-                    self.slots[i] = Some(slot);
-                }
-                if let Some(p) = probe.as_deref_mut() {
-                    self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                }
-                let t_merge = timed.then(Instant::now);
-                let merged = self.merge_outboxes();
-                cross_region += merged;
-                if let Some(p) = probe.as_deref_mut() {
-                    let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                    let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                    p.epoch_end(epochs, wall_ns, merged, merge_ns);
-                }
-            }
-        } else {
-            // Persistent pool: each epoch ships the active slots over
-            // channels and collects them all back — the channel round-trip
-            // is the barrier. Which thread runs a window cannot influence
-            // results: a window touches only its own slot. Assignment is
-            // static (`region % workers`, so per-region state tends to stay
-            // in one worker's cache) unless stealing re-packs regions from
-            // the previous epoch's measured busy times.
-            let stealing = self.steal;
-            let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
-            let horizon = self.horizon;
-            let lookahead = self.lookahead.clone();
-            std::thread::scope(|scope| {
-                let (done_tx, done_rx) = mpsc::channel::<Job<W>>();
-                let mut work_txs: Vec<mpsc::Sender<Job<W>>> = Vec::with_capacity(workers);
+        let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
+            let (done_tx, done_rx) = mpsc::channel::<(Job<W>, Option<PanicPayload>)>();
+            let mut work_txs: Vec<mpsc::Sender<Job<W>>> = Vec::with_capacity(workers);
+            if workers > 1 {
                 for _ in 0..workers {
                     let (tx, rx) = mpsc::channel::<Job<W>>();
                     let done = done_tx.clone();
-                    let lookahead = lookahead.clone();
+                    let lookahead = &lookahead;
                     work_txs.push(tx);
                     scope.spawn(move || {
                         while let Ok(mut job) = rx.recv() {
-                            job.slot
-                                .run_window(job.window_end, horizon, &lookahead, job.timed);
-                            if done.send(job).is_err() {
+                            let panic = job.run(horizon, lookahead);
+                            if done.send((job, panic)).is_err() {
                                 break;
                             }
                         }
                     });
                 }
-                drop(done_tx);
-                loop {
-                    let sources = probe.is_some().then_some(&mut scratch.sources);
-                    if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                        break reason;
-                    }
-                    // Stealing needs window timings even without a probe —
-                    // they are next epoch's cost predictions.
-                    let timed = probe.is_some() || stealing;
-                    let t_epoch = probe.is_some().then(Instant::now);
-                    if probe.is_some() {
-                        self.snapshot_pre_epoch(&mut scratch);
-                    }
-                    epochs += 1;
-                    if jobs.len() == 1 {
-                        // A serial epoch: skip the pool round-trip.
-                        let i = jobs[0];
-                        let mut slot = self.slots[i].take().expect("slot present");
-                        slot.run_window(safe[i], horizon, &lookahead, timed);
-                        self.slots[i] = Some(slot);
-                        if let Some(pl) = planner.as_mut() {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
-                    } else {
-                        let moved = planner.as_mut().map(|pl| pl.plan(&jobs));
-                        for (k, &i) in jobs.iter().enumerate() {
-                            let slot = self.slots[i].take().expect("slot present");
-                            let job = Job {
-                                index: i,
-                                slot,
-                                window_end: safe[i],
-                                timed,
-                            };
-                            let w = match planner.as_ref() {
-                                Some(pl) => pl.assignment[k] as usize,
-                                None => i % workers,
-                            };
-                            work_txs[w]
-                                .send(job)
-                                .expect("worker alive for the whole run");
-                        }
-                        for _ in 0..jobs.len() {
-                            let job = done_rx.recv().expect("worker returned its slot");
-                            self.slots[job.index] = Some(job.slot);
-                        }
-                        if let Some(pl) = planner.as_mut() {
-                            for &i in &jobs {
-                                pl.observe(i, self.slot(i).last_busy_ns);
-                            }
-                            if let Some(p) = probe.as_deref_mut() {
-                                let imb = pl.measured_imbalance_milli(&jobs);
-                                p.steal(epochs, moved.unwrap_or(0), imb);
-                            }
-                        }
-                    }
-                    if let Some(p) = probe.as_deref_mut() {
-                        self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                    }
-                    let t_merge = timed.then(Instant::now);
-                    let merged = self.merge_outboxes();
-                    cross_region += merged;
-                    if let Some(p) = probe.as_deref_mut() {
-                        let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                        let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                        p.epoch_end(epochs, wall_ns, merged, merge_ns);
+            }
+            drop(done_tx);
+            loop {
+                // Barrier: outboxes drained, no slot checked out — a
+                // globally consistent cut.
+                if let Some(s) = sup.as_deref_mut() {
+                    if s.barrier(&self, probe.as_deref())? {
+                        break Ok(ShardStopReason::Interrupted);
                     }
                 }
-            })
-        };
+                let will_emit =
+                    probe.is_some() && sup.as_deref().is_none_or(|s| self.epochs >= s.max_emitted);
+                let sources = will_emit.then_some(&mut scratch.sources);
+                if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
+                    break Ok(reason);
+                }
+                // Stealing needs window timings even without a probe —
+                // they are next epoch's cost predictions.
+                let timed = will_emit || stealing;
+                let t_epoch = will_emit.then(Instant::now);
+                if will_emit {
+                    self.snapshot_pre_epoch(&mut scratch);
+                }
+                self.epochs += 1;
+                let epoch = self.epochs;
+                let pooled = workers > 1 && jobs.len() > 1;
+                // `Some(moved)` when the planner packed this epoch.
+                let steal_moved = planner.as_mut().filter(|_| pooled).map(|pl| pl.plan(&jobs));
+                let mut payloads: Vec<PanicPayload> = Vec::new();
+                for (k, &i) in jobs.iter().enumerate() {
+                    // Crash decisions are made here, on the coordinator, in
+                    // ascending region order — identical for every worker
+                    // count, and consumed so a replay cannot re-fire them.
+                    let crash = sup
+                        .as_deref_mut()
+                        .and_then(|s| s.crash.decide(epoch, i as RegionId).then_some(epoch));
+                    let mut job = Job {
+                        slot: self.slots[i].take().expect("slot present"),
+                        window_end: safe[i],
+                        timed,
+                        crash,
+                    };
+                    if pooled {
+                        let w = planner
+                            .as_ref()
+                            .map_or(i % workers, |pl| pl.assignment[k] as usize);
+                        work_txs[w]
+                            .send(job)
+                            .expect("worker alive for the whole run");
+                    } else {
+                        payloads.extend(job.run(horizon, &lookahead));
+                        self.slots[i] = Some(job.slot);
+                    }
+                }
+                if pooled {
+                    for _ in 0..jobs.len() {
+                        let (job, panic) = done_rx.recv().expect("worker returned its slot");
+                        let i = job.slot.region as usize;
+                        self.slots[i] = Some(job.slot);
+                        payloads.extend(panic);
+                    }
+                }
+                if let Some(pl) = planner.as_mut() {
+                    for &i in &jobs {
+                        pl.observe(i, self.slot(i).last_busy_ns);
+                    }
+                }
+                if !payloads.is_empty() {
+                    let Some(s) = sup.as_deref_mut() else {
+                        resume_unwind(payloads.swap_remove(0));
+                    };
+                    // All injected: every region and counter is back at the
+                    // anchor; replay. Probe gating makes the replay
+                    // invisible in the results.
+                    s.recover(&mut self, payloads)?;
+                    continue;
+                }
+                if will_emit {
+                    let p = probe.as_deref_mut().expect("will_emit implies a probe");
+                    self.emit_window_samples(p, &scratch, &safe, &jobs, epoch);
+                    if let (Some(moved), Some(pl)) = (steal_moved, planner.as_mut()) {
+                        p.steal(epoch, moved, pl.measured_imbalance_milli(&jobs));
+                    }
+                    if let Some(s) = sup.as_deref_mut() {
+                        s.max_emitted = epoch;
+                    }
+                }
+                let t_merge = will_emit.then(Instant::now);
+                let merged = self.merge_outboxes();
+                self.cross_region += merged;
+                if let (Some(p), Some(t_epoch), Some(t_merge)) =
+                    (probe.as_deref_mut(), t_epoch, t_merge)
+                {
+                    let merge_ns = t_merge.elapsed().as_nanos() as u64;
+                    let wall_ns = t_epoch.elapsed().as_nanos() as u64;
+                    p.epoch_end(epoch, wall_ns, merged, merge_ns);
+                }
+            }
+        })?;
 
         let end_time = (0..self.slots.len())
             .map(|i| self.slot(i).committed)
@@ -1362,8 +1375,8 @@ impl<W: RegionWorld> ShardedEngine<W> {
             reason,
             events_processed: per_region.iter().sum(),
             per_region,
-            cross_region,
-            epochs,
+            cross_region: self.cross_region,
+            epochs: self.epochs,
             end_time,
         };
         if let Some(p) = probe {
@@ -1374,50 +1387,136 @@ impl<W: RegionWorld> ShardedEngine<W> {
             .into_iter()
             .map(|s| s.expect("slot present after run").world)
             .collect();
-        (report, worlds)
+        Ok((report, worlds))
     }
 }
 
-/// A supervised job: a region slot, its safe window end, and an optional
-/// injected-crash marker decided by the coordinator.
-struct SupJob<W: RegionWorld> {
-    index: usize,
-    slot: Box<Slot<W>>,
-    window_end: SimTime,
-    timed: bool,
-    crash: Option<u64>,
+/// Everything [`run_supervised`](ShardedEngine::run_supervised) adds to the
+/// epoch loop, and the only state the loop keeps on its behalf.
+struct Supervisor<'a, W: RegionWorld> {
+    cfg: &'a SupervisorConfig,
+    /// The [`CheckpointState`] capability — serialize the engine at a
+    /// barrier, overwrite it from such a cut — as plain functions, so the
+    /// epoch loop that calls them needs no such bound.
+    encode: fn(&ShardedEngine<W>, Option<&dyn ShardProbe>) -> Vec<u8>,
+    restore: fn(&mut ShardedEngine<W>, &[u8]) -> Result<(), CheckpointError>,
+    /// Deliberately outside the rollback scope (see [`CrashState`]).
+    crash: CrashState,
+    every_ns: Option<u64>,
+    /// Cadence marks are keyed on the global minimum pending time (the
+    /// committed-horizon minimum never advances for idle regions).
+    last_mark: u64,
+    /// Rollback anchor: a full serialized cut at the run's first barrier,
+    /// refreshed at every checkpoint mark, so recovery works even with
+    /// checkpointing off (replay from the start). Held only under a
+    /// [`CrashPlan`] — nothing else is ever rolled back.
+    anchor: Option<Vec<u8>>,
+    /// Epochs at or below this were already observed (in this process or
+    /// the checkpointed one); probe callbacks for them are suppressed.
+    max_emitted: u64,
+    report: SupervisorReport,
 }
 
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+impl<W: RegionWorld> Supervisor<'_, W> {
+    /// Pre-epoch hook, called on a consistent cut: on the interrupt flag,
+    /// write a final checkpoint and return `true` (stop); on a cadence mark,
+    /// refresh the anchor and write a checkpoint.
+    fn barrier(
+        &mut self,
+        eng: &ShardedEngine<W>,
+        probe: Option<&dyn ShardProbe>,
+    ) -> Result<bool, CheckpointError> {
+        let interrupt = self.cfg.interrupt.as_ref();
+        if interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
+            if self.cfg.checkpoint_dir.is_some() {
+                let committed = eng.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
+                    (0..eng.slots.len())
+                        .map(|i| eng.slot(i).committed.as_nanos())
+                        .max()
+                        .unwrap_or(0)
+                });
+                self.write_checkpoint(eng, committed, &(self.encode)(eng, probe))?;
+            }
+            self.report.interrupted = true;
+            return Ok(true);
+        }
+        if let (Some(every), Some(t_min)) = (self.every_ns, eng.min_peek()) {
+            let mark = t_min.as_nanos() / every;
+            if mark > self.last_mark {
+                self.last_mark = mark;
+                let cut = (self.encode)(eng, probe);
+                self.write_checkpoint(eng, t_min.as_nanos(), &cut)?;
+                if let Some(anchor) = &mut self.anchor {
+                    *anchor = cut;
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// Seal `cut` and write it atomically as the checkpoint file for the
+    /// engine's current epoch (nothing without a checkpoint dir).
+    fn write_checkpoint(
+        &mut self,
+        eng: &ShardedEngine<W>,
+        committed_ns: u64,
+        cut: &[u8],
+    ) -> Result<(), CheckpointError> {
+        let Some(dir) = &self.cfg.checkpoint_dir else {
+            return Ok(());
+        };
+        let img = checkpoint::seal(
+            self.cfg.scenario,
+            eng.epochs,
+            committed_ns,
+            eng.slots.len() as u32,
+            eng.total_processed(),
+            cut,
+        );
+        let path = dir.join(checkpoint::file_name(eng.epochs));
+        checkpoint::write_atomic(&path, &img)?;
+        self.report.checkpoints_written += 1;
+        self.report.last_checkpoint = Some(path);
+        Ok(())
+    }
+
+    /// Post-window triage of the panics caught in one epoch. Harness-
+    /// injected crashes roll the engine back to the anchor; a fatal panic
+    /// wins over recovery, whatever order the payloads arrived in, and is
+    /// re-raised after a loud note.
+    fn recover(
+        &mut self,
+        eng: &mut ShardedEngine<W>,
+        mut payloads: Vec<PanicPayload>,
+    ) -> Result<(), CheckpointError> {
+        let fatal = payloads
+            .iter()
+            .position(|p| fatal_panic(p.as_ref()).is_some());
+        if let (None, Some(anchor)) = (fatal, &self.anchor) {
+            self.report.recoveries += 1;
+            return (self.restore)(eng, anchor);
+        }
+        let p = payloads.swap_remove(fatal.unwrap_or(0));
+        eprintln!(
+            "shard supervisor: {} in epoch {}; state cannot be trusted, aborting",
+            fatal_panic(p.as_ref()).unwrap_or("crash injected outside the crash plan"),
+            eng.epochs
+        );
+        resume_unwind(p)
+    }
+}
 
 impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
-    /// Global minimum pending-event time across regions (the next barrier's
-    /// cut position; `None` when every queue is empty).
-    fn min_peek(&self) -> Option<SimTime> {
-        (0..self.slots.len())
-            .filter_map(|i| self.slot(i).queue.peek_time())
-            .min()
-    }
-
-    fn total_processed(&self) -> u64 {
-        (0..self.slots.len()).map(|i| self.slot(i).processed).sum()
-    }
-
     /// Serialize the complete engine state at an epoch barrier: run
     /// counters, then one length-prefixed block per region (committed
     /// horizon, processed count, stop flag, queue tie-break counters, every
     /// pending event with its sequence number, and the world's own state),
     /// then the probe's observer state. Must only be called at a barrier —
     /// outboxes drained, no slot checked out.
-    fn encode_payload(
-        &self,
-        epochs: u64,
-        cross_region: u64,
-        probe: Option<&dyn ShardProbe>,
-    ) -> Vec<u8> {
+    fn encode_payload(&self, probe: Option<&dyn ShardProbe>) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u64(epochs);
-        w.u64(cross_region);
+        w.u64(self.epochs);
+        w.u64(self.cross_region);
         w.u32(self.slots.len() as u32);
         for i in 0..self.slots.len() {
             let slot = self.slot(i);
@@ -1453,13 +1552,13 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
     }
 
     /// Overwrite the engine's state from a payload written by
-    /// [`encode_payload`](ShardedEngine::encode_payload). Returns the
-    /// restored `(epochs, cross_region, probe_bytes)`. On error the engine
-    /// may be partially overwritten and must be discarded.
-    fn restore_payload(&mut self, payload: &[u8]) -> Result<(u64, u64, Vec<u8>), CheckpointError> {
+    /// [`encode_payload`](ShardedEngine::encode_payload); the probe's
+    /// observer bytes land in `resume_probe`. On error the engine may be
+    /// partially overwritten and must be discarded.
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
         let mut r = ByteReader::new(payload);
-        let epochs = r.u64()?;
-        let cross_region = r.u64()?;
+        self.epochs = r.u64()?;
+        self.cross_region = r.u64()?;
         let n = r.u32()? as usize;
         if n != self.slots.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -1470,7 +1569,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         for i in 0..n {
             let block = r.bytes()?;
             let mut br = ByteReader::new(block);
-            let slot = self.slots[i].as_mut().expect("slot present between epochs");
+            let slot = self.slot_mut(i);
             slot.committed = SimTime(br.u64()?);
             slot.processed = br.u64()?;
             slot.stopped = br.u8()? != 0;
@@ -1492,9 +1591,8 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
             wr.expect_end()?;
             br.expect_end()?;
         }
-        let probe_bytes = r.bytes()?.to_vec();
-        r.expect_end()?;
-        Ok((epochs, cross_region, probe_bytes))
+        self.resume_probe = r.bytes()?.to_vec();
+        r.expect_end()
     }
 
     /// Restore a checkpoint image into this (freshly built, identically
@@ -1515,10 +1613,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
                 expected: expected_scenario,
             });
         }
-        let (epochs, cross, probe) = self.restore_payload(payload)?;
-        self.resume_epochs = epochs;
-        self.resume_cross = cross;
-        self.resume_probe = probe;
+        self.restore_payload(payload)?;
         self.resume_from = Some(meta.epoch);
         Ok(meta)
     }
@@ -1546,22 +1641,6 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         mut probe: Option<&mut dyn ShardProbe>,
         cfg: &SupervisorConfig,
     ) -> Result<(ShardRunReport, Vec<W>, SupervisorReport), CheckpointError> {
-        assert!(threads >= 1, "at least one thread");
-        if !cfg.crash_plan.is_empty() {
-            install_quiet_crash_hook();
-        }
-        let workers = threads.min(self.slots.len());
-        let t_run = Instant::now();
-
-        let mut epochs = self.resume_epochs;
-        let mut cross_region = self.resume_cross;
-        // Epochs at or below this were already observed (in this process or
-        // the checkpointed one); suppress probe callbacks for them.
-        let mut max_emitted = self.resume_epochs;
-        let mut sup = SupervisorReport {
-            resumed_from_epoch: self.resume_from,
-            ..SupervisorReport::default()
-        };
         if !self.resume_probe.is_empty() {
             if let Some(p) = probe.as_deref_mut() {
                 let bytes = std::mem::take(&mut self.resume_probe);
@@ -1570,262 +1649,32 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
                 r.expect_end()?;
             }
         }
-        let mut crash = CrashState::new(&cfg.crash_plan);
         let every_ns = cfg.checkpoint_every.map(|d| d.0.max(1));
-        // Cadence marks are keyed on the global minimum pending time (the
-        // committed-horizon minimum never advances for idle regions).
-        let mut last_mark: u64 = match (every_ns, self.min_peek()) {
-            (Some(e), Some(t)) => t.as_nanos() / e,
-            _ => 0,
+        let anchor = if cfg.crash_plan.is_empty() {
+            None
+        } else {
+            install_quiet_crash_hook();
+            Some(self.encode_payload(probe.as_deref()))
         };
-        // Rollback anchor: a full serialized cut at the current barrier,
-        // refreshed at every checkpoint mark. Always present, so recovery
-        // works even with checkpointing off (replay from the start).
-        let mut anchor = self.encode_payload(epochs, cross_region, probe.as_deref());
-
-        let mut safe: Vec<SimTime> = Vec::with_capacity(self.slots.len());
-        let mut jobs: Vec<usize> = Vec::with_capacity(self.slots.len());
-        let mut scratch = EpochScratch::default();
-        let horizon = self.horizon;
-        let lookahead = self.lookahead.clone();
-        // Planner state is wall-clock-only and deliberately not part of the
-        // anchor or any checkpoint: rollback, replay and resume all start
-        // from whatever (possibly cold, possibly stale) predictions are at
-        // hand — any schedule is equally correct.
-        let stealing = self.steal && workers > 1;
-        let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
-
-        let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
-            let (done_tx, done_rx) = mpsc::channel::<(SupJob<W>, Option<PanicPayload>)>();
-            let mut work_txs: Vec<mpsc::Sender<SupJob<W>>> = Vec::with_capacity(workers);
-            if workers > 1 {
-                for _ in 0..workers {
-                    let (tx, rx) = mpsc::channel::<SupJob<W>>();
-                    let done = done_tx.clone();
-                    let lookahead = lookahead.clone();
-                    work_txs.push(tx);
-                    scope.spawn(move || {
-                        while let Ok(mut job) = rx.recv() {
-                            let res = catch_unwind(AssertUnwindSafe(|| {
-                                job.slot.run_window_crashing(
-                                    job.window_end,
-                                    horizon,
-                                    &lookahead,
-                                    job.timed,
-                                    job.crash,
-                                )
-                            }));
-                            if done.send((job, res.err())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-            }
-            drop(done_tx);
-            loop {
-                // Barrier: outboxes drained, no slot checked out — a
-                // globally consistent cut.
-                if cfg
-                    .interrupt
-                    .as_ref()
-                    .is_some_and(|f| f.load(Ordering::Relaxed))
-                {
-                    if let Some(dir) = &cfg.checkpoint_dir {
-                        let payload = self.encode_payload(epochs, cross_region, probe.as_deref());
-                        let committed =
-                            self.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
-                                (0..self.slots.len())
-                                    .map(|i| self.slot(i).committed.as_nanos())
-                                    .max()
-                                    .unwrap_or(0)
-                            });
-                        let img = checkpoint::seal(
-                            cfg.scenario,
-                            epochs,
-                            committed,
-                            self.slots.len() as u32,
-                            self.total_processed(),
-                            &payload,
-                        );
-                        let path = dir.join(checkpoint::file_name(epochs));
-                        checkpoint::write_atomic(&path, &img)?;
-                        sup.checkpoints_written += 1;
-                        sup.last_checkpoint = Some(path);
-                    }
-                    sup.interrupted = true;
-                    break Ok(ShardStopReason::Interrupted);
-                }
-                if let (Some(every), Some(t_min)) = (every_ns, self.min_peek()) {
-                    let mark = t_min.as_nanos() / every;
-                    if mark > last_mark {
-                        last_mark = mark;
-                        anchor = self.encode_payload(epochs, cross_region, probe.as_deref());
-                        if let Some(dir) = &cfg.checkpoint_dir {
-                            let img = checkpoint::seal(
-                                cfg.scenario,
-                                epochs,
-                                t_min.as_nanos(),
-                                self.slots.len() as u32,
-                                self.total_processed(),
-                                &anchor,
-                            );
-                            let path = dir.join(checkpoint::file_name(epochs));
-                            checkpoint::write_atomic(&path, &img)?;
-                            sup.checkpoints_written += 1;
-                            sup.last_checkpoint = Some(path);
-                        }
-                    }
-                }
-                let will_emit = probe.is_some() && epochs + 1 > max_emitted;
-                let sources = will_emit.then_some(&mut scratch.sources);
-                if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
-                    break Ok(reason);
-                }
-                let timed = will_emit || stealing;
-                let t_epoch = will_emit.then(Instant::now);
-                if will_emit {
-                    self.snapshot_pre_epoch(&mut scratch);
-                }
-                epochs += 1;
-                // Crash decisions are made here, on the coordinator, in
-                // ascending region order — identical for every worker
-                // count, and consumed so a replay cannot re-fire them.
-                let crashes: Vec<Option<u64>> = jobs
-                    .iter()
-                    .map(|&i| crash.decide(epochs, i as RegionId).then_some(epochs))
-                    .collect();
-                let mut payloads: Vec<PanicPayload> = Vec::new();
-                // `Some(moved)` when the planner packed this epoch.
-                let mut steal_moved: Option<u64> = None;
-                if workers <= 1 || jobs.len() == 1 {
-                    // Serial epoch (or serial engine): skip the pool
-                    // round-trip, exactly like the plain run loop. Crash
-                    // injection and panic isolation still apply.
-                    for (k, &i) in jobs.iter().enumerate() {
-                        let mut slot = self.slots[i].take().expect("slot present");
-                        let res = catch_unwind(AssertUnwindSafe(|| {
-                            slot.run_window_crashing(
-                                safe[i], horizon, &lookahead, timed, crashes[k],
-                            )
-                        }));
-                        self.slots[i] = Some(slot);
-                        if let Err(p) = res {
-                            payloads.push(p);
-                        }
-                    }
-                    if let Some(pl) = planner.as_mut() {
-                        for &i in &jobs {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
-                    }
-                } else {
-                    steal_moved = planner.as_mut().map(|pl| pl.plan(&jobs));
-                    for (k, &i) in jobs.iter().enumerate() {
-                        let slot = self.slots[i].take().expect("slot present");
-                        let job = SupJob {
-                            index: i,
-                            slot,
-                            window_end: safe[i],
-                            timed,
-                            crash: crashes[k],
-                        };
-                        let w = match planner.as_ref() {
-                            Some(pl) => pl.assignment[k] as usize,
-                            None => i % workers,
-                        };
-                        work_txs[w]
-                            .send(job)
-                            .expect("worker alive for the whole run");
-                    }
-                    for _ in 0..jobs.len() {
-                        let (job, payload) = done_rx.recv().expect("worker returned its slot");
-                        self.slots[job.index] = Some(job.slot);
-                        if let Some(p) = payload {
-                            payloads.push(p);
-                        }
-                    }
-                    if let Some(pl) = planner.as_mut() {
-                        for &i in &jobs {
-                            pl.observe(i, self.slot(i).last_busy_ns);
-                        }
-                    }
-                }
-                if !payloads.is_empty() {
-                    // A fatal panic wins over recovery, whatever order the
-                    // payloads arrived in.
-                    if let Some(pos) = payloads
-                        .iter()
-                        .position(|p| !matches!(classify_panic(p.as_ref()), PanicClass::Injected))
-                    {
-                        let p = payloads.swap_remove(pos);
-                        let what = match classify_panic(p.as_ref()) {
-                            PanicClass::Invariant => "conservative-invariant violation",
-                            _ => "unclassified worker panic",
-                        };
-                        eprintln!(
-                            "shard supervisor: {what} in epoch {epochs}; state cannot be \
-                             trusted, aborting"
-                        );
-                        resume_unwind(p);
-                    }
-                    // All injected: roll every region back to the anchor
-                    // and replay. Counters and probe gating make the replay
-                    // invisible in the results.
-                    sup.recoveries += 1;
-                    let (e, c, _) = self.restore_payload(&anchor)?;
-                    epochs = e;
-                    cross_region = c;
-                    continue;
-                }
-                if will_emit {
-                    if let Some(p) = probe.as_deref_mut() {
-                        self.emit_window_samples(p, &scratch, &safe, &jobs, epochs);
-                        if let (Some(moved), Some(pl)) = (steal_moved, planner.as_mut()) {
-                            let imb = pl.measured_imbalance_milli(&jobs);
-                            p.steal(epochs, moved, imb);
-                        }
-                    }
-                    max_emitted = epochs;
-                }
-                let t_merge = timed.then(Instant::now);
-                let merged = self.merge_outboxes();
-                cross_region += merged;
-                if will_emit {
-                    if let Some(p) = probe.as_deref_mut() {
-                        let merge_ns = t_merge.expect("timed").elapsed().as_nanos() as u64;
-                        let wall_ns = t_epoch.expect("timed").elapsed().as_nanos() as u64;
-                        p.epoch_end(epochs, wall_ns, merged, merge_ns);
-                    }
-                }
-            }
-        })?;
-
-        let end_time = (0..self.slots.len())
-            .map(|i| self.slot(i).committed)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .min(self.horizon);
-        let per_region: Vec<u64> = (0..self.slots.len())
-            .map(|i| self.slot(i).processed)
-            .collect();
-        let report = ShardRunReport {
-            reason,
-            events_processed: per_region.iter().sum(),
-            per_region,
-            cross_region,
-            epochs,
-            end_time,
+        let mut sup = Supervisor {
+            cfg,
+            encode: Self::encode_payload,
+            restore: Self::restore_payload,
+            crash: CrashState::new(&cfg.crash_plan),
+            every_ns,
+            last_mark: match (every_ns, self.min_peek()) {
+                (Some(e), Some(t)) => t.as_nanos() / e,
+                _ => 0,
+            },
+            anchor,
+            max_emitted: self.epochs,
+            report: SupervisorReport {
+                resumed_from_epoch: self.resume_from,
+                ..SupervisorReport::default()
+            },
         };
-        if let Some(p) = probe {
-            p.run_end(&report, t_run.elapsed().as_nanos() as u64);
-        }
-        let worlds = self
-            .slots
-            .into_iter()
-            .map(|s| s.expect("slot present after run").world)
-            .collect();
-        Ok((report, worlds, sup))
+        let (report, worlds) = self.drive(threads, probe, Some(&mut sup))?;
+        Ok((report, worlds, sup.report))
     }
 }
 
@@ -2239,10 +2088,14 @@ mod tests {
         windows: Vec<WindowRow>,
         merges: Vec<(u64, u64)>, // (epoch, merged)
         run: Option<(u64, u64)>, // (events_processed, epochs)
+        /// Every callback in delivery order: (`w`indow | `s`teal |
+        /// `e`poch_end | `r`un_end, epoch).
+        calls: Vec<(char, u64)>,
     }
 
     impl ShardProbe for Recorder {
         fn window(&mut self, s: &WindowSample) {
+            self.calls.push(('w', s.epoch));
             self.windows.push((
                 s.epoch,
                 s.region,
@@ -2256,10 +2109,15 @@ mod tests {
             ));
         }
         fn epoch_end(&mut self, epoch: u64, _wall_ns: u64, merged: u64, _merge_ns: u64) {
+            self.calls.push(('e', epoch));
             self.merges.push((epoch, merged));
         }
         fn run_end(&mut self, report: &ShardRunReport, _wall_ns: u64) {
+            self.calls.push(('r', report.epochs));
             self.run = Some((report.events_processed, report.epochs));
+        }
+        fn steal(&mut self, epoch: u64, _moved: u64, _imbalance_milli: u64) {
+            self.calls.push(('s', epoch));
         }
     }
 
@@ -2298,6 +2156,91 @@ mod tests {
             .windows
             .iter()
             .all(|w| w.8 == -1 || (w.8 >= 0 && w.8 < 6)));
+
+        // One callback order in every run mode: per epoch, every region's
+        // `window`, then `steal` if the planner packed it, then `epoch_end`.
+        let mut plain = Recorder::default();
+        let eng = chatter_sup_engine(4).with_stealing(true);
+        eng.run_probed(2, Some(&mut plain));
+        let mut sup = Recorder::default();
+        let eng = chatter_sup_engine(4).with_stealing(true);
+        eng.run_supervised(2, Some(&mut sup), &SupervisorConfig::default())
+            .unwrap();
+        assert_eq!(plain.calls, sup.calls);
+        assert_eq!(plain.calls.last(), Some(&('r', plain.merges.len() as u64)));
+        let steals: Vec<usize> = (0..plain.calls.len())
+            .filter(|&k| plain.calls[k].0 == 's')
+            .collect();
+        assert!(!steals.is_empty(), "no epoch was packed by the planner");
+        for k in steals {
+            let epoch = plain.calls[k].1;
+            assert_eq!(plain.calls[k - 1], ('w', epoch));
+            assert_eq!(plain.calls[k + 1], ('e', epoch));
+        }
+    }
+
+    /// Ticks every 100 µs; region 0 hits a model bug on its 4th event, in a
+    /// window that runs on the pool next to the other regions' windows.
+    struct Ticker(u32);
+
+    impl RegionWorld for Ticker {
+        type Event = ();
+        fn handle(&mut self, _: (), ctx: &mut RegionCtx<'_, ()>) {
+            self.0 += 1;
+            if ctx.region() == 0 && self.0 == 4 {
+                panic!("model bug: unexpected state");
+            }
+            ctx.after(SimDuration::from_micros(100), ());
+        }
+    }
+
+    impl CheckpointState for Ticker {
+        fn encode_state(&self, out: &mut ByteWriter) {
+            out.u32(self.0);
+        }
+        fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
+            self.0 = r.u32()?;
+            Ok(())
+        }
+        fn encode_event(_: &(), _: &mut ByteWriter) {}
+        fn decode_event(_: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
+            Ok(())
+        }
+    }
+
+    /// Each entry point runs on a helper thread under a watchdog: a worker
+    /// that died with its slot used to leave the coordinator waiting forever.
+    #[test]
+    fn a_panicking_window_reaches_the_caller_in_every_run_mode() {
+        for steal in [false, true] {
+            for mode in ["run", "run_probed", "run_supervised"] {
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let worlds = (0..3).map(|_| Ticker(0)).collect();
+                    let la = Lookahead::uniform(3, SimDuration::from_millis(1));
+                    let mut eng =
+                        ShardedEngine::new(worlds, la, SimTime::from_secs(1)).with_stealing(steal);
+                    for r in 0..3 {
+                        eng.prime(r, SimTime::ZERO, ());
+                    }
+                    let outcome = catch_unwind(AssertUnwindSafe(|| match mode {
+                        "run" => drop(eng.run(2)),
+                        "run_probed" => drop(eng.run_probed(2, Some(&mut Recorder::default()))),
+                        _ => drop(eng.run_supervised(2, None, &SupervisorConfig::default())),
+                    }));
+                    let payload = outcome.err().map(|p| p.downcast_ref::<&str>().copied());
+                    let _ = tx.send(payload);
+                });
+                let payload = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{mode}(2), steal {steal}: hung on a dead worker"));
+                assert_eq!(
+                    payload,
+                    Some(Some("model bug: unexpected state")),
+                    "{mode}(2), steal {steal}"
+                );
+            }
+        }
     }
 
     #[test]
