@@ -17,12 +17,11 @@
 //! * radios are half duplex: transmitting aborts and forbids reception.
 
 use crate::energy::{EnergyMeter, EnergyParams, RadioMode};
-use std::collections::HashMap;
 use std::sync::Arc;
 use wmn_mac::{FrameKind, MacFrame};
 use wmn_radio::{frame as radio_frame, PhyParams, Rate};
 use wmn_routing::Packet;
-use wmn_sim::{SimDuration, SimRng, SimTime};
+use wmn_sim::{IdMap, SimDuration, SimRng, SimTime};
 use wmn_telemetry::{EventKind, Tel};
 use wmn_topology::{SpatialIndex, Vec2};
 
@@ -50,10 +49,53 @@ struct RxAttempt {
 #[derive(Clone, Debug, Default)]
 struct RadioState {
     transmitting: Option<u64>,
-    /// Sensible signals currently impinging: `(tx_id, rx_dbm)`.
-    signals: Vec<(u64, f64)>,
+    /// Sensible signals currently impinging. Carrier sense only asks
+    /// whether there are any, so the signals themselves are not kept.
+    n_signals: u32,
+    /// `next_tx_id` as of this radio's last crash, which forgot every signal
+    /// it had. A signal is added once per id, so `tx_id >= clear_mark` says
+    /// exactly "this radio still counts `tx_id`".
+    clear_mark: u64,
     receiving: Option<RxAttempt>,
     sensed_busy: bool,
+    /// The id list the counter replaced, kept as that list was kept:
+    /// `update_sense` holds the counter against it in test builds.
+    #[cfg(test)]
+    oracle: Vec<u64>,
+}
+
+// `start_tx` and `rx_end` visit a dozen radios per frame, each a cache miss
+// on a large mesh: a radio's state stays within one 64 B line.
+#[cfg(not(test))]
+const _: () = assert!(std::mem::size_of::<RadioState>() <= 64);
+
+impl RadioState {
+    fn add_signal(&mut self, tx_id: u64) {
+        debug_assert!(tx_id >= self.clear_mark);
+        self.n_signals += 1;
+        #[cfg(test)]
+        self.oracle.push(tx_id);
+    }
+
+    /// Stop counting `tx_id`, unless a crash since its onset already did.
+    fn remove_signal(&mut self, tx_id: u64) {
+        #[cfg(test)]
+        if let Some(pos) = self.oracle.iter().position(|&id| id == tx_id) {
+            self.oracle.swap_remove(pos);
+        }
+        if tx_id >= self.clear_mark {
+            debug_assert!(self.n_signals > 0, "signal counter underflow");
+            self.n_signals -= 1;
+        }
+    }
+
+    /// The radio crashed, with ids below `next_tx_id` handed out so far.
+    fn clear_signals(&mut self, next_tx_id: u64) {
+        self.n_signals = 0;
+        self.clear_mark = next_tx_id;
+        #[cfg(test)]
+        self.oracle.clear();
+    }
 }
 
 /// Medium loss/delivery counters (inputs to several figures).
@@ -346,7 +388,7 @@ pub struct Medium {
     /// Fixed air-propagation allowance added to every reception.
     prop: SimDuration,
     states: Vec<RadioState>,
-    active: HashMap<u64, ActiveTx>,
+    active: IdMap<u64, ActiveTx>,
     next_tx_id: u64,
     rng: SimRng,
     stats: MediumStats,
@@ -376,7 +418,7 @@ pub struct Medium {
     extra_noise_db: Vec<f64>,
     /// Active noise bursts: id → (delta_db, affected nodes), so the
     /// matching burst end can subtract exactly what it added.
-    bursts: HashMap<u32, (f64, Vec<u32>)>,
+    bursts: IdMap<u32, (f64, Vec<u32>)>,
     /// Count of gain-affecting fault events (crash/reboot/attenuation
     /// shift). Constant 0 in no-fault runs; the L1 cache key.
     gain_events: u64,
@@ -401,11 +443,8 @@ impl Medium {
         Medium {
             phy,
             prop: SimDuration::from_micros(radio_frame::PROPAGATION_US),
-            // Signal lists start empty and grow on first use: a radio that
-            // ever senses a frame pays one small allocation for the whole
-            // run, while idle nodes in a large network pay nothing.
             states: vec![RadioState::default(); n],
-            active: HashMap::new(),
+            active: IdMap::default(),
             next_tx_id: 0,
             rng,
             stats: MediumStats::default(),
@@ -421,7 +460,7 @@ impl Medium {
             down: vec![false; n],
             node_atten_db: vec![0.0; n],
             extra_noise_db: vec![0.0; n],
-            bursts: HashMap::new(),
+            bursts: IdMap::default(),
             gain_events: 0,
             gain_version: vec![0; n],
             gain_cells: Vec::new(),
@@ -567,9 +606,7 @@ impl Medium {
             if let Some(tx) = self.active.remove(&tx_id) {
                 for &r in &tx.receivers {
                     let st = &mut self.states[r as usize];
-                    if let Some(pos) = st.signals.iter().position(|&(id, _)| id == tx_id) {
-                        st.signals.swap_remove(pos);
-                    }
+                    st.remove_signal(tx_id);
                     if matches!(st.receiving, Some(a) if a.tx_id == tx_id) {
                         st.receiving = None;
                     }
@@ -579,7 +616,7 @@ impl Medium {
             }
         }
         let st = &mut self.states[node as usize];
-        st.signals.clear();
+        st.clear_signals(self.next_tx_id);
         st.receiving = None;
         // Dead radios sense nothing; no Channel effect — the MAC state is
         // about to be discarded anyway, and a rebooted MAC starts idle.
@@ -655,7 +692,9 @@ impl Medium {
 
     fn update_sense(&mut self, node: u32, out: &mut impl EffectSink) {
         let st = &mut self.states[node as usize];
-        let busy = !st.signals.is_empty();
+        let busy = st.n_signals > 0;
+        #[cfg(test)]
+        assert_eq!(busy, !st.oracle.is_empty(), "radio {node}: counter vs list");
         if busy != st.sensed_busy {
             st.sensed_busy = busy;
             out.push_effect(MediumEffect::Channel { node, busy });
@@ -772,7 +811,7 @@ impl Medium {
         for &LinkEntry { r, rx_dbm, .. } in entries.iter() {
             receivers.push(r);
             let st = &mut self.states[r as usize];
-            st.signals.push((tx_id, rx_dbm));
+            st.add_signal(tx_id);
 
             if st.transmitting.is_some() {
                 self.stats.missed_while_tx += 1;
@@ -990,10 +1029,7 @@ impl Medium {
         let bits = radio_frame::error_model_bits(tx.frame.air_bytes);
         for &node in &tx.receivers {
             let st = &mut self.states[node as usize];
-            // Remove the signal.
-            if let Some(pos) = st.signals.iter().position(|&(id, _)| id == tx_id) {
-                st.signals.swap_remove(pos);
-            }
+            st.remove_signal(tx_id);
             // Decide the frame's fate if this radio was locked onto it.
             let attempt = match st.receiving {
                 Some(a) if a.tx_id == tx_id => {
@@ -1543,6 +1579,121 @@ mod tests {
         let mut memo = PerMemo::new(4);
         let got = memo.noise_only_per(&phy, 0.0, Rate::Dbpsk1Mbps, 0);
         assert_eq!(got.to_bits(), per.to_bits());
+    }
+
+    #[test]
+    fn late_rx_end_after_a_reboot_leaves_newer_signals_counted() {
+        // 1 hears both 0 and 2; 0 and 2 are out of each other's range.
+        let pos = vec![
+            Vec2::new(700.0, 1000.0),
+            Vec2::new(1100.0, 1000.0),
+            Vec2::new(1500.0, 1000.0),
+        ];
+        let (mut m, idx) = setup(pos);
+        let (mut old, mut new, mut fx) = (Vec::new(), Vec::new(), Vec::new());
+        m.start_tx(0, bcast_frame(0), None, SimTime::ZERO, &idx, &mut old);
+        assert!(m.sensed_busy(1));
+        // Crash 1 mid-frame and reboot it before that frame's RxEnd.
+        m.set_node_down(1, SimTime(1_000), &idx, &mut fx);
+        m.set_node_up(1, SimTime(2_000), &idx);
+        assert!(!m.sensed_busy(1));
+        m.start_tx(2, bcast_frame(2), None, SimTime(3_000), &idx, &mut new);
+        assert!(m.sensed_busy(1));
+        // The old frame's RxEnd names 1 as a receiver, but 1 forgot that
+        // signal when it crashed: the one it counts now is the new frame's.
+        let done = run_rx_ends(&mut m, &old);
+        assert!(!done.iter().any(|e| matches!(
+            e,
+            MediumEffect::Channel { node: 1, .. } | MediumEffect::Deliver { node: 1, .. }
+        )));
+        assert!(m.sensed_busy(1));
+        let done = run_rx_ends(&mut m, &new);
+        assert!(done.iter().any(|e| matches!(
+            e,
+            MediumEffect::Channel {
+                node: 1,
+                busy: false
+            }
+        )));
+        assert_eq!(m.states[1].n_signals, 0);
+    }
+
+    mod signal_counter_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Random interleavings of transmissions, crashes and reboots on
+            /// a 3 x 3 grid where every radio senses several others. Frames
+            /// last 1 ms and steps are under 0.4 ms apart, so frames
+            /// overlap, receivers and transmitters crash mid-frame, and
+            /// reboots land before the cut frame's RxEnd. The signal set has
+            /// one reader — `update_sense`, which in this build asserts that
+            /// the counter and the list it replaced agree — so a run that
+            /// gets through has made every carrier-sense decision, and with
+            /// it every `Channel` effect, as the list would have. What a
+            /// counter can still get wrong is leak: once the last frame has
+            /// ended, no radio may count a signal or sense a carrier.
+            #[test]
+            fn counter_senses_what_the_signal_list_sensed(
+                ops in prop::collection::vec((0u8..8, 0u32..9, 0u64..400), 400..401),
+            ) {
+                let pos = (0..9)
+                    .map(|i| Vec2::new(800.0 + 200.0 * (i % 3) as f64, 800.0 + 200.0 * (i / 3) as f64))
+                    .collect();
+                let (mut m, idx) = setup(pos);
+                // (time, schedule order, is RxEnd, tx id)
+                let mut pending: Vec<(SimTime, usize, bool, u64)> = Vec::new();
+                let mut scheduled = 0;
+                let mut now = SimTime::ZERO;
+                // A last step that only lets 20 ms pass ends every frame.
+                let quiet = (8, 0, 20_000);
+                for (op, node, dt_us) in ops.into_iter().chain([quiet]) {
+                    now += SimDuration::from_micros(dt_us);
+                    let mut fx = Vec::new();
+                    pending.sort_unstable();
+                    let due = pending.partition_point(|e| e.0 <= now);
+                    for (at, _, is_rx_end, tx_id) in pending.drain(..due) {
+                        if is_rx_end {
+                            m.rx_end(tx_id, at, &mut fx);
+                        } else {
+                            m.tx_end(tx_id, at, &mut fx);
+                        }
+                    }
+                    let up = !m.is_down(node);
+                    match op {
+                        0..=4 if up && m.states[node as usize].transmitting.is_none() => {
+                            m.start_tx(node, bcast_frame(node), None, now, &idx, &mut fx);
+                        }
+                        5 if up => m.set_node_down(node, now, &idx, &mut fx),
+                        6 | 7 => {
+                            if let Some(n) = (0..9).find(|&n| m.is_down(n)) {
+                                m.set_node_up(n, now, &idx);
+                            }
+                        }
+                        _ => {}
+                    }
+                    for e in fx {
+                        match e {
+                            MediumEffect::ScheduleTxEnd { tx_id, at, .. } => {
+                                pending.push((at, scheduled, false, tx_id));
+                            }
+                            MediumEffect::ScheduleRxEnd { tx_id, at } => {
+                                pending.push((at, scheduled, true, tx_id));
+                            }
+                            _ => continue,
+                        }
+                        scheduled += 1;
+                    }
+                }
+                prop_assert!(pending.is_empty() && m.active.is_empty());
+                for (n, st) in m.states.iter().enumerate() {
+                    prop_assert_eq!(st.n_signals, 0, "radio {} still counts a signal", n);
+                    prop_assert!(!st.sensed_busy, "radio {} still senses a carrier", n);
+                }
+                prop_assert!(m.stats().tx_started > 100);
+            }
+        }
     }
 
     mod per_memo_properties {

@@ -851,9 +851,9 @@ impl Network {
         // in-flight reception, silence its carrier sense.
         self.medium
             .set_node_down(node, now, &self.spatial, &mut self.work);
-        // Everything queued at the interface dies with the node. HashMap
-        // iteration order is unstable, so drain in sdu-id (= enqueue) order
-        // to keep traces deterministic.
+        // Everything queued at the interface dies with the node. A hash
+        // map's iteration order is no order, so drain in sdu-id (= enqueue)
+        // order to keep traces deterministic.
         let mut sdus: Vec<u64> = self.nodes[node as usize].outgoing.keys().copied().collect();
         sdus.sort_unstable();
         for sdu in sdus {

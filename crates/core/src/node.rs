@@ -1,13 +1,12 @@
 //! The per-node protocol stack: MAC + routing + mobility + payload store.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use wmn_mac::{Mac, MacAddr, MacParams, MacSdu, MacStats};
 use wmn_mobility::{Mobility, MobilityConfig};
 use wmn_routing::{
     CrossLayer, NodeId, Packet, RebroadcastPolicy, Routing, RoutingConfig, RoutingStats,
 };
-use wmn_sim::{SimRng, SimTime};
+use wmn_sim::{IdMap, SimRng, SimTime};
 use wmn_topology::{Region, Vec2};
 
 /// RNG stream domains (one per layer, so layer refactors don't shift other
@@ -44,7 +43,7 @@ pub struct Node {
     pub mobility_rng: SimRng,
     /// Payloads of SDUs currently queued at / in flight through the MAC,
     /// shared with the medium for as long as a copy is on the air.
-    pub outgoing: HashMap<u64, Arc<Packet>>,
+    pub outgoing: IdMap<u64, Arc<Packet>>,
     /// True while the node is crashed (fault schedule).
     pub down: bool,
     /// Reboot count: 0 for the boot-time stack, bumped on every reboot.
@@ -91,7 +90,7 @@ impl Node {
             routing,
             mobility,
             mobility_rng,
-            outgoing: HashMap::new(),
+            outgoing: IdMap::default(),
             down: false,
             incarnation: 0,
             retired_mac: MacStats::default(),

@@ -53,7 +53,6 @@
 //! per-region fingerprints instead — the scale-run stand-in for a
 //! byte-level trace diff.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
@@ -63,7 +62,7 @@ use wmn_sim::shard::{
     CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe,
     ShardedEngine, SupervisorConfig, SupervisorReport,
 };
-use wmn_sim::{SimDuration, SimRng, SimTime};
+use wmn_sim::{IdMap, SimDuration, SimRng, SimTime};
 use wmn_telemetry::{
     merge_region_traces, DropReason, EventKind, EventSink, HashSink, MemorySink, ShardProfile,
     ShardProfiler, SharedSink, Tel, TelemetryEvent,
@@ -662,7 +661,7 @@ struct RegionNet {
     /// 8 B per node; `Statics::local_of_node` maps an id to its slot).
     loads: Vec<NodeLoad>,
     /// Last digested loads of other regions' nodes (stale by design).
-    remote: HashMap<u32, u32>,
+    remote: IdMap<u32, u32>,
     rng: SimRng,
     tel: Tel,
     /// The region's own telemetry buffer (what `tel` writes into), kept so
@@ -673,7 +672,7 @@ struct RegionNet {
     /// The last HELLO's digest. Its receivers drop their handles within a
     /// hop, so the next tick refills the same allocation in place.
     digest: Arc<Vec<(u32, u32)>>,
-    flow_seq: HashMap<u32, u32>,
+    flow_seq: IdMap<u32, u32>,
     stats: RegionStats,
 }
 
@@ -691,13 +690,13 @@ impl RegionNet {
             st,
             loads: vec![NodeLoad::default(); own.len()],
             own,
-            remote: HashMap::new(),
+            remote: IdMap::default(),
             rng: SimRng::derive(seed, DOMAIN_REGION, id as u64),
             tel,
             sink,
             hello_seq: 0,
             digest: Arc::default(),
-            flow_seq: HashMap::new(),
+            flow_seq: IdMap::default(),
             stats: RegionStats::default(),
         }
     }

@@ -230,12 +230,21 @@ pub struct Mac {
     load: LoadMonitor,
     stats: MacStats,
     tel: Tel,
-    /// Ring of recently delivered (src, sdu_id) pairs for dedup.
-    recent_rx: [(MacAddr, u64); DEDUP_RING],
-    recent_rx_next: usize,
+    /// Ring of recently delivered `(src, sdu_id)` keys for dedup, split by
+    /// field: a reception scans 128 B of sources and reads an id only where
+    /// the source matches. Empty slots hold `(BROADCAST, u64::MAX)`; no
+    /// frame's source is the broadcast address.
+    recent_src: [u32; DEDUP_RING],
+    recent_id: [u64; DEDUP_RING],
+    recent_next: usize,
 }
 
 const DEDUP_RING: usize = 32;
+
+// Every reception at a node walks into its `Mac`, usually cold. The budget
+// is 16½ cache lines (1040 B today, 384 B of it the ring): a field that
+// pushes past it should earn its place on the per-reception path.
+const _: () = assert!(std::mem::size_of::<Mac>() <= 1056);
 
 impl Mac {
     /// Create a MAC for `addr` with its own RNG stream.
@@ -261,8 +270,9 @@ impl Mac {
             load: LoadMonitor::new(SimDuration::from_millis(100)),
             stats: MacStats::default(),
             tel: Tel::off(),
-            recent_rx: [(BROADCAST, u64::MAX); DEDUP_RING],
-            recent_rx_next: 0,
+            recent_src: [BROADCAST.0; DEDUP_RING],
+            recent_id: [u64::MAX; DEDUP_RING],
+            recent_next: 0,
         }
     }
 
@@ -432,13 +442,17 @@ impl Mac {
                 }
             }
             FrameKind::Data => {
-                let key = (frame.src, frame.sdu_id);
-                let duplicate = self.recent_rx.contains(&key);
+                let duplicate = self
+                    .recent_src
+                    .iter()
+                    .zip(&self.recent_id)
+                    .any(|(&src, &id)| src == frame.src.0 && id == frame.sdu_id);
                 if duplicate {
                     self.stats.duplicates_suppressed += 1;
                 } else {
-                    self.recent_rx[self.recent_rx_next] = key;
-                    self.recent_rx_next = (self.recent_rx_next + 1) % DEDUP_RING;
+                    self.recent_src[self.recent_next] = frame.src.0;
+                    self.recent_id[self.recent_next] = frame.sdu_id;
+                    self.recent_next = (self.recent_next + 1) % DEDUP_RING;
                     self.stats.delivered += 1;
                     out.push(MacAction::Deliver(frame));
                 }

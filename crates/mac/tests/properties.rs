@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use wmn_mac::{
-    DropReason, IfQueue, Mac, MacAction, MacAddr, MacParams, MacSdu, TimerKind, BROADCAST,
+    DropReason, FrameKind, IfQueue, Mac, MacAction, MacAddr, MacFrame, MacParams, MacSdu,
+    TimerKind, BROADCAST,
 };
 use wmn_sim::{SimRng, SimTime};
 
@@ -144,6 +145,46 @@ proptest! {
                     _ => {}
                 }
             }
+        }
+    }
+
+    /// Duplicate suppression is a ring of the last 32 delivered
+    /// `(src, sdu_id)` keys: a frame goes up iff its key is not among them.
+    /// Few sources and a small id pool make repeats, one source under many
+    /// ids, and wrap-around (well over 32 distinct keys) all common;
+    /// `u64::MAX` is in the pool because the ring's empty slots hold
+    /// `(BROADCAST, u64::MAX)`, which must match no frame a node can send.
+    #[test]
+    fn dedup_ring_is_the_last_32_delivered_keys(
+        frames in prop::collection::vec((1u32..5, 0u64..24, any::<bool>()), 0..600),
+    ) {
+        let mut mac = Mac::new(MacAddr(0), MacParams::default(), SimRng::new(1));
+        let mut model: std::collections::VecDeque<(MacAddr, u64)> = Default::default();
+        let mut suppressed = 0;
+        let mut out = Vec::new();
+        for (i, (src, id, to_me)) in frames.into_iter().enumerate() {
+            let frame = MacFrame {
+                kind: FrameKind::Data,
+                src: MacAddr(src),
+                dst: if to_me { MacAddr(0) } else { BROADCAST },
+                air_bytes: 100,
+                sdu_id: if id == 23 { u64::MAX } else { id * (src as u64 % 2 + 1) },
+                nav_us: 0,
+            };
+            out.clear();
+            mac.on_rx_frame(frame, SimTime::from_millis(i as u64), &mut out);
+            let delivered = out.iter().any(|a| matches!(a, MacAction::Deliver(f) if *f == frame));
+            let key = (frame.src, frame.sdu_id);
+            prop_assert_eq!(delivered, !model.contains(&key), "frame {} {:?}", i, key);
+            if delivered {
+                model.push_back(key);
+                if model.len() > 32 {
+                    model.pop_front();
+                }
+            } else {
+                suppressed += 1;
+            }
+            prop_assert_eq!(mac.stats().duplicates_suppressed, suppressed);
         }
     }
 }

@@ -14,9 +14,9 @@ use crate::policy::{Decision, RebroadcastPolicy, RreqContext};
 use crate::seen::SeenCache;
 use crate::stats::RoutingStats;
 use crate::table::{RouteTable, UpdateOutcome};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use wmn_mac::LoadDigest;
-use wmn_sim::{SimDuration, SimRng, SimTime};
+use wmn_sim::{IdMap, SimDuration, SimRng, SimTime};
 use wmn_telemetry::{EventKind, Tel};
 
 /// Cross-layer inputs supplied by the node stack on every call.
@@ -123,11 +123,11 @@ pub struct Routing {
     table: RouteTable,
     seen: SeenCache,
     neighbors: NeighborTable,
-    pending: HashMap<NodeId, PendingDiscovery>,
+    pending: IdMap<NodeId, PendingDiscovery>,
     /// RREQs deferred by a counter policy, waiting for their RAD timer.
-    deferred: HashMap<RreqKey, Rreq>,
+    deferred: IdMap<RreqKey, Rreq>,
     /// Best cost already answered per RREQ (targets re-answer improvements).
-    answered: HashMap<RreqKey, f64>,
+    answered: IdMap<RreqKey, f64>,
     discovery_gen: u64,
     stats: RoutingStats,
     tel: Tel,
@@ -167,9 +167,9 @@ impl Routing {
             table: RouteTable::new(),
             seen,
             neighbors,
-            pending: HashMap::new(),
-            deferred: HashMap::new(),
-            answered: HashMap::new(),
+            pending: IdMap::default(),
+            deferred: IdMap::default(),
+            answered: IdMap::default(),
             discovery_gen: 0,
             stats: RoutingStats::default(),
             tel: Tel::off(),
@@ -387,15 +387,28 @@ impl Routing {
         cross: &CrossLayer,
         now: SimTime,
     ) -> RreqContext {
+        // One pass, in the table's ascending-id order: each mean adds the
+        // terms `mean_neighbor_load` would, in the same order.
+        let (mut live, mut queue, mut busy) = (0usize, 0.0, 0.0);
+        let mut sender_velocity = None;
+        for (&id, nb) in self.neighbors.iter_live(now) {
+            live += 1;
+            queue += nb.load.queue_util;
+            busy += nb.load.busy_ratio;
+            if id == from {
+                sender_velocity = Some(nb.velocity);
+            }
+        }
+        let mean = |sum: f64| (live > 0).then(|| sum / live as f64);
         RreqContext {
             now,
             prior_copies,
-            neighbor_count: self.neighbors.live_count(now),
+            neighbor_count: live,
             own_load: cross.own_load,
-            nbr_mean_queue: self.neighbors.mean_neighbor_load(now, |d| d.queue_util),
-            nbr_mean_busy: self.neighbors.mean_neighbor_load(now, |d| d.busy_ratio),
+            nbr_mean_queue: mean(queue),
+            nbr_mean_busy: mean(busy),
             own_velocity: cross.own_velocity,
-            sender_velocity: self.neighbors.get(from, now).map(|n| n.velocity),
+            sender_velocity,
             rx_power_dbm: cross.last_rx_dbm,
         }
     }
@@ -1431,6 +1444,53 @@ mod tests {
         let e = r.table().valid_route(NodeId(3), t(1)).unwrap();
         assert_eq!(e.next_hop, NodeId(3));
         assert_eq!(e.hop_count, 1);
+    }
+
+    #[test]
+    fn rreq_context_is_the_neighbour_tables_aggregates_in_one_pass() {
+        let mut r = engine(0);
+        let mut out = Vec::new();
+        let mut rng = SimRng::new(5);
+        // HELLOs arrive in no particular id order; 17's goes stale.
+        for (from, at) in [
+            (9, 23_000),
+            (4, 23_200),
+            (17, 1_000),
+            (12, 23_400),
+            (6, 23_600),
+            (30, 23_800),
+        ] {
+            let hello = Hello {
+                seq: 1,
+                load: LoadDigest {
+                    queue_util: rng.f64(),
+                    busy_ratio: rng.f64(),
+                    mac_service_s: 0.0,
+                },
+                velocity: (from as f64, -1.0),
+            };
+            r.on_packet(
+                Packet::Hello(hello),
+                NodeId(from),
+                &cross(),
+                t(at),
+                &mut out,
+            );
+        }
+        let now = t(25_000);
+        let nt = r.neighbors().clone();
+        assert_eq!(nt.live_count(now), 5);
+        let bits = |m: Option<f64>| m.map(f64::to_bits);
+        for sender in [12, 17, 99] {
+            let ctx = r.rreq_context(NodeId(sender), 0, &cross(), now);
+            assert_eq!(ctx.neighbor_count, 5);
+            let queue = nt.mean_neighbor_load(now, |d| d.queue_util);
+            let busy = nt.mean_neighbor_load(now, |d| d.busy_ratio);
+            assert_eq!(bits(ctx.nbr_mean_queue), bits(queue));
+            assert_eq!(bits(ctx.nbr_mean_busy), bits(busy));
+            let velocity = nt.get(NodeId(sender), now).map(|n| n.velocity);
+            assert_eq!(ctx.sender_velocity, velocity);
+        }
     }
 
     #[test]

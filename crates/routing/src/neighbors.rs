@@ -6,7 +6,6 @@
 //! forwarding probability on.
 
 use crate::addr::NodeId;
-use std::collections::HashMap;
 use wmn_mac::LoadDigest;
 use wmn_sim::{SimDuration, SimTime};
 
@@ -21,10 +20,16 @@ pub struct Neighbor {
     pub velocity: (f64, f64),
 }
 
-/// The 1-hop neighbour table.
+/// The 1-hop neighbour table: a mesh node has about a dozen neighbours, so
+/// the table is two parallel vectors sorted by id. A lookup searches a
+/// cache line of 4-byte keys, and every pass visits neighbours in
+/// ascending-id order — an `f64` sum depends on its order, so a load mean
+/// is a function of the table's contents alone.
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
-    entries: HashMap<NodeId, Neighbor>,
+    ids: Vec<NodeId>,
+    /// `nbrs[i]` is the state of neighbour `ids[i]`.
+    nbrs: Vec<Neighbor>,
     timeout: SimDuration,
 }
 
@@ -33,9 +38,14 @@ impl NeighborTable {
     /// `ALLOWED_HELLO_LOSS × hello_interval`).
     pub fn new(timeout: SimDuration) -> Self {
         NeighborTable {
-            entries: HashMap::new(),
+            ids: Vec::new(),
+            nbrs: Vec::new(),
             timeout,
         }
+    }
+
+    fn is_live(&self, nb: &Neighbor, now: SimTime) -> bool {
+        now.since(nb.last_heard) < self.timeout
     }
 
     /// Record a HELLO (full update).
@@ -46,81 +56,77 @@ impl NeighborTable {
         velocity: (f64, f64),
         now: SimTime,
     ) {
-        self.entries.insert(
-            from,
-            Neighbor {
-                last_heard: now,
-                load,
-                velocity,
-            },
-        );
+        let nb = Neighbor {
+            last_heard: now,
+            load,
+            velocity,
+        };
+        match self.ids.binary_search(&from) {
+            Ok(at) => self.nbrs[at] = nb,
+            Err(at) => {
+                self.ids.insert(at, from);
+                self.nbrs.insert(at, nb);
+            }
+        }
     }
 
     /// Record that any frame was heard from `from` (refreshes liveness only;
     /// keeps the last digest).
     pub fn heard_any(&mut self, from: NodeId, now: SimTime) {
-        self.entries
-            .entry(from)
-            .and_modify(|n| n.last_heard = now)
-            .or_insert(Neighbor {
-                last_heard: now,
-                load: LoadDigest::default(),
-                velocity: (0.0, 0.0),
-            });
+        match self.ids.binary_search(&from) {
+            Ok(at) => self.nbrs[at].last_heard = now,
+            Err(_) => self.heard_hello(from, LoadDigest::default(), (0.0, 0.0), now),
+        }
     }
 
     /// Look up a live neighbour.
     pub fn get(&self, id: NodeId, now: SimTime) -> Option<&Neighbor> {
-        self.entries
-            .get(&id)
-            .filter(|n| now.since(n.last_heard) < self.timeout)
+        let nb = &self.nbrs[self.ids.binary_search(&id).ok()?];
+        self.is_live(nb, now).then_some(nb)
     }
 
     /// Number of live neighbours.
     pub fn live_count(&self, now: SimTime) -> usize {
-        self.entries
-            .values()
-            .filter(|n| now.since(n.last_heard) < self.timeout)
-            .count()
+        self.iter_live(now).count()
     }
 
-    /// Mean of a neighbour-load statistic over live neighbours, or `None`
-    /// when there are none.
+    /// Mean of a neighbour-load statistic over live neighbours, summed in
+    /// ascending-id order, or `None` when there are none.
     pub fn mean_neighbor_load<F: Fn(&LoadDigest) -> f64>(&self, now: SimTime, f: F) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for nb in self.entries.values() {
-            if now.since(nb.last_heard) < self.timeout {
-                sum += f(&nb.load);
-                n += 1;
-            }
+        for (_, nb) in self.iter_live(now) {
+            sum += f(&nb.load);
+            n += 1;
         }
         (n > 0).then(|| sum / n as f64)
     }
 
-    /// Remove timed-out neighbours, returning their ids (treated as broken
-    /// links by the caller).
+    /// Remove timed-out neighbours, returning their ids in ascending order
+    /// (treated as broken links by the caller).
     pub fn sweep(&mut self, now: SimTime) -> Vec<NodeId> {
-        let timeout = self.timeout;
-        let mut gone: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, n)| now.since(n.last_heard) >= timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        gone.sort_unstable();
-        for id in &gone {
-            self.entries.remove(id);
+        let mut gone = Vec::new();
+        let mut kept = 0;
+        for i in 0..self.ids.len() {
+            if self.is_live(&self.nbrs[i], now) {
+                self.ids[kept] = self.ids[i];
+                self.nbrs[kept] = self.nbrs[i];
+                kept += 1;
+            } else {
+                gone.push(self.ids[i]);
+            }
         }
+        self.ids.truncate(kept);
+        self.nbrs.truncate(kept);
         gone
     }
 
-    /// Iterate live neighbours.
+    /// Iterate live neighbours in ascending-id order.
     pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&NodeId, &Neighbor)> {
-        let timeout = self.timeout;
-        self.entries
+        self.ids
             .iter()
-            .filter(move |(_, n)| now.since(n.last_heard) < timeout)
+            .zip(&self.nbrs)
+            .filter(move |(_, nb)| self.is_live(nb, now))
     }
 }
 

@@ -5,8 +5,7 @@
 //! the random assessment delay.
 
 use crate::packet::RreqKey;
-use std::collections::HashMap;
-use wmn_sim::{SimDuration, SimTime};
+use wmn_sim::{IdMap, SimDuration, SimTime};
 
 /// Per-RREQ reception record.
 #[derive(Clone, Copy, Debug)]
@@ -23,7 +22,7 @@ pub struct SeenEntry {
 /// Bounded-lifetime duplicate cache.
 #[derive(Clone, Debug)]
 pub struct SeenCache {
-    entries: HashMap<RreqKey, SeenEntry>,
+    entries: IdMap<RreqKey, SeenEntry>,
     lifetime: SimDuration,
 }
 
@@ -33,7 +32,7 @@ impl SeenCache {
     /// `PATH_DISCOVERY_TIME`).
     pub fn new(lifetime: SimDuration) -> Self {
         SeenCache {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             lifetime,
         }
     }

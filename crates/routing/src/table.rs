@@ -1,8 +1,7 @@
 //! The route table (AODV-style, with a scheme-defined route cost).
 
 use crate::addr::NodeId;
-use std::collections::HashMap;
-use wmn_sim::{SimDuration, SimTime};
+use wmn_sim::{IdMap, SimDuration, SimTime};
 
 /// One forwarding entry.
 #[derive(Clone, Debug)]
@@ -28,7 +27,7 @@ pub struct RouteEntry {
 /// A node's route table.
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    entries: HashMap<NodeId, RouteEntry>,
+    entries: IdMap<NodeId, RouteEntry>,
 }
 
 /// Outcome of a table update offer.
@@ -44,7 +43,7 @@ impl RouteTable {
     /// Empty table.
     pub fn new() -> Self {
         RouteTable {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 

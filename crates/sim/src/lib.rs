@@ -44,6 +44,7 @@
 
 pub mod checkpoint;
 pub mod engine;
+pub mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -51,6 +52,7 @@ pub mod time;
 
 pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointMeta};
 pub use engine::{Engine, RunReport, Scheduler, StopReason, World};
+pub use idmap::{IdHasher, IdMap};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SplitMix64};
 pub use shard::{

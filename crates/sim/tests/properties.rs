@@ -1,7 +1,8 @@
 //! Property-based tests of the simulation substrate.
 
 use proptest::prelude::*;
-use wmn_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use std::collections::BTreeMap;
+use wmn_sim::{EventQueue, IdMap, SimDuration, SimRng, SimTime};
 
 proptest! {
     /// below(n) is always within range, for any seed and bound.
@@ -157,5 +158,27 @@ proptest! {
         let scaled = dur.mul_f64(k);
         let expect = d as f64 * k;
         prop_assert!((scaled.as_nanos() as f64 - expect).abs() <= 0.5 + expect * 1e-12);
+    }
+
+    /// `IdMap` is a `HashMap` in everything but its hasher: any sequence of
+    /// inserts, removes and lookups on `(origin, id)`-shaped keys leaves it
+    /// equal to a `BTreeMap` taking the same sequence.
+    #[test]
+    fn idmap_matches_btreemap(ops in prop::collection::vec((0u8..3, 0u32..24, 0u32..6, any::<u64>()), 0..400)) {
+        let mut map: IdMap<(u32, u32), u64> = IdMap::default();
+        let mut model = BTreeMap::new();
+        for (op, origin, id, value) in ops {
+            // Keys a dense grid and a far-apart stride: both shapes occur.
+            let key = (origin << (id % 2 * 20), id);
+            match op {
+                0 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
+                1 => prop_assert_eq!(map.remove(&key), model.remove(&key)),
+                _ => prop_assert_eq!(map.get(&key), model.get(&key)),
+            }
+            prop_assert_eq!(map.len(), model.len());
+        }
+        let mut entries: Vec<_> = map.into_iter().collect();
+        entries.sort_unstable();
+        prop_assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
     }
 }
