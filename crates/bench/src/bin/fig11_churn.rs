@@ -15,10 +15,10 @@
 //! instead; all four emitted CSVs are byte-identical to the in-process
 //! path.
 
-use cnlr::{FaultPlan, RunResults, Scheme};
-use wmn_bench::{emit, parse_fig_args, sweep_durations, sweep_figure_multi, FigureSpec};
+use cnlr::Scheme;
+use wmn_bench::served::{sweep_figure_multi_served, sweep_figure_multi_spec};
+use wmn_bench::{emit, parse_fig_args, sweep_durations, FigureSpec};
 use wmn_served::ScenarioSpec;
-use wmn_sim::SimDuration;
 
 fn main() {
     let served = parse_fig_args("fig11_churn");
@@ -34,77 +34,31 @@ fn main() {
         vec![0.0, 0.5, 1.0, 2.0, 4.0]
     };
     let schemes = Scheme::evaluation_set();
-    let tables = if let Some(socket) = served {
-        let build = move |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
-            seed,
-            scheme: scheme.spec_string(),
-            grid_rows: 6,
-            grid_cols: 6,
-            pitch_m: 180.0,
-            flows: 12,
-            pps: 4.0,
-            payload: 512,
-            duration_s: dur.as_secs_f64(),
-            warmup_s: warm.as_secs_f64(),
-            // `rate` crashes per node-minute of uptime ⇒ MTBF = 60/rate.
-            churn: (rate > 0.0).then(|| (60.0 / rate, 10.0)),
-            ..ScenarioSpec::default()
-        };
-        wmn_bench::served::sweep_figure_multi_served(
-            &spec,
-            &[
-                ("PDR", "pdr"),
-                ("PDR during outages", "pdr_outage"),
-                ("route-repair latency s", "repair_latency_s"),
-                ("time-to-reconverge s", "reconverge_s"),
-            ],
-            &xs,
-            &schemes,
-            &socket,
-            build,
-        )
-    } else {
-        let build = move |rate: f64, scheme: &Scheme, seed: u64| {
-            let mut b = cnlr::ScenarioBuilder::new()
-                .seed(seed)
-                .grid(6, 6, 180.0)
-                .scheme(scheme.clone())
-                .flows(12, 4.0, 512)
-                .duration(dur)
-                .warmup(warm);
-            if rate > 0.0 {
-                // `rate` crashes per node-minute of uptime ⇒ MTBF = 60/rate.
-                let plan = FaultPlan::new().churn(
-                    SimDuration::from_secs_f64(60.0 / rate),
-                    SimDuration::from_secs(10),
-                );
-                b = b.faults(plan);
-            }
-            b
-        };
-        sweep_figure_multi(
-            &spec,
-            &[
-                ("PDR", &|r: &RunResults| r.pdr()),
-                ("PDR during outages", &|r: &RunResults| {
-                    r.pdr_during_outage.unwrap_or(0.0)
-                }),
-                ("route-repair latency s", &|r: &RunResults| {
-                    let l = &r.repair_latency_s;
-                    if l.is_empty() {
-                        0.0
-                    } else {
-                        l.iter().sum::<f64>() / l.len() as f64
-                    }
-                }),
-                ("time-to-reconverge s", &|r: &RunResults| {
-                    r.reconverge_s.unwrap_or(0.0)
-                }),
-            ],
-            &xs,
-            &schemes,
-            build,
-        )
+    // The figure, described once for both branches: scenario and wire keys.
+    let metrics = [
+        ("PDR", "pdr"),
+        ("PDR during outages", "pdr_outage"),
+        ("route-repair latency s", "repair_latency_s"),
+        ("time-to-reconverge s", "reconverge_s"),
+    ];
+    let build = move |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
+        seed,
+        scheme: scheme.spec_string(),
+        grid_rows: 6,
+        grid_cols: 6,
+        pitch_m: 180.0,
+        flows: 12,
+        pps: 4.0,
+        payload: 512,
+        duration_s: dur.as_secs_f64(),
+        warmup_s: warm.as_secs_f64(),
+        // `rate` crashes per node-minute of uptime ⇒ MTBF = 60/rate.
+        churn: (rate > 0.0).then(|| (60.0 / rate, 10.0)),
+        ..ScenarioSpec::default()
+    };
+    let tables = match served {
+        Some(socket) => sweep_figure_multi_served(&spec, &metrics, &xs, &schemes, &socket, build),
+        None => sweep_figure_multi_spec(&spec, &metrics, &xs, &schemes, build),
     };
     emit(&spec, "", &tables[0]);
     emit(&spec, "outage_pdr", &tables[1]);

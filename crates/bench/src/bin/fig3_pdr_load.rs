@@ -8,9 +8,8 @@
 //! `--served SOCKET` submits the sweep to a running `wmn-served` daemon
 //! instead; the emitted CSV is byte-identical (the CI smoke job diffs it).
 
-use wmn_bench::{
-    emit, parse_fig_args, standard_schemes, sweep_durations, sweep_figure, FigureSpec,
-};
+use wmn_bench::served::{sweep_figure_multi_served, sweep_figure_multi_spec};
+use wmn_bench::{emit, parse_fig_args, standard_schemes, sweep_durations, FigureSpec};
 use wmn_served::ScenarioSpec;
 
 fn main() {
@@ -27,39 +26,24 @@ fn main() {
         vec![5.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     };
     let schemes = standard_schemes();
-    let t = if let Some(socket) = served {
-        let build = move |flows: f64, scheme: &cnlr::Scheme, seed: u64| ScenarioSpec {
-            seed,
-            scheme: scheme.spec_string(),
-            grid_rows: 8,
-            grid_cols: 8,
-            pitch_m: 180.0,
-            flows: flows as usize,
-            pps: 8.0,
-            payload: 512,
-            duration_s: dur.as_secs_f64(),
-            warmup_s: warm.as_secs_f64(),
-            ..ScenarioSpec::default()
-        };
-        wmn_bench::served::sweep_figure_multi_served(
-            &spec,
-            &[("PDR", "pdr")],
-            &xs,
-            &schemes,
-            &socket,
-            build,
-        )
-        .pop()
-        .expect("one table")
-    } else {
-        let build = move |flows: f64, scheme: &cnlr::Scheme, seed: u64| {
-            cnlr::presets::backbone(8, 0, seed)
-                .scheme(scheme.clone())
-                .flows(flows as usize, 8.0, 512)
-                .duration(dur)
-                .warmup(warm)
-        };
-        sweep_figure(&spec, "PDR", &xs, &schemes, build, |r| r.pdr())
+    // The figure, described once for both branches: scenario and wire key.
+    let metrics = [("PDR", "pdr")];
+    let build = move |flows: f64, scheme: &cnlr::Scheme, seed: u64| ScenarioSpec {
+        seed,
+        scheme: scheme.spec_string(),
+        grid_rows: 8,
+        grid_cols: 8,
+        pitch_m: 180.0,
+        flows: flows as usize,
+        pps: 8.0,
+        payload: 512,
+        duration_s: dur.as_secs_f64(),
+        warmup_s: warm.as_secs_f64(),
+        ..ScenarioSpec::default()
     };
-    emit(&spec, "", &t);
+    let mut tables = match served {
+        Some(socket) => sweep_figure_multi_served(&spec, &metrics, &xs, &schemes, &socket, build),
+        None => sweep_figure_multi_spec(&spec, &metrics, &xs, &schemes, build),
+    };
+    emit(&spec, "", &tables.pop().expect("one table"));
 }

@@ -261,40 +261,11 @@ fn verify(
             println!("FAIL {counter_name}: trace has {traced}, manifest has {expect}");
         }
     };
-    // Seed every counter-mapped kind at 0 so a kind that never reached the
-    // trace still fails against a nonzero manifest counter.
-    let mut by_kind = by_kind.clone();
-    for kind in [
-        "rreq_originate",
-        "rreq_recv",
-        "rreq_duplicate",
-        "rreq_forward",
-        "rreq_suppress",
-        "rrep_generate",
-        "rrep_forward",
-        "rrep_drop",
-        "rerr_send",
-        "hello_send",
-        "data_originate",
-        "data_forward",
-        "data_deliver",
-        "mac_enqueue",
-        "mac_dequeue",
-        "mac_backoff",
-        "phy_tx_start",
-        "phy_rx",
-        "phy_collision",
-        "phy_capture",
-        "phy_noise",
-        "node_down",
-        "node_up",
-        "fault_injected",
-    ] {
-        by_kind.entry(kind).or_insert(0);
-    }
-    for (kind, count) in &by_kind {
+    // Every counter-mapped kind, so one that never reached the trace still
+    // fails against a nonzero manifest counter.
+    for kind in EventKind::NAMES {
         if let Some(name) = counter_for_event(kind) {
-            check(name, *count);
+            check(name, by_kind.get(kind).copied().unwrap_or(0));
         }
     }
     // data_drop and ctrl_drop map per reason, not per kind.

@@ -134,8 +134,12 @@ pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize, threads: u
     }
 }
 
-/// Sweep a full figure once, extracting several metrics from the same runs:
-/// one [`ResultTable`] per metric, rows = x values, one column per scheme.
+/// The one sweep executor behind [`sweep_figure_multi`] and the
+/// [`served`] sweeps: one [`ResultTable`] per metric, rows = x values, one
+/// column per scheme. `run` performs one job and `value` reads one metric
+/// from its result; `kind` tags the bench record and `how` finishes the
+/// banner line given the worker count. Returns `(tables, runs, seeds,
+/// wall_s)` — the tables, and what the sweep's manifest is written from.
 ///
 /// The whole sweep is flattened into a single `(x, scheme, seed)` job queue
 /// so the thread pool stays saturated across cell boundaries (replication
@@ -143,6 +147,35 @@ pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize, threads: u
 /// of its time waiting on the slowest seed). Results come back in job-index
 /// order, which keeps the aggregation — and therefore every table — exactly
 /// as deterministic as the nested-loop version.
+pub(crate) fn run_sweep<R: Send, M>(
+    spec: &FigureSpec,
+    (kind, how): (&str, impl Fn(usize) -> String),
+    metrics: &[(&str, M)],
+    xs: &[f64],
+    schemes: &[Scheme],
+    run: impl Fn(f64, &Scheme, u64) -> R + Sync,
+    value: impl Fn(&R, &M) -> f64,
+) -> (Vec<ResultTable>, Vec<R>, Vec<u64>, f64) {
+    let t0 = std::time::Instant::now();
+    let seeds = replication_seeds();
+    let threads = wmn_metrics::default_threads();
+    let n_jobs = xs.len() * schemes.len() * seeds.len();
+    eprintln!("[{}] {n_jobs} jobs {}", spec.id, how(threads));
+    let runs = run_jobs(n_jobs, threads, |i| {
+        let (xi, schi, si) = job_coords(i, schemes.len(), seeds.len());
+        run(xs[xi], &schemes[schi], seeds[si])
+    });
+    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
+    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
+        value(&runs[job], &metrics[mi].1)
+    });
+    let wall_s = t0.elapsed().as_secs_f64();
+    record_bench(kind, spec.id, wall_s, n_jobs, threads);
+    (tables, runs, seeds, wall_s)
+}
+
+/// Sweep a full figure once, extracting several metrics from the same runs
+/// (see [`run_sweep`] for the table layout and job order).
 pub fn sweep_figure_multi<F>(
     spec: &FigureSpec,
     metrics: &[Metric<'_>],
@@ -153,27 +186,33 @@ pub fn sweep_figure_multi<F>(
 where
     F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
 {
-    let t0 = std::time::Instant::now();
-    let seeds = replication_seeds();
-    let threads = wmn_metrics::default_threads();
-    let n_jobs = xs.len() * schemes.len() * seeds.len();
-    eprintln!("[{}] {} jobs on {} threads", spec.id, n_jobs, threads);
-    let runs = run_jobs(n_jobs, threads, |i| {
-        let (xi, schi, si) = job_coords(i, schemes.len(), seeds.len());
-        let (x, scheme, seed) = (xs[xi], &schemes[schi], seeds[si]);
+    let run = |x: f64, scheme: &Scheme, seed: u64| {
         build(x, scheme, seed)
             .build()
             .unwrap_or_else(|e| panic!("scenario build failed at x={x}: {e}"))
             .run()
-    });
-    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
-    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
-        (metrics[mi].1)(&runs[job])
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep", spec.id, wall_s, n_jobs, threads);
+    };
+    let how = |threads| format!("on {threads} threads");
+    let (tables, runs, seeds, wall_s) = run_sweep(
+        spec,
+        ("sweep", how),
+        metrics,
+        xs,
+        schemes,
+        run,
+        |run, metric| metric(run),
+    );
     write_manifest(spec, schemes, &seeds, xs, wall_s, &runs, &[]);
     tables
+}
+
+/// What the runs of a sweep add to its manifest beyond the axes.
+pub(crate) struct ManifestTotals<'a> {
+    pub id: String,
+    pub runs: usize,
+    pub events: u64,
+    pub counters: Counters,
+    pub extra_params: Vec<(&'a str, String)>,
 }
 
 /// Aggregate the per-run counter registries and attach a provenance
@@ -189,19 +228,37 @@ pub fn write_manifest(
     runs: &[RunResults],
     extra_params: &[(&str, String)],
 ) {
-    let mut counters = Counters::new();
-    let mut events = 0u64;
+    let mut totals = ManifestTotals {
+        id: spec.id.to_string(),
+        runs: runs.len(),
+        events: 0,
+        counters: Counters::new(),
+        extra_params: extra_params.to_vec(),
+    };
     for r in runs {
         for (name, v) in r.counters().iter() {
-            counters.add(name, v);
+            totals.counters.add(name, v);
         }
-        events += r.events;
+        totals.events += r.events;
     }
-    let mut params = standard_params(spec, seeds.len(), runs.len());
-    params.extend(extra_params.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    write_manifest_totals(spec, schemes, seeds, xs, wall_s, totals);
+}
+
+/// The one manifest writer: `results/<totals.id>_manifest.json`.
+pub(crate) fn write_manifest_totals(
+    spec: &FigureSpec,
+    schemes: &[Scheme],
+    seeds: &[u64],
+    xs: &[f64],
+    wall_s: f64,
+    totals: ManifestTotals<'_>,
+) {
+    let mut params = standard_params(spec, seeds.len(), totals.runs);
+    let extra = totals.extra_params.into_iter();
+    params.extend(extra.map(|(k, v)| (k.to_string(), v)));
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
-        id: spec.id.to_string(),
+        id: totals.id,
         title: spec.title.to_string(),
         git_rev: git_rev(),
         schemes: schemes.iter().map(Scheme::label).collect(),
@@ -209,15 +266,15 @@ pub fn write_manifest(
         xs: xs.to_vec(),
         params,
         wall_s,
-        events_processed: events,
+        events_processed: totals.events,
         host_cores: host.host_cores,
         peak_rss_bytes: host.peak_rss_bytes,
-        counters,
+        counters: totals.counters,
         lineage: vec![],
     };
     match manifest.write(std::path::Path::new("results")) {
         Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),
-        Err(e) => eprintln!("warning: could not write {} manifest: {e}", spec.id),
+        Err(e) => eprintln!("warning: could not write {} manifest: {e}", manifest.id),
     }
 }
 

@@ -10,15 +10,15 @@
 //! prefix reuse and warm link-budget cache hits across replications.
 
 use crate::{
-    fold_tables, job_coords, record_bench, replication_seeds, standard_params, FigureSpec,
+    run_sweep, sweep_figure_multi, write_manifest_totals, FigureSpec, ManifestTotals, Metric,
 };
-use cnlr::Scheme;
+use cnlr::{RunResults, Scheme};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
-use wmn_metrics::{run_jobs, ResultTable};
-use wmn_served::{Client, JobResult, ScenarioSpec};
-use wmn_telemetry::{git_rev, Counters, RunManifest};
+use wmn_metrics::ResultTable;
+use wmn_served::{standard_metrics, Client, JobResult, ScenarioSpec};
+use wmn_telemetry::Counters;
 
 /// One served metric: `(table name, wire key)` — the daemon computes the
 /// value under the wire key with the same definition the one-shot binary
@@ -56,54 +56,74 @@ pub fn sweep_figure_multi_served<F>(
 where
     F: Fn(f64, &Scheme, u64) -> ScenarioSpec + Sync,
 {
-    let t0 = std::time::Instant::now();
-    let seeds = replication_seeds();
-    let threads = wmn_metrics::default_threads();
-    let n_jobs = xs.len() * schemes.len() * seeds.len();
-    eprintln!(
-        "[{}] {n_jobs} jobs via daemon at {socket} ({threads} submit threads)",
-        spec.id
-    );
-    let runs: Vec<JobResult> = run_jobs(n_jobs, threads, |i| {
-        let (xi, schi, si) = job_coords(i, schemes.len(), seeds.len());
-        let job_spec = build(xs[xi], &schemes[schi], seeds[si]);
+    let run = |x: f64, scheme: &Scheme, seed: u64| {
         let mut client = Client::connect(socket)
             .unwrap_or_else(|e| panic!("cannot connect to daemon at {socket}: {e}"));
         let result = client
-            .run_retrying(&job_spec, 0, Duration::from_secs(3600))
-            .unwrap_or_else(|e| panic!("served job failed at x={}: {e}", xs[xi]));
+            .run_retrying(&build(x, scheme, seed), 0, Duration::from_secs(3600))
+            .unwrap_or_else(|e| panic!("served job failed at x={x}: {e}"));
         if !result.ok {
             panic!(
-                "served job at x={} reported failure: {}",
-                xs[xi],
+                "served job at x={x} reported failure: {}",
                 result.error.as_deref().unwrap_or("unknown")
             );
         }
         result
-    });
-    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
-    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
-        runs[job].metric(metrics[mi].1)
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-    record_bench("sweep_served", spec.id, wall_s, n_jobs, threads);
-    write_manifest_served(spec, schemes, &seeds, xs, wall_s, &runs);
+    };
+    let how = |threads| format!("via daemon at {socket} ({threads} submit threads)");
+    let (tables, runs, seeds, wall_s) = run_sweep(
+        spec,
+        ("sweep_served", how),
+        metrics,
+        xs,
+        schemes,
+        run,
+        |run, key| run.metric(key),
+    );
+    let totals = served_totals(spec, &runs);
+    write_manifest_totals(spec, schemes, &seeds, xs, wall_s, totals);
     tables
 }
 
-/// Aggregate the per-job wire counters into a `<id>_served_manifest.json`
-/// that records, next to the usual provenance, the batch's dedup facts:
-/// how many jobs reused a cached prefix, how many imported a warm
+/// In-process twin of [`sweep_figure_multi_served`] for a figure that is
+/// described once, as `ScenarioSpec` + wire keys: each job runs
+/// `spec.to_builder()?.build()?.run()` here and its metrics are read from
+/// the daemon's own [`standard_metrics`], so the two branches of such a
+/// figure cannot drift apart.
+pub fn sweep_figure_multi_spec<F>(
+    spec: &FigureSpec,
+    metrics: &[ServedMetric<'_>],
+    xs: &[f64],
+    schemes: &[Scheme],
+    build: F,
+) -> Vec<ResultTable>
+where
+    F: Fn(f64, &Scheme, u64) -> ScenarioSpec + Sync,
+{
+    // One reader per wire key, over the daemon's own metric definitions.
+    let read = |key| {
+        move |run: &RunResults| {
+            let found = standard_metrics(run).into_iter().find(|(k, _)| *k == key);
+            found.map_or(f64::NAN, |(_, v)| v)
+        }
+    };
+    let readers: Vec<_> = metrics.iter().map(|&(_, key)| read(key)).collect();
+    let metrics: Vec<Metric<'_>> = (metrics.iter().zip(&readers))
+        .map(|(&(name, _), reader)| -> Metric<'_> { (name, reader) })
+        .collect();
+    sweep_figure_multi(spec, &metrics, xs, schemes, |x, scheme, seed| {
+        build(x, scheme, seed)
+            .to_builder()
+            .unwrap_or_else(|e| panic!("invalid scenario spec at x={x}: {e}"))
+    })
+}
+
+/// The served manifest's share (`<id>_served_manifest.json`): the per-job
+/// wire counters, and next to the usual provenance the batch's dedup
+/// facts — how many jobs reused a cached prefix, how many imported a warm
 /// link-budget cache, and the medium's cache hit economics summed across
 /// replications.
-fn write_manifest_served(
-    spec: &FigureSpec,
-    schemes: &[Scheme],
-    seeds: &[u64],
-    xs: &[f64],
-    wall_s: f64,
-    runs: &[JobResult],
-) {
+fn served_totals(spec: &FigureSpec, runs: &[JobResult]) -> ManifestTotals<'static> {
     let mut counters = Counters::new();
     let mut events = 0u64;
     let (mut prefix_reused, mut warm_imports) = (0u64, 0u64);
@@ -119,39 +139,25 @@ fn write_manifest_served(
         cache_hits += r.link_cache_hits;
         budgets += r.link_budgets;
     }
-    let mut params = standard_params(spec, seeds.len(), runs.len());
-    params.extend([
-        ("served".to_string(), "true".to_string()),
+    let extra_params = vec![
+        ("served", "true".to_string()),
         (
-            "prefix_reused_jobs".to_string(),
+            "prefix_reused_jobs",
             format!("{prefix_reused}/{}", runs.len()),
         ),
         (
-            "warm_cache_import_jobs".to_string(),
+            "warm_cache_import_jobs",
             format!("{warm_imports}/{}", runs.len()),
         ),
-        ("link_cache_hits".to_string(), cache_hits.to_string()),
-        ("pathloss_evals".to_string(), pathloss.to_string()),
-        ("link_budgets".to_string(), budgets.to_string()),
-    ]);
-    let host = wmn_telemetry::sample_host();
-    let manifest = RunManifest {
+        ("link_cache_hits", cache_hits.to_string()),
+        ("pathloss_evals", pathloss.to_string()),
+        ("link_budgets", budgets.to_string()),
+    ];
+    ManifestTotals {
         id: format!("{}_served", spec.id),
-        title: spec.title.to_string(),
-        git_rev: git_rev(),
-        schemes: schemes.iter().map(Scheme::label).collect(),
-        seeds: seeds.to_vec(),
-        xs: xs.to_vec(),
-        params,
-        wall_s,
-        events_processed: events,
-        host_cores: host.host_cores,
-        peak_rss_bytes: host.peak_rss_bytes,
+        runs: runs.len(),
+        events,
         counters,
-        lineage: vec![],
-    };
-    match manifest.write(std::path::Path::new("results")) {
-        Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),
-        Err(e) => eprintln!("warning: could not write {} served manifest: {e}", spec.id),
+        extra_params,
     }
 }

@@ -5,10 +5,10 @@
 //! `"op"`; responses to a `run` are an immediate ack followed, on the same
 //! connection, by `"stream"`-tagged lines (`probe`, `manifest`, `result`)
 //! until the terminal `result` line. 64-bit seeds travel as strings (the
-//! parser's number path is `f64`); metric values travel as shortest-
-//! roundtrip decimals, which Rust's `{}` formatting guarantees re-parse to
-//! the identical bits — the byte-identity of served figure CSVs rests on
-//! that.
+//! wire form; a bare integer is accepted too and read exactly); metric
+//! values travel as shortest-roundtrip decimals, which Rust's `{}`
+//! formatting guarantees re-parse to the identical bits — the
+//! byte-identity of served figure CSVs rests on that.
 
 use crate::spec::ScenarioSpec;
 use cnlr::RunResults;
@@ -138,10 +138,10 @@ fn u64_array(values: impl Iterator<Item = u64>) -> String {
 }
 
 /// The metric set the daemon extracts from every completed run, keyed for
-/// the wire. Definitions are copied *exactly* from the figure binaries
-/// (fig3 reads `pdr`; fig11 reads `pdr`, `pdr_outage`, `repair_latency_s`,
-/// `reconverge_s`) — a drifted definition here would silently break the
-/// served-vs-one-shot byte-identity guarantee.
+/// the wire. The served figures (fig3 reads `pdr`; fig11 reads `pdr`,
+/// `pdr_outage`, `repair_latency_s`, `reconverge_s`) read these same
+/// definitions in their in-process branch too, which is what keeps served
+/// and one-shot CSVs byte-identical.
 pub fn standard_metrics(r: &RunResults) -> Vec<(&'static str, f64)> {
     let repair = if r.repair_latency_s.is_empty() {
         0.0

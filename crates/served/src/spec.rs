@@ -12,9 +12,8 @@ use wmn_telemetry::json::{get, JsonValue};
 /// load sweep, fig11's 6×6 churn sweep) exactly, while staying a flat JSON
 /// object the hand-rolled parser can read.
 ///
-/// Seeds are serialised as JSON *strings*: replication seeds are raw
-/// 64-bit values that would lose precision through the parser's `f64`
-/// number path.
+/// Seeds are serialised as JSON *strings*; a bare integer is accepted too
+/// (the reader keeps plain integers exact over the full 64 bits).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed.
@@ -256,6 +255,19 @@ mod tests {
         assert_eq!(spec.flows, 3);
         assert_eq!(spec.scheme, "cnlr");
         assert_eq!(spec.churn, None);
+    }
+
+    #[test]
+    fn seeds_are_exact_as_string_or_bare_integer() {
+        for line in [
+            "{\"seed\":\"16045690984503111693\"}",
+            "{\"seed\":16045690984503111693}",
+        ] {
+            let spec = ScenarioSpec::from_pairs(&parse_object(line).unwrap()).unwrap();
+            assert_eq!(spec.seed, 0xDEAD_BEEF_CAFE_F00D, "{line}");
+        }
+        let too_big = parse_object("{\"seed\":18446744073709551616}").unwrap();
+        assert!(ScenarioSpec::from_pairs(&too_big).is_err());
     }
 
     #[test]

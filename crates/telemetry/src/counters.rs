@@ -80,59 +80,6 @@ impl Counters {
     }
 }
 
-/// The registry counter a trace-event kind mirrors, if any.
-///
-/// Instrumentation emits these kinds exactly adjacent to the corresponding
-/// counter increment, so for a complete trace
-/// `count(kind) == counters.get(counter_for_event(kind))` — the invariant
-/// `wmn-trace summary --verify` and the conservation test check. Kinds
-/// without an entry (queue/backoff micro-events, probes) are diagnostic
-/// only.
-pub fn counter_for_event(kind_name: &str) -> Option<&'static str> {
-    Some(match kind_name {
-        "rreq_originate" => "rreq_originated",
-        "rreq_recv" => "rreq_received",
-        "rreq_duplicate" => "rreq_duplicates",
-        "rreq_forward" => "rreq_forwarded",
-        "rreq_suppress" => "rreq_suppressed",
-        "rrep_generate" => "rrep_generated",
-        "rrep_forward" => "rrep_forwarded",
-        "rrep_drop" => "rrep_dropped",
-        "rerr_send" => "rerr_sent",
-        "hello_send" => "hello_sent",
-        "data_originate" => "data_originated",
-        "data_forward" => "data_forwarded",
-        "data_deliver" => "data_delivered",
-        "mac_enqueue" => "mac_enqueued",
-        "mac_dequeue" => "mac_dequeued",
-        "mac_backoff" => "mac_backoffs",
-        "phy_tx_start" => "phy_tx_started",
-        "phy_rx" => "phy_delivered",
-        "phy_collision" => "phy_collisions",
-        "phy_capture" => "phy_captures",
-        "phy_noise" => "phy_noise_losses",
-        "node_down" => "fault_node_down",
-        "node_up" => "fault_node_up",
-        "fault_injected" => "fault_injected",
-        _ => return None,
-    })
-}
-
-/// The registry counter for a `data_drop` event with `reason`.
-pub fn counter_for_drop(reason: crate::DropReason) -> &'static str {
-    use crate::DropReason::*;
-    match reason {
-        NoRoute => "drop_no_route",
-        DiscoveryFailed => "drop_discovery_failed",
-        BufferOverflow => "drop_buffer_overflow",
-        LinkFailure => "drop_link_failure",
-        Expired => "drop_expired",
-        QueueFull => "drop_queue_full",
-        RetryLimit => "drop_retry_limit",
-        NodeDown => "drop_node_down",
-    }
-}
-
 /// The registry counter for a `ctrl_drop` event with `reason`, if any.
 ///
 /// Control payloads are only ever discarded at a full MAC queue or at a
@@ -176,41 +123,5 @@ mod tests {
             c.to_json(),
             "{\"drop_no_route\":4,\"drop_queue_full\":6,\"rreq_originated\":1}"
         );
-    }
-
-    #[test]
-    fn event_mapping_is_consistent() {
-        // Every mapped kind must be a real kind name (spot-check a few) and
-        // probes must stay unmapped.
-        assert_eq!(counter_for_event("rreq_forward"), Some("rreq_forwarded"));
-        assert_eq!(counter_for_event("phy_rx"), Some("phy_delivered"));
-        assert_eq!(counter_for_event("node_probe"), None);
-        assert_eq!(counter_for_event("engine_probe"), None);
-        assert_eq!(counter_for_event("mac_tx_attempt"), None);
-        assert_eq!(
-            counter_for_event("data_drop"),
-            None,
-            "data_drop maps per reason"
-        );
-        assert_eq!(
-            counter_for_event("ctrl_drop"),
-            None,
-            "ctrl_drop maps per reason"
-        );
-        for r in crate::DropReason::ALL {
-            assert!(counter_for_drop(r).starts_with("drop_"));
-            if let Some(name) = counter_for_ctrl_drop(r) {
-                assert!(name.starts_with("drop_ctrl_"));
-            }
-        }
-        assert_eq!(
-            counter_for_ctrl_drop(crate::DropReason::QueueFull),
-            Some("drop_ctrl_queue_full")
-        );
-        assert_eq!(
-            counter_for_ctrl_drop(crate::DropReason::NodeDown),
-            Some("drop_ctrl_node_down")
-        );
-        assert_eq!(counter_for_ctrl_drop(crate::DropReason::NoRoute), None);
     }
 }

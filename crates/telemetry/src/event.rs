@@ -1,4 +1,13 @@
-//! The typed cross-layer event vocabulary and its JSONL wire form.
+//! The typed cross-layer event vocabulary and its four wire forms.
+//!
+//! The vocabulary is declared **once**, in the `event_schema!` table below:
+//! one entry per kind gives its checkpoint tag, variant, JSONL `kind` name,
+//! mirrored counter, console text and fields, and the table generates
+//! [`EventKind`], its [`name`](EventKind::name) and
+//! [`NAMES`](EventKind::NAMES), the JSONL writer and reader, the checkpoint
+//! byte codec, the console rendering and [`counter_for_event`]. Adding a
+//! kind is one table entry (DESIGN §4.2: entry grammar, wire-stability
+//! rules).
 //!
 //! Every event is one flat JSON object per line:
 //!
@@ -7,326 +16,481 @@
 //! ```
 //!
 //! `kind` names are stable snake_case identifiers; where an event mirrors a
-//! counter in the [`crate::Counters`] registry the mapping is recorded in
-//! [`crate::counter_for_event`], which is what lets `wmn-trace summary`
-//! cross-check a trace against a run manifest exactly.
+//! counter in the [`crate::Counters`] registry the table records which, and
+//! that mapping is what lets `wmn-trace summary` cross-check a trace
+//! against a run manifest exactly.
 
 use crate::json::{get, parse_object, JsonValue};
-use std::fmt;
+use std::fmt::{self, Write};
 use wmn_sim::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 
-/// Why a packet was discarded — the single namespace every layer's drops
-/// map into (exactly one `DropReason` per discarded packet).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DropReason {
-    /// Routing: no route at an intermediate hop.
-    NoRoute,
-    /// Routing: route discovery failed after all retries.
-    DiscoveryFailed,
-    /// Routing: discovery buffer overflowed at the origin.
-    BufferOverflow,
-    /// Routing: link-layer retry limit mid-path.
-    LinkFailure,
-    /// Routing: packet expired in the origin buffer.
-    Expired,
-    /// MAC: interface queue overflow.
-    QueueFull,
-    /// MAC: retry limit (control payloads that have no routing fallback).
-    RetryLimit,
-    /// Faults: the packet was queued or buffered at a node that crashed.
-    NodeDown,
+/// How one field *type* crosses the JSONL and checkpoint wires (the console
+/// text prints it through its `Display`). The schema tables only name
+/// types; these five impls (`u32`, `u64`, `f64`, [`DropReason`],
+/// [`FaultCode`]) are the only code that knows their encodings.
+trait Field: Copy {
+    /// The JSONL value (the table's `[decimals]` formats it).
+    fn json(self) -> impl fmt::Display;
+    /// Read the JSONL value back; `None` refuses the whole line.
+    fn read_json(v: &JsonValue) -> Option<Self>;
+    /// Append the checkpoint bytes.
+    fn put(self, out: &mut ByteWriter);
+    /// Inverse of [`Field::put`].
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError>;
 }
 
-impl DropReason {
-    /// All reasons, in stable reporting order.
-    pub const ALL: [DropReason; 8] = [
-        DropReason::NoRoute,
-        DropReason::DiscoveryFailed,
-        DropReason::BufferOverflow,
-        DropReason::LinkFailure,
-        DropReason::Expired,
-        DropReason::QueueFull,
-        DropReason::RetryLimit,
-        DropReason::NodeDown,
-    ];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DropReason::NoRoute => "no_route",
-            DropReason::DiscoveryFailed => "discovery_failed",
-            DropReason::BufferOverflow => "buffer_overflow",
-            DropReason::LinkFailure => "link_failure",
-            DropReason::Expired => "expired",
-            DropReason::QueueFull => "queue_full",
-            DropReason::RetryLimit => "retry_limit",
-            DropReason::NodeDown => "node_down",
+macro_rules! int_fields {
+    ($($ty:ident)*) => {$(
+        impl Field for $ty {
+            fn json(self) -> impl fmt::Display {
+                self
+            }
+            // Narrowing is checked: an out-of-range value refuses the line
+            // instead of becoming a different event.
+            fn read_json(v: &JsonValue) -> Option<Self> {
+                v.as_u64().and_then(|n| n.try_into().ok())
+            }
+            fn put(self, out: &mut ByteWriter) {
+                out.$ty(self);
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+                r.$ty()
+            }
         }
-    }
+    )*};
+}
+int_fields!(u32 u64);
 
-    /// Inverse of [`DropReason::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        DropReason::ALL.iter().copied().find(|r| r.name() == s)
+/// Floats travel rounded to the table's decimals in JSONL and as raw bits
+/// in checkpoints, so a checkpoint decode is bit-identical.
+impl Field for f64 {
+    fn json(self) -> impl fmt::Display {
+        self
+    }
+    fn read_json(v: &JsonValue) -> Option<Self> {
+        v.as_f64()
+    }
+    fn put(self, out: &mut ByteWriter) {
+        out.f64_bits(self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+        r.f64_bits()
     }
 }
 
-/// Which fault model produced a [`EventKind::FaultInjected`] event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultCode {
-    /// A region-scoped noise-floor burst started.
-    NoiseStart,
-    /// A region-scoped noise-floor burst ended.
-    NoiseEnd,
-    /// A per-node pathloss/shadowing shift was applied (link flap).
-    LinkShift,
-}
+/// A small closed code set that travels as a snake_case name in JSONL and
+/// console text and as one byte in checkpoints. One line per code: *byte,
+/// variant, name*; bytes and names are append-only. `counters f = "prefix"`
+/// also generates `f(code)`, the registry counter `prefix + name`.
+macro_rules! wire_codes {
+    (
+        $(#[$doc:meta])* $ty:ident, $what:literal, counters $counter_fn:ident = $prefix:literal
+        { $($(#[$vdoc:meta])* $code:literal $variant:ident $name:literal,)* }
+    ) => {
+        wire_codes! { $(#[$doc])* $ty, $what { $($(#[$vdoc])* $code $variant $name,)* } }
 
-impl FaultCode {
-    /// All codes, in stable reporting order.
-    pub const ALL: [FaultCode; 3] = [
-        FaultCode::NoiseStart,
-        FaultCode::NoiseEnd,
-        FaultCode::LinkShift,
-    ];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultCode::NoiseStart => "noise_start",
-            FaultCode::NoiseEnd => "noise_end",
-            FaultCode::LinkShift => "link_shift",
+        /// The registry counter for a `data_drop` event with `reason`.
+        pub fn $counter_fn(reason: $ty) -> &'static str {
+            match reason {
+                $($ty::$variant => concat!($prefix, $name),)*
+            }
         }
-    }
+    };
+    (
+        $(#[$doc:meta])* $ty:ident, $what:literal
+        { $($(#[$vdoc:meta])* $code:literal $variant:ident $name:literal,)* }
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
 
-    /// Inverse of [`FaultCode::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        FaultCode::ALL.iter().copied().find(|c| c.name() == s)
+        impl $ty {
+            /// All codes, in stable reporting order.
+            pub const ALL: [$ty; [$($code),*].len()] = [$($ty::$variant),*];
+
+            /// Stable snake_case name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)*
+                }
+            }
+
+            /// Inverse of `name`.
+            pub fn from_name(s: &str) -> Option<Self> {
+                Self::ALL.into_iter().find(|c| c.name() == s)
+            }
+        }
+
+        impl Field for $ty {
+            fn json(self) -> impl fmt::Display {
+                match self {
+                    $(Self::$variant => concat!("\"", $name, "\""),)*
+                }
+            }
+            fn read_json(v: &JsonValue) -> Option<Self> {
+                v.as_str().and_then(Self::from_name)
+            }
+            fn put(self, out: &mut ByteWriter) {
+                out.u8(match self {
+                    $(Self::$variant => $code,)*
+                });
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+                Ok(match r.u8()? {
+                    $($code => Self::$variant,)*
+                    other => {
+                        return Err(CheckpointError::Corrupt(format!(
+                            concat!("unknown ", $what, " {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+
+        /// The stable name, as the console text prints it.
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+    };
+}
+
+wire_codes! {
+    /// Why a packet was discarded — the single namespace every layer's drops
+    /// map into (exactly one `DropReason` per discarded packet).
+    DropReason, "drop reason code", counters counter_for_drop = "drop_" {
+        /// Routing: no route at an intermediate hop.
+        0 NoRoute "no_route",
+        /// Routing: route discovery failed after all retries.
+        1 DiscoveryFailed "discovery_failed",
+        /// Routing: discovery buffer overflowed at the origin.
+        2 BufferOverflow "buffer_overflow",
+        /// Routing: link-layer retry limit mid-path.
+        3 LinkFailure "link_failure",
+        /// Routing: packet expired in the origin buffer.
+        4 Expired "expired",
+        /// MAC: interface queue overflow.
+        5 QueueFull "queue_full",
+        /// MAC: retry limit (control payloads that have no routing fallback).
+        6 RetryLimit "retry_limit",
+        /// Faults: the packet was queued or buffered at a node that crashed.
+        7 NodeDown "node_down",
     }
 }
 
-/// What happened (the per-kind payload of a [`TelemetryEvent`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EventKind {
+wire_codes! {
+    /// Which fault model produced a [`EventKind::FaultInjected`] event.
+    FaultCode, "fault code" {
+        /// A region-scoped noise-floor burst started.
+        0 NoiseStart "noise_start",
+        /// A region-scoped noise-floor burst ended.
+        1 NoiseEnd "noise_end",
+        /// A per-node pathloss/shadowing shift was applied (link flap).
+        2 LinkShift "link_shift",
+    }
+}
+
+/// The event-schema table: one entry per kind,
+///
+/// ```text
+/// /// variant doc
+/// TAG => Variant("json_kind", Some("mirrored_counter") | None, "console text {field}") {
+///     /// field doc
+///     field: type = "json key" [decimals],
+/// },
+/// ```
+///
+/// `TAG` is the checkpoint byte — an explicit literal, never positional,
+/// because it feeds `HashSink` and every checkpoint on disk. Tags, kind
+/// names and JSON keys are append-only. `[decimals]` is the JSONL precision
+/// of an `f64` field (without it the shortest round-trip form is written);
+/// the console text may format a field too (`{rate:.0}`).
+macro_rules! event_schema {
+    ($(
+        $(#[$vdoc:meta])*
+        $tag:literal => $variant:ident($name:literal, $counter:expr, $text:literal) {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty = $key:literal $([$decimals:literal])?,)*
+        },
+    )*) => {
+        /// What happened (the per-kind payload of a [`TelemetryEvent`]).
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub enum EventKind {
+            $($(#[$vdoc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl EventKind {
+            /// Every kind name, in checkpoint-tag order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// Stable snake_case kind name.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Append the payload as `,"key":value` JSONL members, one
+            /// `write!` per kind.
+            fn write_json(&self, out: &mut String) {
+                let _ = match *self {
+                    $(EventKind::$variant { $($field),* } => write!(
+                        out,
+                        concat!($(",\"", $key, "\":{", $(":.", $decimals,)? "}"),*),
+                        $($field.json()),*
+                    ),)*
+                };
+            }
+
+            /// Read the payload of kind `name` from a parsed JSONL line.
+            fn read_json(name: &str, pairs: &[(String, JsonValue)]) -> Option<Self> {
+                Some(match name {
+                    $($name => EventKind::$variant {
+                        $($field: Field::read_json(get(pairs, $key)?)?,)*
+                    },)*
+                    _ => return None,
+                })
+            }
+
+            /// Append the tag byte and the payload bytes.
+            fn put(&self, out: &mut ByteWriter) {
+                match *self {
+                    $(EventKind::$variant { $($field),* } => {
+                        out.u8($tag);
+                        $($field.put(out);)*
+                    })*
+                }
+            }
+
+            /// Inverse of [`EventKind::put`].
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
+                Ok(match r.u8()? {
+                    $($tag => EventKind::$variant { $($field: Field::take(r)?,)* },)*
+                    other => {
+                        return Err(CheckpointError::Corrupt(format!(
+                            "unknown event tag {other}"
+                        )))
+                    }
+                })
+            }
+
+            /// Write the console text.
+            fn show(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match *self {
+                    $(EventKind::$variant { $($field),* } => write!(f, $text),)*
+                }
+            }
+        }
+
+        /// The registry counter a trace-event kind mirrors, if any.
+        ///
+        /// Instrumentation emits these kinds exactly adjacent to the
+        /// corresponding counter increment, so for a complete trace
+        /// `count(kind) == counters.get(counter_for_event(kind))` — the
+        /// invariant `wmn-trace summary --verify` and the conservation test
+        /// check. Kinds without an entry (queue/backoff micro-events,
+        /// probes) are diagnostic only; `data_drop` and `ctrl_drop` map per
+        /// reason ([`crate::counter_for_drop`],
+        /// [`crate::counter_for_ctrl_drop`]).
+        pub fn counter_for_event(kind_name: &str) -> Option<&'static str> {
+            match kind_name {
+                $($name => $counter,)*
+                _ => None,
+            }
+        }
+    };
+}
+
+event_schema! {
     /// A route discovery RREQ left its origin.
-    RreqOriginate {
+    0 => RreqOriginate("rreq_originate", Some("rreq_originated"),
+        "RREQ originate id={id} -> n{target}") {
         /// Per-origin discovery id.
-        id: u32,
+        id: u32 = "id",
         /// Discovery target.
-        target: u32,
+        target: u32 = "target",
     },
     /// An RREQ copy arrived (first or duplicate).
-    RreqRecv {
+    1 => RreqRecv("rreq_recv", Some("rreq_received"), "RREQ recv ({origin},{id})") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Discovery id.
-        id: u32,
+        id: u32 = "id",
     },
     /// A duplicate RREQ copy was ignored.
-    RreqDuplicate {
+    2 => RreqDuplicate("rreq_duplicate", Some("rreq_duplicates"), "RREQ dup ({origin},{id})") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Discovery id.
-        id: u32,
+        id: u32 = "id",
     },
     /// A first-copy RREQ was rebroadcast.
-    RreqForward {
+    3 => RreqForward("rreq_forward", Some("rreq_forwarded"), "RREQ forward ({origin},{id})") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Discovery id.
-        id: u32,
+        id: u32 = "id",
     },
     /// A first-copy RREQ was suppressed (policy or TTL).
-    RreqSuppress {
+    4 => RreqSuppress("rreq_suppress", Some("rreq_suppressed"), "RREQ suppress ({origin},{id})") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Discovery id.
-        id: u32,
+        id: u32 = "id",
     },
     /// An RREP was generated (by the target or an intermediate).
-    RrepGenerate {
+    5 => RrepGenerate("rrep_generate", Some("rrep_generated"),
+        "RREP generate {target} -> {origin}") {
         /// Discovery origin the RREP travels to.
-        origin: u32,
+        origin: u32 = "origin",
         /// Route target it describes.
-        target: u32,
+        target: u32 = "target",
     },
     /// An RREP was forwarded along the reverse path.
-    RrepForward {
+    6 => RrepForward("rrep_forward", Some("rrep_forwarded"), "RREP forward {target} -> {origin}") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Route target.
-        target: u32,
+        target: u32 = "target",
     },
     /// An RREP was dropped (no reverse route / link failure).
-    RrepDrop {
+    7 => RrepDrop("rrep_drop", Some("rrep_dropped"), "RREP drop {target} -> {origin}") {
         /// Discovery origin.
-        origin: u32,
+        origin: u32 = "origin",
         /// Route target.
-        target: u32,
+        target: u32 = "target",
     },
     /// A RERR broadcast left this node.
-    RerrSend {
+    8 => RerrSend("rerr_send", Some("rerr_sent"), "RERR send x{count}") {
         /// Number of unreachable destinations listed.
-        count: u32,
+        count: u32 = "count",
     },
     /// A HELLO beacon left this node.
-    HelloSend {
+    9 => HelloSend("hello_send", Some("hello_sent"), "HELLO send #{seq}") {
         /// Beacon sequence number.
-        seq: u32,
+        seq: u32 = "seq",
     },
     /// The application originated a data packet.
-    DataOriginate {
+    10 => DataOriginate("data_originate", Some("data_originated"), "DATA originate f{flow}#{seq}") {
         /// Flow id.
-        flow: u32,
+        flow: u32 = "flow",
         /// Per-flow sequence number.
-        seq: u32,
+        seq: u32 = "seq",
     },
     /// A data packet was forwarded at an intermediate hop.
-    DataForward {
+    11 => DataForward("data_forward", Some("data_forwarded"), "DATA forward f{flow}#{seq}") {
         /// Flow id.
-        flow: u32,
+        flow: u32 = "flow",
         /// Per-flow sequence number.
-        seq: u32,
+        seq: u32 = "seq",
     },
     /// A data packet reached its destination application.
-    DataDeliver {
+    12 => DataDeliver("data_deliver", Some("data_delivered"), "DATA deliver f{flow}#{seq}") {
         /// Flow id.
-        flow: u32,
+        flow: u32 = "flow",
         /// Per-flow sequence number.
-        seq: u32,
+        seq: u32 = "seq",
     },
     /// A data packet was discarded (terminal).
-    DataDrop {
+    13 => DataDrop("data_drop", None, "DATA drop f{flow}#{seq} [{reason}]") {
         /// Why.
-        reason: DropReason,
+        reason: DropReason = "reason",
         /// Flow id.
-        flow: u32,
+        flow: u32 = "flow",
         /// Per-flow sequence number.
-        seq: u32,
+        seq: u32 = "seq",
     },
     /// A control packet (RREQ/RREP/RERR/HELLO) was discarded at the MAC.
-    CtrlDrop {
+    14 => CtrlDrop("ctrl_drop", None, "CTRL drop [{reason}]") {
         /// Why.
-        reason: DropReason,
+        reason: DropReason = "reason",
     },
     /// An MSDU entered the interface queue.
-    MacEnqueue {
+    15 => MacEnqueue("mac_enqueue", Some("mac_enqueued"), "MAC enqueue depth={depth}") {
         /// Queue depth after the push.
-        depth: u32,
+        depth: u32 = "depth",
     },
     /// An MSDU left the interface queue for transmission.
-    MacDequeue {
+    16 => MacDequeue("mac_dequeue", Some("mac_dequeued"), "MAC dequeue depth={depth}") {
         /// Queue depth after the pop.
-        depth: u32,
+        depth: u32 = "depth",
     },
     /// A contention backoff was armed.
-    MacBackoff {
+    17 => MacBackoff("mac_backoff", Some("mac_backoffs"), "MAC backoff slots={slots}") {
         /// Slots drawn from the contention window.
-        slots: u32,
+        slots: u32 = "slots",
     },
     /// A frame transmission attempt started (first try or retry).
-    MacTxAttempt {
+    18 => MacTxAttempt("mac_tx_attempt", None, "MAC tx attempt retry={retry}") {
         /// Retry index (0 = first attempt).
-        retry: u32,
+        retry: u32 = "retry",
     },
     /// A transmission entered the air.
-    PhyTxStart {
+    19 => PhyTxStart("phy_tx_start", Some("phy_tx_started"), "PHY tx start #{tx_id} {bytes}B") {
         /// Medium transmission id.
-        tx_id: u64,
+        tx_id: u64 = "tx_id",
         /// On-air frame bytes.
-        bytes: u32,
+        bytes: u32 = "bytes",
     },
     /// A frame was received successfully.
-    PhyRx {
+    20 => PhyRx("phy_rx", Some("phy_delivered"), "PHY rx #{tx_id}") {
         /// Medium transmission id of the received frame.
-        tx_id: u64,
+        tx_id: u64 = "tx_id",
     },
     /// A reception was destroyed by interference.
-    PhyCollision {
+    21 => PhyCollision("phy_collision", Some("phy_collisions"), "PHY collision #{tx_id}") {
         /// Medium transmission id of the lost frame.
-        tx_id: u64,
+        tx_id: u64 = "tx_id",
     },
     /// A reception survived interference via capture.
-    PhyCapture {
+    22 => PhyCapture("phy_capture", Some("phy_captures"), "PHY capture #{tx_id}") {
         /// Medium transmission id of the captured frame.
-        tx_id: u64,
+        tx_id: u64 = "tx_id",
     },
     /// A reception failed on noise (PER draw).
-    PhyNoise {
+    23 => PhyNoise("phy_noise", Some("phy_noise_losses"), "PHY noise loss #{tx_id}") {
         /// Medium transmission id of the lost frame.
-        tx_id: u64,
+        tx_id: u64 = "tx_id",
     },
     /// Periodic per-node sample of the cross-layer signals.
-    NodeProbe {
+    24 => NodeProbe("node_probe", None,
+        "PROBE queue={queue:.3} busy={busy:.3} load={load:.3} fwd_p={fwd_p:.3}") {
         /// Interface-queue utilisation `[0, 1]`.
-        queue: f64,
+        queue: f64 = "queue" [6],
         /// Channel busy ratio `[0, 1]`.
-        busy: f64,
+        busy: f64 = "busy" [6],
         /// Neighbourhood load estimate `[0, 1]` (0 for load-blind schemes).
-        load: f64,
+        load: f64 = "load" [6],
         /// Rebroadcast probability the policy would apply right now.
-        fwd_p: f64,
+        fwd_p: f64 = "fwd_p" [6],
     },
     /// A node crashed (fault schedule): radio off, all state lost.
-    NodeDown {
+    25 => NodeDown("node_down", Some("fault_node_down"), "FAULT node down inc={incarnation}") {
         /// Incarnation being retired (0 for the boot-time instance).
-        incarnation: u32,
+        incarnation: u32 = "inc",
     },
     /// A node rebooted with cold routing/MAC/neighbour state.
-    NodeUp {
+    26 => NodeUp("node_up", Some("fault_node_up"), "FAULT node up inc={incarnation}") {
         /// New incarnation number (1 for the first reboot).
-        incarnation: u32,
+        incarnation: u32 = "inc",
     },
     /// A non-churn fault was injected (noise burst edge or link shift).
-    FaultInjected {
+    27 => FaultInjected("fault_injected", Some("fault_injected"), "FAULT inject [{fault}]") {
         /// Which fault model fired.
-        fault: FaultCode,
+        fault: FaultCode = "fault",
     },
     /// Periodic event-loop sample (behind the `profile` flag).
-    EngineProbe {
+    28 => EngineProbe("engine_probe", None, "ENGINE events={events} rate={rate:.0}/s heap={heap}") {
         /// Events processed since the run started.
-        events: u64,
+        events: u64 = "events",
         /// Events per wall-clock second over the last tick.
-        rate: f64,
+        rate: f64 = "rate" [1],
         /// Future-event-list depth.
-        heap: u64,
+        heap: u64 = "heap",
     },
-}
-
-impl EventKind {
-    /// Stable snake_case kind name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::RreqOriginate { .. } => "rreq_originate",
-            EventKind::RreqRecv { .. } => "rreq_recv",
-            EventKind::RreqDuplicate { .. } => "rreq_duplicate",
-            EventKind::RreqForward { .. } => "rreq_forward",
-            EventKind::RreqSuppress { .. } => "rreq_suppress",
-            EventKind::RrepGenerate { .. } => "rrep_generate",
-            EventKind::RrepForward { .. } => "rrep_forward",
-            EventKind::RrepDrop { .. } => "rrep_drop",
-            EventKind::RerrSend { .. } => "rerr_send",
-            EventKind::HelloSend { .. } => "hello_send",
-            EventKind::DataOriginate { .. } => "data_originate",
-            EventKind::DataForward { .. } => "data_forward",
-            EventKind::DataDeliver { .. } => "data_deliver",
-            EventKind::DataDrop { .. } => "data_drop",
-            EventKind::CtrlDrop { .. } => "ctrl_drop",
-            EventKind::MacEnqueue { .. } => "mac_enqueue",
-            EventKind::MacDequeue { .. } => "mac_dequeue",
-            EventKind::MacBackoff { .. } => "mac_backoff",
-            EventKind::MacTxAttempt { .. } => "mac_tx_attempt",
-            EventKind::PhyTxStart { .. } => "phy_tx_start",
-            EventKind::PhyRx { .. } => "phy_rx",
-            EventKind::PhyCollision { .. } => "phy_collision",
-            EventKind::PhyCapture { .. } => "phy_capture",
-            EventKind::PhyNoise { .. } => "phy_noise",
-            EventKind::NodeProbe { .. } => "node_probe",
-            EventKind::NodeDown { .. } => "node_down",
-            EventKind::NodeUp { .. } => "node_up",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::EngineProbe { .. } => "engine_probe",
-        }
-    }
 }
 
 /// One structured trace record.
@@ -342,10 +506,14 @@ pub struct TelemetryEvent {
     pub kind: EventKind,
 }
 
+// Every sink buffers these by value and `Tel::emit` builds one per call, so
+// a table entry that widens the payload is a hot-path change, not a free one.
+const _: () = assert!(std::mem::size_of::<EventKind>() == 40);
+const _: () = assert!(std::mem::size_of::<TelemetryEvent>() == 56);
+
 impl TelemetryEvent {
     /// Serialize as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::with_capacity(96);
         let _ = write!(
             s,
@@ -355,215 +523,21 @@ impl TelemetryEvent {
             self.node,
             self.kind.name()
         );
-        match self.kind {
-            EventKind::RreqOriginate { id, target } => {
-                let _ = write!(s, ",\"id\":{id},\"target\":{target}");
-            }
-            EventKind::RreqRecv { origin, id }
-            | EventKind::RreqDuplicate { origin, id }
-            | EventKind::RreqForward { origin, id }
-            | EventKind::RreqSuppress { origin, id } => {
-                let _ = write!(s, ",\"origin\":{origin},\"id\":{id}");
-            }
-            EventKind::RrepGenerate { origin, target }
-            | EventKind::RrepForward { origin, target }
-            | EventKind::RrepDrop { origin, target } => {
-                let _ = write!(s, ",\"origin\":{origin},\"target\":{target}");
-            }
-            EventKind::RerrSend { count } => {
-                let _ = write!(s, ",\"count\":{count}");
-            }
-            EventKind::HelloSend { seq } => {
-                let _ = write!(s, ",\"seq\":{seq}");
-            }
-            EventKind::DataOriginate { flow, seq }
-            | EventKind::DataForward { flow, seq }
-            | EventKind::DataDeliver { flow, seq } => {
-                let _ = write!(s, ",\"flow\":{flow},\"seq\":{seq}");
-            }
-            EventKind::DataDrop { reason, flow, seq } => {
-                let _ = write!(
-                    s,
-                    ",\"reason\":\"{}\",\"flow\":{flow},\"seq\":{seq}",
-                    reason.name()
-                );
-            }
-            EventKind::CtrlDrop { reason } => {
-                let _ = write!(s, ",\"reason\":\"{}\"", reason.name());
-            }
-            EventKind::MacEnqueue { depth } | EventKind::MacDequeue { depth } => {
-                let _ = write!(s, ",\"depth\":{depth}");
-            }
-            EventKind::MacBackoff { slots } => {
-                let _ = write!(s, ",\"slots\":{slots}");
-            }
-            EventKind::MacTxAttempt { retry } => {
-                let _ = write!(s, ",\"retry\":{retry}");
-            }
-            EventKind::PhyTxStart { tx_id, bytes } => {
-                let _ = write!(s, ",\"tx_id\":{tx_id},\"bytes\":{bytes}");
-            }
-            EventKind::PhyRx { tx_id }
-            | EventKind::PhyCollision { tx_id }
-            | EventKind::PhyCapture { tx_id }
-            | EventKind::PhyNoise { tx_id } => {
-                let _ = write!(s, ",\"tx_id\":{tx_id}");
-            }
-            EventKind::NodeProbe {
-                queue,
-                busy,
-                load,
-                fwd_p,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"queue\":{queue:.6},\"busy\":{busy:.6},\"load\":{load:.6},\"fwd_p\":{fwd_p:.6}"
-                );
-            }
-            EventKind::NodeDown { incarnation } | EventKind::NodeUp { incarnation } => {
-                let _ = write!(s, ",\"inc\":{incarnation}");
-            }
-            EventKind::FaultInjected { fault } => {
-                let _ = write!(s, ",\"fault\":\"{}\"", fault.name());
-            }
-            EventKind::EngineProbe { events, rate, heap } => {
-                let _ = write!(s, ",\"events\":{events},\"rate\":{rate:.1},\"heap\":{heap}");
-            }
-        }
+        self.kind.write_json(&mut s);
         s.push('}');
         s
     }
 
-    /// Parse one JSONL line. Returns `None` on malformed input or an
-    /// unknown kind (forward compatibility: unknown lines are skippable).
+    /// Parse one JSONL line. Returns `None` on malformed input, an
+    /// out-of-range field or an unknown kind (forward compatibility:
+    /// unknown lines are skippable).
     pub fn from_jsonl(line: &str) -> Option<Self> {
         let pairs = parse_object(line)?;
-        let u32_of = |k: &str| get(&pairs, k).and_then(JsonValue::as_u64).map(|v| v as u32);
-        let u64_of = |k: &str| get(&pairs, k).and_then(JsonValue::as_u64);
-        let f64_of = |k: &str| get(&pairs, k).and_then(JsonValue::as_f64);
-        let t_ns = u64_of("t")?;
-        let run = u32_of("run")?;
-        let node = u32_of("node")?;
-        let kind_name = get(&pairs, "kind")?.as_str()?;
-        let reason = || {
-            get(&pairs, "reason")
-                .and_then(|v| v.as_str())
-                .and_then(DropReason::from_name)
-        };
-        let kind = match kind_name {
-            "rreq_originate" => EventKind::RreqOriginate {
-                id: u32_of("id")?,
-                target: u32_of("target")?,
-            },
-            "rreq_recv" => EventKind::RreqRecv {
-                origin: u32_of("origin")?,
-                id: u32_of("id")?,
-            },
-            "rreq_duplicate" => EventKind::RreqDuplicate {
-                origin: u32_of("origin")?,
-                id: u32_of("id")?,
-            },
-            "rreq_forward" => EventKind::RreqForward {
-                origin: u32_of("origin")?,
-                id: u32_of("id")?,
-            },
-            "rreq_suppress" => EventKind::RreqSuppress {
-                origin: u32_of("origin")?,
-                id: u32_of("id")?,
-            },
-            "rrep_generate" => EventKind::RrepGenerate {
-                origin: u32_of("origin")?,
-                target: u32_of("target")?,
-            },
-            "rrep_forward" => EventKind::RrepForward {
-                origin: u32_of("origin")?,
-                target: u32_of("target")?,
-            },
-            "rrep_drop" => EventKind::RrepDrop {
-                origin: u32_of("origin")?,
-                target: u32_of("target")?,
-            },
-            "rerr_send" => EventKind::RerrSend {
-                count: u32_of("count")?,
-            },
-            "hello_send" => EventKind::HelloSend {
-                seq: u32_of("seq")?,
-            },
-            "data_originate" => EventKind::DataOriginate {
-                flow: u32_of("flow")?,
-                seq: u32_of("seq")?,
-            },
-            "data_forward" => EventKind::DataForward {
-                flow: u32_of("flow")?,
-                seq: u32_of("seq")?,
-            },
-            "data_deliver" => EventKind::DataDeliver {
-                flow: u32_of("flow")?,
-                seq: u32_of("seq")?,
-            },
-            "data_drop" => EventKind::DataDrop {
-                reason: reason()?,
-                flow: u32_of("flow")?,
-                seq: u32_of("seq")?,
-            },
-            "ctrl_drop" => EventKind::CtrlDrop { reason: reason()? },
-            "mac_enqueue" => EventKind::MacEnqueue {
-                depth: u32_of("depth")?,
-            },
-            "mac_dequeue" => EventKind::MacDequeue {
-                depth: u32_of("depth")?,
-            },
-            "mac_backoff" => EventKind::MacBackoff {
-                slots: u32_of("slots")?,
-            },
-            "mac_tx_attempt" => EventKind::MacTxAttempt {
-                retry: u32_of("retry")?,
-            },
-            "phy_tx_start" => EventKind::PhyTxStart {
-                tx_id: u64_of("tx_id")?,
-                bytes: u32_of("bytes")?,
-            },
-            "phy_rx" => EventKind::PhyRx {
-                tx_id: u64_of("tx_id")?,
-            },
-            "phy_collision" => EventKind::PhyCollision {
-                tx_id: u64_of("tx_id")?,
-            },
-            "phy_capture" => EventKind::PhyCapture {
-                tx_id: u64_of("tx_id")?,
-            },
-            "phy_noise" => EventKind::PhyNoise {
-                tx_id: u64_of("tx_id")?,
-            },
-            "node_probe" => EventKind::NodeProbe {
-                queue: f64_of("queue")?,
-                busy: f64_of("busy")?,
-                load: f64_of("load")?,
-                fwd_p: f64_of("fwd_p")?,
-            },
-            "node_down" => EventKind::NodeDown {
-                incarnation: u32_of("inc")?,
-            },
-            "node_up" => EventKind::NodeUp {
-                incarnation: u32_of("inc")?,
-            },
-            "fault_injected" => EventKind::FaultInjected {
-                fault: get(&pairs, "fault")
-                    .and_then(|v| v.as_str())
-                    .and_then(FaultCode::from_name)?,
-            },
-            "engine_probe" => EventKind::EngineProbe {
-                events: u64_of("events")?,
-                rate: f64_of("rate")?,
-                heap: u64_of("heap")?,
-            },
-            _ => return None,
-        };
         Some(TelemetryEvent {
-            t_ns,
-            run,
-            node,
-            kind,
+            t_ns: Field::read_json(get(&pairs, "t")?)?,
+            run: Field::read_json(get(&pairs, "run")?)?,
+            node: Field::read_json(get(&pairs, "node")?)?,
+            kind: EventKind::read_json(get(&pairs, "kind")?.as_str()?, &pairs)?,
         })
     }
 
@@ -575,284 +549,18 @@ impl TelemetryEvent {
         out.u64(self.t_ns);
         out.u32(self.run);
         out.u32(self.node);
-        match self.kind {
-            EventKind::RreqOriginate { id, target } => {
-                out.u8(0);
-                out.u32(id);
-                out.u32(target);
-            }
-            EventKind::RreqRecv { origin, id } => {
-                out.u8(1);
-                out.u32(origin);
-                out.u32(id);
-            }
-            EventKind::RreqDuplicate { origin, id } => {
-                out.u8(2);
-                out.u32(origin);
-                out.u32(id);
-            }
-            EventKind::RreqForward { origin, id } => {
-                out.u8(3);
-                out.u32(origin);
-                out.u32(id);
-            }
-            EventKind::RreqSuppress { origin, id } => {
-                out.u8(4);
-                out.u32(origin);
-                out.u32(id);
-            }
-            EventKind::RrepGenerate { origin, target } => {
-                out.u8(5);
-                out.u32(origin);
-                out.u32(target);
-            }
-            EventKind::RrepForward { origin, target } => {
-                out.u8(6);
-                out.u32(origin);
-                out.u32(target);
-            }
-            EventKind::RrepDrop { origin, target } => {
-                out.u8(7);
-                out.u32(origin);
-                out.u32(target);
-            }
-            EventKind::RerrSend { count } => {
-                out.u8(8);
-                out.u32(count);
-            }
-            EventKind::HelloSend { seq } => {
-                out.u8(9);
-                out.u32(seq);
-            }
-            EventKind::DataOriginate { flow, seq } => {
-                out.u8(10);
-                out.u32(flow);
-                out.u32(seq);
-            }
-            EventKind::DataForward { flow, seq } => {
-                out.u8(11);
-                out.u32(flow);
-                out.u32(seq);
-            }
-            EventKind::DataDeliver { flow, seq } => {
-                out.u8(12);
-                out.u32(flow);
-                out.u32(seq);
-            }
-            EventKind::DataDrop { reason, flow, seq } => {
-                out.u8(13);
-                out.u8(drop_reason_code(reason));
-                out.u32(flow);
-                out.u32(seq);
-            }
-            EventKind::CtrlDrop { reason } => {
-                out.u8(14);
-                out.u8(drop_reason_code(reason));
-            }
-            EventKind::MacEnqueue { depth } => {
-                out.u8(15);
-                out.u32(depth);
-            }
-            EventKind::MacDequeue { depth } => {
-                out.u8(16);
-                out.u32(depth);
-            }
-            EventKind::MacBackoff { slots } => {
-                out.u8(17);
-                out.u32(slots);
-            }
-            EventKind::MacTxAttempt { retry } => {
-                out.u8(18);
-                out.u32(retry);
-            }
-            EventKind::PhyTxStart { tx_id, bytes } => {
-                out.u8(19);
-                out.u64(tx_id);
-                out.u32(bytes);
-            }
-            EventKind::PhyRx { tx_id } => {
-                out.u8(20);
-                out.u64(tx_id);
-            }
-            EventKind::PhyCollision { tx_id } => {
-                out.u8(21);
-                out.u64(tx_id);
-            }
-            EventKind::PhyCapture { tx_id } => {
-                out.u8(22);
-                out.u64(tx_id);
-            }
-            EventKind::PhyNoise { tx_id } => {
-                out.u8(23);
-                out.u64(tx_id);
-            }
-            EventKind::NodeProbe {
-                queue,
-                busy,
-                load,
-                fwd_p,
-            } => {
-                out.u8(24);
-                out.f64_bits(queue);
-                out.f64_bits(busy);
-                out.f64_bits(load);
-                out.f64_bits(fwd_p);
-            }
-            EventKind::NodeDown { incarnation } => {
-                out.u8(25);
-                out.u32(incarnation);
-            }
-            EventKind::NodeUp { incarnation } => {
-                out.u8(26);
-                out.u32(incarnation);
-            }
-            EventKind::FaultInjected { fault } => {
-                out.u8(27);
-                out.u8(fault_code_byte(fault));
-            }
-            EventKind::EngineProbe { events, rate, heap } => {
-                out.u8(28);
-                out.u64(events);
-                out.f64_bits(rate);
-                out.u64(heap);
-            }
-        }
+        self.kind.put(out);
     }
 
     /// Inverse of [`TelemetryEvent::encode_binary`].
     pub fn decode_binary(r: &mut ByteReader<'_>) -> Result<Self, CheckpointError> {
-        let t_ns = r.u64()?;
-        let run = r.u32()?;
-        let node = r.u32()?;
-        let tag = r.u8()?;
-        let kind = match tag {
-            0 => EventKind::RreqOriginate {
-                id: r.u32()?,
-                target: r.u32()?,
-            },
-            1 => EventKind::RreqRecv {
-                origin: r.u32()?,
-                id: r.u32()?,
-            },
-            2 => EventKind::RreqDuplicate {
-                origin: r.u32()?,
-                id: r.u32()?,
-            },
-            3 => EventKind::RreqForward {
-                origin: r.u32()?,
-                id: r.u32()?,
-            },
-            4 => EventKind::RreqSuppress {
-                origin: r.u32()?,
-                id: r.u32()?,
-            },
-            5 => EventKind::RrepGenerate {
-                origin: r.u32()?,
-                target: r.u32()?,
-            },
-            6 => EventKind::RrepForward {
-                origin: r.u32()?,
-                target: r.u32()?,
-            },
-            7 => EventKind::RrepDrop {
-                origin: r.u32()?,
-                target: r.u32()?,
-            },
-            8 => EventKind::RerrSend { count: r.u32()? },
-            9 => EventKind::HelloSend { seq: r.u32()? },
-            10 => EventKind::DataOriginate {
-                flow: r.u32()?,
-                seq: r.u32()?,
-            },
-            11 => EventKind::DataForward {
-                flow: r.u32()?,
-                seq: r.u32()?,
-            },
-            12 => EventKind::DataDeliver {
-                flow: r.u32()?,
-                seq: r.u32()?,
-            },
-            13 => EventKind::DataDrop {
-                reason: drop_reason_from_code(r.u8()?)?,
-                flow: r.u32()?,
-                seq: r.u32()?,
-            },
-            14 => EventKind::CtrlDrop {
-                reason: drop_reason_from_code(r.u8()?)?,
-            },
-            15 => EventKind::MacEnqueue { depth: r.u32()? },
-            16 => EventKind::MacDequeue { depth: r.u32()? },
-            17 => EventKind::MacBackoff { slots: r.u32()? },
-            18 => EventKind::MacTxAttempt { retry: r.u32()? },
-            19 => EventKind::PhyTxStart {
-                tx_id: r.u64()?,
-                bytes: r.u32()?,
-            },
-            20 => EventKind::PhyRx { tx_id: r.u64()? },
-            21 => EventKind::PhyCollision { tx_id: r.u64()? },
-            22 => EventKind::PhyCapture { tx_id: r.u64()? },
-            23 => EventKind::PhyNoise { tx_id: r.u64()? },
-            24 => EventKind::NodeProbe {
-                queue: r.f64_bits()?,
-                busy: r.f64_bits()?,
-                load: r.f64_bits()?,
-                fwd_p: r.f64_bits()?,
-            },
-            25 => EventKind::NodeDown {
-                incarnation: r.u32()?,
-            },
-            26 => EventKind::NodeUp {
-                incarnation: r.u32()?,
-            },
-            27 => EventKind::FaultInjected {
-                fault: fault_code_from_byte(r.u8()?)?,
-            },
-            28 => EventKind::EngineProbe {
-                events: r.u64()?,
-                rate: r.f64_bits()?,
-                heap: r.u64()?,
-            },
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown event tag {other}"
-                )))
-            }
-        };
         Ok(TelemetryEvent {
-            t_ns,
-            run,
-            node,
-            kind,
+            t_ns: r.u64()?,
+            run: r.u32()?,
+            node: r.u32()?,
+            kind: EventKind::take(r)?,
         })
     }
-}
-
-fn drop_reason_code(reason: DropReason) -> u8 {
-    DropReason::ALL
-        .iter()
-        .position(|r| *r == reason)
-        .expect("reason in ALL") as u8
-}
-
-fn drop_reason_from_code(code: u8) -> Result<DropReason, CheckpointError> {
-    DropReason::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown drop reason code {code}")))
-}
-
-fn fault_code_byte(fault: FaultCode) -> u8 {
-    FaultCode::ALL
-        .iter()
-        .position(|c| *c == fault)
-        .expect("fault in ALL") as u8
-}
-
-fn fault_code_from_byte(code: u8) -> Result<FaultCode, CheckpointError> {
-    FaultCode::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown fault code {code}")))
 }
 
 /// Human-oriented one-line rendering (the `--trace` console format that
@@ -860,57 +568,7 @@ fn fault_code_from_byte(code: u8) -> Result<FaultCode, CheckpointError> {
 impl fmt::Display for TelemetryEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:>12.6}s n{:<3} ", self.t_ns as f64 / 1e9, self.node)?;
-        match self.kind {
-            EventKind::RreqOriginate { id, target } => {
-                write!(f, "RREQ originate id={id} -> n{target}")
-            }
-            EventKind::RreqRecv { origin, id } => write!(f, "RREQ recv ({origin},{id})"),
-            EventKind::RreqDuplicate { origin, id } => write!(f, "RREQ dup ({origin},{id})"),
-            EventKind::RreqForward { origin, id } => write!(f, "RREQ forward ({origin},{id})"),
-            EventKind::RreqSuppress { origin, id } => write!(f, "RREQ suppress ({origin},{id})"),
-            EventKind::RrepGenerate { origin, target } => {
-                write!(f, "RREP generate {target} -> {origin}")
-            }
-            EventKind::RrepForward { origin, target } => {
-                write!(f, "RREP forward {target} -> {origin}")
-            }
-            EventKind::RrepDrop { origin, target } => write!(f, "RREP drop {target} -> {origin}"),
-            EventKind::RerrSend { count } => write!(f, "RERR send x{count}"),
-            EventKind::HelloSend { seq } => write!(f, "HELLO send #{seq}"),
-            EventKind::DataOriginate { flow, seq } => write!(f, "DATA originate f{flow}#{seq}"),
-            EventKind::DataForward { flow, seq } => write!(f, "DATA forward f{flow}#{seq}"),
-            EventKind::DataDeliver { flow, seq } => write!(f, "DATA deliver f{flow}#{seq}"),
-            EventKind::DataDrop { reason, flow, seq } => {
-                write!(f, "DATA drop f{flow}#{seq} [{}]", reason.name())
-            }
-            EventKind::CtrlDrop { reason } => write!(f, "CTRL drop [{}]", reason.name()),
-            EventKind::MacEnqueue { depth } => write!(f, "MAC enqueue depth={depth}"),
-            EventKind::MacDequeue { depth } => write!(f, "MAC dequeue depth={depth}"),
-            EventKind::MacBackoff { slots } => write!(f, "MAC backoff slots={slots}"),
-            EventKind::MacTxAttempt { retry } => write!(f, "MAC tx attempt retry={retry}"),
-            EventKind::PhyTxStart { tx_id, bytes } => {
-                write!(f, "PHY tx start #{tx_id} {bytes}B")
-            }
-            EventKind::PhyRx { tx_id } => write!(f, "PHY rx #{tx_id}"),
-            EventKind::PhyCollision { tx_id } => write!(f, "PHY collision #{tx_id}"),
-            EventKind::PhyCapture { tx_id } => write!(f, "PHY capture #{tx_id}"),
-            EventKind::PhyNoise { tx_id } => write!(f, "PHY noise loss #{tx_id}"),
-            EventKind::NodeProbe {
-                queue,
-                busy,
-                load,
-                fwd_p,
-            } => write!(
-                f,
-                "PROBE queue={queue:.3} busy={busy:.3} load={load:.3} fwd_p={fwd_p:.3}"
-            ),
-            EventKind::NodeDown { incarnation } => write!(f, "FAULT node down inc={incarnation}"),
-            EventKind::NodeUp { incarnation } => write!(f, "FAULT node up inc={incarnation}"),
-            EventKind::FaultInjected { fault } => write!(f, "FAULT inject [{}]", fault.name()),
-            EventKind::EngineProbe { events, rate, heap } => {
-                write!(f, "ENGINE events={events} rate={rate:.0}/s heap={heap}")
-            }
-        }
+        self.kind.show(f)
     }
 }
 
@@ -1094,5 +752,97 @@ mod tests {
             assert_eq!(FaultCode::from_name(c.name()), Some(c));
         }
         assert_eq!(FaultCode::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn schema_table_is_self_consistent() {
+        use std::collections::HashSet;
+        let names: HashSet<&str> = EventKind::NAMES.iter().copied().collect();
+        assert_eq!(names.len(), EventKind::NAMES.len(), "duplicate kind name");
+
+        // Tags are unique, dense `0..NAMES.len()` and in table order: an
+        // all-zero payload decodes under every tag below `NAMES.len()` to
+        // the kind declared at that position, and under no other tag. (A
+        // duplicate tag or name in the table is otherwise only an
+        // `unreachable_patterns` warning.)
+        for tag in 0..=u8::MAX {
+            let mut bytes = vec![0u8; 16];
+            bytes.push(tag);
+            bytes.extend([0u8; 40]);
+            let decoded = TelemetryEvent::decode_binary(&mut ByteReader::new(&bytes));
+            let Some(name) = EventKind::NAMES.get(tag as usize) else {
+                assert!(decoded.is_err(), "tag {tag} decodes but has no name");
+                continue;
+            };
+            let ev = decoded.unwrap_or_else(|e| panic!("tag {tag} ({name}) is a gap: {e:?}"));
+            assert_eq!(ev.kind.name(), *name, "tag {tag} is out of table order");
+            let mut w = ByteWriter::new();
+            ev.encode_binary(&mut w);
+            assert_eq!(w.into_inner()[16], tag, "{name} writes another tag");
+            assert_eq!(TelemetryEvent::from_jsonl(&ev.to_jsonl()), Some(ev));
+        }
+        let sampled: HashSet<&str> = samples().iter().map(|ev| ev.kind.name()).collect();
+        assert_eq!(sampled, names, "samples() must cover every kind");
+
+        // Only kinds map to counters, no two kinds to the same one; probes
+        // and micro-events stay unmapped and drops map per reason.
+        assert_eq!(counter_for_event("no_such_kind"), None);
+        let mapped: Vec<&str> = EventKind::NAMES
+            .iter()
+            .filter_map(|n| counter_for_event(n))
+            .collect();
+        assert_eq!(mapped.len(), 24);
+        assert_eq!(mapped.iter().collect::<HashSet<_>>().len(), mapped.len());
+        assert_eq!(counter_for_event("rreq_forward"), Some("rreq_forwarded"));
+        assert_eq!(counter_for_event("phy_rx"), Some("phy_delivered"));
+        for unmapped in [
+            "node_probe",
+            "engine_probe",
+            "mac_tx_attempt",
+            "data_drop",
+            "ctrl_drop",
+        ] {
+            assert!(names.contains(unmapped));
+            assert_eq!(counter_for_event(unmapped), None);
+        }
+        for r in DropReason::ALL {
+            assert_eq!(crate::counter_for_drop(r), format!("drop_{}", r.name()));
+            if let Some(name) = crate::counter_for_ctrl_drop(r) {
+                assert_eq!(name, format!("drop_ctrl_{}", r.name()));
+            }
+        }
+        assert_eq!(
+            crate::counter_for_ctrl_drop(DropReason::QueueFull),
+            Some("drop_ctrl_queue_full")
+        );
+        assert_eq!(
+            crate::counter_for_ctrl_drop(DropReason::NodeDown),
+            Some("drop_ctrl_node_down")
+        );
+        assert_eq!(crate::counter_for_ctrl_drop(DropReason::NoRoute), None);
+    }
+
+    #[test]
+    fn jsonl_integers_are_exact_and_range_checked() {
+        let line = |node: &str, tx_id: &str| {
+            format!("{{\"t\":1,\"run\":0,\"node\":{node},\"kind\":\"phy_rx\",\"tx_id\":{tx_id}}}")
+        };
+        // Above 2^53 an f64 detour would round to ...992.
+        let ev = TelemetryEvent::from_jsonl(&line("7", "9007199254740993")).expect("parse");
+        assert_eq!(
+            ev.kind,
+            EventKind::PhyRx {
+                tx_id: 9_007_199_254_740_993
+            }
+        );
+        // A u32 field one past its range refuses the line; it used to wrap
+        // to node 0.
+        assert_eq!(TelemetryEvent::from_jsonl(&line("4294967296", "1")), None);
+        assert_eq!(TelemetryEvent::from_jsonl(&line("7", "-1")), None);
+        assert_eq!(TelemetryEvent::from_jsonl(&line("7", "1.5")), None);
+        assert_eq!(
+            TelemetryEvent::from_jsonl(&line("7", "18446744073709551616")),
+            None
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! element-wise sum — associative and commutative, which is what lets
 //! per-region profiles from any worker count fold into the same totals.
 
+use crate::json::{get, parse_object, JsonValue};
+
 /// Number of buckets: one for zero plus one per bit position of `u64`.
 pub const BUCKETS: usize = 65;
 
@@ -169,35 +171,23 @@ impl LogHistogram {
     }
 
     /// Parse the encoding produced by [`to_json`](LogHistogram::to_json).
-    ///
-    /// Integers are extracted textually rather than through the generic
-    /// flat-JSON codec: that codec goes through `f64`, which would corrupt
-    /// nanosecond sums and extremes above 2^53.
     pub fn from_json(line: &str) -> Option<Self> {
-        fn int_field(line: &str, key: &str) -> Option<u64> {
-            let tag = format!("\"{key}\":");
-            let start = line.find(&tag)? + tag.len();
-            let digits: &str = &line[start..];
-            let end = digits
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(digits.len());
-            digits[..end].parse().ok()
-        }
+        let obj = parse_object(line)?;
+        let int = |key: &str| get(&obj, key).and_then(JsonValue::as_u64);
         let mut h = Self::new();
-        h.count = int_field(line, "count")?;
-        h.sum = int_field(line, "sum")?;
-        h.max = int_field(line, "max")?;
-        let min = int_field(line, "min")?;
+        h.count = int("count")?;
+        h.sum = int("sum")?;
+        h.max = int("max")?;
+        let min = int("min")?;
         h.min = if h.count == 0 { u64::MAX } else { min };
-        let tag = "\"buckets\":[";
-        let bstart = line.find(tag)? + tag.len();
-        let bend = bstart + line[bstart..].find(']')?;
-        let mut tokens = line[bstart..bend].split(',');
-        for slot in h.buckets.iter_mut() {
-            *slot = tokens.next()?.trim().parse().ok()?;
+        let Some(JsonValue::Arr(buckets)) = get(&obj, "buckets") else {
+            return None;
+        };
+        if buckets.len() != BUCKETS {
+            return None;
         }
-        if tokens.next().is_some() {
-            return None; // wrong bucket count
+        for (slot, v) in h.buckets.iter_mut().zip(buckets) {
+            *slot = v.as_u64()?;
         }
         Some(h)
     }

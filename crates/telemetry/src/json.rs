@@ -2,11 +2,21 @@
 //! there is no serde). Only the flat shapes this workspace writes are
 //! supported: one-level objects whose values are numbers, strings, booleans,
 //! null, or arrays of numbers/strings.
+//!
+//! Integer rule: a token of plain decimal digits that fits `u64` is kept
+//! exact as [`JsonValue::Int`] and never passes through `f64`, so
+//! nanosecond sums, transmission ids and seeds above 2^53 survive a
+//! round trip; every other number is a [`JsonValue::Num`]. A bare word must
+//! be exactly `true`, `false` or `null`, or parse as a number.
 
-/// A parsed JSON value (flat subset).
-#[derive(Clone, Debug, PartialEq)]
+/// A parsed JSON value (flat subset). Numbers compare by value: `1` equals
+/// `1.0`, and an `Int` equals a `Num` only when the float holds exactly that
+/// integer.
+#[derive(Clone, Debug)]
 pub enum JsonValue {
-    /// A number (all JSON numbers parse as `f64`).
+    /// A non-negative integer written as plain digits, exact.
+    Int(u64),
+    /// Any other number (signed, fractional, exponent, beyond `u64`).
     Num(f64),
     /// A string (unescaped).
     Str(String),
@@ -18,19 +28,40 @@ pub enum JsonValue {
     Arr(Vec<JsonValue>),
 }
 
+impl PartialEq for JsonValue {
+    fn eq(&self, other: &Self) -> bool {
+        use JsonValue::*;
+        match (self, other) {
+            (Int(a), Int(b)) => a == b,
+            (Num(a), Num(b)) => a == b,
+            (Int(_), Num(_)) | (Num(_), Int(_)) => self.as_u64() == other.as_u64(),
+            (Str(a), Str(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Null, Null) => true,
+            (Arr(a), Arr(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 impl JsonValue {
     /// The value as an `f64`, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if numeric and integral.
+    /// The value as a `u64`, if numeric, integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Int(n) => Some(*n),
+            // 2^64 as f64: the first value `as u64` would saturate.
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 18446744073709551616.0 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -142,18 +173,6 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek()? {
             b'"' => Some(JsonValue::Str(self.string()?)),
-            b't' => {
-                self.pos += 4;
-                Some(JsonValue::Bool(true))
-            }
-            b'f' => {
-                self.pos += 5;
-                Some(JsonValue::Bool(false))
-            }
-            b'n' => {
-                self.pos += 4;
-                Some(JsonValue::Null)
-            }
             b'[' => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -180,8 +199,17 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                let s = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-                s.parse::<f64>().ok().map(JsonValue::Num)
+                match std::str::from_utf8(&self.bytes[start..self.pos]).ok()? {
+                    "true" => Some(JsonValue::Bool(true)),
+                    "false" => Some(JsonValue::Bool(false)),
+                    "null" => Some(JsonValue::Null),
+                    s if s.bytes().all(|b| b.is_ascii_digit()) => s
+                        .parse()
+                        .map(JsonValue::Int)
+                        .or_else(|_| s.parse().map(JsonValue::Num))
+                        .ok(),
+                    s => s.parse().ok().map(JsonValue::Num),
+                }
             }
         }
     }
@@ -270,5 +298,37 @@ mod tests {
     #[test]
     fn empty_object() {
         assert_eq!(parse_object("{}"), Some(vec![]));
+    }
+
+    #[test]
+    fn bare_words_must_be_exact_literals() {
+        for bad in ["txyz", "nope", "fxxxx", "tru", "nul", "truee", "True"] {
+            assert_eq!(parse_object(&format!("{{\"a\":{bad}}}")), None, "{bad}");
+            assert_eq!(parse_object(&format!("{{\"a\":[{bad}]}}")), None, "{bad}");
+        }
+        let pairs = parse_object("{\"a\":true,\"b\":false,\"c\":null}").expect("parse");
+        assert_eq!(get(&pairs, "a"), Some(&JsonValue::Bool(true)));
+        assert_eq!(get(&pairs, "b"), Some(&JsonValue::Bool(false)));
+        assert_eq!(get(&pairs, "c"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn integer_tokens_stay_exact() {
+        let pairs = parse_object(
+            "{\"a\":9007199254740993,\"b\":18446744073709551615,\"c\":18446744073709551616,\
+             \"d\":1e3,\"e\":7,\"f\":7.0,\"g\":[18446744073709551615]}",
+        )
+        .expect("parse");
+        let v = |k: &str| get(&pairs, k).unwrap();
+        assert_eq!(v("a").as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(v("b").as_u64(), Some(u64::MAX));
+        // One past u64::MAX is a float and no longer saturates into range.
+        assert_eq!(v("c").as_u64(), None);
+        assert_eq!(v("c").as_f64(), Some(18446744073709551616.0));
+        assert_eq!(v("d").as_u64(), Some(1000));
+        assert_eq!(v("e").as_f64(), Some(7.0));
+        assert_eq!(v("e"), v("f"), "numbers compare by value");
+        assert_ne!(v("a"), &JsonValue::Num(9007199254740992.0));
+        assert_eq!(v("g"), &JsonValue::Arr(vec![JsonValue::Int(u64::MAX)]));
     }
 }

@@ -27,8 +27,10 @@ pub mod profile;
 pub mod sink;
 
 pub use config::{next_run_id, shared_file_sink, TelemetryConfig};
-pub use counters::{counter_for_ctrl_drop, counter_for_drop, counter_for_event, Counters};
-pub use event::{DropReason, EventKind, FaultCode, TelemetryEvent};
+pub use counters::{counter_for_ctrl_drop, Counters};
+pub use event::{
+    counter_for_drop, counter_for_event, DropReason, EventKind, FaultCode, TelemetryEvent,
+};
 pub use export::{counters_to_prometheus, profile_to_prometheus};
 pub use histogram::LogHistogram;
 pub use json::{escape_json, parse_object, JsonValue};

@@ -65,6 +65,7 @@ pub struct Divergence {
 
 fn render(v: &JsonValue) -> String {
     match v {
+        JsonValue::Int(n) => n.to_string(),
         JsonValue::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
                 format!("{}", *n as i64)

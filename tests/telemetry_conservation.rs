@@ -352,3 +352,28 @@ fn conservation_and_registry_hold_under_active_faults() {
     // The outage log matches the crash/reboot counts.
     assert_eq!(results.outages_s.len() as u64, results.faults.node_down);
 }
+
+#[test]
+fn schema_counters_are_registered_and_traced_kinds_are_declared() {
+    // A crash with a reboot and a link shift make every fault counter
+    // nonzero, so the registry of this run holds every name a layer can
+    // register: each counter the event-schema table mirrors must be one of
+    // them (a typo in the table would otherwise verify against a constant
+    // 0), and each kind the stack emits must be a declared one.
+    let plan = FaultPlan::new()
+        .fail_node_for(7, SimTime::from_secs_f64(4.0), SimDuration::from_secs(2))
+        .link_shift(8, 20.0, SimTime::from_secs_f64(6.0));
+    let (results, events, _) = trace_scenario(small_5x5_10s().faults(plan));
+    let counters = results.counters();
+    for kind in EventKind::NAMES {
+        if let Some(name) = counter_for_event(kind) {
+            assert!(
+                counters.contains(name),
+                "{kind} mirrors `{name}`, which no layer registers"
+            );
+        }
+    }
+    for ev in &events {
+        assert!(EventKind::NAMES.contains(&ev.kind.name()));
+    }
+}
