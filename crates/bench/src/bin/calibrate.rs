@@ -6,6 +6,7 @@ use wmn_metrics::{run_replications, seeds_from, MeanCi};
 use wmn_sim::SimDuration;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let variants: Vec<(&str, Scheme)> = vec![
         ("flooding", Scheme::Flooding),
         ("cnlr b2.0", Scheme::Cnlr(CnlrConfig::default())),

@@ -11,6 +11,7 @@ use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, Fig
 use wmn_sim::SimTime;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig10",
         title: "Gateway backhaul: convergecast to the centre",

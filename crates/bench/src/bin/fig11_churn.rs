@@ -21,7 +21,7 @@ use wmn_bench::{emit, parse_fig_args, sweep_durations, FigureSpec};
 use wmn_served::ScenarioSpec;
 
 fn main() {
-    let served = parse_fig_args("fig11_churn");
+    let served = parse_fig_args("fig11_churn", true);
     let spec = FigureSpec {
         id: "fig11",
         title: "Node churn: delivery and recovery vs crash rate",

@@ -15,7 +15,7 @@
 //! smoke job); the full sweep covers {100, 400, 1000, 4000, 10000}.
 
 use cnlr::{presets, CnlrConfig, RunResults, Scheme};
-use wmn_bench::{emit, quick_mode, record_bench, replication_seeds, write_manifest, FigureSpec};
+use wmn_bench::{emit, quick_mode, replication_seeds, write_manifest, FigureSpec};
 use wmn_metrics::{run_jobs, ResultTable};
 use wmn_sim::SimDuration;
 
@@ -26,6 +26,7 @@ struct Column {
 }
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig12",
         title: "Scale sweep: wall-clock and cache behaviour vs network size",
@@ -152,8 +153,6 @@ fn main() {
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    let n_jobs = xs.len() * columns.len();
-    record_bench("sweep", spec.id, wall_s, n_jobs, threads);
 
     let schemes = vec![Scheme::Flooding, Scheme::Cnlr(CnlrConfig::default())];
     write_manifest(

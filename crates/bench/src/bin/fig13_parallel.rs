@@ -15,12 +15,13 @@
 //! `QUICK=1` shrinks to 1k nodes × {1, 2} threads for the CI smoke job.
 
 use cnlr::parmesh::{ParMesh, ParMeshReport};
-use wmn_bench::{emit, quick_mode, record_bench, FigureSpec};
+use wmn_bench::{emit, quick_mode, FigureSpec};
 use wmn_metrics::ResultTable;
 use wmn_sim::SimDuration;
 use wmn_telemetry::{git_rev, Counters, RunManifest};
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig13",
         title: "Shard-parallel engine: wall-clock vs worker threads",
@@ -124,13 +125,6 @@ fn main() {
             total_events += r.events;
             walls[ni].push(wall);
             wait_shares[ni].push(profile.barrier_wait_share());
-            record_bench(
-                "parallel",
-                &format!("{}_n{}_t{}", spec.id, n, t),
-                wall,
-                1,
-                t,
-            );
         }
         let r = baselines[ni].as_ref().expect("at least one run");
         params.push((format!("pdr_n{n}"), format!("{:.4}", r.pdr())));
@@ -161,9 +155,6 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    let max_threads = threads.iter().copied().max().unwrap_or(1);
-    let cells = node_counts.len() * threads.len();
-    record_bench("sweep", spec.id, wall_s, cells, max_threads);
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
         id: spec.id.to_string(),

@@ -18,12 +18,13 @@
 //! `QUICK=1` shrinks to 20k nodes × {1, 2} threads for the CI smoke job.
 
 use cnlr::parmesh::ParMesh;
-use wmn_bench::{emit, quick_mode, record_bench, FigureSpec};
+use wmn_bench::{emit, quick_mode, FigureSpec};
 use wmn_metrics::ResultTable;
 use wmn_sim::SimDuration;
 use wmn_telemetry::{git_rev, Counters, RunManifest};
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig14",
         title: "Million-node ParMesh: wall-clock, peak RSS, events",
@@ -149,13 +150,6 @@ fn main() {
                 walls[ni].push(wall);
             }
             total_events += events;
-            record_bench(
-                "million",
-                &format!("{}_n{}_t{}_steal_{}", spec.id, n, t, steal),
-                wall,
-                1,
-                t,
-            );
         }
         let (base, _) = baseline.as_ref().expect("at least one run per scale");
         let r = &base.report;
@@ -189,9 +183,6 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    let max_threads = threads.iter().copied().max().unwrap_or(1);
-    let cells = node_counts.len() * threads.len();
-    record_bench("sweep", spec.id, wall_s, cells, max_threads);
     let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
         id: spec.id.to_string(),

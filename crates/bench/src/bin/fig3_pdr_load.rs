@@ -13,7 +13,7 @@ use wmn_bench::{emit, parse_fig_args, standard_schemes, sweep_durations, FigureS
 use wmn_served::ScenarioSpec;
 
 fn main() {
-    let served = parse_fig_args("fig3_pdr_load");
+    let served = parse_fig_args("fig3_pdr_load", true);
     let spec = FigureSpec {
         id: "fig3",
         title: "Packet delivery ratio vs offered load",

@@ -8,6 +8,7 @@
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig4",
         title: "End-to-end delay vs offered load",

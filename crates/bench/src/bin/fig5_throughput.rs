@@ -6,6 +6,7 @@
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure, FigureSpec};
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig5",
         title: "Aggregate goodput vs offered load",

@@ -11,6 +11,7 @@ use wmn_bench::{emit, sweep_durations, sweep_figure_multi, FigureSpec};
 use wmn_mobility::MobilityConfig;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig7",
         title: "Mobile clients: PDR vs max speed",

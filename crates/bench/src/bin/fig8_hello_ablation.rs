@@ -11,6 +11,7 @@ use wmn_routing::RoutingConfig;
 use wmn_sim::SimDuration;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig8",
         title: "CNLR HELLO-interval sensitivity",

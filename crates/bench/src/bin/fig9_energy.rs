@@ -7,6 +7,7 @@
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let spec = FigureSpec {
         id: "fig9",
         title: "Energy per delivered packet vs offered load",

@@ -3,6 +3,7 @@
 use wmn_metrics::ResultTable;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let mut table = ResultTable::new("tab1 — Simulation parameters", &["parameter", "value"]);
     for (k, v) in cnlr::presets::parameter_table() {
         table.add_row(vec![k.to_string(), v]);

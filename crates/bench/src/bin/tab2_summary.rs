@@ -7,6 +7,7 @@ use wmn_metrics::{run_replications, MeanCi, ResultTable};
 use wmn_telemetry::Counters;
 
 fn main() {
+    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
     let t0 = std::time::Instant::now();
     let (dur, warm) = sweep_durations();
     let flows = if quick_mode() { 15 } else { 30 };

@@ -21,36 +21,35 @@
 //! (merged multi-*region* traces of one run share an id and never
 //! double-count). Unknown flags are an error (exit 2), never ignored.
 
+use cnlr::cli::{self, Argv};
 use std::collections::BTreeMap;
 use wmn_telemetry::{
     counter_for_ctrl_drop, counter_for_drop, counter_for_event, parse_object,
     profile_to_prometheus, EventKind, LogHistogram, ShardProfile, TelemetryEvent,
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: wmn-trace <summary|drops|timeline|convergence|profile|diff|ckpt|jobs> [trace.jsonl] [options]\n\
-         \n\
-         summary      event totals per kind   [--verify <manifest.json>] [--run N]\n\
-         drops        discard breakdown       [--by-reason] [--by-node] [--run N]\n\
-         timeline     one node's event log    --node N [--limit K] [--run N]\n\
-         convergence  per-bin data counts     [--bin-s S] [--run N]\n\
-         profile      engine profile report   [--prometheus]\n\
-         \u{20}             reads a --profile-out JSON artifact, or falls back\n\
-         \u{20}             to the trace's event-loop probe histograms\n\
-         diff         first divergence between two traces\n\
-         \u{20}             wmn-trace diff a.jsonl b.jsonl [--ignore f1,f2]\n\
-         ckpt         list checkpoints in a dir (or inspect one file):\n\
-         \u{20}             epoch, committed horizon, regions, events, size,\n\
-         \u{20}             checksum status, manifest lineage; corrupt files\n\
-         \u{20}             are reported and exit non-zero\n\
-         jobs         query a wmn-served daemon's queue:\n\
-         \u{20}             wmn-trace jobs <socket> [--json]\n\
-         \u{20}             queue depth, running/queued/cancelled counts,\n\
-         \u{20}             dedup economics and a per-job status table"
-    );
-    std::process::exit(2);
-}
+const BIN: &str = "wmn-trace";
+
+const USAGE: &str = "\
+usage: wmn-trace <summary|drops|timeline|convergence|profile|diff|ckpt|jobs> [trace.jsonl] [options]
+
+summary      event totals per kind   [--verify <manifest.json>] [--run N]
+drops        discard breakdown       [--by-reason] [--by-node] [--run N]
+timeline     one node's event log    --node N [--limit K] [--run N]
+convergence  per-bin data counts     [--bin-s S] [--run N]
+profile      engine profile report   [--prometheus]
+             reads a --profile-out JSON artifact, or falls back
+             to the trace's event-loop probe histograms
+diff         first divergence between two traces
+             wmn-trace diff a.jsonl b.jsonl [--ignore f1,f2]
+ckpt         list checkpoints in a dir (or inspect one file):
+             epoch, committed horizon, regions, events, size,
+             checksum status, manifest lineage; corrupt files
+             are reported and exit non-zero
+jobs         query a wmn-served daemon's queue:
+             wmn-trace jobs <socket> [--json]
+             queue depth, running/queued/cancelled counts,
+             dedup economics and a per-job status table";
 
 struct Args {
     command: String,
@@ -65,8 +64,8 @@ struct Args {
 /// Flags each command accepts, as `(name, takes_value)`. The parser
 /// rejects anything else: a silently ignored flag (or a `--verify` with a
 /// missing path) would report success without doing the requested check.
-fn known_flags(command: &str) -> &'static [(&'static str, bool)] {
-    match command {
+fn known_flags(command: &str) -> Result<&'static [(&'static str, bool)], String> {
+    Ok(match command {
         "summary" => &[("verify", true), ("run", true)],
         "drops" => &[("by-reason", false), ("by-node", false), ("run", true)],
         "timeline" => &[("node", true), ("limit", true), ("run", true)],
@@ -75,42 +74,31 @@ fn known_flags(command: &str) -> &'static [(&'static str, bool)] {
         "diff" => &[("ignore", true)],
         "ckpt" => &[],
         "jobs" => &[("json", false)],
-        _ => usage(),
-    }
+        "--help" | "-h" => cli::help(USAGE),
+        other => return Err(format!("unknown command '{other}'")),
+    })
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut argv = std::env::args().skip(1);
-        let Some(command) = argv.next() else { usage() };
-        let known = known_flags(&command);
+    fn parse(mut argv: Argv) -> Result<Self, String> {
+        let command = argv.next_arg().ok_or("missing command")?;
+        let known = known_flags(&command)?;
         let mut path: Option<std::path::PathBuf> = None;
         let mut path2: Option<std::path::PathBuf> = None;
         let mut flags = Vec::new();
-        while let Some(a) = argv.next() {
+        while let Some(a) = argv.next_arg() {
             if let Some(name) = a.strip_prefix("--") {
                 let Some(&(_, takes_value)) = known.iter().find(|(n, _)| *n == name) else {
-                    eprintln!("error: unknown flag --{name} for `{command}`");
-                    std::process::exit(2);
+                    return Err(format!("unknown flag {a} for `{command}`"));
                 };
-                let value = if takes_value {
-                    match argv.next() {
-                        Some(v) => Some(v),
-                        None => {
-                            eprintln!("error: --{name} requires a value");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    None
-                };
+                let value = takes_value.then(|| argv.value(&a)).transpose()?;
                 flags.push((name.to_string(), value));
             } else if path.is_none() {
                 path = Some(a.into());
             } else if path2.is_none() {
                 path2 = Some(a.into());
             } else {
-                usage();
+                return Err(format!("unexpected argument '{a}'"));
             }
         }
         let explicit_path = path.is_some();
@@ -122,13 +110,13 @@ impl Args {
                     .map(Into::into)
             })
             .unwrap_or_else(|| "trace.jsonl".into());
-        Args {
+        Ok(Args {
             command,
             path,
             explicit_path,
             path2,
             flags,
-        }
+        })
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -142,13 +130,13 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// The `--run N` replication filter, if given (exit 2 on a bad value).
-    fn run_filter(&self) -> Option<u32> {
-        self.value("run").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --run expects a replication id, got {v:?}");
-                std::process::exit(2);
-            })
+    /// The value of `--name` parsed as `T`, if given (exit 2 on a bad value).
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name).map(|v| {
+            cli::parse(&format!("--{name}"), v).unwrap_or_else(|e| cli::usage_error(BIN, &e))
         })
     }
 }
@@ -181,7 +169,7 @@ fn load(path: &std::path::Path) -> Vec<TelemetryEvent> {
 
 /// Apply the `--run N` replication filter in place.
 fn retain_run(events: &mut Vec<TelemetryEvent>, args: &Args) {
-    if let Some(run) = args.run_filter() {
+    if let Some(run) = args.parsed::<u32>("run") {
         let before = events.len();
         events.retain(|ev| ev.run == run);
         eprintln!("note: --run {run} kept {} of {before} events", events.len());
@@ -344,14 +332,10 @@ fn drops(events: &[TelemetryEvent], args: &Args) {
 }
 
 fn timeline(events: &[TelemetryEvent], args: &Args) {
-    let Some(node) = args.value("node").and_then(|v| v.parse::<u32>().ok()) else {
-        eprintln!("timeline requires --node N");
-        std::process::exit(2);
+    let Some(node) = args.parsed::<u32>("node") else {
+        cli::usage_error(BIN, "timeline requires --node N");
     };
-    let limit = args
-        .value("limit")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
+    let limit = args.parsed("limit").unwrap_or(usize::MAX);
     let total = events.iter().filter(|ev| ev.node == node).count();
     for (printed, ev) in events.iter().filter(|ev| ev.node == node).enumerate() {
         if printed >= limit {
@@ -366,13 +350,10 @@ fn timeline(events: &[TelemetryEvent], args: &Args) {
 }
 
 fn convergence(events: &[TelemetryEvent], args: &Args) {
-    let bin_s = args
-        .value("bin-s")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    if bin_s <= 0.0 {
-        eprintln!("--bin-s must be positive");
-        std::process::exit(2);
+    let bin_s: f64 = args.parsed("bin-s").unwrap_or(1.0);
+    // At least one nanosecond per bin: the bin index divides by it.
+    if !(bin_s >= 1e-9 && bin_s.is_finite()) {
+        cli::usage_error(BIN, "--bin-s must be positive");
     }
     let bin_ns = (bin_s * 1e9) as u64;
     #[derive(Default, Clone)]
@@ -624,11 +605,10 @@ fn profile_cmd(args: &Args) {
         return;
     }
     if args.flag("prometheus") {
-        eprintln!(
-            "error: --prometheus needs a ShardProfile artifact (wmn-sim --profile-out), \
-             not a trace"
+        cli::usage_error(
+            BIN,
+            "--prometheus needs a ShardProfile artifact (wmn-sim --profile-out), not a trace",
         );
-        std::process::exit(2);
     }
     let mut events = parse_events(&text);
     retain_run(&mut events, args);
@@ -640,8 +620,7 @@ fn profile_cmd(args: &Args) {
 /// fields), 1 at the first divergence.
 fn diff(args: &Args) {
     let Some(path_b) = args.path2.as_deref() else {
-        eprintln!("diff requires two trace paths");
-        std::process::exit(2);
+        cli::usage_error(BIN, "diff requires two trace paths");
     };
     let read_lines = |path: &std::path::Path| -> Vec<String> {
         match std::fs::read_to_string(path) {
@@ -806,8 +785,7 @@ fn ckpt_cmd(args: &Args) {
 /// `status` and `jobs` responses through for scripting.
 fn jobs_cmd(args: &Args) {
     if !args.explicit_path {
-        eprintln!("jobs requires a daemon socket path");
-        std::process::exit(2);
+        cli::usage_error(BIN, "jobs requires a daemon socket path");
     }
     let mut client = wmn_served::Client::connect(&args.path).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {}: {e}", args.path.display());
@@ -870,7 +848,7 @@ fn jobs_cmd(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(Argv::from_env()).unwrap_or_else(|e| cli::usage_error(BIN, &e));
     match args.command.as_str() {
         "diff" => return diff(&args),
         "profile" => return profile_cmd(&args),
@@ -885,6 +863,6 @@ fn main() {
         "drops" => drops(&events, &args),
         "timeline" => timeline(&events, &args),
         "convergence" => convergence(&events, &args),
-        _ => usage(),
+        other => unreachable!("`{other}` passed known_flags"),
     }
 }

@@ -5,6 +5,7 @@
 //! figure as a markdown table (mean ±95 % CI) and writes a CSV under
 //! `results/`. `QUICK=1` in the environment shrinks seeds/durations for CI.
 
+use cnlr::cli::{self, Argv};
 use cnlr::{RunResults, ScenarioBuilder, Scheme};
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
 use wmn_telemetry::{git_rev, Counters, RunManifest};
@@ -104,42 +105,12 @@ pub(crate) fn standard_params(
     ]
 }
 
-/// Append a JSONL benchmark record to the file named by `$BENCH_JSON`
-/// (no-op when the variable is unset). The bench harness concatenates these
-/// lines into the dated `BENCH_*.json` snapshot at the repo root. `threads`
-/// is the worker count the recorded work ran on (for a sweep over several
-/// counts, the largest).
-pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize, threads: usize) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    use std::io::Write;
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        Ok(mut f) => {
-            let _ = writeln!(
-                f,
-                "{{\"kind\":\"{kind}\",\"name\":\"{name}\",\"wall_s\":{wall_s:.3},\
-                 \"jobs\":{jobs},\"threads\":{threads},\"quick\":{}}}",
-                quick_mode(),
-            );
-        }
-        Err(e) => eprintln!("warning: could not append to {path}: {e}"),
-    }
-}
-
 /// The one sweep executor behind [`sweep_figure_multi`] and the
 /// [`served`] sweeps: one [`ResultTable`] per metric, rows = x values, one
 /// column per scheme. `run` performs one job and `value` reads one metric
-/// from its result; `kind` tags the bench record and `how` finishes the
-/// banner line given the worker count. Returns `(tables, runs, seeds,
-/// wall_s)` — the tables, and what the sweep's manifest is written from.
+/// from its result; `how` finishes the banner line given the worker
+/// count. Returns `(tables, runs, seeds, wall_s)` — the tables, and what
+/// the sweep's manifest is written from.
 ///
 /// The whole sweep is flattened into a single `(x, scheme, seed)` job queue
 /// so the thread pool stays saturated across cell boundaries (replication
@@ -149,7 +120,7 @@ pub fn record_bench(kind: &str, name: &str, wall_s: f64, jobs: usize, threads: u
 /// as deterministic as the nested-loop version.
 pub(crate) fn run_sweep<R: Send, M>(
     spec: &FigureSpec,
-    (kind, how): (&str, impl Fn(usize) -> String),
+    how: impl Fn(usize) -> String,
     metrics: &[(&str, M)],
     xs: &[f64],
     schemes: &[Scheme],
@@ -170,7 +141,6 @@ pub(crate) fn run_sweep<R: Send, M>(
         value(&runs[job], &metrics[mi].1)
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    record_bench(kind, spec.id, wall_s, n_jobs, threads);
     (tables, runs, seeds, wall_s)
 }
 
@@ -193,15 +163,10 @@ where
             .run()
     };
     let how = |threads| format!("on {threads} threads");
-    let (tables, runs, seeds, wall_s) = run_sweep(
-        spec,
-        ("sweep", how),
-        metrics,
-        xs,
-        schemes,
-        run,
-        |run, metric| metric(run),
-    );
+    let (tables, runs, seeds, wall_s) =
+        run_sweep(spec, how, metrics, xs, schemes, run, |run, metric| {
+            metric(run)
+        });
     write_manifest(spec, schemes, &seeds, xs, wall_s, &runs, &[]);
     tables
 }
@@ -319,39 +284,33 @@ pub fn standard_schemes() -> Vec<Scheme> {
     Scheme::evaluation_set()
 }
 
-/// Strict argv parsing for the figure binaries: the only accepted flags
-/// are `--served SOCKET` (route the sweep through a `wmn-served` daemon)
-/// and `--help`. Anything else exits 2 with usage — a silently ignored
-/// flag would run the wrong experiment and report success.
-pub fn parse_fig_args(bin: &str) -> Option<String> {
+/// Strict argv parsing for the figure binaries: `--help`, plus — where
+/// the figure can run through a `wmn-served` daemon (`takes_served`) —
+/// `--served SOCKET`, whose socket is returned. Anything else exits 2: a
+/// silently ignored flag would run the wrong experiment and report
+/// success.
+pub fn parse_fig_args(bin: &str, takes_served: bool) -> Option<String> {
+    let served_usage = match takes_served {
+        true => {
+            " [--served SOCKET]\n\n\
+             \x20 --served SOCKET   submit the sweep to a wmn-served daemon instead of\n\
+             \x20                   running in-process (CSV output is byte-identical)"
+        }
+        false => "",
+    };
     let mut served = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--served" => match args.next() {
-                Some(socket) => served = Some(socket),
-                None => {
-                    eprintln!("error: --served requires a socket path");
-                    eprintln!("usage: {bin} [--served SOCKET]");
-                    std::process::exit(2);
-                }
+    let mut argv = Argv::from_env();
+    while let Some(flag) = argv.next_arg() {
+        match flag.as_str() {
+            "--served" if takes_served => match argv.value("--served") {
+                Ok(socket) => served = Some(socket),
+                Err(e) => cli::usage_error(bin, &e),
             },
-            "--help" | "-h" => {
-                println!(
-                    "usage: {bin} [--served SOCKET]\n\
-                     \n\
-                     --served SOCKET  submit the sweep to a wmn-served daemon instead of\n\
-                     \u{20}                running in-process (CSV output is byte-identical)\n\
-                     \n\
-                     env: QUICK=1 shrinks seeds/durations; WMN_THREADS caps parallelism"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown argument '{other}' for {bin}");
-                eprintln!("usage: {bin} [--served SOCKET]");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => cli::help(&format!(
+                "usage: {bin}{served_usage}\n\n\
+                 env: QUICK=1 shrinks seeds/durations; WMN_THREADS caps parallelism"
+            )),
+            other => cli::usage_error(bin, &format!("unknown argument '{other}'")),
         }
     }
     served

@@ -71,15 +71,10 @@ where
         result
     };
     let how = |threads| format!("via daemon at {socket} ({threads} submit threads)");
-    let (tables, runs, seeds, wall_s) = run_sweep(
-        spec,
-        ("sweep_served", how),
-        metrics,
-        xs,
-        schemes,
-        run,
-        |run, key| run.metric(key),
-    );
+    let (tables, runs, seeds, wall_s) =
+        run_sweep(spec, how, metrics, xs, schemes, run, |run, key| {
+            run.metric(key)
+        });
     let totals = served_totals(spec, &runs);
     write_manifest_totals(spec, schemes, &seeds, xs, wall_s, totals);
     tables

@@ -384,7 +384,9 @@ impl ScenarioBuilder {
                 payload,
                 min_hops,
             } => {
-                let mut specs = Vec::with_capacity(*count);
+                // At most one flow per attempt, so a count from outside the
+                // program cannot size the allocation beyond the attempt cap.
+                let mut specs = Vec::with_capacity((*count).min(5000));
                 let mut attempts = 0u32;
                 while specs.len() < *count {
                     attempts += 1;

@@ -12,6 +12,8 @@
 //! * [`Scheme`] — CNLR alongside every baseline it is evaluated against;
 //! * [`ScenarioBuilder`] — the public API for assembling and running
 //!   scenarios;
+//! * [`ScenarioSpec`] — the one validated scenario description behind the
+//!   command line, the daemon's wire and the sweeps;
 //! * [`RunResults`] — network-wide measurements for the reconstructed
 //!   figures.
 //!
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod cli;
 pub mod energy;
 pub mod event;
 pub mod medium;
@@ -47,6 +50,7 @@ pub mod policy;
 pub mod presets;
 pub mod results;
 pub mod scheme;
+pub mod spec;
 
 pub use builder::{BuildError, ScenarioBuilder, ScenarioPrefix, Simulation};
 pub use energy::{EnergyMeter, EnergyParams, RadioMode};
@@ -58,6 +62,7 @@ pub use parmesh::{region_grid, ParMesh, ParMeshOutcome, ParMeshReport};
 pub use policy::{CnlrConfig, CnlrPolicy, VapCnlr, VapConfig};
 pub use results::RunResults;
 pub use scheme::Scheme;
+pub use spec::ScenarioSpec;
 pub use wmn_faults::{
     ChurnModel, FaultKind, FaultPlan, LinkFlapModel, NoiseStormModel, TimedFault,
 };

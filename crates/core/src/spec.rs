@@ -1,14 +1,21 @@
-//! The wire-level scenario description shared by daemon, client and the
-//! `--served` figure sweeps.
+//! The one scenario description: what `wmn-sim` and `wmn-submit` parse
+//! their flags into, what travels over the daemon's socket, and what the
+//! `--served` figure sweeps and the benchmark build their jobs from.
+//!
+//! Everything a scenario field needs lives here — the struct field, its
+//! default, its bound in [`ScenarioSpec::validate`], its wire key in
+//! [`ScenarioSpec::json_fields`] / [`ScenarioSpec::from_pairs`], its row in
+//! the command-line flag table and its lowering in
+//! [`ScenarioSpec::to_builder`].
 
-use cnlr::{FaultPlan, ScenarioBuilder, Scheme};
+use crate::cli::{parse, parse_pair, Argv};
+use crate::{FaultPlan, ScenarioBuilder, Scheme};
 use wmn_mobility::MobilityConfig;
 use wmn_sim::SimDuration;
 use wmn_telemetry::escape_json;
 use wmn_telemetry::json::{get, JsonValue};
 
-/// A scenario job as it travels over the socket. Field set mirrors the
-/// `wmn-sim` CLI: enough to express every served figure sweep (fig3's 8×8
+/// A scenario: enough to express every served figure sweep (fig3's 8×8
 /// load sweep, fig11's 6×6 churn sweep) exactly, while staying a flat JSON
 /// object the hand-rolled parser can read.
 ///
@@ -64,38 +71,126 @@ impl Default for ScenarioSpec {
     }
 }
 
+/// One command-line flag of a scenario. [`FLAGS`] is the only place that
+/// maps a flag to a spec field: `wmn-sim` and `wmn-submit` both parse and
+/// document their scenario flags through it.
+struct Flag {
+    name: &'static str,
+    /// Shape of the value, as the help text shows it.
+    shape: &'static str,
+    help: &'static str,
+    set: fn(&mut ScenarioSpec, &str) -> Result<(), String>,
+    /// The field's current value, for the `[default]` column.
+    show: fn(&ScenarioSpec) -> String,
+}
+
+/// A flag whose value is its field's `FromStr` / `Display` form.
+macro_rules! plain {
+    ($name:literal $shape:literal, $help:literal, $field:ident) => {
+        Flag {
+            name: $name,
+            shape: $shape,
+            help: $help,
+            set: |s, v| {
+                s.$field = parse($name, v)?;
+                Ok(())
+            },
+            show: |s| s.$field.to_string(),
+        }
+    };
+}
+
+const FLAGS: &[Flag] = &[
+    plain!("--scheme" "S", "flooding | gossip:P[:K] | counter:C[:RAD_MS] |\n\
+        \x20                   distance:DBM | cnlr | vap", scheme),
+    plain!("--seed" "N", "master seed", seed),
+    Flag {
+        name: "--grid",
+        shape: "R[xC]",
+        help: "backbone router grid, rows x columns (C = R if omitted)",
+        set: |s, v| {
+            let (rows, cols) = v.split_once('x').unwrap_or((v, v));
+            (s.grid_rows, s.grid_cols) = (parse("--grid", rows)?, parse("--grid", cols)?);
+            Ok(())
+        },
+        show: |s| format!("{}x{}", s.grid_rows, s.grid_cols),
+    },
+    plain!("--pitch" "M", "grid pitch, metres", pitch_m),
+    plain!("--flows" "N", "random CBR flows", flows),
+    plain!("--pps" "R", "packets per second per flow", pps),
+    plain!("--payload" "B", "payload bytes", payload),
+    plain!("--duration" "S", "simulated seconds", duration_s),
+    plain!("--warmup" "S", "statistics warm-up seconds", warmup_s),
+    plain!("--clients" "N", "mobile random-waypoint clients", clients),
+    plain!("--client-speed" "V", "client max speed, m/s", client_speed),
+    Flag {
+        name: "--churn",
+        shape: "MTBF,MTTR",
+        help: "stochastic crash/reboot of every node, mean seconds",
+        set: |s, v| {
+            s.churn = Some(parse_pair("--churn", v, ',')?);
+            Ok(())
+        },
+        show: |s| s.churn.map_or("off".into(), |(a, b)| format!("{a},{b}")),
+    },
+];
+
 impl ScenarioSpec {
+    /// If `flag` is a scenario flag, take its value from `argv`, store it
+    /// and return `true`; `false` leaves `argv` untouched for the caller's
+    /// own flags. Shapes are checked here, ranges by
+    /// [`ScenarioSpec::validate`] once the whole line is read.
+    pub fn set_flag(&mut self, flag: &str, argv: &mut Argv) -> Result<bool, String> {
+        let Some(f) = FLAGS.iter().find(|f| f.name == flag) else {
+            return Ok(false);
+        };
+        (f.set)(self, &argv.value(flag)?)?;
+        Ok(true)
+    }
+
+    /// The scenario flags as help-text lines, defaults in brackets.
+    pub fn flag_help() -> String {
+        let default = ScenarioSpec::default();
+        let line = |f: &Flag| {
+            let flag = format!("{} {}", f.name, f.shape);
+            format!("  {flag:<18}{} [{}]\n", f.help, (f.show)(&default))
+        };
+        FLAGS.iter().map(line).collect()
+    }
+
     /// Validate every field, returning the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         Scheme::parse(&self.scheme)?;
         if self.grid_rows < 2 || self.grid_cols < 2 {
             return Err("grid must be at least 2x2".into());
         }
-        if self.grid_rows * self.grid_cols + self.clients > 10_000 {
+        // Checked: a wire value near 2^63 must not wrap to a small product.
+        let nodes = (self.grid_rows.checked_mul(self.grid_cols))
+            .and_then(|backbone| backbone.checked_add(self.clients));
+        if nodes.is_none_or(|n| n > 10_000) {
             return Err("more than 10000 nodes".into());
         }
-        if !(self.pitch_m > 0.0 && self.pitch_m.is_finite()) {
-            return Err("pitch_m must be positive".into());
-        }
-        if !(self.pps > 0.0 && self.pps.is_finite()) {
-            return Err("pps must be positive".into());
+        // Positive, and of a size whose products, reciprocals and
+        // nanosecond counts stay finite: NaN, ±inf, 0, 1e-320 and 1e300
+        // are all outside.
+        let (mtbf, mttr) = self.churn.unwrap_or((1.0, 1.0)); // absent churn passes
+        for (name, x) in [
+            ("pitch_m", self.pitch_m),
+            ("pps", self.pps),
+            ("duration_s", self.duration_s),
+            ("client_speed", self.client_speed),
+            ("churn mtbf", mtbf),
+            ("churn mttr", mttr),
+        ] {
+            if !(1e-9..=1e9).contains(&x) {
+                return Err(format!("{name} must be positive (1e-9 to 1e9)"));
+            }
         }
         if self.payload == 0 {
             return Err("payload must be positive".into());
         }
-        if !(self.duration_s > 0.0 && self.duration_s.is_finite()) {
-            return Err("duration_s must be positive".into());
-        }
         if !(self.warmup_s >= 0.0 && self.warmup_s < self.duration_s) {
             return Err("warmup_s must be in [0, duration_s)".into());
-        }
-        if !(self.client_speed > 0.0 && self.client_speed.is_finite()) {
-            return Err("client_speed must be positive".into());
-        }
-        if let Some((mtbf, mttr)) = self.churn {
-            if !(mtbf > 0.0 && mtbf.is_finite() && mttr > 0.0 && mttr.is_finite()) {
-                return Err("churn mtbf/mttr must be positive".into());
-            }
         }
         Ok(())
     }
@@ -124,13 +219,21 @@ impl ScenarioSpec {
                 },
             );
         }
-        if let Some((mtbf, mttr)) = self.churn {
-            b = b.faults(FaultPlan::new().churn(
-                SimDuration::from_secs_f64(mtbf),
-                SimDuration::from_secs_f64(mttr),
-            ));
+        if let Some(plan) = self.fault_plan() {
+            b = b.faults(plan);
         }
         Ok(b)
+    }
+
+    /// The spec's fault plan: node churn, absent for a fault-free run
+    /// (`wmn-sim --fail` scripts its crashes onto this).
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        self.churn.map(|(mtbf, mttr)| {
+            FaultPlan::new().churn(
+                SimDuration::from_secs_f64(mtbf),
+                SimDuration::from_secs_f64(mttr),
+            )
+        })
     }
 
     /// Whether a warm link-budget cache may be handed between runs of this
@@ -281,6 +384,8 @@ mod tests {
             "{\"warmup_s\":99,\"duration_s\":10}",
             "{\"churn_mtbf_s\":30}",
             "{\"churn_mtbf_s\":0,\"churn_mttr_s\":10}",
+            // rows * cols wraps to 2 in unchecked usize arithmetic.
+            "{\"grid_rows\":9223372036854775809,\"grid_cols\":2}",
         ] {
             let pairs = parse_object(bad).unwrap();
             assert!(ScenarioSpec::from_pairs(&pairs).is_err(), "{bad} accepted");
@@ -301,7 +406,7 @@ mod tests {
             ..ScenarioSpec::default()
         };
         let via_spec = spec.to_builder().unwrap();
-        let direct = cnlr::presets::backbone(8, 0, 42)
+        let direct = crate::presets::backbone(8, 0, 42)
             .scheme(Scheme::Flooding)
             .flows(10, 8.0, 512)
             .duration(SimDuration::from_secs(20))
@@ -310,6 +415,16 @@ mod tests {
             via_spec.prefix_fingerprint(),
             direct.prefix_fingerprint(),
             "spec lowering drifted from the one-shot preset"
+        );
+    }
+
+    #[test]
+    fn the_readme_prints_the_generated_flag_list() {
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&ScenarioSpec::flag_help()),
+            "README.md's scenario flag list is not `ScenarioSpec::flag_help()`:\n{}",
+            ScenarioSpec::flag_help()
         );
     }
 

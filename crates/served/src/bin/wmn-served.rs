@@ -10,101 +10,38 @@
 //! refused with `draining`, then the process exits 0. The `shutdown` op
 //! does the same over the wire.
 
+use cnlr::cli::{self, Argv};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use wmn_served::{Server, ServerConfig};
+use wmn_sim::signals::{interrupt_on, SIGINT, SIGTERM};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: wmn-served --socket PATH [--workers N] [--queue-cap N]\n\
-         \n\
-         --socket PATH    Unix-domain socket to listen on (required)\n\
-         --workers N      worker threads (default: WMN_THREADS or all cores)\n\
-         --queue-cap N    max queued jobs before `busy` (default 64)"
-    );
-    std::process::exit(2);
-}
+const HELP: &str = "\
+usage: wmn-served --socket PATH [--workers N] [--queue-cap N]
 
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, OnceLock};
+  --socket PATH     Unix-domain socket to listen on (required)
+  --workers N       worker threads [WMN_THREADS or all cores]
+  --queue-cap N     max queued jobs before `busy` [64]";
 
-    static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
-
-    extern "C" fn on_signal(_sig: i32) {
-        // Only async-signal-safe work here: one store.
-        if let Some(flag) = FLAG.get() {
-            flag.store(true, Ordering::SeqCst);
+fn parse_args(mut argv: Argv) -> Result<ServerConfig, String> {
+    let mut cfg = ServerConfig::new("");
+    while let Some(flag) = argv.next_arg() {
+        match flag.as_str() {
+            "--socket" => cfg.socket = argv.value("--socket")?.into(),
+            "--workers" => cfg.workers = argv.parsed("--workers")?,
+            "--queue-cap" => cfg.queue_cap = argv.parsed("--queue-cap")?,
+            "--help" | "-h" => cli::help(HELP),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-
-    unsafe extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+    if cfg.socket.as_os_str().is_empty() {
+        return Err("--socket is required".into());
     }
-
-    /// Install SIGTERM + SIGINT handlers; either sets the returned flag.
-    pub fn install() -> Arc<AtomicBool> {
-        let flag = FLAG
-            .get_or_init(|| Arc::new(AtomicBool::new(false)))
-            .clone();
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        let handler = on_signal as extern "C" fn(i32) as *const () as usize;
-        unsafe {
-            signal(SIGINT, handler);
-            signal(SIGTERM, handler);
-        }
-        flag
-    }
+    Ok(cfg)
 }
 
 fn main() {
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut workers: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| match args.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            }
-        };
-        match a.as_str() {
-            "--socket" => socket = Some(value("--socket").into()),
-            "--workers" => match value("--workers").parse() {
-                Ok(n) => workers = Some(n),
-                Err(_) => {
-                    eprintln!("error: --workers needs an integer");
-                    std::process::exit(2);
-                }
-            },
-            "--queue-cap" => match value("--queue-cap").parse() {
-                Ok(n) => queue_cap = Some(n),
-                Err(_) => {
-                    eprintln!("error: --queue-cap needs an integer");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                usage();
-            }
-        }
-    }
-    let Some(socket) = socket else {
-        eprintln!("error: --socket is required");
-        usage();
-    };
-    let mut cfg = ServerConfig::new(socket);
-    if let Some(w) = workers {
-        cfg.workers = w;
-    }
-    if let Some(c) = queue_cap {
-        cfg.queue_cap = c;
-    }
+    let cfg = parse_args(Argv::from_env()).unwrap_or_else(|e| cli::usage_error("wmn-served", &e));
     let socket_display = cfg.socket.display().to_string();
     let (workers, cap) = (cfg.workers, cfg.queue_cap);
     let server = match Server::start(cfg) {
@@ -115,7 +52,7 @@ fn main() {
         }
     };
     eprintln!("wmn-served: listening on {socket_display} ({workers} workers, queue cap {cap})");
-    let term = signals::install();
+    let term = interrupt_on(&[SIGINT, SIGTERM]);
     while !server.shutdown_requested() {
         if term.load(Ordering::SeqCst) {
             break;

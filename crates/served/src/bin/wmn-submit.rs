@@ -13,47 +13,30 @@
 //! as they arrive. Exit codes: 0 success, 1 job failed/cancelled or
 //! connection error, 2 usage, 3 daemon busy.
 
+use cnlr::cli::{self, Argv};
 use std::time::Duration;
 use wmn_served::{Client, ClientError, ScenarioSpec};
 
-fn usage() -> ! {
-    eprintln!(
+fn help() -> String {
+    format!(
         "usage: wmn-submit --socket PATH [options]\n\
          \n\
          actions (default: submit one job and wait)\n\
-         --status            print daemon status\n\
-         --jobs              print per-job listing\n\
-         --cancel JOB        cancel a job by id\n\
-         --shutdown          ask the daemon to drain and exit\n\
-         --ping              liveness check\n\
+         \x20 --status          print daemon status\n\
+         \x20 --jobs            print per-job listing\n\
+         \x20 --cancel JOB      cancel a job by id\n\
+         \x20 --shutdown        ask the daemon to drain and exit\n\
+         \x20 --ping            liveness check\n\
          \n\
-         scenario (defaults in parentheses)\n\
-         --scheme S          flooding|gossip:P[:K]|counter:C[:RAD_MS]|distance:DBM|cnlr|vap (cnlr)\n\
-         --seed N            master seed (1)\n\
-         --grid R[xC]        backbone grid (8x8)\n\
-         --pitch M           grid pitch, metres (180)\n\
-         --flows N           CBR flow count (20)\n\
-         --pps F             packets/s per flow (4)\n\
-         --payload B         payload bytes (512)\n\
-         --duration S        simulated seconds (60)\n\
-         --warmup S          warm-up seconds (10)\n\
-         --clients N         mobile clients (0)\n\
-         --client-speed V    client max speed m/s (10)\n\
-         --churn MTBF,MTTR   node churn, seconds (off)\n\
-         \n\
+         scenario (the flags wmn-sim takes too; defaults in brackets)\n\
+         {}\n\
          submission\n\
-         --priority P        higher runs first (0)\n\
-         --stream            stream 1 Hz probes + manifest to stdout\n\
-         --retry-busy S      retry on busy for up to S seconds (0)\n\
-         --json              raw JSON output instead of a summary"
-    );
-    std::process::exit(2);
-}
-
-fn bail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("run `wmn-submit --help` for usage");
-    std::process::exit(2);
+         \x20 --priority P      higher runs first [0]\n\
+         \x20 --stream          stream 1 Hz probes + manifest to stdout\n\
+         \x20 --retry-busy S    retry on busy for up to S seconds [0]\n\
+         \x20 --json            raw JSON output instead of a summary",
+        ScenarioSpec::flag_help()
+    )
 }
 
 enum Action {
@@ -73,112 +56,38 @@ fn main() {
     let mut stream = false;
     let mut json = false;
     let mut retry_busy = Duration::ZERO;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| -> String {
-            match args.next() {
-                Some(v) => v,
-                None => bail(&format!("{name} requires a value")),
+    let mut argv = Argv::from_env();
+    let mut parse = || -> Result<(), String> {
+        while let Some(flag) = argv.next_arg() {
+            if spec.set_flag(&flag, &mut argv)? {
+                continue;
             }
-        };
-        match a.as_str() {
-            "--socket" => socket = Some(value("--socket")),
-            "--status" => action = Action::Status,
-            "--jobs" => action = Action::Jobs,
-            "--cancel" => {
-                let id = value("--cancel");
-                match id.parse() {
-                    Ok(id) => action = Action::Cancel(id),
-                    Err(_) => bail(&format!("bad job id '{id}'")),
+            match flag.as_str() {
+                "--socket" => socket = Some(argv.value("--socket")?),
+                "--status" => action = Action::Status,
+                "--jobs" => action = Action::Jobs,
+                "--cancel" => action = Action::Cancel(argv.parsed("--cancel")?),
+                "--shutdown" => action = Action::Shutdown,
+                "--ping" => action = Action::Ping,
+                "--priority" => priority = argv.parsed("--priority")?,
+                "--stream" => stream = true,
+                "--retry-busy" => {
+                    let s: f64 = argv.parsed("--retry-busy")?;
+                    retry_busy = Duration::try_from_secs_f64(s)
+                        .map_err(|e| format!("--retry-busy: bad value '{s}' ({e})"))?;
                 }
+                "--json" => json = true,
+                "--help" | "-h" => cli::help(&help()),
+                other => return Err(format!("unknown argument '{other}'")),
             }
-            "--shutdown" => action = Action::Shutdown,
-            "--ping" => action = Action::Ping,
-            "--scheme" => spec.scheme = value("--scheme"),
-            "--seed" => {
-                spec.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --seed"))
-            }
-            "--grid" => {
-                let g = value("--grid");
-                let (r, c) = match g.split_once('x') {
-                    Some((r, c)) => (r.parse(), c.parse()),
-                    None => (g.parse(), g.parse()),
-                };
-                match (r, c) {
-                    (Ok(r), Ok(c)) => {
-                        spec.grid_rows = r;
-                        spec.grid_cols = c;
-                    }
-                    _ => bail(&format!("bad --grid '{g}' (expect R or RxC)")),
-                }
-            }
-            "--pitch" => {
-                spec.pitch_m = value("--pitch")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --pitch"))
-            }
-            "--flows" => {
-                spec.flows = value("--flows")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --flows"))
-            }
-            "--pps" => spec.pps = value("--pps").parse().unwrap_or_else(|_| bail("bad --pps")),
-            "--payload" => {
-                spec.payload = value("--payload")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --payload"))
-            }
-            "--duration" => {
-                spec.duration_s = value("--duration")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --duration"))
-            }
-            "--warmup" => {
-                spec.warmup_s = value("--warmup")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --warmup"))
-            }
-            "--clients" => {
-                spec.clients = value("--clients")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --clients"))
-            }
-            "--client-speed" => {
-                spec.client_speed = value("--client-speed")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --client-speed"))
-            }
-            "--churn" => {
-                let v = value("--churn");
-                let parts: Option<(f64, f64)> = v
-                    .split_once(',')
-                    .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)));
-                match parts {
-                    Some(pair) => spec.churn = Some(pair),
-                    None => bail(&format!("bad --churn '{v}' (expect MTBF,MTTR seconds)")),
-                }
-            }
-            "--priority" => {
-                priority = value("--priority")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --priority"))
-            }
-            "--stream" => stream = true,
-            "--retry-busy" => {
-                let s: f64 = value("--retry-busy")
-                    .parse()
-                    .unwrap_or_else(|_| bail("bad --retry-busy"));
-                retry_busy = Duration::from_secs_f64(s.max(0.0));
-            }
-            "--json" => json = true,
-            "--help" | "-h" => usage(),
-            other => bail(&format!("unknown argument '{other}'")),
         }
+        Ok(())
+    };
+    if let Err(msg) = parse() {
+        cli::usage_error("wmn-submit", &msg);
     }
     let Some(socket) = socket else {
-        bail("--socket is required");
+        cli::usage_error("wmn-submit", "--socket is required");
     };
     let mut client = match Client::connect(&socket) {
         Ok(c) => c,
@@ -235,18 +144,18 @@ fn main() {
             }
         }
         Action::Submit => {
-            let run = if retry_busy.is_zero() {
-                client.run_streamed(&spec, priority, stream)
-            } else {
-                // Bounded busy-retry wraps the whole submit.
-                let deadline = std::time::Instant::now() + retry_busy;
-                loop {
-                    match client.run_streamed(&spec, priority, stream) {
-                        Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                        other => break other,
+            let mut submit_and_wait = || {
+                let job = client.submit(&spec, priority, stream)?;
+                client.wait(job, |line| println!("{line}"))
+            };
+            // Bounded busy-retry wraps the whole submit (no retry at 0 s).
+            let deadline = std::time::Instant::now() + retry_busy;
+            let run = loop {
+                match submit_and_wait() {
+                    Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(100));
                     }
+                    other => break other,
                 }
             };
             match run {
@@ -298,26 +207,5 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-trait RunStreamed {
-    fn run_streamed(
-        &mut self,
-        spec: &ScenarioSpec,
-        priority: i64,
-        stream: bool,
-    ) -> Result<wmn_served::JobResult, ClientError>;
-}
-
-impl RunStreamed for Client {
-    fn run_streamed(
-        &mut self,
-        spec: &ScenarioSpec,
-        priority: i64,
-        stream: bool,
-    ) -> Result<wmn_served::JobResult, ClientError> {
-        let job = self.submit(spec, priority, stream)?;
-        self.wait(job, |line| println!("{line}"))
     }
 }

@@ -1,9 +1,9 @@
 //! Blocking line-protocol client — the substrate under `wmn-submit`,
 //! `wmn-trace jobs` and the `--served` figure sweeps.
 
-use crate::proto::{JobResult, Request};
+use crate::proto::{read_line_capped, JobResult, Request};
 use crate::spec::ScenarioSpec;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -93,6 +93,14 @@ pub struct JobInfo {
     pub priority: i64,
 }
 
+/// Longest response line the client reads, so a broken daemon cannot grow
+/// the client without bound either. The largest fixed-size response is the
+/// `manifest` stream line — 1 947 bytes measured for a mobile, churning
+/// 8×8 job, whose counter registry is the fullest — and the `jobs` listing
+/// adds 25–70 bytes per job on record: 1 MiB is 500 manifests, or a
+/// listing of some 15 000 jobs.
+const MAX_RESPONSE_LINE: usize = 1024 * 1024;
+
 /// A connected protocol client (one request/response in flight at a time).
 pub struct Client {
     reader: BufReader<UnixStream>,
@@ -117,11 +125,14 @@ impl Client {
     }
 
     fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Protocol("daemon closed the connection".into()));
+        match read_line_capped(&mut self.reader, MAX_RESPONSE_LINE, "response") {
+            Ok(Some(line)) => Ok(line),
+            Ok(None) => Err(ClientError::Protocol("daemon closed the connection".into())),
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                Err(ClientError::Protocol(e.to_string()))
+            }
+            Err(e) => Err(ClientError::Io(e)),
         }
-        Ok(line)
     }
 
     fn read_pairs(&mut self) -> Result<Vec<(String, JsonValue)>, ClientError> {

@@ -15,12 +15,13 @@
 //!   the integration tests both drive this),
 //! - [`Client`] — a blocking line-protocol client (the `wmn-submit` binary
 //!   and the `--served` figure sweeps are thin wrappers over it),
-//! - [`ScenarioSpec`] — the shared wire-level scenario description.
+//! - [`ScenarioSpec`] — the one scenario description, re-exported from
+//!   [`cnlr::spec`] where it is defined.
 
 pub mod client;
 pub mod proto;
 pub mod server;
-pub mod spec;
+pub use cnlr::spec;
 
 pub use client::{Client, ClientError, JobInfo, ServiceStatus};
 pub use proto::{standard_metrics, JobResult, Request, PROTOCOL_VERSION};

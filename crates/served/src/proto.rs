@@ -12,11 +12,36 @@
 
 use crate::spec::ScenarioSpec;
 use cnlr::RunResults;
+use std::io::{BufRead, Error, ErrorKind::InvalidData, Read};
 use wmn_telemetry::json::{get, JsonValue};
 use wmn_telemetry::{escape_json, parse_object};
 
 /// Wire-protocol version; bumped on any incompatible change.
 pub const PROTOCOL_VERSION: u64 = 1;
+
+/// Read one newline-terminated line of at most `cap` bytes; `None` at a
+/// clean end of stream. A peer that sends more than `cap` bytes without a
+/// newline, or bytes that are not UTF-8, gets an `InvalidData` error whose
+/// message says which — `BufRead::read_line` would instead grow its
+/// `String` until the process runs out of memory. The rest of an over-long
+/// line is left unread: the caller answers and closes.
+pub(crate) fn read_line_capped(
+    reader: &mut impl BufRead,
+    cap: usize,
+    what: &str,
+) -> std::io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    (reader.take(cap as u64 + 1)).read_until(b'\n', &mut buf)?;
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    if buf.len() > cap && !buf.ends_with(b"\n") {
+        return Err(Error::new(InvalidData, format!("{what} line too long")));
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| Error::new(InvalidData, format!("{what} is not valid UTF-8")))
+}
 
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]

@@ -9,11 +9,13 @@
 //! (`prefix_fingerprint` equality on build, position bit-equality on
 //! cache import).
 
-use crate::proto::{fmt_f64, standard_metrics, JobResult, Request, PROTOCOL_VERSION};
+use crate::proto::{
+    fmt_f64, read_line_capped, standard_metrics, JobResult, Request, PROTOCOL_VERSION,
+};
 use crate::spec::ScenarioSpec;
 use cnlr::{LinkCacheSnapshot, ScenarioPrefix, Scheme};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,15 +450,23 @@ fn accept_loop(core: &Arc<Core>, listener: UnixListener) {
     }
 }
 
+/// Longest request line the daemon reads: a valid `run` line is under 400
+/// bytes. A constant, not a setting — nothing legitimate comes near it.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF: client closed.
-        }
+        let line = match read_line_capped(&mut reader, MAX_REQUEST_LINE, "request") {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()), // EOF: client closed.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                // Not the protocol: say so once and hang up.
+                return writeln!(writer, "{{\"ok\":false,\"error\":\"{e}\"}}");
+            }
+            Err(e) => return Err(e),
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -48,6 +48,8 @@ pub mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod shard;
+#[cfg(unix)]
+pub mod signals;
 pub mod time;
 
 pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointMeta};

@@ -7,31 +7,28 @@
 //!         --duration 60 --warmup 10 --seed 1
 //! ```
 //!
-//! Arguments are hand-parsed (no CLI dependency); `--help` lists them.
+//! The scenario itself is a [`ScenarioSpec`] — the same description, flag
+//! table and validation `wmn-submit` and the daemon use; this tool adds
+//! only what is its own (scale presets, scripted crashes, console tracing,
+//! the ParMesh engine's knobs). `--help` lists everything.
 
-use wmn::mobility::MobilityConfig;
+use wmn::cnlr::cli::{self, parse, Argv};
+use wmn::cnlr::ScenarioSpec;
 use wmn::sim::{SimDuration, SimTime};
 use wmn::telemetry::{ConsoleSink, SharedSink, TelemetryConfig};
-use wmn::{CnlrConfig, FaultPlan, ScenarioBuilder, Scheme};
+use wmn::topology::{Placement, Region};
+use wmn::ScenarioBuilder;
 
-/// Parsed CLI options.
+/// Parsed CLI options: the scenario, plus the flags only this tool has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    pub grid: usize,
-    pub pitch: f64,
+    /// The scenario flags, validated (`--nodes` already folded into the
+    /// grid).
+    pub spec: ScenarioSpec,
     /// Large-scale preset: overrides `--grid` with ~N nodes at standard
     /// density (`grid` placement or `random`).
     pub nodes: Option<usize>,
     pub random_placement: bool,
-    pub scheme: Scheme,
-    pub flows: usize,
-    pub pps: f64,
-    pub payload: usize,
-    pub duration_s: f64,
-    pub warmup_s: f64,
-    pub seed: u64,
-    pub clients: usize,
-    pub client_speed: f64,
     pub csv: bool,
     pub trace: bool,
     /// Run the shard-parallel ParMesh scale model instead of the classic
@@ -53,8 +50,6 @@ pub struct Options {
     pub profile_out: Option<String>,
     /// Scripted crashes: `(node, down_s, Some(up_s))` reboots, `None` stays down.
     pub fails: Vec<(u32, f64, Option<f64>)>,
-    /// Stochastic churn `(mtbf_s, mttr_s)` applied to every node.
-    pub churn: Option<(f64, f64)>,
     /// Write epoch-barrier checkpoints to this directory (ParMesh only).
     pub checkpoint_dir: Option<String>,
     /// Simulated seconds between checkpoints (requires `--checkpoint-dir`).
@@ -66,19 +61,9 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            grid: 8,
-            pitch: 180.0,
+            spec: ScenarioSpec::default(),
             nodes: None,
             random_placement: false,
-            scheme: Scheme::Cnlr(CnlrConfig::default()),
-            flows: 20,
-            pps: 4.0,
-            payload: 512,
-            duration_s: 60.0,
-            warmup_s: 10.0,
-            seed: 1,
-            clients: 0,
-            client_speed: 10.0,
             csv: false,
             trace: false,
             parmesh: false,
@@ -89,7 +74,6 @@ impl Default for Options {
             trace_out: None,
             profile_out: None,
             fails: Vec::new(),
-            churn: None,
             checkpoint_dir: None,
             checkpoint_every_s: None,
             resume: false,
@@ -97,28 +81,20 @@ impl Default for Options {
     }
 }
 
-const HELP: &str = "\
+/// The `--help` text: the shared scenario flags, then this tool's own.
+fn help() -> String {
+    format!(
+        "\
 wmn-sim — run one wireless-mesh scenario
 
-OPTIONS (defaults in brackets):
-  --grid N          N×N router grid [8]
-  --pitch M         grid pitch in metres [180]
+SCENARIO (the flags wmn-submit takes too; defaults in brackets):
+{}
+THIS TOOL:
   --nodes N         large-scale preset: ~N routers at standard density
                     (overrides --grid/--pitch; up to 10000 for the classic
                     stack, 1000000 with --parmesh)
   --random          with --nodes: uniform-random placement instead of grid
-  --scheme S        flooding | gossip:P[:K] | counter:C[:RAD_MS] |
-                    distance:DBM | cnlr | vap [cnlr]
-  --flows N         random CBR flows [20]
-  --pps R           packets per second per flow [4]
-  --payload B       payload bytes [512]
-  --duration S      simulated seconds [60]
-  --warmup S        statistics warm-up seconds [10]
-  --seed N          master seed [1]
-  --clients N       mobile RWP clients [0]
-  --client-speed V  client max speed m/s [10]
   --fail N@T[:U]    crash node N at T s; reboot at U s if given (repeatable)
-  --churn MTBF,MTTR every node crashes/reboots stochastically (seconds)
   --csv             emit one CSV line instead of the report
   --trace           print every telemetry event to stderr as it happens
   --parmesh         shard-parallel scale model (requires --nodes; results
@@ -148,45 +124,28 @@ Set WMN_TELEMETRY=1 (and optionally WMN_TRACE_PATH, WMN_PROBE_MS) to
 record a JSONL trace instead; inspect it with wmn-trace.
 Set WMN_CRASH_AT=epoch:region[,…] or WMN_CRASH_RATE=p:seed[:max] to inject
 harness-level worker crashes (supervisor exercise; ParMesh only).
-";
-
-/// Parse a scheme spec like `gossip:0.65` or `counter:3` — one grammar,
-/// shared with the daemon and the figure binaries via [`Scheme::parse`].
-pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    Scheme::parse(s)
+",
+        ScenarioSpec::flag_help()
+    )
 }
 
 /// Parse a `--fail` spec: `N@T` (permanent) or `N@T:U` (reboot at `U`).
 pub fn parse_fail(s: &str) -> Result<(u32, f64, Option<f64>), String> {
     let (node, times) = s.split_once('@').ok_or("--fail needs N@T[:U]")?;
-    let node: u32 = node.parse().map_err(|e| format!("bad --fail node: {e}"))?;
+    let node = parse("--fail", node)?;
     let (down, up) = match times.split_once(':') {
-        Some((d, u)) => {
-            let u: f64 = u.parse().map_err(|e| format!("bad --fail up time: {e}"))?;
-            (d, Some(u))
-        }
+        Some((d, u)) => (d, Some(parse::<f64>("--fail", u)?)),
         None => (times, None),
     };
-    let down: f64 = down
-        .parse()
-        .map_err(|e| format!("bad --fail down time: {e}"))?;
-    if let Some(u) = up {
-        if u <= down {
-            return Err("--fail reboot time must be after the crash".into());
-        }
+    let down: f64 = parse("--fail", down)?;
+    let on_the_clock = |t: f64| t.is_finite() && t >= 0.0;
+    if !(on_the_clock(down) && up.is_none_or(on_the_clock)) {
+        return Err("--fail times must be finite and not negative".into());
+    }
+    if up.is_some_and(|u| u <= down) {
+        return Err("--fail reboot time must be after the crash".into());
     }
     Ok((node, down, up))
-}
-
-/// Parse a `--churn` spec: `MTBF,MTTR` in seconds.
-pub fn parse_churn(s: &str) -> Result<(f64, f64), String> {
-    let (mtbf, mttr) = s.split_once(',').ok_or("--churn needs MTBF,MTTR")?;
-    let mtbf: f64 = mtbf.parse().map_err(|e| format!("bad --churn mtbf: {e}"))?;
-    let mttr: f64 = mttr.parse().map_err(|e| format!("bad --churn mttr: {e}"))?;
-    if mtbf <= 0.0 || mttr <= 0.0 {
-        return Err("--churn times must be positive".into());
-    }
-    Ok((mtbf, mttr))
 }
 
 /// What an argument vector parses to: a runnable scenario, or an explicit
@@ -197,105 +156,40 @@ pub enum Parsed {
     Help,
 }
 
-/// Parse an argument vector (without the program name). Unknown flags and
-/// missing values are errors (exit 2 in `main`), never ignored.
-pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
+/// Parse the command line. Unknown flags, missing values and out-of-range
+/// scenarios are errors (exit 2 in `main`), never ignored and never left
+/// for the simulator to trip over.
+pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
     let mut o = Options::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
+    while let Some(flag) = argv.next_arg() {
+        if o.spec.set_flag(&flag, &mut argv)? {
+            continue;
+        }
         match flag.as_str() {
-            "--grid" => o.grid = val("--grid")?.parse().map_err(|e| format!("--grid: {e}"))?,
-            "--pitch" => {
-                o.pitch = val("--pitch")?
-                    .parse()
-                    .map_err(|e| format!("--pitch: {e}"))?
-            }
-            "--nodes" => {
-                o.nodes = Some(
-                    val("--nodes")?
-                        .parse()
-                        .map_err(|e| format!("--nodes: {e}"))?,
-                )
-            }
+            "--nodes" => o.nodes = Some(argv.parsed("--nodes")?),
             "--random" => o.random_placement = true,
-            "--scheme" => o.scheme = parse_scheme(val("--scheme")?)?,
-            "--flows" => {
-                o.flows = val("--flows")?
-                    .parse()
-                    .map_err(|e| format!("--flows: {e}"))?
-            }
-            "--pps" => o.pps = val("--pps")?.parse().map_err(|e| format!("--pps: {e}"))?,
-            "--payload" => {
-                o.payload = val("--payload")?
-                    .parse()
-                    .map_err(|e| format!("--payload: {e}"))?
-            }
-            "--duration" => {
-                o.duration_s = val("--duration")?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
-            "--warmup" => {
-                o.warmup_s = val("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?
-            }
-            "--seed" => o.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--clients" => {
-                o.clients = val("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--client-speed" => {
-                o.client_speed = val("--client-speed")?
-                    .parse()
-                    .map_err(|e| format!("--client-speed: {e}"))?
-            }
-            "--fail" => o.fails.push(parse_fail(val("--fail")?)?),
-            "--churn" => o.churn = Some(parse_churn(val("--churn")?)?),
+            "--fail" => o.fails.push(parse_fail(&argv.value("--fail")?)?),
             "--csv" => o.csv = true,
             "--trace" => o.trace = true,
             "--parmesh" => o.parmesh = true,
-            "--threads" => {
-                o.threads = val("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
+            "--threads" => o.threads = argv.parsed("--threads")?,
             "--steal" => {
-                o.steal = Some(match val("--steal")?.as_str() {
+                o.steal = Some(match argv.value("--steal")?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("--steal takes on|off, got '{other}'")),
                 })
             }
             "--trace-hash" => o.trace_hash = true,
-            "--regions" => {
-                o.regions = Some(
-                    val("--regions")?
-                        .parse()
-                        .map_err(|e| format!("--regions: {e}"))?,
-                )
-            }
-            "--trace-out" => o.trace_out = Some(val("--trace-out")?.clone()),
-            "--profile-out" => o.profile_out = Some(val("--profile-out")?.clone()),
-            "--checkpoint-dir" => o.checkpoint_dir = Some(val("--checkpoint-dir")?.clone()),
-            "--checkpoint-every" => {
-                o.checkpoint_every_s = Some(
-                    val("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
-                )
-            }
+            "--regions" => o.regions = Some(argv.parsed("--regions")?),
+            "--trace-out" => o.trace_out = Some(argv.value("--trace-out")?),
+            "--profile-out" => o.profile_out = Some(argv.value("--profile-out")?),
+            "--checkpoint-dir" => o.checkpoint_dir = Some(argv.value("--checkpoint-dir")?),
+            "--checkpoint-every" => o.checkpoint_every_s = Some(argv.parsed("--checkpoint-every")?),
             "--resume" => o.resume = true,
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
-    if o.grid < 2 {
-        return Err("--grid must be ≥ 2".into());
     }
     if let Some(n) = o.nodes {
         if n < 4 {
@@ -304,6 +198,12 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
         let cap = if o.parmesh { 1_000_000 } else { 10_000 };
         if n > cap {
             return Err(format!("--nodes is supported up to {cap}"));
+        }
+        if !o.parmesh {
+            // The scale preset: a near-square grid at the standard density
+            // (`--random` swaps the placement in at build time).
+            let side = (n as f64).sqrt().round() as usize;
+            (o.spec.grid_rows, o.spec.grid_cols, o.spec.pitch_m) = (side, side, 180.0);
         }
     }
     if o.parmesh && o.nodes.is_none() {
@@ -339,14 +239,24 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 .into(),
         );
     }
-    if o.checkpoint_every_s.is_some_and(|s| s <= 0.0) {
+    if o.checkpoint_every_s
+        .is_some_and(|s| !(s > 0.0 && s.is_finite()))
+    {
         return Err("--checkpoint-every must be positive".into());
     }
     if o.random_placement && o.nodes.is_none() {
         return Err("--random requires --nodes".into());
     }
-    if o.warmup_s >= o.duration_s {
-        return Err("--warmup must be below --duration".into());
+    o.spec.validate()?;
+    let routers = match o.nodes {
+        Some(n) if o.random_placement => n,
+        _ => o.spec.grid_rows * o.spec.grid_cols,
+    };
+    let nodes = routers + o.spec.clients;
+    if let Some(&(node, ..)) = o.fails.iter().find(|f| f.0 as usize >= nodes) {
+        return Err(format!(
+            "--fail: no node {node} among the scenario's {nodes}"
+        ));
     }
     Ok(Parsed::Run(Box::new(o)))
 }
@@ -354,42 +264,6 @@ pub fn parse_args(args: &[String]) -> Result<Parsed, String> {
 /// Exit code for an interrupted (SIGINT, checkpointed) run, matching the
 /// shell convention for `128 + SIGINT`.
 const EXIT_INTERRUPTED: i32 = 130;
-
-/// SIGINT → cooperative interrupt flag, installed without a libc
-/// dependency: `signal(2)` is in every libc the workspace links anyway.
-#[cfg(unix)]
-mod sigint {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, OnceLock};
-
-    static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
-
-    extern "C" fn on_sigint(_sig: i32) {
-        // Only async-signal-safe work here: one relaxed load + one store.
-        if let Some(flag) = FLAG.get() {
-            flag.store(true, Ordering::SeqCst);
-        }
-    }
-
-    unsafe extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Install the handler; every SIGINT afterwards sets the returned flag.
-    pub fn install() -> Arc<AtomicBool> {
-        let flag = FLAG
-            .get_or_init(|| Arc::new(AtomicBool::new(false)))
-            .clone();
-        const SIGINT: i32 = 2;
-        unsafe {
-            signal(
-                SIGINT,
-                on_sigint as extern "C" fn(i32) as *const () as usize,
-            );
-        }
-        flag
-    }
-}
 
 /// Extract the `"lineage": [...]` entries from a previously written run
 /// manifest, so a resumed run extends the chain rather than restarting it.
@@ -418,23 +292,21 @@ fn read_lineage(path: &std::path::Path) -> Vec<String> {
 
 /// Run the shard-parallel ParMesh scale model and print its report.
 fn run_parmesh(opts: &Options) {
-    let Some(n) = opts.nodes else {
-        eprintln!("--parmesh requires --nodes");
-        std::process::exit(2);
-    };
+    let n = opts
+        .nodes
+        .expect("parse_args refuses --parmesh without --nodes");
+    let spec = &opts.spec;
     let mut pm = wmn::ParMesh::new(n)
-        .seed(opts.seed)
-        .flows(opts.flows)
-        .duration(SimDuration::from_secs_f64(opts.duration_s))
+        .seed(spec.seed)
+        .flows(spec.flows)
+        .duration(SimDuration::from_secs_f64(spec.duration_s))
+        .interval(SimDuration::from_secs_f64(1.0 / spec.pps))
         .threads(opts.threads)
         .steal(opts.steal.unwrap_or(true))
         .telemetry(opts.trace_out.is_some())
         .trace_hash(opts.trace_hash)
         .profile(opts.profile_out.is_some())
         .crash_plan(wmn::sim::shard::CrashPlan::from_env());
-    if opts.pps > 0.0 {
-        pm = pm.interval(SimDuration::from_secs_f64(1.0 / opts.pps));
-    }
     if let Some(r) = opts.regions {
         pm = pm.regions(r);
     }
@@ -445,7 +317,9 @@ fn run_parmesh(opts: &Options) {
         }
         #[cfg(unix)]
         {
-            pm = pm.interrupt(sigint::install());
+            pm = pm.interrupt(wmn::sim::signals::interrupt_on(&[
+                wmn::sim::signals::SIGINT,
+            ]));
         }
     }
     // Checkpointed runs carry their provenance: a run manifest in the
@@ -460,11 +334,11 @@ fn run_parmesh(opts: &Options) {
             id: "run".into(),
             title: "parmesh checkpointed run".into(),
             git_rev: wmn::telemetry::git_rev(),
-            seeds: vec![opts.seed],
+            seeds: vec![spec.seed],
             params: vec![
                 ("nodes".into(), n.to_string()),
-                ("flows".into(), opts.flows.to_string()),
-                ("duration_s".into(), format!("{}", opts.duration_s)),
+                ("flows".into(), spec.flows.to_string()),
+                ("duration_s".into(), format!("{}", spec.duration_s)),
                 ("threads".into(), opts.threads.to_string()),
                 (
                     "scenario_fingerprint".into(),
@@ -578,7 +452,7 @@ fn run_parmesh(opts: &Options) {
             r.nodes,
             r.regions,
             opts.threads,
-            opts.seed,
+            spec.seed,
             r.pdr(),
             r.mean_delay_s * 1e3,
             r.mean_hops,
@@ -626,38 +500,21 @@ fn run_parmesh(opts: &Options) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Parsed::Run(o)) => *o,
-        Ok(Parsed::Help) => {
-            print!("{HELP}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg} (run wmn-sim --help for usage)");
-            std::process::exit(2);
-        }
-    };
-
-    if opts.parmesh {
-        run_parmesh(&opts);
-        return;
+/// The classic full-stack scenario: the spec's own lowering plus this
+/// tool's three overlays (`--nodes --random`, `--trace`, `--fail`).
+fn classic_builder(opts: &Options) -> Result<ScenarioBuilder, String> {
+    let mut builder = opts.spec.to_builder()?;
+    if let (Some(n), true) = (opts.nodes, opts.random_placement) {
+        // Exactly `n` routers, uniform in a field of the grid preset's
+        // density (one per 180 m × 180 m). That can leave small
+        // disconnected pockets at large `n`, so connectivity is not
+        // required — flow endpoints are still drawn reachable-pairs-only.
+        let side_m = (n as f64).sqrt() * 180.0;
+        builder = builder
+            .region(Region::new(side_m, side_m))
+            .placement(Placement::UniformRandom { count: n })
+            .require_connected(false);
     }
-
-    let mut builder = match opts.nodes {
-        // The scale presets pin placement density; everything else on the
-        // command line still applies.
-        Some(n) if opts.random_placement => wmn::presets::scale_random(n, opts.flows, opts.seed),
-        Some(n) => wmn::presets::scale_grid(n, opts.flows, opts.seed),
-        None => ScenarioBuilder::new()
-            .seed(opts.seed)
-            .grid(opts.grid, opts.grid, opts.pitch),
-    }
-    .scheme(opts.scheme.clone())
-    .flows(opts.flows, opts.pps, opts.payload)
-    .duration(SimDuration::from_secs_f64(opts.duration_s))
-    .warmup(SimDuration::from_secs_f64(opts.warmup_s));
     if opts.trace {
         // Console tracing: typed events rendered human-readably on stderr
         // (what the old string-ring tracer used to do).
@@ -666,8 +523,8 @@ fn main() {
             .telemetry(TelemetryConfig::enabled())
             .telemetry_sink(sink);
     }
-    if !opts.fails.is_empty() || opts.churn.is_some() {
-        let mut plan = FaultPlan::new();
+    if !opts.fails.is_empty() {
+        let mut plan = opts.spec.fault_plan().unwrap_or_default();
         for &(node, down_s, up_s) in &opts.fails {
             plan = match up_s {
                 Some(u) => plan.fail_node_for(
@@ -678,25 +535,24 @@ fn main() {
                 None => plan.fail_node(node, SimTime::from_secs_f64(down_s)),
             };
         }
-        if let Some((mtbf, mttr)) = opts.churn {
-            plan = plan.churn(
-                SimDuration::from_secs_f64(mtbf),
-                SimDuration::from_secs_f64(mttr),
-            );
-        }
         builder = builder.faults(plan);
     }
-    if opts.clients > 0 {
-        builder = builder.mobile_clients(
-            opts.clients,
-            MobilityConfig::RandomWaypoint {
-                v_min: 1.0,
-                v_max: opts.client_speed.max(1.0),
-                pause_s: 2.0,
-            },
-        );
+    Ok(builder)
+}
+
+fn main() {
+    let opts = match parse_args(Argv::from_env()) {
+        Ok(Parsed::Run(o)) => *o,
+        Ok(Parsed::Help) => cli::help(&help()),
+        Err(msg) => cli::usage_error("wmn-sim", &msg),
+    };
+
+    if opts.parmesh {
+        run_parmesh(&opts);
+        return;
     }
 
+    let builder = classic_builder(&opts).unwrap_or_else(|e| cli::usage_error("wmn-sim", &e));
     let r = match builder.build() {
         Ok(sim) => sim.run(),
         Err(e) => {
@@ -714,7 +570,7 @@ fn main() {
             r.scheme,
             r.nodes,
             r.flows,
-            opts.seed,
+            opts.spec.seed,
             r.pdr(),
             r.mean_delay_ms(),
             r.summary.p95_delay_s * 1e3,
@@ -732,7 +588,7 @@ fn main() {
     println!("scheme                  : {}", r.scheme);
     println!(
         "nodes / flows / seed    : {} / {} / {}",
-        r.nodes, r.flows, opts.seed
+        r.nodes, r.flows, opts.spec.seed
     );
     println!(
         "sent / delivered        : {} / {}",
@@ -797,14 +653,21 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn::mobility::MobilityConfig;
+    use wmn::{presets, FaultPlan, Scheme};
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
+    /// The scheme grammar `--scheme` values are validated against.
+    fn parse_scheme(s: &str) -> Result<Scheme, String> {
+        Scheme::parse(s)
+    }
+
+    fn argv(s: &str) -> Argv {
+        Argv::new(s.split_whitespace().map(str::to_string).collect())
     }
 
     /// Parse and unwrap to runnable options (panics on Help or error).
     fn opts(s: &str) -> Options {
-        match parse_args(&argv(s)).unwrap() {
+        match parse_args(argv(s)).unwrap() {
             Parsed::Run(o) => *o,
             Parsed::Help => panic!("unexpected help request"),
         }
@@ -823,18 +686,19 @@ mod tests {
              --payload 256 --duration 30 --warmup 5 --seed 9 --clients 4 \
              --client-speed 15 --csv",
         );
-        assert_eq!(o.grid, 6);
-        assert_eq!(o.pitch, 200.0);
-        assert_eq!(o.scheme, Scheme::Gossip { p: 0.7 });
-        assert_eq!(o.flows, 12);
-        assert_eq!(o.payload, 256);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.clients, 4);
+        assert_eq!((o.spec.grid_rows, o.spec.grid_cols), (6, 6));
+        assert_eq!(o.spec.pitch_m, 200.0);
+        assert_eq!(parse_scheme(&o.spec.scheme), Ok(Scheme::Gossip { p: 0.7 }));
+        assert_eq!(o.spec.flows, 12);
+        assert_eq!(o.spec.payload, 256);
+        assert_eq!(o.spec.seed, 9);
+        assert_eq!(o.spec.clients, 4);
         assert!(o.csv);
     }
 
     #[test]
     fn scheme_parsing() {
+        let bad_scheme = |s: &str| parse_args(argv(&format!("--scheme {s}"))).is_err();
         assert_eq!(parse_scheme("flooding").unwrap(), Scheme::Flooding);
         assert_eq!(
             parse_scheme("gossip:0.5").unwrap(),
@@ -855,22 +719,27 @@ mod tests {
         assert!(parse_scheme("distance").is_err());
         assert!(matches!(parse_scheme("cnlr").unwrap(), Scheme::Cnlr(_)));
         assert!(matches!(parse_scheme("vap").unwrap(), Scheme::VapCnlr(..)));
-        assert!(parse_scheme("nope").is_err());
-        assert!(parse_scheme("gossip").is_err());
-        assert!(parse_scheme("gossip:x").is_err());
+        assert!(parse_scheme("nope").is_err() && bad_scheme("nope"));
+        assert!(parse_scheme("gossip").is_err() && bad_scheme("gossip"));
+        assert!(parse_scheme("gossip:x").is_err() && bad_scheme("gossip:x"));
     }
 
     #[test]
     fn fault_flags() {
         let o = opts("--fail 5@10 --fail 7@12:20 --churn 120,8");
         assert_eq!(o.fails, vec![(5, 10.0, None), (7, 12.0, Some(20.0))]);
-        assert_eq!(o.churn, Some((120.0, 8.0)));
+        assert_eq!(o.spec.churn, Some((120.0, 8.0)));
         assert!(parse_fail("5").is_err());
         assert!(parse_fail("x@10").is_err());
         assert!(parse_fail("5@10:9").is_err());
-        assert!(parse_churn("120").is_err());
-        assert!(parse_churn("0,8").is_err());
-        assert!(parse_churn("120,-1").is_err());
+        assert!(parse_args(argv("--churn 120")).is_err());
+        assert!(parse_args(argv("--churn 0,8")).is_err());
+        assert!(parse_args(argv("--churn 120,-1")).is_err());
+        assert!(
+            parse_args(argv("--fail 64@10")).is_err(),
+            "8x8 has nodes 0..=63"
+        );
+        assert!(parse_args(argv("--fail 64@10 --clients 1")).is_ok());
     }
 
     #[test]
@@ -878,10 +747,10 @@ mod tests {
         let o = opts("--nodes 1000 --random --flows 50");
         assert_eq!(o.nodes, Some(1000));
         assert!(o.random_placement);
-        assert_eq!(o.flows, 50);
-        assert!(parse_args(&argv("--nodes 2")).is_err());
-        assert!(parse_args(&argv("--nodes 20000")).is_err());
-        assert!(parse_args(&argv("--random")).is_err(), "--random alone");
+        assert_eq!(o.spec.flows, 50);
+        assert!(parse_args(argv("--nodes 2")).is_err());
+        assert!(parse_args(argv("--nodes 20000")).is_err());
+        assert!(parse_args(argv("--random")).is_err(), "--random alone");
     }
 
     #[test]
@@ -896,20 +765,20 @@ mod tests {
         assert_eq!(o.regions, Some(64));
         assert_eq!(o.trace_out.as_deref(), Some("/tmp/t.jsonl"));
         assert_eq!(o.profile_out.as_deref(), Some("/tmp/p.json"));
-        assert!(parse_args(&argv("--parmesh")).is_err(), "needs --nodes");
+        assert!(parse_args(argv("--parmesh")).is_err(), "needs --nodes");
         assert!(
-            parse_args(&argv("--nodes 1000 --threads 2")).is_err(),
+            parse_args(argv("--nodes 1000 --threads 2")).is_err(),
             "--threads without --parmesh"
         );
         assert!(
-            parse_args(&argv("--nodes 1000 --profile-out /tmp/p.json")).is_err(),
+            parse_args(argv("--nodes 1000 --profile-out /tmp/p.json")).is_err(),
             "--profile-out without --parmesh"
         );
         assert!(
-            parse_args(&argv("--nodes 100000")).is_err(),
+            parse_args(argv("--nodes 100000")).is_err(),
             "classic stack caps at 10000"
         );
-        assert!(parse_args(&argv("--parmesh --nodes 100000 --threads 0")).is_err());
+        assert!(parse_args(argv("--parmesh --nodes 100000 --threads 0")).is_err());
     }
 
     #[test]
@@ -921,18 +790,18 @@ mod tests {
         assert_eq!(opts("--parmesh --nodes 1000 --steal on").steal, Some(true));
         assert_eq!(opts("--parmesh --nodes 1000").steal, None, "engine default");
         assert!(
-            parse_args(&argv("--parmesh --nodes 1000001")).is_err(),
+            parse_args(argv("--parmesh --nodes 1000001")).is_err(),
             "parmesh caps at one million nodes"
         );
         assert!(
-            parse_args(&argv("--nodes 200000")).is_err(),
+            parse_args(argv("--nodes 200000")).is_err(),
             "classic stack still caps at 10000"
         );
-        assert!(parse_args(&argv("--parmesh --nodes 1000 --steal maybe")).is_err());
-        assert!(parse_args(&argv("--nodes 1000 --steal off")).is_err());
-        assert!(parse_args(&argv("--trace-hash")).is_err());
+        assert!(parse_args(argv("--parmesh --nodes 1000 --steal maybe")).is_err());
+        assert!(parse_args(argv("--nodes 1000 --steal off")).is_err());
+        assert!(parse_args(argv("--trace-hash")).is_err());
         assert!(
-            parse_args(&argv(
+            parse_args(argv(
                 "--parmesh --nodes 1000 --trace-hash --checkpoint-dir /tmp/ck"
             ))
             .is_err(),
@@ -942,18 +811,129 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(parse_args(&argv("--grid")).is_err());
-        assert!(parse_args(&argv("--bogus 1")).is_err());
-        assert!(parse_args(&argv("--grid 1")).is_err());
-        assert!(parse_args(&argv("--duration 5 --warmup 9")).is_err());
+        assert!(parse_args(argv("--grid")).is_err());
+        assert!(parse_args(argv("--bogus 1")).is_err());
+        assert!(parse_args(argv("--grid 1")).is_err());
+        assert!(parse_args(argv("--duration 5 --warmup 9")).is_err());
+    }
+
+    /// Every line here ran (or hung, or panicked with a backtrace) before
+    /// the command line went through `ScenarioSpec::validate`.
+    #[test]
+    fn malformed_scenarios_are_refused_before_anything_runs() {
+        for line in [
+            "--duration inf",
+            "--pps 0",
+            "--pps -1",
+            "--pitch -5",
+            "--duration nan",
+            "--warmup -3",
+            "--client-speed nan",
+            "--churn nan,1",
+            "--fail 3@nan",
+            "--payload 0",
+            "--fail 3@inf",
+            "--fail 3@1:inf",
+            "--fail 3@-1",
+            "--grid 3x",
+            "--grid 4294967296x4294967296",
+            "--parmesh --nodes 1000 --checkpoint-dir /tmp/ck --checkpoint-every nan",
+        ] {
+            let err = parse_args(argv(line)).expect_err(line);
+            assert!(!err.contains('\n'), "{line}: one line, got {err:?}");
+        }
+    }
+
+    /// CLI ≡ wire ≡ builder: an argv line lowers to the scenario the
+    /// hand-written chain this tool used to carry built for it, and the
+    /// spec survives the daemon's wire form.
+    #[test]
+    fn cli_wire_and_builder_describe_the_same_scenario() {
+        use wmn::telemetry::parse_object;
+        let secs = SimDuration::from_secs_f64;
+        // The former `main`, literally: preset or grid, then the common tail.
+        let tail = |b: ScenarioBuilder, scheme: &str, flows, pps, payload, dur, warm| {
+            b.scheme(Scheme::parse(scheme).unwrap())
+                .flows(flows, pps, payload)
+                .duration(secs(dur))
+                .warmup(secs(warm))
+        };
+        let grid = |seed, side, pitch| ScenarioBuilder::new().seed(seed).grid(side, side, pitch);
+        let rwp = |v_max: f64| MobilityConfig::RandomWaypoint {
+            v_min: 1.0,
+            v_max: v_max.max(1.0),
+            pause_s: 2.0,
+        };
+        let cases: Vec<(&str, ScenarioBuilder)> = vec![
+            (
+                "",
+                tail(grid(1, 8, 180.0), "cnlr", 20, 4.0, 512, 60.0, 10.0),
+            ),
+            (
+                "--grid 6 --pitch 200 --scheme gossip:0.7 --flows 12 --pps 6 \
+                 --payload 256 --duration 30 --warmup 5 --seed 9 --clients 4 \
+                 --client-speed 15 --csv",
+                tail(grid(9, 6, 200.0), "gossip:0.7", 12, 6.0, 256, 30.0, 5.0)
+                    .mobile_clients(4, rwp(15.0)),
+            ),
+            (
+                "--nodes 1000",
+                tail(
+                    presets::scale_grid(1000, 20, 1),
+                    "cnlr",
+                    20,
+                    4.0,
+                    512,
+                    60.0,
+                    10.0,
+                ),
+            ),
+            (
+                "--nodes 400 --random",
+                tail(
+                    presets::scale_random(400, 20, 1),
+                    "cnlr",
+                    20,
+                    4.0,
+                    512,
+                    60.0,
+                    10.0,
+                ),
+            ),
+            (
+                "--clients 4 --client-speed 15",
+                tail(grid(1, 8, 180.0), "cnlr", 20, 4.0, 512, 60.0, 10.0)
+                    .mobile_clients(4, rwp(15.0)),
+            ),
+            (
+                "--churn 60,5",
+                tail(grid(1, 8, 180.0), "cnlr", 20, 4.0, 512, 60.0, 10.0)
+                    .faults(FaultPlan::new().churn(secs(60.0), secs(5.0))),
+            ),
+        ];
+        for (line, parent) in cases {
+            let o = opts(line);
+            let built = classic_builder(&o).unwrap();
+            assert_eq!(
+                built.prefix_fingerprint(),
+                parent.prefix_fingerprint(),
+                "{line:?}: topology and flow draw"
+            );
+            // The fingerprint leaves out scheme, mobility model and faults;
+            // the builder's whole state covers those too.
+            assert_eq!(format!("{built:?}"), format!("{parent:?}"), "{line:?}");
+            let wire = format!("{{{}}}", o.spec.json_fields());
+            let back = ScenarioSpec::from_pairs(&parse_object(&wire).unwrap());
+            assert_eq!(back.as_ref(), Ok(&o.spec), "{line:?}: wire round trip");
+        }
     }
 
     #[test]
     fn help_is_not_an_error() {
-        assert_eq!(parse_args(&argv("--help")).unwrap(), Parsed::Help);
-        assert_eq!(parse_args(&argv("-h")).unwrap(), Parsed::Help);
+        assert_eq!(parse_args(argv("--help")).unwrap(), Parsed::Help);
+        assert_eq!(parse_args(argv("-h")).unwrap(), Parsed::Help);
         // --help wins even mid-line: the user asked for usage, print it.
-        assert_eq!(parse_args(&argv("--grid 6 --help")).unwrap(), Parsed::Help);
+        assert_eq!(parse_args(argv("--grid 6 --help")).unwrap(), Parsed::Help);
     }
 
     #[test]
@@ -965,23 +945,23 @@ mod tests {
         assert!(o.resume);
         // Parmesh-only and dependency validation.
         assert!(
-            parse_args(&argv("--nodes 1000 --checkpoint-dir /tmp/ck")).is_err(),
+            parse_args(argv("--nodes 1000 --checkpoint-dir /tmp/ck")).is_err(),
             "--checkpoint-dir without --parmesh"
         );
         assert!(
-            parse_args(&argv("--parmesh --nodes 1000 --resume")).is_err(),
+            parse_args(argv("--parmesh --nodes 1000 --resume")).is_err(),
             "--resume without --checkpoint-dir"
         );
         assert!(
-            parse_args(&argv("--parmesh --nodes 1000 --checkpoint-every 1")).is_err(),
+            parse_args(argv("--parmesh --nodes 1000 --checkpoint-every 1")).is_err(),
             "--checkpoint-every without --checkpoint-dir"
         );
-        assert!(parse_args(&argv(
+        assert!(parse_args(argv(
             "--parmesh --nodes 1000 --checkpoint-dir /tmp/ck --checkpoint-every 0"
         ))
         .is_err());
         // Strict parsing: missing values exit through the error path.
-        assert!(parse_args(&argv("--checkpoint-dir")).is_err());
-        assert!(parse_args(&argv("--checkpoint-every")).is_err());
+        assert!(parse_args(argv("--checkpoint-dir")).is_err());
+        assert!(parse_args(argv("--checkpoint-every")).is_err());
     }
 }
