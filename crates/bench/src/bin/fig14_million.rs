@@ -21,7 +21,7 @@ use cnlr::parmesh::ParMesh;
 use wmn_bench::{emit, quick_mode, FigureSpec};
 use wmn_metrics::ResultTable;
 use wmn_sim::SimDuration;
-use wmn_telemetry::{git_rev, Counters, RunManifest};
+use wmn_telemetry::RunManifest;
 
 fn main() {
     wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
@@ -183,21 +183,14 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
-        id: spec.id.to_string(),
-        title: spec.title.to_string(),
-        git_rev: git_rev(),
         schemes: vec!["parmesh".to_string()],
         seeds: vec![seed],
         xs: threads.iter().map(|&t| t as f64).collect(),
         params,
         wall_s,
         events_processed: total_events,
-        host_cores: host.host_cores,
-        peak_rss_bytes: host.peak_rss_bytes,
-        counters: Counters::new(),
-        lineage: vec![],
+        ..RunManifest::stamped(spec.id, spec.title)
     };
     match manifest.write(std::path::Path::new("results")) {
         Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),

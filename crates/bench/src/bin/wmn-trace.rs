@@ -24,8 +24,8 @@
 use cnlr::cli::{self, Argv};
 use std::collections::BTreeMap;
 use wmn_telemetry::{
-    counter_for_ctrl_drop, counter_for_drop, counter_for_event, parse_object,
-    profile_to_prometheus, EventKind, LogHistogram, ShardProfile, TelemetryEvent,
+    counter_for_ctrl_drop, counter_for_drop, counter_for_event, profile_to_prometheus, EventKind,
+    LogHistogram, RunManifest, ShardProfile, TelemetryEvent,
 };
 
 const BIN: &str = "wmn-trace";
@@ -156,15 +156,12 @@ fn parse_events(text: &str) -> Vec<TelemetryEvent> {
     events
 }
 
-fn load(path: &std::path::Path) -> Vec<TelemetryEvent> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    parse_events(&text)
+/// The text of an artefact the command cannot do without (exit 1 if unreadable).
+fn read(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {}: {e}", path.display());
+        std::process::exit(1);
+    })
 }
 
 /// Apply the `--run N` replication filter in place.
@@ -211,38 +208,14 @@ fn verify(
     by_kind: &BTreeMap<&'static str, u64>,
     manifest: &std::path::Path,
 ) {
-    let text = match std::fs::read_to_string(manifest) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", manifest.display());
-            std::process::exit(1);
-        }
-    };
-    // The manifest writes its counter registry as one flat sub-object on a
-    // single line — extract and parse just that.
-    let counters = text
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("\"counters\": "))
-        .map(|obj| obj.trim_end_matches(','))
-        .and_then(parse_object)
-        .unwrap_or_else(|| {
-            eprintln!(
-                "error: no parseable \"counters\" object in {}",
-                manifest.display()
-            );
-            std::process::exit(1);
-        });
-    let counter = |name: &str| -> u64 {
-        counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0)
+    let Some(RunManifest { counters, .. }) = RunManifest::from_json(&read(manifest)) else {
+        eprintln!("error: {} is not a run manifest", manifest.display());
+        std::process::exit(1);
     };
     let mut checked = 0usize;
     let mut failed = 0usize;
     let mut check = |counter_name: &str, traced: u64| {
-        let expect = counter(counter_name);
+        let expect = counters.get(counter_name);
         checked += 1;
         if traced != expect {
             failed += 1;
@@ -589,13 +562,7 @@ fn shard_profile_report(p: &ShardProfile) {
 /// `wmn-trace profile`: prefer a ShardProfile JSON artifact; fall back to
 /// the legacy event-loop probe histograms when given a JSONL trace.
 fn profile_cmd(args: &Args) {
-    let text = match std::fs::read_to_string(&args.path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", args.path.display());
-            std::process::exit(1);
-        }
-    };
+    let text = read(&args.path);
     if let Some(p) = ShardProfile::from_json(&text) {
         if args.flag("prometheus") {
             print!("{}", profile_to_prometheus(&p));
@@ -611,6 +578,15 @@ fn profile_cmd(args: &Args) {
         );
     }
     let mut events = parse_events(&text);
+    if events.is_empty() {
+        // A profile cut short or of another schema ends here, not in a report.
+        eprintln!(
+            "error: {} is neither a {} artefact nor a trace",
+            args.path.display(),
+            wmn_telemetry::profile::PROFILE_SCHEMA
+        );
+        std::process::exit(1);
+    }
     retain_run(&mut events, args);
     profile(&events);
 }
@@ -623,17 +599,9 @@ fn diff(args: &Args) {
         cli::usage_error(BIN, "diff requires two trace paths");
     };
     let read_lines = |path: &std::path::Path| -> Vec<String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => text
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .map(str::to_string)
-                .collect(),
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let lines = read(path);
+        let kept = lines.lines().filter(|l| !l.trim().is_empty());
+        kept.map(str::to_string).collect()
     };
     let a = read_lines(&args.path);
     let b = read_lines(path_b);
@@ -755,21 +723,16 @@ fn ckpt_cmd(args: &Args) {
     } else {
         args.path.with_file_name("run_manifest.json")
     };
-    if let Ok(text) = std::fs::read_to_string(&manifest) {
-        if let Some(line) = text.lines().find(|l| l.contains("\"lineage\"")) {
-            let inner = line
-                .split_once('[')
-                .and_then(|(_, rest)| rest.rsplit_once(']'))
-                .map(|(inner, _)| inner)
-                .unwrap_or("");
+    let text = std::fs::read_to_string(&manifest).ok();
+    match text.as_deref().map(RunManifest::from_json) {
+        Some(Some(run)) if !run.lineage.is_empty() => {
             println!("\nlineage ({}):", manifest.display());
-            for entry in inner.split("\", \"") {
-                let entry = entry.trim().trim_matches('"');
-                if !entry.is_empty() {
-                    println!("  - {entry}");
-                }
+            for entry in &run.lineage {
+                println!("  - {entry}");
             }
         }
+        Some(None) => eprintln!("warning: {} is not a run manifest", manifest.display()),
+        _ => {}
     }
 
     if bad > 0 {
@@ -791,27 +754,18 @@ fn jobs_cmd(args: &Args) {
         eprintln!("error: cannot connect to {}: {e}", args.path.display());
         std::process::exit(1);
     });
-    if args.flag("json") {
-        let status = client.status_raw();
-        let jobs = client.jobs_raw();
-        match (status, jobs) {
-            (Ok(s), Ok(j)) => {
-                println!("{s}");
-                println!("{j}");
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     let fail = |e: wmn_served::ClientError| -> ! {
         eprintln!("error: {e}");
         std::process::exit(1);
     };
     let status = client.status().unwrap_or_else(|e| fail(e));
     let jobs = client.jobs().unwrap_or_else(|e| fail(e));
+    if args.flag("json") {
+        // The typed lines re-serialise to the daemon's own bytes.
+        println!("{}\n{}", status.to_line(), jobs.to_line());
+        return;
+    }
+    let jobs = jobs.0;
     println!(
         "daemon at {} | {} worker(s), queue {}/{}{}",
         args.path.display(),
@@ -822,17 +776,20 @@ fn jobs_cmd(args: &Args) {
     );
     println!(
         "jobs: {} submitted | {} running | {} queued | {} done | {} cancelled | {} failed | {} refused busy",
-        status.submitted,
+        status.stats.submitted,
         status.running,
         status.queued,
-        status.done,
-        status.cancelled,
-        status.failed,
-        status.rejected_busy
+        status.stats.done,
+        status.stats.cancelled,
+        status.stats.failed,
+        status.stats.rejected_busy
     );
     println!(
         "dedup: {} prefix build(s), {} prefix hit(s) | warm cache: {} export(s), {} import(s)",
-        status.prefix_builds, status.prefix_hits, status.warm_exports, status.warm_imports
+        status.stats.prefix_builds,
+        status.stats.prefix_hits,
+        status.stats.warm_exports,
+        status.stats.warm_imports
     );
     if jobs.is_empty() {
         println!("\nno jobs on record");
@@ -856,7 +813,7 @@ fn main() {
         "jobs" => return jobs_cmd(&args),
         _ => {}
     }
-    let mut events = load(&args.path);
+    let mut events = parse_events(&read(&args.path));
     retain_run(&mut events, &args);
     match args.command.as_str() {
         "summary" => summary(&events, &args),

@@ -8,7 +8,7 @@
 use cnlr::cli::{self, Argv};
 use cnlr::{RunResults, ScenarioBuilder, Scheme};
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
-use wmn_telemetry::{git_rev, Counters, RunManifest};
+use wmn_telemetry::{Counters, RunManifest};
 
 pub mod served;
 
@@ -221,21 +221,15 @@ pub(crate) fn write_manifest_totals(
     let mut params = standard_params(spec, seeds.len(), totals.runs);
     let extra = totals.extra_params.into_iter();
     params.extend(extra.map(|(k, v)| (k.to_string(), v)));
-    let host = wmn_telemetry::sample_host();
     let manifest = RunManifest {
-        id: totals.id,
-        title: spec.title.to_string(),
-        git_rev: git_rev(),
         schemes: schemes.iter().map(Scheme::label).collect(),
         seeds: seeds.to_vec(),
         xs: xs.to_vec(),
         params,
         wall_s,
         events_processed: totals.events,
-        host_cores: host.host_cores,
-        peak_rss_bytes: host.peak_rss_bytes,
         counters: totals.counters,
-        lineage: vec![],
+        ..RunManifest::stamped(totals.id, spec.title)
     };
     match manifest.write(std::path::Path::new("results")) {
         Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),

@@ -13,8 +13,6 @@ use crate::{
     run_sweep, sweep_figure_multi, write_manifest_totals, FigureSpec, ManifestTotals, Metric,
 };
 use cnlr::{RunResults, Scheme};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 use wmn_metrics::ResultTable;
 use wmn_served::{standard_metrics, Client, JobResult, ScenarioSpec};
@@ -24,23 +22,6 @@ use wmn_telemetry::Counters;
 /// value under the wire key with the same definition the one-shot binary
 /// uses for the table name.
 pub type ServedMetric<'a> = (&'a str, &'a str);
-
-/// Counter names arrive from the wire as owned strings, but the
-/// [`Counters`] registry interns `&'static str` names; a tiny leak-based
-/// pool bridges the two (bounded by the counter-name vocabulary).
-fn intern(name: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap();
-    if let Some(s) = pool.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    pool.insert(name.to_string(), leaked);
-    leaked
-}
 
 /// Served counterpart of `sweep_figure_multi`: same flattened job queue,
 /// same aggregation, but each job is submitted to the daemon at `socket`
@@ -125,7 +106,7 @@ fn served_totals(spec: &FigureSpec, runs: &[JobResult]) -> ManifestTotals<'stati
     let (mut pathloss, mut cache_hits, mut budgets) = (0u64, 0u64, 0u64);
     for r in runs {
         for (name, v) in &r.counters {
-            counters.add(intern(name), *v);
+            counters.add_named(name, *v);
         }
         events += r.events;
         prefix_reused += r.prefix_reused as u64;

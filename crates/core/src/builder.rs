@@ -634,7 +634,7 @@ pub struct Simulation {
 impl Simulation {
     /// Install a cooperative cancellation flag (see
     /// [`Engine::with_interrupt`]): once set, the run stops within 1024
-    /// events and [`Simulation::run_with_reason`] reports
+    /// events and [`Simulation::run_full`] reports
     /// [`wmn_sim::StopReason::Interrupted`]. A flag that is never raised
     /// leaves the run byte-identical.
     pub fn interrupt(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {

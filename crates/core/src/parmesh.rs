@@ -40,7 +40,7 @@
 //! delay between separated areas.
 //!
 //! The world data is laid out for million-node runs: the shared read-only
-//! tables ([`Statics`]) keep per-node state in flat structure-of-arrays
+//! tables (`Statics`) keep per-node state in flat structure-of-arrays
 //! vectors with CSR-flattened adjacency (churn intervals, spatial-hash
 //! cells) instead of nested `Vec<Vec<…>>`, node ids are `u32` throughout,
 //! and per-region hot state (exact node loads) is a dense vector parallel

@@ -75,16 +75,24 @@ impl Scheme {
     /// flooding | gossip:P | gossip:P:K | counter:C | counter:C:RAD_MS |
     /// distance:DBM | cnlr | vap
     /// ```
+    ///
+    /// Parameters are range-checked here, against what the policy
+    /// constructors assert: a spec that parses builds a policy that runs.
     pub fn parse(s: &str) -> Result<Scheme, String> {
         let parts: Vec<&str> = s.split(':').collect();
+        // The number at `parts[at]`, inside `range` (so never NaN).
+        let number = |what: &str, at: usize, range: std::ops::RangeInclusive<f64>| {
+            let text = parts.get(at).ok_or(format!("{} needs {what}", parts[0]))?;
+            match text.parse::<f64>() {
+                Ok(x) if range.contains(&x) => Ok(x),
+                Ok(_) => Err(format!("{what} must be in {range:?}")),
+                Err(e) => Err(format!("bad {what}: {e}")),
+            }
+        };
         match parts[0] {
             "flooding" | "flood" => Ok(Scheme::Flooding),
             "gossip" => {
-                let p: f64 = parts
-                    .get(1)
-                    .ok_or("gossip needs :P")?
-                    .parse()
-                    .map_err(|e| format!("bad gossip p: {e}"))?;
+                let p = number("gossip p", 1, 0.0..=1.0)?;
                 if let Some(k) = parts.get(2) {
                     let k: u8 = k.parse().map_err(|e| format!("bad gossip k: {e}"))?;
                     Ok(Scheme::GossipK { p, k })
@@ -98,26 +106,19 @@ impl Scheme {
                     .ok_or("counter needs :C")?
                     .parse()
                     .map_err(|e| format!("bad counter threshold: {e}"))?;
+                if c == 0 {
+                    return Err("counter threshold must be at least 1".into());
+                }
                 let rad = match parts.get(2) {
-                    Some(ms) => {
-                        let ms: f64 = ms.parse().map_err(|e| format!("bad counter rad: {e}"))?;
-                        if ms.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                            return Err("counter rad must be positive".into());
-                        }
-                        SimDuration::from_secs_f64(ms / 1000.0)
-                    }
+                    // A nanosecond to a thousand seconds.
+                    Some(_) => SimDuration::from_secs_f64(number("rad ms", 2, 1e-6..=1e6)? / 1e3),
                     None => SimDuration::from_millis(10),
                 };
                 Ok(Scheme::Counter { threshold: c, rad })
             }
-            "distance" => {
-                let dbm: f64 = parts
-                    .get(1)
-                    .ok_or("distance needs :DBM")?
-                    .parse()
-                    .map_err(|e| format!("bad distance threshold: {e}"))?;
-                Ok(Scheme::Distance { strong_dbm: dbm })
-            }
+            "distance" => Ok(Scheme::Distance {
+                strong_dbm: number("distance dBm", 1, -200.0..=100.0)?,
+            }),
             "cnlr" => Ok(Scheme::Cnlr(CnlrConfig::default())),
             "vap" | "vap-cnlr" => Ok(Scheme::VapCnlr(CnlrConfig::default(), VapConfig::default())),
             other => Err(format!("unknown scheme '{other}'")),
@@ -229,6 +230,15 @@ mod tests {
             "counter",
             "counter:2:0",
             "distance",
+            // Each of these reached a constructor's assert, or ran on it.
+            "gossip:nan",
+            "gossip:1.5",
+            "gossip:-1",
+            "counter:0",
+            "counter:3:1e30",
+            "counter:3:nan",
+            "distance:nan",
+            "distance:inf",
         ] {
             assert!(Scheme::parse(bad).is_err(), "{bad} should not parse");
         }

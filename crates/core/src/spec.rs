@@ -4,7 +4,7 @@
 //!
 //! Everything a scenario field needs lives here — the struct field, its
 //! default, its bound in [`ScenarioSpec::validate`], its wire key in
-//! [`ScenarioSpec::json_fields`] / [`ScenarioSpec::from_pairs`], its row in
+//! [`ScenarioSpec::write_members`] / [`ScenarioSpec::from_pairs`], its row in
 //! the command-line flag table and its lowering in
 //! [`ScenarioSpec::to_builder`].
 
@@ -12,8 +12,7 @@ use crate::cli::{parse, parse_pair, Argv};
 use crate::{FaultPlan, ScenarioBuilder, Scheme};
 use wmn_mobility::MobilityConfig;
 use wmn_sim::SimDuration;
-use wmn_telemetry::escape_json;
-use wmn_telemetry::json::{get, JsonValue};
+use wmn_telemetry::json::{get, JsonValue, ObjectWriter};
 
 /// A scenario: enough to express every served figure sweep (fig3's 8×8
 /// load sweep, fig11's 6×6 churn sweep) exactly, while staying a flat JSON
@@ -70,6 +69,18 @@ impl Default for ScenarioSpec {
         }
     }
 }
+
+/// Side of a spatial-index cell, metres: the nominal radio range of the
+/// default PHY (`ConnectivityGraph::from_positions`; the medium's own index
+/// uses half the 550 m interference range, which is coarser).
+const INDEX_CELL_M: f64 = 250.0;
+/// Most index cells a valid region may span. 10 000 routers at a pitch of
+/// one full radio range cover 10 000; 250 000 is a 125 km square, 8 MB of
+/// empty buckets.
+const MAX_INDEX_CELLS: f64 = 250_000.0;
+/// Most crash/reboot cycles a valid churn may be expected to schedule
+/// (nodes × duration / (mtbf + mttr)); fig11's heaviest cell expects 86.
+const MAX_CHURN_FAULTS: f64 = 100_000.0;
 
 /// One command-line flag of a scenario. [`FLAGS`] is the only place that
 /// maps a flag to a spec field: `wmn-sim` and `wmn-submit` both parse and
@@ -167,9 +178,9 @@ impl ScenarioSpec {
         // Checked: a wire value near 2^63 must not wrap to a small product.
         let nodes = (self.grid_rows.checked_mul(self.grid_cols))
             .and_then(|backbone| backbone.checked_add(self.clients));
-        if nodes.is_none_or(|n| n > 10_000) {
+        let Some(nodes) = nodes.filter(|&n| n <= 10_000) else {
             return Err("more than 10000 nodes".into());
-        }
+        };
         // Positive, and of a size whose products, reciprocals and
         // nanosecond counts stay finite: NaN, ±inf, 0, 1e-320 and 1e300
         // are all outside.
@@ -185,6 +196,23 @@ impl ScenarioSpec {
             if !(1e-9..=1e9).contains(&x) {
                 return Err(format!("{name} must be positive (1e-9 to 1e9)"));
             }
+        }
+        // Two sizes derived from fields that each pass alone. The spatial
+        // indexes lay a dense grid of radio-range cells over the region,
+        // and churn is expanded into its whole schedule before the run:
+        // neither has an interrupt point, and the first aborts on allocation.
+        let cells = (self.grid_rows as f64 * self.pitch_m / INDEX_CELL_M).ceil()
+            * (self.grid_cols as f64 * self.pitch_m / INDEX_CELL_M).ceil();
+        if cells > MAX_INDEX_CELLS {
+            return Err(format!(
+                "region too large: more than {MAX_INDEX_CELLS} cells of {INDEX_CELL_M} m"
+            ));
+        }
+        let faults = nodes as f64 * self.duration_s / (mtbf + mttr);
+        if self.churn.is_some() && faults > MAX_CHURN_FAULTS {
+            return Err(format!(
+                "churn too fast: more than {MAX_CHURN_FAULTS} crashes expected"
+            ));
         }
         if self.payload == 0 {
             return Err("payload must be positive".into());
@@ -244,34 +272,25 @@ impl ScenarioSpec {
         self.clients == 0 && self.churn.is_none()
     }
 
-    /// The spec's fields as a JSON fragment (no surrounding braces), for
-    /// embedding in a request line.
-    pub fn json_fields(&self) -> String {
-        let mut s = format!(
-            "\"seed\":\"{}\",\"scheme\":\"{}\",\"grid_rows\":{},\"grid_cols\":{},\
-             \"pitch_m\":{},\"flows\":{},\"pps\":{},\"payload\":{},\
-             \"duration_s\":{},\"warmup_s\":{}",
-            self.seed,
-            escape_json(&self.scheme),
-            self.grid_rows,
-            self.grid_cols,
-            self.pitch_m,
-            self.flows,
-            self.pps,
-            self.payload,
-            self.duration_s,
-            self.warmup_s,
-        );
+    /// Write the spec's fields as members of a request line.
+    pub fn write_members(&self, o: &mut ObjectWriter<'_>) {
+        o.field("seed", &self.seed.to_string())
+            .field("scheme", &self.scheme)
+            .field("grid_rows", &self.grid_rows)
+            .field("grid_cols", &self.grid_cols)
+            .field("pitch_m", &self.pitch_m)
+            .field("flows", &self.flows)
+            .field("pps", &self.pps)
+            .field("payload", &self.payload)
+            .field("duration_s", &self.duration_s)
+            .field("warmup_s", &self.warmup_s);
         if self.clients > 0 {
-            s.push_str(&format!(
-                ",\"clients\":{},\"client_speed\":{}",
-                self.clients, self.client_speed
-            ));
+            o.field("clients", &self.clients)
+                .field("client_speed", &self.client_speed);
         }
         if let Some((mtbf, mttr)) = self.churn {
-            s.push_str(&format!(",\"churn_mtbf_s\":{mtbf},\"churn_mttr_s\":{mttr}"));
+            o.field("churn_mtbf_s", &mtbf).field("churn_mttr_s", &mttr);
         }
-        s
     }
 
     /// Reconstruct a spec from parsed request pairs. Missing fields take
@@ -324,6 +343,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_telemetry::json::{object, Layout};
     use wmn_telemetry::parse_object;
 
     #[test]
@@ -344,7 +364,7 @@ mod tests {
             client_speed: 12.5,
             churn: Some((30.0, 10.0)),
         };
-        let line = format!("{{{}}}", spec.json_fields());
+        let line = object(Layout::Compact, |o| spec.write_members(o));
         let pairs = parse_object(&line).expect("parses");
         let back = ScenarioSpec::from_pairs(&pairs).expect("valid");
         assert_eq!(back, spec);

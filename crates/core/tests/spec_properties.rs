@@ -3,7 +3,8 @@
 //! may panic whatever arrives, and whatever they accept must be a
 //! scenario the builder can take: at most 10 000 nodes counted without
 //! wrap-around, and — checked for the specs small enough to build here —
-//! a prefix build that returns instead of panicking.
+//! a prefix build that returns, under a watchdog, instead of panicking,
+//! aborting on an allocation or running for ever.
 
 use cnlr::cli::Argv;
 use cnlr::ScenarioSpec;
@@ -46,7 +47,11 @@ const KEYS: [&str; 15] = [
 ];
 
 /// Values that have broken a parser or a bound somewhere before.
-const NASTY: [&str; 24] = [
+const NASTY: [&str; 28] = [
+    "1e7",
+    "1e6",
+    "1e-9,1e-9",
+    "1e9",
     "nan",
     "inf",
     "-inf",
@@ -124,8 +129,12 @@ fn assert_buildable(spec: &ScenarioSpec) -> Result<(), TestCaseError> {
         let builder = spec.to_builder();
         prop_assert!(builder.is_ok(), "validated but not lowered: {spec:?}");
         // `Ok` or a `BuildError` (disconnected, no flow pairs): both are
-        // answers. Reaching the next line at all is the property.
-        let _ = builder.unwrap().build_prefix();
+        // answers. Getting one, and in time, is the property.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let builder = builder.unwrap();
+        std::thread::spawn(move || tx.send(builder.build_prefix().is_ok()));
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(20));
+        prop_assert!(answered.is_ok(), "build_prefix hung or died on {spec:?}");
     }
     Ok(())
 }
@@ -173,4 +182,23 @@ fn the_overflowing_grid_is_refused() {
         parse_line(line.to_vec()),
         Err("more than 10000 nodes".to_string())
     );
+}
+
+/// Three lines whose every field is in range and whose derived sizes are
+/// not: the first aborted on a 345 GB allocation, the other two ran on
+/// with no interrupt point.
+#[test]
+fn resource_bombs_are_refused_not_built() {
+    for (line, why) in [
+        ("--grid 3 --pitch 1e7", "region too large"),
+        ("--grid 3 --pitch 1e6", "region too large"),
+        ("--churn 1e-9,1e-9", "churn too fast"),
+    ] {
+        let refusal = parse_line(line.split(' ').map(str::to_string).collect()).unwrap_err();
+        assert!(refusal.starts_with(why), "{line}: {refusal}");
+    }
+    // The largest region and the fastest churn that are valid do build.
+    let edge = "--grid 3 --pitch 41000 --churn 0.018,0.018 --duration 200 --warmup 0";
+    let spec = parse_line(edge.split(' ').map(str::to_string).collect()).expect("valid");
+    assert_buildable(&spec).expect("built in time");
 }

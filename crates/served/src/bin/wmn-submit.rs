@@ -100,49 +100,46 @@ fn main() {
         Action::Ping => client.ping().map(|()| println!("pong")),
         Action::Shutdown => client.shutdown().map(|()| println!("draining")),
         Action::Cancel(id) => client.cancel(id).map(|o| println!("job {id}: {o}")),
-        Action::Status => {
+        Action::Status => client.status().map(|s| {
             if json {
-                client.status_raw().map(|s| println!("{s}"))
-            } else {
-                client.status().map(|s| {
-                    println!(
-                        "queued {} | running {} | done {} | cancelled {} | failed {} | \
-                         busy-rejected {} | capacity {} | workers {}{}",
-                        s.queued,
-                        s.running,
-                        s.done,
-                        s.cancelled,
-                        s.failed,
-                        s.rejected_busy,
-                        s.capacity,
-                        s.workers,
-                        if s.draining { " | DRAINING" } else { "" }
-                    );
-                    println!(
-                        "prefix cache: {} hits / {} builds; warm link cache: {} imports / {} exports",
-                        s.prefix_hits, s.prefix_builds, s.warm_imports, s.warm_exports
-                    );
-                })
+                return println!("{}", s.to_line());
             }
-        }
-        Action::Jobs => {
+            println!(
+                "queued {} | running {} | done {} | cancelled {} | failed {} | \
+                 busy-rejected {} | capacity {} | workers {}{}",
+                s.queued,
+                s.running,
+                s.stats.done,
+                s.stats.cancelled,
+                s.stats.failed,
+                s.stats.rejected_busy,
+                s.capacity,
+                s.workers,
+                if s.draining { " | DRAINING" } else { "" }
+            );
+            println!(
+                "prefix cache: {} hits / {} builds; warm link cache: {} imports / {} exports",
+                s.stats.prefix_hits,
+                s.stats.prefix_builds,
+                s.stats.warm_imports,
+                s.stats.warm_exports
+            );
+        }),
+        Action::Jobs => client.jobs().map(|jobs| {
             if json {
-                client.jobs_raw().map(|s| println!("{s}"))
-            } else {
-                client.jobs().map(|jobs| {
-                    println!(
-                        "{:>5}  {:<10} {:<16} {:>6}  seed",
-                        "job", "state", "scheme", "prio"
-                    );
-                    for j in jobs {
-                        println!(
-                            "{:>5}  {:<10} {:<16} {:>6}  {}",
-                            j.id, j.state, j.scheme, j.priority, j.seed
-                        );
-                    }
-                })
+                return println!("{}", jobs.to_line());
             }
-        }
+            println!(
+                "{:>5}  {:<10} {:<16} {:>6}  seed",
+                "job", "state", "scheme", "prio"
+            );
+            for j in jobs.0 {
+                println!(
+                    "{:>5}  {:<10} {:<16} {:>6}  {}",
+                    j.id, j.state, j.scheme, j.priority, j.seed
+                );
+            }
+        }),
         Action::Submit => {
             let mut submit_and_wait = || {
                 let job = client.submit(&spec, priority, stream)?;

@@ -23,7 +23,10 @@ pub mod proto;
 pub mod server;
 pub use cnlr::spec;
 
-pub use client::{Client, ClientError, JobInfo, ServiceStatus};
-pub use proto::{standard_metrics, JobResult, Request, PROTOCOL_VERSION};
-pub use server::{JobState, Server, ServerConfig, ServiceStats};
+pub use client::{Client, ClientError};
+pub use proto::{
+    standard_metrics, JobInfo, JobListing, JobResult, Request, ServiceStats, ServiceStatus,
+    PROTOCOL_VERSION,
+};
+pub use server::{JobState, Server, ServerConfig};
 pub use spec::ScenarioSpec;

@@ -1,7 +1,10 @@
 //! The newline-delimited request/response protocol (versioned, flat JSON).
 //!
-//! Every line is one flat JSON object — the shape
-//! [`wmn_telemetry::parse_object`] reads. Requests carry `"v":1` and an
+//! Every line is one flat JSON object, read and written through
+//! [`wmn_telemetry::json`]; each response with more than an `ok` in it is
+//! one struct here ([`JobResult`], [`ServiceStatus`], [`JobListing`]) that
+//! the daemon writes with `to_line` and the client reads with `from_json`,
+//! so the two sides cannot disagree about a key. Requests carry `"v":1` and an
 //! `"op"`; responses to a `run` are an immediate ack followed, on the same
 //! connection, by `"stream"`-tagged lines (`probe`, `manifest`, `result`)
 //! until the terminal `result` line. 64-bit seeds travel as strings (the
@@ -13,8 +16,8 @@
 use crate::spec::ScenarioSpec;
 use cnlr::RunResults;
 use std::io::{BufRead, Error, ErrorKind::InvalidData, Read};
-use wmn_telemetry::json::{get, JsonValue};
-use wmn_telemetry::{escape_json, parse_object};
+use wmn_telemetry::json::{get, object, FromJson, JsonValue, Layout, Seq, ToJson};
+use wmn_telemetry::{json_members, parse_object};
 
 /// Wire-protocol version; bumped on any incompatible change.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -116,23 +119,24 @@ impl Request {
 
     /// Serialise for sending (the client side of [`Request::parse`]).
     pub fn to_line(&self) -> String {
-        match self {
-            Request::Run {
-                spec,
-                priority,
-                stream,
-            } => format!(
-                "{{\"v\":{PROTOCOL_VERSION},\"op\":\"run\",{},\"priority\":{priority},\"stream\":{stream}}}",
-                spec.json_fields()
-            ),
-            Request::Cancel { job } => {
-                format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"cancel\",\"job\":{job}}}")
-            }
-            Request::Status => format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"status\"}}"),
-            Request::Jobs => format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"jobs\"}}"),
-            Request::Ping => format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"ping\"}}"),
-            Request::Shutdown => format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"shutdown\"}}"),
-        }
+        object(Layout::Compact, |o| {
+            let o = o.field("v", &PROTOCOL_VERSION);
+            match self {
+                Request::Run {
+                    spec,
+                    priority,
+                    stream,
+                } => {
+                    spec.write_members(o.field("op", "run"));
+                    o.field("priority", priority).field("stream", stream)
+                }
+                Request::Cancel { job } => o.field("op", "cancel").field("job", job),
+                Request::Status => o.field("op", "status"),
+                Request::Jobs => o.field("op", "jobs"),
+                Request::Ping => o.field("op", "ping"),
+                Request::Shutdown => o.field("op", "shutdown"),
+            };
+        })
     }
 }
 
@@ -140,26 +144,20 @@ impl Request {
 /// for non-finite values (JSON has no NaN/Inf). The client maps `null`
 /// back to NaN.
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
+    v.to_json_in(Layout::Compact)
 }
 
-fn f64_array(values: impl Iterator<Item = f64>) -> String {
-    let items: Vec<String> = values.map(fmt_f64).collect();
-    format!("[{}]", items.join(","))
+/// The one-line answer to a request the daemon will not serve.
+pub(crate) fn refusal(error: &str) -> String {
+    object(Layout::Compact, |o| {
+        o.field("ok", &false).field("error", error);
+    })
 }
 
-fn str_array<'a>(items: impl Iterator<Item = &'a str>) -> String {
-    let items: Vec<String> = items.map(|s| format!("\"{}\"", escape_json(s))).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn u64_array(values: impl Iterator<Item = u64>) -> String {
-    let items: Vec<String> = values.map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
+/// The member `key` of a response, which must be there and be a `T`.
+fn need<T: FromJson>(v: &JsonValue, key: &str) -> Result<T, String> {
+    v.field(key)
+        .ok_or_else(|| format!("response lacks a well-formed \"{key}\""))
 }
 
 /// The metric set the daemon extracts from every completed run, keyed for
@@ -246,106 +244,199 @@ impl JobResult {
 
     /// Serialise as the terminal `result` stream line.
     pub fn to_line(&self) -> String {
-        if !self.ok {
-            return format!(
-                "{{\"stream\":\"result\",\"job\":{},\"ok\":false,\"error\":\"{}\"}}",
-                self.job,
-                escape_json(self.error.as_deref().unwrap_or("failed"))
-            );
-        }
-        format!(
-            "{{\"stream\":\"result\",\"job\":{},\"ok\":true,\"wall_s\":{},\"events\":{},\
-             \"metric_names\":{},\"metric_values\":{},\
-             \"counter_names\":{},\"counter_values\":{},\
-             \"pathloss_evals\":{},\"link_cache_hits\":{},\"link_budgets\":{},\
-             \"prefix_reused\":{},\"warm_import\":{}}}",
-            self.job,
-            fmt_f64(self.wall_s),
-            self.events,
-            str_array(self.metrics.iter().map(|(k, _)| k.as_str())),
-            f64_array(self.metrics.iter().map(|(_, v)| *v)),
-            str_array(self.counters.iter().map(|(k, _)| k.as_str())),
-            u64_array(self.counters.iter().map(|(_, v)| *v)),
-            self.pathloss_evals,
-            self.link_cache_hits,
-            self.link_budgets,
-            self.prefix_reused,
-            self.warm_import,
-        )
+        object(Layout::Compact, |o| {
+            o.field("stream", "result")
+                .field("job", &self.job)
+                .field("ok", &self.ok);
+            if !self.ok {
+                o.field("error", self.error.as_deref().unwrap_or("failed"));
+                return;
+            }
+            o.field("wall_s", &self.wall_s)
+                .field("events", &self.events)
+                .field("metric_names", &Seq(self.metrics.iter().map(|(k, _)| k)))
+                .field("metric_values", &Seq(self.metrics.iter().map(|(_, v)| v)))
+                .field("counter_names", &Seq(self.counters.iter().map(|(k, _)| k)))
+                .field("counter_values", &Seq(self.counters.iter().map(|(_, v)| v)))
+                .field("pathloss_evals", &self.pathloss_evals)
+                .field("link_cache_hits", &self.link_cache_hits)
+                .field("link_budgets", &self.link_budgets)
+                .field("prefix_reused", &self.prefix_reused)
+                .field("warm_import", &self.warm_import);
+        })
     }
 
-    /// Parse a `result` stream line back (client side).
-    pub fn from_pairs(pairs: &[(String, JsonValue)]) -> Result<JobResult, String> {
-        let job = get(pairs, "job")
-            .and_then(JsonValue::as_u64)
-            .ok_or("result missing job id")?;
-        let ok = matches!(get(pairs, "ok"), Some(JsonValue::Bool(true)));
-        if !ok {
-            let error = get(pairs, "error")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("failed")
-                .to_string();
+    /// Read a `result` stream line back (client side).
+    pub fn from_json(v: &JsonValue) -> Result<JobResult, String> {
+        let job = need(v, "job")?;
+        if !need::<bool>(v, "ok")? {
+            let error = v.field("error").unwrap_or_else(|| "failed".to_string());
             return Ok(JobResult::failure(job, error));
         }
-        let names = |key: &str| -> Result<Vec<String>, String> {
-            match get(pairs, key) {
-                Some(JsonValue::Arr(items)) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("non-string in {key}"))
-                    })
-                    .collect(),
-                _ => Err(format!("result missing {key}")),
-            }
-        };
-        let metric_names = names("metric_names")?;
-        let counter_names = names("counter_names")?;
-        let metric_values: Vec<f64> = match get(pairs, "metric_values") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|v| match v {
-                    JsonValue::Null => f64::NAN,
-                    other => other.as_f64().unwrap_or(f64::NAN),
-                })
-                .collect(),
-            _ => return Err("result missing metric_values".into()),
-        };
-        let counter_values: Vec<u64> = match get(pairs, "counter_values") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|v| v.as_u64().ok_or("non-integer counter value"))
-                .collect::<Result<_, _>>()?,
-            _ => return Err("result missing counter_values".into()),
-        };
+        let (metric_names, metric_values): (Vec<String>, Vec<f64>) =
+            (need(v, "metric_names")?, need(v, "metric_values")?);
+        let (counter_names, counter_values): (Vec<String>, Vec<u64>) =
+            (need(v, "counter_names")?, need(v, "counter_values")?);
         if metric_names.len() != metric_values.len() || counter_names.len() != counter_values.len()
         {
             return Err("mismatched name/value array lengths".into());
         }
-        let u64_field = |key: &str| get(pairs, key).and_then(JsonValue::as_u64).unwrap_or(0);
         Ok(JobResult {
             job,
-            ok,
+            ok: true,
             error: None,
-            wall_s: get(pairs, "wall_s")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            events: u64_field("events"),
+            wall_s: need(v, "wall_s")?,
+            events: need(v, "events")?,
             metrics: metric_names.into_iter().zip(metric_values).collect(),
             counters: counter_names.into_iter().zip(counter_values).collect(),
-            pathloss_evals: u64_field("pathloss_evals"),
-            link_cache_hits: u64_field("link_cache_hits"),
-            link_budgets: u64_field("link_budgets"),
-            prefix_reused: matches!(get(pairs, "prefix_reused"), Some(JsonValue::Bool(true))),
-            warm_import: matches!(get(pairs, "warm_import"), Some(JsonValue::Bool(true))),
+            pathloss_evals: need(v, "pathloss_evals")?,
+            link_cache_hits: need(v, "link_cache_hits")?,
+            link_budgets: need(v, "link_budgets")?,
+            prefix_reused: need(v, "prefix_reused")?,
+            warm_import: need(v, "warm_import")?,
         })
+    }
+}
+
+/// Service-level counters (monotonic over the daemon's life).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServiceStats {
+    /// Jobs accepted.
+    pub submitted: u64,
+    /// Jobs completed successfully.
+    pub done: u64,
+    /// Jobs cancelled.
+    pub cancelled: u64,
+    /// Jobs failed (bad spec / build error / panic).
+    pub failed: u64,
+    /// `run` requests refused with `busy`.
+    pub rejected_busy: u64,
+    /// Scenario prefixes built from scratch.
+    pub prefix_builds: u64,
+    /// Jobs that reused a cached prefix.
+    pub prefix_hits: u64,
+    /// Jobs that imported a warm link-budget cache.
+    pub warm_imports: u64,
+    /// Warm link-budget caches exported into the dedup slot.
+    pub warm_exports: u64,
+}
+
+/// The `status` response: the queue as it stands, and the counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServiceStatus {
+    /// Jobs waiting for a worker.
+    pub queued: u64,
+    /// Jobs currently on a worker.
+    pub running: u64,
+    /// Queue capacity.
+    pub capacity: u64,
+    /// Worker-pool size.
+    pub workers: u64,
+    /// Whether the daemon is draining.
+    pub draining: bool,
+    /// The daemon's counters.
+    pub stats: ServiceStats,
+}
+
+json_members!(ServiceStatus {
+    "queued" => queued,
+    "running" => running,
+    "submitted" => stats.submitted,
+    "done" => stats.done,
+    "cancelled" => stats.cancelled,
+    "failed" => stats.failed,
+    "rejected_busy" => stats.rejected_busy,
+    "capacity" => capacity,
+    "workers" => workers,
+    "draining" => draining,
+    "prefix_builds" => stats.prefix_builds,
+    "prefix_hits" => stats.prefix_hits,
+    "warm_imports" => stats.warm_imports,
+    "warm_exports" => stats.warm_exports,
+});
+
+impl ServiceStatus {
+    /// Serialise as the one-line `status` response.
+    pub fn to_line(&self) -> String {
+        object(Layout::Compact, |o| {
+            o.field("ok", &true).field("v", &PROTOCOL_VERSION);
+            self.write_members(o);
+        })
+    }
+
+    /// Read a `status` response back (client side).
+    pub fn from_json(v: &JsonValue) -> Result<ServiceStatus, String> {
+        let mut status = ServiceStatus::default();
+        let read = status.read_members(v);
+        read.map(|()| status)
+            .ok_or_else(|| "malformed status response".into())
+    }
+}
+
+/// One row of the `jobs` listing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobInfo {
+    /// Job id.
+    pub id: u64,
+    /// Lifecycle state name.
+    pub state: String,
+    /// Scheme spec string.
+    pub scheme: String,
+    /// Master seed.
+    pub seed: u64,
+    /// Scheduling priority.
+    pub priority: i64,
+}
+
+/// The `jobs` response: the jobs on record, ascending by id. On the wire
+/// it is five parallel columns (`ids`, `states`, `schemes`, `seeds` as
+/// strings, `priorities`), which keeps the line a flat object.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct JobListing(pub Vec<JobInfo>);
+
+impl JobListing {
+    /// Serialise as the one-line `jobs` response.
+    pub fn to_line(&self) -> String {
+        let rows = self.0.iter();
+        object(Layout::Compact, |o| {
+            o.field("ok", &true)
+                .field("ids", &Seq(rows.clone().map(|j| j.id)))
+                .field("states", &Seq(rows.clone().map(|j| &j.state)))
+                .field("schemes", &Seq(rows.clone().map(|j| &j.scheme)))
+                .field("seeds", &Seq(rows.clone().map(|j| j.seed.to_string())))
+                .field("priorities", &Seq(rows.clone().map(|j| j.priority)));
+        })
+    }
+
+    /// Read a `jobs` response back (client side).
+    pub fn from_json(v: &JsonValue) -> Result<JobListing, String> {
+        let (ids, priorities): (Vec<u64>, Vec<f64>) = (need(v, "ids")?, need(v, "priorities")?);
+        let (states, schemes, seeds): (Vec<String>, Vec<String>, Vec<String>) =
+            (need(v, "states")?, need(v, "schemes")?, need(v, "seeds")?);
+        let columns = [states.len(), schemes.len(), seeds.len(), priorities.len()];
+        if columns != [ids.len(); 4] {
+            return Err("jobs columns differ in length".into());
+        }
+        let row = |i: usize| -> Result<JobInfo, String> {
+            Ok(JobInfo {
+                id: ids[i],
+                state: states[i].clone(),
+                scheme: schemes[i].clone(),
+                seed: (seeds[i].parse()).map_err(|_| format!("bad seed '{}' in jobs", seeds[i]))?,
+                priority: priorities[i] as i64,
+            })
+        };
+        (0..ids.len())
+            .map(row)
+            .collect::<Result<_, _>>()
+            .map(JobListing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_telemetry::json::parse;
 
     #[test]
     fn request_lines_roundtrip() {
@@ -397,8 +488,8 @@ mod tests {
             prefix_reused: true,
             warm_import: false,
         };
-        let pairs = parse_object(&jr.to_line()).expect("result line parses");
-        let back = JobResult::from_pairs(&pairs).unwrap();
+        let line = parse(&jr.to_line()).expect("result line parses");
+        let back = JobResult::from_json(&line).unwrap();
         assert_eq!(back.job, jr.job);
         assert_eq!(back.metrics[0].1.to_bits(), (0.1f64 + 0.2).to_bits());
         assert!(back.metrics[1].1.is_nan());
@@ -406,11 +497,124 @@ mod tests {
         assert!(back.prefix_reused && !back.warm_import);
     }
 
+    /// The `status` and `jobs` lines as wire v1 has always had them, through
+    /// the one struct each side now uses.
+    #[test]
+    fn status_and_jobs_lines_are_the_v1_bytes_and_round_trip() {
+        let status_line =
+            "{\"ok\":true,\"v\":1,\"queued\":1,\"running\":0,\"submitted\":2,\"done\":0,\
+            \"cancelled\":1,\"failed\":0,\"rejected_busy\":1,\"capacity\":2,\"workers\":0,\
+            \"draining\":false,\"prefix_builds\":0,\"prefix_hits\":3,\"warm_imports\":0,\
+            \"warm_exports\":0}";
+        let status = ServiceStatus {
+            queued: 1,
+            capacity: 2,
+            stats: ServiceStats {
+                submitted: 2,
+                cancelled: 1,
+                rejected_busy: 1,
+                prefix_hits: 3,
+                ..ServiceStats::default()
+            },
+            ..ServiceStatus::default()
+        };
+        assert_eq!(status.to_line(), status_line);
+        assert_eq!(
+            ServiceStatus::from_json(&parse(status_line).unwrap()),
+            Ok(status)
+        );
+        let short = status_line.replace(",\"warm_exports\":0", "");
+        assert!(ServiceStatus::from_json(&parse(&short).unwrap()).is_err());
+
+        let jobs_line = "{\"ok\":true,\"ids\":[1,2],\"states\":[\"cancelled\",\"queued\"],\
+            \"schemes\":[\"gossip:0.65\",\"cnlr\"],\
+            \"seeds\":[\"18446744073709551615\",\"18446744073709551614\"],\"priorities\":[-3,-2]}";
+        let row = |id, state: &str, scheme: &str, seed, priority| JobInfo {
+            id,
+            state: state.into(),
+            scheme: scheme.into(),
+            seed,
+            priority,
+        };
+        let jobs = JobListing(vec![
+            row(1, "cancelled", "gossip:0.65", u64::MAX, -3),
+            row(2, "queued", "cnlr", u64::MAX - 1, -2),
+        ]);
+        assert_eq!(jobs.to_line(), jobs_line);
+        assert_eq!(JobListing::from_json(&parse(jobs_line).unwrap()), Ok(jobs));
+        let empty =
+            "{\"ok\":true,\"ids\":[],\"states\":[],\"schemes\":[],\"seeds\":[],\"priorities\":[]}";
+        assert_eq!(JobListing::default().to_line(), empty);
+        for bad in [
+            jobs_line.replace("[1,2]", "[1]"),
+            jobs_line.replace("\"18446744073709551614\"", "\"x\""),
+            jobs_line.replace("\"states\"", "\"stats\""),
+        ] {
+            assert!(
+                JobListing::from_json(&parse(&bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn request_and_result_lines_are_the_v1_bytes() {
+        let spec = ScenarioSpec {
+            seed: u64::MAX - 1,
+            clients: 1,
+            churn: Some((30.0, 10.5)),
+            ..ScenarioSpec::default()
+        };
+        let run = Request::Run {
+            spec,
+            priority: -2,
+            stream: true,
+        };
+        assert_eq!(
+            run.to_line(),
+            "{\"v\":1,\"op\":\"run\",\"seed\":\"18446744073709551614\",\"scheme\":\"cnlr\",\
+             \"grid_rows\":8,\"grid_cols\":8,\"pitch_m\":180,\"flows\":20,\"pps\":4,\"payload\":512,\
+             \"duration_s\":60,\"warmup_s\":10,\"clients\":1,\"client_speed\":10,\
+             \"churn_mtbf_s\":30,\"churn_mttr_s\":10.5,\"priority\":-2,\"stream\":true}"
+        );
+        assert_eq!(
+            Request::Cancel { job: 7 }.to_line(),
+            "{\"v\":1,\"op\":\"cancel\",\"job\":7}"
+        );
+        assert_eq!(Request::Ping.to_line(), "{\"v\":1,\"op\":\"ping\"}");
+        let done = JobResult {
+            ok: true,
+            error: None,
+            wall_s: 1.25,
+            events: 123,
+            metrics: vec![("pdr".into(), 0.1 + 0.2), ("d".into(), f64::NAN)],
+            counters: vec![("a\"b".into(), 42), ("c".into(), u64::MAX)],
+            pathloss_evals: 9,
+            prefix_reused: true,
+            ..JobResult::failure(5, "")
+        };
+        assert_eq!(
+            done.to_line(),
+            "{\"stream\":\"result\",\"job\":5,\"ok\":true,\"wall_s\":1.25,\"events\":123,\
+             \"metric_names\":[\"pdr\",\"d\"],\"metric_values\":[0.30000000000000004,null],\
+             \"counter_names\":[\"a\\\"b\",\"c\"],\"counter_values\":[42,18446744073709551615],\
+             \"pathloss_evals\":9,\"link_cache_hits\":0,\"link_budgets\":0,\
+             \"prefix_reused\":true,\"warm_import\":false}"
+        );
+        assert_eq!(
+            JobResult::failure(3, "can\"celled\n").to_line(),
+            "{\"stream\":\"result\",\"job\":3,\"ok\":false,\"error\":\"can\\\"celled\\n\"}"
+        );
+        assert_eq!(
+            refusal("unknown op 'fly\u{1}'"),
+            "{\"ok\":false,\"error\":\"unknown op 'fly\\u0001'\"}"
+        );
+    }
+
     #[test]
     fn failure_lines_carry_the_reason() {
         let jr = JobResult::failure(3, "cancelled");
-        let pairs = parse_object(&jr.to_line()).unwrap();
-        let back = JobResult::from_pairs(&pairs).unwrap();
+        let back = JobResult::from_json(&parse(&jr.to_line()).unwrap()).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error.as_deref(), Some("cancelled"));
     }

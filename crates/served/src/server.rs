@@ -10,22 +10,24 @@
 //! cache import).
 
 use crate::proto::{
-    fmt_f64, read_line_capped, standard_metrics, JobResult, Request, PROTOCOL_VERSION,
+    fmt_f64, read_line_capped, refusal, standard_metrics, JobInfo, JobListing, JobResult, Request,
+    ServiceStats, ServiceStatus, PROTOCOL_VERSION,
 };
 use crate::spec::ScenarioSpec;
 use cnlr::{LinkCacheSnapshot, ScenarioPrefix, Scheme};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use wmn_sim::{SimDuration, StopReason};
+use wmn_telemetry::json::{object, Layout};
 use wmn_telemetry::{
-    escape_json, git_rev, sample_host, EventKind, EventSink, RunManifest, SharedSink,
-    TelemetryConfig, TelemetryEvent,
+    EventKind, EventSink, RunManifest, SharedSink, TelemetryConfig, TelemetryEvent,
 };
 
 /// Daemon configuration.
@@ -80,29 +82,6 @@ impl JobState {
     }
 }
 
-/// Service-level counters (monotonic over the daemon's life).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Jobs accepted.
-    pub submitted: u64,
-    /// Jobs completed successfully.
-    pub done: u64,
-    /// Jobs cancelled.
-    pub cancelled: u64,
-    /// Jobs failed (bad spec / build error).
-    pub failed: u64,
-    /// `run` requests refused with `busy`.
-    pub rejected_busy: u64,
-    /// Scenario prefixes built from scratch.
-    pub prefix_builds: u64,
-    /// Jobs that reused a cached prefix.
-    pub prefix_hits: u64,
-    /// Jobs that imported a warm link-budget cache.
-    pub warm_imports: u64,
-    /// Warm link-budget caches exported into the dedup slot.
-    pub warm_exports: u64,
-}
-
 /// One line streamed back to the submitting connection.
 struct JobLine {
     text: String,
@@ -119,14 +98,58 @@ struct JobEntry {
     reply: mpsc::Sender<JobLine>,
 }
 
+/// Finished jobs kept on record for `jobs` and `cancel`; a queued or
+/// running job always is. Without the bound the listing outgrows the
+/// client's response cap and the daemon's memory grows with its age.
+const FINISHED_KEPT: usize = 1024;
+
+#[derive(Default)]
 struct CoreState {
     next_id: u64,
     /// Queued job ids in submission order (selection scans for the best
     /// priority; FIFO within a level).
     queue: Vec<u64>,
     jobs: HashMap<u64, JobEntry>,
+    /// The finished jobs still in `jobs`, oldest first.
+    ended: VecDeque<u64>,
     draining: bool,
     stats: ServiceStats,
+}
+
+impl CoreState {
+    /// Where in `queue` the job to run next is: the highest priority, FIFO
+    /// (lowest queue index) within a level.
+    fn next_in_queue(&self) -> Option<usize> {
+        let by_priority_then_age = |(ai, a): &(usize, &u64), (bi, b): &(usize, &u64)| {
+            let (pa, pb) = (self.jobs[a].priority, self.jobs[b].priority);
+            pa.cmp(&pb).then(bi.cmp(ai))
+        };
+        (self.queue.iter().enumerate())
+            .max_by(by_priority_then_age)
+            .map(|(i, _)| i)
+    }
+
+    /// The one way a job ends: record its terminal `state`, hand its
+    /// submitter the terminal line `text`, and forget the oldest finished
+    /// job once more than [`FINISHED_KEPT`] are on record.
+    fn finish(&mut self, id: u64, state: JobState, text: String) {
+        let Some(entry) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        match state {
+            JobState::Done => self.stats.done += 1,
+            JobState::Cancelled => self.stats.cancelled += 1,
+            JobState::Failed => self.stats.failed += 1,
+            JobState::Queued | JobState::Running => unreachable!("{state:?} is not an end"),
+        }
+        entry.state = state;
+        let _ = entry.reply.send(JobLine { text, last: true });
+        self.ended.push_back(id);
+        if self.ended.len() > FINISHED_KEPT {
+            let oldest = self.ended.pop_front().expect("longer than the bound");
+            self.jobs.remove(&oldest);
+        }
+    }
 }
 
 /// Scheme-independent build products shared across a prefix's jobs.
@@ -152,27 +175,37 @@ struct Core {
     finished: AtomicBool,
 }
 
-/// Why a `run` request was refused.
-enum SubmitError {
-    Busy,
-    Draining,
-}
-
 impl Core {
+    fn new(workers: usize, queue_cap: usize) -> Core {
+        Core {
+            state: Mutex::new(CoreState {
+                next_id: 1,
+                ..CoreState::default()
+            }),
+            cv: Condvar::new(),
+            prefixes: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            workers,
+            queue_cap,
+            finished: AtomicBool::new(false),
+        }
+    }
+
+    /// Queue a job and return its id, or the wire word for why not.
     fn submit(
         &self,
         spec: ScenarioSpec,
         priority: i64,
         stream: bool,
         reply: mpsc::Sender<JobLine>,
-    ) -> Result<u64, SubmitError> {
+    ) -> Result<u64, &'static str> {
         let mut st = self.state.lock().unwrap();
         if st.draining {
-            return Err(SubmitError::Draining);
+            return Err("draining");
         }
         if st.queue.len() >= self.queue_cap {
             st.stats.rejected_busy += 1;
-            return Err(SubmitError::Busy);
+            return Err("busy");
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -202,15 +235,8 @@ impl Core {
         match state {
             JobState::Queued => {
                 st.queue.retain(|&q| q != id);
-                {
-                    let entry = st.jobs.get_mut(&id).unwrap();
-                    entry.state = JobState::Cancelled;
-                    let _ = entry.reply.send(JobLine {
-                        text: JobResult::failure(id, "cancelled").to_line(),
-                        last: true,
-                    });
-                }
-                st.stats.cancelled += 1;
+                let text = JobResult::failure(id, "cancelled").to_line();
+                st.finish(id, JobState::Cancelled, text);
                 "cancelled"
             }
             JobState::Running => {
@@ -227,78 +253,38 @@ impl Core {
         self.cv.notify_all();
     }
 
-    fn status_line(&self) -> String {
+    fn status(&self) -> ServiceStatus {
         let st = self.state.lock().unwrap();
-        let running = st
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count();
-        let s = st.stats;
-        format!(
-            "{{\"ok\":true,\"v\":{PROTOCOL_VERSION},\"queued\":{},\"running\":{running},\
-             \"submitted\":{},\"done\":{},\"cancelled\":{},\"failed\":{},\
-             \"rejected_busy\":{},\"capacity\":{},\"workers\":{},\"draining\":{},\
-             \"prefix_builds\":{},\"prefix_hits\":{},\"warm_imports\":{},\"warm_exports\":{}}}",
-            st.queue.len(),
-            s.submitted,
-            s.done,
-            s.cancelled,
-            s.failed,
-            s.rejected_busy,
-            self.queue_cap,
-            self.workers,
-            st.draining,
-            s.prefix_builds,
-            s.prefix_hits,
-            s.warm_imports,
-            s.warm_exports,
-        )
+        let running = st.jobs.values().filter(|j| j.state == JobState::Running);
+        ServiceStatus {
+            queued: st.queue.len() as u64,
+            running: running.count() as u64,
+            capacity: self.queue_cap as u64,
+            workers: self.workers as u64,
+            draining: st.draining,
+            stats: st.stats,
+        }
     }
 
-    fn jobs_line(&self) -> String {
+    fn jobs(&self) -> JobListing {
         let st = self.state.lock().unwrap();
-        let mut ids: Vec<u64> = st.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        let states: Vec<String> = ids
-            .iter()
-            .map(|id| format!("\"{}\"", st.jobs[id].state.name()))
+        let mut rows: Vec<JobInfo> = (st.jobs.iter())
+            .map(|(&id, job)| JobInfo {
+                id,
+                state: job.state.name().to_string(),
+                scheme: job.spec.scheme.clone(),
+                seed: job.spec.seed,
+                priority: job.priority,
+            })
             .collect();
-        let schemes: Vec<String> = ids
-            .iter()
-            .map(|id| format!("\"{}\"", escape_json(&st.jobs[id].spec.scheme)))
-            .collect();
-        let seeds: Vec<String> = ids
-            .iter()
-            .map(|id| format!("\"{}\"", st.jobs[id].spec.seed))
-            .collect();
-        let priorities: Vec<String> = ids
-            .iter()
-            .map(|id| st.jobs[id].priority.to_string())
-            .collect();
-        let ids_s: Vec<String> = ids.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"ok\":true,\"ids\":[{}],\"states\":[{}],\"schemes\":[{}],\
-             \"seeds\":[{}],\"priorities\":[{}]}}",
-            ids_s.join(","),
-            states.join(","),
-            schemes.join(","),
-            seeds.join(","),
-            priorities.join(","),
-        )
+        rows.sort_unstable_by_key(|row| row.id);
+        JobListing(rows)
     }
 
-    fn set_state(&self, id: u64, state: JobState) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(e) = st.jobs.get_mut(&id) {
-            e.state = state;
-        }
-        match state {
-            JobState::Done => st.stats.done += 1,
-            JobState::Cancelled => st.stats.cancelled += 1,
-            JobState::Failed => st.stats.failed += 1,
-            _ => {}
-        }
+    /// End job `id` in `state` with `result` as its terminal line.
+    fn finish(&self, id: u64, state: JobState, result: &JobResult) {
+        let text = result.to_line();
+        self.state.lock().unwrap().finish(id, state, text);
     }
 
     fn bump<F: FnOnce(&mut ServiceStats)>(&self, f: F) {
@@ -345,21 +331,7 @@ impl Server {
         let _ = std::fs::remove_file(&cfg.socket);
         let listener = UnixListener::bind(&cfg.socket)?;
         listener.set_nonblocking(true)?;
-        let core = Arc::new(Core {
-            state: Mutex::new(CoreState {
-                next_id: 1,
-                queue: Vec::new(),
-                jobs: HashMap::new(),
-                draining: false,
-                stats: ServiceStats::default(),
-            }),
-            cv: Condvar::new(),
-            prefixes: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-            workers: cfg.workers,
-            queue_cap: cfg.queue_cap,
-            finished: AtomicBool::new(false),
-        });
+        let core = Arc::new(Core::new(cfg.workers, cfg.queue_cap));
         let worker_handles: Vec<_> = (0..cfg.workers)
             .map(|_| {
                 let core = core.clone();
@@ -408,14 +380,8 @@ impl Server {
             let mut st = self.core.state.lock().unwrap();
             let leftover: Vec<u64> = st.queue.drain(..).collect();
             for id in leftover {
-                if let Some(e) = st.jobs.get_mut(&id) {
-                    e.state = JobState::Cancelled;
-                    let _ = e.reply.send(JobLine {
-                        text: JobResult::failure(id, "cancelled").to_line(),
-                        last: true,
-                    });
-                    st.stats.cancelled += 1;
-                }
+                let text = JobResult::failure(id, "cancelled").to_line();
+                st.finish(id, JobState::Cancelled, text);
             }
         }
         self.core.finished.store(true, Ordering::SeqCst);
@@ -463,39 +429,28 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()
             Ok(None) => return Ok(()), // EOF: client closed.
             Err(e) if e.kind() == ErrorKind::InvalidData => {
                 // Not the protocol: say so once and hang up.
-                return writeln!(writer, "{{\"ok\":false,\"error\":\"{e}\"}}");
+                return writeln!(writer, "{}", refusal(&e.to_string()));
             }
             Err(e) => return Err(e),
         };
         if line.trim().is_empty() {
             continue;
         }
-        match Request::parse(&line) {
-            Err(e) => {
-                writeln!(writer, "{{\"ok\":false,\"error\":\"{}\"}}", escape_json(&e))?;
-            }
-            Ok(Request::Ping) => {
-                writeln!(writer, "{{\"ok\":true,\"pong\":{PROTOCOL_VERSION}}}")?;
-            }
-            Ok(Request::Status) => {
-                writeln!(writer, "{}", core.status_line())?;
-            }
-            Ok(Request::Jobs) => {
-                writeln!(writer, "{}", core.jobs_line())?;
-            }
+        let answer = match Request::parse(&line) {
+            Err(e) => refusal(&e),
+            Ok(Request::Ping) => format!("{{\"ok\":true,\"pong\":{PROTOCOL_VERSION}}}"),
+            Ok(Request::Status) => core.status().to_line(),
+            Ok(Request::Jobs) => core.jobs().to_line(),
             Ok(Request::Cancel { job }) => {
                 let outcome = core.cancel(job);
                 let ok = outcome != "unknown";
-                writeln!(
-                    writer,
-                    "{{\"ok\":{ok},\"job\":{job},\"outcome\":\"{outcome}\"}}"
-                )?;
+                format!("{{\"ok\":{ok},\"job\":{job},\"outcome\":\"{outcome}\"}}")
             }
             Ok(Request::Shutdown) => {
                 // Drain first: the ack promises that new jobs are refused.
                 core.shutdown.store(true, Ordering::SeqCst);
                 core.begin_drain();
-                writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
+                "{\"ok\":true,\"draining\":true}".to_string()
             }
             Ok(Request::Run {
                 spec,
@@ -504,12 +459,7 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()
             }) => {
                 let (tx, rx) = mpsc::channel();
                 match core.submit(spec, priority, want_stream, tx) {
-                    Err(SubmitError::Busy) => {
-                        writeln!(writer, "{{\"ok\":false,\"error\":\"busy\"}}")?;
-                    }
-                    Err(SubmitError::Draining) => {
-                        writeln!(writer, "{{\"ok\":false,\"error\":\"draining\"}}")?;
-                    }
+                    Err(why) => refusal(why),
                     Ok(id) => {
                         writeln!(writer, "{{\"ok\":true,\"job\":{id}}}")?;
                         writer.flush()?;
@@ -526,10 +476,13 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) -> std::io::Result<()
                             }
                             writer.flush()?;
                         }
+                        writer.flush()?;
+                        continue;
                     }
                 }
             }
-        }
+        };
+        writeln!(writer, "{answer}")?;
         writer.flush()?;
     }
 }
@@ -539,18 +492,7 @@ fn worker_loop(core: &Arc<Core>) {
         let claimed = {
             let mut st = core.state.lock().unwrap();
             loop {
-                // Best = highest priority; FIFO (lowest queue index) within
-                // a level.
-                let best = st
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .max_by(|(ai, &a), (bi, &b)| {
-                        let (pa, pb) = (st.jobs[&a].priority, st.jobs[&b].priority);
-                        pa.cmp(&pb).then(bi.cmp(ai))
-                    })
-                    .map(|(i, _)| i);
-                if let Some(i) = best {
+                if let Some(i) = st.next_in_queue() {
                     let id = st.queue.remove(i);
                     let e = st.jobs.get_mut(&id).unwrap();
                     e.state = JobState::Running;
@@ -569,12 +511,27 @@ fn worker_loop(core: &Arc<Core>) {
             }
         };
         match claimed {
-            Some((id, spec, stream, interrupt, reply)) => {
+            Some((id, spec, stream, interrupt, reply)) => guarded(core, id, || {
                 run_job(core, id, &spec, stream, &interrupt, &reply)
-            }
+            }),
             None => return,
         }
     }
+}
+
+/// Run one job's work so that a panic in it (a bug in the stack under a
+/// spec that passed validation) costs that job and not the worker: the job
+/// ends `Failed`, its submitter gets the panic message as the terminal
+/// line, and the caller goes on to the next job.
+fn guarded(core: &Core, id: u64, work: impl FnOnce()) {
+    let Err(panic) = catch_unwind(AssertUnwindSafe(work)) else {
+        return;
+    };
+    let message = (panic.downcast_ref::<&str>().copied())
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("not a string");
+    let result = JobResult::failure(id, format!("job panicked: {message}"));
+    core.finish(id, JobState::Failed, &result);
 }
 
 fn run_job(
@@ -586,13 +543,7 @@ fn run_job(
     reply: &mpsc::Sender<JobLine>,
 ) {
     let t0 = std::time::Instant::now();
-    let fail = |msg: String| {
-        core.set_state(id, JobState::Failed);
-        let _ = reply.send(JobLine {
-            text: JobResult::failure(id, msg).to_line(),
-            last: true,
-        });
-    };
+    let fail = |msg: String| core.finish(id, JobState::Failed, &JobResult::failure(id, msg));
     let builder = match spec.to_builder() {
         Ok(b) => b,
         Err(e) => return fail(format!("bad spec: {e}")),
@@ -610,7 +561,10 @@ fn run_job(
             .clone()
     };
     let (prefix, warm_snap, prefix_reused) = {
-        let mut inner = slot.lock().unwrap();
+        // A build that panicked under this lock left the slot as it found
+        // it (both fields are set whole, after the work), so the poison
+        // flag carries no news: the next job of the prefix builds afresh.
+        let mut inner = slot.lock().unwrap_or_else(PoisonError::into_inner);
         let (prefix, reused) = match &inner.prefix {
             Some(p) => (p.clone(), true),
             None => match builder.build_prefix() {
@@ -667,16 +621,12 @@ fn run_job(
     let (results, network, reason) = sim.interrupt(interrupt.clone()).run_full();
     let wall_s = t0.elapsed().as_secs_f64();
     if reason == StopReason::Interrupted {
-        core.set_state(id, JobState::Cancelled);
-        let _ = reply.send(JobLine {
-            text: JobResult::failure(id, "cancelled").to_line(),
-            last: true,
-        });
-        return;
+        let cancelled = JobResult::failure(id, "cancelled");
+        return core.finish(id, JobState::Cancelled, &cancelled);
     }
     if spec.warm_cache_eligible() && warm_snap.is_none() {
         if let Some(snapshot) = network.medium.export_link_cache() {
-            let mut inner = slot.lock().unwrap();
+            let mut inner = slot.lock().unwrap_or_else(PoisonError::into_inner);
             if inner.warm.is_none() {
                 inner.warm = Some(Arc::new(snapshot));
                 drop(inner);
@@ -686,10 +636,11 @@ fn run_job(
     }
     let manifest = job_manifest(id, spec, &results, wall_s, fp, prefix_reused, warm_import);
     let _ = reply.send(JobLine {
-        text: format!(
-            "{{\"stream\":\"manifest\",\"job\":{id},\"manifest\":\"{}\"}}",
-            escape_json(&manifest.to_json())
-        ),
+        text: object(Layout::Compact, |o| {
+            o.field("stream", "manifest")
+                .field("job", &id)
+                .field("manifest", &manifest.to_json());
+        }),
         last: false,
     });
     let result = JobResult {
@@ -713,11 +664,7 @@ fn run_job(
         prefix_reused,
         warm_import,
     };
-    core.set_state(id, JobState::Done);
-    let _ = reply.send(JobLine {
-        text: result.to_line(),
-        last: true,
-    });
+    core.finish(id, JobState::Done, &result);
 }
 
 /// The per-job provenance manifest streamed after a successful run. It
@@ -733,14 +680,10 @@ fn job_manifest(
     prefix_reused: bool,
     warm_import: bool,
 ) -> RunManifest {
-    let host = sample_host();
     let scheme_label = Scheme::parse(&spec.scheme)
         .map(|s| s.label())
         .unwrap_or_else(|_| spec.scheme.clone());
     RunManifest {
-        id: format!("job{id}"),
-        title: "wmn-served job".into(),
-        git_rev: git_rev(),
         schemes: vec![scheme_label],
         seeds: vec![spec.seed],
         xs: vec![],
@@ -772,10 +715,8 @@ fn job_manifest(
         ],
         wall_s,
         events_processed: results.events,
-        host_cores: host.host_cores,
-        peak_rss_bytes: host.peak_rss_bytes,
         counters: results.counters(),
-        lineage: vec![],
+        ..RunManifest::stamped(format!("job{id}"), "wmn-served job")
     }
 }
 
@@ -797,31 +738,67 @@ mod tests {
 
     #[test]
     fn selection_is_priority_then_fifo() {
-        // Mirror of the worker's selection expression, driven directly.
         let mut st = CoreState {
-            next_id: 5,
             queue: vec![1, 2, 3, 4],
-            jobs: HashMap::new(),
-            draining: false,
-            stats: ServiceStats::default(),
+            ..CoreState::default()
         };
         for (id, prio) in [(1u64, 0i64), (2, 5), (3, 5), (4, 1)] {
             st.jobs.insert(id, dummy_entry(prio));
         }
         let mut order = Vec::new();
-        while !st.queue.is_empty() {
-            let i = st
-                .queue
-                .iter()
-                .enumerate()
-                .max_by(|(ai, &a), (bi, &b)| {
-                    let (pa, pb) = (st.jobs[&a].priority, st.jobs[&b].priority);
-                    pa.cmp(&pb).then(bi.cmp(ai))
-                })
-                .map(|(i, _)| i)
-                .unwrap();
+        while let Some(i) = st.next_in_queue() {
             order.push(st.queue.remove(i));
         }
         assert_eq!(order, vec![2, 3, 4, 1], "priority desc, FIFO within level");
+    }
+
+    fn queued(core: &Core) -> (u64, mpsc::Receiver<JobLine>) {
+        let (tx, rx) = mpsc::channel();
+        let submitted = core.submit(ScenarioSpec::default(), 0, false, tx);
+        (submitted.expect("room in the queue"), rx)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_worker_goes_on() {
+        let core = Core::new(1, 4);
+        let (id, rx) = queued(&core);
+        guarded(&core, id, || panic!("boom {}", 7));
+        let line = rx.try_recv().expect("the submitter's terminal line");
+        assert!(line.last);
+        assert_eq!(
+            line.text,
+            r#"{"stream":"result","job":1,"ok":false,"error":"job panicked: boom 7"}"#
+        );
+        {
+            let st = core.state.lock().unwrap();
+            assert_eq!(st.jobs[&id].state, JobState::Failed);
+            assert_eq!(st.stats.failed, 1);
+        }
+        // The thread that ran it is still here for the next job.
+        let mut ran = false;
+        guarded(&core, id, || ran = true);
+        assert!(ran);
+        assert!(rx.try_recv().is_err(), "a job ends once");
+    }
+
+    #[test]
+    fn only_the_newest_finished_jobs_stay_on_record() {
+        let core = Core::new(0, FINISHED_KEPT + 8);
+        let submitters: Vec<_> = (0..FINISHED_KEPT + 5).map(|_| queued(&core)).collect();
+        for (id, _) in &submitters[..FINISHED_KEPT + 3] {
+            assert_eq!(core.cancel(*id), "cancelled");
+        }
+        let rows = core.jobs().0;
+        let in_state = |name: &str| rows.iter().filter(|row| row.state == name).count();
+        assert_eq!(
+            (in_state("cancelled"), in_state("queued")),
+            (FINISHED_KEPT, 2)
+        );
+        assert_eq!(
+            rows[0].id, 4,
+            "the three oldest finished jobs are forgotten"
+        );
+        assert_eq!(core.cancel(1), "unknown");
+        assert_eq!(core.status().stats.cancelled, FINISHED_KEPT as u64 + 3);
     }
 }

@@ -14,11 +14,15 @@ use wmn_served::{Client, ScenarioSpec, Server, ServerConfig};
 const WATCHDOG: Duration = Duration::from_secs(60);
 
 fn start(tag: &str) -> (Server, PathBuf) {
+    start_with(tag, 2)
+}
+
+fn start_with(tag: &str, workers: usize) -> (Server, PathBuf) {
     let path =
         std::env::temp_dir().join(format!("wmn_served_adv_{tag}_{}.sock", std::process::id()));
     let server = Server::start(ServerConfig {
         socket: path.clone(),
-        workers: 2,
+        workers,
         queue_cap: 8,
     })
     .expect("daemon starts");
@@ -115,6 +119,46 @@ fn bytes_that_are_not_utf8_get_an_answer() {
 }
 
 #[test]
+fn a_line_nested_60_000_deep_is_refused_not_recursed_into() {
+    let (server, path) = start("nested");
+    // 60 023 bytes, under the request-line cap: the parser used to recurse
+    // once per bracket and overflow the connection thread's stack, which
+    // aborts the process and every job in it.
+    let mut line = b"{\"v\":1,\"op\":\"ping\",\"a\":".to_vec();
+    line.extend(std::iter::repeat_n(b'[', 60_000));
+    assert_eq!(line.len(), 60_023);
+    line.push(b'\n');
+    let stream = UnixStream::connect(&path).expect("connect");
+    (&stream).write_all(&line).expect("send");
+    // The same connection goes on: first the refusal, then a pong.
+    (&stream)
+        .write_all(b"{\"v\":1,\"op\":\"ping\"}\n")
+        .expect("send");
+    let mut lines = BufReader::new(&stream).lines();
+    assert_refused(lines.next().and_then(Result::ok), "malformed request");
+    assert_eq!(
+        lines.next().and_then(Result::ok).as_deref(),
+        Some("{\"ok\":true,\"pong\":1}")
+    );
+    assert_still_serving(&path, "the deeply nested line");
+    server.join();
+}
+
+#[test]
+fn a_scheme_parameter_out_of_range_is_refused_at_the_door() {
+    // One worker: a job that took it down (`gossip:nan` used to pass
+    // validation and panic in the policy's constructor) would leave the
+    // follow-up job queued for ever.
+    let (server, path) = start_with("nan", 1);
+    let line =
+        "{\"v\":1,\"op\":\"run\",\"scheme\":\"gossip:nan\",\"duration_s\":5,\"warmup_s\":1}\n";
+    assert_refused(raw_exchange(&path, line.into()), "gossip p must be in");
+    assert_still_serving(&path, "the NaN gossip probability");
+    let stats = server.join();
+    assert_eq!((stats.submitted, stats.done, stats.failed), (1, 1, 0));
+}
+
+#[test]
 fn a_node_count_that_overflows_is_a_refusal_not_a_dead_handler() {
     let (server, path) = start("overflow");
     let line = "{\"v\":1,\"op\":\"run\",\"grid_rows\":9223372036854775809,\"grid_cols\":2,\
@@ -139,7 +183,7 @@ fn a_client_that_vanishes_mid_stream_costs_a_cancelled_job_only() {
         let mut client = Client::connect(&listing).expect("connect");
         let deadline = Instant::now() + WATCHDOG;
         loop {
-            let jobs = client.jobs().expect("jobs");
+            let jobs = client.jobs().expect("jobs").0;
             let state = &jobs.iter().find(|j| j.id == job).expect("listed").state;
             if state == "cancelled" {
                 return;

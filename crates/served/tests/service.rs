@@ -104,11 +104,11 @@ fn prefix_dedup_shares_builds_and_warm_cache() {
     }
     let mut client = Client::connect(&path).expect("connect");
     let status = client.status().expect("status");
-    assert_eq!(status.prefix_builds, 1, "one prefix built");
-    assert_eq!(status.prefix_hits, 3, "three jobs reused it");
-    assert_eq!(status.warm_imports, 3, "three warm-cache imports");
-    assert_eq!(status.warm_exports, 1, "one warm-cache export");
-    assert_eq!(status.done, 4);
+    assert_eq!(status.stats.prefix_builds, 1, "one prefix built");
+    assert_eq!(status.stats.prefix_hits, 3, "three jobs reused it");
+    assert_eq!(status.stats.warm_imports, 3, "three warm-cache imports");
+    assert_eq!(status.stats.warm_exports, 1, "one warm-cache export");
+    assert_eq!(status.stats.done, 4);
     server.join();
 }
 
@@ -145,8 +145,8 @@ fn bounded_queue_returns_busy_instead_of_blocking() {
 
     let status = admin.status().expect("status");
     assert_eq!(status.queued, 1);
-    assert_eq!(status.cancelled, 1);
-    assert_eq!(status.rejected_busy, 1);
+    assert_eq!(status.stats.cancelled, 1);
+    assert_eq!(status.stats.rejected_busy, 1);
 
     // Drain with a non-empty queue and no workers: the leftover queued job
     // is cancelled, not leaked.

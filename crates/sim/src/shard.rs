@@ -43,7 +43,7 @@
 //! thread* runs a window is invisible to the simulation, so the engine may
 //! re-chunk regions onto workers every epoch. With
 //! [`ShardedEngine::with_stealing`] enabled, a coordinator-side
-//! [`StealPlanner`] packs the epoch's active regions onto workers by
+//! `StealPlanner` packs the epoch's active regions onto workers by
 //! longest-predicted-first (LPT) bin packing, predicting each region's cost
 //! from its previous window's measured busy time — the same wall-clock
 //! figure the profiler reports in [`WindowSample::busy_ns`]. The schedule

@@ -5,7 +5,9 @@
 //! flat registry with stable snake_case names — the single source of truth
 //! read by `tab2_summary`, the run manifest, and the `wmn-trace` verifier.
 
-use crate::json::escape_json;
+use crate::json::{FromJson, JsonValue, Layout, Pairs, ToJson};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// An ordered name → value registry. Insertion order is preserved so
 /// reports are stable; re-adding a name sums into the existing entry
@@ -27,6 +29,24 @@ impl Counters {
             Some((_, v)) => *v += value,
             None => self.entries.push((name, value)),
         }
+    }
+
+    /// [`Counters::add`] for a name that arrives as data (a manifest file, a
+    /// daemon's result line). The registry hands out `&'static str` names,
+    /// so a spelling not seen before is leaked, once per process: the
+    /// counter vocabulary bounds the pool.
+    pub fn add_named(&mut self, name: &str, value: u64) {
+        static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        if let Some((_, v)) = self.entries.iter_mut().find(|(n, _)| *n == name) {
+            return *v += value;
+        }
+        let mut pool = POOL.lock().expect("nothing panics holding the pool");
+        let name = pool.get(name).copied().unwrap_or_else(|| {
+            let leaked: &'static str = Box::leak(name.into());
+            pool.insert(leaked);
+            leaked
+        });
+        self.entries.push((name, value));
     }
 
     /// The value under `name` (0 when absent).
@@ -65,18 +85,21 @@ impl Counters {
             .map(|(_, v)| v)
             .sum()
     }
+}
 
-    /// Render as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{}", escape_json(name), value));
+impl ToJson for Counters {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        Pairs(self.entries.iter().copied()).write_json(out, layout)
+    }
+}
+
+impl FromJson for Counters {
+    fn read_json(v: &JsonValue) -> Option<Self> {
+        let mut counters = Counters::new();
+        for (name, value) in Vec::<(String, u64)>::read_json(v)? {
+            counters.add_named(&name, value);
         }
-        s.push('}');
-        s
+        Some(counters)
     }
 }
 
@@ -120,7 +143,7 @@ mod tests {
         c.add("rreq_originated", 1);
         assert_eq!(c.sum_prefix("drop_"), 10);
         assert_eq!(
-            c.to_json(),
+            c.to_json_in(Layout::Compact),
             "{\"drop_no_route\":4,\"drop_queue_full\":6,\"rreq_originated\":1}"
         );
     }

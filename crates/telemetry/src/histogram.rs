@@ -6,7 +6,7 @@
 //! element-wise sum — associative and commutative, which is what lets
 //! per-region profiles from any worker count fold into the same totals.
 
-use crate::json::{get, parse_object, JsonValue};
+use crate::json::{parse, write_object, FromJson, JsonValue, Layout, ToJson};
 
 /// Number of buckets: one for zero plus one per bit position of `u64`.
 pub const BUCKETS: usize = 65;
@@ -149,47 +149,41 @@ impl LogHistogram {
             .map(|(k, &n)| (bucket_lo(k), bucket_hi(k), n))
     }
 
-    /// Single-line flat-JSON encoding (the repo's offline codec — no
-    /// nesting, buckets as a plain array).
+    /// Single-line JSON encoding: four totals and the buckets as a plain
+    /// array.
     pub fn to_json(&self) -> String {
-        let mut buckets = String::from("[");
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            buckets.push_str(&b.to_string());
-        }
-        buckets.push(']');
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":{}}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            buckets
-        )
+        self.to_json_in(Layout::Compact)
     }
 
     /// Parse the encoding produced by [`to_json`](LogHistogram::to_json).
     pub fn from_json(line: &str) -> Option<Self> {
-        let obj = parse_object(line)?;
-        let int = |key: &str| get(&obj, key).and_then(JsonValue::as_u64);
-        let mut h = Self::new();
-        h.count = int("count")?;
-        h.sum = int("sum")?;
-        h.max = int("max")?;
-        let min = int("min")?;
-        h.min = if h.count == 0 { u64::MAX } else { min };
-        let Some(JsonValue::Arr(buckets)) = get(&obj, "buckets") else {
-            return None;
-        };
-        if buckets.len() != BUCKETS {
-            return None;
-        }
-        for (slot, v) in h.buckets.iter_mut().zip(buckets) {
-            *slot = v.as_u64()?;
-        }
-        Some(h)
+        Self::read_json(&parse(line)?)
+    }
+}
+
+impl ToJson for LogHistogram {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        write_object(out, layout, |o| {
+            o.field("count", &self.count)
+                .field("sum", &self.sum)
+                .field("min", &self.min())
+                .field("max", &self.max)
+                .field("buckets", self.buckets.as_slice());
+        })
+    }
+}
+
+impl FromJson for LogHistogram {
+    fn read_json(v: &JsonValue) -> Option<Self> {
+        let count = v.field("count")?;
+        let min: u64 = v.field("min")?;
+        Some(LogHistogram {
+            buckets: v.field::<Vec<u64>>("buckets")?.try_into().ok()?,
+            count,
+            sum: v.field("sum")?,
+            min: if count == 0 { u64::MAX } else { min },
+            max: v.field("max")?,
+        })
     }
 }
 

@@ -9,9 +9,9 @@
 //!
 //! The crate also owns the [`Counters`] registry (one flat snake_case
 //! namespace over every per-layer counter struct), the [`RunManifest`]
-//! provenance record attached to figure outputs, and the minimal JSON
-//! encode/parse helpers shared with the `wmn-trace` inspector (the build
-//! environment is offline, so serialization is hand-rolled).
+//! provenance record attached to figure outputs, and [`json`], the one
+//! bounded JSON document codec every artefact and wire line is read and
+//! written through (the build environment is offline, so it is hand-rolled).
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,7 @@ pub use event::{
 };
 pub use export::{counters_to_prometheus, profile_to_prometheus};
 pub use histogram::LogHistogram;
-pub use json::{escape_json, parse_object, JsonValue};
+pub use json::{parse_object, JsonValue};
 pub use manifest::{git_rev, RunManifest};
 pub use merge::{first_divergence, merge_region_traces, Divergence, FieldDelta};
 pub use profile::{sample_host, HostSample, RegionProfile, ShardProfile, ShardProfiler};

@@ -2,7 +2,9 @@
 //! binary's `results/` output.
 
 use crate::counters::Counters;
-use crate::json::escape_json;
+use crate::json::{object, parse, Decimals, FromJson, JsonValue, Layout, Pairs};
+use crate::profile::sample_host;
+use std::sync::OnceLock;
 
 /// Everything needed to reproduce and audit one figure run.
 #[derive(Clone, Debug, Default)]
@@ -40,51 +42,66 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Render as a (pretty-enough) JSON object.
+    /// A manifest of this process, now: `git_rev`, `host_cores` and
+    /// `peak_rss_bytes` are stamped here, the rest is for the caller's
+    /// struct update to fill.
+    pub fn stamped(id: impl Into<String>, title: impl Into<String>) -> RunManifest {
+        let host = sample_host();
+        RunManifest {
+            id: id.into(),
+            title: title.into(),
+            git_rev: git_rev(),
+            host_cores: host.host_cores,
+            peak_rss_bytes: host.peak_rss_bytes,
+            ..RunManifest::default()
+        }
+    }
+
+    /// Render as JSON, one top-level member per line.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"id\": \"{}\",\n", escape_json(&self.id)));
-        s.push_str(&format!("  \"title\": \"{}\",\n", escape_json(&self.title)));
-        s.push_str(&format!(
-            "  \"git_rev\": \"{}\",\n",
-            escape_json(&self.git_rev)
-        ));
-        let schemes: Vec<String> = self
-            .schemes
-            .iter()
-            .map(|l| format!("\"{}\"", escape_json(l)))
-            .collect();
-        s.push_str(&format!("  \"schemes\": [{}],\n", schemes.join(", ")));
-        let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
-        s.push_str(&format!("  \"seeds\": [{}],\n", seeds.join(", ")));
-        let xs: Vec<String> = self.xs.iter().map(|x| format!("{x}")).collect();
-        s.push_str(&format!("  \"xs\": [{}],\n", xs.join(", ")));
-        s.push_str("  \"params\": {");
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+        object(Layout::Lines, |o| {
+            o.field("id", &self.id)
+                .field("title", &self.title)
+                .field("git_rev", &self.git_rev)
+                .field("schemes", &self.schemes)
+                .field("seeds", &self.seeds)
+                .field("xs", &self.xs)
+                .field("params", &Pairs(self.params.iter().map(|(k, v)| (k, v))))
+                .field("wall_s", &Decimals(self.wall_s, Some(3)))
+                .field("events_processed", &self.events_processed)
+                .field("host_cores", &self.host_cores)
+                .field("peak_rss_bytes", &self.peak_rss_bytes);
+            if !self.lineage.is_empty() {
+                o.field("lineage", &self.lineage);
             }
-            s.push_str(&format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)));
+            o.field_in("counters", &self.counters, Layout::Compact);
+        })
+    }
+
+    /// Read a manifest back. The members added after the first manifests
+    /// were committed (`host_cores`, `peak_rss_bytes`, `lineage`) read as
+    /// their documented "unknown" when absent; a document missing any
+    /// other member, or holding one of the wrong shape, is refused.
+    pub fn from_json(text: &str) -> Option<RunManifest> {
+        fn later<T: FromJson + Default>(v: &JsonValue, key: &str) -> Option<T> {
+            v.get(key).map_or(Some(T::default()), T::read_json)
         }
-        s.push_str("},\n");
-        s.push_str(&format!("  \"wall_s\": {:.3},\n", self.wall_s));
-        s.push_str(&format!(
-            "  \"events_processed\": {},\n",
-            self.events_processed
-        ));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
-        if !self.lineage.is_empty() {
-            let lineage: Vec<String> = self
-                .lineage
-                .iter()
-                .map(|l| format!("\"{}\"", escape_json(l)))
-                .collect();
-            s.push_str(&format!("  \"lineage\": [{}],\n", lineage.join(", ")));
-        }
-        s.push_str(&format!("  \"counters\": {}\n", self.counters.to_json()));
-        s.push_str("}\n");
-        s
+        let v = parse(text)?;
+        Some(RunManifest {
+            id: v.field("id")?,
+            title: v.field("title")?,
+            git_rev: v.field("git_rev")?,
+            schemes: v.field("schemes")?,
+            seeds: v.field("seeds")?,
+            xs: v.field("xs")?,
+            params: v.field("params")?,
+            wall_s: v.field("wall_s")?,
+            events_processed: v.field("events_processed")?,
+            host_cores: later(&v, "host_cores")?,
+            peak_rss_bytes: later(&v, "peak_rss_bytes")?,
+            counters: v.field("counters")?,
+            lineage: later(&v, "lineage")?,
+        })
     }
 
     /// Write `<dir>/<id>_manifest.json`; returns the path written.
@@ -96,23 +113,27 @@ impl RunManifest {
     }
 }
 
-/// The current git revision, or `"unknown"` outside a repository.
+/// The current git revision, or `"unknown"` outside a repository. `git` is
+/// asked once per process: a daemon stamps a manifest per job.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["rev-parse", "--short=12", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+    .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{get, parse_object, JsonValue};
 
     #[test]
     fn manifest_json_has_all_sections() {
@@ -151,14 +172,9 @@ mod tests {
         ] {
             assert!(j.contains(needle), "missing {needle} in:\n{j}");
         }
-        // The counters sub-object is itself parseable.
-        let line = j.lines().find(|l| l.contains("\"counters\"")).unwrap();
-        let obj = line
-            .trim()
-            .trim_start_matches("\"counters\": ")
-            .trim_end_matches(',');
-        let pairs = parse_object(obj).expect("counters parse");
-        assert_eq!(get(&pairs, "rreq_originated"), Some(&JsonValue::Num(12.0)));
+        let back = RunManifest::from_json(&j).expect("own output parses");
+        assert_eq!(back.counters.get("rreq_originated"), 12);
+        assert_eq!(back.to_json(), j);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! results.
 
 use crate::event::TelemetryEvent;
-use crate::json::{parse_object, JsonValue};
+use crate::json::{get, parse_object, JsonValue, Layout, ToJson};
 
 /// Merge per-region trace buffers into one deterministic trace.
 ///
@@ -63,62 +63,30 @@ pub struct Divergence {
     pub fields: Vec<FieldDelta>,
 }
 
-fn render(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Int(n) => n.to_string(),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        JsonValue::Str(s) => format!("\"{s}\""),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Null => "null".into(),
-        JsonValue::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render).collect();
-            format!("[{}]", inner.join(","))
-        }
-    }
-}
-
 fn field_deltas(
     a: &[(String, JsonValue)],
     b: &[(String, JsonValue)],
     ignore: &[String],
 ) -> Vec<FieldDelta> {
     let ignored = |k: &str| ignore.iter().any(|i| i == k);
-    let find = |pairs: &[(String, JsonValue)], key: &str| -> Option<JsonValue> {
-        pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
     let mut out = Vec::new();
-    for (k, va) in a {
-        if ignored(k) {
-            continue;
-        }
-        match find(b, k) {
-            Some(vb) if vb == *va => {}
-            Some(vb) => out.push(FieldDelta {
-                field: k.clone(),
-                left: render(va),
-                right: render(&vb),
-            }),
-            None => out.push(FieldDelta {
-                field: k.clone(),
-                left: render(va),
-                right: "<absent>".into(),
-            }),
-        }
+    for (k, va) in a.iter().filter(|(k, _)| !ignored(k)) {
+        let right = match get(b, k) {
+            Some(vb) if vb == va => continue,
+            Some(vb) => vb.to_json_in(Layout::Compact),
+            None => "<absent>".into(),
+        };
+        out.push(FieldDelta {
+            field: k.clone(),
+            left: va.to_json_in(Layout::Compact),
+            right,
+        });
     }
-    for (k, vb) in b {
-        if ignored(k) || find(a, k).is_some() {
-            continue;
-        }
+    for (k, vb) in b.iter().filter(|(k, _)| !ignored(k) && get(a, k).is_none()) {
         out.push(FieldDelta {
             field: k.clone(),
             left: "<absent>".into(),
-            right: render(vb),
+            right: vb.to_json_in(Layout::Compact),
         });
     }
     out
@@ -128,64 +96,33 @@ fn field_deltas(
 /// listed fields (e.g. `run` for traces from different processes).
 ///
 /// Returns `None` when the traces are identical under the ignore set.
-/// Lines are compared structurally when both parse as flat JSON objects,
-/// byte-wise otherwise.
+/// Lines are compared structurally when both parse as JSON objects,
+/// byte-wise otherwise (and a trace that ended has no line to compare).
 pub fn first_divergence(a: &[String], b: &[String], ignore: &[String]) -> Option<Divergence> {
-    let n = a.len().max(b.len());
-    for i in 0..n {
-        match (a.get(i), b.get(i)) {
-            (Some(la), Some(lb)) => {
-                if la == lb {
-                    continue;
-                }
-                let (pa, pb) = (parse_object(la), parse_object(lb));
-                let t_of = |p: &Option<Vec<(String, JsonValue)>>| {
-                    p.as_ref().and_then(|pairs| {
-                        pairs
-                            .iter()
-                            .find(|(k, _)| k == "t")
-                            .and_then(|(_, v)| v.as_u64())
-                    })
-                };
-                let fields = match (&pa, &pb) {
-                    (Some(fa), Some(fb)) => {
-                        let deltas = field_deltas(fa, fb, ignore);
-                        if deltas.is_empty() {
-                            // Equal modulo ignored fields (or key order).
-                            continue;
-                        }
-                        deltas
-                    }
-                    _ => Vec::new(),
-                };
-                return Some(Divergence {
-                    index: i,
-                    t_left: t_of(&pa),
-                    t_right: t_of(&pb),
-                    left: Some(la.clone()),
-                    right: Some(lb.clone()),
-                    fields,
-                });
-            }
-            (la, lb) => {
-                let t_of = |l: Option<&String>| {
-                    l.and_then(|line| parse_object(line)).and_then(|pairs| {
-                        pairs
-                            .iter()
-                            .find(|(k, _)| k == "t")
-                            .and_then(|(_, v)| v.as_u64())
-                    })
-                };
-                return Some(Divergence {
-                    index: i,
-                    t_left: t_of(la),
-                    t_right: t_of(lb),
-                    left: la.cloned(),
-                    right: lb.cloned(),
-                    fields: Vec::new(),
-                });
-            }
+    for index in 0..a.len().max(b.len()) {
+        let (left, right) = (a.get(index), b.get(index));
+        if left == right {
+            continue;
         }
+        let parsed = |line: Option<&String>| line.and_then(|l| parse_object(l));
+        let (pa, pb) = (parsed(left), parsed(right));
+        let fields = match (&pa, &pb) {
+            (Some(fa), Some(fb)) => field_deltas(fa, fb, ignore),
+            _ => Vec::new(),
+        };
+        if pa.is_some() && pb.is_some() && fields.is_empty() {
+            // Equal modulo ignored fields (or key order).
+            continue;
+        }
+        let t_of = |pairs: &Option<Vec<(String, JsonValue)>>| get(pairs.as_ref()?, "t")?.as_u64();
+        return Some(Divergence {
+            index,
+            t_left: t_of(&pa),
+            t_right: t_of(&pb),
+            left: left.cloned(),
+            right: right.cloned(),
+            fields,
+        });
     }
     None
 }

@@ -12,7 +12,8 @@
 //! captures exactly that deterministic subset for tests.
 
 use crate::histogram::LogHistogram;
-use crate::json::{escape_json, get, parse_object, JsonValue};
+use crate::json::{object, parse, write_object, FromJson, JsonValue, Layout, ToJson};
+use crate::json_members;
 use wmn_sim::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use wmn_sim::shard::{ShardProbe, ShardRunReport, WindowSample};
 
@@ -96,36 +97,31 @@ impl RegionProfile {
             self.busy_ns as f64 / total as f64
         }
     }
+}
 
-    fn to_json(self) -> String {
-        format!(
-            "{{\"region\":{},\"events\":{},\"busy_ns\":{},\"wait_ns\":{},\"outbox\":{},\"active_windows\":{},\"stalled_windows\":{},\"bound_others\":{},\"max_queue\":{}}}",
-            self.region,
-            self.events,
-            self.busy_ns,
-            self.wait_ns,
-            self.outbox,
-            self.active_windows,
-            self.stalled_windows,
-            self.bound_others,
-            self.max_queue,
-        )
+json_members!(RegionProfile {
+    "region" => region,
+    "events" => events,
+    "busy_ns" => busy_ns,
+    "wait_ns" => wait_ns,
+    "outbox" => outbox,
+    "active_windows" => active_windows,
+    "stalled_windows" => stalled_windows,
+    "bound_others" => bound_others,
+    "max_queue" => max_queue,
+});
+
+impl ToJson for RegionProfile {
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        write_object(out, layout, |o| self.write_members(o))
     }
+}
 
-    fn from_json(line: &str) -> Option<Self> {
-        let obj = parse_object(line)?;
-        let f = |k: &str| get(&obj, k).and_then(JsonValue::as_u64);
-        Some(Self {
-            region: f("region")? as u32,
-            events: f("events")?,
-            busy_ns: f("busy_ns")?,
-            wait_ns: f("wait_ns")?,
-            outbox: f("outbox")?,
-            active_windows: f("active_windows")?,
-            stalled_windows: f("stalled_windows")?,
-            bound_others: f("bound_others")?,
-            max_queue: f("max_queue")?,
-        })
+impl FromJson for RegionProfile {
+    fn read_json(v: &JsonValue) -> Option<Self> {
+        let mut region = RegionProfile::default();
+        region.read_members(v)?;
+        Some(region)
     }
 }
 
@@ -258,147 +254,85 @@ impl ShardProfile {
         out
     }
 
-    /// Serialise as line-oriented JSON: scalars one per line, each region
-    /// and each histogram a single flat object on its own line (parseable
-    /// by the offline flat codec).
+    /// Serialise as JSON: one top-level member per line, each region and
+    /// each histogram a compact object on a line of its own.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"schema\": \"{}\",\n",
-            escape_json(&self.schema)
-        ));
-        for (k, v) in [
-            ("threads", self.threads),
-            ("regions", self.regions),
-            ("epochs", self.epochs),
-            ("events", self.events),
-            ("cross_region", self.cross_region),
-            ("end_time_ns", self.end_time_ns),
-            ("wall_ns", self.wall_ns),
-            ("merge_ns", self.merge_ns),
-            ("steal_epochs", self.steal_epochs),
-            ("regions_moved", self.regions_moved),
-            ("steal_imbalance_milli_sum", self.steal_imbalance_milli_sum),
-            ("host_cores", self.host.host_cores),
-            ("peak_rss_bytes", self.host.peak_rss_bytes),
-            ("process_threads", self.host.process_threads),
-        ] {
-            out.push_str(&format!("  \"{}\": {},\n", k, v));
-        }
-        out.push_str("  \"per_region\": [\n");
-        for (i, r) in self.per_region.iter().enumerate() {
-            let sep = if i + 1 < self.per_region.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("    {}{}\n", r.to_json(), sep));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"service_ns\": {},\n",
-            self.service_ns.to_json()
-        ));
-        out.push_str(&format!(
-            "  \"queue_depth\": {},\n",
-            self.queue_depth.to_json()
-        ));
-        out.push_str(&format!(
-            "  \"epoch_width_ns\": {}\n",
-            self.epoch_width_ns.to_json()
-        ));
-        out.push_str("}\n");
-        out
+        object(Layout::Lines, |o| {
+            self.write_members(o);
+            o.field_in("per_region", &self.per_region, Layout::Rows)
+                .field_in("service_ns", &self.service_ns, Layout::Compact)
+                .field_in("queue_depth", &self.queue_depth, Layout::Compact)
+                .field_in("epoch_width_ns", &self.epoch_width_ns, Layout::Compact);
+        })
     }
 
-    /// Parse the line-oriented encoding written by
-    /// [`to_json`](ShardProfile::to_json).
+    /// Read a profile back. A document that is cut short, lacks a member
+    /// or carries another `schema` tag is refused, never read as zeros.
     pub fn from_json(text: &str) -> Option<Self> {
-        let mut p = ShardProfile::default();
-        let mut saw_schema = false;
-        for line in text.lines() {
-            let t = line.trim();
-            let t = t.strip_suffix(',').unwrap_or(t);
-            if t.starts_with("{\"region\":") {
-                p.per_region.push(RegionProfile::from_json(t)?);
-            } else if let Some(rest) = t.strip_prefix("\"service_ns\": ") {
-                p.service_ns = LogHistogram::from_json(rest)?;
-            } else if let Some(rest) = t.strip_prefix("\"queue_depth\": ") {
-                p.queue_depth = LogHistogram::from_json(rest)?;
-            } else if let Some(rest) = t.strip_prefix("\"epoch_width_ns\": ") {
-                p.epoch_width_ns = LogHistogram::from_json(rest)?;
-            } else if let Some(rest) = t.strip_prefix("\"schema\": ") {
-                p.schema = rest.trim_matches('"').to_string();
-                saw_schema = true;
-            } else if let Some((key, val)) = t
-                .strip_prefix('"')
-                .and_then(|r| r.split_once("\": "))
-                .and_then(|(k, v)| v.parse::<u64>().ok().map(|n| (k.to_string(), n)))
-            {
-                match key.as_str() {
-                    "threads" => p.threads = val,
-                    "regions" => p.regions = val,
-                    "epochs" => p.epochs = val,
-                    "events" => p.events = val,
-                    "cross_region" => p.cross_region = val,
-                    "end_time_ns" => p.end_time_ns = val,
-                    "wall_ns" => p.wall_ns = val,
-                    "merge_ns" => p.merge_ns = val,
-                    "steal_epochs" => p.steal_epochs = val,
-                    "regions_moved" => p.regions_moved = val,
-                    "steal_imbalance_milli_sum" => p.steal_imbalance_milli_sum = val,
-                    "host_cores" => p.host.host_cores = val,
-                    "peak_rss_bytes" => p.host.peak_rss_bytes = val,
-                    "process_threads" => p.host.process_threads = val,
-                    _ => {}
-                }
-            }
-        }
-        if !saw_schema {
-            return None;
-        }
-        Some(p)
+        let v = parse(text)?;
+        let mut p = ShardProfile {
+            per_region: v.field("per_region")?,
+            service_ns: v.field("service_ns")?,
+            queue_depth: v.field("queue_depth")?,
+            epoch_width_ns: v.field("epoch_width_ns")?,
+            ..ShardProfile::default()
+        };
+        p.read_members(&v)?;
+        (p.schema == PROFILE_SCHEMA).then_some(p)
     }
 }
+
+json_members!(ShardProfile {
+    "schema" => schema,
+    "threads" => threads,
+    "regions" => regions,
+    "epochs" => epochs,
+    "events" => events,
+    "cross_region" => cross_region,
+    "end_time_ns" => end_time_ns,
+    "wall_ns" => wall_ns,
+    "merge_ns" => merge_ns,
+    "steal_epochs" => steal_epochs,
+    "regions_moved" => regions_moved,
+    "steal_imbalance_milli_sum" => steal_imbalance_milli_sum,
+    "host_cores" => host.host_cores,
+    "peak_rss_bytes" => host.peak_rss_bytes,
+    "process_threads" => host.process_threads,
+});
 
 /// A [`ShardProbe`] that accumulates a [`ShardProfile`].
 ///
 /// Create one, pass `Some(&mut profiler)` to
 /// [`ShardedEngine::run_probed`](wmn_sim::shard::ShardedEngine::run_probed),
 /// then call [`finish`](ShardProfiler::finish).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardProfiler {
-    threads: u64,
-    acc: Vec<RegionProfile>,
+    /// The profile so far; `regions` and `host` are set by
+    /// [`finish`](ShardProfiler::finish).
+    profile: ShardProfile,
+    /// Each region's window time in the epoch under way.
     cur_busy: Vec<u64>,
-    service_ns: LogHistogram,
-    queue_depth: LogHistogram,
-    epoch_width_ns: LogHistogram,
-    epochs: u64,
-    merge_ns: u64,
-    wall_ns: u64,
-    events: u64,
-    cross_region: u64,
-    end_time_ns: u64,
-    steal_epochs: u64,
-    regions_moved: u64,
-    steal_imbalance_milli_sum: u64,
 }
 
 impl ShardProfiler {
     /// New profiler for a run with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        Self {
+        let profile = ShardProfile {
+            schema: PROFILE_SCHEMA.to_string(),
             threads: threads as u64,
-            ..Self::default()
+            ..ShardProfile::default()
+        };
+        Self {
+            profile,
+            cur_busy: Vec::new(),
         }
     }
 
     fn grow_to(&mut self, region: u32) {
-        while self.acc.len() <= region as usize {
-            let next = self.acc.len() as u32;
-            self.acc.push(RegionProfile {
-                region: next,
+        let regions = &mut self.profile.per_region;
+        while regions.len() <= region as usize {
+            regions.push(RegionProfile {
+                region: regions.len() as u32,
                 ..RegionProfile::default()
             });
             self.cur_busy.push(0);
@@ -408,23 +342,9 @@ impl ShardProfiler {
     /// Finalise into a [`ShardProfile`], sampling the host.
     pub fn finish(self) -> ShardProfile {
         ShardProfile {
-            schema: PROFILE_SCHEMA.to_string(),
-            threads: self.threads,
-            regions: self.acc.len() as u64,
-            epochs: self.epochs,
-            events: self.events,
-            cross_region: self.cross_region,
-            end_time_ns: self.end_time_ns,
-            wall_ns: self.wall_ns,
-            merge_ns: self.merge_ns,
-            steal_epochs: self.steal_epochs,
-            regions_moved: self.regions_moved,
-            steal_imbalance_milli_sum: self.steal_imbalance_milli_sum,
+            regions: self.profile.per_region.len() as u64,
             host: sample_host(),
-            per_region: self.acc,
-            service_ns: self.service_ns,
-            queue_depth: self.queue_depth,
-            epoch_width_ns: self.epoch_width_ns,
+            ..self.profile
         }
     }
 }
@@ -434,9 +354,9 @@ impl ShardProbe for ShardProfiler {
         self.grow_to(s.region);
         if s.bound_by >= 0 {
             self.grow_to(s.bound_by as u32);
-            self.acc[s.bound_by as usize].bound_others += 1;
+            self.profile.per_region[s.bound_by as usize].bound_others += 1;
         }
-        let r = &mut self.acc[s.region as usize];
+        let r = &mut self.profile.per_region[s.region as usize];
         r.events += s.events;
         r.outbox += s.outbox;
         r.max_queue = r.max_queue.max(s.queue_depth);
@@ -444,104 +364,68 @@ impl ShardProbe for ShardProfiler {
             r.active_windows += 1;
             r.busy_ns += s.busy_ns;
             self.cur_busy[s.region as usize] = s.busy_ns;
-            self.service_ns.record(s.busy_ns / s.events.max(1));
+            self.profile.service_ns.record(s.busy_ns / s.events.max(1));
         } else if s.queue_depth > 0 {
             r.stalled_windows += 1;
         }
-        self.queue_depth.record(s.queue_depth);
+        self.profile.queue_depth.record(s.queue_depth);
         if s.window_end_ns != u64::MAX {
-            self.epoch_width_ns
+            self.profile
+                .epoch_width_ns
                 .record(s.window_end_ns.saturating_sub(s.window_start_ns));
         }
     }
 
     fn epoch_end(&mut self, epoch: u64, wall_ns: u64, _merged: u64, merge_ns: u64) {
-        self.epochs = epoch;
-        self.merge_ns += merge_ns;
-        for (r, busy) in self.acc.iter_mut().zip(self.cur_busy.iter_mut()) {
+        self.profile.epochs = epoch;
+        self.profile.merge_ns += merge_ns;
+        for (r, busy) in self
+            .profile
+            .per_region
+            .iter_mut()
+            .zip(self.cur_busy.iter_mut())
+        {
             r.wait_ns += wall_ns.saturating_sub(*busy);
             *busy = 0;
         }
     }
 
     fn steal(&mut self, _epoch: u64, moved: u64, imbalance_milli: u64) {
-        self.steal_epochs += 1;
-        self.regions_moved += moved;
-        self.steal_imbalance_milli_sum += imbalance_milli;
+        self.profile.steal_epochs += 1;
+        self.profile.regions_moved += moved;
+        self.profile.steal_imbalance_milli_sum += imbalance_milli;
     }
 
     fn run_end(&mut self, report: &ShardRunReport, wall_ns: u64) {
-        self.wall_ns = wall_ns;
-        self.events = report.events_processed;
-        self.cross_region = report.cross_region;
-        self.end_time_ns = report.end_time.as_nanos();
+        self.profile.wall_ns = wall_ns;
+        self.profile.events = report.events_processed;
+        self.profile.cross_region = report.cross_region;
+        self.profile.end_time_ns = report.end_time.as_nanos();
         // Regions that never sent a window sample still exist; size from
         // the report so `regions` is right even for degenerate runs.
-        if report.per_region.len() > self.acc.len() {
+        if report.per_region.len() > self.profile.per_region.len() {
             self.grow_to(report.per_region.len() as u32 - 1);
         }
     }
 
+    /// The profile so far is plain counters, so its lossless JSON codec is
+    /// the checkpoint encoding too.
     fn encode_probe(&self, out: &mut ByteWriter) {
-        out.u64(self.epochs);
-        out.u64(self.merge_ns);
-        out.u64(self.steal_epochs);
-        out.u64(self.regions_moved);
-        out.u64(self.steal_imbalance_milli_sum);
-        out.u32(self.acc.len() as u32);
-        for r in &self.acc {
-            out.u32(r.region);
-            out.u64(r.events);
-            out.u64(r.busy_ns);
-            out.u64(r.wait_ns);
-            out.u64(r.outbox);
-            out.u64(r.active_windows);
-            out.u64(r.stalled_windows);
-            out.u64(r.bound_others);
-            out.u64(r.max_queue);
-        }
-        // Histograms are pure u64 state; their flat JSON codec is lossless,
-        // so the checkpoint reuses it rather than duplicating the layout.
-        out.bytes(self.service_ns.to_json().as_bytes());
-        out.bytes(self.queue_depth.to_json().as_bytes());
-        out.bytes(self.epoch_width_ns.to_json().as_bytes());
+        out.bytes(self.profile.to_json().as_bytes());
     }
 
     fn decode_probe(&mut self, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-        self.epochs = r.u64()?;
-        self.merge_ns = r.u64()?;
-        self.steal_epochs = r.u64()?;
-        self.regions_moved = r.u64()?;
-        self.steal_imbalance_milli_sum = r.u64()?;
-        let n = r.u32()? as usize;
-        self.acc.clear();
-        self.cur_busy.clear();
-        for _ in 0..n {
-            self.acc.push(RegionProfile {
-                region: r.u32()?,
-                events: r.u64()?,
-                busy_ns: r.u64()?,
-                wait_ns: r.u64()?,
-                outbox: r.u64()?,
-                active_windows: r.u64()?,
-                stalled_windows: r.u64()?,
-                bound_others: r.u64()?,
-                max_queue: r.u64()?,
-            });
-            // Checkpoints land at epoch barriers, after epoch_end zeroed the
-            // per-epoch busy scratch — all-zero is the exact saved state.
-            self.cur_busy.push(0);
-        }
-        let hist = |r: &mut ByteReader<'_>| -> Result<LogHistogram, CheckpointError> {
-            let raw = r.bytes()?;
-            let text = std::str::from_utf8(raw)
-                .map_err(|_| CheckpointError::Corrupt("histogram blob not utf-8".into()))?;
-            LogHistogram::from_json(text)
-                .ok_or_else(|| CheckpointError::Corrupt("unparseable histogram blob".into()))
+        let saved = (std::str::from_utf8(r.bytes()?).ok())
+            .and_then(ShardProfile::from_json)
+            .ok_or_else(|| CheckpointError::Corrupt("unreadable profile blob".into()))?;
+        // Checkpoints land at epoch barriers, after epoch_end zeroed the
+        // per-epoch busy scratch: all-zero is the exact saved state.
+        self.cur_busy = vec![0; saved.per_region.len()];
+        // The resuming run may use another worker count; that one is kept.
+        self.profile = ShardProfile {
+            threads: self.profile.threads,
+            ..saved
         };
-        self.service_ns = hist(r)?;
-        self.queue_depth = hist(r)?;
-        self.epoch_width_ns = hist(r)?;
         Ok(())
     }
 }

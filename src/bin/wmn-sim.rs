@@ -15,7 +15,7 @@
 use wmn::cnlr::cli::{self, parse, Argv};
 use wmn::cnlr::ScenarioSpec;
 use wmn::sim::{SimDuration, SimTime};
-use wmn::telemetry::{ConsoleSink, SharedSink, TelemetryConfig};
+use wmn::telemetry::{ConsoleSink, RunManifest, SharedSink, TelemetryConfig};
 use wmn::topology::{Placement, Region};
 use wmn::ScenarioBuilder;
 
@@ -265,31 +265,6 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
 /// shell convention for `128 + SIGINT`.
 const EXIT_INTERRUPTED: i32 = 130;
 
-/// Extract the `"lineage": [...]` entries from a previously written run
-/// manifest, so a resumed run extends the chain rather than restarting it.
-fn read_lineage(path: &std::path::Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(line) = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("\"lineage\""))
-    else {
-        return Vec::new();
-    };
-    let Some(open) = line.find('[') else {
-        return Vec::new();
-    };
-    let Some(close) = line.rfind(']') else {
-        return Vec::new();
-    };
-    line[open + 1..close]
-        .split(',')
-        .map(|s| s.trim().trim_matches('"').to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
 /// Run the shard-parallel ParMesh scale model and print its report.
 fn run_parmesh(opts: &Options) {
     let n = opts
@@ -330,10 +305,7 @@ fn run_parmesh(opts: &Options) {
         let Some(dir) = &opts.checkpoint_dir else {
             return;
         };
-        let manifest = wmn::telemetry::RunManifest {
-            id: "run".into(),
-            title: "parmesh checkpointed run".into(),
-            git_rev: wmn::telemetry::git_rev(),
+        let manifest = RunManifest {
             seeds: vec![spec.seed],
             params: vec![
                 ("nodes".into(), n.to_string()),
@@ -348,7 +320,7 @@ fn run_parmesh(opts: &Options) {
             wall_s: wall,
             events_processed: events,
             lineage,
-            ..wmn::telemetry::RunManifest::default()
+            ..RunManifest::stamped("run", "parmesh checkpointed run")
         };
         if let Err(e) = manifest.write(std::path::Path::new(dir)) {
             eprintln!("could not write run manifest: {e}");
@@ -356,7 +328,11 @@ fn run_parmesh(opts: &Options) {
     };
     let prior_lineage = opts.checkpoint_dir.as_ref().map(|dir| {
         let dir = std::path::Path::new(dir);
-        let prior = read_lineage(&dir.join("run_manifest.json"));
+        // A resumed run extends the chain the manifest already holds.
+        let prior = std::fs::read_to_string(dir.join("run_manifest.json"))
+            .ok()
+            .and_then(|text| RunManifest::from_json(&text))
+            .map_or(Vec::new(), |earlier| earlier.lineage);
         // Provisional entry: what this leg is about to do. The post-run
         // rewrite replaces it with the supervisor's ground truth.
         let entry = if opts.resume {
@@ -849,6 +825,7 @@ mod tests {
     /// spec survives the daemon's wire form.
     #[test]
     fn cli_wire_and_builder_describe_the_same_scenario() {
+        use wmn::telemetry::json::{object, Layout};
         use wmn::telemetry::parse_object;
         let secs = SimDuration::from_secs_f64;
         // The former `main`, literally: preset or grid, then the common tail.
@@ -922,7 +899,7 @@ mod tests {
             // The fingerprint leaves out scheme, mobility model and faults;
             // the builder's whole state covers those too.
             assert_eq!(format!("{built:?}"), format!("{parent:?}"), "{line:?}");
-            let wire = format!("{{{}}}", o.spec.json_fields());
+            let wire = object(Layout::Compact, |members| o.spec.write_members(members));
             let back = ScenarioSpec::from_pairs(&parse_object(&wire).unwrap());
             assert_eq!(back.as_ref(), Ok(&o.spec), "{line:?}: wire round trip");
         }
