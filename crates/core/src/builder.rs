@@ -47,6 +47,14 @@ pub enum BuildError {
     /// from different prefix-relevant settings (see
     /// [`ScenarioBuilder::prefix_fingerprint`]).
     PrefixMismatch,
+    /// A scripted fault acts on `node`, but the scenario has only `nodes`
+    /// nodes (ids `0..nodes`).
+    FaultTarget {
+        /// The out-of-range node id.
+        node: u32,
+        /// The scenario's node count.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -57,6 +65,12 @@ impl std::fmt::Display for BuildError {
             BuildError::NoFlowPairs => write!(f, "could not draw flow endpoints"),
             BuildError::PrefixMismatch => {
                 write!(f, "scenario prefix built from different settings")
+            }
+            BuildError::FaultTarget { node, nodes } => {
+                write!(
+                    f,
+                    "a scripted fault targets node {node}, but the scenario has {nodes} nodes"
+                )
             }
         }
     }
@@ -449,6 +463,12 @@ impl ScenarioBuilder {
         let positions = &prefix.positions;
         let flow_specs = &prefix.flow_specs;
         let total = positions.len();
+        // The fault would index the node tables when it fires, mid-run.
+        if let Some(node) = self.faults.as_ref().and_then(FaultPlan::max_scripted_node) {
+            if node as usize >= total {
+                return Err(BuildError::FaultTarget { node, nodes: total });
+            }
+        }
 
         // --- Nodes ----------------------------------------------------
         let mut nodes = Vec::with_capacity(total);

@@ -91,6 +91,9 @@ const HOP_JITTER_US: u64 = 250;
 const HELLO_INTERVAL: SimDuration = SimDuration(1_000_000_000);
 /// Initial packet TTL (hops).
 const TTL_INIT: u32 = 48;
+/// Prefilter survivors the next-hop kernel gathers before it evaluates any
+/// of them; a scan averages ~4 and a full buffer is evaluated and reused.
+const BATCH: usize = 32;
 
 const DOMAIN_PLACE: u64 = 0x70_61_72_01;
 const DOMAIN_DRIFT: u64 = 0x70_61_72_02;
@@ -397,12 +400,26 @@ pub struct ParMeshOutcome {
     pub supervisor: Option<SupervisorReport>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct NodeParams {
     home: (f64, f64),
     amp: f64,
     omega: f64,
     phase: f64,
+}
+
+impl NodeParams {
+    /// Position `secs` seconds into the run: home plus circular drift.
+    fn at(&self, secs: f64) -> (f64, f64) {
+        if self.amp == 0.0 {
+            return self.home;
+        }
+        let th = self.phase + self.omega * secs;
+        (
+            self.home.0 + self.amp * th.cos(),
+            self.home.1 + self.amp * th.sin(),
+        )
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -422,6 +439,9 @@ struct Statics {
     /// `churn_iv[churn_idx[i]..churn_idx[i+1]]`. Almost all rows empty.
     churn_idx: Vec<u32>,
     churn_iv: Vec<(u64, u64)>,
+    /// Bit `i` is set when node `i`'s churn row is non-empty, so `is_up`
+    /// touches the CSR rows only for the few nodes that ever go down.
+    churny: Vec<u64>,
     /// Spatial hash over *home* positions; cell `c` owns
     /// `cell_nodes[cell_idx[c]..cell_idx[c+1]]`, and cells of one row are
     /// adjacent, so a run of cells along x is one contiguous slice.
@@ -502,10 +522,15 @@ impl Statics {
             }
         }
         let (churn_idx, churn_iv) = flatten_csr(churn);
+        let mut churny = vec![0u64; params.len().div_ceil(64)];
+        for (i, row) in churn.iter().enumerate() {
+            churny[i / 64] |= u64::from(!row.is_empty()) << (i % 64);
+        }
         Statics {
             params,
             churn_idx,
             churn_iv,
+            churny,
             cell_idx,
             cell_nodes,
             cell_home,
@@ -524,12 +549,7 @@ impl Statics {
     }
 
     fn pos(&self, node: u32, t: SimTime) -> (f64, f64) {
-        let p = &self.params[node as usize];
-        if p.amp == 0.0 {
-            return p.home;
-        }
-        let th = p.phase + p.omega * (t.as_nanos() as f64 * 1e-9);
-        (p.home.0 + p.amp * th.cos(), p.home.1 + p.amp * th.sin())
+        self.params[node as usize].at(secs(t))
     }
 
     /// Node `i`'s sorted down intervals (CSR row).
@@ -544,6 +564,9 @@ impl Statics {
     }
 
     fn is_up(&self, node: u32, t: SimTime) -> bool {
+        if self.churny[node as usize / 64] >> (node % 64) & 1 == 0 {
+            return true;
+        }
         let ns = t.as_nanos();
         self.churn_of(node)
             .iter()
@@ -603,6 +626,11 @@ fn cell_axis(x: f64, nc: usize) -> usize {
     ((x / CELL_M) as usize).min(nc - 1)
 }
 
+/// Simulated seconds at `t`, the argument of [`NodeParams::at`].
+fn secs(t: SimTime) -> f64 {
+    t.as_nanos() as f64 * 1e-9
+}
+
 fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
     let (dx, dy) = (a.0 - b.0, a.1 - b.1);
     (dx * dx + dy * dy).sqrt()
@@ -632,6 +660,15 @@ enum PmEvent {
     ChurnDown { node: u32 },
     /// Scheduled churn recovery for an owned node.
     ChurnUp { node: u32 },
+}
+
+/// One next-hop question: where `u` and `dst` are at `now`, and how far
+/// apart (`d_u`).
+struct Scan {
+    pu: (f64, f64),
+    pdst: (f64, f64),
+    d_u: f64,
+    now: SimTime,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -707,27 +744,40 @@ impl RegionNet {
         &mut self.loads[self.st.local_of_node[node as usize] as usize]
     }
 
-    fn load_of(&self, node: u32) -> u32 {
-        if self.st.region_of_node[node as usize] == self.id {
-            let nl = self.loads[self.st.local_of_node[node as usize] as usize];
+    /// The load this region sees for `node`, owned by `region` at slot
+    /// `local` of it: exact for its own nodes, the last digest otherwise.
+    fn load_in(&self, node: u32, region: RegionId, local: u32) -> u32 {
+        if region == self.id {
+            let nl = self.loads[local as usize];
             nl.load + nl.recent
         } else {
             self.remote.get(&node).copied().unwrap_or(0)
         }
     }
 
+    /// [`load_in`](RegionNet::load_in) with the owner looked up, as the
+    /// all-nodes oracle reads it.
+    #[cfg(test)]
+    fn load_of(&self, node: u32) -> u32 {
+        let i = node as usize;
+        self.load_in(node, self.st.region_of_node[i], self.st.local_of_node[i])
+    }
+
     /// Load-aware geographic next hop from `u` towards `dst` at `now`:
     /// among up neighbours with positive progress, maximise
     /// `progress / (1 + load)` — the neighbourhood-load rule — breaking
     /// ties to the lowest node id. That is a strict total order, so the
-    /// winner does not depend on the order candidates are visited in.
+    /// winner does not depend on the order candidates are evaluated in or
+    /// on how they are batched.
     ///
     /// The scan visits only the cells a neighbour's home can lie in and
     /// drops a candidate from its `cell_home` entry alone when it cannot be
-    /// in range or cannot make progress wherever it has drifted to; only
-    /// the few survivors pay for churn, position and load look-ups. The
-    /// drop tests are necessary conditions of the exact ones below them,
-    /// so they never change the result.
+    /// in range or cannot make progress wherever it has drifted to. The
+    /// drop tests are necessary conditions of the exact ones in
+    /// [`evaluate`](RegionNet::evaluate), so they never change the result.
+    /// Survivors are compacted into a stack buffer without a branch per
+    /// candidate (each id is stored, the cursor advances by the test's
+    /// outcome), and a full buffer is evaluated and reused.
     fn next_hop(&self, u: u32, dst: u32, now: SimTime) -> Option<u32> {
         let st = &*self.st;
         let pu = st.pos(u, now);
@@ -745,7 +795,10 @@ impl RegionNet {
         let (reach2, near2) = (reach * reach, near * near);
         let (cx0, cy0) = st.cell_of(pu.0 - reach, pu.1 - reach);
         let (cx1, cy1) = st.cell_of(pu.0 + reach, pu.1 + reach);
+        let scan = Scan { pu, pdst, d_u, now };
         let mut best: Option<(f64, u32)> = None;
+        let mut ids = [0u32; BATCH];
+        let mut n = 0;
         for cy in cy0..=cy1 {
             let row = cy * st.ncx;
             let span = st.cell_idx[row + cx0] as usize..st.cell_idx[row + cx1 + 1] as usize;
@@ -753,31 +806,60 @@ impl RegionNet {
                 let (hx, hy) = (home[0] as f64, home[1] as f64);
                 let (ux, uy) = (hx - pu.0, hy - pu.1);
                 let (tx, ty) = (hx - pdst.0, hy - pdst.1);
-                if ux * ux + uy * uy > reach2 || tx * tx + ty * ty >= near2 {
-                    continue;
-                }
-                if v == u || !st.is_up(v, now) {
-                    continue;
-                }
-                let pv = st.pos(v, now);
-                if dist(pu, pv) > RX_RANGE_M {
-                    continue;
-                }
-                let progress = d_u - dist(pv, pdst);
-                if progress <= 1.0 {
-                    continue;
-                }
-                let score = progress / (1.0 + self.load_of(v) as f64);
-                let better = match best {
-                    None => true,
-                    Some((bs, bv)) => score > bs || (score == bs && v < bv),
-                };
-                if better {
-                    best = Some((score, v));
+                let dropped =
+                    (ux * ux + uy * uy > reach2) | (tx * tx + ty * ty >= near2) | (v == u);
+                ids[n] = v;
+                n += usize::from(!dropped);
+                if n == BATCH {
+                    self.evaluate(&ids, &scan, &mut best);
+                    n = 0;
                 }
             }
         }
+        self.evaluate(&ids[..n], &scan, &mut best);
         best.map(|(_, v)| v)
+    }
+
+    /// Fold the survivors `ids` into `best`. Every survivor's parameters
+    /// and owner slot are loaded first, then every load value, and only
+    /// then is any of them evaluated: the loads of one round do not depend
+    /// on each other, so their cache misses overlap instead of queueing
+    /// behind the previous survivor's `sin`/`cos`.
+    fn evaluate(&self, ids: &[u32], scan: &Scan, best: &mut Option<(f64, u32)>) {
+        let st = &*self.st;
+        let mut params = [NodeParams::default(); BATCH];
+        let mut slot = [(0, 0); BATCH];
+        for ((p, s), &v) in params.iter_mut().zip(&mut slot).zip(ids) {
+            let i = v as usize;
+            *p = st.params[i];
+            *s = (st.region_of_node[i], st.local_of_node[i]);
+        }
+        let mut load = [0u32; BATCH];
+        for ((l, &(region, local)), &v) in load.iter_mut().zip(&slot).zip(ids) {
+            *l = self.load_in(v, region, local);
+        }
+        let (pu, pdst, t_s) = (scan.pu, scan.pdst, secs(scan.now));
+        for ((&v, p), &l) in ids.iter().zip(&params).zip(&load) {
+            if !st.is_up(v, scan.now) {
+                continue;
+            }
+            let pv = p.at(t_s);
+            if dist(pu, pv) > RX_RANGE_M {
+                continue;
+            }
+            let progress = scan.d_u - dist(pv, pdst);
+            if progress <= 1.0 {
+                continue;
+            }
+            let score = progress / (1.0 + l as f64);
+            let better = match *best {
+                None => true,
+                Some((bs, bv)) => score > bs || (score == bs && v < bv),
+            };
+            if better {
+                *best = Some((score, v));
+            }
+        }
     }
 
     /// The definition [`next_hop`](RegionNet::next_hop) must reproduce:
@@ -1972,7 +2054,120 @@ mod tests {
         )
     }
 
+    /// Homes scattered within 275 m of node 0, which sits where four
+    /// regions and four spatial-hash cells meet in the middle of a 4 km
+    /// field; nodes 1–4 are destinations 700 m away along the axes. A scan
+    /// from inside the crowd has several buffers of survivors.
+    fn crowded_world(mobile: bool, rng: &mut SimRng) -> Statics {
+        const SIDE: f64 = 4_000.0;
+        const CROWD: usize = 200;
+        let c = SIDE / 2.0;
+        let mut homes = vec![
+            (c, c),
+            (c + 700.0, c),
+            (c, c + 700.0),
+            (c - 700.0, c),
+            (c, c - 700.0),
+        ];
+        for _ in 0..CROWD {
+            let r = 275.0 * rng.range_f64(0.0, 1.0).sqrt();
+            let a = rng.range_f64(0.0, std::f64::consts::TAU);
+            homes.push((c + r * a.cos(), c + r * a.sin()));
+        }
+        let params: Vec<NodeParams> = homes
+            .into_iter()
+            .map(|home| NodeParams {
+                home,
+                amp: if mobile {
+                    rng.range_f64(0.0, DRIFT_AMP_M)
+                } else {
+                    0.0
+                },
+                omega: rng.range_f64(0.05, 0.3),
+                phase: rng.range_f64(0.0, std::f64::consts::TAU),
+            })
+            .collect();
+        let churn: Vec<Vec<(u64, u64)>> = (0..params.len())
+            .map(|_| {
+                if rng.chance(0.15) {
+                    vec![(2_000_000_000, 6_000_000_000)]
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        Statics::new(
+            params,
+            &churn,
+            SIDE,
+            (2, 2),
+            SimDuration::from_millis(100),
+            SimTime::from_secs(10),
+        )
+    }
+
+    #[test]
+    fn churny_marks_exactly_the_nodes_with_down_intervals() {
+        for churn in [true, false] {
+            let st = build_statics(&ParMesh::new(700).seed(5).churn(churn));
+            let mut instants: Vec<u64> = (0..=200).map(|k| k * 50_000_000).collect();
+            for &(down, up) in &st.churn_iv {
+                instants.extend([down - 1, down, up - 1, up]);
+            }
+            let mut churny = 0;
+            for v in 0..st.params.len() as u32 {
+                let row = st.churn_of(v);
+                let bit = st.churny[v as usize / 64] >> (v % 64) & 1 == 1;
+                assert_eq!(bit, !row.is_empty(), "node {v}, churn {churn}");
+                churny += usize::from(bit);
+                for &ns in &instants {
+                    let by_row = row.iter().all(|&(down, up)| ns < down || ns >= up);
+                    assert_eq!(st.is_up(v, SimTime(ns)), by_row, "node {v} at {ns} ns");
+                }
+            }
+            // No bit past the last node.
+            assert_eq!(
+                st.churny
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum::<usize>(),
+                churny
+            );
+            assert_eq!(churny > 0, churn, "700 nodes at 4 % churn");
+        }
+    }
+
     proptest! {
+        /// The kernel's buffer fills and is flushed: in a crowd of 200 homes
+        /// a scan has far more survivors than one buffer holds, and the hop
+        /// from every node of it still equals the all-nodes rule.
+        #[test]
+        fn next_hop_flushes_a_full_buffer(
+            seed in any::<u64>(),
+            mobile in any::<bool>(),
+            region in 0u32..4,
+            t_ms in 0u64..10_000,
+        ) {
+            let mut rng = SimRng::derive(seed, 0x666C, 0);
+            let st = Arc::new(crowded_world(mobile, &mut rng));
+            let now = SimTime::from_millis(t_ms);
+            let (p0, p1) = (st.pos(0, now), st.pos(1, now));
+            let qualifying = (5..st.params.len() as u32)
+                .filter(|&v| {
+                    let pv = st.pos(v, now);
+                    st.is_up(v, now) && dist(p0, pv) <= RX_RANGE_M && dist(p0, p1) - dist(pv, p1) > 1.0
+                })
+                .count();
+            prop_assert!(qualifying > BATCH, "only {qualifying} relays qualify from node 0");
+            let net = loaded_region(&st, region, &mut rng);
+            for u in 0..st.params.len() as u32 {
+                for dst in (1..5).filter(|&d| d != u) {
+                    let (got, want) = (net.next_hop(u, dst, now), net.next_hop_all_nodes(u, dst, now));
+                    prop_assert!(got == want, "{u} -> {dst} at {now}: {got:?}, all-nodes scan {want:?}");
+                }
+            }
+        }
+
         /// The prefiltered cell scan picks the hop the rule defines over
         /// all nodes, on generated worlds of every size: field corners and
         /// edges as sources, mobility and churn on and off, any instant.

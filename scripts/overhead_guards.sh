@@ -27,13 +27,18 @@ one_wall() {
     | tail -1 | awk -F, '{print $NF}'
 }
 best_of() { awk -v a="$1" -v b="$2" 'BEGIN{print (b == "" || a < b) ? a : b}'; }
-CKPT_DIR=$(mktemp -d)
-trap 'rm -rf "$CKPT_DIR"' EXIT
+# Every checkpointed run writes into an empty directory of its own, as a
+# fresh run does, instead of renaming its checkpoints over the files the
+# previous round left behind.
+CKPT_ROOT=$(mktemp -d)
+trap 'rm -rf "$CKPT_ROOT"' EXIT
 PLAIN_WALL=""; PROF_WALL=""; CKPT_WALL=""
-for _ in 1 2 3 4 5; do
+for round in 1 2 3 4 5; do
   PLAIN_WALL=$(best_of "$(one_wall)" "$PLAIN_WALL")
   PROF_WALL=$(best_of "$(one_wall --profile-out /dev/null)" "$PROF_WALL")
+  CKPT_DIR=$(mktemp -d "$CKPT_ROOT/run$round.XXXX")
   CKPT_WALL=$(best_of "$(one_wall --checkpoint-dir "$CKPT_DIR")" "$CKPT_WALL")
+  rm -rf "$CKPT_DIR"
 done
 echo "profiling overhead guard: plain ${PLAIN_WALL}s, profiled ${PROF_WALL}s"
 if ! awk -v p="$PROF_WALL" -v b="$PLAIN_WALL" 'BEGIN{exit !(p <= b * 1.10)}'; then

@@ -1,6 +1,7 @@
 //! Scenario-builder API contract.
 
-use wmn::sim::SimDuration;
+use wmn::faults::FaultPlan;
+use wmn::sim::{SimDuration, SimTime};
 use wmn::topology::{Placement, Region};
 use wmn::{BuildError, ScenarioBuilder, Scheme};
 
@@ -65,6 +66,32 @@ fn impossible_flow_pairs_rejected() {
         .err()
         .expect("must fail");
     assert_eq!(err, BuildError::NoFlowPairs);
+}
+
+#[test]
+fn fault_on_a_node_the_scenario_lacks_is_refused_at_build() {
+    let scenario = |node| {
+        ScenarioBuilder::new()
+            .grid(5, 5, 180.0)
+            .flows(2, 2.0, 512)
+            .duration(SimDuration::from_secs(10))
+            .warmup(SimDuration::from_secs(2))
+            .faults(FaultPlan::new().fail_node(node, SimTime::from_secs(5)))
+    };
+    let err = scenario(25).build().err().expect("node 25 of 25 must fail");
+    assert_eq!(
+        err,
+        BuildError::FaultTarget {
+            node: 25,
+            nodes: 25
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "a scripted fault targets node 25, but the scenario has 25 nodes"
+    );
+    let r = scenario(24).build().expect("node 24 exists").run();
+    assert!(r.summary.sent > 0);
 }
 
 #[test]
