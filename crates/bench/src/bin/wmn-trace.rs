@@ -322,6 +322,10 @@ fn timeline(events: &[TelemetryEvent], args: &Args) {
     }
 }
 
+/// Most rows `convergence` prints: a million one-second bins is eleven days
+/// of simulated time.
+const MAX_BINS: u64 = 1_000_000;
+
 fn convergence(events: &[TelemetryEvent], args: &Args) {
     let bin_s: f64 = args.parsed("bin-s").unwrap_or(1.0);
     // At least one nanosecond per bin: the bin index divides by it.
@@ -336,24 +340,36 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
         dropped: u64,
         rreq: u64,
     }
-    let mut bins: Vec<Bin> = Vec::new();
-    let mut first_delivery: BTreeMap<u32, u64> = BTreeMap::new();
-    for ev in events {
-        let counted = matches!(
+    let counted = |ev: &&TelemetryEvent| {
+        matches!(
             ev.kind,
             EventKind::DataOriginate { .. }
                 | EventKind::DataDeliver { .. }
                 | EventKind::DataDrop { .. }
                 | EventKind::RreqOriginate { .. }
                 | EventKind::RreqForward { .. }
-        );
-        if !counted {
-            continue;
-        }
+        )
+    };
+    // One row per bin up to the last counted event. A trace may hold any
+    // `t` up to u64::MAX, so the row count is bounded before anything is
+    // allocated.
+    let rows = match events.iter().filter(counted).map(|ev| ev.t_ns).max() {
+        None => 0,
+        Some(t) => match (t / bin_ns).checked_add(1) {
+            Some(rows) if rows <= MAX_BINS => rows as usize,
+            _ => {
+                eprintln!(
+                    "error: an event at t = {t} ns needs more than {MAX_BINS} bins of {bin_s} s; \
+                     raise --bin-s"
+                );
+                std::process::exit(1);
+            }
+        },
+    };
+    let mut bins = vec![Bin::default(); rows];
+    let mut first_delivery: BTreeMap<u32, u64> = BTreeMap::new();
+    for ev in events.iter().filter(counted) {
         let i = (ev.t_ns / bin_ns) as usize;
-        if i >= bins.len() {
-            bins.resize(i + 1, Bin::default());
-        }
         match ev.kind {
             EventKind::DataOriginate { .. } => bins[i].originated += 1,
             EventKind::DataDeliver { flow, .. } => {

@@ -204,7 +204,11 @@ impl WorkQueue {
 /// The medium writes its effects straight into the slots they are drained
 /// from.
 impl EffectSink for WorkQueue {
-    #[inline]
+    // `Medium::{start_tx, rx_end, tx_end}` call this once per effect. A
+    // plain `#[inline]` is inlined there or not depending on how the crate
+    // happens to split into codegen units; out of line it costs
+    // `stack_sweep` about 1.5 % of its wall time.
+    #[inline(always)]
     fn push_effect(&mut self, effect: MediumEffect) {
         match effect {
             MediumEffect::Channel { node, busy } => {

@@ -59,8 +59,8 @@ use std::sync::{Arc, Mutex};
 use wmn_metrics::ProbeSeries;
 use wmn_sim::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use wmn_sim::shard::{
-    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe,
-    ShardedEngine, SupervisorConfig, SupervisorReport,
+    CheckpointState, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe, ShardedEngine,
+    SupervisorConfig, SupervisorReport,
 };
 use wmn_sim::{IdMap, SimDuration, SimRng, SimTime};
 use wmn_telemetry::{
@@ -120,7 +120,6 @@ pub struct ParMesh {
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: Option<SimDuration>,
     resume: bool,
-    crash_plan: CrashPlan,
     interrupt: Option<Arc<AtomicBool>>,
 }
 
@@ -146,7 +145,6 @@ impl ParMesh {
             checkpoint_dir: None,
             checkpoint_every: None,
             resume: false,
-            crash_plan: CrashPlan::default(),
             interrupt: None,
         }
     }
@@ -268,13 +266,6 @@ impl ParMesh {
         self
     }
 
-    /// Inject harness-level worker crashes (supervisor exercise; strictly
-    /// separate from in-sim node churn).
-    pub fn crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
-        self
-    }
-
     /// Cooperative interrupt flag, checked at every epoch barrier; when it
     /// goes true the run writes a final checkpoint (if a checkpoint dir is
     /// set) and stops with [`SupervisorReport::interrupted`].
@@ -283,14 +274,13 @@ impl ParMesh {
         self
     }
 
-    /// True when any robustness feature is on: the run may then serialize
-    /// region state and reports what its supervisor did. Every run takes
-    /// the same engine loop either way.
+    /// True when checkpoints, resume or the interrupt are on: the run may
+    /// then serialize region state and reports what its supervisor did.
+    /// Every run takes the same engine loop either way.
     fn supervised(&self) -> bool {
         self.checkpoint_dir.is_some()
             || self.checkpoint_every.is_some()
             || self.resume
-            || !self.crash_plan.is_empty()
             || self.interrupt.is_some()
     }
 
@@ -325,7 +315,7 @@ impl ParMesh {
     }
 
     /// Run the scenario, surfacing checkpoint/resume failures as structured
-    /// errors instead of panics. Without robustness features this cannot
+    /// errors instead of panics. Without checkpoints or resume this cannot
     /// fail.
     pub fn try_run(&self) -> Result<ParMeshOutcome, CheckpointError> {
         run_parmesh(self)
@@ -394,9 +384,9 @@ pub struct ParMeshOutcome {
     /// 1 Hz cross-layer probe feed, rebuilt from the merged trace (empty
     /// when telemetry was off).
     pub probes: ProbeSeries,
-    /// Supervisor summary (recoveries, checkpoints written, interrupt and
-    /// resume lineage); present only when the run used a robustness
-    /// feature — plain runs never take the supervised path.
+    /// Supervisor summary (checkpoints written, interrupt and resume
+    /// lineage); present only when the run used checkpoints, resume or the
+    /// interrupt.
     pub supervisor: Option<SupervisorReport>,
 }
 
@@ -1525,9 +1515,9 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         }
     }
 
-    // Robustness path: resume from the newest checkpoint if asked. A run
-    // with no robustness feature gets the default supervisor config, under
-    // which the engine keeps no anchor and writes nothing.
+    // Resume from the newest checkpoint if asked. A run with neither
+    // checkpoints nor an interrupt gets the default supervisor config,
+    // under which the engine writes nothing.
     let scenario = cfg.scenario_fingerprint();
     if cfg.resume {
         let dir = cfg
@@ -1553,7 +1543,6 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
                 .is_some()
                 .then(|| SimDuration::from_secs(1))
         }),
-        crash_plan: cfg.crash_plan.clone(),
         interrupt: cfg.interrupt.clone(),
     };
     let mut profiler = cfg.profile.then(|| ShardProfiler::new(cfg.threads));
@@ -1781,38 +1770,6 @@ mod tests {
         let b = profiled(8);
         let pb = b.profile.as_ref().expect("profile present");
         assert_eq!(pa.sim_fingerprint(), pb.sim_fingerprint());
-    }
-
-    #[test]
-    fn injected_crashes_recover_to_identical_results() {
-        let base = small(2);
-        for threads in [1, 4] {
-            let out = ParMesh::new(400)
-                .seed(7)
-                .flows(40)
-                .regions(9)
-                .duration(SimDuration::from_secs(5))
-                .threads(threads)
-                .telemetry(true)
-                .crash_plan(CrashPlan {
-                    scripted: Vec::new(),
-                    stochastic: Some(wmn_sim::shard::StochasticCrash {
-                        rate: 0.002,
-                        seed: 5,
-                        max: 3,
-                    }),
-                })
-                .run();
-            let sup = out.supervisor.as_ref().expect("supervised run");
-            // Crash decisions are coordinator-side and consumed, so the
-            // number of recoveries is a pure function of the scenario.
-            assert!(sup.recoveries >= 1, "stochastic plan never fired");
-            assert_eq!(sup.recoveries, 3, "{threads} threads");
-            assert!(!sup.interrupted);
-            assert_eq!(base.report.delivered, out.report.delivered);
-            assert_eq!(base.report.events, out.report.events);
-            assert_eq!(base.trace, out.trace, "{threads} threads");
-        }
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use idmap::{IdHasher, IdMap};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SplitMix64};
 pub use shard::{
-    CheckpointState, CrashPlan, HorizonScratch, Lookahead, RegionCtx, RegionId, RegionWorld,
-    ShardRunReport, ShardStopReason, ShardedEngine, StochasticCrash, SupervisorConfig,
-    SupervisorReport,
+    CheckpointState, HorizonScratch, Lookahead, RegionCtx, RegionId, RegionWorld, ShardRunReport,
+    ShardStopReason, ShardedEngine, SupervisorConfig, SupervisorReport,
 };
 pub use time::{SimDuration, SimTime};

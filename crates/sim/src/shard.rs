@@ -61,7 +61,6 @@
 
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, CheckpointMeta};
 use crate::queue::EventQueue;
-use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -413,16 +412,15 @@ pub trait RegionWorld: Send {
 }
 
 /// Serialize/restore contract a [`RegionWorld`] implements to make its runs
-/// checkpointable and crash-recoverable.
+/// checkpointable and resumable.
 ///
-/// Contract: `decode_state` must leave the world **exactly** equal to the
-/// one `encode_state` captured, regardless of the world's current state —
-/// rollback overlays a snapshot onto a world that has since processed more
-/// events, so every mutable field must be overwritten, every collection
-/// cleared and rebuilt. Floats must round-trip as raw bits
-/// ([`ByteWriter::f64_bits`]), never through decimal text. Iteration-order-
-/// sensitive collections (hash maps) must be encoded in a sorted order so
-/// the byte stream itself is deterministic.
+/// Contract: `decode_state` is applied to a freshly built world (the one the
+/// scenario constructs before any event runs) and must leave it **exactly**
+/// equal to the one `encode_state` captured, so every mutable field must be
+/// overwritten, every collection cleared and rebuilt. Floats must
+/// round-trip as raw bits ([`ByteWriter::f64_bits`]), never through decimal
+/// text. Iteration-order-sensitive collections (hash maps) must be encoded
+/// in a sorted order so the byte stream itself is deterministic.
 pub trait CheckpointState: RegionWorld {
     /// Append this region's complete mutable state to `out`.
     fn encode_state(&self, out: &mut ByteWriter);
@@ -552,167 +550,18 @@ pub struct ShardRunReport {
     pub end_time: SimTime,
 }
 
-/// Panic payload of a harness-injected worker crash (see [`CrashPlan`]).
-/// The supervisor recognises this type and recovers; any other panic is an
-/// invariant violation or a genuine bug and aborts loudly.
-#[derive(Debug)]
-pub struct InjectedCrash {
-    /// Epoch (1-based) the crash fired in.
-    pub epoch: u64,
-    /// Region whose window was killed.
-    pub region: RegionId,
-}
-
-/// Seeded stochastic crash injection (see [`CrashPlan`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StochasticCrash {
-    /// Per-window crash probability.
-    pub rate: f64,
-    /// Seed of the coordinator-side decision stream.
-    pub seed: u64,
-    /// Maximum number of crashes to inject over the run.
-    pub max: u32,
-}
-
-/// Harness-level worker-crash schedule, strictly separate from in-sim
-/// faults (`wmn-faults` kills simulated nodes; this kills the *host
-/// worker* executing a region's window, to exercise the supervisor).
-///
-/// Crash decisions are made on the coordinator thread in ascending region
-/// order before windows are dispatched, so they are identical for every
-/// worker count; each decision fires at most once and is **not** rolled
-/// back with the simulation state, so a recovered replay does not crash
-/// again at the same point.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CrashPlan {
-    /// Scripted crashes: kill `region`'s window in `epoch` (1-based).
-    pub scripted: Vec<(u64, RegionId)>,
-    /// Seeded stochastic mode, applied to every dispatched window.
-    pub stochastic: Option<StochasticCrash>,
-}
-
-impl CrashPlan {
-    /// True when no crashes will ever be injected.
-    pub fn is_empty(&self) -> bool {
-        self.scripted.is_empty() && self.stochastic.is_none()
-    }
-
-    /// Build from the environment: `WMN_CRASH_AT=epoch:region[,epoch:region…]`
-    /// for scripted crashes and `WMN_CRASH_RATE=p:seed[:max]` for the
-    /// stochastic mode (`max` defaults to 1). Malformed entries are ignored.
-    pub fn from_env() -> Self {
-        let mut plan = CrashPlan::default();
-        if let Ok(v) = std::env::var("WMN_CRASH_AT") {
-            for part in v.split(',').filter(|s| !s.trim().is_empty()) {
-                if let Some((e, r)) = part.split_once(':') {
-                    if let (Ok(e), Ok(r)) = (e.trim().parse(), r.trim().parse()) {
-                        plan.scripted.push((e, r));
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("WMN_CRASH_RATE") {
-            let mut it = v.split(':');
-            let rate = it.next().and_then(|s| s.trim().parse::<f64>().ok());
-            let seed = it.next().and_then(|s| s.trim().parse::<u64>().ok());
-            if let (Some(rate), Some(seed)) = (rate, seed) {
-                let max = it
-                    .next()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
-                    .unwrap_or(1);
-                plan.stochastic = Some(StochasticCrash { rate, seed, max });
-            }
-        }
-        plan
-    }
-}
-
-/// Mutable crash-decision state — the plan's unfired entries and the
-/// stochastic decision stream — owned by the coordinator and deliberately
-/// outside the rollback scope.
-struct CrashState {
-    plan: CrashPlan,
-    rng: Option<SimRng>,
-}
-
-impl CrashState {
-    fn new(plan: &CrashPlan) -> Self {
-        CrashState {
-            plan: plan.clone(),
-            rng: plan.stochastic.map(|s| SimRng::new(s.seed)),
-        }
-    }
-
-    /// Decide whether to kill `region`'s window in `epoch`. Consumes the
-    /// matching scripted entry / stochastic budget so it cannot re-fire on
-    /// replay.
-    fn decide(&mut self, epoch: u64, region: RegionId) -> bool {
-        let scripted = &mut self.plan.scripted;
-        if let Some(pos) = scripted.iter().position(|&e| e == (epoch, region)) {
-            scripted.remove(pos);
-            return true;
-        }
-        if let (Some(s), Some(rng)) = (&mut self.plan.stochastic, &mut self.rng) {
-            if s.max > 0 && rng.chance(s.rate) {
-                s.max -= 1;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Why a caught window panic cannot be recovered from, or `None` for a
-/// [`CrashPlan`] injection (recovered by rollback + replay). After a
-/// conservative-invariant or lookahead violation the simulation state cannot
-/// be trusted; anything else is a genuine bug. Both abort loudly.
-fn fatal_panic(payload: &(dyn std::any::Any + Send)) -> Option<&'static str> {
-    if payload.is::<InjectedCrash>() {
-        return None;
-    }
-    let msg = payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-    match msg {
-        Some(m) if m.contains("lookahead violation") || m.contains("conservative invariant") => {
-            Some("conservative-invariant violation")
-        }
-        _ => Some("unclassified worker panic"),
-    }
-}
-
-/// Silence the default panic printer for [`InjectedCrash`] payloads — they
-/// are expected, caught, and recovered; their backtraces are pure noise.
-/// All other panics keep the previous hook. Installed at most once.
-fn install_quiet_crash_hook() {
-    static QUIET: std::sync::Once = std::sync::Once::new();
-    QUIET.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<InjectedCrash>() {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
 /// Configuration for [`ShardedEngine::run_supervised`].
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
     /// Scenario fingerprint stamped into every checkpoint; a resume with a
     /// different fingerprint is refused.
     pub scenario: u64,
-    /// Where to write checkpoint files (`None` = in-memory rollback points
-    /// only, nothing on disk).
+    /// Where to write checkpoint files (`None` = nothing on disk).
     pub checkpoint_dir: Option<PathBuf>,
     /// Sim-time cadence between checkpoints, keyed on the global minimum
-    /// pending-event time crossing each multiple (`None` = only the
-    /// run-start rollback anchor; a crash then replays from the beginning).
+    /// pending-event time crossing each multiple (`None` = no cadence
+    /// checkpoints).
     pub checkpoint_every: Option<SimDuration>,
-    /// Harness-level crash injection schedule.
-    pub crash_plan: CrashPlan,
     /// Cooperative interrupt flag (typically set from a SIGINT handler);
     /// checked at every epoch barrier.
     pub interrupt: Option<Arc<AtomicBool>>,
@@ -721,8 +570,6 @@ pub struct SupervisorConfig {
 /// What the supervisor did during a [`ShardedEngine::run_supervised`] run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SupervisorReport {
-    /// Worker panics recovered by rollback + replay.
-    pub recoveries: u64,
     /// Checkpoint files written (cadence plus any final interrupt one).
     pub checkpoints_written: u64,
     /// True when the run stopped on the interrupt flag.
@@ -752,17 +599,13 @@ impl<W: RegionWorld> Slot<W> {
     /// Process every pending event strictly below `window_end` (and at or
     /// below the run horizon), then commit the window. `timed` records the
     /// window's wall-clock cost into `last_busy_ns` (profiling only — it
-    /// cannot affect event execution). When `crash` carries an epoch,
-    /// process at most one event and then die with an [`InjectedCrash`]
-    /// panic — deliberately leaving partially-mutated, uncommitted state,
-    /// the worst case the supervisor's rollback must handle.
+    /// cannot affect event execution).
     fn run_window(
         &mut self,
         window_end: SimTime,
         horizon: SimTime,
         lookahead: &Lookahead,
         timed: bool,
-        crash: Option<u64>,
     ) {
         let t0 = timed.then(Instant::now);
         while let Some(t) = self.queue.peek_time() {
@@ -781,15 +624,6 @@ impl<W: RegionWorld> Slot<W> {
                 stopped: &mut self.stopped,
             };
             self.world.handle(event, &mut ctx);
-            if crash.is_some() {
-                break;
-            }
-        }
-        if let Some(epoch) = crash {
-            std::panic::panic_any(InjectedCrash {
-                epoch,
-                region: self.region,
-            });
         }
         // The window is committed even when it held no events: adjacent
         // regions may have advanced on the promise that nothing older will
@@ -803,25 +637,22 @@ impl<W: RegionWorld> Slot<W> {
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// One window of one epoch: the region slot, its safe window end, and the
-/// coordinator's injected-crash decision (`Some(epoch)` only under a
-/// supervisor with a [`CrashPlan`]).
+/// One window of one epoch: the region slot and its safe window end.
 struct Job<W: RegionWorld> {
     slot: Box<Slot<W>>,
     window_end: SimTime,
     timed: bool,
-    crash: Option<u64>,
 }
 
 impl<W: RegionWorld> Job<W> {
     /// Run the window wherever the job landed — a pool worker or the
     /// coordinator itself — and hand back a panic instead of unwinding, so
-    /// the slot always returns and the coordinator alone decides what a
-    /// panic means.
+    /// the slot always returns and the coordinator re-raises the panic only
+    /// once no worker still holds a slot.
     fn run(&mut self, horizon: SimTime, lookahead: &Lookahead) -> Option<PanicPayload> {
         catch_unwind(AssertUnwindSafe(|| {
             self.slot
-                .run_window(self.window_end, horizon, lookahead, self.timed, self.crash)
+                .run_window(self.window_end, horizon, lookahead, self.timed)
         }))
         .err()
     }
@@ -953,7 +784,7 @@ pub struct ShardedEngine<W: RegionWorld> {
     peeks: Vec<Option<SimTime>>,
     horizon_scratch: HorizonScratch,
     /// Epochs run and cross-region events merged so far; zero on a fresh
-    /// engine, carried through checkpoints and rolled back with the slots.
+    /// engine, carried through checkpoints.
     epochs: u64,
     cross_region: u64,
     /// Probe bytes restored from a checkpoint, handed to the probe when
@@ -1219,11 +1050,12 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// one-worker engine spawns no pool and a one-window epoch skips the
     /// round-trip; both run their windows on the coordinator.
     ///
-    /// A [`Supervisor`] hooks in at three places and nowhere else: the
-    /// pre-epoch barrier (interrupt and cadence checkpoints), window
-    /// dispatch (injected-crash decisions), and the post-window triage of
-    /// caught panics (rollback and replay, or abort). Without one, a caught
-    /// panic is re-raised on the caller with its original payload.
+    /// A [`Supervisor`] hooks in at one place: the pre-epoch barrier
+    /// (interrupt and cadence checkpoints). A window is a pure function of
+    /// the cut it starts from, so replaying a window that panicked would
+    /// panic again: in every mode, once every slot is back, the epoch's
+    /// first caught panic is re-raised on the caller with its original
+    /// payload.
     fn drive(
         mut self,
         threads: usize,
@@ -1239,11 +1071,11 @@ impl<W: RegionWorld> ShardedEngine<W> {
         let horizon = self.horizon;
         let lookahead = self.lookahead.clone();
         // Planner state is wall-clock-only and deliberately not part of any
-        // checkpoint: rollback, replay and resume all start from whatever
-        // (possibly cold, possibly stale) predictions are at hand — any
-        // schedule is equally correct.
+        // checkpoint: a resume starts from a cold planner — any schedule is
+        // equally correct.
         let stealing = self.steal && workers > 1;
         let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
+        let will_emit = probe.is_some();
 
         let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
             let (done_tx, done_rx) = mpsc::channel::<(Job<W>, Option<PanicPayload>)>();
@@ -1273,8 +1105,6 @@ impl<W: RegionWorld> ShardedEngine<W> {
                         break Ok(ShardStopReason::Interrupted);
                     }
                 }
-                let will_emit =
-                    probe.is_some() && sup.as_deref().is_none_or(|s| self.epochs >= s.max_emitted);
                 let sources = will_emit.then_some(&mut scratch.sources);
                 if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
                     break Ok(reason);
@@ -1291,19 +1121,12 @@ impl<W: RegionWorld> ShardedEngine<W> {
                 let pooled = workers > 1 && jobs.len() > 1;
                 // `Some(moved)` when the planner packed this epoch.
                 let steal_moved = planner.as_mut().filter(|_| pooled).map(|pl| pl.plan(&jobs));
-                let mut payloads: Vec<PanicPayload> = Vec::new();
+                let mut panic: Option<PanicPayload> = None;
                 for (k, &i) in jobs.iter().enumerate() {
-                    // Crash decisions are made here, on the coordinator, in
-                    // ascending region order — identical for every worker
-                    // count, and consumed so a replay cannot re-fire them.
-                    let crash = sup
-                        .as_deref_mut()
-                        .and_then(|s| s.crash.decide(epoch, i as RegionId).then_some(epoch));
                     let mut job = Job {
                         slot: self.slots[i].take().expect("slot present"),
                         window_end: safe[i],
                         timed,
-                        crash,
                     };
                     if pooled {
                         let w = planner
@@ -1313,41 +1136,32 @@ impl<W: RegionWorld> ShardedEngine<W> {
                             .send(job)
                             .expect("worker alive for the whole run");
                     } else {
-                        payloads.extend(job.run(horizon, &lookahead));
+                        let caught = job.run(horizon, &lookahead);
+                        panic = panic.or(caught);
                         self.slots[i] = Some(job.slot);
                     }
                 }
                 if pooled {
                     for _ in 0..jobs.len() {
-                        let (job, panic) = done_rx.recv().expect("worker returned its slot");
+                        let (job, caught) = done_rx.recv().expect("worker returned its slot");
                         let i = job.slot.region as usize;
                         self.slots[i] = Some(job.slot);
-                        payloads.extend(panic);
+                        panic = panic.or(caught);
                     }
+                }
+                if let Some(payload) = panic {
+                    resume_unwind(payload);
                 }
                 if let Some(pl) = planner.as_mut() {
                     for &i in &jobs {
                         pl.observe(i, self.slot(i).last_busy_ns);
                     }
                 }
-                if !payloads.is_empty() {
-                    let Some(s) = sup.as_deref_mut() else {
-                        resume_unwind(payloads.swap_remove(0));
-                    };
-                    // All injected: every region and counter is back at the
-                    // anchor; replay. Probe gating makes the replay
-                    // invisible in the results.
-                    s.recover(&mut self, payloads)?;
-                    continue;
-                }
                 if will_emit {
                     let p = probe.as_deref_mut().expect("will_emit implies a probe");
                     self.emit_window_samples(p, &scratch, &safe, &jobs, epoch);
                     if let (Some(moved), Some(pl)) = (steal_moved, planner.as_mut()) {
                         p.steal(epoch, moved, pl.measured_imbalance_milli(&jobs));
-                    }
-                    if let Some(s) = sup.as_deref_mut() {
-                        s.max_emitted = epoch;
                     }
                 }
                 let t_merge = will_emit.then(Instant::now);
@@ -1396,31 +1210,20 @@ impl<W: RegionWorld> ShardedEngine<W> {
 struct Supervisor<'a, W: RegionWorld> {
     cfg: &'a SupervisorConfig,
     /// The [`CheckpointState`] capability — serialize the engine at a
-    /// barrier, overwrite it from such a cut — as plain functions, so the
-    /// epoch loop that calls them needs no such bound.
+    /// barrier — as a plain function, so the epoch loop that calls it needs
+    /// no such bound.
     encode: fn(&ShardedEngine<W>, Option<&dyn ShardProbe>) -> Vec<u8>,
-    restore: fn(&mut ShardedEngine<W>, &[u8]) -> Result<(), CheckpointError>,
-    /// Deliberately outside the rollback scope (see [`CrashState`]).
-    crash: CrashState,
     every_ns: Option<u64>,
     /// Cadence marks are keyed on the global minimum pending time (the
     /// committed-horizon minimum never advances for idle regions).
     last_mark: u64,
-    /// Rollback anchor: a full serialized cut at the run's first barrier,
-    /// refreshed at every checkpoint mark, so recovery works even with
-    /// checkpointing off (replay from the start). Held only under a
-    /// [`CrashPlan`] — nothing else is ever rolled back.
-    anchor: Option<Vec<u8>>,
-    /// Epochs at or below this were already observed (in this process or
-    /// the checkpointed one); probe callbacks for them are suppressed.
-    max_emitted: u64,
     report: SupervisorReport,
 }
 
 impl<W: RegionWorld> Supervisor<'_, W> {
     /// Pre-epoch hook, called on a consistent cut: on the interrupt flag,
     /// write a final checkpoint and return `true` (stop); on a cadence mark,
-    /// refresh the anchor and write a checkpoint.
+    /// write a checkpoint.
     fn barrier(
         &mut self,
         eng: &ShardedEngine<W>,
@@ -1428,15 +1231,13 @@ impl<W: RegionWorld> Supervisor<'_, W> {
     ) -> Result<bool, CheckpointError> {
         let interrupt = self.cfg.interrupt.as_ref();
         if interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
-            if self.cfg.checkpoint_dir.is_some() {
-                let committed = eng.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
-                    (0..eng.slots.len())
-                        .map(|i| eng.slot(i).committed.as_nanos())
-                        .max()
-                        .unwrap_or(0)
-                });
-                self.write_checkpoint(eng, committed, &(self.encode)(eng, probe))?;
-            }
+            let committed = eng.min_peek().map(|t| t.as_nanos()).unwrap_or_else(|| {
+                (0..eng.slots.len())
+                    .map(|i| eng.slot(i).committed.as_nanos())
+                    .max()
+                    .unwrap_or(0)
+            });
+            self.write_checkpoint(eng, probe, committed)?;
             self.report.interrupted = true;
             return Ok(true);
         }
@@ -1444,23 +1245,20 @@ impl<W: RegionWorld> Supervisor<'_, W> {
             let mark = t_min.as_nanos() / every;
             if mark > self.last_mark {
                 self.last_mark = mark;
-                let cut = (self.encode)(eng, probe);
-                self.write_checkpoint(eng, t_min.as_nanos(), &cut)?;
-                if let Some(anchor) = &mut self.anchor {
-                    *anchor = cut;
-                }
+                self.write_checkpoint(eng, probe, t_min.as_nanos())?;
             }
         }
         Ok(false)
     }
 
-    /// Seal `cut` and write it atomically as the checkpoint file for the
-    /// engine's current epoch (nothing without a checkpoint dir).
+    /// Encode the cut, seal it and write it atomically as the checkpoint
+    /// file for the engine's current epoch (nothing without a checkpoint
+    /// dir).
     fn write_checkpoint(
         &mut self,
         eng: &ShardedEngine<W>,
+        probe: Option<&dyn ShardProbe>,
         committed_ns: u64,
-        cut: &[u8],
     ) -> Result<(), CheckpointError> {
         let Some(dir) = &self.cfg.checkpoint_dir else {
             return Ok(());
@@ -1471,38 +1269,13 @@ impl<W: RegionWorld> Supervisor<'_, W> {
             committed_ns,
             eng.slots.len() as u32,
             eng.total_processed(),
-            cut,
+            &(self.encode)(eng, probe),
         );
         let path = dir.join(checkpoint::file_name(eng.epochs));
         checkpoint::write_atomic(&path, &img)?;
         self.report.checkpoints_written += 1;
         self.report.last_checkpoint = Some(path);
         Ok(())
-    }
-
-    /// Post-window triage of the panics caught in one epoch. Harness-
-    /// injected crashes roll the engine back to the anchor; a fatal panic
-    /// wins over recovery, whatever order the payloads arrived in, and is
-    /// re-raised after a loud note.
-    fn recover(
-        &mut self,
-        eng: &mut ShardedEngine<W>,
-        mut payloads: Vec<PanicPayload>,
-    ) -> Result<(), CheckpointError> {
-        let fatal = payloads
-            .iter()
-            .position(|p| fatal_panic(p.as_ref()).is_some());
-        if let (None, Some(anchor)) = (fatal, &self.anchor) {
-            self.report.recoveries += 1;
-            return (self.restore)(eng, anchor);
-        }
-        let p = payloads.swap_remove(fatal.unwrap_or(0));
-        eprintln!(
-            "shard supervisor: {} in epoch {}; state cannot be trusted, aborting",
-            fatal_panic(p.as_ref()).unwrap_or("crash injected outside the crash plan"),
-            eng.epochs
-        );
-        resume_unwind(p)
     }
 }
 
@@ -1618,23 +1391,20 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
         Ok(meta)
     }
 
-    /// [`run_probed`](ShardedEngine::run_probed) under a crash-tolerant
-    /// supervisor: worker panics are caught and classified — harness-
-    /// injected crashes ([`CrashPlan`]) roll every region back to the last
-    /// checkpoint anchor and replay; invariant violations and unknown
-    /// panics abort loudly. Checkpoints are taken at epoch barriers (the
-    /// engine's globally consistent cuts) whenever the global minimum
-    /// pending-event time crosses a multiple of
-    /// [`SupervisorConfig::checkpoint_every`], and written atomically to
-    /// [`SupervisorConfig::checkpoint_dir`]. The interrupt flag stops the
-    /// run at the next barrier after writing a final checkpoint.
+    /// [`run_probed`](ShardedEngine::run_probed) with checkpoints and an
+    /// interrupt. Checkpoints are taken at epoch barriers (the engine's
+    /// globally consistent cuts) whenever the global minimum pending-event
+    /// time crosses a multiple of [`SupervisorConfig::checkpoint_every`],
+    /// and written atomically to [`SupervisorConfig::checkpoint_dir`]. The
+    /// interrupt flag stops the run at the next barrier after writing a
+    /// final checkpoint. A window panic reaches the caller exactly as under
+    /// `run_probed`.
     ///
-    /// Recovery and resume are bit-identical: a replayed or resumed run
-    /// produces exactly the worlds, report counters, and probe observations
-    /// of an uninterrupted one, for any worker count. Probe callbacks for
-    /// epochs already observed (before a rollback, or before the resumed
-    /// checkpoint) are suppressed, so observers see each epoch exactly
-    /// once.
+    /// Resume is bit-identical: a run resumed from a checkpoint produces
+    /// exactly the worlds, report counters, and probe observations of an
+    /// uninterrupted one, for any worker count. The probe sees only the
+    /// epochs after the cut; its state from before comes back through
+    /// [`decode_probe`](ShardProbe::decode_probe).
     pub fn run_supervised(
         mut self,
         threads: usize,
@@ -1650,24 +1420,14 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
             }
         }
         let every_ns = cfg.checkpoint_every.map(|d| d.0.max(1));
-        let anchor = if cfg.crash_plan.is_empty() {
-            None
-        } else {
-            install_quiet_crash_hook();
-            Some(self.encode_payload(probe.as_deref()))
-        };
         let mut sup = Supervisor {
             cfg,
             encode: Self::encode_payload,
-            restore: Self::restore_payload,
-            crash: CrashState::new(&cfg.crash_plan),
             every_ns,
             last_mark: match (every_ns, self.min_peek()) {
                 (Some(e), Some(t)) => t.as_nanos() / e,
                 _ => 0,
             },
-            anchor,
-            max_emitted: self.epochs,
             report: SupervisorReport {
                 resumed_from_epoch: self.resume_from,
                 ..SupervisorReport::default()
@@ -2208,11 +1968,11 @@ mod tests {
         }
     }
 
-    /// Each entry point runs on a helper thread under a watchdog: a worker
-    /// that died with its slot used to leave the coordinator waiting forever.
+    /// Each entry point runs on a helper thread under a watchdog, so a
+    /// coordinator left waiting on a dead worker fails instead of hanging.
     #[test]
     fn a_panicking_window_reaches_the_caller_in_every_run_mode() {
-        for steal in [false, true] {
+        for (threads, steal) in [(1, false), (2, false), (2, true)] {
             for mode in ["run", "run_probed", "run_supervised"] {
                 let (tx, rx) = mpsc::channel();
                 std::thread::spawn(move || {
@@ -2224,21 +1984,20 @@ mod tests {
                         eng.prime(r, SimTime::ZERO, ());
                     }
                     let outcome = catch_unwind(AssertUnwindSafe(|| match mode {
-                        "run" => drop(eng.run(2)),
-                        "run_probed" => drop(eng.run_probed(2, Some(&mut Recorder::default()))),
-                        _ => drop(eng.run_supervised(2, None, &SupervisorConfig::default())),
+                        "run" => drop(eng.run(threads)),
+                        "run_probed" => {
+                            drop(eng.run_probed(threads, Some(&mut Recorder::default())))
+                        }
+                        _ => drop(eng.run_supervised(threads, None, &SupervisorConfig::default())),
                     }));
                     let payload = outcome.err().map(|p| p.downcast_ref::<&str>().copied());
                     let _ = tx.send(payload);
                 });
+                let case = format!("{mode}({threads}), steal {steal}");
                 let payload = rx
                     .recv_timeout(std::time::Duration::from_secs(10))
-                    .unwrap_or_else(|_| panic!("{mode}(2), steal {steal}: hung on a dead worker"));
-                assert_eq!(
-                    payload,
-                    Some(Some("model bug: unexpected state")),
-                    "{mode}(2), steal {steal}"
-                );
+                    .unwrap_or_else(|_| panic!("{case}: hung on a dead worker"));
+                assert_eq!(payload, Some(Some("model bug: unexpected state")), "{case}");
             }
         }
     }
@@ -2266,7 +2025,7 @@ mod tests {
         }
     }
 
-    // ---- crash tolerance & checkpointing ----
+    // ---- checkpointing ----
 
     impl CheckpointState for Chatter {
         fn encode_state(&self, out: &mut ByteWriter) {
@@ -2346,82 +2105,6 @@ mod tests {
             assert_eq!(a.log, b.log);
         }
         assert_eq!(sup, SupervisorReport::default());
-    }
-
-    #[test]
-    fn injected_crashes_recover_bit_identically_across_threads() {
-        let (rp, wp) = chatter_engine(6, 1);
-        for threads in [1usize, 4] {
-            let cfg = SupervisorConfig {
-                crash_plan: CrashPlan {
-                    scripted: vec![(3, 1), (5, 0)],
-                    stochastic: None,
-                },
-                checkpoint_every: Some(SimDuration::from_millis(20)),
-                ..SupervisorConfig::default()
-            };
-            let (rs, ws, sup) = chatter_sup_engine(6)
-                .run_supervised(threads, None, &cfg)
-                .expect("supervised run");
-            assert_eq!(sup.recoveries, 2, "threads={threads}");
-            assert_eq!(
-                rp.events_processed, rs.events_processed,
-                "threads={threads}"
-            );
-            assert_eq!(rp.epochs, rs.epochs);
-            assert_eq!(rp.cross_region, rs.cross_region);
-            for (a, b) in wp.iter().zip(&ws) {
-                assert_eq!(a.log, b.log);
-            }
-        }
-    }
-
-    #[test]
-    fn stochastic_crashes_recover_bit_identically() {
-        let (rp, wp) = chatter_engine(4, 1);
-        let cfg = SupervisorConfig {
-            crash_plan: CrashPlan {
-                scripted: vec![],
-                stochastic: Some(StochasticCrash {
-                    rate: 0.05,
-                    seed: 99,
-                    max: 3,
-                }),
-            },
-            ..SupervisorConfig::default()
-        };
-        let (rs, ws, sup) = chatter_sup_engine(4)
-            .run_supervised(4, None, &cfg)
-            .expect("supervised run");
-        assert!(sup.recoveries >= 1, "stochastic plan never fired");
-        assert_eq!(rp.events_processed, rs.events_processed);
-        for (a, b) in wp.iter().zip(&ws) {
-            assert_eq!(a.log, b.log);
-        }
-    }
-
-    #[test]
-    fn crash_recovery_preserves_probe_observations() {
-        // Plain probed run as the reference observation stream.
-        let mut plain = Recorder::default();
-        let (base, _) = chatter_sup_engine(6).run_probed(2, Some(&mut plain));
-        let mut rec = Recorder::default();
-        let cfg = SupervisorConfig {
-            crash_plan: CrashPlan {
-                scripted: vec![(4, 2)],
-                stochastic: None,
-            },
-            checkpoint_every: Some(SimDuration::from_millis(20)),
-            ..SupervisorConfig::default()
-        };
-        let (rs, _, sup) = chatter_sup_engine(6)
-            .run_supervised(2, Some(&mut rec), &cfg)
-            .expect("supervised run");
-        assert_eq!(sup.recoveries, 1);
-        assert_eq!(base.events_processed, rs.events_processed);
-        assert_eq!(plain.windows, rec.windows);
-        assert_eq!(plain.merges, rec.merges);
-        assert_eq!(plain.run, rec.run);
     }
 
     #[test]
@@ -2575,7 +2258,6 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: Some(SimDuration::from_millis(20)),
             interrupt: Some(flag),
-            ..SupervisorConfig::default()
         };
         let (ri, _, sup) = chatter_sup_engine(4)
             .run_supervised(2, Some(&mut trip), &cfg)
@@ -2600,66 +2282,5 @@ mod tests {
             assert_eq!(a.log, b.log);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crash_plan_from_env_shapes() {
-        // from_env reads process-global env; set unique vars and restore.
-        std::env::set_var("WMN_CRASH_AT", "3:1, 7:0,bad,9");
-        std::env::set_var("WMN_CRASH_RATE", "0.25:1234:5");
-        let plan = CrashPlan::from_env();
-        std::env::remove_var("WMN_CRASH_AT");
-        std::env::remove_var("WMN_CRASH_RATE");
-        assert_eq!(plan.scripted, vec![(3, 1), (7, 0)]);
-        assert_eq!(
-            plan.stochastic,
-            Some(StochasticCrash {
-                rate: 0.25,
-                seed: 1234,
-                max: 5
-            })
-        );
-        assert!(CrashPlan::default().is_empty());
-        assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn non_injected_panic_aborts_loudly() {
-        struct Bomb;
-        impl RegionWorld for Bomb {
-            type Event = u32;
-            fn handle(&mut self, ev: u32, ctx: &mut RegionCtx<'_, u32>) {
-                if ev == 3 {
-                    panic!("model bug: unexpected state");
-                }
-                ctx.send(
-                    (ctx.region() + 1) % 2,
-                    ctx.now() + SimDuration::from_millis(1),
-                    ev + 1,
-                );
-            }
-        }
-        impl CheckpointState for Bomb {
-            fn encode_state(&self, _out: &mut ByteWriter) {}
-            fn decode_state(&mut self, _r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
-                Ok(())
-            }
-            fn encode_event(event: &u32, out: &mut ByteWriter) {
-                out.u32(*event);
-            }
-            fn decode_event(r: &mut ByteReader<'_>) -> Result<u32, CheckpointError> {
-                r.u32()
-            }
-        }
-        let mut eng = ShardedEngine::new(
-            vec![Bomb, Bomb],
-            Lookahead::uniform(2, SimDuration::from_millis(1)),
-            SimTime::from_secs(1),
-        );
-        eng.prime(0, SimTime::ZERO, 0);
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            eng.run_supervised(1, None, &SupervisorConfig::default())
-        }));
-        assert!(res.is_err(), "a genuine bug must not be swallowed");
     }
 }

@@ -1,18 +1,22 @@
-//! Property tests of the crash-tolerance layer: epoch-barrier checkpoints
-//! and supervised recovery must be invisible in the results.
+//! Property tests of the checkpoint layer: epoch-barrier checkpoints, the
+//! interrupt and resume must be invisible in the results.
 //!
 //! Random region graphs with RNG-driven cascades are run four ways —
-//! plain, supervised-with-checkpoints, crash-injected, and
-//! resumed-from-a-random-mid-run-checkpoint — at worker counts {1, 2, 8}.
-//! Every variant must produce bit-identical per-region logs and engine
-//! reports. The file format itself is also property-tested: any corrupted
-//! byte in a sealed checkpoint is refused with a structured error.
+//! plain, supervised-with-checkpoints, resumed-from-a-random-mid-run-
+//! checkpoint, and resumed from the final checkpoint of a run interrupted
+//! at a random epoch — at worker counts {1, 2, 8}. Every variant must
+//! produce bit-identical per-region logs and engine reports. The file
+//! format itself is also property-tested: any corrupted byte in a sealed
+//! checkpoint is refused with a structured error.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use wmn_sim::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
+use wmn_sim::shard::{ShardProbe, WindowSample};
 use wmn_sim::{
-    CheckpointState, CrashPlan, Lookahead, RegionCtx, RegionWorld, ShardRunReport, ShardedEngine,
-    SimDuration, SimRng, SimTime, StochasticCrash, SupervisorConfig,
+    CheckpointState, Lookahead, RegionCtx, RegionWorld, ShardRunReport, ShardStopReason,
+    ShardedEngine, SimDuration, SimRng, SimTime, SupervisorConfig,
 };
 
 /// A region whose behaviour depends on mutable state of every kind the
@@ -170,6 +174,23 @@ fn assert_same(
     Ok(())
 }
 
+/// Raises the interrupt flag at the end of epoch `at`; the supervisor
+/// stops at the next barrier.
+struct Tripwire {
+    flag: Arc<AtomicBool>,
+    at: u64,
+}
+
+impl ShardProbe for Tripwire {
+    fn window(&mut self, _: &WindowSample) {}
+    fn epoch_end(&mut self, epoch: u64, _: u64, _: u64, _: u64) {
+        if epoch == self.at {
+            self.flag.store(true, Ordering::Relaxed);
+        }
+    }
+    fn run_end(&mut self, _: &ShardRunReport, _: u64) {}
+}
+
 fn temp_dir(tag: &str, seed: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "wmn_ckpt_prop_{tag}_{seed:x}_{}",
@@ -182,21 +203,20 @@ fn temp_dir(tag: &str, seed: u64) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Checkpointing, injected crashes, and resume-from-any-checkpoint are
-    /// all invisible: every variant at every worker count reproduces the
-    /// plain single-threaded run bit-for-bit.
+    /// Checkpointing, resume-from-any-checkpoint and an interrupt at any
+    /// epoch are all invisible: every variant at every worker count
+    /// reproduces the plain single-threaded run bit-for-bit.
     #[test]
-    fn recovery_and_resume_are_invisible(
+    fn checkpoint_interrupt_and_resume_are_invisible(
         seed in any::<u64>(),
         n in 2u32..7,
         budget in 4u32..40,
-        crash_seed in any::<u64>(),
+        pick in any::<u64>(),
     ) {
         let (base, wbase) = hopper_engine(n, seed, budget).run(1);
         let dir = temp_dir("resume", seed);
 
         for threads in [1usize, 2, 8] {
-            // Supervised with checkpoints + stochastic crashes.
             let cfg = SupervisorConfig {
                 scenario: seed,
                 checkpoint_dir: Some(dir.clone()),
@@ -204,10 +224,6 @@ proptest! {
                 // cadence guarantees several mid-run checkpoints even for
                 // the smallest budgets.
                 checkpoint_every: Some(SimDuration::from_micros(600)),
-                crash_plan: CrashPlan {
-                    scripted: vec![],
-                    stochastic: Some(StochasticCrash { rate: 0.02, seed: crash_seed, max: 4 }),
-                },
                 ..SupervisorConfig::default()
             };
             let (rs, ws, sup) = hopper_engine(n, seed, budget)
@@ -217,12 +233,11 @@ proptest! {
             prop_assert!(sup.checkpoints_written >= 1);
 
             // Resume from a pseudo-random mid-run checkpoint at this
-            // worker count (index derived from the seeds, not an RNG:
+            // worker count (index derived from the inputs, not an RNG:
             // proptest shrinks better over pure inputs).
             let files = checkpoint::list_dir(&dir).expect("list");
             prop_assert!(!files.is_empty());
-            let pick = (seed ^ crash_seed) as usize % files.len();
-            let bytes = checkpoint::read_file(&files[pick].1).expect("read");
+            let bytes = checkpoint::read_file(&files[pick as usize % files.len()].1).expect("read");
             let mut eng = hopper_engine(n, seed, budget);
             let meta = eng.restore(&bytes, seed).expect("restore");
             let (rr, wr, sup2) = eng
@@ -233,6 +248,33 @@ proptest! {
 
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        // Interrupt at an epoch inside the run, then resume the final
+        // checkpoint at every worker count.
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut trip = Tripwire { flag: Arc::clone(&flag), at: 1 + pick % base.epochs };
+        let cfg = SupervisorConfig {
+            scenario: seed,
+            checkpoint_dir: Some(dir.clone()),
+            interrupt: Some(flag),
+            ..SupervisorConfig::default()
+        };
+        let (ri, _, sup) = hopper_engine(n, seed, budget)
+            .run_supervised(2, Some(&mut trip), &cfg)
+            .expect("interrupted run");
+        prop_assert_eq!(ri.reason, ShardStopReason::Interrupted);
+        prop_assert_eq!(ri.epochs, trip.at);
+        let bytes = checkpoint::read_file(&sup.last_checkpoint.expect("final checkpoint"))
+            .expect("read");
+        for threads in [1usize, 2, 8] {
+            let mut eng = hopper_engine(n, seed, budget);
+            eng.restore(&bytes, seed).expect("restore");
+            let (rr, wr, _) = eng
+                .run_supervised(threads, None, &SupervisorConfig::default())
+                .expect("resumed run");
+            assert_same(&base, &wbase, &rr, &wr, "resumed after interrupt")?;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Flipping any single byte of a sealed checkpoint is always detected:

@@ -37,4 +37,4 @@ pub use json::{parse_object, JsonValue};
 pub use manifest::{git_rev, RunManifest};
 pub use merge::{first_divergence, merge_region_traces, Divergence, FieldDelta};
 pub use profile::{sample_host, HostSample, RegionProfile, ShardProfile, ShardProfiler};
-pub use sink::{ConsoleSink, EventSink, FileSink, HashSink, MemorySink, SharedSink, TeeSink, Tel};
+pub use sink::{ConsoleSink, EventSink, FileSink, HashSink, MemorySink, SharedSink, Tel};

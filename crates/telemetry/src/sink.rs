@@ -111,26 +111,6 @@ impl EventSink for ConsoleSink {
     }
 }
 
-/// A sink that fans out to two sinks (e.g. console + file).
-pub struct TeeSink {
-    /// First sink.
-    pub a: Box<dyn EventSink>,
-    /// Second sink.
-    pub b: Box<dyn EventSink>,
-}
-
-impl EventSink for TeeSink {
-    fn record(&mut self, ev: &TelemetryEvent) {
-        self.a.record(ev);
-        self.b.record(ev);
-    }
-
-    fn flush(&mut self) {
-        self.a.flush();
-        self.b.flush();
-    }
-}
-
 /// The cloneable per-layer emission handle. Each layer entity (one MAC, one
 /// routing engine, the medium, the network) holds its own `Tel` carrying the
 /// node id it reports as; all clones share the run's sink.

@@ -122,8 +122,6 @@ THIS TOOL:
 
 Set WMN_TELEMETRY=1 (and optionally WMN_TRACE_PATH, WMN_PROBE_MS) to
 record a JSONL trace instead; inspect it with wmn-trace.
-Set WMN_CRASH_AT=epoch:region[,…] or WMN_CRASH_RATE=p:seed[:max] to inject
-harness-level worker crashes (supervisor exercise; ParMesh only).
 ",
         ScenarioSpec::flag_help()
     )
@@ -280,8 +278,7 @@ fn run_parmesh(opts: &Options) {
         .steal(opts.steal.unwrap_or(true))
         .telemetry(opts.trace_out.is_some())
         .trace_hash(opts.trace_hash)
-        .profile(opts.profile_out.is_some())
-        .crash_plan(wmn::sim::shard::CrashPlan::from_env());
+        .profile(opts.profile_out.is_some());
     if let Some(r) = opts.regions {
         pm = pm.regions(r);
     }
@@ -411,9 +408,8 @@ fn run_parmesh(opts: &Options) {
         }
         write_manifest(lineage, wall, r.events);
         eprintln!(
-            "checkpoints: {} written, {} recoveries{}",
+            "checkpoints: {} written{}",
             sup.checkpoints_written,
-            sup.recoveries,
             match sup.resumed_from_epoch {
                 Some(e) => format!(", resumed from epoch {e}"),
                 None => String::new(),
