@@ -630,16 +630,6 @@ impl ScenarioPrefix {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Total node count (backbone + clients).
-    pub fn node_count(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Number of flows drawn.
-    pub fn flow_count(&self) -> usize {
-        self.flow_specs.len()
-    }
 }
 
 /// A fully-primed simulation, ready to run.

@@ -403,11 +403,6 @@ impl Network {
         self.profile = profile;
     }
 
-    /// Whether probe ticks should be scheduled (telemetry on + interval).
-    pub fn probes_enabled(&self) -> bool {
-        self.tel.on() && self.probe_interval.is_some()
-    }
-
     /// Flush the telemetry sink (end of run).
     pub fn flush_telemetry(&self) {
         self.tel.flush();

@@ -10,8 +10,8 @@
 //! unicast ACK after SIFS, ACK timeout + retransmission with CW doubling,
 //! retry-limit drops, broadcast without ACK, duplicate suppression, and an
 //! optional RTS/CTS handshake with NAV virtual carrier sense (off by
-//! default, as in the era's evaluations; the ablation bench switches it
-//! on). Simplified away (documented in DESIGN.md): EIFS and fragmentation.
+//! default, as in the era's evaluations; `examples/hidden_terminal.rs`
+//! switches it on). Simplified away (documented in DESIGN.md): EIFS and fragmentation.
 
 use crate::frame::{FrameKind, MacAddr, MacFrame, MacSdu, BROADCAST};
 use crate::load::{LoadDigest, LoadMonitor};

@@ -28,7 +28,7 @@ pub struct MacParams {
     pub ack_timeout: SimDuration,
     /// Unicast data frames whose on-air size exceeds this use the RTS/CTS
     /// handshake. `None` disables RTS/CTS entirely (the era's evaluations
-    /// run with it off; the ablation bench switches it on).
+    /// run with it off; `examples/hidden_terminal.rs` switches it on).
     pub rts_threshold: Option<usize>,
     /// On-air size of an RTS frame.
     pub rts_bytes: usize,

@@ -55,11 +55,6 @@ impl RecoveryTracker {
             Some(self.latencies.iter().sum::<f64>() / self.latencies.len() as f64)
         }
     }
-
-    /// Consume the tracker, returning the latency list.
-    pub fn into_latencies(self) -> Vec<f64> {
-        self.latencies
-    }
 }
 
 /// Packet delivery ratio restricted to outage windows.

@@ -3,8 +3,6 @@
 use wmn_sim::{SimRng, SimTime};
 use wmn_topology::{Region, Vec2};
 
-use crate::gauss_markov::GaussMarkov;
-use crate::manhattan::Manhattan;
 use crate::rwp::RandomWaypoint;
 use crate::static_::StaticPoint;
 
@@ -24,34 +22,9 @@ pub enum MobilityConfig {
         /// Pause at each waypoint, seconds.
         pause_s: f64,
     },
-    /// Gauss–Markov with memory `alpha` (0 = random walk, 1 = constant
-    /// velocity), re-evaluated every `update_s`.
-    GaussMarkov {
-        /// Mean speed, m/s.
-        mean_speed: f64,
-        /// Memory parameter in `[0, 1]`.
-        alpha: f64,
-        /// Speed innovation std-dev, m/s.
-        sigma_speed: f64,
-        /// Direction innovation std-dev, radians.
-        sigma_dir: f64,
-        /// Update interval, seconds.
-        update_s: f64,
-    },
-    /// Manhattan grid: motion along streets spaced `block_m` apart, with
-    /// turn decisions at intersections (straight 0.5 / left 0.25 / right
-    /// 0.25, the standard split).
-    Manhattan {
-        /// Street spacing, metres.
-        block_m: f64,
-        /// Mean speed, m/s.
-        mean_speed: f64,
-        /// Speed std-dev, m/s.
-        sigma_speed: f64,
-    },
 }
 
-/// A node's mobility state. All models share the same piecewise-linear
+/// A node's mobility state. Both models share the same piecewise-linear
 /// interface: position/velocity are exact between updates, and
 /// [`Mobility::next_update`] tells the engine when the trajectory next
 /// changes shape.
@@ -61,10 +34,6 @@ pub enum Mobility {
     Static(StaticPoint),
     /// Random-waypoint walker.
     Rwp(RandomWaypoint),
-    /// Gauss–Markov walker.
-    Gm(GaussMarkov),
-    /// Manhattan-grid walker.
-    Manhattan(Manhattan),
 }
 
 impl Mobility {
@@ -85,36 +54,6 @@ impl Mobility {
             } => Mobility::Rwp(RandomWaypoint::new(
                 start, region, v_min, v_max, pause_s, now, rng,
             )),
-            MobilityConfig::GaussMarkov {
-                mean_speed,
-                alpha,
-                sigma_speed,
-                sigma_dir,
-                update_s,
-            } => Mobility::Gm(GaussMarkov::new(
-                start,
-                region,
-                mean_speed,
-                alpha,
-                sigma_speed,
-                sigma_dir,
-                update_s,
-                now,
-                rng,
-            )),
-            MobilityConfig::Manhattan {
-                block_m,
-                mean_speed,
-                sigma_speed,
-            } => Mobility::Manhattan(Manhattan::new(
-                start,
-                region,
-                block_m,
-                mean_speed,
-                sigma_speed,
-                now,
-                rng,
-            )),
         }
     }
 
@@ -124,8 +63,6 @@ impl Mobility {
         match self {
             Mobility::Static(m) => m.position(),
             Mobility::Rwp(m) => m.position(t),
-            Mobility::Gm(m) => m.position(t),
-            Mobility::Manhattan(m) => m.position(t),
         }
     }
 
@@ -134,8 +71,6 @@ impl Mobility {
         match self {
             Mobility::Static(_) => Vec2::ZERO,
             Mobility::Rwp(m) => m.velocity(t),
-            Mobility::Gm(m) => m.velocity(),
-            Mobility::Manhattan(m) => m.velocity(t),
         }
     }
 
@@ -144,8 +79,6 @@ impl Mobility {
         match self {
             Mobility::Static(_) => SimTime::MAX,
             Mobility::Rwp(m) => m.next_update(),
-            Mobility::Gm(m) => m.next_update(),
-            Mobility::Manhattan(m) => m.next_update(),
         }
     }
 
@@ -154,8 +87,6 @@ impl Mobility {
         match self {
             Mobility::Static(_) => {}
             Mobility::Rwp(m) => m.advance(now, rng),
-            Mobility::Gm(m) => m.advance(now, rng),
-            Mobility::Manhattan(m) => m.advance(now, rng),
         }
     }
 
@@ -192,92 +123,60 @@ mod tests {
     #[test]
     fn all_mobile_models_stay_in_region() {
         let region = Region::square(300.0);
-        let configs = [
-            MobilityConfig::RandomWaypoint {
-                v_min: 1.0,
-                v_max: 10.0,
-                pause_s: 2.0,
-            },
-            MobilityConfig::GaussMarkov {
-                mean_speed: 5.0,
-                alpha: 0.75,
-                sigma_speed: 1.0,
-                sigma_dir: 0.5,
-                update_s: 1.0,
-            },
-            MobilityConfig::Manhattan {
-                block_m: 50.0,
-                mean_speed: 8.0,
-                sigma_speed: 2.0,
-            },
-        ];
-        for (ci, config) in configs.into_iter().enumerate() {
-            let mut rng = SimRng::new(100 + ci as u64);
-            let mut m = Mobility::new(
-                config,
-                Vec2::new(150.0, 150.0),
-                region,
-                SimTime::ZERO,
-                &mut rng,
+        let mut rng = SimRng::new(100);
+        let config = MobilityConfig::RandomWaypoint {
+            v_min: 1.0,
+            v_max: 10.0,
+            pause_s: 2.0,
+        };
+        let mut m = Mobility::new(
+            config,
+            Vec2::new(150.0, 150.0),
+            region,
+            SimTime::ZERO,
+            &mut rng,
+        );
+        assert!(m.is_mobile());
+        let mut t = SimTime::ZERO;
+        for _ in 0..500 {
+            let next = m.next_update();
+            assert!(next > t, "{config:?}: next_update did not advance");
+            // Sample the trajectory midway and at the update point.
+            let mid = SimTime((t.as_nanos() + next.as_nanos()) / 2);
+            assert!(
+                region.contains(m.position(mid)),
+                "{config:?} left region at {mid}"
             );
-            assert!(m.is_mobile());
-            let mut t = SimTime::ZERO;
-            for _ in 0..500 {
-                let next = m.next_update();
-                assert!(next > t, "{config:?}: next_update did not advance");
-                // Sample the trajectory midway and at the update point.
-                let mid = SimTime((t.as_nanos() + next.as_nanos()) / 2);
-                assert!(
-                    region.contains(m.position(mid)),
-                    "{config:?} left region at {mid}"
-                );
-                assert!(m.position(mid).is_finite());
-                t = next;
-                assert!(
-                    region.contains(m.position(t)),
-                    "{config:?} left region at {t}"
-                );
-                m.advance(t, &mut rng);
-            }
+            assert!(m.position(mid).is_finite());
+            t = next;
+            assert!(
+                region.contains(m.position(t)),
+                "{config:?} left region at {t}"
+            );
+            m.advance(t, &mut rng);
         }
     }
 
     #[test]
     fn mobile_models_actually_move() {
         let region = Region::square(300.0);
-        let configs = [
-            MobilityConfig::RandomWaypoint {
-                v_min: 5.0,
-                v_max: 10.0,
-                pause_s: 0.0,
-            },
-            MobilityConfig::GaussMarkov {
-                mean_speed: 5.0,
-                alpha: 0.5,
-                sigma_speed: 1.0,
-                sigma_dir: 0.7,
-                update_s: 1.0,
-            },
-            MobilityConfig::Manhattan {
-                block_m: 50.0,
-                mean_speed: 8.0,
-                sigma_speed: 0.0,
-            },
-        ];
-        for (ci, config) in configs.into_iter().enumerate() {
-            let mut rng = SimRng::new(200 + ci as u64);
-            let start = Vec2::new(150.0, 150.0);
-            let mut m = Mobility::new(config, start, region, SimTime::ZERO, &mut rng);
-            let mut total = 0.0;
-            let mut last = start;
-            for _ in 0..100 {
-                let t = m.next_update();
-                let p = m.position(t);
-                total += last.distance(p);
-                last = p;
-                m.advance(t, &mut rng);
-            }
-            assert!(total > 50.0, "{config:?} moved only {total} m");
+        let mut rng = SimRng::new(200);
+        let config = MobilityConfig::RandomWaypoint {
+            v_min: 5.0,
+            v_max: 10.0,
+            pause_s: 0.0,
+        };
+        let start = Vec2::new(150.0, 150.0);
+        let mut m = Mobility::new(config, start, region, SimTime::ZERO, &mut rng);
+        let mut total = 0.0;
+        let mut last = start;
+        for _ in 0..100 {
+            let t = m.next_update();
+            let p = m.position(t);
+            total += last.distance(p);
+            last = p;
+            m.advance(t, &mut rng);
         }
+        assert!(total > 50.0, "{config:?} moved only {total} m");
     }
 }

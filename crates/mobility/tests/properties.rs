@@ -1,4 +1,4 @@
-//! Property-based containment/liveness tests for all mobility models.
+//! Property-based containment/liveness tests for the mobile model.
 
 use proptest::prelude::*;
 use wmn_mobility::{Mobility, MobilityConfig};
@@ -36,30 +36,6 @@ proptest! {
             MobilityConfig::RandomWaypoint { v_min: 0.5, v_max: 0.5 + vmax, pause_s: pause },
             seed,
             100,
-        )?;
-    }
-
-    #[test]
-    fn gauss_markov_contained(seed in any::<u64>(), alpha in 0.0f64..=1.0, speed in 0.5f64..25.0) {
-        check_model(
-            MobilityConfig::GaussMarkov {
-                mean_speed: speed,
-                alpha,
-                sigma_speed: 2.0,
-                sigma_dir: 0.6,
-                update_s: 1.0,
-            },
-            seed,
-            150,
-        )?;
-    }
-
-    #[test]
-    fn manhattan_contained(seed in any::<u64>(), block in 20.0f64..120.0, speed in 1.0f64..25.0) {
-        check_model(
-            MobilityConfig::Manhattan { block_m: block, mean_speed: speed, sigma_speed: 1.0 },
-            seed,
-            150,
         )?;
     }
 }

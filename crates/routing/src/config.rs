@@ -10,8 +10,8 @@ pub struct RoutingConfig {
     pub rreq_retries: u32,
     /// Base wait for a route reply; doubles per retry (NET_TRAVERSAL_TIME).
     pub rreq_timeout: SimDuration,
-    /// Initial TTL on RREQs (fixed; no expanding-ring search so that
-    /// overhead comparisons across schemes are not confounded).
+    /// TTL on every RREQ, retries included (fixed, so that overhead
+    /// comparisons across schemes are not confounded).
     pub rreq_ttl: u8,
     /// Active-route lifetime, refreshed on every use.
     pub route_lifetime: SimDuration,
@@ -26,21 +26,6 @@ pub struct RoutingConfig {
     pub sweep_interval: SimDuration,
     /// Data packets buffered per destination while discovering.
     pub buffer_capacity: usize,
-    /// Whether intermediate nodes with fresh routes may answer RREQs
-    /// (off = destination-only, the setting used for overhead studies).
-    pub intermediate_reply: bool,
-    /// Expanding-ring search (RFC 3561 §6.4): first RREQ goes out with
-    /// `ring_start_ttl`, each retry adds `ring_increment` until
-    /// `ring_threshold`, beyond which the full `rreq_ttl` is used. Off by
-    /// default so that overhead comparisons across schemes are not
-    /// confounded; the ablation harness switches it on.
-    pub expanding_ring: bool,
-    /// Initial ring TTL.
-    pub ring_start_ttl: u8,
-    /// Ring growth per retry.
-    pub ring_increment: u8,
-    /// Ring ceiling before jumping to the full TTL.
-    pub ring_threshold: u8,
 }
 
 impl Default for RoutingConfig {
@@ -56,11 +41,6 @@ impl Default for RoutingConfig {
             neighbor_timeout: hello * 3,
             sweep_interval: SimDuration::from_millis(500),
             buffer_capacity: 64,
-            intermediate_reply: false,
-            expanding_ring: false,
-            ring_start_ttl: 2,
-            ring_increment: 2,
-            ring_threshold: 7,
         }
     }
 }
@@ -69,22 +49,6 @@ impl RoutingConfig {
     /// Discovery timeout for attempt `retry` (0-based): binary backoff.
     pub fn timeout_for_attempt(&self, retry: u32) -> SimDuration {
         self.rreq_timeout * (1u64 << retry.min(6))
-    }
-
-    /// The TTL for discovery attempt `retry` (0-based) under the current
-    /// ring policy.
-    pub fn ttl_for_attempt(&self, retry: u32) -> u8 {
-        if !self.expanding_ring {
-            return self.rreq_ttl;
-        }
-        let ttl = self
-            .ring_start_ttl
-            .saturating_add(self.ring_increment.saturating_mul(retry.min(255) as u8));
-        if ttl > self.ring_threshold {
-            self.rreq_ttl
-        } else {
-            ttl.min(self.rreq_ttl)
-        }
     }
 }
 
@@ -97,20 +61,6 @@ mod tests {
         let c = RoutingConfig::default();
         assert_eq!(c.neighbor_timeout, c.hello_interval * 3);
         assert!(c.seen_lifetime < c.route_lifetime);
-        assert!(!c.intermediate_reply);
-    }
-
-    #[test]
-    fn ring_ttl_schedule() {
-        let mut c = RoutingConfig::default();
-        assert_eq!(c.ttl_for_attempt(0), c.rreq_ttl, "ring off by default");
-        c.expanding_ring = true;
-        assert_eq!(c.ttl_for_attempt(0), 2);
-        assert_eq!(c.ttl_for_attempt(1), 4);
-        assert_eq!(c.ttl_for_attempt(2), 6);
-        // 8 > threshold 7 → full TTL.
-        assert_eq!(c.ttl_for_attempt(3), c.rreq_ttl);
-        assert_eq!(c.ttl_for_attempt(200), c.rreq_ttl);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl Routing {
         self.me
     }
 
-    /// Scheme name (for reports).
-    pub fn scheme_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Counters.
     pub fn stats(&self) -> &RoutingStats {
         &self.stats
@@ -307,20 +302,14 @@ impl Routing {
                 buffer,
             },
         );
-        self.emit_rreq(target, 0, now, out);
+        self.emit_rreq(target, now, out);
         out.push(RoutingAction::SetTimer {
             timer: RoutingTimer::DiscoveryRetry { target, gen },
             at: now + self.config.timeout_for_attempt(0),
         });
     }
 
-    fn emit_rreq(
-        &mut self,
-        target: NodeId,
-        retry: u32,
-        now: SimTime,
-        out: &mut Vec<RoutingAction>,
-    ) {
+    fn emit_rreq(&mut self, target: NodeId, now: SimTime, out: &mut Vec<RoutingAction>) {
         self.seq = self.seq.wrapping_add(1);
         self.rreq_id = self.rreq_id.wrapping_add(1);
         let rreq = Rreq {
@@ -333,7 +322,7 @@ impl Routing {
             target_seq: self.table.any_entry(target).map(|e| e.seq),
             hop_count: 0,
             path_load: 0.0,
-            ttl: self.config.ttl_for_attempt(retry),
+            ttl: self.config.rreq_ttl,
         };
         // Mark our own RREQ as seen so echoes are ignored.
         self.seen.record(rreq.key, now);
@@ -496,38 +485,6 @@ impl Routing {
                 },
             );
             return;
-        }
-
-        // Optional intermediate reply for targets we hold a fresh route to.
-        if self.config.intermediate_reply {
-            if let Some(e) = self.table.valid_route(rreq.target, now) {
-                let fresh = rreq
-                    .target_seq
-                    .is_none_or(|want| !crate::table::seq_newer(want, e.seq));
-                if fresh {
-                    let rrep = Rrep {
-                        origin: rreq.key.origin,
-                        target: rreq.target,
-                        target_seq: e.seq,
-                        hop_count: e.hop_count,
-                        path_load: e.cost,
-                    };
-                    self.stats.rrep_generated += 1;
-                    self.tel.emit(
-                        now,
-                        EventKind::RrepGenerate {
-                            origin: rrep.origin.0,
-                            target: rrep.target.0,
-                        },
-                    );
-                    self.seen.resolve(rreq.key);
-                    out.push(RoutingAction::Unicast {
-                        packet: Packet::Rrep(rrep),
-                        next_hop: from,
-                    });
-                    return;
-                }
-            }
         }
 
         if rreq.ttl <= 1 {
@@ -966,7 +923,7 @@ impl Routing {
         self.discovery_gen += 1;
         let gen = self.discovery_gen;
         p.gen = gen;
-        self.emit_rreq(target, retry, now, out);
+        self.emit_rreq(target, now, out);
         out.push(RoutingAction::SetTimer {
             timer: RoutingTimer::DiscoveryRetry { target, gen },
             at: now + self.config.timeout_for_attempt(retry),
@@ -1085,6 +1042,41 @@ mod tests {
         r.on_packet(Packet::Rreq(rreq), NodeId(3), &cross(), t(1), &mut out);
         assert!(find_rreq(&out).is_none());
         assert_eq!(r.stats().rreq_duplicates, 1);
+
+        // Replies are destination-only: a valid route to the target, learned
+        // from its HELLO, does not turn this node into a responder.
+        let sink = std::sync::Arc::new(std::sync::Mutex::new(wmn_telemetry::MemorySink::default()));
+        r.set_telemetry(Tel::new(sink.clone(), 0));
+        let hello = Hello {
+            seq: 4,
+            load: LoadDigest::default(),
+            velocity: (0.0, 0.0),
+        };
+        r.on_packet(Packet::Hello(hello), NodeId(9), &cross(), t(2), &mut out);
+        assert!(r.table().valid_route(NodeId(9), t(3)).is_some());
+        out.clear();
+        let fresh = Rreq {
+            key: RreqKey {
+                origin: NodeId(0),
+                id: 2,
+            },
+            ..rreq
+        };
+        r.on_packet(Packet::Rreq(fresh), NodeId(2), &cross(), t(3), &mut out);
+        assert!(find_rreq(&out).is_some(), "still forwarded");
+        assert!(!out.iter().any(|a| matches!(
+            a,
+            RoutingAction::Unicast {
+                packet: Packet::Rrep(_),
+                ..
+            }
+        )));
+        let kinds: Vec<EventKind> = sink.lock().unwrap().events.iter().map(|e| e.kind).collect();
+        assert!(kinds.contains(&EventKind::RreqForward { origin: 0, id: 2 }));
+        assert!(!kinds
+            .iter()
+            .any(|k| matches!(k, EventKind::RrepGenerate { .. })));
+        assert_eq!(r.stats().rrep_generated, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! tables, duplicate caches, HELLO-maintained neighbour tables (carrying the
 //! cross-layer [`wmn_mac::LoadDigest`]s), RERR propagation, and discovery
 //! retry/buffering — everything RFC 3561 prescribes minus the pieces the
-//! era's evaluations disable (expanding-ring search, intermediate replies by
-//! default, local repair).
+//! era's evaluations leave out: every RREQ carries the same fixed TTL, only
+//! the destination answers, and there is no local repair.
 //!
 //! The route-discovery broadcast strategy is pluggable through
 //! [`RebroadcastPolicy`]; this crate ships the literature baselines (blind

@@ -111,13 +111,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform `usize` in `[0, n)`.
     #[inline]
     pub fn below_usize(&mut self, n: usize) -> usize {

@@ -2,7 +2,7 @@
 //!
 //! Provides the plane-geometry primitives ([`Vec2`], [`Region`]), the node
 //! [`Placement`] generators used by the reconstructed evaluation (grid /
-//! perturbed grid for mesh backbones, uniform and clustered scatters), a
+//! perturbed grid for mesh backbones, uniform scatter, explicit positions), a
 //! uniform-grid [`SpatialIndex`] for the radio hot loop, and a
 //! [`ConnectivityGraph`] for structural validation of generated scenarios.
 //!

@@ -2,8 +2,8 @@
 //!
 //! Wireless-mesh evaluations of the CNLR era use two canonical layouts:
 //! a regular (or lightly perturbed) grid of static mesh routers, and a
-//! uniform random scatter for ad-hoc comparisons. A clustered layout is
-//! included for hotspot experiments.
+//! uniform random scatter for ad-hoc comparisons. Protocol tests that need
+//! an exact topology list their positions by hand.
 
 use crate::region::Region;
 use crate::vec2::Vec2;
@@ -29,26 +29,6 @@ pub enum Placement {
         /// Number of nodes.
         count: usize,
     },
-    /// Uniform random with a minimum pairwise separation (rejection
-    /// sampling; falls back to unconstrained placement if the field is too
-    /// crowded to satisfy the separation).
-    MinSeparation {
-        /// Number of nodes.
-        count: usize,
-        /// Minimum pairwise distance in metres.
-        min_dist: f64,
-    },
-    /// Gaussian clusters: `clusters` centre points placed uniformly, then
-    /// `count` nodes assigned round-robin and scattered around their centre
-    /// with the given standard deviation.
-    Clustered {
-        /// Number of nodes.
-        count: usize,
-        /// Number of cluster centres.
-        clusters: usize,
-        /// Scatter standard deviation in metres.
-        sigma: f64,
-    },
     /// Hand-authored positions, used verbatim (no RNG draw). The canonical
     /// choice for protocol tests that need an exact topology — e.g. a chain
     /// with a known detour for fault-recovery scenarios.
@@ -61,8 +41,6 @@ impl Placement {
         match *self {
             Placement::Grid { rows, cols, .. } => rows * cols,
             Placement::UniformRandom { count } => count,
-            Placement::MinSeparation { count, .. } => count,
-            Placement::Clustered { count, .. } => count,
             Placement::Explicit(ref pts) => pts.len(),
         }
     }
@@ -76,14 +54,6 @@ impl Placement {
                 jitter_frac,
             } => grid(region, rows, cols, jitter_frac, rng),
             Placement::UniformRandom { count } => uniform(region, count, rng),
-            Placement::MinSeparation { count, min_dist } => {
-                min_separation(region, count, min_dist, rng)
-            }
-            Placement::Clustered {
-                count,
-                clusters,
-                sigma,
-            } => clustered(region, count, clusters, sigma, rng),
             Placement::Explicit(ref pts) => pts.clone(),
         }
     }
@@ -121,44 +91,6 @@ fn uniform(region: Region, count: usize, rng: &mut SimRng) -> Vec<Vec2> {
                 rng.range_f64(0.0, region.width),
                 rng.range_f64(0.0, region.height),
             )
-        })
-        .collect()
-}
-
-fn min_separation(region: Region, count: usize, min_dist: f64, rng: &mut SimRng) -> Vec<Vec2> {
-    let min_sq = min_dist * min_dist;
-    let mut out: Vec<Vec2> = Vec::with_capacity(count);
-    // Cap the total rejection work; beyond it we accept violating points so
-    // that pathological parameters still terminate.
-    let mut attempts_left: u64 = 1000 * count as u64;
-    while out.len() < count {
-        let p = Vec2::new(
-            rng.range_f64(0.0, region.width),
-            rng.range_f64(0.0, region.height),
-        );
-        let ok = attempts_left == 0 || out.iter().all(|q| q.distance_sq(p) >= min_sq);
-        attempts_left = attempts_left.saturating_sub(1);
-        if ok {
-            out.push(p);
-        }
-    }
-    out
-}
-
-fn clustered(
-    region: Region,
-    count: usize,
-    clusters: usize,
-    sigma: f64,
-    rng: &mut SimRng,
-) -> Vec<Vec2> {
-    assert!(clusters > 0, "need at least one cluster");
-    let centers: Vec<Vec2> = uniform(region, clusters, rng);
-    (0..count)
-        .map(|i| {
-            let c = centers[i % clusters];
-            let p = c + Vec2::new(rng.normal(0.0, sigma), rng.normal(0.0, sigma));
-            region.clamp(p)
         })
         .collect()
 }
@@ -221,55 +153,6 @@ mod tests {
         let mean_y = pts.iter().map(|p| p.y).sum::<f64>() / pts.len() as f64;
         assert!((mean_x - 500.0).abs() < 15.0, "mean_x {mean_x}");
         assert!((mean_y - 500.0).abs() < 15.0, "mean_y {mean_y}");
-    }
-
-    #[test]
-    fn min_separation_is_respected() {
-        let mut rng = SimRng::new(4);
-        let pts = Placement::MinSeparation {
-            count: 50,
-            min_dist: 80.0,
-        }
-        .generate(region(), &mut rng);
-        assert_eq!(pts.len(), 50);
-        for i in 0..pts.len() {
-            for j in 0..i {
-                assert!(pts[i].distance(pts[j]) >= 80.0 - 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn min_separation_terminates_when_infeasible() {
-        let mut rng = SimRng::new(5);
-        // 500 nodes with 200 m separation cannot fit in 1 km² — must still
-        // return the requested count.
-        let pts = Placement::MinSeparation {
-            count: 500,
-            min_dist: 200.0,
-        }
-        .generate(region(), &mut rng);
-        assert_eq!(pts.len(), 500);
-    }
-
-    #[test]
-    fn clustered_concentrates_mass() {
-        let mut rng = SimRng::new(6);
-        let pts = Placement::Clustered {
-            count: 300,
-            clusters: 3,
-            sigma: 30.0,
-        }
-        .generate(region(), &mut rng);
-        assert_eq!(pts.len(), 300);
-        assert!(pts.iter().all(|&p| region().contains(p)));
-        // Nodes in the same cluster (stride 3 apart) are close to each other
-        // far more often than random pairs would be.
-        let close = pts
-            .windows(4)
-            .filter(|w| w[0].distance(w[3]) < 200.0)
-            .count();
-        assert!(close > 200, "only {close} same-cluster neighbours close");
     }
 
     #[test]

@@ -16,15 +16,6 @@ pub enum TrafficPattern {
         /// Mean gap.
         mean_interval: SimDuration,
     },
-    /// Exponential on/off source: CBR at `interval` during on-periods.
-    OnOff {
-        /// Packet gap while on.
-        interval: SimDuration,
-        /// Mean on-period length.
-        mean_on: SimDuration,
-        /// Mean off-period length.
-        mean_off: SimDuration,
-    },
 }
 
 impl TrafficPattern {
@@ -65,14 +56,6 @@ impl FlowSpec {
             | TrafficPattern::Poisson {
                 mean_interval: interval,
             } => bits / interval.as_secs_f64(),
-            TrafficPattern::OnOff {
-                interval,
-                mean_on,
-                mean_off,
-            } => {
-                let duty = mean_on.as_secs_f64() / (mean_on + mean_off).as_secs_f64();
-                duty * bits / interval.as_secs_f64()
-            }
         }
     }
 }
@@ -82,18 +65,12 @@ impl FlowSpec {
 pub struct FlowState {
     spec: FlowSpec,
     next_seq: u32,
-    /// Remaining on-period end (OnOff only).
-    on_until: SimTime,
 }
 
 impl FlowState {
     /// Initialise; the first packet is due at `spec.start`.
     pub fn new(spec: FlowSpec) -> Self {
-        FlowState {
-            spec,
-            next_seq: 0,
-            on_until: spec.start,
-        }
+        FlowState { spec, next_seq: 0 }
     }
 
     /// The flow spec.
@@ -115,21 +92,6 @@ impl FlowState {
             TrafficPattern::Cbr { interval } => interval,
             TrafficPattern::Poisson { mean_interval } => {
                 SimDuration::from_secs_f64(rng.exponential(mean_interval.as_secs_f64()))
-            }
-            TrafficPattern::OnOff {
-                interval,
-                mean_on,
-                mean_off,
-            } => {
-                if now + interval <= self.on_until {
-                    interval
-                } else {
-                    // Off period, then a fresh on period.
-                    let off = SimDuration::from_secs_f64(rng.exponential(mean_off.as_secs_f64()));
-                    let on = SimDuration::from_secs_f64(rng.exponential(mean_on.as_secs_f64()));
-                    self.on_until = now + interval + off + on;
-                    interval + off
-                }
             }
         };
         let next = now + gap;
@@ -197,38 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn onoff_duty_cycle_reduces_volume() {
-        let mut rng = SimRng::new(3);
-        let pattern = TrafficPattern::OnOff {
-            interval: SimDuration::from_millis(100),
-            mean_on: SimDuration::from_secs(1),
-            mean_off: SimDuration::from_secs(1),
-        };
-        let s = FlowSpec {
-            stop: SimTime::from_secs(201),
-            ..spec(pattern)
-        };
-        let mut f = FlowState::new(s);
-        let mut now = s.start;
-        let mut count = 0u32;
-        while let (_, Some(t)) = f.emit(now, &mut rng) {
-            now = t;
-            count += 1;
-        }
-        // 200 s at 10 pps with ~50% duty ≈ 1000; allow generous slack.
-        assert!((600..1400).contains(&count), "count {count}");
-    }
-
-    #[test]
     fn offered_bps() {
         let s = spec(TrafficPattern::cbr_pps(4.0));
         assert!((s.offered_bps() - 512.0 * 8.0 * 4.0).abs() < 1e-6);
-        let onoff = spec(TrafficPattern::OnOff {
-            interval: SimDuration::from_millis(100),
-            mean_on: SimDuration::from_secs(1),
-            mean_off: SimDuration::from_secs(3),
-        });
-        assert!((onoff.offered_bps() - 0.25 * 512.0 * 8.0 * 10.0).abs() < 1e-6);
     }
 
     #[test]

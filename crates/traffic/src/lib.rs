@@ -1,7 +1,7 @@
 //! `wmn-traffic` — application-layer workload generation.
 //!
 //! Rebuilds the ns-2 `cbr`/exponential traffic agents: a scenario declares a
-//! set of [`FlowSpec`]s (constant-bit-rate, Poisson or on/off sources), each
+//! set of [`FlowSpec`]s (constant-bit-rate or Poisson sources), each
 //! driven by a [`FlowState`] that yields successive packet emission times.
 //! [`FlowTracker`] does the per-flow delivery bookkeeping that the
 //! evaluation's PDR/delay/throughput figures are computed from.

@@ -13,18 +13,14 @@ proptest! {
         seed in any::<u64>(),
         pps in 0.5f64..50.0,
         dur_s in 1u64..30,
-        pattern_sel in 0u8..3,
+        poisson in any::<bool>(),
     ) {
-        let pattern = match pattern_sel {
-            0 => TrafficPattern::cbr_pps(pps),
-            1 => TrafficPattern::Poisson {
+        let pattern = if poisson {
+            TrafficPattern::Poisson {
                 mean_interval: SimDuration::from_secs_f64(1.0 / pps),
-            },
-            _ => TrafficPattern::OnOff {
-                interval: SimDuration::from_secs_f64(1.0 / pps),
-                mean_on: SimDuration::from_secs(1),
-                mean_off: SimDuration::from_secs(1),
-            },
+            }
+        } else {
+            TrafficPattern::cbr_pps(pps)
         };
         let spec = FlowSpec {
             id: FlowId(0),

@@ -210,6 +210,9 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
     if o.threads < 1 {
         return Err("--threads must be ≥ 1".into());
     }
+    if o.regions == Some(0) {
+        return Err("--regions must be ≥ 1".into());
+    }
     if !o.parmesh
         && (o.threads > 1
             || o.steal.is_some()
@@ -810,6 +813,7 @@ mod tests {
             "--grid 3x",
             "--grid 4294967296x4294967296",
             "--parmesh --nodes 1000 --checkpoint-dir /tmp/ck --checkpoint-every nan",
+            "--parmesh --nodes 1000 --regions 0",
         ] {
             let err = parse_args(argv(line)).expect_err(line);
             assert!(!err.contains('\n'), "{line}: one line, got {err:?}");
