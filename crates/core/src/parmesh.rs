@@ -441,7 +441,10 @@ struct Statics {
     /// reads instead of `params`, in the order it visits candidates.
     cell_home: Vec<[f32; 2]>,
     /// At every instant every node is within `slack` metres of its
-    /// `cell_home` entry: drift amplitude plus the `f32` rounding.
+    /// `cell_home` entry: drift amplitude plus the `f32` rounding. The
+    /// next-hop scan drops candidates with it, and it also bounds a
+    /// survivor's score from its home alone: progress is at most
+    /// `d_u − (|home − pdst| − slack)`.
     slack: f64,
     ncx: usize,
     ncy: usize,
@@ -788,6 +791,7 @@ impl RegionNet {
         let scan = Scan { pu, pdst, d_u, now };
         let mut best: Option<(f64, u32)> = None;
         let mut ids = [0u32; BATCH];
+        let mut t2s = [0f64; BATCH];
         let mut n = 0;
         for cy in cy0..=cy1 {
             let row = cy * st.ncx;
@@ -796,44 +800,67 @@ impl RegionNet {
                 let (hx, hy) = (home[0] as f64, home[1] as f64);
                 let (ux, uy) = (hx - pu.0, hy - pu.1);
                 let (tx, ty) = (hx - pdst.0, hy - pdst.1);
-                let dropped =
-                    (ux * ux + uy * uy > reach2) | (tx * tx + ty * ty >= near2) | (v == u);
+                let t2 = tx * tx + ty * ty;
+                let dropped = (ux * ux + uy * uy > reach2) | (t2 >= near2) | (v == u);
                 ids[n] = v;
+                t2s[n] = t2;
                 n += usize::from(!dropped);
                 if n == BATCH {
-                    self.evaluate(&ids, &scan, &mut best);
+                    self.evaluate(&ids, &t2s, &scan, &mut best);
                     n = 0;
                 }
             }
         }
-        self.evaluate(&ids[..n], &scan, &mut best);
+        self.evaluate(&ids[..n], &t2s[..n], &scan, &mut best);
         best.map(|(_, v)| v)
     }
 
-    /// Fold the survivors `ids` into `best`. Every survivor's parameters
-    /// and owner slot are loaded first, then every load value, and only
-    /// then is any of them evaluated: the loads of one round do not depend
-    /// on each other, so their cache misses overlap instead of queueing
-    /// behind the previous survivor's `sin`/`cos`.
-    fn evaluate(&self, ids: &[u32], scan: &Scan, best: &mut Option<(f64, u32)>) {
+    /// Fold the survivors `ids` into `best`; `t2s` holds each one's
+    /// squared distance from its `cell_home` entry to `pdst`. Every
+    /// survivor's parameters and owner slot are loaded first, then every
+    /// load value: the loads of one round do not depend on each other, so
+    /// their cache misses overlap. A node lies within `slack` of its home,
+    /// so its score is at most `(d_u − (√t2 − slack)) / (1 + load)`.
+    /// Survivors are evaluated best bound first, and the fold stops at the
+    /// first bound strictly below the best score: no survivor left can
+    /// beat that score or tie it. So only the few that might win pay for
+    /// their `sin`/`cos`.
+    fn evaluate(&self, ids: &[u32], t2s: &[f64], scan: &Scan, best: &mut Option<(f64, u32)>) {
         let st = &*self.st;
         let mut params = [NodeParams::default(); BATCH];
         let mut slot = [(0, 0); BATCH];
         for ((p, s), &v) in params.iter_mut().zip(&mut slot).zip(ids) {
-            let i = v as usize;
-            *p = st.params[i];
-            *s = (st.region_of_node[i], st.local_of_node[i]);
+            *p = st.params[v as usize];
+            *s = (st.region_of_node[v as usize], st.local_of_node[v as usize]);
         }
         let mut load = [0u32; BATCH];
-        for ((l, &(region, local)), &v) in load.iter_mut().zip(&slot).zip(ids) {
+        let mut bound = [0f64; BATCH];
+        for (((l, b), &(region, local)), (&v, &t2)) in load
+            .iter_mut()
+            .zip(&mut bound)
+            .zip(&slot)
+            .zip(ids.iter().zip(t2s))
+        {
             *l = self.load_in(v, region, local);
+            *b = (scan.d_u - (t2.sqrt() - st.slack)) / (1.0 + *l as f64);
         }
+        let bound = &mut bound[..ids.len()];
         let (pu, pdst, t_s) = (scan.pu, scan.pdst, secs(scan.now));
-        for ((&v, p), &l) in ids.iter().zip(&params).zip(&load) {
+        for _ in 0..ids.len() {
+            let (k, &b) = bound
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .expect("one survivor left per round");
+            if best.is_some_and(|(bs, _)| b < bs) {
+                break;
+            }
+            bound[k] = f64::NEG_INFINITY;
+            let v = ids[k];
             if !st.is_up(v, scan.now) {
                 continue;
             }
-            let pv = p.at(t_s);
+            let pv = params[k].at(t_s);
             if dist(pu, pv) > RX_RANGE_M {
                 continue;
             }
@@ -841,7 +868,7 @@ impl RegionNet {
             if progress <= 1.0 {
                 continue;
             }
-            let score = progress / (1.0 + l as f64);
+            let score = progress / (1.0 + load[k] as f64);
             let better = match *best {
                 None => true,
                 Some((bs, bv)) => score > bs || (score == bs && v < bv),
@@ -1476,13 +1503,13 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         .with_event_budget(budget)
         .with_stealing(cfg.steal);
 
-    // Pre-size region queues from the event plan — the pending set holds
-    // one HELLO timer, one Originate timer per sourced flow, the scheduled
-    // churn transitions, plus in-flight packets (a few per flow routed
-    // through); reserving up front keeps the steady state reallocation-free.
-    let mut plan: Vec<usize> = owned.iter().map(|&c| 1 + c / 16).collect();
+    // Pre-size region queues from the event plan. The far tier, where the
+    // primed events land, holds one HELLO timer, one Originate timer per
+    // sourced flow and the scheduled churn transitions; in-flight packets
+    // are due within a hop and live in the near tier, which sizes itself.
+    let mut plan: Vec<usize> = vec![1; owned.len()];
     for flow in &st.flows {
-        plan[st.region_of_node[flow.src as usize] as usize] += 4;
+        plan[st.region_of_node[flow.src as usize] as usize] += 1;
     }
     for (i, &r) in st.region_of_node.iter().enumerate() {
         plan[r as usize] += st.churn_of(i as u32).len() * 2;
@@ -2061,6 +2088,76 @@ mod tests {
             SimDuration::from_millis(100),
             SimTime::from_secs(10),
         )
+    }
+
+    /// A static world on a 4 km field: `u` (node 0) in the middle, `dst`
+    /// (node 1) 600 m east, and the given relays. Every coordinate is an
+    /// integer, so homes are exact in `f32`, the scan's sums are exact,
+    /// and a home-based score bound is tight when `slack` is 0.
+    fn bound_world(relays: &[((f64, f64), f64, f64)]) -> Statics {
+        let fixed = [
+            ((2_000.0, 2_000.0), 0.0, 0.0),
+            ((2_600.0, 2_000.0), 0.0, 0.0),
+        ];
+        let params = fixed
+            .iter()
+            .chain(relays)
+            .map(|&(home, amp, phase)| NodeParams {
+                home,
+                amp,
+                omega: 0.1,
+                phase,
+            })
+            .collect::<Vec<_>>();
+        let churn = vec![Vec::new(); params.len()];
+        Statics::new(
+            params,
+            &churn,
+            4_000.0,
+            (2, 2),
+            SimDuration::from_millis(100),
+            SimTime::from_secs(10),
+        )
+    }
+
+    /// `u`'s region in a [`bound_world`], every load zero.
+    fn idle_region(st: Statics) -> RegionNet {
+        let region = st.region_of_node[0];
+        let own = (0..st.params.len() as u32)
+            .filter(|&v| st.region_of_node[v as usize] == region)
+            .collect();
+        RegionNet::new(region, Arc::new(st), own, 1, Tel::off(), None)
+    }
+
+    /// The early exit stops only at a bound *strictly* below the best
+    /// score, and the bound carries `slack`. Mirrored relays 100 m either
+    /// side of the `u`–`dst` axis score the same; with `slack` set to its
+    /// exact value 0 each one's bound equals that score, so whichever twin
+    /// is evaluated first, the other's bound equals the best score and
+    /// must still be evaluated for the lower id to win. A relay whose home
+    /// is 7.7 m short of the static one's score but which has drifted 25 m
+    /// towards `dst` wins only if its bound counts the drift.
+    #[test]
+    fn next_hop_stops_only_below_the_best_score() {
+        let (north, south) = ((2_200.0, 2_100.0), (2_200.0, 1_900.0));
+        for twins in [[north, south], [south, north]] {
+            let mut st = bound_world(&twins.map(|home| (home, 0.0, 0.0)));
+            st.slack = 0.0;
+            let net = idle_region(st);
+            // The twin scanned second (the southern one) has the lower id
+            // in one arrangement, the higher in the other: both orders.
+            let now = SimTime::ZERO;
+            assert_eq!(net.next_hop(0, 1, now), Some(2), "twins {twins:?}");
+            assert_eq!(net.next_hop_all_nodes(0, 1, now), Some(2));
+        }
+        // Node 2 is static (score 600 − 412.3 = 187.7); node 3's home is
+        // 420 m from `dst` (home bound 180) but it sits 25 m east of it.
+        let net = idle_region(bound_world(&[
+            (north, 0.0, 0.0),
+            ((2_180.0, 2_000.0), DRIFT_AMP_M, 0.0),
+        ]));
+        assert_eq!(net.next_hop(0, 1, SimTime::ZERO), Some(3));
+        assert_eq!(net.next_hop_all_nodes(0, 1, SimTime::ZERO), Some(3));
     }
 
     #[test]

@@ -1,19 +1,42 @@
 //! The pending-event set.
 //!
-//! A 4-ary min-heap keyed by `(time, sequence)`. The sequence number gives a
-//! total order to simultaneous events — ties are broken by insertion order —
-//! which makes every run bit-for-bit reproducible regardless of heap
-//! internals: the key is unique, so *any* correct heap pops the same
-//! sequence. The 4-ary layout (children of `i` at `4i+1..4i+5`) halves the
-//! tree depth of a binary heap; with a few hundred thousand pending events
-//! the heap no longer fits in L1/L2 and each level costs a cache miss, so
-//! depth — not comparison count — dominates `pop`.
+//! Two 4-ary min-heaps keyed by `(time, sequence)`. The sequence number
+//! gives a total order to simultaneous events — ties are broken by
+//! insertion order — which makes every run bit-for-bit reproducible
+//! regardless of heap internals: the key is unique, so *any* correct heap
+//! pops the same sequence. The 4-ary layout (children of `i` at
+//! `4i+1..4i+5`) halves the tree depth of a binary heap; depth, not
+//! comparison count, is what a sift pays for once the heap outgrows L1.
+//!
+//! **Two tiers.** Most pending entries are sleeping timers that rarely pop:
+//! routing timers and traffic emits a second or a packet interval ahead in
+//! the full stack, HELLO and flow timers in ParMesh. The events that do pop
+//! — MAC steps, receptions, ParMesh hops — are scheduled a few
+//! milliseconds ahead. So an event goes to the *near* heap when it is due
+//! less than [`NEAR_SPAN`] after the last popped event, and to the *far*
+//! heap otherwise; a hot pop then sifts through the few levels of the near
+//! heap instead of through the timers' levels too. An entry never moves
+//! between tiers. Both tiers draw from one sequence counter, and `pop`
+//! takes the smaller `(time, seq)` of the two tops, so the pop order — and
+//! with it every snapshot, checkpoint and trace — is the one a single heap
+//! gives, whichever tier an entry sits in.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Children per node. 4 keeps a whole sibling group in one cache line for
 /// small payloads while halving the depth of the binary layout.
 const ARITY: usize = 4;
+
+/// An event due less than this long after the last popped event lands in
+/// the near tier. It separates the MAC- and hop-scale delays (microseconds
+/// to a few milliseconds) from timer periods (100 ms and up); it is not a
+/// tuning knob, and it changes no result, only which heap sifts.
+pub const NEAR_SPAN: SimDuration = SimDuration(50_000_000);
+
+/// Initial capacity of the near tier. Its depth is the number of events in
+/// flight, not the size of the scenario, so it starts small and grows only
+/// if a run keeps more in flight.
+const NEAR_CAPACITY: usize = 8;
 
 /// An event together with its activation time and tie-breaking sequence.
 struct Scheduled<E> {
@@ -31,10 +54,87 @@ impl<E> Scheduled<E> {
     }
 }
 
+/// An implicit 4-ary min-heap ordered by [`Scheduled::key`].
+struct Heap<E>(Vec<Scheduled<E>>);
+
+impl<E> Heap<E> {
+    fn with_capacity(cap: usize) -> Self {
+        Heap(Vec::with_capacity(cap))
+    }
+
+    #[inline]
+    fn top_key(&self) -> Option<(SimTime, u64)> {
+        self.0.first().map(Scheduled::key)
+    }
+
+    fn push(&mut self, s: Scheduled<E>) {
+        self.0.push(s);
+        self.sift_up(self.0.len() - 1);
+    }
+
+    /// Remove the minimum; the heap must not be empty.
+    fn pop(&mut self) -> Scheduled<E> {
+        let last = self.0.len() - 1;
+        self.0.swap(0, last);
+        let s = self.0.pop().expect("pop from a non-empty heap");
+        if !self.0.is_empty() {
+            self.sift_down(0);
+        }
+        s
+    }
+
+    /// Move the element at `pos` toward the root until its parent is no
+    /// later.
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if self.0[pos].key() < self.0[parent].key() {
+                self.0.swap(pos, parent);
+                pos = parent;
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Move the element at `pos` toward the leaves until every child is no
+    /// earlier.
+    fn sift_down(&mut self, mut pos: usize) {
+        let len = self.0.len();
+        loop {
+            let first = pos * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let last = (first + ARITY).min(len);
+            let mut min = first;
+            let mut min_key = self.0[first].key();
+            for child in first + 1..last {
+                let k = self.0[child].key();
+                if k < min_key {
+                    min = child;
+                    min_key = k;
+                }
+            }
+            if min_key < self.0[pos].key() {
+                self.0.swap(pos, min);
+                pos = min;
+            } else {
+                break;
+            }
+        }
+    }
+}
+
 /// A deterministic future-event list.
 pub struct EventQueue<E> {
-    /// Implicit 4-ary min-heap ordered by [`Scheduled::key`].
-    heap: Vec<Scheduled<E>>,
+    /// Events due less than [`NEAR_SPAN`] after `now` when scheduled.
+    near: Heap<E>,
+    /// Everything else: timers, primed plans, far-future events.
+    far: Heap<E>,
+    /// Activation time of the last popped event: where the split is
+    /// measured from.
+    now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
 }
@@ -49,32 +149,45 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            near: Heap(Vec::new()),
+            far: Heap(Vec::new()),
+            now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
         }
     }
 
-    /// Create an empty queue with pre-reserved capacity. Region worlds size
-    /// this from their event plans (flows + churn + timers) so the steady
-    /// state never reallocates the backing storage.
+    /// Create an empty queue whose far tier holds `cap` events without
+    /// reallocating. Region worlds size this from their event plans (flow,
+    /// churn and timer events), which is where primed events land; the near
+    /// tier starts at a small fixed capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
-            next_seq: 0,
-            scheduled_total: 0,
+            near: Heap::with_capacity(NEAR_CAPACITY),
+            far: Heap::with_capacity(cap),
+            ..Self::new()
         }
     }
 
-    /// Grow the backing storage to hold at least `additional` more events
-    /// without reallocating.
+    /// Grow the far tier to hold at least `additional` more events without
+    /// reallocating.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.far.0.reserve(additional);
     }
 
-    /// Current capacity of the backing storage.
+    /// Current capacity of the backing storage, both tiers together.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.near.0.capacity() + self.far.0.capacity()
+    }
+
+    /// The tier an event due at `time` goes to.
+    #[inline]
+    fn tier(&mut self, time: SimTime) -> &mut Heap<E> {
+        if time.since(self.now) < NEAR_SPAN {
+            &mut self.near
+        } else {
+            &mut self.far
+        }
     }
 
     /// Schedule `event` at `time`. Events at equal times pop in insertion
@@ -83,37 +196,38 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.heap.push(Scheduled { time, seq, event });
-        self.sift_up(self.heap.len() - 1);
+        self.tier(time).push(Scheduled { time, seq, event });
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let len = self.heap.len();
-        if len == 0 {
-            return None;
-        }
-        self.heap.swap(0, len - 1);
-        let s = self.heap.pop().expect("len checked above");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let heap = match (self.near.top_key(), self.far.top_key()) {
+            (Some(near), Some(far)) if far < near => &mut self.far,
+            (Some(_), _) => &mut self.near,
+            (None, Some(_)) => &mut self.far,
+            (None, None) => return None,
+        };
+        let s = heap.pop();
+        self.now = s.time;
         Some((s.time, s.event))
     }
 
     /// The activation time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|s| s.time)
+        match (self.near.0.first(), self.far.0.first()) {
+            (Some(near), Some(far)) => Some(near.time.min(far.time)),
+            (near, far) => near.or(far).map(|s| s.time),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, both tiers together.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near.0.len() + self.far.0.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.near.0.is_empty() && self.far.0.is_empty()
     }
 
     /// Total number of events ever scheduled (for engine statistics).
@@ -123,15 +237,18 @@ impl<E> EventQueue<E> {
 
     /// Discard all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.near.0.clear();
+        self.far.0.clear();
     }
 
     /// Pending entries in deterministic `(time, seq)` order, with their
     /// tie-breaking sequence numbers, for checkpoint serialization.
     pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
         let mut out: Vec<(SimTime, u64, &E)> = self
-            .heap
+            .near
+            .0
             .iter()
+            .chain(&self.far.0)
             .map(|s| (s.time, s.seq, &s.event))
             .collect();
         out.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
@@ -142,8 +259,7 @@ impl<E> EventQueue<E> {
     /// restore). Does not advance `next_seq` or `scheduled_total`; restore
     /// those separately via [`EventQueue::set_seq_state`].
     pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
-        self.heap.push(Scheduled { time, seq, event });
-        self.sift_up(self.heap.len() - 1);
+        self.tier(time).push(Scheduled { time, seq, event });
     }
 
     /// The `(next_seq, scheduled_total)` counters — persistent tie-break
@@ -156,48 +272,6 @@ impl<E> EventQueue<E> {
     pub fn set_seq_state(&mut self, next_seq: u64, scheduled_total: u64) {
         self.next_seq = next_seq;
         self.scheduled_total = scheduled_total;
-    }
-
-    /// Move the element at `pos` toward the root until its parent is no
-    /// later.
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if self.heap[pos].key() < self.heap[parent].key() {
-                self.heap.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Move the element at `pos` toward the leaves until every child is no
-    /// earlier.
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        loop {
-            let first = pos * ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let last = (first + ARITY).min(len);
-            let mut min = first;
-            let mut min_key = self.heap[first].key();
-            for child in first + 1..last {
-                let k = self.heap[child].key();
-                if k < min_key {
-                    min = child;
-                    min_key = k;
-                }
-            }
-            if min_key < self.heap[pos].key() {
-                self.heap.swap(pos, min);
-                pos = min;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -265,15 +339,53 @@ mod tests {
         assert_eq!(q.scheduled_total(), 1);
     }
 
+    /// Each tier keeps its own budget: `with_capacity` (and `reserve`) size
+    /// the far tier, where primed timers land, and the near tier holds
+    /// [`NEAR_CAPACITY`] in-flight events. A mixed schedule within both
+    /// budgets reallocates neither.
     #[test]
     fn with_capacity_does_not_grow_within_budget() {
         let mut q = EventQueue::with_capacity(1000);
-        let cap = q.capacity();
-        assert!(cap >= 1000);
+        let (near_cap, far_cap) = (q.near.0.capacity(), q.far.0.capacity());
+        assert!(near_cap >= NEAR_CAPACITY && far_cap >= 1000);
+        assert_eq!(q.capacity(), near_cap + far_cap);
+        let timer = SimTime::ZERO + NEAR_SPAN + SimDuration::from_millis(1);
+        let mut near_pending = 0;
         for i in 0..1000u64 {
-            q.schedule(SimTime(i % 37), i);
+            q.schedule(timer + SimDuration(i % 37), i);
+            if i % 8 == 0 && near_pending < NEAR_CAPACITY {
+                q.schedule(SimTime(i % 37), i);
+                near_pending += 1;
+            }
         }
-        assert_eq!(q.capacity(), cap, "pre-sized queue reallocated");
+        assert_eq!((q.near.0.len(), q.far.0.len()), (NEAR_CAPACITY, 1000));
+        assert_eq!(q.near.0.capacity(), near_cap, "near tier reallocated");
+        assert_eq!(q.far.0.capacity(), far_cap, "far tier reallocated");
+        assert_eq!(q.len(), NEAR_CAPACITY + 1000);
+    }
+
+    /// An event due exactly `NEAR_SPAN` after the last pop is far; one
+    /// nanosecond earlier is near. A far entry that ties a later near one
+    /// on time still pops first, by its smaller sequence number.
+    #[test]
+    fn split_boundary_and_cross_tier_ties() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), 0u32);
+        assert_eq!(q.pop(), Some((SimTime(10), 0)));
+        let edge = SimTime(10) + NEAR_SPAN;
+        q.schedule(edge, 1);
+        q.schedule(SimTime(edge.0 - 1), 2);
+        assert_eq!((q.near.0.len(), q.far.0.len()), (1, 1));
+        q.schedule(SimTime(20), 3);
+        assert_eq!(q.pop(), Some((SimTime(20), 3)));
+        // `edge` is near now; it ties the far entry scheduled before it.
+        q.schedule(edge, 4);
+        assert_eq!(q.near.0.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime(edge.0 - 1)));
+        assert_eq!(q.pop(), Some((SimTime(edge.0 - 1), 2)));
+        assert_eq!(q.pop(), Some((edge, 1)));
+        assert_eq!(q.pop(), Some((edge, 4)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -325,7 +437,7 @@ mod tests {
         }
     }
 
-    /// The heap arity is an implementation detail: pops must match a sorted
+    /// The heap arity and the tier split are implementation details: pops must match a sorted
     /// reference sequence exactly for interleaved random workloads.
     #[test]
     fn matches_reference_order_under_interleaving() {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use wmn_sim::queue::NEAR_SPAN;
 use wmn_sim::{EventQueue, IdMap, SimDuration, SimRng, SimTime};
 
 proptest! {
@@ -134,6 +135,78 @@ proptest! {
             prop_assert_eq!(&snapshot, &reference);
         }
         reference.sort_unstable();
+        for (time, _, payload) in reference {
+            prop_assert_eq!(q.pop(), Some((time, payload)));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
+    /// The same differential test with delays around the near/far split:
+    /// events land on both sides of `NEAR_SPAN` as the pop time advances,
+    /// same-instant ties pair a near entry with a far one, and restored
+    /// entries carry sequence numbers below and above the live counter, so
+    /// a restore may win or lose a tie against an entry of the other tier.
+    #[test]
+    fn queue_matches_sorted_vec_reference_across_the_split(
+        ops in prop::collection::vec((0u8..9, 0u8..4, 0u64..2_000, any::<u64>()), 0..400),
+    ) {
+        let span = NEAR_SPAN.as_nanos();
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
+        let live_base = 1u64 << 20;
+        q.set_seq_state(live_base, 0);
+        let (mut next_seq, mut scheduled_total) = (live_base, 0u64);
+        let (mut restored_lo, mut restored_hi) = (0u64, 1u64 << 40);
+        let mut now = SimTime::ZERO;
+        for (op, class, x, payload) in ops {
+            let time = match class {
+                0 => now + SimDuration(x),
+                1 => now + SimDuration(span - 1 - x),
+                2 => now + SimDuration(span + x),
+                // A tie with a pending entry, of whichever tier it sits in.
+                _ if !reference.is_empty() => reference[(x as usize) % reference.len()].0,
+                _ => now + SimDuration(x * span / 500),
+            };
+            match op {
+                0..=3 => {
+                    q.schedule(time, payload);
+                    reference.push((time, next_seq, payload));
+                    next_seq += 1;
+                    scheduled_total += 1;
+                }
+                4..=6 => {
+                    reference.sort_unstable();
+                    let expect = (!reference.is_empty()).then(|| reference.remove(0));
+                    let got = q.pop();
+                    prop_assert_eq!(got, expect.map(|(time, _, payload)| (time, payload)));
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                7 => {
+                    let seq = if payload % 2 == 0 { &mut restored_lo } else { &mut restored_hi };
+                    q.schedule_with_seq(time, *seq, payload);
+                    reference.push((time, *seq, payload));
+                    *seq += 1;
+                }
+                _ => {
+                    if payload % 8 == 0 {
+                        q.clear();
+                        reference.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.seq_state(), (next_seq, scheduled_total));
+            reference.sort_unstable();
+            prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
+            let snapshot: Vec<(SimTime, u64, u64)> = q
+                .snapshot_entries()
+                .into_iter()
+                .map(|(time, seq, payload)| (time, seq, *payload))
+                .collect();
+            prop_assert_eq!(&snapshot, &reference);
+        }
         for (time, _, payload) in reference {
             prop_assert_eq!(q.pop(), Some((time, payload)));
         }
