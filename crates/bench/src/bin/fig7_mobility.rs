@@ -55,8 +55,8 @@ fn main() {
             ("RREQ tx per discovery", &|r: &cnlr::RunResults| {
                 r.rreq_tx_per_discovery
             }),
-            // Link-cache effectiveness under mobility (the scenario the
-            // neighbourhood-sharded invalidation scheme targets).
+            // Link-cache effectiveness under mobility (the scenario
+            // per-entry budget reuse targets).
             ("link cache hit rate", &|r: &cnlr::RunResults| {
                 r.medium.link_cache_hits as f64 / r.medium.tx_started.max(1) as f64
             }),

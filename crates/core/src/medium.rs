@@ -149,39 +149,17 @@ impl MediumStats {
     }
 }
 
-impl MediumStats {
-    /// The physics outcome counters (everything except the perf counters).
-    ///
-    /// Cached and uncached runs of the same seed must agree on these
-    /// exactly; they intentionally differ on `pathloss_evals` /
-    /// `link_cache_hits`.
-    pub fn physics(&self) -> [u64; 7] {
-        [
-            self.tx_started,
-            self.collisions,
-            self.captures,
-            self.noise_losses,
-            self.delivered,
-            self.aborted_by_tx,
-            self.missed_while_tx,
-        ]
-    }
-}
-
 /// Memoized link budgets for one transmitter.
 ///
-/// Validity is checked at two levels. **L1** (O(1), the static fast path):
-/// the global position epoch and global gain-event count are unchanged, so
-/// *nothing* in the world moved or faulted. **L2** (neighbourhood-sharded):
-/// the transmitter itself is where it was (`src_pos` bit-equal) and the
-/// epoch-sums over the grid cells covering its interference disc — position
-/// epochs plus the medium's per-cell fault-gain epochs — match the sums at
-/// compute time. Cell epochs are monotone, so for the fixed rectangle an
-/// unchanged sum proves no node moved or changed gain in, into, or out of
-/// the disc; a mobile client or crash on the far side of the field no
-/// longer touches this transmitter's cache. The `src_pos` guard is what
-/// pins the rectangle: if the transmitter moved, sums over *different*
-/// rectangles could coincide.
+/// The list is current, and reused whole, while the global position epoch
+/// and the global gain-event count are unchanged: nothing in the world
+/// moved or faulted (the O(1) check static runs always take). Otherwise, if
+/// the transmitter itself is where it was (`src_pos` bit-equal) at the same
+/// gain version, its side of every budget is unchanged, and the list is
+/// rebuilt by a merge that re-evaluates only the receivers whose position
+/// or gain changed (see [`LinkEntry`]). A move or crash on the far side of
+/// the field then costs this transmitter one radius query and no pathloss
+/// evaluation.
 #[derive(Clone, Debug)]
 struct CachedLinks {
     /// Global position epoch at compute time (`u64::MAX` = never).
@@ -193,10 +171,6 @@ struct CachedLinks {
     src_pos: Vec2,
     /// Transmitter gain version at compute time.
     src_gain_ver: u64,
-    /// Position epoch-sum over the disc's cell rectangle at compute time.
-    pos_sum: u64,
-    /// Fault-gain epoch-sum over the same rectangle at compute time.
-    gain_sum: u64,
     /// Sensible receivers in ascending id order.
     entries: Vec<LinkEntry>,
 }
@@ -229,14 +203,6 @@ pub struct LinkCacheSnapshot {
     links: Vec<CachedLinks>,
 }
 
-impl LinkCacheSnapshot {
-    /// Number of transmitters whose cache line is warm (has been computed
-    /// at least once).
-    pub fn warmed(&self) -> usize {
-        self.links.iter().filter(|c| !c.src_pos.x.is_nan()).count()
-    }
-}
-
 impl CachedLinks {
     fn empty() -> Self {
         CachedLinks {
@@ -244,8 +210,6 @@ impl CachedLinks {
             gain_events: u64::MAX,
             src_pos: Vec2::new(f64::NAN, f64::NAN),
             src_gain_ver: 0,
-            pos_sum: 0,
-            gain_sum: 0,
             entries: Vec::new(),
         }
     }
@@ -420,15 +384,11 @@ pub struct Medium {
     /// matching burst end can subtract exactly what it added.
     bursts: IdMap<u32, (f64, Vec<u32>)>,
     /// Count of gain-affecting fault events (crash/reboot/attenuation
-    /// shift). Constant 0 in no-fault runs; the L1 cache key.
+    /// shift). Constant 0 in no-fault runs; with the position epoch, the
+    /// unchanged-world cache key.
     gain_events: u64,
     /// Per-node gain versions: how many gain events have hit each node.
     gain_version: Vec<u64>,
-    /// Per-cell gain epochs mirroring the spatial index's cell geometry
-    /// (lazily sized on the first fault; empty means "no gain event ever").
-    /// A node's gain bump lands in the cell it currently occupies, so the
-    /// disc rect-sum scopes fault invalidation exactly like movement.
-    gain_cells: Vec<u64>,
     /// True once any fault touched the medium (relaxes the unknown-tx
     /// assertions: a crash mid-transmission retires the record before its
     /// TxEnd/RxEnd events fire).
@@ -463,7 +423,6 @@ impl Medium {
             bursts: IdMap::default(),
             gain_events: 0,
             gain_version: vec![0; n],
-            gain_cells: Vec::new(),
             faults_seen: false,
             per_memo: PerMemo::new(n),
         }
@@ -574,29 +533,18 @@ impl Medium {
         self.down[node as usize]
     }
 
-    /// Record a gain-affecting fault event at `node`: bump its version,
-    /// the global event count, and the gain epoch of the cell it currently
-    /// occupies — so only link caches whose disc covers that cell recompute.
-    fn bump_gain(&mut self, node: u32, positions: &SpatialIndex) {
+    /// Record a gain-affecting fault event at `node`: bump its version and
+    /// the global event count. Only budgets `node` terminates re-evaluate.
+    fn bump_gain(&mut self, node: u32) {
         self.gain_events += 1;
         self.gain_version[node as usize] += 1;
-        if self.gain_cells.is_empty() {
-            self.gain_cells.resize(positions.cell_count(), 0);
-        }
-        self.gain_cells[positions.cell_index(node as usize)] += 1;
     }
 
     /// Crash `node`'s radio: abort any transmission mid-air (receivers
     /// lose the signal — the frame is cut off, never decodable), drop all
     /// incoming signal state, power the radio off. `out` receives the
     /// carrier-sense transitions of receivers that go quiet.
-    pub fn set_node_down(
-        &mut self,
-        node: u32,
-        now: SimTime,
-        positions: &SpatialIndex,
-        out: &mut impl EffectSink,
-    ) {
+    pub fn set_node_down(&mut self, node: u32, now: SimTime, out: &mut impl EffectSink) {
         self.faults_seen = true;
         self.down[node as usize] = true;
         // Abort an outgoing frame mid-air. Its TxEnd/RxEnd events still
@@ -621,15 +569,15 @@ impl Medium {
         // Dead radios sense nothing; no Channel effect — the MAC state is
         // about to be discarded anyway, and a rebooted MAC starts idle.
         st.sensed_busy = false;
-        self.bump_gain(node, positions);
+        self.bump_gain(node);
         self.update_energy(node, now);
     }
 
     /// Power `node`'s radio back on (state was cleaned at crash time).
-    pub fn set_node_up(&mut self, node: u32, now: SimTime, positions: &SpatialIndex) {
+    pub fn set_node_up(&mut self, node: u32, now: SimTime) {
         self.faults_seen = true;
         self.down[node as usize] = false;
-        self.bump_gain(node, positions);
+        self.bump_gain(node);
         self.update_energy(node, now);
     }
 
@@ -655,10 +603,10 @@ impl Medium {
 
     /// Shift `node`'s pathloss by `delta_db` on every link it terminates
     /// (link-flap faults; negative deltas undo prior shifts).
-    pub fn shift_node_atten(&mut self, node: u32, delta_db: f64, positions: &SpatialIndex) {
+    pub fn shift_node_atten(&mut self, node: u32, delta_db: f64) {
         self.faults_seen = true;
         self.node_atten_db[node as usize] += delta_db;
-        self.bump_gain(node, positions);
+        self.bump_gain(node);
     }
 
     /// Loss/delivery counters.
@@ -746,65 +694,32 @@ impl Medium {
         });
 
         // Find every radio that can sense this transmission. The
-        // (receiver, rx power) list is invariant while nothing inside the
-        // transmitter's interference disc changed, so it is memoized with a
-        // two-level check: L1 compares the global position epoch and
-        // gain-event count (O(1); always current on a quiet world), L2
-        // falls back to the neighbourhood-sharded epoch-sums over the
-        // disc's cell rectangle — movement or faults *elsewhere* leave
-        // this transmitter's cache valid (see [`CachedLinks`]).
+        // (receiver, rx power) list is memoized per transmitter under two
+        // staleness checks (see [`CachedLinks`]): an unchanged world reuses
+        // it whole, an unchanged transmitter merges it against a fresh
+        // radius query.
         let epoch = positions.epoch();
-        let radius = self.interference_range + self.range_slack;
         let src_pos = positions.position(src as usize);
-        let mut pos_sum = 0u64;
-        let mut gain_sum = 0u64;
-        let mut sums_current = false;
-        // The transmitter's side of every budget is unchanged: entries may
-        // be reused (wholesale on an L2 hit, per-entry on a partial miss).
-        let reusable = self.cache_enabled
-            && self.links[src as usize].src_pos == src_pos
-            && self.links[src as usize].src_gain_ver == self.gain_version[src as usize];
-        let hit = self.cache_enabled && {
-            let cl = &self.links[src as usize];
-            if cl.epoch == epoch && cl.gain_events == self.gain_events {
-                true
-            } else if reusable {
-                pos_sum = positions.epoch_sum(src_pos, radius);
-                gain_sum = if self.gain_cells.is_empty() {
-                    0
-                } else {
-                    positions.rect_sum(src_pos, radius, &self.gain_cells)
-                };
-                sums_current = true;
-                cl.pos_sum == pos_sum && cl.gain_sum == gain_sum
-            } else {
-                false
-            }
-        };
+        let cl = &self.links[src as usize];
+        let unchanged_world =
+            self.cache_enabled && cl.epoch == epoch && cl.gain_events == self.gain_events;
+        let unchanged_src = self.cache_enabled
+            && cl.src_pos == src_pos
+            && cl.src_gain_ver == self.gain_version[src as usize];
         let mut entries = std::mem::take(&mut self.links[src as usize].entries);
-        if hit {
+        if unchanged_world {
             self.stats.link_cache_hits += 1;
-        } else {
+        } else if unchanged_src {
             let evals_before = self.stats.pathloss_evals;
-            if reusable {
-                self.merge_links(src, positions, &mut entries);
-            } else {
-                self.compute_links(src, positions, &mut entries);
-            }
-            if !sums_current {
-                pos_sum = positions.epoch_sum(src_pos, radius);
-                gain_sum = if self.gain_cells.is_empty() {
-                    0
-                } else {
-                    positions.rect_sum(src_pos, radius, &self.gain_cells)
-                };
-            }
-            // A partial rebuild that re-evaluated nothing was served
-            // entirely from the cache (everything that changed was outside
-            // this transmitter's disc — e.g. in an uncovered rect corner).
-            if reusable && self.stats.pathloss_evals == evals_before && !entries.is_empty() {
+            self.merge_links(src, positions, &mut entries);
+            // A merge that re-evaluated nothing was served entirely from
+            // the cache: everything that changed was outside this
+            // transmitter's disc.
+            if self.stats.pathloss_evals == evals_before && !entries.is_empty() {
                 self.stats.link_cache_hits += 1;
             }
+        } else {
+            self.compute_links(src, positions, &mut entries);
         }
         self.stats.link_budgets += entries.len() as u64;
         let mut receivers = Vec::with_capacity(entries.len());
@@ -858,14 +773,9 @@ impl Medium {
                 at: end + self.prop,
             });
         }
-        // Write back, refreshing the L1 keys (an L2 hit proves the cache
-        // is current as of `epoch`, so later transmissions on a quiet
-        // world take the O(1) path again). On an L1 hit the sums were not
-        // recomputed — the stored ones are still current by definition.
-        if !sums_current && hit {
-            pos_sum = self.links[src as usize].pos_sum;
-            gain_sum = self.links[src as usize].gain_sum;
-        }
+        // Write back, refreshing the world keys: the list is now current as
+        // of `epoch`, so later transmissions on a quiet world take the O(1)
+        // path again.
         self.links[src as usize] = CachedLinks {
             epoch: if self.cache_enabled { epoch } else { u64::MAX },
             gain_events: if self.cache_enabled {
@@ -879,8 +789,6 @@ impl Medium {
                 Vec2::new(f64::NAN, f64::NAN)
             },
             src_gain_ver: self.gain_version[src as usize],
-            pos_sum,
-            gain_sum,
             entries,
         };
 
@@ -1401,6 +1309,50 @@ mod tests {
         );
     }
 
+    /// One broadcast from node 0: the pathloss evaluations and cache hits
+    /// it cost, after checking its entry list bit for bit against a
+    /// from-scratch evaluation.
+    fn tx_cost(m: &mut Medium, idx: &SpatialIndex, at: SimTime) -> (u64, u64) {
+        let before = (m.stats().pathloss_evals, m.stats().link_cache_hits);
+        let mut fx = Vec::new();
+        m.start_tx(0, bcast_frame(0), None, at, idx, &mut fx);
+        let _ = run_rx_ends(m, &fx);
+        let cost = (
+            m.stats().pathloss_evals - before.0,
+            m.stats().link_cache_hits - before.1,
+        );
+        let mut fresh = Vec::new();
+        m.compute_links(0, idx, &mut fresh);
+        let bits = |es: &[LinkEntry]| -> Vec<(u32, u64)> {
+            es.iter().map(|e| (e.r, e.rx_dbm.to_bits())).collect()
+        };
+        assert_eq!(bits(&m.links[0].entries), bits(&fresh));
+        cost
+    }
+
+    #[test]
+    fn held_budgets_survive_disturbances_outside_the_disc() {
+        // Receivers 1 and 2 within 300 m of node 0; node 3 over 1 200 m
+        // away, far outside the 575 m query disc.
+        let pos = vec![
+            Vec2::new(300.0, 1000.0),
+            Vec2::new(500.0, 1000.0),
+            Vec2::new(600.0, 1000.0),
+            Vec2::new(1600.0, 1000.0),
+        ];
+        let (mut m, mut idx) = setup(pos);
+        assert_eq!(tx_cost(&mut m, &idx, SimTime::ZERO), (2, 0));
+        // The far node moves: the world changed, node 0's disc did not.
+        idx.update(3, Vec2::new(1650.0, 1000.0));
+        assert_eq!(tx_cost(&mut m, &idx, SimTime::from_millis(10)), (0, 1));
+        // The far node crashes: the same.
+        m.set_node_down(3, SimTime::from_millis(15), &mut Vec::new());
+        assert_eq!(tx_cost(&mut m, &idx, SimTime::from_millis(20)), (0, 1));
+        // An in-disc receiver's gain shifts: exactly its budget is redone.
+        m.shift_node_atten(1, 3.0);
+        assert_eq!(tx_cost(&mut m, &idx, SimTime::from_millis(30)), (1, 0));
+    }
+
     #[test]
     fn cached_and_uncached_medium_agree() {
         let pos: Vec<Vec2> = (0..6)
@@ -1433,7 +1385,9 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            (delivered, m.stats().physics())
+            let mut physics = Vec::new();
+            m.stats().visit(&mut |name, v| physics.push((name, v)));
+            (delivered, physics)
         };
         assert_eq!(run(true), run(false));
     }
@@ -1443,7 +1397,7 @@ mod tests {
         let pos = vec![Vec2::new(900.0, 1000.0), Vec2::new(1100.0, 1000.0)];
         let (mut m, idx) = setup(pos);
         let mut fx = Vec::new();
-        m.set_node_down(1, SimTime::ZERO, &idx, &mut fx);
+        m.set_node_down(1, SimTime::ZERO, &mut fx);
         assert!(m.is_down(1));
         m.start_tx(0, bcast_frame(0), None, SimTime::ZERO, &idx, &mut fx);
         let done = run_rx_ends(&mut m, &fx);
@@ -1455,7 +1409,7 @@ mod tests {
             "dead radio interacted with the medium"
         );
         // Reboot: the link cache must be invalidated so the node reappears.
-        m.set_node_up(1, SimTime::from_millis(10), &idx);
+        m.set_node_up(1, SimTime::from_millis(10));
         let mut fx = Vec::new();
         m.start_tx(
             0,
@@ -1479,7 +1433,7 @@ mod tests {
         m.start_tx(0, bcast_frame(0), None, SimTime::ZERO, &idx, &mut fx);
         assert!(m.sensed_busy(1));
         let mut cut = Vec::new();
-        m.set_node_down(0, SimTime(1000), &idx, &mut cut);
+        m.set_node_down(0, SimTime(1000), &mut cut);
         // The receiver's carrier sense clears with the aborted frame.
         assert!(cut.iter().any(|e| matches!(
             e,
@@ -1536,7 +1490,7 @@ mod tests {
         let mut fx = Vec::new();
         m.start_tx(0, bcast_frame(0), None, SimTime::ZERO, &idx, &mut fx);
         let _ = run_rx_ends(&mut m, &fx);
-        m.shift_node_atten(1, 60.0, &idx);
+        m.shift_node_atten(1, 60.0);
         let mut fx = Vec::new();
         m.start_tx(
             0,
@@ -1551,7 +1505,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, MediumEffect::Deliver { node: 1, .. })));
         // Undo restores the link exactly.
-        m.shift_node_atten(1, -60.0, &idx);
+        m.shift_node_atten(1, -60.0);
         assert_eq!(m.node_atten_db[1].to_bits(), 0f64.to_bits());
         let mut fx = Vec::new();
         m.start_tx(
@@ -1594,8 +1548,8 @@ mod tests {
         m.start_tx(0, bcast_frame(0), None, SimTime::ZERO, &idx, &mut old);
         assert!(m.sensed_busy(1));
         // Crash 1 mid-frame and reboot it before that frame's RxEnd.
-        m.set_node_down(1, SimTime(1_000), &idx, &mut fx);
-        m.set_node_up(1, SimTime(2_000), &idx);
+        m.set_node_down(1, SimTime(1_000), &mut fx);
+        m.set_node_up(1, SimTime(2_000));
         assert!(!m.sensed_busy(1));
         m.start_tx(2, bcast_frame(2), None, SimTime(3_000), &idx, &mut new);
         assert!(m.sensed_busy(1));
@@ -1665,10 +1619,10 @@ mod tests {
                         0..=4 if up && m.states[node as usize].transmitting.is_none() => {
                             m.start_tx(node, bcast_frame(node), None, now, &idx, &mut fx);
                         }
-                        5 if up => m.set_node_down(node, now, &idx, &mut fx),
+                        5 if up => m.set_node_down(node, now, &mut fx),
                         6 | 7 => {
                             if let Some(n) = (0..9).find(|&n| m.is_down(n)) {
-                                m.set_node_up(n, now, &idx);
+                                m.set_node_up(n, now);
                             }
                         }
                         _ => {}

@@ -824,7 +824,7 @@ impl Network {
                         fault: FaultCode::LinkShift,
                     },
                 );
-                self.medium.shift_node_atten(node, delta_db, &self.spatial);
+                self.medium.shift_node_atten(node, delta_db);
             }
         }
     }
@@ -848,8 +848,7 @@ impl Network {
         }
         // Radio off: abort any frame mid-air, strip the node from every
         // in-flight reception, silence its carrier sense.
-        self.medium
-            .set_node_down(node, now, &self.spatial, &mut self.work);
+        self.medium.set_node_down(node, now, &mut self.work);
         // Everything queued at the interface dies with the node. A hash
         // map's iteration order is no order, so drain in sdu-id (= enqueue)
         // order to keep traces deterministic.
@@ -923,7 +922,7 @@ impl Network {
         let t = self.tel.for_node(node);
         self.nodes[node as usize].mac.set_telemetry(t.clone());
         self.nodes[node as usize].routing.set_telemetry(t);
-        self.medium.set_node_up(node, now, &self.spatial);
+        self.medium.set_node_up(node, now);
         let inc = self.nodes[node as usize].incarnation;
         self.tel
             .emit_at(node, now, EventKind::NodeUp { incarnation: inc });

@@ -12,10 +12,12 @@ use wmn_sim::{SimDuration, SimTime};
 /// Everything observable about a run except the cache's perf counters
 /// (`pathloss_evals` / `link_cache_hits` differ by design). Floats are
 /// compared as raw bits: "close" is not good enough for a memoization.
-fn signature(r: &RunResults) -> (String, [u64; 7], u64, u64, Vec<u64>, String, String) {
+fn signature(r: &RunResults) -> (String, Vec<u64>, u64, u64, Vec<u64>, String, String) {
+    let mut physics = Vec::new();
+    r.medium.visit(&mut |_, v| physics.push(v));
     (
         format!("{:?}", r.summary),
-        r.medium.physics(),
+        physics,
         r.events,
         r.goodput_kbps.to_bits(),
         r.delivery_rate_pps.iter().map(|v| v.to_bits()).collect(),
@@ -90,9 +92,10 @@ proptest! {
 
     /// The hardest invalidation workload: RWP mobility *and* a stochastic
     /// fault schedule (crash/reboot churn, noise storms, link flapping) in
-    /// the same run. Every invalidation path of the sharded cache fires —
-    /// per-cell position epochs, per-node gain versions, noise-burst
-    /// re-sensing — and the run must still be bit-identical to uncached.
+    /// the same run. Every staleness path of the cache fires — the global
+    /// position epoch and gain-event count, per-entry receiver positions
+    /// and gain versions, noise-burst re-sensing — and the run must still
+    /// be bit-identical to uncached.
     #[test]
     fn mobility_plus_faults_cached_equals_uncached(
         seed in 0u64..1_000,

@@ -11,10 +11,12 @@ use wmn_sim::SimDuration;
 /// Everything observable about a run except the medium's perf counters
 /// (`pathloss_evals` / `link_cache_hits` differ across cache hand-offs by
 /// design). Floats compare as raw bits.
-fn signature(r: &RunResults) -> (String, [u64; 7], u64, u64, Vec<u64>, String, String) {
+fn signature(r: &RunResults) -> (String, Vec<u64>, u64, u64, Vec<u64>, String, String) {
+    let mut physics = Vec::new();
+    r.medium.visit(&mut |_, v| physics.push(v));
     (
         format!("{:?}", r.summary),
-        r.medium.physics(),
+        physics,
         r.events,
         r.goodput_kbps.to_bits(),
         r.delivery_rate_pps.iter().map(|v| v.to_bits()).collect(),

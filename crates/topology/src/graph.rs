@@ -1,9 +1,7 @@
 //! Connectivity analysis over node positions.
 //!
 //! Scenario generation needs to reject disconnected topologies (a partitioned
-//! field makes delivery-ratio comparisons meaningless), and the evaluation
-//! reports structural statistics (mean degree, hop diameter) alongside each
-//! figure.
+//! field makes delivery-ratio comparisons meaningless).
 
 use crate::spatial::SpatialIndex;
 use crate::vec2::Vec2;
@@ -25,11 +23,6 @@ impl ConnectivityGraph {
         ConnectivityGraph { adj }
     }
 
-    /// Build directly from an adjacency list (must be symmetric).
-    pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Self {
-        ConnectivityGraph { adj }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.adj.len()
@@ -43,19 +36,6 @@ impl ConnectivityGraph {
     /// Neighbours of `node`.
     pub fn neighbors(&self, node: usize) -> &[u32] {
         &self.adj[node]
-    }
-
-    /// Degree of `node`.
-    pub fn degree(&self, node: usize) -> usize {
-        self.adj[node].len()
-    }
-
-    /// Mean degree over all nodes (0 for the empty graph).
-    pub fn mean_degree(&self) -> f64 {
-        if self.adj.is_empty() {
-            return 0.0;
-        }
-        self.adj.iter().map(Vec::len).sum::<usize>() as f64 / self.adj.len() as f64
     }
 
     /// BFS hop distances from `src`; unreachable nodes get `u32::MAX`.
@@ -114,27 +94,6 @@ impl ConnectivityGraph {
         sizes
     }
 
-    /// Eccentricity-based hop diameter, estimated with a double-sweep BFS
-    /// (exact on trees, a tight lower bound in general). Returns `None` for
-    /// a disconnected or empty graph.
-    pub fn estimate_diameter(&self) -> Option<u32> {
-        if self.adj.is_empty() {
-            return None;
-        }
-        let d0 = self.bfs_hops(0);
-        if d0.contains(&u32::MAX) {
-            return None;
-        }
-        let far = d0
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, d)| *d)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let d1 = self.bfs_hops(far);
-        d1.iter().max().copied()
-    }
-
     /// Shortest hop count between two nodes, `None` if unreachable.
     pub fn hop_distance(&self, a: usize, b: usize) -> Option<u32> {
         let d = self.bfs_hops(a)[b];
@@ -164,11 +123,9 @@ mod tests {
         let g = line_graph(10);
         assert_eq!(g.len(), 10);
         assert!(g.is_connected());
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.degree(5), 2);
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(5), &[4, 6]);
         assert_eq!(g.hop_distance(0, 9), Some(9));
-        assert_eq!(g.estimate_diameter(), Some(9));
-        assert!((g.mean_degree() - 1.8).abs() < 1e-12);
     }
 
     #[test]
@@ -182,7 +139,6 @@ mod tests {
         assert!(!g.is_connected());
         assert_eq!(g.component_sizes(), vec![2, 1]);
         assert_eq!(g.hop_distance(0, 2), None);
-        assert_eq!(g.estimate_diameter(), None);
     }
 
     #[test]
@@ -200,16 +156,13 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[4], 2); // centre
         assert_eq!(d[8], 4); // opposite corner
-        assert_eq!(g.estimate_diameter(), Some(4));
     }
 
     #[test]
     fn empty_graph() {
-        let g = ConnectivityGraph::from_adjacency(vec![]);
+        let g = ConnectivityGraph::from_positions(Region::square(100.0), &[], 40.0);
         assert!(g.is_empty());
         assert!(g.is_connected());
-        assert_eq!(g.mean_degree(), 0.0);
-        assert_eq!(g.estimate_diameter(), None);
         assert!(g.component_sizes().is_empty());
     }
 

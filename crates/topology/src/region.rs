@@ -25,11 +25,6 @@ impl Region {
         Region::new(side, side)
     }
 
-    /// Field area in m².
-    pub fn area(self) -> f64 {
-        self.width * self.height
-    }
-
     /// The centre point.
     pub fn center(self) -> Vec2 {
         Vec2::new(self.width / 2.0, self.height / 2.0)
@@ -70,17 +65,6 @@ impl Region {
         }
         (self.clamp(q), flip)
     }
-
-    /// Node density (nodes per m²) for a given population.
-    pub fn density(self, nodes: usize) -> f64 {
-        nodes as f64 / self.area()
-    }
-
-    /// Expected mean node degree for `nodes` uniformly-placed nodes with
-    /// communication radius `r` (ignoring border effects): `ρ·π·r² − 1`.
-    pub fn expected_degree(self, nodes: usize, radius: f64) -> f64 {
-        self.density(nodes) * std::f64::consts::PI * radius * radius - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +74,6 @@ mod tests {
     #[test]
     fn basic_properties() {
         let r = Region::new(100.0, 50.0);
-        assert_eq!(r.area(), 5000.0);
         assert_eq!(r.center(), Vec2::new(50.0, 25.0));
         assert!(r.contains(Vec2::new(0.0, 0.0)));
         assert!(r.contains(Vec2::new(100.0, 50.0)));
@@ -132,14 +115,5 @@ mod tests {
         let (p, flip) = r.reflect(Vec2::new(3.0, 3.0));
         assert_eq!(p, Vec2::new(3.0, 3.0));
         assert_eq!(flip, Vec2::new(1.0, 1.0));
-    }
-
-    #[test]
-    fn density_and_degree() {
-        let r = Region::square(1000.0);
-        assert!((r.density(100) - 1e-4).abs() < 1e-12);
-        // 100 nodes, 250 m radius on 1 km²: ρπr² − 1 ≈ 18.6
-        let deg = r.expected_degree(100, 250.0);
-        assert!((deg - 18.63).abs() < 0.1, "deg {deg}");
     }
 }

@@ -5,18 +5,9 @@
 //! an O(occupied cells) query instead of O(N), and supports incremental
 //! position updates as mobile nodes move.
 //!
-//! # Neighbourhood-sharded epochs
-//!
-//! Besides the global position [`epoch`](SpatialIndex::epoch), the index
-//! keeps one epoch counter **per grid cell**: a move bumps only the cell(s)
-//! the node left and entered. Geometry-derived caches (the medium's
-//! link-budget cache) validate against the *sum* of the cell epochs over the
-//! rectangle of cells covering their query disc ([`SpatialIndex::epoch_sum`])
-//! instead of the global counter. Cell epochs are monotone, so for a fixed
-//! rectangle an unchanged sum proves no node moved within, into, or out of
-//! any covered cell — and every node that can enter or leave the disc must
-//! touch a covered cell. A mobile client crossing the far side of the field
-//! therefore no longer invalidates every static router's cache.
+//! The index also counts position changes in one global
+//! [`epoch`](SpatialIndex::epoch). The medium's link-budget cache takes an
+//! unchanged epoch as proof that no node moved.
 
 use crate::region::Region;
 use crate::vec2::Vec2;
@@ -38,10 +29,6 @@ pub struct SpatialIndex {
     /// memoize geometry-derived values keyed on this epoch — equal epochs
     /// guarantee identical positions.
     epoch: u64,
-    /// Per-cell position epochs: a move bumps the cell the node left and
-    /// the cell it entered (one bump if they coincide). See the module
-    /// docs for the epoch-sum invalidation scheme built on these.
-    cell_epochs: Vec<u64>,
 }
 
 impl SpatialIndex {
@@ -60,7 +47,6 @@ impl SpatialIndex {
             buckets: vec![Vec::new(); cols * rows],
             nodes: Vec::with_capacity(positions.len()),
             epoch: 0,
-            cell_epochs: vec![0; cols * rows],
         };
         for (id, &p) in positions.iter().enumerate() {
             let c = idx.cell_of(p);
@@ -101,30 +87,8 @@ impl SpatialIndex {
         self.epoch
     }
 
-    /// Number of grid cells (valid cell indices are `0..cell_count()`).
-    pub fn cell_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The cell node `id` currently occupies.
-    pub fn cell_index(&self, id: usize) -> usize {
-        self.nodes[id].0
-    }
-
-    /// The cell covering position `p` (positions outside the region clamp
-    /// to the border cells, mirroring insertion).
-    pub fn cell_at(&self, p: Vec2) -> usize {
-        self.cell_of(p)
-    }
-
-    /// The position epoch of one cell.
-    pub fn cell_epoch(&self, cell: usize) -> u64 {
-        self.cell_epochs[cell]
-    }
-
     /// The rectangle of cells `(min_cx, min_cy, max_cx, max_cy)` covering
-    /// the disc of `radius` around `center` — exactly the cells
-    /// [`SpatialIndex::query_radius`] scans for the same arguments.
+    /// the disc of `radius` around `center`.
     fn rect(&self, center: Vec2, radius: f64) -> (usize, usize, usize, usize) {
         let min_cx = (((center.x - radius) / self.cell).floor().max(0.0)) as usize;
         let min_cy = (((center.y - radius) / self.cell).floor().max(0.0)) as usize;
@@ -133,43 +97,15 @@ impl SpatialIndex {
         (min_cx, min_cy, max_cx, max_cy)
     }
 
-    /// Sum of `values[cell]` over the cells covering the disc of `radius`
-    /// around `center`. `values` must have one entry per cell (use
-    /// [`SpatialIndex::cell_count`]); external per-cell state (e.g. the
-    /// medium's fault-gain epochs) shares the exact cell geometry this way.
-    pub fn rect_sum(&self, center: Vec2, radius: f64, values: &[u64]) -> u64 {
-        debug_assert_eq!(values.len(), self.buckets.len(), "per-cell array size");
-        let (min_cx, min_cy, max_cx, max_cy) = self.rect(center, radius);
-        let mut sum = 0u64;
-        for cy in min_cy..=max_cy {
-            let row = cy * self.cols;
-            for v in &values[row + min_cx..=row + max_cx] {
-                sum = sum.wrapping_add(*v);
-            }
-        }
-        sum
-    }
-
-    /// Sum of the per-cell position epochs over the cells covering the disc
-    /// of `radius` around `center`. For a fixed center, an unchanged sum
-    /// guarantees that no node within `radius` of `center` moved and that
-    /// no node moved into that range — the scoped-invalidation key for
-    /// link-budget caches.
-    pub fn epoch_sum(&self, center: Vec2, radius: f64) -> u64 {
-        self.rect_sum(center, radius, &self.cell_epochs)
-    }
-
     /// Move node `id` to `p`, updating buckets incrementally.
     pub fn update(&mut self, id: usize, p: Vec2) {
         let (old_cell, old_p) = self.nodes[id];
         if p == old_p {
-            return; // No movement: keep the epochs (and dependent caches).
+            return; // No movement: keep the epoch (and dependent caches).
         }
         self.epoch += 1;
-        self.cell_epochs[old_cell] += 1;
         let new_cell = self.cell_of(p);
         if new_cell != old_cell {
-            self.cell_epochs[new_cell] += 1;
             let bucket = &mut self.buckets[old_cell];
             let pos = bucket
                 .binary_search(&(id as u32))
@@ -316,60 +252,6 @@ mod tests {
         assert_eq!(idx.epoch(), 1);
         idx.update(1, Vec2::new(20.0, 20.0));
         assert_eq!(idx.epoch(), 2);
-    }
-
-    #[test]
-    fn cell_epochs_bump_only_touched_cells() {
-        let region = Region::square(100.0);
-        let positions = vec![Vec2::new(5.0, 5.0), Vec2::new(95.0, 95.0)];
-        let mut idx = SpatialIndex::new(region, 10.0, &positions);
-        let c0 = idx.cell_index(0);
-        let c1 = idx.cell_index(1);
-        assert!(idx.cell_epochs.iter().all(|&e| e == 0));
-
-        // Same-cell wiggle: only that cell bumps.
-        idx.update(0, Vec2::new(5.5, 5.0));
-        assert_eq!(idx.cell_epoch(c0), 1);
-        assert_eq!(idx.cell_epoch(c1), 0);
-
-        // Cross-cell move: both endpoint cells bump, nothing else.
-        idx.update(0, Vec2::new(35.0, 5.0));
-        let c0_new = idx.cell_index(0);
-        assert_ne!(c0, c0_new);
-        assert_eq!(idx.cell_epoch(c0), 2);
-        assert_eq!(idx.cell_epoch(c0_new), 1);
-        let bumped: u64 = idx.cell_epochs.iter().sum();
-        assert_eq!(bumped, 3, "exactly the touched cells were bumped");
-    }
-
-    #[test]
-    fn epoch_sum_is_scoped_to_the_disc() {
-        let region = Region::square(1000.0);
-        let positions = vec![Vec2::new(100.0, 100.0), Vec2::new(900.0, 900.0)];
-        let mut idx = SpatialIndex::new(region, 100.0, &positions);
-        let disc = (Vec2::new(100.0, 100.0), 150.0);
-        let s0 = idx.epoch_sum(disc.0, disc.1);
-        // A move far outside the disc leaves its sum untouched…
-        idx.update(1, Vec2::new(850.0, 850.0));
-        assert_eq!(idx.epoch_sum(disc.0, disc.1), s0);
-        assert!(idx.epoch() > 0, "global epoch still advanced");
-        // …while any move inside it (even same-cell) changes the sum.
-        idx.update(0, Vec2::new(101.0, 100.0));
-        assert!(idx.epoch_sum(disc.0, disc.1) > s0);
-    }
-
-    #[test]
-    fn rect_sum_over_external_values_matches_cells() {
-        let region = Region::square(300.0);
-        let positions = vec![Vec2::new(10.0, 10.0), Vec2::new(290.0, 290.0)];
-        let idx = SpatialIndex::new(region, 100.0, &positions);
-        let mut vals = vec![0u64; idx.cell_count()];
-        vals[idx.cell_index(0)] = 5;
-        vals[idx.cell_index(1)] = 7;
-        // A disc around node 0 only sees node 0's cell value.
-        assert_eq!(idx.rect_sum(Vec2::new(10.0, 10.0), 50.0, &vals), 5);
-        // A disc covering the whole field sees both.
-        assert_eq!(idx.rect_sum(Vec2::new(150.0, 150.0), 400.0, &vals), 12);
     }
 
     #[test]

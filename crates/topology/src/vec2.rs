@@ -39,16 +39,6 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Squared magnitude.
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// The unit vector in this direction, or zero for the zero vector.
     pub fn normalized(self) -> Vec2 {
         let n = self.norm();
@@ -142,7 +132,6 @@ mod tests {
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25.0);
         assert_eq!(b.norm(), 5.0);
-        assert_eq!(b.norm_sq(), 25.0);
     }
 
     #[test]
@@ -154,7 +143,6 @@ mod tests {
         assert_eq!(a * 2.0, Vec2::new(2.0, 4.0));
         assert_eq!(b / 2.0, Vec2::new(1.5, -0.5));
         assert_eq!(-a, Vec2::new(-1.0, -2.0));
-        assert_eq!(a.dot(b), 1.0);
     }
 
     #[test]

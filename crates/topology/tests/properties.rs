@@ -59,81 +59,6 @@ proptest! {
         }
     }
 
-    /// A position update bumps exactly the cells the move touches: the cell
-    /// left and the cell entered (once each, or once total for an in-cell
-    /// move), and no others. A no-op update bumps nothing.
-    #[test]
-    fn cell_epochs_change_iff_move_touches_cell(
-        seed in any::<u64>(),
-        n in 2usize..30,
-        updates in prop::collection::vec((0usize..30, 0.0f64..300.0, 0.0f64..300.0), 1..60),
-    ) {
-        let region = Region::square(300.0);
-        let mut rng = SimRng::new(seed);
-        let mut positions: Vec<Vec2> = (0..n)
-            .map(|_| Vec2::new(rng.range_f64(0.0, 300.0), rng.range_f64(0.0, 300.0)))
-            .collect();
-        let mut idx = SpatialIndex::new(region, 40.0, &positions);
-        for (i, x, y) in updates {
-            let i = i % n;
-            let p = Vec2::new(x, y);
-            let old = positions[i];
-            let before: Vec<u64> = (0..idx.cell_count()).map(|c| idx.cell_epoch(c)).collect();
-            idx.update(i, p);
-            positions[i] = p;
-            let (old_cell, new_cell) = (idx.cell_at(old), idx.cell_at(p));
-            for (c, &prev) in before.iter().enumerate() {
-                let delta = idx.cell_epoch(c) - prev;
-                let expected = u64::from(p != old && (c == old_cell || c == new_cell));
-                prop_assert_eq!(delta, expected,
-                    "cell {} after moving node {} {:?}->{:?}", c, i, old, p);
-            }
-        }
-    }
-
-    /// The epoch-sum over a disc is scoped: moves entirely outside the
-    /// covering rectangle leave it unchanged, and any move whose endpoint
-    /// lies inside the disc itself changes it. This is the invariant the
-    /// medium's scoped cache invalidation relies on.
-    #[test]
-    fn epoch_sum_scoped_to_disc(
-        seed in any::<u64>(),
-        n in 2usize..30,
-        cell in 30.0f64..120.0,
-        radius in 20.0f64..150.0,
-        updates in prop::collection::vec((0usize..30, 0.0f64..400.0, 0.0f64..400.0), 1..60),
-    ) {
-        let region = Region::square(400.0);
-        let mut rng = SimRng::new(seed);
-        let positions: Vec<Vec2> = (0..n)
-            .map(|_| Vec2::new(rng.range_f64(0.0, 400.0), rng.range_f64(0.0, 400.0)))
-            .collect();
-        let center = Vec2::new(rng.range_f64(0.0, 400.0), rng.range_f64(0.0, 400.0));
-        let mut idx = SpatialIndex::new(region, cell, &positions);
-        let mut old_pos = positions;
-        // Every point of the covering rect is within `radius + cell` of the
-        // center per axis, so within `(radius + cell)·√2` in distance.
-        let rect_slack = (radius + cell) * std::f64::consts::SQRT_2;
-        for (i, x, y) in updates {
-            let i = i % n;
-            let p = Vec2::new(x, y);
-            let old = old_pos[i];
-            let sum_before = idx.epoch_sum(center, radius);
-            idx.update(i, p);
-            old_pos[i] = p;
-            let sum_after = idx.epoch_sum(center, radius);
-            let far = old.distance_sq(center) > rect_slack * rect_slack
-                && p.distance_sq(center) > rect_slack * rect_slack;
-            let inside = old.distance_sq(center) <= radius * radius
-                || p.distance_sq(center) <= radius * radius;
-            if p == old || far {
-                prop_assert_eq!(sum_after, sum_before, "untouched disc sum changed");
-            } else if inside {
-                prop_assert_ne!(sum_after, sum_before, "in-disc move left sum unchanged");
-            }
-        }
-    }
-
     /// Random placement produces the requested count inside the region.
     #[test]
     fn placements_in_region(seed in any::<u64>(), count in 1usize..120) {

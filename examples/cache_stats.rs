@@ -3,10 +3,10 @@
 //! Runs three scenarios — a static backbone, a fig7-style mobile-client
 //! scenario, and a churn scenario — and prints the medium's cache counters
 //! (hit rate, pathloss evaluations per transmission). This is the
-//! measurement behind the "neighbourhood-sharded invalidation" numbers in
-//! EXPERIMENTS.md: under global-epoch invalidation any movement anywhere
-//! wipes every transmitter's cache, while the sharded scheme only recomputes
-//! transmitters whose interference disc was actually disturbed.
+//! measurement behind the cache numbers in EXPERIMENTS.md (Fig. 7 and
+//! "One staleness rule"): any movement or fault anywhere makes every cached
+//! list stale, and per-entry reuse keeps the rebuild down to the receivers
+//! whose position or gain actually changed.
 //!
 //! ```sh
 //! cargo run --release --example cache_stats
@@ -46,7 +46,7 @@ fn main() {
     report("static 6x6", &static_run);
 
     // Fig. 7 shape: static 6×6 backbone plus 15 RWP clients at 10 m/s.
-    // Only the clients move, so a sharded cache keeps most of the static
+    // Only the clients move, so per-entry reuse keeps most of the static
     // backbone's entries alive between client position samples.
     let mobile = base(seed)
         .mobile_clients(
@@ -62,9 +62,9 @@ fn main() {
         .run();
     report("fig7 mobile clients", &mobile);
 
-    // Fault churn: crashes/reboots bump gain state. Global gain epochs
-    // invalidate every transmitter per event; per-node versions only touch
-    // discs containing the affected node.
+    // Fault churn: crashes/reboots bump gain state. Each event makes every
+    // cached list stale; per-node gain versions limit the re-evaluation to
+    // budgets the affected node terminates.
     let churn = base(seed)
         .faults(
             FaultPlan::new()
