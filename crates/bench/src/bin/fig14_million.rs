@@ -11,9 +11,13 @@
 //! guarantee measured at a million nodes, not just claimed.
 //!
 //! Peak RSS is read from `VmHWM` (a process-wide high-water mark, so it is
-//! monotonic): scales run in ascending node order, making the value
-//! sampled after each scale that scale's true peak. The manifest records
-//! per-scale RSS budgets the CI smoke job holds future revisions to.
+//! monotonic): scales run in ascending node order, and the value is
+//! sampled right after each scale's first (one-thread) run, making it that
+//! scale's true peak. The cells after it rerun the scale only to check
+//! determinism; what they add to `VmHWM` is the allocator's retention
+//! (freed memory kept in the main arena while worker threads allocate in
+//! their own), not memory the scale needs. The manifest records per-scale
+//! RSS budgets the CI smoke job holds future revisions to.
 //!
 //! `QUICK=1` shrinks to 20k nodes × {1, 2} threads for the CI smoke job.
 
@@ -81,6 +85,7 @@ fn main() {
         let flows = (n / 20).max(1);
         // Baseline: 1 thread, stealing on; every other cell must match it.
         let mut baseline: Option<(cnlr::ParMeshOutcome, String)> = None;
+        let mut rss_mib = 0.0;
         // Steal-off runs only at the largest scale: they exist to prove the
         // fingerprint ignores the steal schedule, not to sweep wall-clock.
         let mut cells: Vec<(usize, bool)> = threads.iter().map(|&t| (t, true)).collect();
@@ -117,6 +122,8 @@ fn main() {
             );
             match &baseline {
                 None => {
+                    rss_mib =
+                        wmn_telemetry::sample_host().peak_rss_bytes as f64 / (1024.0 * 1024.0);
                     let sim_fp = profile.sim_fingerprint();
                     baseline = Some((out, sim_fp));
                 }
@@ -155,8 +162,6 @@ fn main() {
         let r = &base.report;
         events_at[ni] = r.events;
         let (fp_count, fp) = base.trace_fp.expect("trace_hash enabled");
-        // Ascending scales: VmHWM right after this scale is its true peak.
-        let rss_mib = wmn_telemetry::sample_host().peak_rss_bytes as f64 / (1024.0 * 1024.0);
         rss_table.add_row(vec![
             format!("{n}"),
             format!("{rss_mib:.1}"),

@@ -43,8 +43,10 @@
 //! tables (`Statics`) keep per-node state in flat structure-of-arrays
 //! vectors with CSR-flattened adjacency (churn intervals, spatial-hash
 //! cells) instead of nested `Vec<Vec<…>>`, node ids are `u32` throughout,
-//! and per-region hot state (exact node loads) is a dense vector parallel
-//! to the sorted owned-id list rather than a hash map. The next-hop scan —
+//! and per-region hot state is dense instead of hashed: exact loads of
+//! owned nodes parallel to the region's sorted owned-id list, and each
+//! ring-1 neighbour's digested loads in one row indexed by that
+//! neighbour's own slots. The next-hop scan —
 //! nearly all of a run's window work — reads a compact copy of the homes
 //! laid out in spatial-hash order and rejects most candidates from it
 //! before any per-node table is touched (see `RegionNet::next_hop`). At
@@ -449,8 +451,12 @@ struct Statics {
     ncx: usize,
     ncy: usize,
     region_of_node: Vec<RegionId>,
-    /// Index of each node in its owner region's ascending `own` list.
+    /// Index of each node in its owner region's ascending owned list.
     local_of_node: Vec<u32>,
+    /// Nodes owned by region `r`, ascending:
+    /// `own_nodes[own_idx[r]..own_idx[r+1]]`, so `local_of_node` indexes it.
+    own_idx: Vec<u32>,
+    own_nodes: Vec<u32>,
     /// Chebyshev ring-1 neighbours of region `r`, ascending:
     /// `adj[adj_idx[r]..adj_idx[r+1]]`.
     adj_idx: Vec<u32>,
@@ -489,6 +495,15 @@ impl Statics {
         }
         let (cell_idx, cell_nodes) = flatten_csr(&cells);
         drop(cells);
+        let mut own_idx = Vec::with_capacity(rx * ry + 1);
+        own_idx.push(0);
+        for &c in &owned {
+            own_idx.push(own_idx[own_idx.len() - 1] + c);
+        }
+        let mut own_nodes = vec![0u32; params.len()];
+        for (i, (&r, &local)) in region_of_node.iter().zip(&local_of_node).enumerate() {
+            own_nodes[(own_idx[r as usize] + local) as usize] = i as u32;
+        }
         let mut slack = 0.0f64;
         let cell_home = cell_nodes
             .iter()
@@ -533,6 +548,8 @@ impl Statics {
             ncy,
             region_of_node,
             local_of_node,
+            own_idx,
+            own_nodes,
             adj_idx,
             adj,
             flows: Vec::new(),
@@ -572,6 +589,12 @@ impl Statics {
 
     fn regions(&self) -> usize {
         self.adj_idx.len() - 1
+    }
+
+    /// The nodes region `r` owns, ascending (CSR row).
+    fn own_of(&self, r: RegionId) -> &[u32] {
+        let r = r as usize;
+        &self.own_nodes[self.own_idx[r] as usize..self.own_idx[r + 1] as usize]
     }
 
     /// Chebyshev ring-1 neighbours of a region, ascending (CSR row).
@@ -685,13 +708,16 @@ struct RegionStats {
 struct RegionNet {
     id: RegionId,
     st: Arc<Statics>,
-    /// Owned node ids, ascending.
-    own: Vec<u32>,
-    /// Exact loads of owned nodes, parallel to `own` (dense hot state —
-    /// 8 B per node; `Statics::local_of_node` maps an id to its slot).
+    /// Exact loads of owned nodes, parallel to `Statics::own_of(id)` (dense
+    /// hot state — 8 B per node; `Statics::local_of_node` maps an id to its
+    /// slot).
     loads: Vec<NodeLoad>,
-    /// Last digested loads of other regions' nodes (stale by design).
-    remote: IdMap<u32, u32>,
+    /// Last digested loads of ring-1 neighbours' nodes (stale by design):
+    /// row `k` belongs to `st.adjacent_regions(id)[k]` and is indexed by
+    /// the neighbour's local slot. 0 means never digested (a digest never
+    /// carries a zero load). A row is allocated at its exact size when the
+    /// neighbour's first digest arrives, so a silent neighbour costs nothing.
+    remote: Vec<Vec<u32>>,
     rng: SimRng,
     tel: Tel,
     /// The region's own telemetry buffer (what `tel` writes into), kept so
@@ -710,17 +736,15 @@ impl RegionNet {
     fn new(
         id: RegionId,
         st: Arc<Statics>,
-        own: Vec<u32>,
         seed: u64,
         tel: Tel,
         sink: Option<Arc<Mutex<MemorySink>>>,
     ) -> Self {
         RegionNet {
             id,
+            loads: vec![NodeLoad::default(); st.own_of(id).len()],
+            remote: vec![Vec::new(); st.adjacent_regions(id).len()],
             st,
-            loads: vec![NodeLoad::default(); own.len()],
-            own,
-            remote: IdMap::default(),
             rng: SimRng::derive(seed, DOMAIN_REGION, id as u64),
             tel,
             sink,
@@ -737,14 +761,20 @@ impl RegionNet {
         &mut self.loads[self.st.local_of_node[node as usize] as usize]
     }
 
-    /// The load this region sees for `node`, owned by `region` at slot
+    /// The load this region sees for the node owned by `region` at slot
     /// `local` of it: exact for its own nodes, the last digest otherwise.
-    fn load_in(&self, node: u32, region: RegionId, local: u32) -> u32 {
+    fn load_in(&self, region: RegionId, local: u32) -> u32 {
         if region == self.id {
             let nl = self.loads[local as usize];
             nl.load + nl.recent
         } else {
-            self.remote.get(&node).copied().unwrap_or(0)
+            self.st
+                .adjacent_regions(self.id)
+                .iter()
+                .position(|&r| r == region)
+                .and_then(|k| self.remote[k].get(local as usize))
+                .copied()
+                .unwrap_or(0)
         }
     }
 
@@ -753,7 +783,37 @@ impl RegionNet {
     #[cfg(test)]
     fn load_of(&self, node: u32) -> u32 {
         let i = node as usize;
-        self.load_in(node, self.st.region_of_node[i], self.st.local_of_node[i])
+        self.load_in(self.st.region_of_node[i], self.st.local_of_node[i])
+    }
+
+    /// Take in a neighbour's HELLO digest. A node missing from it keeps
+    /// its last digested load. A digest restored from a checkpoint is
+    /// unchecked; an entry without a row here is one no hop of this region
+    /// reads, and is skipped.
+    fn absorb(&mut self, digest: &[(u32, u32)]) {
+        for &(node, load) in digest {
+            self.digest_load(node, load);
+        }
+    }
+
+    /// Keep `load` as the last digested load of `node`. False, and nothing
+    /// kept, when `node` is not owned by a ring-1 neighbour: no hop from
+    /// this region can reach it, so there is no row for it.
+    fn digest_load(&mut self, node: u32, load: u32) -> bool {
+        let st = &*self.st;
+        let Some(&owner) = st.region_of_node.get(node as usize) else {
+            return false;
+        };
+        let adjacent = st.adjacent_regions(self.id);
+        let Some(k) = adjacent.iter().position(|&r| r == owner) else {
+            return false;
+        };
+        let row = &mut self.remote[k];
+        if row.is_empty() {
+            *row = vec![0; st.own_of(owner).len()];
+        }
+        row[st.local_of_node[node as usize] as usize] = load;
+        true
     }
 
     /// Load-aware geographic next hop from `u` towards `dst` at `now`:
@@ -835,13 +895,9 @@ impl RegionNet {
         }
         let mut load = [0u32; BATCH];
         let mut bound = [0f64; BATCH];
-        for (((l, b), &(region, local)), (&v, &t2)) in load
-            .iter_mut()
-            .zip(&mut bound)
-            .zip(&slot)
-            .zip(ids.iter().zip(t2s))
+        for (((l, b), &(region, local)), &t2) in load.iter_mut().zip(&mut bound).zip(&slot).zip(t2s)
         {
-            *l = self.load_in(v, region, local);
+            *l = self.load_in(region, local);
             *b = (scan.d_u - (t2.sqrt() - st.slack)) / (1.0 + *l as f64);
         }
         let bound = &mut bound[..ids.len()];
@@ -1009,10 +1065,12 @@ impl RegionWorld for RegionNet {
                 let now = ctx.now();
                 self.hello_seq += 1;
                 // EWMA load refresh for owned nodes; digest the busy ones.
+                let own = self.st.own_of(self.id);
                 let digest = Arc::make_mut(&mut self.digest);
                 digest.clear();
+                digest.reserve_exact(own.len());
                 let probing = self.tel.on();
-                for (i, &node) in self.own.iter().enumerate() {
+                for (i, &node) in own.iter().enumerate() {
                     let nl = &mut self.loads[i];
                     let recent = nl.recent;
                     nl.load = nl.load / 2 + nl.recent;
@@ -1041,7 +1099,7 @@ impl RegionWorld for RegionNet {
                         );
                     }
                 }
-                if let Some(&first) = self.own.first() {
+                if let Some(&first) = own.first() {
                     self.tel.emit_at(
                         first,
                         now,
@@ -1060,11 +1118,7 @@ impl RegionWorld for RegionNet {
                     ctx.at(next, PmEvent::HelloTick);
                 }
             }
-            PmEvent::Digest(loads) => {
-                for &(node, load) in loads.iter() {
-                    self.remote.insert(node, load);
-                }
-            }
+            PmEvent::Digest(loads) => self.absorb(&loads),
             PmEvent::Originate { flow } => {
                 let now = ctx.now();
                 let f = self.st.flows[flow as usize];
@@ -1189,17 +1243,26 @@ impl CheckpointState for RegionNet {
             None => out.u8(0),
         }
         out.u32(self.hello_seq);
-        // Owned loads are dense and parallel to the sorted `own` list, so
-        // the node ids are implicit; hash maps go in sorted key order — the
-        // encoding must be a pure function of logical state, never of map
-        // iteration order.
+        // Owned loads are dense and parallel to the sorted owned list, so
+        // the node ids are implicit; digested loads and the hash map go as
+        // `(id, value)` pairs in id order — the encoding must be a pure
+        // function of logical state, never of row layout or map order.
         out.u32(self.loads.len() as u32);
         for nl in &self.loads {
             out.u32(nl.load);
             out.u32(nl.recent);
         }
-        let mut remote: Vec<(u32, u32)> = self.remote.iter().map(|(&k, &v)| (k, v)).collect();
-        remote.sort_by_key(|&(k, _)| k);
+        let mut remote: Vec<(u32, u32)> = Vec::new();
+        for (&nbr, row) in self.st.adjacent_regions(self.id).iter().zip(&self.remote) {
+            let owned = row.iter().zip(self.st.own_of(nbr));
+            remote.extend(
+                owned
+                    .filter(|(&load, _)| load > 0)
+                    .map(|(&load, &node)| (node, load)),
+            );
+        }
+        // Neighbours' node ids interleave.
+        remote.sort_unstable_by_key(|&(node, _)| node);
         out.u32(remote.len() as u32);
         for (node, load) in remote {
             out.u32(node);
@@ -1243,21 +1306,25 @@ impl CheckpointState for RegionNet {
         self.rng.restore_state(s, cached);
         self.hello_seq = r.u32()?;
         let n_loads = r.u32()? as usize;
-        if n_loads != self.own.len() {
+        if n_loads != self.loads.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "checkpoint carries {n_loads} owned loads, region has {}",
-                self.own.len()
+                self.loads.len()
             )));
         }
         for nl in self.loads.iter_mut() {
             nl.load = r.u32()?;
             nl.recent = r.u32()?;
         }
-        self.remote.clear();
+        self.remote.fill(Vec::new());
         for _ in 0..r.u32()? {
             let node = r.u32()?;
             let load = r.u32()?;
-            self.remote.insert(node, load);
+            if load == 0 || !self.digest_load(node, load) {
+                return Err(CheckpointError::Corrupt(format!(
+                    "digested load {load} of node {node} cannot come from a neighbour's HELLO"
+                )));
+            }
         }
         self.flow_seq.clear();
         for _ in 0..r.u32()? {
@@ -1278,7 +1345,7 @@ impl CheckpointState for RegionNet {
         let n_events = r.u32()? as usize;
         match &self.sink {
             Some(sink) => {
-                let mut events = Vec::with_capacity(n_events);
+                let mut events = Vec::with_capacity(n_events.min(1 << 16));
                 for _ in 0..n_events {
                     events.push(TelemetryEvent::decode_binary(r)?);
                 }
@@ -1453,20 +1520,10 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     let regions = st.regions();
 
     // --- per-region worlds, sinks, RNG streams ---
-    let mut owned = vec![0usize; regions];
-    for &r in &st.region_of_node {
-        owned[r as usize] += 1;
-    }
-    let mut own: Vec<Vec<u32>> = owned.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (i, &r) in st.region_of_node.iter().enumerate() {
-        own[r as usize].push(i as u32);
-    }
     let mut sinks: Vec<Option<Arc<Mutex<MemorySink>>>> = Vec::with_capacity(regions);
     let mut hash_sinks: Vec<Arc<Mutex<HashSink>>> = Vec::new();
-    let worlds: Vec<RegionNet> = own
-        .into_iter()
-        .enumerate()
-        .map(|(r, own)| {
+    let worlds: Vec<RegionNet> = (0..regions)
+        .map(|r| {
             let (tel, sink) = if cfg.telemetry {
                 let inner = Arc::new(Mutex::new(MemorySink::default()));
                 sinks.push(Some(inner.clone()));
@@ -1480,7 +1537,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
                 sinks.push(None);
                 (Tel::off(), None)
             };
-            RegionNet::new(r as RegionId, st.clone(), own, cfg.seed, tel, sink)
+            RegionNet::new(r as RegionId, st.clone(), cfg.seed, tel, sink)
         })
         .collect();
 
@@ -1507,7 +1564,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     // primed events land, holds one HELLO timer, one Originate timer per
     // sourced flow and the scheduled churn transitions; in-flight packets
     // are due within a hop and live in the near tier, which sizes itself.
-    let mut plan: Vec<usize> = vec![1; owned.len()];
+    let mut plan: Vec<usize> = vec![1; regions];
     for flow in &st.flows {
         plan[st.region_of_node[flow.src as usize] as usize] += 1;
     }
@@ -1519,8 +1576,8 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     }
 
     // --- prime: hellos, flows, churn transitions ---
-    for (r, &c) in owned.iter().enumerate() {
-        if c > 0 {
+    for r in 0..regions {
+        if !st.own_of(r as RegionId).is_empty() {
             engine.prime(
                 r as RegionId,
                 SimTime::ZERO + HELLO_INTERVAL,
@@ -1945,21 +2002,17 @@ mod tests {
     /// the nodes it owns, digested ones for half of the others — so that
     /// load-weighted scores differ and tie.
     fn loaded_region(st: &Arc<Statics>, region: RegionId, rng: &mut SimRng) -> RegionNet {
-        let nodes = 0..st.params.len() as u32;
-        let own: Vec<u32> = nodes
-            .clone()
-            .filter(|&v| st.region_of_node[v as usize] == region)
-            .collect();
-        let mut net = RegionNet::new(region, st.clone(), own, 1, Tel::off(), None);
+        let mut net = RegionNet::new(region, st.clone(), 1, Tel::off(), None);
         for nl in &mut net.loads {
             *nl = NodeLoad {
                 load: rng.below(3) as u32,
                 recent: rng.below(2) as u32,
             };
         }
-        for v in nodes {
+        for v in 0..st.params.len() as u32 {
             if st.region_of_node[v as usize] != region && rng.chance(0.5) {
-                net.remote.insert(v, rng.below(4) as u32);
+                // Only ring-1 nodes are kept; the draw is made either way.
+                net.digest_load(v, rng.below(4) as u32);
             }
         }
         net
@@ -2123,10 +2176,7 @@ mod tests {
     /// `u`'s region in a [`bound_world`], every load zero.
     fn idle_region(st: Statics) -> RegionNet {
         let region = st.region_of_node[0];
-        let own = (0..st.params.len() as u32)
-            .filter(|&v| st.region_of_node[v as usize] == region)
-            .collect();
-        RegionNet::new(region, Arc::new(st), own, 1, Tel::off(), None)
+        RegionNet::new(region, Arc::new(st), 1, Tel::off(), None)
     }
 
     /// The early exit stops only at a bound *strictly* below the best
@@ -2289,7 +2339,132 @@ mod tests {
         let mut seen = [0u32; 9];
         for (v, &r) in st.region_of_node.iter().enumerate() {
             assert_eq!(st.local_of_node[v], seen[r as usize]);
+            assert_eq!(st.own_of(r)[seen[r as usize] as usize], v as u32);
             seen[r as usize] += 1;
+        }
+        assert!((0..9).all(|r| st.own_of(r).len() == seen[r as usize] as usize));
+    }
+
+    /// `net`'s state encoding, where `net` holds no digested load, with
+    /// `pairs` as its digested loads: what the encoder writes for a region
+    /// that keeps them in a map.
+    fn with_remote(net: &RegionNet, pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        net.encode_state(&mut w);
+        let fresh = w.into_inner();
+        // RNG words and the absent cached normal, hello_seq, owned loads.
+        let head = 4 * 8 + 1 + 4 + 4 + 8 * net.loads.len();
+        assert_eq!(
+            fresh[head..head + 4],
+            [0; 4],
+            "remote section not at {head}"
+        );
+        let mut w = ByteWriter::new();
+        w.u32(pairs.len() as u32);
+        for &(node, load) in pairs {
+            w.u32(node);
+            w.u32(load);
+        }
+        [&fresh[..head], &w.into_inner(), &fresh[head + 4..]].concat()
+    }
+
+    fn decoded(
+        region: RegionId,
+        st: &Arc<Statics>,
+        bytes: &[u8],
+    ) -> Result<RegionNet, CheckpointError> {
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
+        let tel = Tel::new(sink.clone() as SharedSink, 0);
+        let mut net = RegionNet::new(region, st.clone(), 1, tel, Some(sink));
+        net.decode_state(&mut ByteReader::new(bytes))?;
+        Ok(net)
+    }
+
+    #[test]
+    fn decode_refuses_what_a_region_cannot_hold() {
+        // 4 × 4 regions: region 0 borders 1, 4 and 5, not 15.
+        let st = Arc::new(build_statics(&ParMesh::new(3_000).regions(16)));
+        assert_eq!(st.adjacent_regions(0), [1, 4, 5]);
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
+        let tel = Tel::new(sink.clone() as SharedSink, 0);
+        let mut net = RegionNet::new(0, st.clone(), 1, tel, Some(sink));
+        let (ring, far, own) = (st.own_of(5)[3], st.own_of(15)[0], st.own_of(0)[0]);
+        let good = with_remote(&net, &[(ring, 7)]);
+        assert!(decoded(0, &st, &good).is_ok());
+
+        // A telemetry event count the region cannot hold ends in the
+        // truncation error, not in an allocation of it.
+        net.absorb(&[(ring, 7)]);
+        let mut w = ByteWriter::new();
+        net.encode_state(&mut w);
+        let mut bytes = w.into_inner();
+        assert_eq!(bytes, good);
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&[0xff; 4]);
+        assert!(decoded(0, &st, &bytes).is_err());
+
+        // Digested loads of nodes no neighbour owns, or of zero.
+        let nodes = st.params.len() as u32;
+        for pairs in [
+            [(ring, 7), (far, 2)],
+            [(ring, 7), (own, 2)],
+            [(ring, 7), (nodes, 2)],
+            [(ring, 7), (st.own_of(1)[0], 0)],
+        ] {
+            let bytes = with_remote(&RegionNet::new(0, st.clone(), 1, Tel::off(), None), &pairs);
+            let err = decoded(0, &st, &bytes).err();
+            assert!(
+                matches!(err, Some(CheckpointError::Corrupt(_))),
+                "{pairs:?}: {err:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The digest rows hold what the map they replace held: after each
+        /// of a random run of digests from ring-1 neighbours, each a random
+        /// subset of the sender's nodes, every node reads the load of its
+        /// last digest (or 0), the state encodes to the map's bytes, and
+        /// decoding and re-encoding changes nothing.
+        #[test]
+        fn digest_rows_match_a_map_of_last_loads(
+            seed in any::<u64>(),
+            nodes in 200usize..2_000,
+            regions in 4usize..17,
+            digests in 1usize..24,
+        ) {
+            let st = Arc::new(build_statics(&ParMesh::new(nodes).seed(seed).regions(regions)));
+            let mut rng = SimRng::derive(seed, 0x6467, 0);
+            let region = rng.below(st.regions() as u64) as RegionId;
+            let fresh = RegionNet::new(region, st.clone(), 1, Tel::off(), None);
+            let mut net = RegionNet::new(region, st.clone(), 1, Tel::off(), None);
+            let mut model = std::collections::BTreeMap::new();
+            let adjacent = st.adjacent_regions(region);
+            for _ in 0..digests {
+                let sender = adjacent[rng.below(adjacent.len() as u64) as usize];
+                let keep = rng.range_f64(0.0, 1.0);
+                let mut digest = Vec::new();
+                for &v in st.own_of(sender) {
+                    if rng.chance(keep) {
+                        digest.push((v, 1 + rng.below(1_000) as u32));
+                    }
+                }
+                net.absorb(&digest);
+                model.extend(digest);
+                for v in 0..st.params.len() as u32 {
+                    let want = model.get(&v).copied().unwrap_or(0);
+                    prop_assert_eq!(net.load_of(v), want, "node {}", v);
+                }
+                let mut w = ByteWriter::new();
+                net.encode_state(&mut w);
+                let bytes = w.into_inner();
+                let pairs: Vec<(u32, u32)> = model.iter().map(|(&v, &l)| (v, l)).collect();
+                prop_assert!(bytes == with_remote(&fresh, &pairs), "encoding differs from the map's");
+                let back = decoded(region, &st, &bytes).expect("own encoding decodes");
+                let mut w = ByteWriter::new();
+                back.encode_state(&mut w);
+                prop_assert!(w.into_inner() == bytes, "decode + encode is not a fixed point");
+            }
         }
     }
 

@@ -469,6 +469,11 @@ fn run_parmesh(opts: &Options) {
         r.events, r.epochs, r.cross_region
     );
     println!("wall-clock              : {wall:.3} s");
+    let peak_rss = wmn::telemetry::sample_host().peak_rss_bytes;
+    println!(
+        "peak RSS                : {:.1} MiB",
+        peak_rss as f64 / 1048576.0
+    );
     if interrupted {
         eprintln!("interrupted — state checkpointed; rerun with --resume to continue");
         std::process::exit(EXIT_INTERRUPTED);
