@@ -96,13 +96,16 @@ impl RunResults {
         for node in &network.nodes {
             routing.accumulate(node.routing.stats());
             mac.accumulate(node.mac.stats());
+            let mut forwarded = node.routing.stats().data_forwarded;
             // Stats retired by reboots: counters from previous incarnations
             // must still reconcile with the trace.
-            routing.accumulate(&node.retired_routing);
-            mac.accumulate(&node.retired_mac);
-            per_node_forwarded.push(
-                (node.routing.stats().data_forwarded + node.retired_routing.data_forwarded) as f64,
-            );
+            if let Some(retired) = &node.retired {
+                let (retired_mac, retired_routing) = &**retired;
+                routing.accumulate(retired_routing);
+                mac.accumulate(retired_mac);
+                forwarded += retired_routing.data_forwarded;
+            }
+            per_node_forwarded.push(forwarded as f64);
             max_queue_peak = max_queue_peak.max(node.mac.queue().peak());
         }
         let mut energy_total = 0.0f64;

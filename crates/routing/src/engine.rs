@@ -594,7 +594,6 @@ impl Routing {
         // Forward towards the origin along the reverse route.
         if let Some(e) = self.table.valid_route(rrep.origin, now) {
             let next_hop = e.next_hop;
-            self.table.add_precursor(rrep.target, next_hop);
             self.table
                 .refresh(rrep.origin, self.config.route_lifetime, now);
             let mut fwd = rrep;
@@ -667,7 +666,6 @@ impl Routing {
         }
         if let Some(e) = self.table.valid_route(data.dst, now) {
             let next_hop = e.next_hop;
-            self.table.add_precursor(data.dst, from);
             self.table
                 .refresh(data.dst, self.config.route_lifetime, now);
             self.table

@@ -13,7 +13,7 @@ use wmn_sim::SimTime;
 pub struct FlowId(pub u32);
 
 /// Globally unique identifier of one route-discovery attempt.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RreqKey {
     /// The node that originated the discovery.
     pub origin: NodeId,

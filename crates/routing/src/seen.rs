@@ -7,22 +7,44 @@
 use crate::packet::RreqKey;
 use wmn_sim::{IdMap, SimDuration, SimTime};
 
-/// Per-RREQ reception record.
+/// One RREQ's reception record, 12 bytes at 4-byte alignment so that a
+/// `(RreqKey, Slot)` bucket is 20 B: the first-seen nanoseconds as two
+/// `u32` halves, then the copies received (including the first) in the low
+/// 31 bits with [`RESOLVED`] on top.
 #[derive(Clone, Copy, Debug)]
-pub struct SeenEntry {
-    /// First reception time.
-    pub first_seen: SimTime,
-    /// Copies received (including the first).
-    pub copies: u32,
-    /// Whether this node has already transmitted (or irrevocably decided
-    /// not to transmit) this RREQ.
-    pub resolved: bool,
+struct Slot {
+    first_seen: [u32; 2],
+    state: u32,
+}
+
+/// Set once this node has transmitted (or irrevocably decided not to
+/// transmit) the RREQ.
+const RESOLVED: u32 = 1 << 31;
+
+const _: () = assert!(std::mem::size_of::<(RreqKey, Slot)>() <= 20);
+
+impl Slot {
+    fn new(now: SimTime) -> Self {
+        let ns = now.as_nanos();
+        Slot {
+            first_seen: [ns as u32, (ns >> 32) as u32],
+            state: 0,
+        }
+    }
+
+    fn first_seen(self) -> SimTime {
+        SimTime(u64::from(self.first_seen[0]) | u64::from(self.first_seen[1]) << 32)
+    }
+
+    fn copies(self) -> u32 {
+        self.state & !RESOLVED
+    }
 }
 
 /// Bounded-lifetime duplicate cache.
 #[derive(Clone, Debug)]
 pub struct SeenCache {
-    entries: IdMap<RreqKey, SeenEntry>,
+    entries: IdMap<RreqKey, Slot>,
     lifetime: SimDuration,
 }
 
@@ -40,31 +62,31 @@ impl SeenCache {
     /// Record a reception; returns the number of copies seen *before* this
     /// one (0 ⇒ first copy).
     pub fn record(&mut self, key: RreqKey, now: SimTime) -> u32 {
-        let e = self.entries.entry(key).or_insert(SeenEntry {
-            first_seen: now,
-            copies: 0,
-            resolved: false,
-        });
-        let before = e.copies;
-        e.copies += 1;
+        let slot = self.entries.entry(key).or_insert_with(|| Slot::new(now));
+        let before = slot.copies();
+        // 2^31 receptions of one RREQ within one lifetime cannot happen.
+        debug_assert!(before < !RESOLVED, "copy count overflows 31 bits");
+        slot.state += 1;
         before
     }
 
     /// Copies observed so far.
     pub fn copies(&self, key: RreqKey) -> u32 {
-        self.entries.get(&key).map_or(0, |e| e.copies)
+        self.entries.get(&key).map_or(0, |s| s.copies())
     }
 
     /// Mark the forwarding decision for `key` as final.
     pub fn resolve(&mut self, key: RreqKey) {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.resolved = true;
+        if let Some(s) = self.entries.get_mut(&key) {
+            s.state |= RESOLVED;
         }
     }
 
     /// Whether the decision for `key` is final.
     pub fn is_resolved(&self, key: RreqKey) -> bool {
-        self.entries.get(&key).is_some_and(|e| e.resolved)
+        self.entries
+            .get(&key)
+            .is_some_and(|s| s.state & RESOLVED != 0)
     }
 
     /// Drop entries older than the lifetime. Returns removed count.
@@ -72,7 +94,7 @@ impl SeenCache {
         let lifetime = self.lifetime;
         let before = self.entries.len();
         self.entries
-            .retain(|_, e| now.since(e.first_seen) < lifetime);
+            .retain(|_, s| now.since(s.first_seen()) < lifetime);
         before - self.entries.len()
     }
 

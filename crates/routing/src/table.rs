@@ -19,10 +19,11 @@ pub struct RouteEntry {
     pub expires: SimTime,
     /// False after a link break until re-discovered.
     pub valid: bool,
-    /// Upstream nodes that route through us to this destination (for RERR
-    /// propagation).
-    pub precursors: Vec<NodeId>,
 }
+
+// Route tables are the full stack's largest structure (157 k entries at
+// 2 500 routers): a bucket holds what forwarding reads and nothing else.
+const _: () = assert!(std::mem::size_of::<(NodeId, RouteEntry)>() <= 40);
 
 /// A node's route table.
 #[derive(Clone, Debug, Default)]
@@ -85,7 +86,6 @@ impl RouteTable {
                         cost,
                         expires,
                         valid: true,
-                        precursors: Vec::new(),
                     },
                 );
                 UpdateOutcome::Installed
@@ -112,15 +112,6 @@ impl RouteTable {
     pub fn refresh(&mut self, dst: NodeId, lifetime: SimDuration, now: SimTime) {
         if let Some(e) = self.entries.get_mut(&dst) {
             e.expires = e.expires.max(now + lifetime);
-        }
-    }
-
-    /// Record that `precursor` routes through us towards `dst`.
-    pub fn add_precursor(&mut self, dst: NodeId, precursor: NodeId) {
-        if let Some(e) = self.entries.get_mut(&dst) {
-            if !e.precursors.contains(&precursor) {
-                e.precursors.push(precursor);
-            }
         }
     }
 
@@ -267,19 +258,6 @@ mod tests {
         assert_eq!(rt.invalidate(NodeId(9), NodeId(2)), None); // wrong via
         assert_eq!(rt.invalidate(NodeId(9), NodeId(1)), Some(11));
         assert_eq!(rt.invalidate(NodeId(9), NodeId(1)), None); // already invalid
-    }
-
-    #[test]
-    fn precursors_dedup() {
-        let mut rt = RouteTable::new();
-        rt.offer(NodeId(9), NodeId(1), 2, 10, 2.0, LIFE, t(0));
-        rt.add_precursor(NodeId(9), NodeId(5));
-        rt.add_precursor(NodeId(9), NodeId(5));
-        rt.add_precursor(NodeId(9), NodeId(6));
-        assert_eq!(
-            rt.any_entry(NodeId(9)).unwrap().precursors,
-            vec![NodeId(5), NodeId(6)]
-        );
     }
 
     #[test]

@@ -468,16 +468,22 @@ fn run_parmesh(opts: &Options) {
         "events / epochs / cross : {} / {} / {}",
         r.events, r.epochs, r.cross_region
     );
-    println!("wall-clock              : {wall:.3} s");
+    print_wall_and_rss(wall);
+    if interrupted {
+        eprintln!("interrupted — state checkpointed; rerun with --resume to continue");
+        std::process::exit(EXIT_INTERRUPTED);
+    }
+}
+
+/// The last two report lines of both modes: the run's wall time and the
+/// process's high-water resident set (`VmHWM`).
+fn print_wall_and_rss(wall_s: f64) {
+    println!("wall-clock              : {wall_s:.3} s");
     let peak_rss = wmn::telemetry::sample_host().peak_rss_bytes;
     println!(
         "peak RSS                : {:.1} MiB",
         peak_rss as f64 / 1048576.0
     );
-    if interrupted {
-        eprintln!("interrupted — state checkpointed; rerun with --resume to continue");
-        std::process::exit(EXIT_INTERRUPTED);
-    }
 }
 
 /// The classic full-stack scenario: the spec's own lowering plus this
@@ -533,13 +539,13 @@ fn main() {
     }
 
     let builder = classic_builder(&opts).unwrap_or_else(|e| cli::usage_error("wmn-sim", &e));
-    let r = match builder.build() {
-        Ok(sim) => sim.run(),
-        Err(e) => {
-            eprintln!("scenario rejected: {e}");
-            std::process::exit(1);
-        }
-    };
+    let sim = builder.build().unwrap_or_else(|e| {
+        eprintln!("scenario rejected: {e}");
+        std::process::exit(1);
+    });
+    let t0 = std::time::Instant::now();
+    let r = sim.run();
+    let wall = t0.elapsed().as_secs_f64();
 
     if opts.csv {
         println!(
@@ -628,6 +634,7 @@ fn main() {
         }
     }
     println!("events processed        : {}", r.events);
+    print_wall_and_rss(wall);
 }
 
 #[cfg(test)]
