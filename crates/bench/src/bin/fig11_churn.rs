@@ -16,7 +16,7 @@
 //! path.
 
 use cnlr::Scheme;
-use wmn_bench::served::{sweep_figure_multi_served, sweep_figure_multi_spec};
+use wmn_bench::spec_sweep::{sweep_spec, Panel};
 use wmn_bench::{emit, parse_fig_args, sweep_durations, FigureSpec};
 use wmn_served::ScenarioSpec;
 
@@ -34,12 +34,11 @@ fn main() {
         vec![0.0, 0.5, 1.0, 2.0, 4.0]
     };
     let schemes = Scheme::evaluation_set();
-    // The figure, described once for both branches: scenario and wire keys.
-    let metrics = [
-        ("PDR", "pdr"),
-        ("PDR during outages", "pdr_outage"),
-        ("route-repair latency s", "repair_latency_s"),
-        ("time-to-reconverge s", "reconverge_s"),
+    let panels = [
+        Panel::wire(spec, "", "PDR", "pdr"),
+        Panel::wire(spec, "outage_pdr", "PDR during outages", "pdr_outage"),
+        Panel::wire(spec, "repair", "route-repair latency s", "repair_latency_s"),
+        Panel::wire(spec, "reconverge", "time-to-reconverge s", "reconverge_s"),
     ];
     let build = move |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
         seed,
@@ -56,12 +55,7 @@ fn main() {
         churn: (rate > 0.0).then(|| (60.0 / rate, 10.0)),
         ..ScenarioSpec::default()
     };
-    let tables = match served {
-        Some(socket) => sweep_figure_multi_served(&spec, &metrics, &xs, &schemes, &socket, build),
-        None => sweep_figure_multi_spec(&spec, &metrics, &xs, &schemes, build),
-    };
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "outage_pdr", &tables[1]);
-    emit(&spec, "repair", &tables[2]);
-    emit(&spec, "reconverge", &tables[3]);
+    for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

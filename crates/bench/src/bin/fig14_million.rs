@@ -22,7 +22,7 @@
 //! `QUICK=1` shrinks to 20k nodes × {1, 2} threads for the CI smoke job.
 
 use cnlr::parmesh::ParMesh;
-use wmn_bench::{emit, quick_mode, FigureSpec};
+use wmn_bench::{emit, quick_mode, save_manifest, FigureSpec};
 use wmn_metrics::ResultTable;
 use wmn_sim::SimDuration;
 use wmn_telemetry::RunManifest;
@@ -197,10 +197,7 @@ fn main() {
         events_processed: total_events,
         ..RunManifest::stamped(spec.id, spec.title)
     };
-    match manifest.write(std::path::Path::new("results")) {
-        Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),
-        Err(e) => eprintln!("warning: could not write {} manifest: {e}", spec.id),
-    }
+    save_manifest(&manifest);
     emit(&spec, "", &wall_table);
     emit(&spec, "events", &rate_table);
     emit(&spec, "rss", &rss_table);

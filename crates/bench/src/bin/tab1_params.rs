@@ -1,5 +1,6 @@
 //! Tab. 1 — simulation parameters (the reconstructed parameter table).
 
+use wmn_bench::{emit, FigureSpec};
 use wmn_metrics::ResultTable;
 
 fn main() {
@@ -8,7 +9,10 @@ fn main() {
     for (k, v) in cnlr::presets::parameter_table() {
         table.add_row(vec![k.to_string(), v]);
     }
-    println!("{}", table.to_markdown());
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/tab1.csv", table.to_csv());
+    let spec = FigureSpec {
+        id: "tab1",
+        title: "Simulation parameters",
+        x_label: "parameter",
+    };
+    emit(&spec, "", &table);
 }

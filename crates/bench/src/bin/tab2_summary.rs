@@ -2,7 +2,7 @@
 //! (8×8 backbone, 30 flows @ 8 pkt/s — just past the contention knee).
 
 use cnlr::Scheme;
-use wmn_bench::{quick_mode, replication_seeds, sweep_durations, write_manifest, FigureSpec};
+use wmn_bench::{emit, quick_mode, replication_seeds, sweep_durations, write_manifest, FigureSpec};
 use wmn_metrics::{run_replications, MeanCi, ResultTable};
 use wmn_telemetry::Counters;
 
@@ -90,16 +90,13 @@ fn main() {
         all_runs.extend(runs);
         eprintln!("[tab2] {} done", scheme.label());
     }
-    println!("{}", table.to_markdown());
-    println!("{}", counter_table.to_markdown());
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/tab2.csv", table.to_csv());
-    let _ = std::fs::write("results/tab2_counters.csv", counter_table.to_csv());
     let spec = FigureSpec {
         id: "tab2",
         title: "Summary at the reference point (8x8, 30 flows @ 8 pkt/s)",
         x_label: "scheme",
     };
+    emit(&spec, "", &table);
+    emit(&spec, "counters", &counter_table);
     write_manifest(
         &spec,
         &schemes,

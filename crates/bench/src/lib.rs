@@ -1,16 +1,19 @@
 //! `wmn-bench` — the experiment harness.
 //!
-//! One binary per reconstructed table/figure (see DESIGN.md §3). Each binary
-//! sweeps its x-axis over every scheme, replicates over seeds, prints the
-//! figure as a markdown table (mean ±95 % CI) and writes a CSV under
-//! `results/`. `QUICK=1` in the environment shrinks seeds/durations for CI.
+//! One binary per reconstructed table/figure (see DESIGN.md §3), except
+//! Figs. 3, 4, 5, 6 and 9: they are five views of one offered-load sweep,
+//! which `load_sweep` runs once. Each binary sweeps its x-axis over every
+//! scheme, replicates over seeds, prints the figure as a markdown table
+//! (mean ±95 % CI) and writes a CSV under `results/`. `QUICK=1` in the
+//! environment shrinks seeds/durations for CI.
 
 use cnlr::cli::{self, Argv};
 use cnlr::{RunResults, ScenarioBuilder, Scheme};
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
+use wmn_sim::SimDuration;
 use wmn_telemetry::{Counters, RunManifest};
 
-pub mod served;
+pub mod spec_sweep;
 
 /// Metadata of one reconstructed figure.
 #[derive(Clone, Copy, Debug)]
@@ -46,24 +49,24 @@ pub(crate) fn job_coords(i: usize, n_schemes: usize, n_seeds: usize) -> (usize, 
     (cell / n_schemes, cell % n_schemes, si)
 }
 
-/// Fold a finished sweep into one [`ResultTable`] per metric: rows = x
-/// values, one column per scheme, each cell the mean ±95 % CI over the
-/// cell's seeds. `value(job, metric)` reads one metric of one flattened job
-/// (indexed as [`job_coords`] lays them out).
+/// Fold a finished sweep into one [`ResultTable`] per `(figure, metric
+/// label)` entry of `tables`: rows = x values, one column per scheme, each
+/// cell the mean ±95 % CI over the cell's seeds. `value(job, table)` reads
+/// one table's metric of one flattened job (indexed as [`job_coords`] lays
+/// them out).
 pub(crate) fn fold_tables(
-    spec: &FigureSpec,
-    metric_names: &[&str],
+    tables: &[(&FigureSpec, &str)],
     xs: &[f64],
     schemes: &[Scheme],
     n_seeds: usize,
     value: impl Fn(usize, usize) -> f64,
 ) -> Vec<ResultTable> {
-    let mut headers: Vec<String> = vec![spec.x_label.to_string()];
-    headers.extend(schemes.iter().map(Scheme::label));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut tables: Vec<ResultTable> = metric_names
+    let mut out: Vec<ResultTable> = tables
         .iter()
-        .map(|name| {
+        .map(|&(spec, name)| {
+            let mut headers = vec![spec.x_label.to_string()];
+            headers.extend(schemes.iter().map(Scheme::label));
+            let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             ResultTable::new(
                 format!("{} — {} ({name})", spec.id, spec.title),
                 &header_refs,
@@ -71,46 +74,26 @@ pub(crate) fn fold_tables(
         })
         .collect();
     for (xi, &x) in xs.iter().enumerate() {
-        for (mi, table) in tables.iter_mut().enumerate() {
+        for (ti, table) in out.iter_mut().enumerate() {
             let mut row = vec![format!("{x}")];
             for schi in 0..schemes.len() {
                 let base = (xi * schemes.len() + schi) * n_seeds;
-                let values: Vec<f64> = (base..base + n_seeds).map(|job| value(job, mi)).collect();
+                let values: Vec<f64> = (base..base + n_seeds).map(|job| value(job, ti)).collect();
                 row.push(MeanCi::from_samples(&values).display(3));
             }
             table.add_row(row);
         }
     }
-    tables
+    out
 }
 
-/// The provenance parameters every sweep manifest carries.
-pub(crate) fn standard_params(
-    spec: &FigureSpec,
-    replications: usize,
-    runs: usize,
-) -> Vec<(String, String)> {
-    let (dur, warm) = sweep_durations();
-    vec![
-        ("x_label".to_string(), spec.x_label.to_string()),
-        ("duration_s".to_string(), format!("{}", dur.as_secs_f64())),
-        ("warmup_s".to_string(), format!("{}", warm.as_secs_f64())),
-        ("quick".to_string(), quick_mode().to_string()),
-        (
-            "threads".to_string(),
-            wmn_metrics::default_threads().to_string(),
-        ),
-        ("replications".to_string(), replications.to_string()),
-        ("runs".to_string(), runs.to_string()),
-    ]
-}
-
-/// The one sweep executor behind [`sweep_figure_multi`] and the
-/// [`served`] sweeps: one [`ResultTable`] per metric, rows = x values, one
-/// column per scheme. `run` performs one job and `value` reads one metric
-/// from its result; `how` finishes the banner line given the worker
-/// count. Returns `(tables, runs, seeds, wall_s)` — the tables, and what
-/// the sweep's manifest is written from.
+/// The one sweep executor behind [`sweep_figure_multi`] and
+/// [`spec_sweep::sweep_spec`]: one [`ResultTable`] per `(figure, metric
+/// label)` entry of `tables` (see [`fold_tables`]). `run` performs one job
+/// and `value(result, table)` reads one table's metric from its result;
+/// `how` finishes the banner line given the worker count. Returns
+/// `(tables, runs, seeds, wall_s)` — the tables, and what the sweep's
+/// manifest is written from.
 ///
 /// The whole sweep is flattened into a single `(x, scheme, seed)` job queue
 /// so the thread pool stays saturated across cell boundaries (replication
@@ -118,34 +101,34 @@ pub(crate) fn standard_params(
 /// of its time waiting on the slowest seed). Results come back in job-index
 /// order, which keeps the aggregation — and therefore every table — exactly
 /// as deterministic as the nested-loop version.
-pub(crate) fn run_sweep<R: Send, M>(
-    spec: &FigureSpec,
+pub(crate) fn run_sweep<R: Send>(
+    tables: &[(&FigureSpec, &str)],
     how: impl Fn(usize) -> String,
-    metrics: &[(&str, M)],
     xs: &[f64],
     schemes: &[Scheme],
     run: impl Fn(f64, &Scheme, u64) -> R + Sync,
-    value: impl Fn(&R, &M) -> f64,
+    value: impl Fn(&R, usize) -> f64,
 ) -> (Vec<ResultTable>, Vec<R>, Vec<u64>, f64) {
     let t0 = std::time::Instant::now();
     let seeds = replication_seeds();
     let threads = wmn_metrics::default_threads();
     let n_jobs = xs.len() * schemes.len() * seeds.len();
-    eprintln!("[{}] {n_jobs} jobs {}", spec.id, how(threads));
+    eprintln!("[{}] {n_jobs} jobs {}", tables[0].0.id, how(threads));
     let runs = run_jobs(n_jobs, threads, |i| {
         let (xi, schi, si) = job_coords(i, schemes.len(), seeds.len());
         run(xs[xi], &schemes[schi], seeds[si])
     });
-    let names: Vec<&str> = metrics.iter().map(|(name, _)| *name).collect();
-    let tables = fold_tables(spec, &names, xs, schemes, seeds.len(), |job, mi| {
-        value(&runs[job], &metrics[mi].1)
+    let tables = fold_tables(tables, xs, schemes, seeds.len(), |job, ti| {
+        value(&runs[job], ti)
     });
     let wall_s = t0.elapsed().as_secs_f64();
     (tables, runs, seeds, wall_s)
 }
 
 /// Sweep a full figure once, extracting several metrics from the same runs
-/// (see [`run_sweep`] for the table layout and job order).
+/// (see `run_sweep` for the table layout and job order). For figures a
+/// [`wmn_served::ScenarioSpec`] describes, [`spec_sweep::sweep_spec`] is
+/// the path that can also run through a daemon.
 pub fn sweep_figure_multi<F>(
     spec: &FigureSpec,
     metrics: &[Metric<'_>],
@@ -156,6 +139,19 @@ pub fn sweep_figure_multi<F>(
 where
     F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
 {
+    let tables: Vec<_> = metrics.iter().map(|&(name, _)| (spec, name)).collect();
+    sweep_in_process(&tables, xs, schemes, build, |run, ti| metrics[ti].1(run))
+}
+
+/// [`run_sweep`] with every job built by `build` and run here; the
+/// manifest is written under the first table's figure id.
+pub(crate) fn sweep_in_process(
+    tables: &[(&FigureSpec, &str)],
+    xs: &[f64],
+    schemes: &[Scheme],
+    build: impl Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
+    value: impl Fn(&RunResults, usize) -> f64,
+) -> Vec<ResultTable> {
     let run = |x: f64, scheme: &Scheme, seed: u64| {
         build(x, scheme, seed)
             .build()
@@ -163,12 +159,9 @@ where
             .run()
     };
     let how = |threads| format!("on {threads} threads");
-    let (tables, runs, seeds, wall_s) =
-        run_sweep(spec, how, metrics, xs, schemes, run, |run, metric| {
-            metric(run)
-        });
-    write_manifest(spec, schemes, &seeds, xs, wall_s, &runs, &[]);
-    tables
+    let (out, runs, seeds, wall_s) = run_sweep(tables, how, xs, schemes, run, value);
+    write_manifest(tables[0].0, schemes, &seeds, xs, wall_s, &runs, &[]);
+    out
 }
 
 /// What the runs of a sweep add to its manifest beyond the axes.
@@ -209,7 +202,9 @@ pub fn write_manifest(
     write_manifest_totals(spec, schemes, seeds, xs, wall_s, totals);
 }
 
-/// The one manifest writer: `results/<totals.id>_manifest.json`.
+/// The one sweep manifest writer: `results/<totals.id>_manifest.json`,
+/// with the standard duration/quick/thread provenance ahead of
+/// `totals.extra_params`.
 pub(crate) fn write_manifest_totals(
     spec: &FigureSpec,
     schemes: &[Scheme],
@@ -218,10 +213,20 @@ pub(crate) fn write_manifest_totals(
     wall_s: f64,
     totals: ManifestTotals<'_>,
 ) {
-    let mut params = standard_params(spec, seeds.len(), totals.runs);
-    let extra = totals.extra_params.into_iter();
-    params.extend(extra.map(|(k, v)| (k.to_string(), v)));
-    let manifest = RunManifest {
+    let (dur, warm) = sweep_durations();
+    let standard = [
+        ("x_label", spec.x_label.to_string()),
+        ("duration_s", format!("{}", dur.as_secs_f64())),
+        ("warmup_s", format!("{}", warm.as_secs_f64())),
+        ("quick", quick_mode().to_string()),
+        ("threads", wmn_metrics::default_threads().to_string()),
+        ("replications", seeds.len().to_string()),
+        ("runs", totals.runs.to_string()),
+    ];
+    let params = (standard.into_iter().chain(totals.extra_params))
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    save_manifest(&RunManifest {
         schemes: schemes.iter().map(Scheme::label).collect(),
         seeds: seeds.to_vec(),
         xs: xs.to_vec(),
@@ -230,47 +235,43 @@ pub(crate) fn write_manifest_totals(
         events_processed: totals.events,
         counters: totals.counters,
         ..RunManifest::stamped(totals.id, spec.title)
-    };
+    });
+}
+
+/// Write `manifest` under `results/`. A failed write exits 1: the figure
+/// did not produce what it reports, and `run_all_experiments.sh` must not
+/// stamp it as done.
+pub fn save_manifest(manifest: &RunManifest) {
     match manifest.write(std::path::Path::new("results")) {
-        Ok(path) => eprintln!("[{}] wrote {}", spec.id, path.display()),
-        Err(e) => eprintln!("warning: could not write {} manifest: {e}", manifest.id),
+        Ok(path) => eprintln!("[{}] wrote {}", manifest.id, path.display()),
+        Err(e) => fail(&format!("could not write {} manifest: {e}", manifest.id)),
     }
 }
 
-/// Single-metric convenience wrapper over [`sweep_figure_multi`].
-pub fn sweep_figure<F, M>(
-    spec: &FigureSpec,
-    metric_name: &str,
-    xs: &[f64],
-    schemes: &[Scheme],
-    build: F,
-    metric: M,
-) -> ResultTable
-where
-    F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
-    M: Fn(&RunResults) -> f64 + Sync,
-{
-    sweep_figure_multi(spec, &[(metric_name, &metric)], xs, schemes, build)
-        .pop()
-        .expect("one table")
+/// `results/<id>[_suffix].csv`'s file name.
+pub(crate) fn csv_name(spec: &FigureSpec, suffix: &str) -> String {
+    match suffix {
+        "" => format!("{}.csv", spec.id),
+        _ => format!("{}_{suffix}.csv", spec.id),
+    }
 }
 
-/// Print a table and persist it under `results/<id>[_suffix].csv`.
+/// Print a table and persist it under `results/<id>[_suffix].csv`. A
+/// failed write exits 1, as [`save_manifest`]'s does.
 pub fn emit(spec: &FigureSpec, suffix: &str, table: &ResultTable) {
     println!("{}", table.to_markdown());
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let name = if suffix.is_empty() {
-        format!("{}.csv", spec.id)
-    } else {
-        format!("{}_{}.csv", spec.id, suffix)
-    };
-    let path = dir.join(name);
-    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[{}] wrote {}", spec.id, path.display());
+    let path = std::path::Path::new("results").join(csv_name(spec, suffix));
+    let written =
+        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, table.to_csv()));
+    match written {
+        Ok(()) => eprintln!("[{}] wrote {}", spec.id, path.display()),
+        Err(e) => fail(&format!("could not write {}: {e}", path.display())),
     }
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
 }
 
 /// The standard scheme set.
@@ -288,7 +289,7 @@ pub fn parse_fig_args(bin: &str, takes_served: bool) -> Option<String> {
         true => {
             " [--served SOCKET]\n\n\
              \x20 --served SOCKET   submit the sweep to a wmn-served daemon instead of\n\
-             \x20                   running in-process (CSV output is byte-identical)"
+             \x20                   running in-process (every CSV it writes is byte-identical)"
         }
         false => "",
     };
@@ -312,18 +313,9 @@ pub fn parse_fig_args(bin: &str, takes_served: bool) -> Option<String> {
 
 /// Run duration knobs shared by the figure binaries:
 /// `(duration, warmup)`.
-pub fn sweep_durations() -> (wmn_sim::SimDuration, wmn_sim::SimDuration) {
-    if quick_mode() {
-        (
-            wmn_sim::SimDuration::from_secs(20),
-            wmn_sim::SimDuration::from_secs(5),
-        )
-    } else {
-        (
-            wmn_sim::SimDuration::from_secs(60),
-            wmn_sim::SimDuration::from_secs(10),
-        )
-    }
+pub fn sweep_durations() -> (SimDuration, SimDuration) {
+    let (dur, warm) = if quick_mode() { (20, 5) } else { (60, 10) };
+    (SimDuration::from_secs(dur), SimDuration::from_secs(warm))
 }
 
 #[cfg(test)]

@@ -1,65 +1,72 @@
 #!/usr/bin/env python3
-"""Assemble EXPERIMENTS.md from the template and the tables emitted by the
-experiment binaries (results/*.log). Re-run after ./scripts/run_all_experiments.sh."""
+"""Refresh the figure tables in EXPERIMENTS.md from the tables the experiment
+binaries printed (results/*.log). Re-run after ./scripts/run_all_experiments.sh.
 
-import re
+Every '### <title>' heading in EXPERIMENTS.md whose title a log also prints
+has its table replaced, in place, by the log's block of the same title. All
+other text, headings included, is left as it is."""
+
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TEMPLATE = ROOT / "docs" / "EXPERIMENTS.template.md"
 OUT = ROOT / "EXPERIMENTS.md"
 RESULTS = ROOT / "results"
 
-LOG_FOR = {
-    "tab1": "tab1_params.log",
-    "fig1": "fig1_overhead_size.log",
-    "fig2": "fig2_reachability.log",
-    "fig3": "fig3_pdr_load.log",
-    "fig4": "fig4_delay_load.log",
-    "fig5": "fig5_throughput.log",
-    "fig6": "fig6_load_balance.log",
-    "fig7": "fig7_mobility.log",
-    "fig8": "fig8_hello_ablation.log",
-    "fig9": "fig9_energy.log",
-    "fig10": "fig10_gateway.log",
-    "tab2": "tab2_summary.log",
-}
+
+def is_table_line(line: str) -> bool:
+    return line.startswith("|") or line == ""
 
 
 def tables_in(log_path: Path):
-    """Extract each '### title' markdown table block from a log file."""
-    if not log_path.exists():
-        return []
+    """Each '### title' markdown table block of a log file, as (title, lines)."""
     blocks = []
     for part in log_path.read_text().split("### ")[1:]:
         lines = part.splitlines()
-        tbl = ["### " + lines[0]]
+        body = []
         for line in lines[1:]:
-            if line.startswith("|") or line == "":
-                tbl.append(line)
-            else:
+            if not is_table_line(line):
                 break
-        blocks.append("\n".join(tbl).rstrip())
+            body.append(line)
+        while body and body[-1] == "":
+            body.pop()
+        blocks.append((lines[0], ["### " + lines[0]] + body))
     return blocks
 
 
 def main():
-    template = TEMPLATE.read_text()
+    blocks = {}
+    for log in sorted(RESULTS.glob("*.log")):
+        for title, block in tables_in(log):
+            if blocks.get(title, block) != block:
+                sys.exit(f"error: two logs print different '### {title}' tables")
+            blocks[title] = block
 
-    def substitute(match):
-        fig_id, index = match.group(1), int(match.group(2) or 0)
-        blocks = tables_in(RESULTS / LOG_FOR[fig_id])
-        if index < len(blocks):
-            return blocks[index]
-        return f"*(table `{fig_id}[{index}]` not yet generated — run `./scripts/run_all_experiments.sh`)*"
-
-    out = re.sub(r"<!-- TABLE:(\w+)(?::(\d+))? -->", substitute, template)
-    OUT.write_text(out)
-    print(f"wrote {OUT}")
-    missing = out.count("not yet generated")
-    if missing:
-        print(f"warning: {missing} tables missing", file=sys.stderr)
+    lines = OUT.read_text().split("\n")
+    out, refreshed, i = [], set(), 0
+    while i < len(lines):
+        title = lines[i][4:] if lines[i].startswith("### ") else None
+        if title not in blocks:
+            out.append(lines[i])
+            i += 1
+            continue
+        end = i + 1
+        while end < len(lines) and is_table_line(lines[end]):
+            end += 1
+        # Keep the blank lines between the old table and what follows it.
+        keep = end
+        while keep > i + 1 and lines[keep - 1] == "":
+            keep -= 1
+        out += blocks[title] + lines[keep:end]
+        refreshed.add(title)
+        i = end
+    OUT.write_text("\n".join(out))
+    print(f"refreshed {len(refreshed)} tables in {OUT}")
+    unused = sorted(set(blocks) - refreshed)
+    if unused:
+        print(f"note: no '### ' heading for {len(unused)} logged tables:", file=sys.stderr)
+        for title in unused:
+            print(f"  {title}", file=sys.stderr)
 
 
 if __name__ == "__main__":

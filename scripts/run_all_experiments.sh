@@ -7,9 +7,10 @@
 # reruns everything. Failures don't stop the sweep — every remaining figure
 # still runs, and the script reports the failed set and exits non-zero.
 #
-# --served: route the service-ported figures (fig3, fig11) through a
-# wmn-served daemon instead of in-process sweeps. The CSVs are
-# byte-identical either way; the daemon's prefix-dedup and warm
+# --served: route the spec-driven sweeps (load_sweep, fig11_churn) through a
+# wmn-served daemon instead of in-process sweeps. Every CSV they write is
+# byte-identical either way; load_sweep's four in-process-only CSVs keep
+# their last in-process output. The daemon's prefix-dedup and warm
 # link-budget-cache counters are recorded in EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,11 +25,11 @@ if [ "$#" -gt 0 ]; then
   exit 2
 fi
 
-bins=(tab1_params fig1_overhead_size fig2_reachability fig3_pdr_load fig4_delay_load \
-      fig5_throughput fig6_load_balance fig7_mobility fig8_hello_ablation fig9_energy \
-      fig10_gateway fig11_churn tab2_summary)
+# load_sweep writes Figs. 3, 4, 5, 6 and 9: five views of one sweep.
+bins=(tab1_params fig1_overhead_size fig2_reachability load_sweep fig7_mobility \
+      fig8_hello_ablation fig10_gateway fig11_churn tab2_summary)
 # Figures that accept --served SOCKET (byte-identical CSV contract).
-served_bins=" fig3_pdr_load fig11_churn "
+served_bins=" load_sweep fig11_churn "
 mkdir -p results
 rev=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
@@ -88,10 +89,10 @@ if [ -n "$served" ]; then
 <!-- served-begin -->
 ## Served mode — batch dedup economics
 
-\`./scripts/run_all_experiments.sh --served\` routed fig3 and fig11
-through a \`wmn-served\` daemon (rev ${rev}, QUICK=${QUICK:-0}); the
-emitted CSVs are byte-identical to the one-shot binaries. Daemon counters
-at end of batch:
+\`./scripts/run_all_experiments.sh --served\` routed the offered-load
+sweep (fig3, fig4, fig5, fig6) and fig11 through a \`wmn-served\` daemon
+(rev ${rev}, QUICK=${QUICK:-0}); the emitted CSVs are byte-identical to
+the in-process runs. Daemon counters at end of batch:
 
 \`\`\`
 ${status}
