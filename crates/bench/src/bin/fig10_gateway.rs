@@ -7,6 +7,7 @@
 
 use cnlr::routing::{FlowId, NodeId, RoutingConfig};
 use cnlr::traffic::{FlowSpec, TrafficPattern};
+use wmn_bench::spec_sweep::Panel;
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
 use wmn_sim::SimTime;
 
@@ -53,20 +54,12 @@ fn main() {
             .duration(dur)
             .warmup(warm)
     };
-    let tables = sweep_figure_multi(
-        &spec,
-        &[
-            ("PDR", &|r: &cnlr::RunResults| r.pdr()),
-            ("hotspot factor (max/mean)", &|r: &cnlr::RunResults| {
-                r.hotspot
-            }),
-            ("mean delay (ms)", &|r: &cnlr::RunResults| r.mean_delay_ms()),
-        ],
-        &xs,
-        &schemes,
-        build,
-    );
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "hotspot", &tables[1]);
-    emit(&spec, "delay", &tables[2]);
+    let panels = [
+        Panel::local(spec, "", "PDR", |r| r.pdr()),
+        Panel::local(spec, "hotspot", "hotspot factor (max/mean)", |r| r.hotspot),
+        Panel::local(spec, "delay", "mean delay (ms)", |r| r.mean_delay_ms()),
+    ];
+    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

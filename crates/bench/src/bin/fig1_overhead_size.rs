@@ -5,6 +5,7 @@
 //! CNLR between p_min·N and p_max·N depending on load, always below
 //! flooding.
 
+use wmn_bench::spec_sweep::Panel;
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
 
 fn main() {
@@ -30,20 +31,15 @@ fn main() {
             .duration(dur)
             .warmup(warm)
     };
-    let tables = sweep_figure_multi(
-        &spec,
-        &[
-            ("RREQ tx per discovery", &|r: &cnlr::RunResults| {
-                r.rreq_tx_per_discovery
-            }),
-            ("saved-rebroadcast ratio", &|r: &cnlr::RunResults| {
-                r.saved_rebroadcast
-            }),
-        ],
-        &xs,
-        &schemes,
-        build,
-    );
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "srb", &tables[1]);
+    let panels = [
+        Panel::local(spec, "", "RREQ tx per discovery", |r| {
+            r.rreq_tx_per_discovery
+        }),
+        Panel::local(spec, "srb", "saved-rebroadcast ratio", |r| {
+            r.saved_rebroadcast
+        }),
+    ];
+    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

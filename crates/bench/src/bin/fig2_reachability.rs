@@ -5,6 +5,7 @@
 //! first as the network thins; CNLR's probability floor keeps it near
 //! flooding.
 
+use wmn_bench::spec_sweep::Panel;
 use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
 
 fn main() {
@@ -30,18 +31,11 @@ fn main() {
             .duration(dur)
             .warmup(warm)
     };
-    let tables = sweep_figure_multi(
-        &spec,
-        &[
-            ("discovery success ratio", &|r: &cnlr::RunResults| {
-                r.discovery_success
-            }),
-            ("packet delivery ratio", &|r: &cnlr::RunResults| r.pdr()),
-        ],
-        &xs,
-        &schemes,
-        build,
-    );
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "pdr", &tables[1]);
+    let panels = [
+        Panel::local(spec, "", "discovery success ratio", |r| r.discovery_success),
+        Panel::local(spec, "pdr", "packet delivery ratio", |r| r.pdr()),
+    ];
+    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

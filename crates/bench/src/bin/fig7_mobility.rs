@@ -7,6 +7,7 @@
 //! small overhead premium over CNLR.
 
 use cnlr::{CnlrConfig, Scheme, VapConfig};
+use wmn_bench::spec_sweep::Panel;
 use wmn_bench::{emit, sweep_durations, sweep_figure_multi, FigureSpec};
 use wmn_mobility::MobilityConfig;
 
@@ -48,28 +49,21 @@ fn main() {
             .duration(dur)
             .warmup(warm)
     };
-    let tables = sweep_figure_multi(
-        &spec,
-        &[
-            ("PDR", &|r: &cnlr::RunResults| r.pdr()),
-            ("RREQ tx per discovery", &|r: &cnlr::RunResults| {
-                r.rreq_tx_per_discovery
-            }),
-            // Link-cache effectiveness under mobility (the scenario
-            // per-entry budget reuse targets).
-            ("link cache hit rate", &|r: &cnlr::RunResults| {
-                r.medium.link_cache_hits as f64 / r.medium.tx_started.max(1) as f64
-            }),
-            ("link budget reuse rate", &|r: &cnlr::RunResults| {
-                1.0 - r.medium.pathloss_evals as f64 / r.medium.link_budgets.max(1) as f64
-            }),
-        ],
-        &xs,
-        &schemes,
-        build,
-    );
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "overhead", &tables[1]);
-    emit(&spec, "cache", &tables[2]);
-    emit(&spec, "reuse", &tables[3]);
+    let panels = [
+        Panel::local(spec, "", "PDR", |r| r.pdr()),
+        Panel::local(spec, "overhead", "RREQ tx per discovery", |r| {
+            r.rreq_tx_per_discovery
+        }),
+        // Link-cache effectiveness under mobility (the scenario per-entry
+        // budget reuse targets).
+        Panel::local(spec, "cache", "link cache hit rate", |r| {
+            r.medium.link_cache_hits as f64 / r.medium.tx_started.max(1) as f64
+        }),
+        Panel::local(spec, "reuse", "link budget reuse rate", |r| {
+            1.0 - r.medium.pathloss_evals as f64 / r.medium.link_budgets.max(1) as f64
+        }),
+    ];
+    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

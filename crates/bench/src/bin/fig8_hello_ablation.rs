@@ -6,6 +6,7 @@
 //! sparse ones leave the load view stale and link breaks undetected.
 
 use cnlr::{CnlrConfig, Scheme};
+use wmn_bench::spec_sweep::Panel;
 use wmn_bench::{emit, sweep_durations, sweep_figure_multi, FigureSpec};
 use wmn_routing::RoutingConfig;
 use wmn_sim::SimDuration;
@@ -38,18 +39,13 @@ fn main() {
             .duration(dur)
             .warmup(warm)
     };
-    let tables = sweep_figure_multi(
-        &spec,
-        &[
-            ("PDR", &|r: &cnlr::RunResults| r.pdr()),
-            ("control tx (total)", &|r: &cnlr::RunResults| {
-                r.control_tx as f64
-            }),
-        ],
-        &xs,
-        &schemes,
-        build,
-    );
-    emit(&spec, "", &tables[0]);
-    emit(&spec, "control", &tables[1]);
+    let panels = [
+        Panel::local(spec, "", "PDR", |r| r.pdr()),
+        Panel::local(spec, "control", "control tx (total)", |r| {
+            r.control_tx as f64
+        }),
+    ];
+    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+        emit(&panel.figure, panel.suffix, &table);
+    }
 }

@@ -1,5 +1,6 @@
 //! Tab. 2 — full-metric summary at the reference operating point
-//! (8×8 backbone, 30 flows @ 8 pkt/s — just past the contention knee).
+//! (8×8 backbone, 30 flows @ 8 pkt/s — just past the contention knee;
+//! `QUICK=1` runs 15 flows, and the titles say so).
 
 use cnlr::Scheme;
 use wmn_bench::{emit, quick_mode, replication_seeds, sweep_durations, write_manifest, FigureSpec};
@@ -14,7 +15,7 @@ fn main() {
     let schemes = Scheme::evaluation_set();
     let mut all_runs = Vec::new();
     let mut table = ResultTable::new(
-        "tab2 — Summary at the reference point (8×8, 30 flows @ 8 pkt/s)",
+        format!("tab2 — Summary at the reference point (8×8, {flows} flows @ 8 pkt/s)"),
         &[
             "scheme",
             "PDR",
@@ -90,9 +91,10 @@ fn main() {
         all_runs.extend(runs);
         eprintln!("[tab2] {} done", scheme.label());
     }
+    let title = format!("Summary at the reference point (8x8, {flows} flows @ 8 pkt/s)");
     let spec = FigureSpec {
         id: "tab2",
-        title: "Summary at the reference point (8x8, 30 flows @ 8 pkt/s)",
+        title: &title,
         x_label: "scheme",
     };
     emit(&spec, "", &table);

@@ -400,71 +400,27 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
     }
 }
 
-/// Simple fixed-ratio histogram: bucket k covers [lo * 2^k, lo * 2^(k+1)).
-fn histogram(label: &str, unit: &str, values: &[f64]) {
-    if values.is_empty() {
-        println!("{label}: no samples");
-        return;
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    println!(
-        "{label}: {} samples, mean {mean:.1} {unit}, max {max:.1} {unit}",
-        values.len()
-    );
-    let lo = values
-        .iter()
-        .cloned()
-        .filter(|v| *v > 0.0)
-        .fold(f64::MAX, f64::min);
-    if !lo.is_finite() || lo == f64::MAX {
-        return;
-    }
-    let mut buckets: BTreeMap<u32, usize> = BTreeMap::new();
-    for v in values {
-        let k = if *v <= lo {
-            0
-        } else {
-            (v / lo).log2().floor() as u32
-        };
-        *buckets.entry(k).or_insert(0) += 1;
-    }
-    let widest = buckets.values().copied().max().unwrap_or(1);
-    for (k, count) in &buckets {
-        let lo_k = lo * f64::powi(2.0, *k as i32);
-        let bar = "#".repeat((count * 40).div_ceil(widest));
-        println!(
-            "  [{:>12.1}, {:>12.1}) {:>6} {bar}",
-            lo_k,
-            lo_k * 2.0,
-            count
-        );
-    }
-}
-
 fn profile(events: &[TelemetryEvent]) {
-    let mut rates = Vec::new();
-    let mut heaps = Vec::new();
+    let (mut rates, mut heaps) = (LogHistogram::new(), LogHistogram::new());
     for ev in events {
         if let EventKind::EngineProbe { rate, heap, .. } = ev.kind {
             if rate > 0.0 {
-                rates.push(rate);
+                rates.record(rate as u64);
             }
-            heaps.push(heap as f64);
+            heaps.record(heap);
         }
     }
-    if rates.is_empty() && heaps.is_empty() {
+    if heaps.count() == 0 {
         println!("no engine probes in this trace — record with WMN_TELEMETRY=profile");
         return;
     }
-    histogram("events/sec", "ev/s", &rates);
+    log_histogram("events/sec", "ev/s", &rates);
     println!();
-    histogram("heap depth", "events", &heaps);
+    log_histogram("heap depth", "events", &heaps);
 }
 
-/// Render a fixed-bucket log histogram with `#` bars (same visual idiom as
-/// [`histogram`], but over the profile's pre-bucketed counts).
+/// Render a log histogram with `#` bars: the one renderer for the trace's
+/// engine probes and a profile's pre-bucketed counts.
 fn log_histogram(label: &str, unit: &str, h: &LogHistogram) {
     if h.count() == 0 {
         println!("{label}: no samples");

@@ -9,6 +9,7 @@
 
 use cnlr::cli::{self, Argv};
 use cnlr::{RunResults, ScenarioBuilder, Scheme};
+use spec_sweep::Panel;
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
 use wmn_sim::SimDuration;
 use wmn_telemetry::{Counters, RunManifest};
@@ -17,11 +18,11 @@ pub mod spec_sweep;
 
 /// Metadata of one reconstructed figure.
 #[derive(Clone, Copy, Debug)]
-pub struct FigureSpec {
+pub struct FigureSpec<'a> {
     /// Identifier (`fig1`, `tab2`, …).
     pub id: &'static str,
     /// Human title.
-    pub title: &'static str,
+    pub title: &'a str,
     /// x-axis label.
     pub x_label: &'static str,
 }
@@ -37,9 +38,6 @@ pub fn quick_mode() -> bool {
 pub fn replication_seeds() -> Vec<u64> {
     seeds_from(0xC41B, if quick_mode() { 2 } else { 5 })
 }
-
-/// A named metric extractor.
-pub type Metric<'a> = (&'a str, &'a (dyn Fn(&RunResults) -> f64 + Sync));
 
 /// Decompose a flattened sweep job index into `(x, scheme, seed)` indices.
 /// Seed is the fastest-varying axis so one cell's replications stay
@@ -125,33 +123,18 @@ pub(crate) fn run_sweep<R: Send>(
     (tables, runs, seeds, wall_s)
 }
 
-/// Sweep a full figure once, extracting several metrics from the same runs
-/// (see `run_sweep` for the table layout and job order). For figures a
-/// [`wmn_served::ScenarioSpec`] describes, [`spec_sweep::sweep_spec`] is
-/// the path that can also run through a daemon.
-pub fn sweep_figure_multi<F>(
-    spec: &FigureSpec,
-    metrics: &[Metric<'_>],
-    xs: &[f64],
-    schemes: &[Scheme],
-    build: F,
-) -> Vec<ResultTable>
-where
-    F: Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
-{
-    let tables: Vec<_> = metrics.iter().map(|&(name, _)| (spec, name)).collect();
-    sweep_in_process(&tables, xs, schemes, build, |run, ti| metrics[ti].1(run))
-}
-
-/// [`run_sweep`] with every job built by `build` and run here; the
-/// manifest is written under the first table's figure id.
-pub(crate) fn sweep_in_process(
-    tables: &[(&FigureSpec, &str)],
+/// Sweep a figure once in-process and return each panel's table, in
+/// panel order (see `run_sweep` for the table layout and job order); every
+/// job is built by `build` and run here, and the manifest is written under
+/// the first panel's figure id. For figures a [`wmn_served::ScenarioSpec`]
+/// describes, [`spec_sweep::sweep_spec`] is the path that can also run
+/// through a daemon.
+pub fn sweep_figure_multi<'p>(
+    panels: &'p [Panel],
     xs: &[f64],
     schemes: &[Scheme],
     build: impl Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
-    value: impl Fn(&RunResults, usize) -> f64,
-) -> Vec<ResultTable> {
+) -> Vec<(&'p Panel, ResultTable)> {
     let run = |x: f64, scheme: &Scheme, seed: u64| {
         build(x, scheme, seed)
             .build()
@@ -159,9 +142,11 @@ pub(crate) fn sweep_in_process(
             .run()
     };
     let how = |threads| format!("on {threads} threads");
-    let (out, runs, seeds, wall_s) = run_sweep(tables, how, xs, schemes, run, value);
-    write_manifest(tables[0].0, schemes, &seeds, xs, wall_s, &runs, &[]);
-    out
+    let headings: Vec<_> = panels.iter().map(Panel::heading).collect();
+    let value = |run: &RunResults, ti: usize| panels[ti].read(run);
+    let (tables, runs, seeds, wall_s) = run_sweep(&headings, how, xs, schemes, run, value);
+    write_manifest(&panels[0].figure, schemes, &seeds, xs, wall_s, &runs, &[]);
+    panels.iter().zip(tables).collect()
 }
 
 /// What the runs of a sweep add to its manifest beyond the axes.

@@ -8,7 +8,7 @@
 //! dedup economics: prefix reuse and warm link-budget cache hits.
 
 use crate::{
-    csv_name, run_sweep, sweep_in_process, write_manifest_totals, FigureSpec, ManifestTotals,
+    csv_name, run_sweep, sweep_figure_multi, write_manifest_totals, FigureSpec, ManifestTotals,
 };
 use cnlr::{RunResults, Scheme};
 use std::time::Duration;
@@ -31,7 +31,7 @@ enum Reading {
 /// value is read.
 pub struct Panel {
     /// The figure whose title, x label and CSV name the table carries.
-    pub figure: FigureSpec,
+    pub figure: FigureSpec<'static>,
     /// CSV suffix (`results/<id>[_suffix].csv`, see [`crate::emit`]).
     pub suffix: &'static str,
     label: &'static str,
@@ -42,7 +42,7 @@ impl Panel {
     /// A panel read through the wire metric `key`: available in both
     /// transports.
     pub fn wire(
-        figure: FigureSpec,
+        figure: FigureSpec<'static>,
         suffix: &'static str,
         label: &'static str,
         key: &'static str,
@@ -58,7 +58,7 @@ impl Panel {
 
     /// A panel only an in-process run can fill.
     pub fn local(
-        figure: FigureSpec,
+        figure: FigureSpec<'static>,
         suffix: &'static str,
         label: &'static str,
         read: fn(&RunResults) -> f64,
@@ -72,8 +72,18 @@ impl Panel {
         }
     }
 
-    fn heading(&self) -> (&FigureSpec, &str) {
+    pub(crate) fn heading(&self) -> (&FigureSpec<'static>, &str) {
         (&self.figure, self.label)
+    }
+
+    /// This panel's value of an in-process run.
+    pub(crate) fn read(&self, run: &RunResults) -> f64 {
+        match &self.reading {
+            Reading::Wire(key) => (standard_metrics(run).into_iter())
+                .find(|(k, _)| k == key)
+                .map_or(f64::NAN, |(_, v)| v),
+            Reading::Local(read) => read(run),
+        }
     }
 }
 
@@ -98,15 +108,7 @@ where
             let builder = build(x, scheme, seed).to_builder();
             builder.unwrap_or_else(|e| panic!("invalid scenario spec at x={x}: {e}"))
         };
-        let value = |run: &RunResults, ti: usize| match &panels[ti].reading {
-            Reading::Wire(key) => (standard_metrics(run).into_iter())
-                .find(|(k, _)| k == key)
-                .map_or(f64::NAN, |(_, v)| v),
-            Reading::Local(read) => read(run),
-        };
-        let headings: Vec<_> = panels.iter().map(Panel::heading).collect();
-        let tables = sweep_in_process(&headings, xs, schemes, build, value);
-        return panels.iter().zip(tables).collect();
+        return sweep_figure_multi(panels, xs, schemes, build);
     };
     let keyed: Vec<(&Panel, &str)> = (panels.iter())
         .filter_map(|p| match p.reading {
@@ -125,8 +127,9 @@ where
     let run = |x: f64, scheme: &Scheme, seed: u64| {
         let mut client = Client::connect(socket)
             .unwrap_or_else(|e| panic!("cannot connect to daemon at {socket}: {e}"));
+        let hour = Duration::from_secs(3600);
         let result = client
-            .run_retrying(&build(x, scheme, seed), 0, Duration::from_secs(3600))
+            .run_retrying(&build(x, scheme, seed), 0, false, hour, |_| {})
             .unwrap_or_else(|e| panic!("served job failed at x={x}: {e}"));
         if !result.ok {
             panic!(

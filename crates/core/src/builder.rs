@@ -110,7 +110,6 @@ pub struct ScenarioBuilder {
     phy: PhyParams,
     mac: MacParams,
     routing: RoutingConfig,
-    backbone_mobility: MobilityConfig,
     mobile_clients: Option<(usize, MobilityConfig)>,
     flow_plan: FlowPlan,
     duration: SimDuration,
@@ -146,7 +145,6 @@ impl ScenarioBuilder {
             phy: PhyParams::classic_802_11b(),
             mac: MacParams::default(),
             routing: RoutingConfig::default(),
-            backbone_mobility: MobilityConfig::Static,
             mobile_clients: None,
             flow_plan: FlowPlan::Random {
                 count: 0,
@@ -217,12 +215,6 @@ impl ScenarioBuilder {
     /// Routing parameter overrides.
     pub fn routing(mut self, routing: RoutingConfig) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Make the backbone itself mobile (ad-hoc style scenarios).
-    pub fn backbone_mobility(mut self, m: MobilityConfig) -> Self {
-        self.backbone_mobility = m;
         self
     }
 
@@ -474,7 +466,7 @@ impl ScenarioBuilder {
         let mut nodes = Vec::with_capacity(total);
         for (i, &pos) in positions.iter().enumerate() {
             let mobility = if i < backbone_count {
-                self.backbone_mobility
+                MobilityConfig::Static
             } else {
                 self.mobile_clients
                     .as_ref()

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use wmn_faults::{FaultKind, TimedFault};
 use wmn_mac::{DropReason, Mac, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
-use wmn_metrics::{ProbeSeries, RecoveryTracker, TimeSeries};
+use wmn_metrics::{RecoveryTracker, TimeSeries};
 use wmn_routing::{DataDropReason, DataPacket, NodeId, Packet, RoutingAction, RoutingConfig};
 use wmn_sim::SimRng;
 use wmn_sim::{Scheduler, SimDuration, SimTime, World};
@@ -244,8 +244,6 @@ pub struct Network {
     pub outages: Vec<(u32, f64, Option<f64>)>,
     /// Route-repair latency tracker (fault → next delivery).
     pub recovery: RecoveryTracker,
-    /// Periodic cross-layer probe feed (empty unless telemetry probes ran).
-    pub probes: ProbeSeries,
     /// Events dispatched to this world (mirrors the engine's count; the
     /// world sees every dispatched event exactly once).
     pub events_handled: u64,
@@ -346,7 +344,6 @@ impl Network {
             sent_timeline: TimeSeries::new(SimDuration::from_secs(1)),
             outages: Vec::new(),
             recovery: RecoveryTracker::new(),
-            probes: ProbeSeries::new(SimDuration::from_secs(1)),
             events_handled: 0,
             tel: Tel::off(),
             probe_interval: None,
@@ -395,9 +392,6 @@ impl Network {
             node.mac.set_telemetry(t.clone());
             node.routing.set_telemetry(t);
         }
-        if let Some(tick) = probe_interval {
-            self.probes = ProbeSeries::new(tick);
-        }
         self.tel = tel;
         self.probe_interval = probe_interval;
         self.profile = profile;
@@ -414,13 +408,6 @@ impl Network {
         for i in 0..self.nodes.len() {
             let cross = self.nodes[i].cross_layer(now);
             let rp = self.nodes[i].routing.probe(&cross, now);
-            self.probes.record(
-                now,
-                cross.own_load.queue_util,
-                cross.own_load.busy_ratio,
-                rp.load,
-                rp.forward_probability,
-            );
             self.tel.emit_at(
                 i as u32,
                 now,

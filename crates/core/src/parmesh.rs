@@ -58,7 +58,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use wmn_metrics::ProbeSeries;
 use wmn_sim::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use wmn_sim::shard::{
     CheckpointState, Lookahead, RegionCtx, RegionId, RegionWorld, ShardProbe, ShardedEngine,
@@ -383,9 +382,6 @@ pub struct ParMeshOutcome {
     pub trace_fp: Option<(u64, u64)>,
     /// Engine execution profile (present when profiling was requested).
     pub profile: Option<ShardProfile>,
-    /// 1 Hz cross-layer probe feed, rebuilt from the merged trace (empty
-    /// when telemetry was off).
-    pub probes: ProbeSeries,
     /// Supervisor summary (checkpoints written, interrupt and resume
     /// lineage); present only when the run used checkpoints, resume or the
     /// interrupt.
@@ -1697,27 +1693,11 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
         (Vec::new(), None)
     };
 
-    // Rebuild the 1 Hz cross-layer probe feed from the merged trace; the
-    // merge order makes the series independent of region/thread layout.
-    let mut probes = ProbeSeries::new(HELLO_INTERVAL);
-    for ev in &trace {
-        if let EventKind::NodeProbe {
-            queue,
-            busy,
-            load,
-            fwd_p,
-        } = ev.kind
-        {
-            probes.record(SimTime(ev.t_ns), queue, busy, load, fwd_p);
-        }
-    }
-
     Ok(ParMeshOutcome {
         report: agg,
         trace,
         trace_fp,
         profile,
-        probes,
         supervisor,
     })
 }
@@ -1813,7 +1793,6 @@ mod tests {
     #[test]
     fn probes_fire_at_one_hertz() {
         let out = small(2);
-        assert!(!out.probes.is_empty());
         let n_probes = out
             .trace
             .iter()

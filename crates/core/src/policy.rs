@@ -8,9 +8,7 @@
 //!    channel-busy ratio, [`wmn_mac::LoadDigest`]) and the digests its
 //!    neighbours piggyback on HELLO beacons.
 //! 2. A first-copy RREQ is rebroadcast with probability
-//!    `p = p_max − (p_max − p_min)·L`, optionally damped by local density
-//!    (`(n_ref / n)^γ`, the classic probabilistic-broadcast density
-//!    correction).
+//!    `p = p_max − (p_max − p_min)·L`, linear in the load index.
 //! 3. Forwarded RREQs accumulate `L` into their `path_load` field; routes
 //!    are selected by the combined cost `hops + β·path_load`, so among the
 //!    discovered paths the origin prefers the one through the quietest
@@ -42,10 +40,6 @@ pub struct CnlrConfig {
     pub w_self: f64,
     /// Route-cost weight of accumulated path load (`cost = hops + β·load`).
     pub beta_load: f64,
-    /// Density-correction reference degree (`γ = 0` disables).
-    pub density_ref: f64,
-    /// Density-correction exponent.
-    pub density_gamma: f64,
     /// Maximum forwarding jitter.
     pub jitter_max: SimDuration,
 }
@@ -59,8 +53,6 @@ impl Default for CnlrConfig {
             w_busy: 1.0,
             w_self: 0.5,
             beta_load: 2.0,
-            density_ref: 8.0,
-            density_gamma: 0.0,
             jitter_max: SimDuration::from_millis(10),
         }
     }
@@ -85,14 +77,7 @@ impl CnlrConfig {
 
     /// The load-adaptive rebroadcast probability for a context.
     pub fn probability(&self, ctx: &RreqContext) -> f64 {
-        let load = self.neighbourhood_load(ctx);
-        let mut p = self.p_max - (self.p_max - self.p_min) * load;
-        if self.density_gamma > 0.0 && ctx.neighbor_count > 0 {
-            let corr = (self.density_ref / ctx.neighbor_count as f64)
-                .powf(self.density_gamma)
-                .min(1.0);
-            p *= corr;
-        }
+        let p = self.p_max - (self.p_max - self.p_min) * self.neighbourhood_load(ctx);
         p.clamp(self.p_min.min(self.p_max), self.p_max)
     }
 }
@@ -236,15 +221,12 @@ impl RebroadcastPolicy for VapCnlr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wmn_mac::LoadDigest;
     use wmn_routing::{NodeId, RreqKey};
-    use wmn_sim::SimTime;
 
-    fn ctx(own: f64, nbr: Option<f64>, neighbors: usize) -> RreqContext {
+    fn ctx(own: f64, nbr: Option<f64>) -> RreqContext {
         RreqContext {
-            now: SimTime::ZERO,
-            prior_copies: 0,
-            neighbor_count: neighbors,
             own_load: LoadDigest {
                 queue_util: own,
                 busy_ratio: own,
@@ -276,9 +258,9 @@ mod tests {
     #[test]
     fn probability_spans_pmin_pmax() {
         let c = CnlrConfig::default();
-        assert!((c.probability(&ctx(0.0, Some(0.0), 8)) - c.p_max).abs() < 1e-12);
-        assert!((c.probability(&ctx(1.0, Some(1.0), 8)) - c.p_min).abs() < 1e-12);
-        let mid = c.probability(&ctx(0.5, Some(0.5), 8));
+        assert!((c.probability(&ctx(0.0, Some(0.0))) - c.p_max).abs() < 1e-12);
+        assert!((c.probability(&ctx(1.0, Some(1.0))) - c.p_min).abs() < 1e-12);
+        let mid = c.probability(&ctx(0.5, Some(0.5)));
         assert!((mid - (c.p_max + c.p_min) / 2.0).abs() < 1e-12);
     }
 
@@ -288,7 +270,7 @@ mod tests {
         let mut last = 1.1;
         for i in 0..=10 {
             let l = i as f64 / 10.0;
-            let p = c.probability(&ctx(l, Some(l), 8));
+            let p = c.probability(&ctx(l, Some(l)));
             assert!(p <= last);
             last = p;
         }
@@ -297,7 +279,7 @@ mod tests {
     #[test]
     fn own_only_when_no_neighbors() {
         let c = CnlrConfig::default();
-        let l = c.neighbourhood_load(&ctx(0.8, None, 0));
+        let l = c.neighbourhood_load(&ctx(0.8, None));
         assert!((l - 0.8).abs() < 1e-12);
     }
 
@@ -307,30 +289,39 @@ mod tests {
             w_self: 0.25,
             ..CnlrConfig::default()
         };
-        let l = c.neighbourhood_load(&ctx(0.8, Some(0.4), 5));
+        let l = c.neighbourhood_load(&ctx(0.8, Some(0.4)));
         assert!((l - (0.25 * 0.8 + 0.75 * 0.4)).abs() < 1e-12);
     }
 
-    #[test]
-    fn density_correction_reduces_p_in_dense_areas() {
-        let mut c = CnlrConfig {
-            density_gamma: 1.0,
-            ..CnlrConfig::default()
-        };
-        c.density_ref = 8.0;
-        let sparse = c.probability(&ctx(0.0, Some(0.0), 4));
-        let dense = c.probability(&ctx(0.0, Some(0.0), 32));
-        assert!(dense < sparse, "dense {dense} vs sparse {sparse}");
-        assert!(dense >= c.p_min);
-        // Correction never boosts above p_max in sparse areas.
-        assert!(sparse <= c.p_max + 1e-12);
+    proptest! {
+        /// The rebroadcast probability is exactly the paper's linear law,
+        /// clamped to `[p_min, p_max]`: no other term enters it.
+        #[test]
+        fn probability_is_linear_in_neighbourhood_load(
+            bounds in (0.0f64..=1.0, 0.0f64..=1.0),
+            weights in (0.0f64..=2.0, 0.0f64..=2.0, 0.0f64..=1.0),
+            own in (0.0f64..=1.0, 0.0f64..=1.0),
+            nbr in prop::option::of((0.0f64..=1.0, 0.0f64..=1.0)),
+        ) {
+            let (p_min, p_max) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+            let (w_queue, w_busy, w_self) = weights;
+            let (queue, busy) = own;
+            let c = CnlrConfig { p_min, p_max, w_queue, w_busy, w_self, ..CnlrConfig::default() };
+            let mut x = ctx(0.0, None);
+            x.own_load = LoadDigest { queue_util: queue, busy_ratio: busy, mac_service_s: 0.0 };
+            x.nbr_mean_queue = nbr.map(|(q, _)| q);
+            x.nbr_mean_busy = nbr.map(|(_, b)| b);
+            let l = c.neighbourhood_load(&x);
+            let want = (p_max - (p_max - p_min) * l).clamp(p_min, p_max);
+            prop_assert_eq!(c.probability(&x).to_bits(), want.to_bits());
+        }
     }
 
     #[test]
     fn decision_statistics_track_probability() {
         let mut p = CnlrPolicy::new(CnlrConfig::default());
         let mut rng = SimRng::new(1);
-        let busy = ctx(1.0, Some(1.0), 8);
+        let busy = ctx(1.0, Some(1.0));
         let n = 20_000;
         let fwd = (0..n)
             .filter(|_| {
@@ -351,9 +342,9 @@ mod tests {
     fn annotate_accumulates_load() {
         let mut p = CnlrPolicy::new(CnlrConfig::default());
         let mut r = rreq();
-        p.annotate(&mut r, &ctx(0.6, Some(0.6), 8));
+        p.annotate(&mut r, &ctx(0.6, Some(0.6)));
         assert!((r.path_load - 0.6).abs() < 1e-12);
-        p.annotate(&mut r, &ctx(0.2, Some(0.2), 8));
+        p.annotate(&mut r, &ctx(0.2, Some(0.2)));
         assert!((r.path_load - 0.8).abs() < 1e-12);
     }
 
@@ -370,10 +361,10 @@ mod tests {
     #[test]
     fn vap_damps_by_relative_speed() {
         let v = VapCnlr::new(CnlrConfig::default(), VapConfig::default());
-        let mut fast = ctx(0.0, Some(0.0), 8);
+        let mut fast = ctx(0.0, Some(0.0));
         fast.sender_velocity = Some((20.0, 0.0));
         fast.own_velocity = (-10.0, 0.0); // Δv = 30 m/s
-        let mut slow = ctx(0.0, Some(0.0), 8);
+        let mut slow = ctx(0.0, Some(0.0));
         slow.sender_velocity = Some((1.0, 0.0));
         slow.own_velocity = (0.0, 0.0); // Δv = 1 m/s
         let s_fast = v.stability(&fast);
@@ -391,7 +382,7 @@ mod tests {
                 p_floor: 0.2,
             },
         );
-        let mut c = ctx(1.0, Some(1.0), 8);
+        let mut c = ctx(1.0, Some(1.0));
         c.sender_velocity = Some((100.0, 0.0));
         let mut rng = SimRng::new(2);
         let n = 20_000;
@@ -411,7 +402,7 @@ mod tests {
     #[test]
     fn vap_annotate_adds_instability_cost() {
         let mut v = VapCnlr::new(CnlrConfig::default(), VapConfig::default());
-        let mut stable = ctx(0.0, Some(0.0), 8);
+        let mut stable = ctx(0.0, Some(0.0));
         stable.sender_velocity = Some((0.0, 0.0));
         let mut unstable = stable;
         unstable.sender_velocity = Some((50.0, 0.0));

@@ -18,8 +18,6 @@ pub struct RunResults {
     pub nodes: usize,
     /// Flow count.
     pub flows: usize,
-    /// Measured (post-warm-up) interval, seconds.
-    pub measured_s: f64,
     /// Flow-level delivery summary.
     pub summary: TrackerSummary,
     /// Aggregate goodput over the measured interval, kb/s.
@@ -71,8 +69,6 @@ pub struct RunResults {
     pub delivery_rate_pps: Vec<f64>,
     /// Total radio energy consumed network-wide, joules.
     pub energy_total_j: f64,
-    /// Energy per delivered data packet, millijoules.
-    pub energy_per_delivered_mj: f64,
     /// Communication-only (tx + rx) energy per delivered packet,
     /// millijoules — the scheme-discriminating efficiency metric (idle
     /// draw is identical across schemes).
@@ -140,7 +136,6 @@ impl RunResults {
             scheme,
             nodes: network.nodes.len(),
             flows: network.flows.len(),
-            measured_s: measured.as_secs_f64(),
             goodput_kbps: network.tracker.goodput_bps(measured) / 1000.0,
             rreq_tx,
             rreq_tx_per_discovery: rreq_tx as f64 / discoveries as f64,
@@ -171,7 +166,6 @@ impl RunResults {
             events: report.events_processed,
             delivery_rate_pps: network.delivery_timeline.rates().map(|(_, r)| r).collect(),
             energy_total_j: energy_total,
-            energy_per_delivered_mj: energy_total * 1_000.0 / summary.delivered.max(1) as f64,
             comm_energy_per_delivered_mj: comm_energy * 1_000.0 / summary.delivered.max(1) as f64,
             energy_max_node_j: energy_max,
             summary,

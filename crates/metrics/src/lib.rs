@@ -21,6 +21,6 @@ pub use ci::{t_critical_95, MeanCi};
 pub use fairness::{coefficient_of_variation, hotspot_factor, jain_index};
 pub use recovery::{pdr_during_outages, time_to_reconverge, RecoveryTracker};
 pub use replicate::{default_threads, run_jobs, run_replications, seeds_from};
-pub use series::{Bin, ProbeSeries, TimeSeries};
+pub use series::TimeSeries;
 pub use table::{fmt_f, ResultTable};
 pub use welford::Welford;

@@ -75,10 +75,10 @@ pub fn pdr_during_outages(
     };
     let mut s = 0u64;
     let mut d = 0u64;
-    for (i, bin) in sent.bins().iter().enumerate() {
+    for (i, &n) in sent.bins().iter().enumerate() {
         if in_outage(i) {
-            s += bin.count;
-            d += delivered.bins().get(i).map_or(0, |b| b.count);
+            s += n;
+            d += delivered.bins().get(i).copied().unwrap_or(0);
         }
     }
     if s == 0 {
@@ -105,7 +105,7 @@ pub fn time_to_reconverge(
     }
     let baseline: f64 = delivered.bins()[..fault_bin]
         .iter()
-        .map(|b| b.count as f64)
+        .map(|&n| n as f64)
         .sum::<f64>()
         / fault_bin as f64;
     if baseline <= 0.0 {
@@ -120,7 +120,7 @@ pub fn time_to_reconverge(
         }
         if bins[start..start + sustain]
             .iter()
-            .all(|b| b.count as f64 >= target)
+            .all(|&n| n as f64 >= target)
         {
             // A fault landing mid-bin that never dents delivery recovers
             // "immediately": clamp the bin-aligned delta at zero.

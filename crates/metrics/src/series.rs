@@ -1,36 +1,15 @@
-//! Time-binned series — metrics as a function of simulation time.
+//! Time-binned event counts — rates as a function of simulation time.
 //!
-//! Used for convergence/transient views: delivery ratio per second, queue
-//! build-up over time, etc. Values are accumulated into fixed-width bins;
-//! each bin exposes count/sum/mean.
+//! Used for convergence/transient views: deliveries per second, sends per
+//! second. Events are counted into fixed-width bins starting at t = 0.
 
 use wmn_sim::{SimDuration, SimTime};
 
-/// One accumulation bin.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Bin {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: f64,
-}
-
-impl Bin {
-    /// Mean of the bin's samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// A fixed-bin time series starting at t = 0.
+/// A fixed-bin event-count series starting at t = 0.
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
     width: SimDuration,
-    bins: Vec<Bin>,
+    bins: Vec<u64>,
 }
 
 impl TimeSeries {
@@ -43,25 +22,13 @@ impl TimeSeries {
         }
     }
 
-    fn bin_index(&self, t: SimTime) -> usize {
-        (t.as_nanos() / self.width.as_nanos()) as usize
-    }
-
-    /// Record `value` at time `t`.
-    pub fn record(&mut self, t: SimTime, value: f64) {
-        let i = self.bin_index(t);
-        if i >= self.bins.len() {
-            self.bins.resize(i + 1, Bin::default());
-        }
-        let b = &mut self.bins[i];
-        b.count += 1;
-        b.sum += value;
-    }
-
-    /// Record an event (value 1) at `t` — turns the series into a rate
-    /// counter (`bin.count / bin_width`).
+    /// Count one event at `t`.
     pub fn mark(&mut self, t: SimTime) {
-        self.record(t, 1.0);
+        let i = (t.as_nanos() / self.width.as_nanos()) as usize;
+        if i >= self.bins.len() {
+            self.bins.resize(i + 1, 0);
+        }
+        self.bins[i] += 1;
     }
 
     /// Bin width.
@@ -69,28 +36,19 @@ impl TimeSeries {
         self.width
     }
 
-    /// All bins (trailing empty bins up to the last recorded one included).
-    pub fn bins(&self) -> &[Bin] {
+    /// Event count per bin (trailing empty bins up to the last marked one
+    /// included).
+    pub fn bins(&self) -> &[u64] {
         &self.bins
-    }
-
-    /// `(bin_start_time, mean)` pairs.
-    pub fn means(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, b)| (SimTime(self.width.as_nanos() * i as u64), b.mean()))
     }
 
     /// `(bin_start_time, events_per_second)` pairs.
     pub fn rates(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         let secs = self.width.as_secs_f64();
-        self.bins.iter().enumerate().map(move |(i, b)| {
-            (
-                SimTime(self.width.as_nanos() * i as u64),
-                b.count as f64 / secs,
-            )
-        })
+        self.bins
+            .iter()
+            .enumerate()
+            .map(move |(i, &n)| (SimTime(self.width.as_nanos() * i as u64), n as f64 / secs))
     }
 
     /// Number of bins.
@@ -98,49 +56,9 @@ impl TimeSeries {
         self.bins.len()
     }
 
-    /// True when nothing was recorded.
+    /// True when nothing was marked.
     pub fn is_empty(&self) -> bool {
         self.bins.is_empty()
-    }
-}
-
-/// The periodic cross-layer probe feed: one [`TimeSeries`] per sampled
-/// signal, all sharing the probe tick as bin width. Each probe records one
-/// sample per node, so a bin's mean is the network-wide mean for that tick.
-#[derive(Clone, Debug)]
-pub struct ProbeSeries {
-    /// Interface-queue utilisation `[0, 1]`.
-    pub queue: TimeSeries,
-    /// Channel busy ratio `[0, 1]`.
-    pub busy: TimeSeries,
-    /// Neighbourhood load estimate `[0, 1]` (0 for load-blind schemes).
-    pub load: TimeSeries,
-    /// Rebroadcast probability the policy would apply.
-    pub fwd_p: TimeSeries,
-}
-
-impl ProbeSeries {
-    /// Create the feed with the probe tick as bin width.
-    pub fn new(tick: SimDuration) -> Self {
-        ProbeSeries {
-            queue: TimeSeries::new(tick),
-            busy: TimeSeries::new(tick),
-            load: TimeSeries::new(tick),
-            fwd_p: TimeSeries::new(tick),
-        }
-    }
-
-    /// Record one node's sample at `t`.
-    pub fn record(&mut self, t: SimTime, queue: f64, busy: f64, load: f64, fwd_p: f64) {
-        self.queue.record(t, queue);
-        self.busy.record(t, busy);
-        self.load.record(t, load);
-        self.fwd_p.record(t, fwd_p);
-    }
-
-    /// True when no probe ever fired.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -153,31 +71,13 @@ mod tests {
     }
 
     #[test]
-    fn probe_series_bins_by_tick() {
-        let mut p = ProbeSeries::new(SimDuration::from_secs(1));
-        assert!(p.is_empty());
-        p.record(t(100), 0.5, 0.25, 0.1, 0.9);
-        p.record(t(200), 0.7, 0.75, 0.3, 0.7);
-        assert!((p.queue.bins()[0].mean() - 0.6).abs() < 1e-12);
-        assert!((p.busy.bins()[0].mean() - 0.5).abs() < 1e-12);
-        assert!((p.load.bins()[0].mean() - 0.2).abs() < 1e-12);
-        assert!((p.fwd_p.bins()[0].mean() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binning_and_means() {
+    fn binning_counts() {
         let mut s = TimeSeries::new(SimDuration::from_secs(1));
-        s.record(t(100), 2.0);
-        s.record(t(900), 4.0);
-        s.record(t(1_500), 10.0);
-        s.record(t(3_100), 1.0);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.bins()[0], Bin { count: 2, sum: 6.0 });
-        assert!((s.bins()[0].mean() - 3.0).abs() < 1e-12);
-        assert!((s.bins()[1].mean() - 10.0).abs() < 1e-12);
-        assert_eq!(s.bins()[2].mean(), 0.0); // empty gap bin
-        let means: Vec<(SimTime, f64)> = s.means().collect();
-        assert_eq!(means[3], (t(3_000), 1.0));
+        s.mark(t(100));
+        s.mark(t(900));
+        s.mark(t(1_500));
+        s.mark(t(3_100));
+        assert_eq!(s.bins(), &[2, 1, 0, 1]); // empty gap bin kept
     }
 
     #[test]
@@ -196,16 +96,14 @@ mod tests {
     fn empty_series() {
         let s = TimeSeries::new(SimDuration::from_secs(1));
         assert!(s.is_empty());
-        assert_eq!(s.means().count(), 0);
+        assert_eq!(s.rates().count(), 0);
     }
 
     #[test]
     fn boundary_lands_in_upper_bin() {
         let mut s = TimeSeries::new(SimDuration::from_secs(1));
-        s.record(t(1_000), 5.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.bins()[0].count, 0);
-        assert_eq!(s.bins()[1].count, 1);
+        s.mark(t(1_000));
+        assert_eq!(s.bins(), &[0, 1]);
     }
 
     #[test]

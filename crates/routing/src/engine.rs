@@ -137,8 +137,6 @@ pub struct Routing {
 /// rebroadcast decision at one node (the periodic probe payload).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RouteProbe {
-    /// Live 1-hop neighbour count.
-    pub neighbor_count: usize,
     /// The policy's neighbourhood-load estimate `[0, 1]` (0 when the
     /// scheme is load-blind).
     pub load: f64,
@@ -185,9 +183,8 @@ impl Routing {
     /// Sample the cross-layer signals as the policy sees them right now
     /// (the periodic probe; does not touch policy or RNG state).
     pub fn probe(&mut self, cross: &CrossLayer, now: SimTime) -> RouteProbe {
-        let ctx = self.rreq_context(self.me, 0, cross, now);
+        let ctx = self.rreq_context(self.me, cross, now);
         RouteProbe {
-            neighbor_count: ctx.neighbor_count,
             load: self.policy.load_estimate(&ctx),
             forward_probability: self.policy.forward_probability(&ctx),
         }
@@ -369,13 +366,7 @@ impl Routing {
         }
     }
 
-    fn rreq_context(
-        &mut self,
-        from: NodeId,
-        prior_copies: u32,
-        cross: &CrossLayer,
-        now: SimTime,
-    ) -> RreqContext {
+    fn rreq_context(&mut self, from: NodeId, cross: &CrossLayer, now: SimTime) -> RreqContext {
         // One pass, in the table's ascending-id order: each mean adds the
         // terms `mean_neighbor_load` would, in the same order.
         let (mut live, mut queue, mut busy) = (0usize, 0.0, 0.0);
@@ -390,9 +381,6 @@ impl Routing {
         }
         let mean = |sum: f64| (live > 0).then(|| sum / live as f64);
         RreqContext {
-            now,
-            prior_copies,
-            neighbor_count: live,
             own_load: cross.own_load,
             nbr_mean_queue: mean(queue),
             nbr_mean_busy: mean(busy),
@@ -500,7 +488,7 @@ impl Routing {
             return;
         }
 
-        let ctx = self.rreq_context(from, prior, cross, now);
+        let ctx = self.rreq_context(from, cross, now);
         match self.policy.on_first_copy(&rreq, &ctx, &mut self.rng) {
             Decision::Forward { jitter } => {
                 self.seen.resolve(rreq.key);
@@ -784,7 +772,7 @@ impl Routing {
                     let copies = self.seen.copies(key);
                     if self.policy.assess(&rreq, copies, &mut self.rng) {
                         // Context at assessment time, sender unknown now.
-                        let ctx = self.rreq_context(key.origin, copies, cross, now);
+                        let ctx = self.rreq_context(key.origin, cross, now);
                         let fwd = self.prepare_forward(rreq, &ctx);
                         self.stats.rreq_forwarded += 1;
                         self.tel.emit(
@@ -1472,8 +1460,7 @@ mod tests {
         assert_eq!(nt.live_count(now), 5);
         let bits = |m: Option<f64>| m.map(f64::to_bits);
         for sender in [12, 17, 99] {
-            let ctx = r.rreq_context(NodeId(sender), 0, &cross(), now);
-            assert_eq!(ctx.neighbor_count, 5);
+            let ctx = r.rreq_context(NodeId(sender), &cross(), now);
             let queue = nt.mean_neighbor_load(now, |d| d.queue_util);
             let busy = nt.mean_neighbor_load(now, |d| d.busy_ratio);
             assert_eq!(bits(ctx.nbr_mean_queue), bits(queue));

@@ -8,19 +8,13 @@
 
 use crate::packet::Rreq;
 use wmn_mac::LoadDigest;
-use wmn_sim::{SimDuration, SimRng, SimTime};
+use wmn_sim::{SimDuration, SimRng};
 
 /// Everything a policy may condition its decision on. Cross-layer fields
 /// (load digests, velocities) are filled in by the node stack; the baselines
 /// ignore them, CNLR aggregates them with its own weights.
 #[derive(Clone, Copy, Debug)]
 pub struct RreqContext {
-    /// Current time.
-    pub now: SimTime,
-    /// Copies of this RREQ received *before* the current one.
-    pub prior_copies: u32,
-    /// Live 1-hop neighbour count.
-    pub neighbor_count: usize,
     /// This node's own MAC load digest.
     pub own_load: LoadDigest,
     /// Mean queue utilisation over live neighbours (from HELLOs), if any.
@@ -317,9 +311,6 @@ mod tests {
 
     fn ctx() -> RreqContext {
         RreqContext {
-            now: SimTime::ZERO,
-            prior_copies: 0,
-            neighbor_count: 8,
             own_load: LoadDigest::default(),
             nbr_mean_queue: None,
             nbr_mean_busy: None,

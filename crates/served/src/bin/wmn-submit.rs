@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! wmn-submit --socket PATH [scenario flags] [--priority P] [--stream] [--json]
-//! wmn-submit --socket PATH --status [--json]
 //! wmn-submit --socket PATH --cancel JOB
 //! wmn-submit --socket PATH --shutdown
 //! wmn-submit --socket PATH --ping
@@ -11,7 +10,8 @@
 //! Default action submits one job and waits for its result. `--stream`
 //! additionally prints the daemon's 1 Hz probe lines and the job manifest
 //! as they arrive. Exit codes: 0 success, 1 job failed/cancelled or
-//! connection error, 2 usage, 3 daemon busy.
+//! connection error, 2 usage, 3 daemon busy. Daemon status and the
+//! per-job listing are `wmn-trace jobs PATH`.
 
 use cnlr::cli::{self, Argv};
 use std::time::Duration;
@@ -22,8 +22,6 @@ fn help() -> String {
         "usage: wmn-submit --socket PATH [options]\n\
          \n\
          actions (default: submit one job and wait)\n\
-         \x20 --status          print daemon status\n\
-         \x20 --jobs            print per-job listing\n\
          \x20 --cancel JOB      cancel a job by id\n\
          \x20 --shutdown        ask the daemon to drain and exit\n\
          \x20 --ping            liveness check\n\
@@ -41,8 +39,6 @@ fn help() -> String {
 
 enum Action {
     Submit,
-    Status,
-    Jobs,
     Cancel(u64),
     Shutdown,
     Ping,
@@ -64,8 +60,6 @@ fn main() {
             }
             match flag.as_str() {
                 "--socket" => socket = Some(argv.value("--socket")?),
-                "--status" => action = Action::Status,
-                "--jobs" => action = Action::Jobs,
                 "--cancel" => action = Action::Cancel(argv.parsed("--cancel")?),
                 "--shutdown" => action = Action::Shutdown,
                 "--ping" => action = Action::Ping,
@@ -100,61 +94,10 @@ fn main() {
         Action::Ping => client.ping().map(|()| println!("pong")),
         Action::Shutdown => client.shutdown().map(|()| println!("draining")),
         Action::Cancel(id) => client.cancel(id).map(|o| println!("job {id}: {o}")),
-        Action::Status => client.status().map(|s| {
-            if json {
-                return println!("{}", s.to_line());
-            }
-            println!(
-                "queued {} | running {} | done {} | cancelled {} | failed {} | \
-                 busy-rejected {} | capacity {} | workers {}{}",
-                s.queued,
-                s.running,
-                s.stats.done,
-                s.stats.cancelled,
-                s.stats.failed,
-                s.stats.rejected_busy,
-                s.capacity,
-                s.workers,
-                if s.draining { " | DRAINING" } else { "" }
-            );
-            println!(
-                "prefix cache: {} hits / {} builds; warm link cache: {} imports / {} exports",
-                s.stats.prefix_hits,
-                s.stats.prefix_builds,
-                s.stats.warm_imports,
-                s.stats.warm_exports
-            );
-        }),
-        Action::Jobs => client.jobs().map(|jobs| {
-            if json {
-                return println!("{}", jobs.to_line());
-            }
-            println!(
-                "{:>5}  {:<10} {:<16} {:>6}  seed",
-                "job", "state", "scheme", "prio"
-            );
-            for j in jobs.0 {
-                println!(
-                    "{:>5}  {:<10} {:<16} {:>6}  {}",
-                    j.id, j.state, j.scheme, j.priority, j.seed
-                );
-            }
-        }),
         Action::Submit => {
-            let mut submit_and_wait = || {
-                let job = client.submit(&spec, priority, stream)?;
-                client.wait(job, |line| println!("{line}"))
-            };
-            // Bounded busy-retry wraps the whole submit (no retry at 0 s).
-            let deadline = std::time::Instant::now() + retry_busy;
-            let run = loop {
-                match submit_and_wait() {
-                    Err(ClientError::Busy) if std::time::Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    other => break other,
-                }
-            };
+            let run = client.run_retrying(&spec, priority, stream, retry_busy, |line| {
+                println!("{line}")
+            });
             match run {
                 Ok(result) if result.ok => {
                     if json {

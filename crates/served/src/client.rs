@@ -186,26 +186,24 @@ impl Client {
         }
     }
 
-    /// Submit and wait, no streaming.
-    pub fn run(&mut self, spec: &ScenarioSpec, priority: i64) -> Result<JobResult, ClientError> {
-        let job = self.submit(spec, priority, false)?;
-        self.wait(job, |_| {})
-    }
-
-    /// [`Client::run`] with bounded retry on `busy`: backpressure from the
-    /// daemon's bounded queue is an invitation to resubmit, not an error,
-    /// so sweep drivers sleep (25 ms doubling to 400 ms) and retry until
-    /// `max_wait` is spent.
+    /// Submit and wait, with bounded retry on `busy`: backpressure from
+    /// the daemon's bounded queue is an invitation to resubmit, not an
+    /// error, so callers sleep (25 ms doubling to 400 ms) and retry until
+    /// `max_wait` is spent (no retry at zero). Stream lines go to
+    /// `on_line` as in [`Client::wait`].
     pub fn run_retrying(
         &mut self,
         spec: &ScenarioSpec,
         priority: i64,
+        stream: bool,
         max_wait: Duration,
+        mut on_line: impl FnMut(&str),
     ) -> Result<JobResult, ClientError> {
         let deadline = Instant::now() + max_wait;
         let mut backoff = Duration::from_millis(25);
         loop {
-            match self.run(spec, priority) {
+            let job = self.submit(spec, priority, stream);
+            match job.and_then(|job| self.wait(job, &mut on_line)) {
                 Err(ClientError::Busy) => {
                     if Instant::now() + backoff > deadline {
                         return Err(ClientError::Busy);

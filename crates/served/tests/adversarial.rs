@@ -79,7 +79,7 @@ fn assert_still_serving(path: &Path, after: &str) {
     let result = watchdog(after, move || {
         let mut client = Client::connect(&path).expect("connect");
         client.ping().expect("ping");
-        client.run(&tiny(4.0), 0).expect("small run")
+        (client.run_retrying(&tiny(4.0), 0, false, Duration::ZERO, |_| {})).expect("small run")
     });
     assert!(result.ok, "after {after}: {:?}", result.error);
 }

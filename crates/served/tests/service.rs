@@ -21,6 +21,11 @@ fn start(tag: &str, workers: usize, queue_cap: usize) -> (Server, PathBuf) {
     (server, path)
 }
 
+/// Submit and wait with no busy retry.
+fn run(client: &mut Client, spec: &ScenarioSpec) -> Result<wmn_served::JobResult, ClientError> {
+    client.run_retrying(spec, 0, false, Duration::ZERO, |_| {})
+}
+
 fn tiny(seed: u64, scheme: &str) -> ScenarioSpec {
     ScenarioSpec {
         seed,
@@ -52,7 +57,7 @@ fn served_job_matches_one_shot_bit_for_bit() {
     let (server, path) = start("match", 2, 8);
     let spec = tiny(11, "cnlr");
     let mut client = Client::connect(&path).expect("connect");
-    let result = client.run(&spec, 0).expect("job runs");
+    let result = run(&mut client, &spec).expect("job runs");
     assert!(result.ok, "job failed: {:?}", result.error);
 
     let reference = direct(&spec);
@@ -86,7 +91,7 @@ fn prefix_dedup_shares_builds_and_warm_cache() {
     for (i, scheme) in schemes.iter().enumerate() {
         let spec = tiny(99, scheme);
         let mut client = Client::connect(&path).expect("connect");
-        let result = client.run(&spec, 0).expect("job runs");
+        let result = run(&mut client, &spec).expect("job runs");
         assert!(result.ok, "{scheme} failed: {:?}", result.error);
         assert_eq!(result.prefix_reused, i > 0, "prefix reuse on job {i}");
         assert_eq!(result.warm_import, i > 0, "warm cache import on job {i}");
@@ -156,12 +161,10 @@ fn bounded_queue_returns_busy_instead_of_blocking() {
     assert_eq!(result.error.as_deref(), Some("cancelled"));
 }
 
-#[test]
-fn cancel_mid_run_interrupts_and_reports_cancelled() {
-    let (server, path) = start("cancel", 1, 4);
-    // A deliberately long job (10 min simulated): only cancellation ends
-    // it quickly.
-    let big = ScenarioSpec {
+/// A deliberately long job (10 min simulated): only cancellation ends it
+/// quickly.
+fn big() -> ScenarioSpec {
+    ScenarioSpec {
         seed: 5,
         scheme: "flooding".into(),
         grid_rows: 6,
@@ -171,10 +174,11 @@ fn cancel_mid_run_interrupts_and_reports_cancelled() {
         duration_s: 600.0,
         warmup_s: 10.0,
         ..ScenarioSpec::default()
-    };
-    let mut submitter = Client::connect(&path).expect("connect");
-    let id = submitter.submit(&big, 0, false).expect("queued");
-    let mut admin = Client::connect(&path).expect("connect");
+    }
+}
+
+/// Poll the daemon until a job is running.
+fn await_running(admin: &mut Client) {
     let t0 = Instant::now();
     while admin.status().expect("status").running == 0 {
         assert!(
@@ -183,6 +187,48 @@ fn cancel_mid_run_interrupts_and_reports_cancelled() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn busy_retry_gives_up_at_zero_and_gets_in_once_the_slot_frees() {
+    let (server, path) = start("retry", 1, 1);
+    let mut long = Client::connect(&path).expect("connect");
+    let id = long.submit(&big(), 0, false).expect("queued");
+    let mut admin = Client::connect(&path).expect("connect");
+    await_running(&mut admin);
+    // The one worker is busy and the one queue slot is taken.
+    let mut queued = Client::connect(&path).expect("connect");
+    queued.submit(&tiny(1, "cnlr"), 0, false).expect("queued");
+
+    let mut client = Client::connect(&path).expect("connect");
+    match run(&mut client, &tiny(2, "cnlr")) {
+        Err(ClientError::Busy) => {}
+        other => panic!("expected Busy, got {other:?}"),
+    }
+    // Free the worker once the generous wait below has been refused at
+    // least once (the first refusal was the zero wait's).
+    let cancel = std::thread::spawn(move || {
+        while admin.status().expect("status").stats.rejected_busy < 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        admin.cancel(id).expect("cancel")
+    });
+    let result = client
+        .run_retrying(&tiny(2, "cnlr"), 0, false, Duration::from_secs(60), |_| {})
+        .expect("gets in once the slot frees");
+    assert!(result.ok, "retried job failed: {:?}", result.error);
+    assert_eq!(cancel.join().unwrap(), "cancelling");
+    let stats = server.join();
+    assert_eq!(stats.done, 2);
+}
+
+#[test]
+fn cancel_mid_run_interrupts_and_reports_cancelled() {
+    let (server, path) = start("cancel", 1, 4);
+    let mut submitter = Client::connect(&path).expect("connect");
+    let id = submitter.submit(&big(), 0, false).expect("queued");
+    let mut admin = Client::connect(&path).expect("connect");
+    await_running(&mut admin);
     assert_eq!(admin.cancel(id).expect("cancel"), "cancelling");
     let result = submitter.wait(id, |_| {}).expect("terminal line");
     assert!(!result.ok, "cancelled job must not report success");
@@ -278,7 +324,7 @@ fn bad_specs_fail_cleanly() {
         other => panic!("expected rejection, got {other:?}"),
     }
     // The connection stays usable after a rejected submit.
-    let result = client.run(&tiny(1, "cnlr"), 0).expect("good job runs");
+    let result = run(&mut client, &tiny(1, "cnlr")).expect("good job runs");
     assert!(result.ok);
     server.join();
 }

@@ -37,7 +37,7 @@ daemon=""
 sock=""
 if [ -n "$served" ]; then
   echo "=== starting wmn-served daemon ==="
-  cargo build --release -q -p wmn-served
+  cargo build --release -q -p wmn-served -p wmn-bench
   sock="${TMPDIR:-/tmp}/wmn_served_$$.sock"
   ./target/release/wmn-served --socket "$sock" --workers "${WMN_THREADS:-$(nproc)}" &
   daemon=$!
@@ -72,8 +72,9 @@ for b in "${bins[@]}"; do
 done
 
 if [ -n "$served" ]; then
-  # Record the batch's dedup economics before draining the daemon.
-  status=$(./target/release/wmn-submit --socket "$sock" --status)
+  # Record the batch's dedup economics before draining the daemon: the
+  # summary lines of `wmn-trace jobs`, up to its first blank line.
+  status=$(./target/release/wmn-trace jobs "$sock" | sed '/^$/,$d')
   echo "$status"
   manifest_facts=""
   for m in results/fig3_served_manifest.json results/fig11_served_manifest.json; do
