@@ -4,11 +4,14 @@
 //! WMN deployment. Expected shape: CNLR's load-aware route costs spread the
 //! approach paths, giving the lowest hotspot factor and the highest PDR as
 //! the gateway region saturates.
+//!
+//! The one builder-closure sweep: its flows are a hand-ordered list of ring
+//! sources with staggered starts, which no `ScenarioSpec` field states.
 
-use cnlr::routing::{FlowId, NodeId, RoutingConfig};
+use cnlr::routing::{FlowId, NodeId};
 use cnlr::traffic::{FlowSpec, TrafficPattern};
 use wmn_bench::spec_sweep::Panel;
-use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
+use wmn_bench::{emit, sweep_durations, sweep_figure_multi, FigureSpec};
 use wmn_sim::SimTime;
 
 fn main() {
@@ -24,7 +27,7 @@ fn main() {
     } else {
         vec![4.0, 8.0, 12.0, 16.0, 20.0]
     };
-    let schemes = standard_schemes();
+    let schemes = cnlr::Scheme::evaluation_set();
     let build = move |sources: f64, scheme: &cnlr::Scheme, seed: u64| {
         let gateway = NodeId(24); // centre of the 7×7 grid
                                   // Sources: the outermost ring, deterministic per count.
@@ -49,7 +52,6 @@ fn main() {
             .seed(seed)
             .grid(7, 7, 180.0)
             .scheme(scheme.clone())
-            .routing(RoutingConfig::default())
             .explicit_flows(flows)
             .duration(dur)
             .warmup(warm)

@@ -16,8 +16,8 @@
 //! path.
 
 use cnlr::Scheme;
-use wmn_bench::spec_sweep::{sweep_spec, Panel};
-use wmn_bench::{emit, parse_fig_args, sweep_durations, FigureSpec};
+use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
+use wmn_bench::{emit, parse_fig_args, FigureSpec};
 use wmn_served::ScenarioSpec;
 
 fn main() {
@@ -27,7 +27,6 @@ fn main() {
         title: "Node churn: delivery and recovery vs crash rate",
         x_label: "crashes_per_node_min",
     };
-    let (dur, warm) = sweep_durations();
     let xs: Vec<f64> = if wmn_bench::quick_mode() {
         vec![0.0, 1.0, 2.0, 4.0]
     } else {
@@ -40,20 +39,14 @@ fn main() {
         Panel::wire(spec, "repair", "route-repair latency s", "repair_latency_s"),
         Panel::wire(spec, "reconverge", "time-to-reconverge s", "reconverge_s"),
     ];
-    let build = move |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
-        seed,
-        scheme: scheme.spec_string(),
+    let build = |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
         grid_rows: 6,
         grid_cols: 6,
-        pitch_m: 180.0,
         flows: 12,
         pps: 4.0,
-        payload: 512,
-        duration_s: dur.as_secs_f64(),
-        warmup_s: warm.as_secs_f64(),
         // `rate` crashes per node-minute of uptime ⇒ MTBF = 60/rate.
         churn: (rate > 0.0).then(|| (60.0 / rate, 10.0)),
-        ..ScenarioSpec::default()
+        ..base_spec(scheme, seed)
     };
     for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);

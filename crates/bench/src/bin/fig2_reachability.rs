@@ -4,38 +4,38 @@
 //! Expected shape: all schemes succeed when dense; fixed-p gossip decays
 //! first as the network thins; CNLR's probability floor keeps it near
 //! flooding.
+//!
+//! `--served SOCKET` submits the sweep to a running `wmn-served` daemon
+//! instead; both CSVs are byte-identical to the in-process path.
 
-use wmn_bench::spec_sweep::Panel;
-use wmn_bench::{emit, standard_schemes, sweep_durations, sweep_figure_multi, FigureSpec};
+use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
+use wmn_bench::{emit, parse_fig_args, FigureSpec};
+use wmn_served::ScenarioSpec;
 
 fn main() {
-    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
+    let served = parse_fig_args(env!("CARGO_BIN_NAME"), true);
     let spec = FigureSpec {
         id: "fig2",
         title: "Discovery success vs density (grid pitch)",
         x_label: "pitch_m",
     };
-    let (dur, warm) = sweep_durations();
     let xs: Vec<f64> = if wmn_bench::quick_mode() {
         vec![180.0, 230.0]
     } else {
         vec![150.0, 180.0, 200.0, 215.0, 230.0]
     };
-    let schemes = standard_schemes();
-    let build = |pitch: f64, scheme: &cnlr::Scheme, seed: u64| {
-        cnlr::ScenarioBuilder::new()
-            .seed(seed)
-            .grid(8, 8, pitch)
-            .scheme(scheme.clone())
-            .flows(10, 2.0, 512)
-            .duration(dur)
-            .warmup(warm)
+    let schemes = cnlr::Scheme::evaluation_set();
+    let build = |pitch: f64, scheme: &cnlr::Scheme, seed: u64| ScenarioSpec {
+        pitch_m: pitch,
+        flows: 10,
+        pps: 2.0,
+        ..base_spec(scheme, seed)
     };
     let panels = [
-        Panel::local(spec, "", "discovery success ratio", |r| r.discovery_success),
-        Panel::local(spec, "pdr", "packet delivery ratio", |r| r.pdr()),
+        Panel::wire(spec, "", "discovery success ratio", "discovery_success"),
+        Panel::wire(spec, "pdr", "packet delivery ratio", "pdr"),
     ];
-    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+    for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);
     }
 }

@@ -1,24 +1,27 @@
 //! Fig. 7 — mobile-client scenario vs maximum client speed.
 //!
 //! 6×6 static backbone plus 15 random-waypoint clients whose top speed is
-//! swept 0–20 m/s. Compares flooding, CNLR, and the velocity-aware
-//! VAP-CNLR. Expected shape: all schemes degrade with speed; VAP-CNLR
-//! retains the highest PDR at speed (it excludes about-to-break links) at a
-//! small overhead premium over CNLR.
+//! swept 0–20 m/s (at 0 the clients do not move). Compares flooding, CNLR,
+//! and the velocity-aware VAP-CNLR. Expected shape: all schemes degrade
+//! with speed; VAP-CNLR retains the highest PDR at speed (it excludes
+//! about-to-break links) at a small overhead premium over CNLR.
+//!
+//! `--served SOCKET` submits the sweep to a running `wmn-served` daemon
+//! instead; the PDR and overhead CSVs are byte-identical, and the two
+//! link-cache CSVs, which only an in-process run holds, are not written.
 
 use cnlr::{CnlrConfig, Scheme, VapConfig};
-use wmn_bench::spec_sweep::Panel;
-use wmn_bench::{emit, sweep_durations, sweep_figure_multi, FigureSpec};
-use wmn_mobility::MobilityConfig;
+use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
+use wmn_bench::{emit, parse_fig_args, FigureSpec};
+use wmn_served::ScenarioSpec;
 
 fn main() {
-    wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
+    let served = parse_fig_args(env!("CARGO_BIN_NAME"), true);
     let spec = FigureSpec {
         id: "fig7",
         title: "Mobile clients: PDR vs max speed",
         x_label: "speed_mps",
     };
-    let (dur, warm) = sweep_durations();
     let xs: Vec<f64> = if wmn_bench::quick_mode() {
         vec![0.0, 20.0]
     } else {
@@ -29,31 +32,23 @@ fn main() {
         Scheme::Cnlr(CnlrConfig::default()),
         Scheme::VapCnlr(CnlrConfig::default(), VapConfig::default()),
     ];
-    let build = move |speed: f64, scheme: &Scheme, seed: u64| {
-        let clients = 15;
-        let mobility = if speed <= 0.0 {
-            MobilityConfig::Static
-        } else {
-            MobilityConfig::RandomWaypoint {
-                v_min: 1.0,
-                v_max: speed,
-                pause_s: 2.0,
-            }
-        };
-        cnlr::ScenarioBuilder::new()
-            .seed(seed)
-            .grid(6, 6, 180.0)
-            .scheme(scheme.clone())
-            .mobile_clients(clients, mobility)
-            .flows(15, 4.0, 512)
-            .duration(dur)
-            .warmup(warm)
+    let build = |speed: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
+        grid_rows: 6,
+        grid_cols: 6,
+        flows: 15,
+        pps: 4.0,
+        clients: 15,
+        client_speed: speed,
+        ..base_spec(scheme, seed)
     };
     let panels = [
-        Panel::local(spec, "", "PDR", |r| r.pdr()),
-        Panel::local(spec, "overhead", "RREQ tx per discovery", |r| {
-            r.rreq_tx_per_discovery
-        }),
+        Panel::wire(spec, "", "PDR", "pdr"),
+        Panel::wire(
+            spec,
+            "overhead",
+            "RREQ tx per discovery",
+            "rreq_per_discovery",
+        ),
         // Link-cache effectiveness under mobility (the scenario per-entry
         // budget reuse targets).
         Panel::local(spec, "cache", "link cache hit rate", |r| {
@@ -63,7 +58,7 @@ fn main() {
             1.0 - r.medium.pathloss_evals as f64 / r.medium.link_budgets.max(1) as f64
         }),
     ];
-    for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
+    for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);
     }
 }

@@ -15,8 +15,8 @@
 //! byte-identical (the CI smoke job diffs them); the four panels only an
 //! in-process run holds are not written, and stderr names them.
 
-use wmn_bench::spec_sweep::{sweep_spec, Panel};
-use wmn_bench::{emit, parse_fig_args, standard_schemes, sweep_durations, FigureSpec};
+use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
+use wmn_bench::{emit, parse_fig_args, FigureSpec};
 use wmn_served::ScenarioSpec;
 
 fn main() {
@@ -47,26 +47,17 @@ fn main() {
             r.energy_max_node_j
         }),
     ];
-    let (dur, warm) = sweep_durations();
     let xs: Vec<f64> = if wmn_bench::quick_mode() {
         vec![10.0, 40.0]
     } else {
         vec![5.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     };
-    let build = move |flows: f64, scheme: &cnlr::Scheme, seed: u64| ScenarioSpec {
-        seed,
-        scheme: scheme.spec_string(),
-        grid_rows: 8,
-        grid_cols: 8,
-        pitch_m: 180.0,
+    let build = |flows: f64, scheme: &cnlr::Scheme, seed: u64| ScenarioSpec {
         flows: flows as usize,
         pps: 8.0,
-        payload: 512,
-        duration_s: dur.as_secs_f64(),
-        warmup_s: warm.as_secs_f64(),
-        ..ScenarioSpec::default()
+        ..base_spec(scheme, seed)
     };
-    let schemes = standard_schemes();
+    let schemes = cnlr::Scheme::evaluation_set();
     for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);
     }

@@ -259,11 +259,6 @@ fn fail(message: &str) -> ! {
     std::process::exit(1)
 }
 
-/// The standard scheme set.
-pub fn standard_schemes() -> Vec<Scheme> {
-    Scheme::evaluation_set()
-}
-
 /// Strict argv parsing for the figure binaries: `--help`, plus — where
 /// the figure can run through a `wmn-served` daemon (`takes_served`) —
 /// `--served SOCKET`, whose socket is returned. Anything else exits 2: a

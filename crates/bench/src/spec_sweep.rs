@@ -8,7 +8,8 @@
 //! dedup economics: prefix reuse and warm link-budget cache hits.
 
 use crate::{
-    csv_name, run_sweep, sweep_figure_multi, write_manifest_totals, FigureSpec, ManifestTotals,
+    csv_name, run_sweep, sweep_durations, sweep_figure_multi, write_manifest_totals, FigureSpec,
+    ManifestTotals,
 };
 use cnlr::{RunResults, Scheme};
 use std::time::Duration;
@@ -84,6 +85,19 @@ impl Panel {
                 .map_or(f64::NAN, |(_, v)| v),
             Reading::Local(read) => read(run),
         }
+    }
+}
+
+/// A figure job's common part: `seed`, `scheme` and [`sweep_durations`]
+/// over the [`ScenarioSpec`] defaults (8×8 grid, 180 m pitch, 512 B).
+pub fn base_spec(scheme: &Scheme, seed: u64) -> ScenarioSpec {
+    let (dur, warm) = sweep_durations();
+    ScenarioSpec {
+        seed,
+        scheme: scheme.spec_string(),
+        duration_s: dur.as_secs_f64(),
+        warmup_s: warm.as_secs_f64(),
+        ..ScenarioSpec::default()
     }
 }
 

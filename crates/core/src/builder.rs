@@ -88,6 +88,9 @@ impl std::fmt::Debug for SinkOverride {
     }
 }
 
+/// Fewest hops between the endpoints of a random flow.
+const MIN_FLOW_HOPS: u32 = 2;
+
 /// How flows are chosen.
 #[derive(Clone, Debug)]
 enum FlowPlan {
@@ -95,7 +98,6 @@ enum FlowPlan {
         count: usize,
         pps: f64,
         payload: usize,
-        min_hops: u32,
     },
     Explicit(Vec<FlowSpec>),
 }
@@ -109,7 +111,7 @@ pub struct ScenarioBuilder {
     scheme: Scheme,
     phy: PhyParams,
     mac: MacParams,
-    routing: RoutingConfig,
+    hello_interval: SimDuration,
     mobile_clients: Option<(usize, MobilityConfig)>,
     flow_plan: FlowPlan,
     duration: SimDuration,
@@ -144,13 +146,12 @@ impl ScenarioBuilder {
             scheme: Scheme::Flooding,
             phy: PhyParams::classic_802_11b(),
             mac: MacParams::default(),
-            routing: RoutingConfig::default(),
+            hello_interval: SimDuration::from_secs(1),
             mobile_clients: None,
             flow_plan: FlowPlan::Random {
                 count: 0,
                 pps: 4.0,
                 payload: 512,
-                min_hops: 2,
             },
             duration: SimDuration::from_secs(60),
             warmup: SimDuration::from_secs(10),
@@ -212,9 +213,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Routing parameter overrides.
-    pub fn routing(mut self, routing: RoutingConfig) -> Self {
-        self.routing = routing;
+    /// HELLO beacon interval (default 1 s); a neighbour is lost after
+    /// three silent intervals ([`RoutingConfig::with_hello`]).
+    pub fn hello_interval(mut self, interval: SimDuration) -> Self {
+        self.hello_interval = interval;
         self
     }
 
@@ -231,19 +233,6 @@ impl ScenarioBuilder {
             count,
             pps,
             payload,
-            min_hops: 2,
-        };
-        self
-    }
-
-    /// Like [`ScenarioBuilder::flows`] with an explicit hop-separation
-    /// requirement.
-    pub fn flows_min_hops(mut self, count: usize, pps: f64, payload: usize, min_hops: u32) -> Self {
-        self.flow_plan = FlowPlan::Random {
-            count,
-            pps,
-            payload,
-            min_hops,
         };
         self
     }
@@ -314,11 +303,12 @@ impl ScenarioBuilder {
     /// node positions and flow endpoints — seed, field, placement, PHY
     /// (its nominal range gates connectivity), mobile-client *count*,
     /// flow plan, duration/warmup (flow start/stop times) and the
-    /// connectivity requirement. Deliberately excluded: the scheme, MAC /
-    /// routing parameters, mobility models, faults, telemetry and cache
-    /// settings — none of them are consulted before the world is assembled,
-    /// so two builders that agree on this fingerprint draw bit-identical
-    /// topologies and flows and may share one [`ScenarioPrefix`].
+    /// connectivity requirement. Deliberately excluded: the scheme, MAC
+    /// parameters, HELLO interval, mobility models, faults, telemetry and
+    /// cache settings — none of them are consulted before the world is
+    /// assembled, so two builders that agree on this fingerprint draw
+    /// bit-identical topologies and flows and may share one
+    /// [`ScenarioPrefix`].
     pub fn prefix_fingerprint(&self) -> u64 {
         fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
             for &b in bytes {
@@ -327,16 +317,23 @@ impl ScenarioBuilder {
             }
             h
         }
+        // The hop floor shapes the flow draw, so the key keeps it.
+        let flows = match &self.flow_plan {
+            FlowPlan::Random { count, pps, payload } => format!(
+                "Random {{ count: {count}, pps: {pps:?}, payload: {payload}, min_hops: {MIN_FLOW_HOPS} }}"
+            ),
+            explicit => format!("{explicit:?}"),
+        };
         let key = format!(
             "seed={};region={:?}x{:?};placement={:?};phy={:?};clients={};\
-             flows={:?};dur={};warm={};conn={}",
+             flows={};dur={};warm={};conn={}",
             self.seed,
             self.region.width,
             self.region.height,
             self.placement,
             self.phy,
             self.mobile_clients.as_ref().map_or(0, |(c, _)| *c),
-            self.flow_plan,
+            flows,
             self.duration.as_nanos(),
             self.warmup.as_nanos(),
             self.require_connected,
@@ -388,7 +385,6 @@ impl ScenarioBuilder {
                 count,
                 pps,
                 payload,
-                min_hops,
             } => {
                 // At most one flow per attempt, so a count from outside the
                 // program cannot size the allocation beyond the attempt cap.
@@ -405,7 +401,7 @@ impl ScenarioBuilder {
                         continue;
                     }
                     match graph.hop_distance(src, dst) {
-                        Some(h) if h >= *min_hops => {}
+                        Some(h) if h >= MIN_FLOW_HOPS => {}
                         _ => continue,
                     }
                     // Stagger starts across the first part of the warm-up.
@@ -445,8 +441,8 @@ impl ScenarioBuilder {
     /// Assemble the world on top of a previously built prefix. The prefix
     /// must come from a builder that agrees on every prefix-relevant
     /// setting (same [`ScenarioBuilder::prefix_fingerprint`]); the scheme,
-    /// MAC/routing parameters, mobility models, faults and telemetry may
-    /// differ freely.
+    /// MAC parameters, HELLO interval, mobility models, faults and
+    /// telemetry may differ freely.
     pub fn build_with_prefix(self, prefix: &ScenarioPrefix) -> Result<Simulation, BuildError> {
         if prefix.fingerprint != self.prefix_fingerprint() {
             return Err(BuildError::PrefixMismatch);
@@ -463,6 +459,7 @@ impl ScenarioBuilder {
         }
 
         // --- Nodes ----------------------------------------------------
+        let routing = RoutingConfig::with_hello(self.hello_interval);
         let mut nodes = Vec::with_capacity(total);
         for (i, &pos) in positions.iter().enumerate() {
             let mobility = if i < backbone_count {
@@ -477,7 +474,7 @@ impl ScenarioBuilder {
                 i as u32,
                 self.seed,
                 self.mac.clone(),
-                self.routing.clone(),
+                routing.clone(),
                 self.scheme.build(),
                 mobility,
                 pos,
@@ -564,7 +561,7 @@ impl ScenarioBuilder {
                     RebootKit {
                         master_seed: self.seed,
                         mac: self.mac.clone(),
-                        routing: self.routing.clone(),
+                        routing,
                         scheme: self.scheme.clone(),
                     },
                 );

@@ -1,7 +1,6 @@
 //! Canonical evaluation presets (the reconstructed Table 1).
 
 use crate::builder::ScenarioBuilder;
-use crate::scheme::Scheme;
 use wmn_sim::SimDuration;
 
 /// The reconstructed simulation-parameter table (Tab. 1). Values are the
@@ -94,11 +93,6 @@ pub fn scale_random(n: usize, flows: usize, seed: u64) -> ScenarioBuilder {
         .flows(flows, 4.0, 512)
         .duration(SimDuration::from_secs(60))
         .warmup(SimDuration::from_secs(10))
-}
-
-/// The scheme set every figure sweeps, in presentation order.
-pub fn schemes() -> Vec<Scheme> {
-    Scheme::evaluation_set()
 }
 
 #[cfg(test)]

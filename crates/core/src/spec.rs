@@ -14,9 +14,9 @@ use wmn_mobility::MobilityConfig;
 use wmn_sim::SimDuration;
 use wmn_telemetry::json::{get, JsonValue, ObjectWriter};
 
-/// A scenario: enough to express every served figure sweep (fig3's 8×8
-/// load sweep, fig11's 6×6 churn sweep) exactly, while staying a flat JSON
-/// object the hand-rolled parser can read.
+/// A scenario: enough to express every spec-driven figure sweep (fig1,
+/// fig2, the offered-load sweep, fig7, fig8, fig11) exactly, while staying
+/// a flat JSON object the hand-rolled parser can read.
 ///
 /// Seeds are serialised as JSON *strings*; a bare integer is accepted too
 /// (the reader keeps plain integers exact over the full 64 bits).
@@ -44,10 +44,12 @@ pub struct ScenarioSpec {
     pub warmup_s: f64,
     /// Mobile client count (0 = static mesh).
     pub clients: usize,
-    /// Mobile client max speed, m/s.
+    /// Mobile client max speed, m/s (0 = the clients do not move).
     pub client_speed: f64,
     /// Node churn as `(mtbf_s, mttr_s)`, absent for fault-free runs.
     pub churn: Option<(f64, f64)>,
+    /// HELLO beacon interval, seconds.
+    pub hello_s: f64,
 }
 
 impl Default for ScenarioSpec {
@@ -66,6 +68,7 @@ impl Default for ScenarioSpec {
             clients: 0,
             client_speed: 10.0,
             churn: None,
+            hello_s: 1.0,
         }
     }
 }
@@ -81,6 +84,9 @@ const MAX_INDEX_CELLS: f64 = 250_000.0;
 /// Most crash/reboot cycles a valid churn may be expected to schedule
 /// (nodes × duration / (mtbf + mttr)); fig11's heaviest cell expects 86.
 const MAX_CHURN_FAULTS: f64 = 100_000.0;
+/// Valid HELLO intervals, seconds. The floor keeps a wire value from
+/// scheduling millions of beacons per simulated second.
+const HELLO_RANGE_S: std::ops::RangeInclusive<f64> = 0.01..=3600.0;
 
 /// One command-line flag of a scenario. [`FLAGS`] is the only place that
 /// maps a flag to a spec field: `wmn-sim` and `wmn-submit` both parse and
@@ -133,7 +139,7 @@ const FLAGS: &[Flag] = &[
     plain!("--duration" "S", "simulated seconds", duration_s),
     plain!("--warmup" "S", "statistics warm-up seconds", warmup_s),
     plain!("--clients" "N", "mobile random-waypoint clients", clients),
-    plain!("--client-speed" "V", "client max speed, m/s", client_speed),
+    plain!("--client-speed" "V", "client max speed, m/s (0: static clients)", client_speed),
     Flag {
         name: "--churn",
         shape: "MTBF,MTTR",
@@ -144,6 +150,7 @@ const FLAGS: &[Flag] = &[
         },
         show: |s| s.churn.map_or("off".into(), |(a, b)| format!("{a},{b}")),
     },
+    plain!("--hello" "S", "HELLO beacon interval, seconds", hello_s),
 ];
 
 impl ScenarioSpec {
@@ -184,12 +191,14 @@ impl ScenarioSpec {
         // Positive, and of a size whose products, reciprocals and
         // nanosecond counts stay finite: NaN, ±inf, 0, 1e-320 and 1e300
         // are all outside.
-        let (mtbf, mttr) = self.churn.unwrap_or((1.0, 1.0)); // absent churn passes
+        // Absent churn passes, and so do static clients (speed 0).
+        let (mtbf, mttr) = self.churn.unwrap_or((1.0, 1.0));
+        let speed = Some(self.client_speed).filter(|&v| v != 0.0).unwrap_or(1.0);
         for (name, x) in [
             ("pitch_m", self.pitch_m),
             ("pps", self.pps),
             ("duration_s", self.duration_s),
-            ("client_speed", self.client_speed),
+            ("client_speed", speed),
             ("churn mtbf", mtbf),
             ("churn mttr", mttr),
         ] {
@@ -214,6 +223,9 @@ impl ScenarioSpec {
                 "churn too fast: more than {MAX_CHURN_FAULTS} crashes expected"
             ));
         }
+        if !HELLO_RANGE_S.contains(&self.hello_s) {
+            return Err("hello_s must be in [0.01, 3600]".into());
+        }
         if self.payload == 0 {
             return Err("payload must be positive".into());
         }
@@ -236,16 +248,19 @@ impl ScenarioSpec {
             .scheme(scheme)
             .flows(self.flows, self.pps, self.payload)
             .duration(SimDuration::from_secs_f64(self.duration_s))
-            .warmup(SimDuration::from_secs_f64(self.warmup_s));
+            .warmup(SimDuration::from_secs_f64(self.warmup_s))
+            .hello_interval(SimDuration::from_secs_f64(self.hello_s));
         if self.clients > 0 {
-            b = b.mobile_clients(
-                self.clients,
+            let mobility = if self.client_speed == 0.0 {
+                MobilityConfig::Static
+            } else {
                 MobilityConfig::RandomWaypoint {
                     v_min: 1.0,
                     v_max: self.client_speed.max(1.0),
                     pause_s: 2.0,
-                },
-            );
+                }
+            };
+            b = b.mobile_clients(self.clients, mobility);
         }
         if let Some(plan) = self.fault_plan() {
             b = b.faults(plan);
@@ -272,7 +287,9 @@ impl ScenarioSpec {
         self.clients == 0 && self.churn.is_none()
     }
 
-    /// Write the spec's fields as members of a request line.
+    /// Write the spec's fields as members of a request line. Optional
+    /// fields at their defaults are left out, so a line written before the
+    /// field existed keeps its bytes.
     pub fn write_members(&self, o: &mut ObjectWriter<'_>) {
         o.field("seed", &self.seed.to_string())
             .field("scheme", &self.scheme)
@@ -290,6 +307,9 @@ impl ScenarioSpec {
         }
         if let Some((mtbf, mttr)) = self.churn {
             o.field("churn_mtbf_s", &mtbf).field("churn_mttr_s", &mttr);
+        }
+        if self.hello_s != 1.0 {
+            o.field("hello_s", &self.hello_s);
         }
     }
 
@@ -328,6 +348,7 @@ impl ScenarioSpec {
         f64_field("duration_s", &mut spec.duration_s)?;
         f64_field("warmup_s", &mut spec.warmup_s)?;
         f64_field("client_speed", &mut spec.client_speed)?;
+        f64_field("hello_s", &mut spec.hello_s)?;
         let mtbf = get(pairs, "churn_mtbf_s").map(|v| v.as_f64().ok_or("bad churn_mtbf_s"));
         let mttr = get(pairs, "churn_mttr_s").map(|v| v.as_f64().ok_or("bad churn_mttr_s"));
         spec.churn = match (mtbf, mttr) {
@@ -363,6 +384,7 @@ mod tests {
             clients: 3,
             client_speed: 12.5,
             churn: Some((30.0, 10.0)),
+            hello_s: 2.5,
         };
         let line = object(Layout::Compact, |o| spec.write_members(o));
         let pairs = parse_object(&line).expect("parses");
@@ -406,6 +428,11 @@ mod tests {
             "{\"churn_mtbf_s\":0,\"churn_mttr_s\":10}",
             // rows * cols wraps to 2 in unchecked usize arithmetic.
             "{\"grid_rows\":9223372036854775809,\"grid_cols\":2}",
+            "{\"hello_s\":0}",
+            "{\"hello_s\":1e-9}",
+            "{\"hello_s\":1e9}",
+            "{\"hello_s\":\"nan\"}",
+            "{\"clients\":3,\"client_speed\":-1}",
         ] {
             let pairs = parse_object(bad).unwrap();
             assert!(ScenarioSpec::from_pairs(&pairs).is_err(), "{bad} accepted");
@@ -436,6 +463,125 @@ mod tests {
             direct.prefix_fingerprint(),
             "spec lowering drifted from the one-shot preset"
         );
+    }
+
+    /// fig1, fig2, fig7 and fig8 as specs against the builder chains their
+    /// binaries carried before: the same topology and flow draw, the same
+    /// builder, and a short run of each that counts the same.
+    #[test]
+    fn figure_specs_lower_to_their_builder_chains() {
+        use crate::{CnlrConfig, ScenarioBuilder, VapConfig};
+        let seed = 7;
+        let (dur, warm) = (SimDuration::from_secs(3), SimDuration::from_secs(1));
+        let spec = |scheme: &str, side, pitch_m, flows, pps| ScenarioSpec {
+            seed,
+            scheme: scheme.into(),
+            grid_rows: side,
+            grid_cols: side,
+            pitch_m,
+            flows,
+            pps,
+            duration_s: 3.0,
+            warmup_s: 1.0,
+            ..ScenarioSpec::default()
+        };
+        let cnlr = || Scheme::Cnlr(CnlrConfig::default());
+        let fig7 = |speed| {
+            let mobility = if speed == 0.0 {
+                MobilityConfig::Static
+            } else {
+                MobilityConfig::RandomWaypoint {
+                    v_min: 1.0,
+                    v_max: speed,
+                    pause_s: 2.0,
+                }
+            };
+            let via_spec = ScenarioSpec {
+                clients: 15,
+                client_speed: speed,
+                ..spec("vap", 6, 180.0, 15, 4.0)
+            };
+            let chain = ScenarioBuilder::new()
+                .seed(seed)
+                .grid(6, 6, 180.0)
+                .scheme(Scheme::VapCnlr(CnlrConfig::default(), VapConfig::default()))
+                .mobile_clients(15, mobility)
+                .flows(15, 4.0, 512)
+                .duration(dur)
+                .warmup(warm);
+            (via_spec, chain)
+        };
+        let fig8 = |hello_s| {
+            let via_spec = ScenarioSpec {
+                hello_s,
+                ..spec("cnlr", 8, 180.0, 30, 8.0)
+            };
+            let chain = crate::presets::backbone(8, 0, seed)
+                .scheme(cnlr())
+                .hello_interval(SimDuration::from_secs_f64(hello_s))
+                .flows(30, 8.0, 512)
+                .duration(dur)
+                .warmup(warm);
+            (via_spec, chain)
+        };
+        let cases = [
+            (
+                "fig1 side 5",
+                (
+                    spec("cnlr", 5, 180.0, 15, 4.0),
+                    crate::presets::backbone(5, 15, seed)
+                        .scheme(cnlr())
+                        .duration(dur)
+                        .warmup(warm),
+                ),
+            ),
+            (
+                "fig2 pitch 230",
+                (
+                    spec("gossip:0.65", 8, 230.0, 10, 2.0),
+                    ScenarioBuilder::new()
+                        .seed(seed)
+                        .grid(8, 8, 230.0)
+                        .scheme(Scheme::Gossip { p: 0.65 })
+                        .flows(10, 2.0, 512)
+                        .duration(dur)
+                        .warmup(warm),
+                ),
+            ),
+            ("fig7 speed 0", fig7(0.0)),
+            ("fig7 speed 10", fig7(10.0)),
+            ("fig8 hello 0.5", fig8(0.5)),
+            ("fig8 hello 2", fig8(2.0)),
+        ];
+        for (name, (via_spec, chain)) in cases {
+            let lowered = via_spec.to_builder().unwrap();
+            assert_eq!(
+                lowered.prefix_fingerprint(),
+                chain.prefix_fingerprint(),
+                "{name}: topology and flow draw"
+            );
+            assert_eq!(format!("{lowered:?}"), format!("{chain:?}"), "{name}");
+            let (a, b) = (lowered.build().unwrap().run(), chain.build().unwrap().run());
+            assert_eq!(a.counters(), b.counters(), "{name}");
+            assert_eq!(a.events, b.events, "{name}");
+            assert_eq!(a.pdr().to_bits(), b.pdr().to_bits(), "{name}");
+        }
+    }
+
+    /// The daemon reports prefix fingerprints in its job manifests: the
+    /// key text, and so the value, must not drift.
+    #[test]
+    fn prefix_fingerprints_keep_their_values() {
+        let spec = ScenarioSpec {
+            grid_rows: 4,
+            grid_cols: 4,
+            flows: 2,
+            duration_s: 4.0,
+            warmup_s: 1.0,
+            ..ScenarioSpec::default()
+        };
+        let fingerprint = spec.to_builder().unwrap().prefix_fingerprint();
+        assert_eq!(fingerprint, 0x98ca_e4cb_a09e_8cd4);
     }
 
     #[test]

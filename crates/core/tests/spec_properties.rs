@@ -11,7 +11,7 @@ use cnlr::ScenarioSpec;
 use proptest::prelude::*;
 use wmn_telemetry::JsonValue;
 
-const FLAGS: [&str; 14] = [
+const FLAGS: [&str; 15] = [
     "--scheme",
     "--seed",
     "--grid",
@@ -24,11 +24,12 @@ const FLAGS: [&str; 14] = [
     "--clients",
     "--client-speed",
     "--churn",
+    "--hello",
     "--bogus",
     "-h",
 ];
 
-const KEYS: [&str; 15] = [
+const KEYS: [&str; 16] = [
     "seed",
     "scheme",
     "grid_rows",
@@ -43,6 +44,7 @@ const KEYS: [&str; 15] = [
     "client_speed",
     "churn_mtbf_s",
     "churn_mttr_s",
+    "hello_s",
     "op",
 ];
 

@@ -30,7 +30,14 @@ pub struct RoutingConfig {
 
 impl Default for RoutingConfig {
     fn default() -> Self {
-        let hello = SimDuration::from_secs(1);
+        RoutingConfig::with_hello(SimDuration::from_secs(1))
+    }
+}
+
+impl RoutingConfig {
+    /// The defaults with a HELLO beacon every `hello`; a neighbour is lost
+    /// after three silent intervals.
+    pub fn with_hello(hello: SimDuration) -> Self {
         RoutingConfig {
             rreq_retries: 2,
             rreq_timeout: SimDuration::from_millis(1000),
@@ -43,9 +50,7 @@ impl Default for RoutingConfig {
             buffer_capacity: 64,
         }
     }
-}
 
-impl RoutingConfig {
     /// Discovery timeout for attempt `retry` (0-based): binary backoff.
     pub fn timeout_for_attempt(&self, retry: u32) -> SimDuration {
         self.rreq_timeout * (1u64 << retry.min(6))

@@ -1,12 +1,10 @@
 //! Prometheus text-exposition export.
 //!
-//! Renders the [`Counters`] registry and [`ShardProfile`] execution
-//! profiles in the Prometheus text format (`# TYPE` headers, one sample
-//! per line, `{label="value"}` selectors) so a scraper — or the future
-//! `wmn-served` daemon — can stream engine state live. Pure string
-//! formatting; no network code lives here.
+//! Renders [`ShardProfile`] execution profiles in the Prometheus text
+//! format (`# TYPE` headers, one sample per line, `{label="value"}`
+//! selectors) so a scraper can read engine state. Pure string formatting;
+//! no network code lives here.
 
-use crate::counters::Counters;
 use crate::profile::ShardProfile;
 
 /// Prefix applied to every exported metric name.
@@ -17,17 +15,6 @@ fn push_metric(out: &mut String, name: &str, kind: &str, labels: &str, value: &s
         out.push_str(&format!("# TYPE {PREFIX}{name} {kind}\n"));
     }
     out.push_str(&format!("{PREFIX}{name}{labels} {value}\n"));
-}
-
-/// Render every counter in the registry as a Prometheus counter sample,
-/// e.g. `wmn_mac_tx_data_total 1234`.
-pub fn counters_to_prometheus(counters: &Counters) -> String {
-    let mut out = String::new();
-    for (name, value) in counters.iter() {
-        let metric = format!("{name}_total");
-        push_metric(&mut out, &metric, "counter", "", &value.to_string());
-    }
-    out
 }
 
 /// Render a [`ShardProfile`] as Prometheus samples: run-level gauges plus
@@ -115,17 +102,6 @@ pub fn profile_to_prometheus(p: &ShardProfile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_export_is_prometheus_shaped() {
-        let mut c = Counters::new();
-        c.add("mac_tx_data", 5);
-        c.add("route_tx_rreq", 2);
-        let text = counters_to_prometheus(&c);
-        assert!(text.contains("# TYPE wmn_mac_tx_data_total counter\n"));
-        assert!(text.contains("wmn_mac_tx_data_total 5\n"));
-        assert!(text.contains("wmn_route_tx_rreq_total 2\n"));
-    }
 
     #[test]
     fn profile_export_has_per_region_labels_and_single_type_lines() {

@@ -31,7 +31,7 @@ pub use counters::{counter_for_ctrl_drop, Counters};
 pub use event::{
     counter_for_drop, counter_for_event, DropReason, EventKind, FaultCode, TelemetryEvent,
 };
-pub use export::{counters_to_prometheus, profile_to_prometheus};
+pub use export::profile_to_prometheus;
 pub use histogram::LogHistogram;
 pub use json::{parse_object, JsonValue};
 pub use manifest::{git_rev, RunManifest};

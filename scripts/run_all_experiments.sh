@@ -7,11 +7,11 @@
 # reruns everything. Failures don't stop the sweep — every remaining figure
 # still runs, and the script reports the failed set and exits non-zero.
 #
-# --served: route the spec-driven sweeps (load_sweep, fig11_churn) through a
+# --served: route every figure whose --help offers --served through a
 # wmn-served daemon instead of in-process sweeps. Every CSV they write is
-# byte-identical either way; load_sweep's four in-process-only CSVs keep
-# their last in-process output. The daemon's prefix-dedup and warm
-# link-budget-cache counters are recorded in EXPERIMENTS.md.
+# byte-identical either way; a panel only an in-process run holds is not
+# written and keeps its last in-process output. The daemon's prefix-dedup
+# and warm link-budget-cache counters are recorded in EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,8 +28,6 @@ fi
 # load_sweep writes Figs. 3, 4, 5, 6 and 9: five views of one sweep.
 bins=(tab1_params fig1_overhead_size fig2_reachability load_sweep fig7_mobility \
       fig8_hello_ablation fig10_gateway fig11_churn tab2_summary)
-# Figures that accept --served SOCKET (byte-identical CSV contract).
-served_bins=" load_sweep fig11_churn "
 mkdir -p results
 rev=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
@@ -57,7 +55,7 @@ for b in "${bins[@]}"; do
     continue
   fi
   args=()
-  if [ -n "$served" ] && [[ "$served_bins" == *" $b "* ]]; then
+  if [ -n "$served" ] && [[ "$("./target/release/$b" --help)" == *--served* ]]; then
     args=(-- --served "$sock")
     echo "=== $b (via wmn-served) ==="
   else
@@ -77,7 +75,7 @@ if [ -n "$served" ]; then
   status=$(./target/release/wmn-trace jobs "$sock" | sed '/^$/,$d')
   echo "$status"
   manifest_facts=""
-  for m in results/fig3_served_manifest.json results/fig11_served_manifest.json; do
+  for m in results/*_served_manifest.json; do
     if [ -f "$m" ]; then
       facts=$(grep -o '"prefix_reused_jobs": "[^"]*"\|"warm_cache_import_jobs": "[^"]*"\|"link_cache_hits": "[^"]*"' "$m" \
                 | tr -d '"' | sed ':a;N;$!ba;s/\n/; /g')
@@ -90,10 +88,10 @@ if [ -n "$served" ]; then
 <!-- served-begin -->
 ## Served mode — batch dedup economics
 
-\`./scripts/run_all_experiments.sh --served\` routed the offered-load
-sweep (fig3, fig4, fig5, fig6) and fig11 through a \`wmn-served\` daemon
-(rev ${rev}, QUICK=${QUICK:-0}); the emitted CSVs are byte-identical to
-the in-process runs. Daemon counters at end of batch:
+\`./scripts/run_all_experiments.sh --served\` routed fig1, fig2, the
+offered-load sweep (fig3, fig4, fig5, fig6), fig7, fig8 and fig11 through
+a \`wmn-served\` daemon (rev ${rev}, QUICK=${QUICK:-0}); the emitted CSVs
+are byte-identical to the in-process runs. Daemon counters at end of batch:
 
 \`\`\`
 ${status}

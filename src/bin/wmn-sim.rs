@@ -154,13 +154,18 @@ pub enum Parsed {
     Help,
 }
 
+/// The scenario flags ParMesh reads; `--warmup` is only checked.
+const PARMESH_SCENARIO_FLAGS: [&str; 5] = ["--seed", "--flows", "--duration", "--pps", "--warmup"];
+
 /// Parse the command line. Unknown flags, missing values and out-of-range
 /// scenarios are errors (exit 2 in `main`), never ignored and never left
 /// for the simulator to trip over.
 pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
     let mut o = Options::default();
+    let mut scenario_flags = Vec::new();
     while let Some(flag) = argv.next_arg() {
         if o.spec.set_flag(&flag, &mut argv)? {
+            scenario_flags.push(flag);
             continue;
         }
         match flag.as_str() {
@@ -206,6 +211,10 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
     }
     if o.parmesh && o.nodes.is_none() {
         return Err("--parmesh requires --nodes".into());
+    }
+    let unread = (scenario_flags.iter()).find(|f| !PARMESH_SCENARIO_FLAGS.contains(&f.as_str()));
+    if let (true, Some(flag)) = (o.parmesh, unread) {
+        return Err(format!("{flag} does not apply with --parmesh"));
     }
     if o.threads < 1 {
         return Err("--threads must be ≥ 1".into());
@@ -766,6 +775,23 @@ mod tests {
             "classic stack caps at 10000"
         );
         assert!(parse_args(argv("--parmesh --nodes 100000 --threads 0")).is_err());
+        // ParMesh reads seed, flows, duration and pps; warm-up is checked.
+        let o = opts("--parmesh --nodes 1000 --seed 3 --flows 9 --duration 10 --pps 2 --warmup 2");
+        assert_eq!((o.spec.seed, o.spec.flows, o.spec.pps), (3, 9, 2.0));
+        for ignored in [
+            "--scheme flooding",
+            "--grid 4",
+            "--pitch 200",
+            "--payload 256",
+            "--clients 3",
+            "--client-speed 5",
+            "--churn 60,5",
+            "--hello 2",
+        ] {
+            let line = format!("--parmesh --nodes 1000 {ignored}");
+            let err = parse_args(argv(&line)).expect_err(&line);
+            assert!(err.contains("--parmesh"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -826,6 +852,8 @@ mod tests {
             "--grid 4294967296x4294967296",
             "--parmesh --nodes 1000 --checkpoint-dir /tmp/ck --checkpoint-every nan",
             "--parmesh --nodes 1000 --regions 0",
+            "--hello 0",
+            "--hello nan",
         ] {
             let err = parse_args(argv(line)).expect_err(line);
             assert!(!err.contains('\n'), "{line}: one line, got {err:?}");
@@ -898,6 +926,12 @@ mod tests {
                 "--churn 60,5",
                 tail(grid(1, 8, 180.0), "cnlr", 20, 4.0, 512, 60.0, 10.0)
                     .faults(FaultPlan::new().churn(secs(60.0), secs(5.0))),
+            ),
+            (
+                "--clients 3 --client-speed 0 --hello 2",
+                tail(grid(1, 8, 180.0), "cnlr", 20, 4.0, 512, 60.0, 10.0)
+                    .mobile_clients(3, MobilityConfig::Static)
+                    .hello_interval(secs(2.0)),
             ),
         ];
         for (line, parent) in cases {

@@ -53,7 +53,7 @@ fn single_node_is_too_small() {
 
 #[test]
 fn impossible_flow_pairs_rejected() {
-    // A 2-node network cannot host flows requiring ≥ 4 hops.
+    // Two neighbours cannot host a flow: random flows need ≥ 2 hops.
     let err = ScenarioBuilder::new()
         .region(Region::new(400.0, 200.0))
         .placement(Placement::Grid {
@@ -61,7 +61,7 @@ fn impossible_flow_pairs_rejected() {
             cols: 2,
             jitter_frac: 0.0,
         })
-        .flows_min_hops(1, 4.0, 512, 4)
+        .flows(1, 4.0, 512)
         .build()
         .err()
         .expect("must fail");

@@ -1,7 +1,7 @@
 //! Protocol-level invariants observable from whole-network runs.
 
 use wmn::presets;
-use wmn::routing::{FlowId, NodeId, RoutingConfig};
+use wmn::routing::{FlowId, NodeId};
 use wmn::sim::{SimDuration, SimTime};
 use wmn::topology::{Placement, Region};
 use wmn::traffic::{FlowSpec, TrafficPattern};
@@ -151,13 +151,8 @@ fn rrep_accounting() {
 #[test]
 fn hello_interval_controls_overhead() {
     let with_interval = |secs: u64, seed: u64| {
-        let hello = SimDuration::from_secs(secs);
         presets::small(seed)
-            .routing(RoutingConfig {
-                hello_interval: hello,
-                neighbor_timeout: hello * 3,
-                ..RoutingConfig::default()
-            })
+            .hello_interval(SimDuration::from_secs(secs))
             .build()
             .unwrap()
             .run()
