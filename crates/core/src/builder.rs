@@ -40,8 +40,8 @@ pub enum BuildError {
     Disconnected,
     /// Fewer than two nodes — no flows possible.
     TooSmall,
-    /// Could not find enough flow endpoint pairs with the requested
-    /// separation.
+    /// Could not draw enough flow endpoint pairs at least two hops apart
+    /// within 5 000 attempts.
     NoFlowPairs,
     /// [`ScenarioBuilder::build_with_prefix`] was handed a prefix built
     /// from different prefix-relevant settings (see
@@ -90,6 +90,17 @@ impl std::fmt::Debug for SinkOverride {
 
 /// Fewest hops between the endpoints of a random flow.
 const MIN_FLOW_HOPS: u32 = 2;
+// `far_enough` decides exactly this floor and no other.
+const _: () = assert!(MIN_FLOW_HOPS == 2);
+
+/// Whether distinct nodes `src` and `dst` are at least [`MIN_FLOW_HOPS`]
+/// hops apart, given the graph's [`ConnectivityGraph::components`] labels.
+/// Each row is sorted, and adjacency is symmetric for positions inside the
+/// region (every placement and client draw lies there), so a reachable
+/// node that is not a neighbour is two or more hops away.
+fn far_enough(graph: &ConnectivityGraph, comp: &[u32], src: usize, dst: usize) -> bool {
+    comp[src] == comp[dst] && graph.neighbors(src).binary_search(&(dst as u32)).is_err()
+}
 
 /// How flows are chosen.
 #[derive(Clone, Debug)]
@@ -360,7 +371,7 @@ impl ScenarioBuilder {
         }
 
         let mut positions = Vec::new();
-        let mut graph = None;
+        let mut topology = None;
         for _attempt in 0..50 {
             positions = self.placement.generate(self.region, &mut scen_rng);
             for _ in 0..client_count {
@@ -370,13 +381,15 @@ impl ScenarioBuilder {
                 ));
             }
             let g = ConnectivityGraph::from_positions(self.region, &positions, range);
-            if !self.require_connected || g.is_connected() {
-                graph = Some(g);
+            // One labelling serves the connectivity check and the flow draw.
+            let comp = g.components();
+            if !self.require_connected || comp.iter().all(|&c| c == 0) {
+                topology = Some((g, comp));
                 break;
             }
             positions.clear();
         }
-        let graph = graph.ok_or(BuildError::Disconnected)?;
+        let (graph, comp) = topology.ok_or(BuildError::Disconnected)?;
 
         // --- Flows ----------------------------------------------------
         let flow_specs: Vec<FlowSpec> = match &self.flow_plan {
@@ -397,12 +410,8 @@ impl ScenarioBuilder {
                     }
                     let src = scen_rng.below_usize(total);
                     let dst = scen_rng.below_usize(total);
-                    if src == dst {
+                    if src == dst || !far_enough(&graph, &comp, src, dst) {
                         continue;
-                    }
-                    match graph.hop_distance(src, dst) {
-                        Some(h) if h >= MIN_FLOW_HOPS => {}
-                        _ => continue,
                     }
                     // Stagger starts across the first part of the warm-up.
                     let start = SimTime::ZERO
@@ -435,7 +444,7 @@ impl ScenarioBuilder {
     /// Construct the simulation.
     pub fn build(self) -> Result<Simulation, BuildError> {
         let prefix = self.build_prefix()?;
-        self.build_with_prefix(&prefix)
+        self.assemble(&prefix)
     }
 
     /// Assemble the world on top of a previously built prefix. The prefix
@@ -447,6 +456,11 @@ impl ScenarioBuilder {
         if prefix.fingerprint != self.prefix_fingerprint() {
             return Err(BuildError::PrefixMismatch);
         }
+        self.assemble(prefix)
+    }
+
+    /// Assemble the world on a prefix drawn from this builder's settings.
+    fn assemble(self, prefix: &ScenarioPrefix) -> Result<Simulation, BuildError> {
         let backbone_count = self.placement.count();
         let positions = &prefix.positions;
         let flow_specs = &prefix.flow_specs;
@@ -673,5 +687,93 @@ impl Simulation {
         let results = RunResults::collect(&self.network, &report, self.scheme_label, self.measured);
         let reason = report.reason;
         (results, self.network, reason)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+
+    /// The accept rule agrees with a BFS from the source on every ordered
+    /// pair of every layout the builder accepts — connected ones with
+    /// `require_connected` set, and ones with unreachable pockets without.
+    #[test]
+    fn far_enough_is_two_or_more_bfs_hops() {
+        let range = PhyParams::classic_802_11b().nominal_range_m();
+        let (mut layouts, mut split) = (0, 0);
+        for seed in 0..40u64 {
+            let n = 20 + 3 * seed as usize;
+            let side = (n as f64).sqrt().ceil() as usize;
+            let grid = ScenarioBuilder::new().grid(side, side, 0.95 * range);
+            let side_m = (n as f64).sqrt() * 180.0;
+            let uniform = ScenarioBuilder::new()
+                .region(Region::new(side_m, side_m))
+                .placement(Placement::UniformRandom { count: n });
+            for builder in [grid, uniform] {
+                for require_connected in [true, false] {
+                    let b = builder
+                        .clone()
+                        .seed(seed)
+                        .require_connected(require_connected);
+                    let Ok(prefix) = b.build_prefix() else {
+                        continue;
+                    };
+                    let graph =
+                        ConnectivityGraph::from_positions(b.region, &prefix.positions, range);
+                    let comp = graph.components();
+                    layouts += 1;
+                    split += usize::from(comp.iter().any(|&c| c != 0));
+                    for src in 0..graph.len() {
+                        let hops = graph.bfs_hops(src);
+                        for dst in (0..graph.len()).filter(|&d| d != src) {
+                            assert_eq!(
+                                far_enough(&graph, &comp, src, dst),
+                                (MIN_FLOW_HOPS..u32::MAX).contains(&hops[dst]),
+                                "seed {seed}, {src} -> {dst}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            split > 10 && layouts - split > 10,
+            "{split} of {layouts} split"
+        );
+    }
+
+    /// FNV-1a over the debug text of a prefix's flow list.
+    fn flows_hash(b: &ScenarioBuilder) -> u64 {
+        let prefix = b.build_prefix().expect("prefix builds");
+        format!("{:?}", prefix.flow_specs)
+            .bytes()
+            .fold(0xCBF2_9CE4_8422_2325, |h, x| {
+                (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    /// The flow draws of the scale presets and the backbone, pinned to the
+    /// values they had when every candidate pair ran its own BFS.
+    #[test]
+    fn flow_draws_keep_their_values() {
+        for (seed, grid, random, backbone) in [
+            (
+                1,
+                0x69cc28d7012196fe,
+                0xc622ed9a086c386e,
+                0x57fafc58bae8ef41,
+            ),
+            (
+                2,
+                0xbb440d7142c8c14c,
+                0x724c2d8dc2df264e,
+                0x856696103e4c5dcd,
+            ),
+        ] {
+            assert_eq!(flows_hash(&presets::scale_grid(2500, 100, seed)), grid);
+            assert_eq!(flows_hash(&presets::scale_random(1000, 25, seed)), random);
+            assert_eq!(flows_hash(&presets::backbone(8, 40, seed)), backbone);
+        }
     }
 }

@@ -2,12 +2,11 @@
 //! through the flag table, daemon job lines through `from_pairs`. Neither
 //! may panic whatever arrives, and whatever they accept must be a
 //! scenario the builder can take: at most 10 000 nodes counted without
-//! wrap-around, and — checked for the specs small enough to build here —
-//! a prefix build that returns, under a watchdog, instead of panicking,
-//! aborting on an allocation or running for ever.
+//! wrap-around, and a prefix build that returns, under a watchdog,
+//! instead of panicking, aborting on an allocation or running for ever.
 
 use cnlr::cli::Argv;
-use cnlr::ScenarioSpec;
+use cnlr::{BuildError, ScenarioSpec};
 use proptest::prelude::*;
 use wmn_telemetry::JsonValue;
 
@@ -123,21 +122,25 @@ fn parse_line(tokens: Vec<String>) -> Result<ScenarioSpec, String> {
     Ok(spec)
 }
 
+/// The prefix build of a validated spec under a 20 s watchdog: its
+/// answer, or `None` if it hung or died.
+fn prefix_in_time(spec: &ScenarioSpec) -> Option<Result<(), BuildError>> {
+    let builder = spec.to_builder().expect("a validated spec lowers");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(builder.build_prefix().map(drop)));
+    rx.recv_timeout(std::time::Duration::from_secs(20)).ok()
+}
+
 /// What every accepted spec must satisfy.
 fn assert_buildable(spec: &ScenarioSpec) -> Result<(), TestCaseError> {
     let nodes = spec.grid_rows as u128 * spec.grid_cols as u128 + spec.clients as u128;
     prop_assert!(nodes <= 10_000, "{nodes} nodes accepted: {spec:?}");
-    if nodes <= 400 {
-        let builder = spec.to_builder();
-        prop_assert!(builder.is_ok(), "validated but not lowered: {spec:?}");
-        // `Ok` or a `BuildError` (disconnected, no flow pairs): both are
-        // answers. Getting one, and in time, is the property.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let builder = builder.unwrap();
-        std::thread::spawn(move || tx.send(builder.build_prefix().is_ok()));
-        let answered = rx.recv_timeout(std::time::Duration::from_secs(20));
-        prop_assert!(answered.is_ok(), "build_prefix hung or died on {spec:?}");
-    }
+    // `Ok` or a `BuildError` (disconnected, no flow pairs): both are
+    // answers. Getting one, and in time, is the property.
+    prop_assert!(
+        prefix_in_time(spec).is_some(),
+        "build_prefix hung or died on {spec:?}"
+    );
     Ok(())
 }
 
@@ -203,4 +206,18 @@ fn resource_bombs_are_refused_not_built() {
     let edge = "--grid 3 --pitch 41000 --churn 0.018,0.018 --duration 200 --warmup 0";
     let spec = parse_line(edge.split(' ').map(str::to_string).collect()).expect("valid");
     assert_buildable(&spec).expect("built in time");
+}
+
+/// Jobs at the node cap with the most flows: the flow draw tests each
+/// candidate pair in constant time, so even 5 000 failed attempts over
+/// 10 000 routers answer at once.
+#[test]
+fn node_cap_flow_draws_answer_in_time() {
+    for (line, answer) in [
+        ("--grid 100 --flows 4000", Ok(())),
+        ("--grid 100 --flows 100000", Err(BuildError::NoFlowPairs)),
+    ] {
+        let spec = parse_line(line.split(' ').map(str::to_string).collect()).expect("valid");
+        assert_eq!(prefix_in_time(&spec), Some(answer), "{line}");
+    }
 }

@@ -128,6 +128,11 @@ impl PathLoss {
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            // `lo` and `hi` are adjacent floats: every further step would
+            // keep the midpoint at `mid`, so it is the answer.
+            if mid == lo || mid == hi {
+                return mid;
+            }
             if self.loss_db(mid) < loss_db {
                 lo = mid;
             } else {
@@ -232,6 +237,57 @@ mod tests {
             let loss = m.loss_db(d);
             let back = m.range_for_loss(loss);
             assert!((back - d).abs() / d < 1e-3, "{d} -> {back}");
+        }
+    }
+
+    /// Reference: the same bisection without the early exit, all 200
+    /// steps.
+    fn range_for_loss_200_steps(m: &PathLoss, loss_db: f64) -> f64 {
+        let (mut lo, mut hi) = (1.0, 100_000.0);
+        if m.loss_db(lo) >= loss_db {
+            return lo;
+        }
+        if m.loss_db(hi) <= loss_db {
+            return hi;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if m.loss_db(mid) < loss_db {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn range_for_loss_early_exit_is_bit_exact() {
+        let mut sm = SplitMix64::new(0x5EED);
+        for m in [
+            PathLoss::FreeSpace {
+                frequency_hz: 2.4e9,
+            },
+            PathLoss::default_two_ray(),
+            PathLoss::LogDistance {
+                frequency_hz: 5.8e9,
+                exponent: 3.3,
+                reference_m: 10.0,
+                sigma_db: 6.0,
+            },
+        ] {
+            // Targets from below the 1 m loss to above the 100 km loss,
+            // so both clamps are hit too.
+            let (lo, hi) = (m.loss_db(1.0) - 5.0, m.loss_db(100_000.0) + 5.0);
+            for _ in 0..100_000 {
+                let u = (sm.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let target = lo + u * (hi - lo);
+                assert_eq!(
+                    m.range_for_loss(target).to_bits(),
+                    range_for_loss_200_steps(&m, target).to_bits(),
+                    "{m:?} at {target} dB"
+                );
+            }
         }
     }
 

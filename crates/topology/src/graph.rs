@@ -1,52 +1,62 @@
 //! Connectivity analysis over node positions.
 //!
 //! Scenario generation needs to reject disconnected topologies (a partitioned
-//! field makes delivery-ratio comparisons meaningless).
+//! field makes delivery-ratio comparisons meaningless) and to draw flow
+//! endpoints that can reach each other; one component labelling answers
+//! both.
 
 use crate::spatial::SpatialIndex;
 use crate::vec2::Vec2;
 use std::collections::VecDeque;
 
-/// An undirected unit-disk connectivity graph (adjacency by index).
+/// An undirected unit-disk connectivity graph, stored as compressed rows:
+/// node `i`'s neighbours are `targets[offsets[i]..offsets[i + 1]]`.
 #[derive(Clone, Debug)]
 pub struct ConnectivityGraph {
-    adj: Vec<Vec<u32>>,
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
 }
 
 impl ConnectivityGraph {
     /// Build from positions: nodes within `radius` of each other are linked.
     pub fn from_positions(region: crate::region::Region, positions: &[Vec2], radius: f64) -> Self {
         let idx = SpatialIndex::new(region, radius.max(1.0), positions);
-        let adj = (0..positions.len())
-            .map(|i| idx.neighbors_of(i, radius))
-            .collect();
-        ConnectivityGraph { adj }
+        let mut offsets = Vec::with_capacity(positions.len() + 1);
+        let mut targets = Vec::new();
+        let mut row = Vec::new();
+        offsets.push(0);
+        for (i, &p) in positions.iter().enumerate() {
+            idx.query_radius(p, radius, i, &mut row);
+            targets.extend_from_slice(&row);
+            offsets.push(targets.len());
+        }
+        ConnectivityGraph { offsets, targets }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.len() == 0
     }
 
-    /// Neighbours of `node`.
+    /// Neighbours of `node`, in ascending id order.
     pub fn neighbors(&self, node: usize) -> &[u32] {
-        &self.adj[node]
+        &self.targets[self.offsets[node]..self.offsets[node + 1]]
     }
 
     /// BFS hop distances from `src`; unreachable nodes get `u32::MAX`.
     pub fn bfs_hops(&self, src: usize) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.adj.len()];
+        let mut dist = vec![u32::MAX; self.len()];
         let mut queue = VecDeque::new();
         dist[src] = 0;
         queue.push_back(src as u32);
         while let Some(u) = queue.pop_front() {
             let du = dist[u as usize];
-            for &v in &self.adj[u as usize] {
+            for &v in self.neighbors(u as usize) {
                 if dist[v as usize] == u32::MAX {
                     dist[v as usize] = du + 1;
                     queue.push_back(v);
@@ -56,48 +66,35 @@ impl ConnectivityGraph {
         dist
     }
 
-    /// True when every node is reachable from node 0 (vacuously true for the
-    /// empty graph).
-    pub fn is_connected(&self) -> bool {
-        if self.adj.is_empty() {
-            return true;
-        }
-        self.bfs_hops(0).iter().all(|&d| d != u32::MAX)
-    }
-
-    /// Sizes of all connected components, largest first.
-    pub fn component_sizes(&self) -> Vec<usize> {
-        let n = self.adj.len();
-        let mut comp = vec![usize::MAX; n];
-        let mut sizes = Vec::new();
-        for start in 0..n {
-            if comp[start] != usize::MAX {
+    /// Component labels: each node's label is the smallest node id in its
+    /// connected component. One sweep over all nodes and edges.
+    pub fn components(&self) -> Vec<u32> {
+        let mut label = vec![u32::MAX; self.len()];
+        let mut stack = Vec::new();
+        for start in 0..self.len() {
+            if label[start] != u32::MAX {
                 continue;
             }
-            let c = sizes.len();
-            let mut size = 0usize;
-            let mut queue = VecDeque::new();
-            comp[start] = c;
-            queue.push_back(start as u32);
-            while let Some(u) = queue.pop_front() {
-                size += 1;
-                for &v in &self.adj[u as usize] {
-                    if comp[v as usize] == usize::MAX {
-                        comp[v as usize] = c;
-                        queue.push_back(v);
+            // Ids are visited in ascending order, so `start` is the
+            // smallest id of a component nothing has labelled yet.
+            label[start] = start as u32;
+            stack.push(start as u32);
+            while let Some(u) = stack.pop() {
+                for &v in self.neighbors(u as usize) {
+                    if label[v as usize] == u32::MAX {
+                        label[v as usize] = start as u32;
+                        stack.push(v);
                     }
                 }
             }
-            sizes.push(size);
         }
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        sizes
+        label
     }
 
-    /// Shortest hop count between two nodes, `None` if unreachable.
-    pub fn hop_distance(&self, a: usize, b: usize) -> Option<u32> {
-        let d = self.bfs_hops(a)[b];
-        (d != u32::MAX).then_some(d)
+    /// True when every node is in node 0's component (vacuously true for
+    /// the empty graph).
+    pub fn is_connected(&self) -> bool {
+        self.components().iter().all(|&c| c == 0)
     }
 }
 
@@ -125,7 +122,8 @@ mod tests {
         assert!(g.is_connected());
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(5), &[4, 6]);
-        assert_eq!(g.hop_distance(0, 9), Some(9));
+        assert_eq!(g.bfs_hops(0)[9], 9);
+        assert_eq!(g.components(), vec![0; 10]);
     }
 
     #[test]
@@ -137,8 +135,8 @@ mod tests {
         ];
         let g = ConnectivityGraph::from_positions(Region::square(1000.0), &positions, 50.0);
         assert!(!g.is_connected());
-        assert_eq!(g.component_sizes(), vec![2, 1]);
-        assert_eq!(g.hop_distance(0, 2), None);
+        assert_eq!(g.components(), vec![0, 0, 2]);
+        assert_eq!(g.bfs_hops(0)[2], u32::MAX);
     }
 
     #[test]
@@ -163,7 +161,7 @@ mod tests {
         let g = ConnectivityGraph::from_positions(Region::square(100.0), &[], 40.0);
         assert!(g.is_empty());
         assert!(g.is_connected());
-        assert!(g.component_sizes().is_empty());
+        assert!(g.components().is_empty());
     }
 
     #[test]

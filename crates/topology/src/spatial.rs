@@ -148,13 +148,6 @@ impl SpatialIndex {
             }
         }
     }
-
-    /// Convenience wrapper returning a fresh vector.
-    pub fn neighbors_of(&self, id: usize, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query_radius(self.nodes[id].1, radius, id, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +215,11 @@ mod tests {
         let region = Region::square(10.0);
         let positions = vec![Vec2::new(5.0, 5.0), Vec2::new(5.1, 5.0)];
         let idx = SpatialIndex::new(region, 5.0, &positions);
-        assert_eq!(idx.neighbors_of(0, 1.0), vec![1]);
-        assert_eq!(idx.neighbors_of(1, 1.0), vec![0]);
+        let mut out = Vec::new();
+        idx.query_radius(positions[0], 1.0, 0, &mut out);
+        assert_eq!(out, vec![1]);
+        idx.query_radius(positions[1], 1.0, 1, &mut out);
+        assert_eq!(out, vec![0]);
     }
 
     #[test]

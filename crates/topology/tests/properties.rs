@@ -93,8 +93,39 @@ proptest! {
                 prop_assert!(g.neighbors(v as usize).contains(&(u as u32)));
             }
         }
-        // Component sizes partition the node set.
-        prop_assert_eq!(g.component_sizes().iter().sum::<usize>(), g.len());
+        // The labels partition the node set: every label names a member
+        // of its own class, and every edge stays inside one class.
+        let comp = g.components();
+        prop_assert_eq!(comp.len(), g.len());
+        for u in 0..g.len() {
+            let c = comp[u] as usize;
+            prop_assert!(c <= u && comp[c] == comp[u], "label {c} of {u}");
+            for &v in g.neighbors(u) {
+                prop_assert_eq!(comp[v as usize], comp[u]);
+            }
+        }
+    }
+
+    /// Component labels are the partition BFS reachability induces, each
+    /// class labelled by its smallest node id — on sparse layouts, so that
+    /// most of them fall apart into several components.
+    #[test]
+    fn components_match_bfs_reachability(
+        pts in prop::collection::vec((0.0f64..600.0, 0.0f64..600.0), 1..45),
+        radius in 20.0f64..250.0,
+    ) {
+        let positions: Vec<Vec2> = pts.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
+        let g = ConnectivityGraph::from_positions(Region::square(600.0), &positions, radius);
+        let comp = g.components();
+        for u in 0..g.len() {
+            let hops = g.bfs_hops(u);
+            let reach: Vec<usize> = (0..g.len()).filter(|&v| hops[v] != u32::MAX).collect();
+            prop_assert_eq!(comp[u] as usize, reach[0], "label of {}", u);
+            for v in 0..g.len() {
+                prop_assert_eq!(comp[v] == comp[u], hops[v] != u32::MAX, "{} and {}", u, v);
+            }
+        }
+        prop_assert_eq!(g.is_connected(), comp.iter().all(|&c| c == 0));
     }
 
     /// BFS distances satisfy the triangle inequality along edges.

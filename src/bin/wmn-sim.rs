@@ -548,10 +548,12 @@ fn main() {
     }
 
     let builder = classic_builder(&opts).unwrap_or_else(|e| cli::usage_error("wmn-sim", &e));
+    let t_build = std::time::Instant::now();
     let sim = builder.build().unwrap_or_else(|e| {
         eprintln!("scenario rejected: {e}");
         std::process::exit(1);
     });
+    let setup = t_build.elapsed().as_secs_f64();
     let t0 = std::time::Instant::now();
     let r = sim.run();
     let wall = t0.elapsed().as_secs_f64();
@@ -643,6 +645,7 @@ fn main() {
         }
     }
     println!("events processed        : {}", r.events);
+    println!("set-up                  : {setup:.3} s");
     print_wall_and_rss(wall);
 }
 
