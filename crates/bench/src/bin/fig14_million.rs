@@ -3,12 +3,13 @@
 //!
 //! The scale story of the memory-lean ParMesh layout (flat SoA statics,
 //! CSR adjacency, dense per-region loads, pre-sized queues) plus the
-//! work-stealing scheduler. A merged telemetry trace cannot fit at this
-//! size, so every run streams events into per-region `HashSink`
+//! work-stealing window scheduler. A merged telemetry trace cannot fit at
+//! this size, so every run streams events into per-region `HashSink`
 //! fingerprints instead; the figure *asserts* that the fingerprint — and
-//! the full report — is bit-identical across worker counts and steal
-//! schedules at the largest scale, which is the engine's determinism
-//! guarantee measured at a million nodes, not just claimed.
+//! the full report — is bit-identical across worker counts (one worker
+//! runs no scheduler, two pack windows by it) at every scale, which is the
+//! engine's determinism guarantee measured at a million nodes, not just
+//! claimed.
 //!
 //! Peak RSS is read from `VmHWM` (a process-wide high-water mark, so it is
 //! monotonic): scales run in ascending node order, and the value is
@@ -44,7 +45,6 @@ fn main() {
         )
     };
     let seed = 1u64;
-    let largest = *node_counts.last().expect("at least one scale");
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -83,23 +83,16 @@ fn main() {
     let mut total_events = 0u64;
     for (ni, &n) in node_counts.iter().enumerate() {
         let flows = (n / 20).max(1);
-        // Baseline: 1 thread, stealing on; every other cell must match it.
+        // Baseline: 1 thread; every other cell must match it.
         let mut baseline: Option<(cnlr::ParMeshOutcome, String)> = None;
         let mut rss_mib = 0.0;
-        // Steal-off runs only at the largest scale: they exist to prove the
-        // fingerprint ignores the steal schedule, not to sweep wall-clock.
-        let mut cells: Vec<(usize, bool)> = threads.iter().map(|&t| (t, true)).collect();
-        if n == largest {
-            cells.extend(threads.iter().map(|&t| (t, false)));
-        }
-        for (t, steal) in cells {
+        for &t in &threads {
             let run_t0 = std::time::Instant::now();
             let out = ParMesh::new(n)
                 .seed(seed)
                 .flows(flows)
                 .duration(duration)
                 .threads(t)
-                .steal(steal)
                 .trace_hash(true)
                 .profile(true)
                 .run();
@@ -109,7 +102,7 @@ fn main() {
             let profile = out.profile.as_ref().expect("profiling enabled");
             let (fp_count, fp) = out.trace_fp.expect("trace_hash enabled");
             eprintln!(
-                "[fig14] n={n} threads={t} steal={steal}: {:.2}s wall, {:.0} ev/s, \
+                "[fig14] n={n} threads={t}: {:.2}s wall, {:.0} ev/s, \
                  pdr {:.3}, {} regions, {} epochs, fp {fp_count}/{fp:016x}, \
                  {:.1} moved/epoch, post-steal imbalance {:.2}",
                 wall,
@@ -132,19 +125,19 @@ fn main() {
                     assert_eq!(
                         (b.originated, b.delivered, b.forwards, b.events, b.epochs),
                         (r.originated, r.delivered, r.forwards, r.events, r.epochs),
-                        "results changed at n={n} threads={t} steal={steal}"
+                        "results changed at n={n} threads={t}"
                     );
                     assert_eq!(
                         base.trace_fp,
                         Some((fp_count, fp)),
-                        "trace fingerprint changed at n={n} threads={t} steal={steal}"
+                        "trace fingerprint changed at n={n} threads={t}"
                     );
                     assert_eq!(
                         base_sim_fp.as_str(),
                         profile.sim_fingerprint(),
-                        "profile sim fields changed at n={n} threads={t} steal={steal}"
+                        "profile sim fields changed at n={n} threads={t}"
                     );
-                    if t == 2 && steal {
+                    if t == 2 {
                         steal_table.add_row(vec![
                             format!("{n}"),
                             format!("{:.2}", profile.regions_moved_per_epoch()),
@@ -153,9 +146,7 @@ fn main() {
                     }
                 }
             }
-            if steal {
-                walls[ni].push(wall);
-            }
+            walls[ni].push(wall);
             total_events += events;
         }
         let (base, _) = baseline.as_ref().expect("at least one run per scale");

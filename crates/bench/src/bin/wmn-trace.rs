@@ -1,24 +1,23 @@
 //! `wmn-trace` — query a JSONL telemetry trace or a ShardProfile artifact.
 //!
 //! ```text
-//! wmn-trace summary [trace.jsonl] [--verify results/fig3_manifest.json] [--run N]
-//! wmn-trace drops [trace.jsonl] [--by-reason] [--by-node] [--run N]
-//! wmn-trace timeline [trace.jsonl] --node N [--limit K] [--run N]
-//! wmn-trace convergence [trace.jsonl] [--bin-s S] [--run N]
-//! wmn-trace profile [profile.json | trace.jsonl] [--prometheus]
+//! wmn-trace summary <trace.jsonl> [--verify <manifest.json>]
+//! wmn-trace drops <trace.jsonl> [--by-reason] [--by-node]
+//! wmn-trace timeline <trace.jsonl> --node N [--limit K]
+//! wmn-trace convergence <trace.jsonl> [--bin-s S]
+//! wmn-trace profile <profile.json> [--prometheus]
 //! wmn-trace diff a.jsonl b.jsonl [--ignore f1,f2]
 //! wmn-trace ckpt <checkpoint-dir | file.wmnckpt>
 //! wmn-trace jobs <socket> [--json]
 //! ```
 //!
-//! The trace file defaults to `$WMN_TRACE_PATH`, then `trace.jsonl`.
-//! `summary --verify` cross-checks the trace's event totals against the
-//! counter registry a run manifest recorded; any mismatch is a non-zero
-//! exit (the invariant is exact because instrumentation emits each event
-//! adjacent to its counter increment). Traces holding several replications
-//! that share one sink record distinct `run` ids — pass `--run N` to count
-//! a single replication when verifying against a single-run manifest
-//! (merged multi-*region* traces of one run share an id and never
+//! Traces are what `wmn-sim --trace-out` writes (either model); profiles
+//! are what `wmn-sim --parmesh --profile-out` writes. Every command names
+//! its artefact; none is looked up by default. `summary --verify`
+//! cross-checks the trace's event totals against the counter registry a
+//! run manifest recorded; any mismatch is a non-zero exit (the invariant
+//! is exact because instrumentation emits each event adjacent to its
+//! counter increment; merged multi-region traces of one run never
 //! double-count). Unknown flags are an error (exit 2), never ignored.
 
 use cnlr::cli::{self, Argv};
@@ -31,15 +30,15 @@ use wmn_telemetry::{
 const BIN: &str = "wmn-trace";
 
 const USAGE: &str = "\
-usage: wmn-trace <summary|drops|timeline|convergence|profile|diff|ckpt|jobs> [trace.jsonl] [options]
+usage: wmn-trace <summary|drops|timeline|convergence|profile|diff|ckpt|jobs> <path> [options]
 
-summary      event totals per kind   [--verify <manifest.json>] [--run N]
-drops        discard breakdown       [--by-reason] [--by-node] [--run N]
-timeline     one node's event log    --node N [--limit K] [--run N]
-convergence  per-bin data counts     [--bin-s S] [--run N]
+summary      event totals per kind   [--verify <manifest.json>]
+drops        discard breakdown       [--by-reason] [--by-node]
+timeline     one node's event log    --node N [--limit K]
+convergence  per-bin data counts     [--bin-s S]
+             (these four read a wmn-sim --trace-out JSONL trace)
 profile      engine profile report   [--prometheus]
-             reads a --profile-out JSON artifact, or falls back
-             to the trace's event-loop probe histograms
+             reads a wmn-sim --profile-out JSON artefact
 diff         first divergence between two traces
              wmn-trace diff a.jsonl b.jsonl [--ignore f1,f2]
 ckpt         list checkpoints in a dir (or inspect one file):
@@ -54,9 +53,6 @@ jobs         query a wmn-served daemon's queue:
 struct Args {
     command: String,
     path: std::path::PathBuf,
-    /// Whether `path` came from the command line (vs the trace default) —
-    /// `jobs` needs an explicit socket, never a fallback trace path.
-    explicit_path: bool,
     path2: Option<std::path::PathBuf>,
     flags: Vec<(String, Option<String>)>,
 }
@@ -66,11 +62,11 @@ struct Args {
 /// missing path) would report success without doing the requested check.
 fn known_flags(command: &str) -> Result<&'static [(&'static str, bool)], String> {
     Ok(match command {
-        "summary" => &[("verify", true), ("run", true)],
-        "drops" => &[("by-reason", false), ("by-node", false), ("run", true)],
-        "timeline" => &[("node", true), ("limit", true), ("run", true)],
-        "convergence" => &[("bin-s", true), ("run", true)],
-        "profile" => &[("prometheus", false), ("run", true)],
+        "summary" => &[("verify", true)],
+        "drops" => &[("by-reason", false), ("by-node", false)],
+        "timeline" => &[("node", true), ("limit", true)],
+        "convergence" => &[("bin-s", true)],
+        "profile" => &[("prometheus", false)],
         "diff" => &[("ignore", true)],
         "ckpt" => &[],
         "jobs" => &[("json", false)],
@@ -101,19 +97,10 @@ impl Args {
                 return Err(format!("unexpected argument '{a}'"));
             }
         }
-        let explicit_path = path.is_some();
-        let path = path
-            .or_else(|| {
-                std::env::var("WMN_TRACE_PATH")
-                    .ok()
-                    .filter(|p| !p.is_empty())
-                    .map(Into::into)
-            })
-            .unwrap_or_else(|| "trace.jsonl".into());
+        let path = path.ok_or_else(|| format!("`{command}` needs a path"))?;
         Ok(Args {
             command,
             path,
-            explicit_path,
             path2,
             flags,
         })
@@ -162,15 +149,6 @@ fn read(path: &std::path::Path) -> String {
         eprintln!("error: cannot read {}: {e}", path.display());
         std::process::exit(1);
     })
-}
-
-/// Apply the `--run N` replication filter in place.
-fn retain_run(events: &mut Vec<TelemetryEvent>, args: &Args) {
-    if let Some(run) = args.parsed::<u32>("run") {
-        let before = events.len();
-        events.retain(|ev| ev.run == run);
-        eprintln!("note: --run {run} kept {} of {before} events", events.len());
-    }
 }
 
 fn summary(events: &[TelemetryEvent], args: &Args) {
@@ -400,27 +378,7 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
     }
 }
 
-fn profile(events: &[TelemetryEvent]) {
-    let (mut rates, mut heaps) = (LogHistogram::new(), LogHistogram::new());
-    for ev in events {
-        if let EventKind::EngineProbe { rate, heap, .. } = ev.kind {
-            if rate > 0.0 {
-                rates.record(rate as u64);
-            }
-            heaps.record(heap);
-        }
-    }
-    if heaps.count() == 0 {
-        println!("no engine probes in this trace — record with WMN_TELEMETRY=profile");
-        return;
-    }
-    log_histogram("events/sec", "ev/s", &rates);
-    println!();
-    log_histogram("heap depth", "events", &heaps);
-}
-
-/// Render a log histogram with `#` bars: the one renderer for the trace's
-/// engine probes and a profile's pre-bucketed counts.
+/// Render a profile's pre-bucketed log histogram with `#` bars.
 fn log_histogram(label: &str, unit: &str, h: &LogHistogram) {
     if h.count() == 0 {
         println!("{label}: no samples");
@@ -531,36 +489,22 @@ fn shard_profile_report(p: &ShardProfile) {
     log_histogram("bounded epoch width", "ns", &p.epoch_width_ns);
 }
 
-/// `wmn-trace profile`: prefer a ShardProfile JSON artifact; fall back to
-/// the legacy event-loop probe histograms when given a JSONL trace.
+/// `wmn-trace profile`: report on (or export) a ShardProfile artefact.
 fn profile_cmd(args: &Args) {
-    let text = read(&args.path);
-    if let Some(p) = ShardProfile::from_json(&text) {
-        if args.flag("prometheus") {
-            print!("{}", profile_to_prometheus(&p));
-        } else {
-            shard_profile_report(&p);
-        }
-        return;
-    }
-    if args.flag("prometheus") {
-        cli::usage_error(
-            BIN,
-            "--prometheus needs a ShardProfile artifact (wmn-sim --profile-out), not a trace",
-        );
-    }
-    let mut events = parse_events(&text);
-    if events.is_empty() {
-        // A profile cut short or of another schema ends here, not in a report.
+    // A profile cut short, of another schema or a trace ends here.
+    let Some(p) = ShardProfile::from_json(&read(&args.path)) else {
         eprintln!(
-            "error: {} is neither a {} artefact nor a trace",
+            "error: {} is not a {} artefact (write one with wmn-sim --profile-out)",
             args.path.display(),
             wmn_telemetry::profile::PROFILE_SCHEMA
         );
         std::process::exit(1);
+    };
+    if args.flag("prometheus") {
+        print!("{}", profile_to_prometheus(&p));
+    } else {
+        shard_profile_report(&p);
     }
-    retain_run(&mut events, args);
-    profile(&events);
 }
 
 /// `wmn-trace diff a.jsonl b.jsonl [--ignore f1,f2]`: localise the first
@@ -719,9 +663,6 @@ fn ckpt_cmd(args: &Args) {
 /// a per-job status table; `--json` passes the daemon's raw one-line
 /// `status` and `jobs` responses through for scripting.
 fn jobs_cmd(args: &Args) {
-    if !args.explicit_path {
-        cli::usage_error(BIN, "jobs requires a daemon socket path");
-    }
     let mut client = wmn_served::Client::connect(&args.path).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {}: {e}", args.path.display());
         std::process::exit(1);
@@ -785,8 +726,7 @@ fn main() {
         "jobs" => return jobs_cmd(&args),
         _ => {}
     }
-    let mut events = parse_events(&read(&args.path));
-    retain_run(&mut events, &args);
+    let events = parse_events(&read(&args.path));
     match args.command.as_str() {
         "summary" => summary(&events, &args),
         "drops" => drops(&events, &args),

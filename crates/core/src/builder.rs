@@ -55,6 +55,9 @@ pub enum BuildError {
         /// The scenario's node count.
         nodes: usize,
     },
+    /// Telemetry is enabled with no sink, and the trace file it names
+    /// cannot be created (the message says which and why).
+    TraceFile(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -72,6 +75,7 @@ impl std::fmt::Display for BuildError {
                     "a scripted fault targets node {node}, but the scenario has {nodes} nodes"
                 )
             }
+            BuildError::TraceFile(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -131,7 +135,7 @@ pub struct ScenarioBuilder {
     position_sample: SimDuration,
     event_budget: u64,
     link_cache: bool,
-    telemetry: Option<TelemetryConfig>,
+    telemetry: TelemetryConfig,
     telemetry_sink: Option<SinkOverride>,
     faults: Option<FaultPlan>,
 }
@@ -170,7 +174,7 @@ impl ScenarioBuilder {
             position_sample: SimDuration::from_millis(250),
             event_budget: u64::MAX,
             link_cache: true,
-            telemetry: None,
+            telemetry: TelemetryConfig::disabled(),
             telemetry_sink: None,
             faults: None,
         }
@@ -287,10 +291,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Explicit telemetry configuration. Default: resolved from the
-    /// `WMN_TELEMETRY` family of environment variables at build time.
+    /// Telemetry configuration (default: disabled). An enabled
+    /// configuration without a [`telemetry_sink`](Self::telemetry_sink)
+    /// creates its `trace_path` at build time.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry = Some(cfg);
+        self.telemetry = cfg;
         self
     }
 
@@ -586,22 +591,22 @@ impl ScenarioBuilder {
         // Wired last so the probe event is only ever primed for enabled
         // runs: a disabled run's event sequence is untouched and therefore
         // byte-identical to a build without telemetry support.
-        let tel_cfg = self
-            .telemetry
-            .clone()
-            .unwrap_or_else(TelemetryConfig::from_env);
-        if tel_cfg.enabled {
-            let sink = self
-                .telemetry_sink
-                .as_ref()
-                .map(|s| s.0.clone())
-                .or_else(|| tel_cfg.open_sink());
-            if let Some(sink) = sink {
-                let tel = Tel::new(sink, next_run_id());
-                network.set_telemetry(tel, tel_cfg.probe_interval, tel_cfg.profile);
-                if let Some(tick) = tel_cfg.probe_interval {
-                    engine.prime(SimTime::ZERO + tick, Event::TelemetryProbe);
-                }
+        let tel_cfg = &self.telemetry;
+        let sink = match &self.telemetry_sink {
+            Some(s) if tel_cfg.enabled => Some(s.0.clone()),
+            _ => tel_cfg.open_sink().map_err(|e| {
+                let path = tel_cfg.trace_path.as_deref().unwrap_or("".as_ref());
+                BuildError::TraceFile(format!(
+                    "cannot create trace file '{}': {e}",
+                    path.display()
+                ))
+            })?,
+        };
+        if let Some(sink) = sink {
+            let tel = Tel::new(sink, next_run_id());
+            network.set_telemetry(tel, tel_cfg.probe_interval, tel_cfg.profile);
+            if let Some(tick) = tel_cfg.probe_interval {
+                engine.prime(SimTime::ZERO + tick, Event::TelemetryProbe);
             }
         }
 
@@ -775,5 +780,29 @@ mod tests {
             assert_eq!(flows_hash(&presets::scale_random(1000, 25, seed)), random);
             assert_eq!(flows_hash(&presets::backbone(8, 40, seed)), backbone);
         }
+    }
+
+    /// A trace the caller asked for and that cannot be written stops the
+    /// build; it is not recorded somewhere else or dropped during the run.
+    #[test]
+    fn an_uncreatable_trace_file_is_a_build_error() {
+        let traced = |path: &str| {
+            presets::backbone(4, 2, 1).telemetry(TelemetryConfig {
+                trace_path: Some(path.into()),
+                ..TelemetryConfig::enabled()
+            })
+        };
+        let Err(BuildError::TraceFile(msg)) = traced("/nonexistent/dir/t.jsonl").build() else {
+            panic!("an uncreatable trace path built a simulation");
+        };
+        assert!(msg.contains("/nonexistent/dir/t.jsonl"), "{msg}");
+        let path =
+            std::env::temp_dir().join(format!("wmn_build_trace_{}.jsonl", std::process::id()));
+        let sim = traced(path.to_str().unwrap())
+            .build()
+            .expect("writable path");
+        assert!(path.exists(), "the trace file is created at build time");
+        drop(sim);
+        let _ = std::fs::remove_file(&path);
     }
 }

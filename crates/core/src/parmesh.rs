@@ -112,7 +112,6 @@ pub struct ParMesh {
     seed: u64,
     regions: Option<usize>,
     threads: usize,
-    steal: bool,
     mobility: bool,
     churn: bool,
     telemetry: bool,
@@ -137,7 +136,6 @@ impl ParMesh {
             seed: 1,
             regions: None,
             threads: 1,
-            steal: true,
             mobility: true,
             churn: true,
             telemetry: false,
@@ -189,16 +187,6 @@ impl ParMesh {
     /// Set the worker thread count (wall-clock only; results identical).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable work stealing between epoch barriers (on by
-    /// default). Stealing only remaps which worker thread executes a
-    /// region's window — results, traces and checkpoints are bit-identical
-    /// either way, so this knob is excluded from the scenario fingerprint
-    /// and a resume may flip it.
-    pub fn steal(mut self, on: bool) -> Self {
-        self.steal = on;
         self
     }
 
@@ -1552,9 +1540,7 @@ fn run_parmesh(cfg: &ParMesh) -> Result<ParMeshOutcome, CheckpointError> {
     // The event budget is a runaway guard, not a scenario knob; scale it
     // with the world so million-node runs don't trip it.
     let budget = 500_000_000u64.max(n as u64 * 1_000);
-    let mut engine = ShardedEngine::new(worlds, lookahead, horizon)
-        .with_event_budget(budget)
-        .with_stealing(cfg.steal);
+    let mut engine = ShardedEngine::new(worlds, lookahead, horizon).with_event_budget(budget);
 
     // Pre-size region queues from the event plan. The far tier, where the
     // primed events land, holds one HELLO timer, one Originate timer per
@@ -1924,56 +1910,30 @@ mod tests {
     }
 
     #[test]
-    fn steal_setting_is_invisible_in_results_and_trace() {
-        let run = |threads: usize, steal: bool| {
-            ParMesh::new(400)
-                .seed(7)
-                .flows(40)
-                .regions(9)
-                .duration(SimDuration::from_secs(5))
-                .threads(threads)
-                .steal(steal)
-                .telemetry(true)
-                .run()
-        };
-        let base = run(1, false);
-        for (threads, steal) in [(1, true), (2, true), (8, true), (8, false)] {
-            let out = run(threads, steal);
-            assert_eq!(base.report.delivered, out.report.delivered);
-            assert_eq!(base.report.events, out.report.events);
-            assert_eq!(
-                base.trace, out.trace,
-                "trace diverges at {threads} threads, steal={steal}"
-            );
-        }
-    }
-
-    #[test]
     fn trace_hash_matches_full_telemetry_and_is_schedule_invariant() {
-        let run = |threads: usize, steal: bool, telemetry: bool| {
+        let run = |threads: usize, telemetry: bool| {
             ParMesh::new(400)
                 .seed(7)
                 .flows(40)
                 .regions(9)
                 .duration(SimDuration::from_secs(5))
                 .threads(threads)
-                .steal(steal)
                 .telemetry(telemetry)
                 .trace_hash(true)
                 .run()
         };
         // Hash-only run vs full-telemetry run: same per-region streams,
         // same fingerprint — and a real trace only in the latter.
-        let hashed = run(1, true, false);
-        let full = run(1, true, true);
+        let hashed = run(1, false);
+        let full = run(1, true);
         assert!(hashed.trace.is_empty());
         assert!(!full.trace.is_empty());
         let fp = hashed.trace_fp.expect("fingerprint present");
         assert!(fp.0 > 0, "fingerprint counted no events");
         assert_eq!(Some(fp), full.trace_fp);
-        // Threads and steal schedule are invisible to the fingerprint.
-        for (threads, steal) in [(2, true), (8, true), (4, false)] {
-            assert_eq!(Some(fp), run(threads, steal, false).trace_fp);
+        // Threads and window schedule are invisible to the fingerprint.
+        for threads in [2, 4, 8] {
+            assert_eq!(Some(fp), run(threads, false).trace_fp);
         }
     }
 

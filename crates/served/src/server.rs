@@ -302,10 +302,7 @@ struct ProbeForwardSink {
 
 impl EventSink for ProbeForwardSink {
     fn record(&mut self, ev: &TelemetryEvent) {
-        if !matches!(
-            ev.kind,
-            EventKind::NodeProbe { .. } | EventKind::EngineProbe { .. }
-        ) {
+        if !matches!(ev.kind, EventKind::NodeProbe { .. }) {
             return;
         }
         // Splice the job tag into the event's own JSON object.
@@ -604,11 +601,6 @@ fn run_job(
                 profile: false,
             })
             .telemetry_sink(sink);
-    } else {
-        // Explicitly disabled (not from_env): a daemon inheriting
-        // WMN_TELEMETRY must not change job event counts vs the one-shot
-        // binaries run without it.
-        builder = builder.telemetry(TelemetryConfig::disabled());
     }
     let mut sim = match builder.build_with_prefix(&prefix) {
         Ok(s) => s,

@@ -40,18 +40,17 @@
 //! changes wall-clock time only; the region count is part of the scenario.
 //!
 //! Region→worker assignment is a free variable under that argument: *which
-//! thread* runs a window is invisible to the simulation, so the engine may
-//! re-chunk regions onto workers every epoch. With
-//! [`ShardedEngine::with_stealing`] enabled, a coordinator-side
-//! `StealPlanner` packs the epoch's active regions onto workers by
-//! longest-predicted-first (LPT) bin packing, predicting each region's cost
-//! from its previous window's measured busy time — the same wall-clock
-//! figure the profiler reports in [`WindowSample::busy_ns`]. The schedule
-//! is wall-clock-derived and therefore non-deterministic run to run, but it
-//! only ever remaps slot→thread; traces, telemetry, and checkpoints stay
-//! bit-identical for any steal schedule, and a checkpoint carries no
-//! scheduler state, so a resume may change both the worker count and the
-//! steal setting freely.
+//! thread* runs a window is invisible to the simulation, so the engine
+//! re-chunks regions onto workers every epoch. Whenever it has more than
+//! one worker, a coordinator-side `StealPlanner` packs the epoch's active
+//! regions onto workers by longest-predicted-first (LPT) bin packing,
+//! predicting each region's cost from its previous window's measured busy
+//! time — the same wall-clock figure the profiler reports in
+//! [`WindowSample::busy_ns`]. The schedule is wall-clock-derived and
+//! therefore non-deterministic run to run, but it only ever remaps
+//! slot→thread; traces, telemetry, and checkpoints stay bit-identical for
+//! any schedule, and a checkpoint carries no scheduler state, so a resume
+//! may change the worker count freely.
 //!
 //! The conservative invariant — no cross-region event may arrive below the
 //! timestamp its destination has already committed — is enforced at
@@ -485,7 +484,7 @@ pub trait ShardProbe {
     fn epoch_end(&mut self, epoch: u64, wall_ns: u64, merged: u64, merge_ns: u64);
     /// The run completed.
     fn run_end(&mut self, report: &ShardRunReport, wall_ns: u64);
-    /// One epoch's scheduler decision under work stealing (default:
+    /// One epoch's scheduler decision of a multi-worker run (default:
     /// ignore). `moved` counts active regions that ran on a different
     /// worker than their previous window; `imbalance_milli` is the
     /// post-steal load balance — the busiest worker's measured window time
@@ -675,7 +674,8 @@ impl<W: RegionWorld> Job<W> {
 struct StealPlanner {
     /// Last measured window cost per region (ns); 0 until first observed.
     cost_ns: Vec<u64>,
-    /// Worker that ran each region's last window (static home initially).
+    /// Worker that ran each region's last window (`region % workers`
+    /// before the first).
     home: Vec<u32>,
     workers: usize,
     /// Scratch: predicted load per worker while packing.
@@ -773,9 +773,6 @@ pub struct ShardedEngine<W: RegionWorld> {
     lookahead: Lookahead,
     horizon: SimTime,
     event_budget: u64,
-    /// Dynamic region→worker packing (see [`StealPlanner`]); static
-    /// `region % workers` assignment when off.
-    steal: bool,
     /// Reused merge batch so the epoch barrier stops allocating once the
     /// cross-region rate stabilizes.
     merge_buf: Vec<(SimTime, RegionId, u32, RegionId, W::Event)>,
@@ -825,7 +822,6 @@ impl<W: RegionWorld> ShardedEngine<W> {
             lookahead,
             horizon,
             event_budget: u64::MAX,
-            steal: false,
             merge_buf: Vec::new(),
             peeks: Vec::new(),
             horizon_scratch: HorizonScratch::default(),
@@ -841,17 +837,6 @@ impl<W: RegionWorld> ShardedEngine<W> {
     /// most one epoch — deterministically, whatever the worker count.
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
-        self
-    }
-
-    /// Enable work stealing: re-pack active regions onto workers every
-    /// epoch from the previous window's measured busy times instead of the
-    /// static `region % workers` assignment. Results are bit-identical
-    /// either way (the schedule only picks threads); with one worker the
-    /// setting is inert. Not part of the scenario fingerprint — a resumed
-    /// run may flip it.
-    pub fn with_stealing(mut self, on: bool) -> Self {
-        self.steal = on;
         self
     }
 
@@ -1045,10 +1030,9 @@ impl<W: RegionWorld> ShardedEngine<W> {
     ///
     /// Each epoch ships the active slots to a persistent pool over channels
     /// and collects them all back — the channel round-trip is the barrier.
-    /// Assignment is static (`region % workers`, so per-region state tends
-    /// to stay in one worker's cache) unless stealing re-packs it. A
-    /// one-worker engine spawns no pool and a one-window epoch skips the
-    /// round-trip; both run their windows on the coordinator.
+    /// The [`StealPlanner`] picks each window's worker. A one-worker engine
+    /// spawns no pool and builds no planner, and a one-window epoch skips
+    /// the round-trip; both run their windows on the coordinator.
     ///
     /// A [`Supervisor`] hooks in at one place: the pre-epoch barrier
     /// (interrupt and cadence checkpoints). A window is a pure function of
@@ -1073,8 +1057,7 @@ impl<W: RegionWorld> ShardedEngine<W> {
         // Planner state is wall-clock-only and deliberately not part of any
         // checkpoint: a resume starts from a cold planner — any schedule is
         // equally correct.
-        let stealing = self.steal && workers > 1;
-        let mut planner = stealing.then(|| StealPlanner::new(self.slots.len(), workers));
+        let mut planner = (workers > 1).then(|| StealPlanner::new(self.slots.len(), workers));
         let will_emit = probe.is_some();
 
         let reason = std::thread::scope(|scope| -> Result<ShardStopReason, CheckpointError> {
@@ -1109,9 +1092,9 @@ impl<W: RegionWorld> ShardedEngine<W> {
                 if let Err(reason) = self.epoch_plan(&mut safe, &mut jobs, sources) {
                     break Ok(reason);
                 }
-                // Stealing needs window timings even without a probe —
+                // The planner needs window timings even without a probe —
                 // they are next epoch's cost predictions.
-                let timed = will_emit || stealing;
+                let timed = will_emit || planner.is_some();
                 let t_epoch = will_emit.then(Instant::now);
                 if will_emit {
                     self.snapshot_pre_epoch(&mut scratch);
@@ -1129,10 +1112,8 @@ impl<W: RegionWorld> ShardedEngine<W> {
                         timed,
                     };
                     if pooled {
-                        let w = planner
-                            .as_ref()
-                            .map_or(i % workers, |pl| pl.assignment[k] as usize);
-                        work_txs[w]
+                        let pl = planner.as_ref().expect("a pool has a planner");
+                        work_txs[pl.assignment[k] as usize]
                             .send(job)
                             .expect("worker alive for the whole run");
                     } else {
@@ -1580,36 +1561,6 @@ mod tests {
         }
     }
 
-    fn chatter_engine_steal(n: u32, threads: usize) -> (ShardRunReport, Vec<Chatter>) {
-        let worlds: Vec<Chatter> = (0..n).map(|_| Chatter { n, log: vec![] }).collect();
-        let mut eng = ShardedEngine::new(
-            worlds,
-            Lookahead::uniform(n as usize, SimDuration::from_micros(250)),
-            SimTime::from_secs(5),
-        )
-        .with_stealing(true);
-        for r in 0..n {
-            eng.prime(r, SimTime::from_micros(7 * r as u64), ChatterEv::Tick(0));
-        }
-        eng.run(threads)
-    }
-
-    #[test]
-    fn stealing_is_bit_identical_to_static_assignment() {
-        let (r_static, w_static) = chatter_engine(8, 1);
-        for threads in [1, 2, 3, 8] {
-            let (rs, ws) = chatter_engine_steal(8, threads);
-            assert_eq!(r_static.events_processed, rs.events_processed);
-            assert_eq!(r_static.cross_region, rs.cross_region);
-            assert_eq!(r_static.epochs, rs.epochs);
-            assert_eq!(r_static.per_region, rs.per_region);
-            assert_eq!(r_static.end_time, rs.end_time);
-            for (a, b) in w_static.iter().zip(&ws) {
-                assert_eq!(a.log, b.log);
-            }
-        }
-    }
-
     #[test]
     fn steal_planner_packs_longest_first_and_counts_moves() {
         let mut pl = StealPlanner::new(6, 2);
@@ -1920,11 +1871,10 @@ mod tests {
         // One callback order in every run mode: per epoch, every region's
         // `window`, then `steal` if the planner packed it, then `epoch_end`.
         let mut plain = Recorder::default();
-        let eng = chatter_sup_engine(4).with_stealing(true);
-        eng.run_probed(2, Some(&mut plain));
+        chatter_sup_engine(4).run_probed(2, Some(&mut plain));
         let mut sup = Recorder::default();
-        let eng = chatter_sup_engine(4).with_stealing(true);
-        eng.run_supervised(2, Some(&mut sup), &SupervisorConfig::default())
+        chatter_sup_engine(4)
+            .run_supervised(2, Some(&mut sup), &SupervisorConfig::default())
             .unwrap();
         assert_eq!(plain.calls, sup.calls);
         assert_eq!(plain.calls.last(), Some(&('r', plain.merges.len() as u64)));
@@ -1972,14 +1922,13 @@ mod tests {
     /// coordinator left waiting on a dead worker fails instead of hanging.
     #[test]
     fn a_panicking_window_reaches_the_caller_in_every_run_mode() {
-        for (threads, steal) in [(1, false), (2, false), (2, true)] {
+        for threads in [1, 2] {
             for mode in ["run", "run_probed", "run_supervised"] {
                 let (tx, rx) = mpsc::channel();
                 std::thread::spawn(move || {
                     let worlds = (0..3).map(|_| Ticker(0)).collect();
                     let la = Lookahead::uniform(3, SimDuration::from_millis(1));
-                    let mut eng =
-                        ShardedEngine::new(worlds, la, SimTime::from_secs(1)).with_stealing(steal);
+                    let mut eng = ShardedEngine::new(worlds, la, SimTime::from_secs(1));
                     for r in 0..3 {
                         eng.prime(r, SimTime::ZERO, ());
                     }
@@ -1993,7 +1942,7 @@ mod tests {
                     let payload = outcome.err().map(|p| p.downcast_ref::<&str>().copied());
                     let _ = tx.send(payload);
                 });
-                let case = format!("{mode}({threads}), steal {steal}");
+                let case = format!("{mode}({threads})");
                 let payload = rx
                     .recv_timeout(std::time::Duration::from_secs(10))
                     .unwrap_or_else(|_| panic!("{case}: hung on a dead worker"));
@@ -2147,9 +2096,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint carries no scheduler state: a run checkpointed with
-    /// stealing on may resume with it off (and vice versa) at any worker
-    /// count and still reproduce the uninterrupted run exactly.
+    /// A checkpoint carries no scheduler state: a run checkpointed under
+    /// one worker count's schedule resumes under another's and still
+    /// reproduces the uninterrupted run exactly.
     #[test]
     fn resume_may_change_the_steal_schedule() {
         let dir = temp_ckpt_dir("steal_resume");
@@ -2161,20 +2110,18 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let (_, _, sup) = chatter_sup_engine(6)
-            .with_stealing(true)
             .run_supervised(3, None, &cfg)
-            .expect("checkpointed stealing run");
+            .expect("checkpointed 3-worker run");
         assert!(sup.checkpoints_written >= 2, "want several checkpoints");
         let files = checkpoint::list_dir(&dir).expect("list");
         let (_, mid) = &files[files.len() / 2];
         let bytes = checkpoint::read_file(mid).expect("read");
-        for (threads, steal) in [(2usize, false), (4usize, true)] {
+        for threads in [2, 4] {
             let mut eng = ShardedEngine::new(
                 chatter_worlds(6),
                 Lookahead::uniform(6, SimDuration::from_micros(250)),
                 SimTime::from_secs(5),
-            )
-            .with_stealing(steal);
+            );
             eng.restore(&bytes, 0x57EA1).expect("restore");
             let (rr, wr, _) = eng
                 .run_supervised(threads, None, &SupervisorConfig::default())

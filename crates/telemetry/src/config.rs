@@ -1,16 +1,12 @@
-//! Environment-driven telemetry configuration and the process-wide shared
-//! sink used by sweep binaries.
+//! Telemetry configuration: what a caller asks one simulation to record.
 //!
-//! * `WMN_TELEMETRY` — `1`/`on` enables event collection; `profile`
-//!   additionally enables event-loop probes; unset/`0` disables everything.
-//! * `WMN_TRACE_PATH` — JSONL output path (default `trace.jsonl` when
-//!   telemetry is on and no path is given).
-//! * `WMN_PROBE_MS` — per-node probe tick in milliseconds (default 1000;
-//!   `0` disables probes while keeping event tracing on).
+//! Nothing here reads the process environment — a run records exactly
+//! what its caller configured (`wmn-sim --trace-out`, a test's in-memory
+//! sink, the daemon's probe stream), and nothing otherwise.
 
 use crate::sink::{FileSink, SharedSink};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use wmn_sim::SimDuration;
 
 /// Resolved telemetry settings for one simulation.
@@ -53,70 +49,24 @@ impl TelemetryConfig {
         }
     }
 
-    /// Read `WMN_TELEMETRY` / `WMN_TRACE_PATH` / `WMN_PROBE_MS`.
-    pub fn from_env() -> Self {
-        let raw = std::env::var("WMN_TELEMETRY").unwrap_or_default();
-        let raw = raw.trim().to_ascii_lowercase();
-        if raw.is_empty() || raw == "0" || raw == "off" || raw == "false" {
-            return TelemetryConfig::disabled();
-        }
-        let mut cfg = TelemetryConfig::enabled();
-        cfg.profile = raw.split(',').any(|f| f.trim() == "profile");
-        if let Ok(p) = std::env::var("WMN_TRACE_PATH") {
-            if !p.is_empty() {
-                cfg.trace_path = Some(p.into());
-            }
-        }
-        if let Ok(ms) = std::env::var("WMN_PROBE_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                cfg.probe_interval = if ms == 0 {
-                    None
-                } else {
-                    Some(SimDuration::from_millis(ms))
-                };
-            }
-        }
-        cfg
-    }
-
-    /// Open (or reuse) the sink this configuration names. Returns `None`
-    /// when disabled. All calls in a process share one sink per path, so
-    /// concurrent sweep replications interleave safely into one file.
-    pub fn open_sink(&self) -> Option<SharedSink> {
+    /// Create (truncate) the JSONL file this configuration names. `None`
+    /// when disabled; an error when the file cannot be created or an
+    /// enabled configuration names none.
+    pub fn open_sink(&self) -> std::io::Result<Option<SharedSink>> {
         if !self.enabled {
-            return None;
+            return Ok(None);
         }
-        let path = self
-            .trace_path
-            .clone()
-            .unwrap_or_else(|| "trace.jsonl".into());
-        Some(shared_file_sink(&path))
+        let path = self.trace_path.as_deref().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "no trace path")
+        })?;
+        Ok(Some(Arc::new(Mutex::new(FileSink::create(path)?))))
     }
 }
 
-static SINKS: OnceLock<Mutex<Vec<(std::path::PathBuf, SharedSink)>>> = OnceLock::new();
 static NEXT_RUN: AtomicU32 = AtomicU32::new(0);
 
-/// The process-wide shared [`FileSink`] for `path` (created on first use).
-pub fn shared_file_sink(path: &std::path::Path) -> SharedSink {
-    let registry = SINKS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut reg = registry.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some((_, sink)) = reg.iter().find(|(p, _)| p == path) {
-        return sink.clone();
-    }
-    let sink: SharedSink = match FileSink::create(path) {
-        Ok(f) => Arc::new(Mutex::new(f)),
-        Err(e) => {
-            eprintln!("warning: cannot open trace file {}: {e}", path.display());
-            Arc::new(Mutex::new(crate::sink::MemorySink::default()))
-        }
-    };
-    reg.push((path.to_path_buf(), sink.clone()));
-    sink
-}
-
 /// Allocate the next process-unique run id (stamped on every event of one
-/// simulation so interleaved sweep traces stay separable).
+/// simulation so several runs recorded into one sink stay separable).
 pub fn next_run_id() -> u32 {
     NEXT_RUN.fetch_add(1, Ordering::Relaxed)
 }
@@ -129,7 +79,7 @@ mod tests {
     fn disabled_opens_no_sink() {
         let cfg = TelemetryConfig::disabled();
         assert!(!cfg.enabled);
-        assert!(cfg.open_sink().is_none());
+        assert!(cfg.open_sink().unwrap().is_none());
     }
 
     #[test]
@@ -148,13 +98,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_sink_is_reused_per_path() {
-        let dir = std::env::temp_dir().join("wmn_telemetry_cfg_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("shared.jsonl");
-        let a = shared_file_sink(&path);
-        let b = shared_file_sink(&path);
-        assert!(Arc::ptr_eq(&a, &b));
-        let _ = std::fs::remove_file(&path);
+    fn an_uncreatable_or_missing_path_is_an_error() {
+        let cfg = TelemetryConfig {
+            trace_path: Some("/nonexistent/dir/t.jsonl".into()),
+            ..TelemetryConfig::enabled()
+        };
+        assert!(cfg.open_sink().is_err());
+        let cfg = TelemetryConfig {
+            trace_path: None,
+            ..TelemetryConfig::enabled()
+        };
+        assert!(cfg.open_sink().is_err());
     }
 }

@@ -498,7 +498,7 @@ event_schema! {
 pub struct TelemetryEvent {
     /// Simulation time, nanoseconds.
     pub t_ns: u64,
-    /// Run id (distinguishes concurrent sweep replications sharing a sink).
+    /// Run id (distinguishes runs that record into one sink).
     pub run: u32,
     /// Node the event happened at.
     pub node: u32,

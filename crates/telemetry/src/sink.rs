@@ -2,8 +2,8 @@
 //!
 //! The handle is the hot-path boundary: a disabled `Tel` is a `None` and
 //! every `emit` is a single branch. Enabled handles share one
-//! `Arc<Mutex<dyn EventSink>>`, so concurrent sweep replications can append
-//! to the same JSONL file (records carry a `run` id to disentangle them).
+//! `Arc<Mutex<dyn EventSink>>`: every layer of a run records into it, and
+//! runs that share one sink stay separable by their records' `run` id.
 
 use crate::event::{EventKind, TelemetryEvent};
 use std::io::Write;
@@ -46,6 +46,12 @@ impl FileSink {
         Ok(FileSink {
             w: std::io::BufWriter::new(f),
         })
+    }
+
+    /// Flush the buffered tail, reporting a failed write (which
+    /// [`EventSink::flush`] cannot).
+    pub fn finish(&mut self) -> std::io::Result<()> {
+        self.w.flush()
     }
 }
 

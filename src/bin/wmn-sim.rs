@@ -12,10 +12,11 @@
 //! only what is its own (scale presets, scripted crashes, console tracing,
 //! the ParMesh engine's knobs). `--help` lists everything.
 
+use std::sync::{Arc, Mutex};
 use wmn::cnlr::cli::{self, parse, Argv};
 use wmn::cnlr::ScenarioSpec;
 use wmn::sim::{SimDuration, SimTime};
-use wmn::telemetry::{ConsoleSink, RunManifest, SharedSink, TelemetryConfig};
+use wmn::telemetry::{ConsoleSink, EventSink, FileSink, RunManifest, SharedSink, TelemetryConfig};
 use wmn::topology::{Placement, Region};
 use wmn::ScenarioBuilder;
 
@@ -36,15 +37,12 @@ pub struct Options {
     pub parmesh: bool,
     /// Worker threads for the sharded engine (ParMesh only).
     pub threads: usize,
-    /// Work stealing between epoch barriers (ParMesh only; `None` keeps
-    /// the engine default, which is on). Never changes results.
-    pub steal: Option<bool>,
     /// Fold telemetry into O(1)-memory per-region fingerprints instead of
     /// a trace (ParMesh only; the scale alternative to --trace-out).
     pub trace_hash: bool,
     /// Region-count override for the sharded engine (ParMesh only).
     pub regions: Option<usize>,
-    /// Write the merged telemetry trace as JSONL to this path (ParMesh only).
+    /// Write the run's telemetry trace as JSONL to this path (either model).
     pub trace_out: Option<String>,
     /// Write the engine execution profile as JSON to this path (ParMesh only).
     pub profile_out: Option<String>,
@@ -68,7 +66,6 @@ impl Default for Options {
             trace: false,
             parmesh: false,
             threads: 1,
-            steal: None,
             trace_hash: false,
             regions: None,
             trace_out: None,
@@ -97,16 +94,15 @@ THIS TOOL:
   --fail N@T[:U]    crash node N at T s; reboot at U s if given (repeatable)
   --csv             emit one CSV line instead of the report
   --trace           print every telemetry event to stderr as it happens
+  --trace-out PATH  write the run's JSONL telemetry trace to PATH (created
+                    before the run; inspect it with wmn-trace)
   --parmesh         shard-parallel scale model (requires --nodes; results
                     are identical for any --threads value)
-  --threads N       worker threads for the sharded engine [1]
-  --steal on|off    work stealing between epoch barriers (with --parmesh)
-                    [on]; rebalances regions across workers from measured
-                    busy times — results are bit-identical either way
+  --threads N       worker threads for the sharded engine [1]; more than
+                    one packs regions onto workers from measured busy times
   --regions N       region-count override for the sharded engine; the
                     auto-tuner warns and grants the nearest geometry-legal
                     grid when a request cannot be honoured
-  --trace-out PATH  write the merged JSONL trace (with --parmesh)
   --trace-hash      fold telemetry into an O(1)-memory fingerprint and
                     print it (with --parmesh; the million-node alternative
                     to --trace-out, incompatible with --checkpoint-dir)
@@ -119,9 +115,6 @@ THIS TOOL:
   --resume          continue from the newest checkpoint in --checkpoint-dir;
                     the finished run is byte-identical to an uninterrupted one
   --help            this text
-
-Set WMN_TELEMETRY=1 (and optionally WMN_TRACE_PATH, WMN_PROBE_MS) to
-record a JSONL trace instead; inspect it with wmn-trace.
 ",
         ScenarioSpec::flag_help()
     )
@@ -176,13 +169,6 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
             "--trace" => o.trace = true,
             "--parmesh" => o.parmesh = true,
             "--threads" => o.threads = argv.parsed("--threads")?,
-            "--steal" => {
-                o.steal = Some(match argv.value("--steal")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--steal takes on|off, got '{other}'")),
-                })
-            }
             "--trace-hash" => o.trace_hash = true,
             "--regions" => o.regions = Some(argv.parsed("--regions")?),
             "--trace-out" => o.trace_out = Some(argv.value("--trace-out")?),
@@ -224,20 +210,21 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
     }
     if !o.parmesh
         && (o.threads > 1
-            || o.steal.is_some()
             || o.trace_hash
             || o.regions.is_some()
-            || o.trace_out.is_some()
             || o.profile_out.is_some()
             || o.checkpoint_dir.is_some()
             || o.checkpoint_every_s.is_some()
             || o.resume)
     {
         return Err(
-            "--threads/--steal/--trace-hash/--regions/--trace-out/--profile-out/\
-             --checkpoint-dir/--checkpoint-every/--resume apply only with --parmesh"
+            "--threads/--trace-hash/--regions/--profile-out/--checkpoint-dir/\
+             --checkpoint-every/--resume apply only with --parmesh"
                 .into(),
         );
+    }
+    if o.trace && o.trace_out.is_some() {
+        return Err("--trace prints the events --trace-out records; pick one".into());
     }
     if (o.checkpoint_every_s.is_some() || o.resume) && o.checkpoint_dir.is_none() {
         return Err("--checkpoint-every/--resume need --checkpoint-dir".into());
@@ -275,8 +262,28 @@ pub fn parse_args(mut argv: Argv) -> Result<Parsed, String> {
 /// shell convention for `128 + SIGINT`.
 const EXIT_INTERRUPTED: i32 = 130;
 
+/// The `--trace-out` file, created before either model runs so that an
+/// unwritable path costs no simulation (exit 1).
+fn create_trace_file(path: &str) -> Arc<Mutex<FileSink>> {
+    match FileSink::create(path.as_ref()) {
+        Ok(sink) => Arc::new(Mutex::new(sink)),
+        Err(e) => {
+            eprintln!("cannot create trace file '{path}': {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Flush the `--trace-out` file; a failed write exits 1.
+fn finish_trace_file(sink: &Mutex<FileSink>, path: &str) {
+    if let Err(e) = sink.lock().expect("no trace writer panicked").finish() {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Run the shard-parallel ParMesh scale model and print its report.
-fn run_parmesh(opts: &Options) {
+fn run_parmesh(opts: &Options, trace_file: Option<Arc<Mutex<FileSink>>>) {
     let n = opts
         .nodes
         .expect("parse_args refuses --parmesh without --nodes");
@@ -287,7 +294,6 @@ fn run_parmesh(opts: &Options) {
         .duration(SimDuration::from_secs_f64(spec.duration_s))
         .interval(SimDuration::from_secs_f64(1.0 / spec.pps))
         .threads(opts.threads)
-        .steal(opts.steal.unwrap_or(true))
         .telemetry(opts.trace_out.is_some())
         .trace_hash(opts.trace_hash)
         .profile(opts.profile_out.is_some());
@@ -370,21 +376,18 @@ fn run_parmesh(opts: &Options) {
     let r = &out.report;
     let interrupted = out.supervisor.as_ref().is_some_and(|sup| sup.interrupted);
 
-    if let Some(path) = &opts.trace_out {
-        let mut body = String::new();
+    if let (Some(sink), Some(path)) = (trace_file, &opts.trace_out) {
+        let mut writer = sink.lock().expect("no trace writer panicked");
         for ev in &out.trace {
-            body.push_str(&ev.to_jsonl());
-            body.push('\n');
+            writer.record(ev);
         }
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
+        drop(writer);
+        finish_trace_file(&sink, path);
         eprintln!("wrote {} events to {path}", out.trace.len());
     }
 
     if let Some((count, fp)) = out.trace_fp {
-        // The fingerprint is invariant to --threads and --steal; compare it
+        // The fingerprint is invariant to --threads; compare it
         // across runs instead of diffing traces that would not fit.
         eprintln!("trace fingerprint: {count} events, {fp:016x}");
     }
@@ -513,7 +516,7 @@ fn classic_builder(opts: &Options) -> Result<ScenarioBuilder, String> {
     if opts.trace {
         // Console tracing: typed events rendered human-readably on stderr
         // (what the old string-ring tracer used to do).
-        let sink: SharedSink = std::sync::Arc::new(std::sync::Mutex::new(ConsoleSink));
+        let sink: SharedSink = Arc::new(Mutex::new(ConsoleSink));
         builder = builder
             .telemetry(TelemetryConfig::enabled())
             .telemetry_sink(sink);
@@ -542,12 +545,18 @@ fn main() {
         Err(msg) => cli::usage_error("wmn-sim", &msg),
     };
 
+    let trace_file = opts.trace_out.as_deref().map(create_trace_file);
     if opts.parmesh {
-        run_parmesh(&opts);
+        run_parmesh(&opts, trace_file);
         return;
     }
 
-    let builder = classic_builder(&opts).unwrap_or_else(|e| cli::usage_error("wmn-sim", &e));
+    let mut builder = classic_builder(&opts).unwrap_or_else(|e| cli::usage_error("wmn-sim", &e));
+    if let Some(sink) = &trace_file {
+        builder = builder
+            .telemetry(TelemetryConfig::enabled())
+            .telemetry_sink(sink.clone() as SharedSink);
+    }
     let t_build = std::time::Instant::now();
     let sim = builder.build().unwrap_or_else(|e| {
         eprintln!("scenario rejected: {e}");
@@ -557,6 +566,9 @@ fn main() {
     let t0 = std::time::Instant::now();
     let r = sim.run();
     let wall = t0.elapsed().as_secs_f64();
+    if let (Some(sink), Some(path)) = (&trace_file, &opts.trace_out) {
+        finish_trace_file(sink, path);
+    }
 
     if opts.csv {
         println!(
@@ -773,6 +785,18 @@ mod tests {
             parse_args(argv("--nodes 1000 --profile-out /tmp/p.json")).is_err(),
             "--profile-out without --parmesh"
         );
+        // One trace flag for both models; the console trace is its
+        // alternative, not an addition.
+        let o = opts("--grid 5 --trace-out /tmp/t.jsonl");
+        assert_eq!(o.trace_out.as_deref(), Some("/tmp/t.jsonl"));
+        assert!(!o.parmesh);
+        for line in [
+            "--trace --trace-out x",
+            "--parmesh --nodes 1000 --trace --trace-out x",
+        ] {
+            let err = parse_args(argv(line)).expect_err(line);
+            assert!(err.contains("--trace-out"), "{line}: {err}");
+        }
         assert!(
             parse_args(argv("--nodes 100000")).is_err(),
             "classic stack caps at 10000"
@@ -797,14 +821,21 @@ mod tests {
         }
     }
 
+    /// A multi-worker run always packs windows by the planner: `--steal`
+    /// is as unknown as any other flag.
     #[test]
     fn million_node_cap_and_steal_flags() {
-        let o = opts("--parmesh --nodes 1000000 --steal off --trace-hash");
+        let o = opts("--parmesh --nodes 1000000 --trace-hash");
         assert_eq!(o.nodes, Some(1_000_000));
-        assert_eq!(o.steal, Some(false));
         assert!(o.trace_hash);
-        assert_eq!(opts("--parmesh --nodes 1000 --steal on").steal, Some(true));
-        assert_eq!(opts("--parmesh --nodes 1000").steal, None, "engine default");
+        for line in [
+            "--parmesh --nodes 1000 --steal on",
+            "--parmesh --nodes 1000 --steal off",
+            "--nodes 1000 --steal off",
+        ] {
+            let err = parse_args(argv(line)).expect_err(line);
+            assert_eq!(err, "unknown flag '--steal'", "{line}");
+        }
         assert!(
             parse_args(argv("--parmesh --nodes 1000001")).is_err(),
             "parmesh caps at one million nodes"
@@ -813,8 +844,6 @@ mod tests {
             parse_args(argv("--nodes 200000")).is_err(),
             "classic stack still caps at 10000"
         );
-        assert!(parse_args(argv("--parmesh --nodes 1000 --steal maybe")).is_err());
-        assert!(parse_args(argv("--nodes 1000 --steal off")).is_err());
         assert!(parse_args(argv("--trace-hash")).is_err());
         assert!(
             parse_args(argv(

@@ -2,8 +2,10 @@
 //! after the process was killed, must be indistinguishable from an
 //! uninterrupted run: byte-identical trace JSONL, identical reports, and
 //! identical `ShardProfile` sim-fingerprints, at every tested worker count.
-//! A resume refuses a corrupt checkpoint with a structured error. (The
-//! interrupt's final checkpoint is resumed in `steal_equivalence.rs`.)
+//! A resume refuses a corrupt checkpoint with a structured error. The
+//! checkpointed leg runs two workers, so the window planner packs its
+//! epochs, and each resume runs under another schedule: this is also the
+//! proof that a checkpoint carries no scheduler state.
 
 use proptest::prelude::*;
 use wmn::sim::SimDuration;

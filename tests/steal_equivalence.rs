@@ -1,37 +1,11 @@
-//! Work stealing is a wall-clock-only optimisation: it remaps which worker
-//! thread executes a region's window, and nothing else. These tests pin
-//! that down end to end — byte-identical traces with stealing on vs off at
-//! every worker count, across an interrupt + resume that changes both the
-//! thread count and the steal setting mid-run — plus the geometric
-//! contract of the region auto-tuner that stealing's region grids come
-//! from.
+//! The geometric contract of the region auto-tuner that the window
+//! scheduler's region grids come from. That the schedule itself never
+//! changes a trace is pinned by `tests/determinism.rs` (one worker, where
+//! no planner runs, against two and eight) and across interrupt + resume
+//! by `tests/resume_equivalence.rs` (resumed at one, two and eight).
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use wmn::cnlr::parmesh::{region_grid, MIN_REGION_SIDE_M, PITCH_M};
-use wmn::sim::SimDuration;
-use wmn::telemetry::TelemetryEvent;
-use wmn::ParMesh;
-
-fn scenario(nodes: usize, seed: u64, steal: bool) -> ParMesh {
-    ParMesh::new(nodes)
-        .seed(seed)
-        .regions(9)
-        .flows(nodes / 20)
-        .duration(SimDuration::from_secs(5))
-        .steal(steal)
-        .telemetry(true)
-}
-
-fn trace_bytes(trace: &[TelemetryEvent]) -> String {
-    let mut s = String::new();
-    for ev in trace {
-        s.push_str(&ev.to_jsonl());
-        s.push('\n');
-    }
-    s
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -73,78 +47,4 @@ proptest! {
             prop_assert!(rx * ry <= (nodes / 384).max(1));
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Random scenarios: the trace is byte-identical with stealing on vs
-    /// off, at worker counts {1, 2, 8}.
-    #[test]
-    fn stealing_never_changes_the_trace(
-        seed in 1u64..1_000,
-        nodes in 300usize..500,
-    ) {
-        let base = scenario(nodes, seed, false).threads(1).run();
-        let base_trace = trace_bytes(&base.trace);
-        prop_assert!(!base.trace.is_empty());
-        for threads in [1usize, 2, 8] {
-            let stolen = scenario(nodes, seed, true).threads(threads).run();
-            prop_assert_eq!(
-                &trace_bytes(&stolen.trace), &base_trace,
-                "stealing changed the trace at {} threads", threads
-            );
-            prop_assert_eq!(base.report.delivered, stolen.report.delivered);
-            prop_assert_eq!(base.report.events, stolen.report.events);
-        }
-    }
-}
-
-/// A checkpointed run interrupted mid-flight while stealing at 4 workers,
-/// then resumed at 2 workers with stealing off, finishes byte-identical to
-/// an uninterrupted static-assignment run: the steal schedule is pure
-/// wall-clock state, so none of it is in the checkpoint and the resumed
-/// tail is free to use a completely different one.
-#[test]
-fn interrupted_steal_run_resumes_under_a_different_schedule() {
-    let base = scenario(400, 42, false).threads(1).run();
-    let base_trace = trace_bytes(&base.trace);
-    assert!(!base.trace.is_empty());
-
-    let dir = std::env::temp_dir().join(format!("wmn_steal_resume_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Interrupt from a watchdog thread: the flag trips at some epoch
-    // barrier partway through (or, worst case, after the run finished —
-    // the resume leg below is correct either way).
-    let flag = Arc::new(AtomicBool::new(false));
-    let tripper = {
-        let flag = flag.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            flag.store(true, Ordering::SeqCst);
-        })
-    };
-    let first = scenario(400, 42, true)
-        .threads(4)
-        .checkpoint_dir(&dir)
-        .checkpoint_every(SimDuration::from_secs(1))
-        .interrupt(flag)
-        .run();
-    tripper.join().unwrap();
-    let sup = first.supervisor.as_ref().expect("supervised");
-    assert!(sup.checkpoints_written >= 1, "{sup:?}");
-
-    let resumed = scenario(400, 42, false)
-        .threads(2)
-        .checkpoint_dir(&dir)
-        .resume(true)
-        .run();
-    let sup = resumed.supervisor.as_ref().expect("supervised");
-    assert!(sup.resumed_from_epoch.is_some(), "{sup:?}");
-    assert!(!sup.interrupted);
-    assert_eq!(trace_bytes(&resumed.trace), base_trace);
-    assert_eq!(base.report.delivered, resumed.report.delivered);
-    assert_eq!(base.report.events, resumed.report.events);
-    let _ = std::fs::remove_dir_all(&dir);
 }

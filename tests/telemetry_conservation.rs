@@ -234,9 +234,9 @@ fn fingerprint(r: &RunResults) -> (Counters, u64, u64, u64, u64) {
 
 #[test]
 fn disabled_sink_is_identical_to_seed_run() {
-    // Explicitly disabled vs. builder default (environment-driven; the
-    // variables are unset under `cargo test`): both must take the exact
-    // same code path and produce the exact same simulation.
+    // Explicitly disabled vs. the builder's default (disabled too): both
+    // must take the exact same code path and produce the exact same
+    // simulation.
     let a = small_5x5_10s()
         .telemetry(TelemetryConfig::disabled())
         .build()
