@@ -1,7 +1,7 @@
 //! CNLR calibration probe (not part of the figure set): PDR/delay at the
 //! congestion knee for candidate cost/probability configurations.
 
-use cnlr::{presets, CnlrConfig, Scheme};
+use cnlr::{outln, presets, CnlrConfig, Scheme};
 use wmn_metrics::{run_replications, seeds_from, MeanCi};
 use wmn_sim::SimDuration;
 
@@ -34,7 +34,7 @@ fn main() {
         ),
     ];
     for flows in [30usize, 40] {
-        println!("--- {flows} flows @ 8 pkt/s, 60 s, 5 seeds ---");
+        outln!("--- {flows} flows @ 8 pkt/s, 60 s, 5 seeds ---");
         for (name, scheme) in &variants {
             let seeds = seeds_from(0xCA11, 5);
             let runs = run_replications(&seeds, 1, |seed| {
@@ -56,7 +56,7 @@ fn main() {
                     .map(|r| r.rreq_tx_per_discovery)
                     .collect::<Vec<_>>(),
             );
-            println!(
+            outln!(
                 "{:<16} pdr={} delay={} rreq/disc={}",
                 name,
                 pdr.display(3),

@@ -29,8 +29,7 @@ fn main() {
         ],
     );
     // One source of truth for the per-scheme totals below: the unified
-    // counter registry each run exports (same names the manifest and
-    // `wmn-trace summary --verify` use).
+    // counter registry each run exports (same names the manifest uses).
     let mut counter_table = ResultTable::new(
         "tab2_counters — Counter totals over all replications (registry names)",
         &[

@@ -1,7 +1,7 @@
 //! `wmn-trace` — query a JSONL telemetry trace or a ShardProfile artifact.
 //!
 //! ```text
-//! wmn-trace summary <trace.jsonl> [--verify <manifest.json>]
+//! wmn-trace summary <trace.jsonl>
 //! wmn-trace drops <trace.jsonl> [--by-reason] [--by-node]
 //! wmn-trace timeline <trace.jsonl> --node N [--limit K]
 //! wmn-trace convergence <trace.jsonl> [--bin-s S]
@@ -13,18 +13,14 @@
 //!
 //! Traces are what `wmn-sim --trace-out` writes (either model); profiles
 //! are what `wmn-sim --parmesh --profile-out` writes. Every command names
-//! its artefact; none is looked up by default. `summary --verify`
-//! cross-checks the trace's event totals against the counter registry a
-//! run manifest recorded; any mismatch is a non-zero exit (the invariant
-//! is exact because instrumentation emits each event adjacent to its
-//! counter increment; merged multi-region traces of one run never
-//! double-count). Unknown flags are an error (exit 2), never ignored.
+//! its artefact; none is looked up by default. Unknown flags are an error
+//! (exit 2), never ignored.
 
 use cnlr::cli::{self, Argv};
+use cnlr::outln;
 use std::collections::BTreeMap;
 use wmn_telemetry::{
-    counter_for_ctrl_drop, counter_for_drop, counter_for_event, profile_to_prometheus, EventKind,
-    LogHistogram, RunManifest, ShardProfile, TelemetryEvent,
+    profile_to_prometheus, EventKind, LogHistogram, RunManifest, ShardProfile, TelemetryEvent,
 };
 
 const BIN: &str = "wmn-trace";
@@ -32,7 +28,7 @@ const BIN: &str = "wmn-trace";
 const USAGE: &str = "\
 usage: wmn-trace <summary|drops|timeline|convergence|profile|diff|ckpt|jobs> <path> [options]
 
-summary      event totals per kind   [--verify <manifest.json>]
+summary      event totals per kind
 drops        discard breakdown       [--by-reason] [--by-node]
 timeline     one node's event log    --node N [--limit K]
 convergence  per-bin data counts     [--bin-s S]
@@ -58,11 +54,11 @@ struct Args {
 }
 
 /// Flags each command accepts, as `(name, takes_value)`. The parser
-/// rejects anything else: a silently ignored flag (or a `--verify` with a
-/// missing path) would report success without doing the requested check.
+/// rejects anything else: a silently ignored flag (or one missing its
+/// value) would report success without doing what was asked.
 fn known_flags(command: &str) -> Result<&'static [(&'static str, bool)], String> {
     Ok(match command {
-        "summary" => &[("verify", true)],
+        "summary" => &[],
         "drops" => &[("by-reason", false), ("by-node", false)],
         "timeline" => &[("node", true), ("limit", true)],
         "convergence" => &[("bin-s", true)],
@@ -151,95 +147,24 @@ fn read(path: &std::path::Path) -> String {
     })
 }
 
-fn summary(events: &[TelemetryEvent], args: &Args) {
+fn summary(events: &[TelemetryEvent]) {
     let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut nodes = std::collections::BTreeSet::new();
-    let mut runs = std::collections::BTreeSet::new();
     let mut t_max = 0u64;
     for ev in events {
         *by_kind.entry(ev.kind.name()).or_insert(0) += 1;
         nodes.insert(ev.node);
-        runs.insert(ev.run);
         t_max = t_max.max(ev.t_ns);
     }
-    println!(
-        "{} events | {} runs | {} nodes | span {:.3} s",
+    outln!(
+        "{} events | {} nodes | span {:.3} s",
         events.len(),
-        runs.len(),
         nodes.len(),
         t_max as f64 / 1e9
     );
-    println!("\n| kind | count |\n|---|---|");
+    outln!("\n| kind | count |\n|---|---|");
     for (kind, count) in &by_kind {
-        println!("| {kind} | {count} |");
-    }
-    if let Some(manifest) = args.value("verify") {
-        verify(events, &by_kind, std::path::Path::new(manifest));
-    }
-}
-
-/// Cross-check event totals against the counter registry in a manifest.
-/// Counters the manifest does not record are treated as 0 (e.g.
-/// `drop_retry_limit`, which by design is never emitted for data).
-fn verify(
-    events: &[TelemetryEvent],
-    by_kind: &BTreeMap<&'static str, u64>,
-    manifest: &std::path::Path,
-) {
-    let Some(RunManifest { counters, .. }) = RunManifest::from_json(&read(manifest)) else {
-        eprintln!("error: {} is not a run manifest", manifest.display());
-        std::process::exit(1);
-    };
-    let mut checked = 0usize;
-    let mut failed = 0usize;
-    let mut check = |counter_name: &str, traced: u64| {
-        let expect = counters.get(counter_name);
-        checked += 1;
-        if traced != expect {
-            failed += 1;
-            println!("FAIL {counter_name}: trace has {traced}, manifest has {expect}");
-        }
-    };
-    // Every counter-mapped kind, so one that never reached the trace still
-    // fails against a nonzero manifest counter.
-    for kind in EventKind::NAMES {
-        if let Some(name) = counter_for_event(kind) {
-            check(name, by_kind.get(kind).copied().unwrap_or(0));
-        }
-    }
-    // data_drop and ctrl_drop map per reason, not per kind.
-    let mut by_reason: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut ctrl_by_reason: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for ev in events {
-        match ev.kind {
-            EventKind::DataDrop { reason, .. } => {
-                *by_reason.entry(counter_for_drop(reason)).or_insert(0) += 1;
-            }
-            EventKind::CtrlDrop { reason } => {
-                if let Some(name) = counter_for_ctrl_drop(reason) {
-                    *ctrl_by_reason.entry(name).or_insert(0) += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    for r in wmn_telemetry::DropReason::ALL {
-        check(
-            counter_for_drop(r),
-            by_reason.get(counter_for_drop(r)).copied().unwrap_or(0),
-        );
-        if let Some(name) = counter_for_ctrl_drop(r) {
-            check(name, ctrl_by_reason.get(name).copied().unwrap_or(0));
-        }
-    }
-    if failed == 0 {
-        println!(
-            "\nverify OK: {checked} counters match {}",
-            manifest.display()
-        );
-    } else {
-        println!("\nverify FAILED: {failed}/{checked} counters mismatch");
-        std::process::exit(1);
+        outln!("| {kind} | {count} |");
     }
 }
 
@@ -267,17 +192,17 @@ fn drops(events: &[TelemetryEvent], args: &Args) {
         *by_reason.entry(reason).or_insert(0) += 1;
         *by_node.entry(ev.node).or_insert(0) += 1;
     }
-    println!("{} drops ({data} data, {ctrl} control)", data + ctrl);
+    outln!("{} drops ({data} data, {ctrl} control)", data + ctrl);
     if !by_node_only {
-        println!("\n| reason | count |\n|---|---|");
+        outln!("\n| reason | count |\n|---|---|");
         for (reason, count) in &by_reason {
-            println!("| {reason} | {count} |");
+            outln!("| {reason} | {count} |");
         }
     }
     if !by_reason_only {
-        println!("\n| node | count |\n|---|---|");
+        outln!("\n| node | count |\n|---|---|");
         for (node, count) in &by_node {
-            println!("| {node} | {count} |");
+            outln!("| {node} | {count} |");
         }
     }
 }
@@ -290,13 +215,13 @@ fn timeline(events: &[TelemetryEvent], args: &Args) {
     let total = events.iter().filter(|ev| ev.node == node).count();
     for (printed, ev) in events.iter().filter(|ev| ev.node == node).enumerate() {
         if printed >= limit {
-            println!("... {} more (raise --limit)", total - printed);
+            outln!("... {} more (raise --limit)", total - printed);
             break;
         }
-        println!("{ev}");
+        outln!("{ev}");
     }
     if total == 0 {
-        println!("no events for node {node}");
+        outln!("no events for node {node}");
     }
 }
 
@@ -359,9 +284,9 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
             _ => {}
         }
     }
-    println!("| t_s | originated | delivered | dropped | rreq_tx |\n|---|---|---|---|---|");
+    outln!("| t_s | originated | delivered | dropped | rreq_tx |\n|---|---|---|---|---|");
     for (i, b) in bins.iter().enumerate() {
-        println!(
+        outln!(
             "| {:.1} | {} | {} | {} | {} |",
             i as f64 * bin_s,
             b.originated,
@@ -371,9 +296,9 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
         );
     }
     if !first_delivery.is_empty() {
-        println!("\nfirst delivery per flow:");
+        outln!("\nfirst delivery per flow:");
         for (flow, t) in &first_delivery {
-            println!("  flow {flow}: {:.3} s", *t as f64 / 1e9);
+            outln!("  flow {flow}: {:.3} s", *t as f64 / 1e9);
         }
     }
 }
@@ -381,10 +306,10 @@ fn convergence(events: &[TelemetryEvent], args: &Args) {
 /// Render a profile's pre-bucketed log histogram with `#` bars.
 fn log_histogram(label: &str, unit: &str, h: &LogHistogram) {
     if h.count() == 0 {
-        println!("{label}: no samples");
+        outln!("{label}: no samples");
         return;
     }
-    println!(
+    outln!(
         "{label}: {} samples, mean {:.1} {unit}, p50 {} {unit}, p99 {} {unit}, max {} {unit}",
         h.count(),
         h.mean(),
@@ -395,7 +320,7 @@ fn log_histogram(label: &str, unit: &str, h: &LogHistogram) {
     let widest = h.nonzero_buckets().map(|(_, _, c)| c).max().unwrap_or(1) as usize;
     for (lo, hi, count) in h.nonzero_buckets() {
         let bar = "#".repeat(((count as usize) * 40).div_ceil(widest));
-        println!("  [{lo:>12}, {hi:>12}) {count:>6} {bar}");
+        outln!("  [{lo:>12}, {hi:>12}) {count:>6} {bar}");
     }
 }
 
@@ -403,12 +328,15 @@ fn log_histogram(label: &str, unit: &str, h: &LogHistogram) {
 /// run totals, per-region utilisation table, top stall sources, and the
 /// three engine histograms.
 fn shard_profile_report(p: &ShardProfile) {
-    println!(
+    outln!(
         "shard profile ({}) | {} regions | {} threads | host cores {}",
-        p.schema, p.regions, p.threads, p.host.host_cores
+        p.schema,
+        p.regions,
+        p.threads,
+        p.host.host_cores
     );
     let wall_s = p.wall_ns as f64 / 1e9;
-    println!(
+    outln!(
         "{} events in {} epochs | {:.3} s wall | {:.0} ev/s | merge share {:.1}%",
         p.events,
         p.epochs,
@@ -416,40 +344,40 @@ fn shard_profile_report(p: &ShardProfile) {
         p.events as f64 / wall_s.max(1e-9),
         100.0 * p.merge_ns as f64 / p.wall_ns.max(1) as f64
     );
-    println!(
+    outln!(
         "cross-region events     : {} ({:.2}% of total)",
         p.cross_region,
         100.0 * p.cross_region as f64 / p.events.max(1) as f64
     );
-    println!("load-imbalance factor   : {:.3}", p.imbalance_factor());
-    println!(
+    outln!("load-imbalance factor   : {:.3}", p.imbalance_factor());
+    outln!(
         "barrier-wait share      : {:.3} (mean over regions)",
         p.barrier_wait_share()
     );
     if p.steal_epochs > 0 {
-        println!(
+        outln!(
             "work stealing           : {:.1} regions moved/epoch over {} epochs",
             p.regions_moved_per_epoch(),
             p.steal_epochs
         );
-        println!(
+        outln!(
             "post-steal imbalance    : {:.3} (ideal 1.0 = perfectly packed)",
             p.post_steal_imbalance()
         );
     } else {
-        println!("work stealing           : off (static region assignment)");
+        outln!("work stealing           : off (static region assignment)");
     }
     if p.host.peak_rss_bytes > 0 {
-        println!(
+        outln!(
             "peak RSS                : {:.1} MiB",
             p.host.peak_rss_bytes as f64 / (1024.0 * 1024.0)
         );
     }
 
-    println!("\n| region | events | share | busy ms | wait ms | util | outbox | stalled | bound others | max queue |");
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    outln!("\n| region | events | share | busy ms | wait ms | util | outbox | stalled | bound others | max queue |");
+    outln!("|---|---|---|---|---|---|---|---|---|---|");
     for r in &p.per_region {
-        println!(
+        outln!(
             "| {} | {} | {:.1}% | {:.2} | {:.2} | {:.3} | {} | {} | {} | {} |",
             r.region,
             r.events,
@@ -466,14 +394,14 @@ fn shard_profile_report(p: &ShardProfile) {
 
     let top = p.top_stall_sources(3);
     if top.is_empty() {
-        println!("\ntop stall sources: none (no bounded windows)");
+        outln!("\ntop stall sources: none (no bounded windows)");
     } else {
-        println!("\ntop stall sources (whose horizon bound the barrier):");
+        outln!("\ntop stall sources (whose horizon bound the barrier):");
         // One window per region per epoch, so a single region can bound up
         // to `regions` windows each epoch — normalise by total windows.
         let windows = (p.epochs * p.regions).max(1);
         for (i, (region, bound)) in top.iter().enumerate() {
-            println!(
+            outln!(
                 "  {}. region {region} bound others in {bound} window(s) ({:.1}% of windows)",
                 i + 1,
                 100.0 * *bound as f64 / windows as f64
@@ -481,11 +409,11 @@ fn shard_profile_report(p: &ShardProfile) {
         }
     }
 
-    println!();
+    outln!();
     log_histogram("event service time", "ns", &p.service_ns);
-    println!();
+    outln!();
     log_histogram("queue depth at epoch boundaries", "events", &p.queue_depth);
-    println!();
+    outln!();
     log_histogram("bounded epoch width", "ns", &p.epoch_width_ns);
 }
 
@@ -501,7 +429,7 @@ fn profile_cmd(args: &Args) {
         std::process::exit(1);
     };
     if args.flag("prometheus") {
-        print!("{}", profile_to_prometheus(&p));
+        outln!("{}", profile_to_prometheus(&p).trim_end());
     } else {
         shard_profile_report(&p);
     }
@@ -527,7 +455,7 @@ fn diff(args: &Args) {
         .unwrap_or_default();
     match wmn_telemetry::first_divergence(&a, &b, &ignore) {
         None => {
-            println!(
+            outln!(
                 "traces identical: {} events ({} vs {})",
                 a.len(),
                 args.path.display(),
@@ -539,7 +467,7 @@ fn diff(args: &Args) {
                 Some(ns) => format!("{:.6}s", ns as f64 / 1e9),
                 None => "-".to_string(),
             };
-            println!(
+            outln!(
                 "traces diverge at event {} (t {} vs {})",
                 d.index,
                 t(d.t_left),
@@ -547,19 +475,19 @@ fn diff(args: &Args) {
             );
             match (&d.left, &d.right) {
                 (Some(l), Some(r)) => {
-                    println!("  a: {l}");
-                    println!("  b: {r}");
+                    outln!("  a: {l}");
+                    outln!("  b: {r}");
                     for f in &d.fields {
-                        println!("  field {}: {} != {}", f.field, f.left, f.right);
+                        outln!("  field {}: {} != {}", f.field, f.left, f.right);
                     }
                 }
                 (Some(l), None) => {
-                    println!("  a: {l}");
-                    println!("  b: <trace ended at {} events>", b.len());
+                    outln!("  a: {l}");
+                    outln!("  b: <trace ended at {} events>", b.len());
                 }
                 (None, Some(r)) => {
-                    println!("  a: <trace ended at {} events>", a.len());
-                    println!("  b: {r}");
+                    outln!("  a: <trace ended at {} events>", a.len());
+                    outln!("  b: {r}");
                 }
                 (None, None) => unreachable!("divergence with no sides"),
             }
@@ -590,13 +518,17 @@ fn ckpt_cmd(args: &Args) {
         vec![(None, args.path.clone())]
     };
     if entries.is_empty() {
-        println!("no checkpoints in {}", args.path.display());
+        outln!("no checkpoints in {}", args.path.display());
         return;
     }
 
-    println!(
+    outln!(
         "{:>8}  {:>12}  {:>7}  {:>10}  {:>10}  status",
-        "epoch", "horizon_s", "regions", "events", "bytes"
+        "epoch",
+        "horizon_s",
+        "regions",
+        "events",
+        "bytes"
     );
     let mut bad = 0usize;
     for (_, path) in &entries {
@@ -604,7 +536,7 @@ fn ckpt_cmd(args: &Args) {
         let verdict = checkpoint::read_file(path).and_then(|bytes| checkpoint::inspect(&bytes));
         match verdict {
             Ok(meta) => {
-                println!(
+                outln!(
                     "{:>8}  {:>12.3}  {:>7}  {:>10}  {:>10}  ok  {}",
                     meta.epoch,
                     meta.committed_ns as f64 / 1e9,
@@ -618,7 +550,7 @@ fn ckpt_cmd(args: &Args) {
             }
             Err(e) => {
                 bad += 1;
-                println!(
+                outln!(
                     "{:>8}  {:>12}  {:>7}  {:>10}  {:>10}  CORRUPT  {}",
                     "-",
                     "-",
@@ -642,9 +574,9 @@ fn ckpt_cmd(args: &Args) {
     let text = std::fs::read_to_string(&manifest).ok();
     match text.as_deref().map(RunManifest::from_json) {
         Some(Some(run)) if !run.lineage.is_empty() => {
-            println!("\nlineage ({}):", manifest.display());
+            outln!("\nlineage ({}):", manifest.display());
             for entry in &run.lineage {
-                println!("  - {entry}");
+                outln!("  - {entry}");
             }
         }
         Some(None) => eprintln!("warning: {} is not a run manifest", manifest.display()),
@@ -675,11 +607,11 @@ fn jobs_cmd(args: &Args) {
     let jobs = client.jobs().unwrap_or_else(|e| fail(e));
     if args.flag("json") {
         // The typed lines re-serialise to the daemon's own bytes.
-        println!("{}\n{}", status.to_line(), jobs.to_line());
+        outln!("{}\n{}", status.to_line(), jobs.to_line());
         return;
     }
     let jobs = jobs.0;
-    println!(
+    outln!(
         "daemon at {} | {} worker(s), queue {}/{}{}",
         args.path.display(),
         status.workers,
@@ -687,7 +619,7 @@ fn jobs_cmd(args: &Args) {
         status.capacity,
         if status.draining { " | DRAINING" } else { "" }
     );
-    println!(
+    outln!(
         "jobs: {} submitted | {} running | {} queued | {} done | {} cancelled | {} failed | {} refused busy",
         status.stats.submitted,
         status.running,
@@ -697,7 +629,7 @@ fn jobs_cmd(args: &Args) {
         status.stats.failed,
         status.stats.rejected_busy
     );
-    println!(
+    outln!(
         "dedup: {} prefix build(s), {} prefix hit(s) | warm cache: {} export(s), {} import(s)",
         status.stats.prefix_builds,
         status.stats.prefix_hits,
@@ -705,14 +637,18 @@ fn jobs_cmd(args: &Args) {
         status.stats.warm_imports
     );
     if jobs.is_empty() {
-        println!("\nno jobs on record");
+        outln!("\nno jobs on record");
         return;
     }
-    println!("\n| job | state | scheme | seed | priority |\n|---|---|---|---|---|");
+    outln!("\n| job | state | scheme | seed | priority |\n|---|---|---|---|---|");
     for j in &jobs {
-        println!(
+        outln!(
             "| {} | {} | {} | {} | {} |",
-            j.id, j.state, j.scheme, j.seed, j.priority
+            j.id,
+            j.state,
+            j.scheme,
+            j.seed,
+            j.priority
         );
     }
 }
@@ -728,7 +664,7 @@ fn main() {
     }
     let events = parse_events(&read(&args.path));
     match args.command.as_str() {
-        "summary" => summary(&events, &args),
+        "summary" => summary(&events),
         "drops" => drops(&events, &args),
         "timeline" => timeline(&events, &args),
         "convergence" => convergence(&events, &args),

@@ -8,7 +8,7 @@
 //! environment shrinks seeds/durations for CI.
 
 use cnlr::cli::{self, Argv};
-use cnlr::{RunResults, ScenarioBuilder, Scheme};
+use cnlr::{outln, RunResults, ScenarioBuilder, Scheme};
 use spec_sweep::Panel;
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
 use wmn_sim::SimDuration;
@@ -244,7 +244,7 @@ pub(crate) fn csv_name(spec: &FigureSpec, suffix: &str) -> String {
 /// Print a table and persist it under `results/<id>[_suffix].csv`. A
 /// failed write exits 1, as [`save_manifest`]'s does.
 pub fn emit(spec: &FigureSpec, suffix: &str, table: &ResultTable) {
-    println!("{}", table.to_markdown());
+    outln!("{}", table.to_markdown());
     let path = std::path::Path::new("results").join(csv_name(spec, suffix));
     let written =
         std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, table.to_csv()));

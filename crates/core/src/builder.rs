@@ -29,7 +29,7 @@ use wmn_mobility::MobilityConfig;
 use wmn_radio::PhyParams;
 use wmn_routing::{FlowId, NodeId, RoutingAction, RoutingConfig};
 use wmn_sim::{Engine, SimDuration, SimRng, SimTime};
-use wmn_telemetry::{next_run_id, SharedSink, Tel, TelemetryConfig};
+use wmn_telemetry::{SharedSink, Tel, TelemetryConfig};
 use wmn_topology::{ConnectivityGraph, Placement, Region, SpatialIndex, Vec2};
 use wmn_traffic::{FlowSpec, FlowState, FlowTracker, TrafficPattern};
 
@@ -603,7 +603,7 @@ impl ScenarioBuilder {
             })?,
         };
         if let Some(sink) = sink {
-            let tel = Tel::new(sink, next_run_id());
+            let tel = Tel::new(sink, 0);
             network.set_telemetry(tel, tel_cfg.probe_interval, tel_cfg.profile);
             if let Some(tick) = tel_cfg.probe_interval {
                 engine.prime(SimTime::ZERO + tick, Event::TelemetryProbe);

@@ -8,9 +8,16 @@
 //! Nothing is ever skipped: an unknown flag, a missing value or a value of
 //! the wrong shape is an error, because a silently ignored flag runs the
 //! wrong experiment and reports success.
+//!
+//! Every line a binary prints to stdout goes through
+//! [`outln!`](crate::outln): once the reader has gone away (`wmn-sim … |
+//! head -1`) the rest of stdout is dropped and the program ends with its
+//! own exit code, instead of `println!`'s panic.
 
 use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A cursor over an argument vector (program name already dropped).
 #[derive(Debug)]
@@ -82,8 +89,44 @@ pub fn usage_error(bin: &str, msg: &str) -> ! {
 /// Answer `--help`: the text on stdout, exit code 0 — asking for usage is
 /// not an error.
 pub fn help(text: &str) -> ! {
-    println!("{}", text.trim_end());
+    crate::outln!("{}", text.trim_end());
     std::process::exit(0);
+}
+
+/// Print one line to stdout: `println!` for binaries, through [`write_line`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_line(format_args!($($arg)*))
+    };
+}
+
+/// Set once a stdout write has failed with `BrokenPipe`.
+static READER_GONE: AtomicBool = AtomicBool::new(false);
+
+/// Write `line` and a newline to stdout. Rust ignores SIGPIPE, so a write
+/// to a pipe whose reader has left fails with `BrokenPipe`: from then on
+/// every stdout line is dropped unwritten, and the program carries on to
+/// its own exit code — a figure still writes its CSVs, an interrupted run
+/// still exits 130. Any other failure (a full disk) exits 1. SIGPIPE's
+/// disposition is left alone: the daemon and its client learn of a
+/// vanished peer from the same error on their sockets.
+pub fn write_line(line: std::fmt::Arguments) {
+    if READER_GONE.load(Ordering::Relaxed) {
+        return;
+    }
+    let written = writeln!(std::io::stdout().lock(), "{line}");
+    if let Err(e) = written {
+        if e.kind() == ErrorKind::BrokenPipe {
+            READER_GONE.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

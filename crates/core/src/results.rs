@@ -174,8 +174,8 @@ impl RunResults {
 
     /// The unified counter registry: every routing, MAC, PHY and drop
     /// counter under its stable snake_case name. This is the single source
-    /// of truth read by `tab2_summary`, run manifests and `wmn-trace
-    /// summary --verify`.
+    /// of truth read by `tab2_summary`, run manifests and the
+    /// trace-conservation test.
     pub fn counters(&self) -> Counters {
         let mut c = Counters::new();
         self.routing.visit(&mut |name, v| c.add(name, v));

@@ -20,8 +20,13 @@ const HELP: &str = "\
 usage: wmn-served --socket PATH [--workers N] [--queue-cap N]
 
   --socket PATH     Unix-domain socket to listen on (required)
-  --workers N       worker threads [WMN_THREADS or all cores]
-  --queue-cap N     max queued jobs before `busy` [64]";
+  --workers N       worker threads, 1-1024 [WMN_THREADS, else cores - 1]
+  --queue-cap N     max queued jobs before `busy`, at least 1 [64]";
+
+/// Most worker threads the daemon starts: each is an OS thread spawned at
+/// start, and a count past the host's cores only queues jobs in the kernel
+/// instead of in the daemon.
+const MAX_WORKERS: usize = 1024;
 
 fn parse_args(mut argv: Argv) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::new("");
@@ -36,6 +41,17 @@ fn parse_args(mut argv: Argv) -> Result<ServerConfig, String> {
     }
     if cfg.socket.as_os_str().is_empty() {
         return Err("--socket is required".into());
+    }
+    // Zero workers would accept jobs that never run, a zero cap would
+    // refuse every job as `busy`; the library allows both for its tests.
+    if !(1..=MAX_WORKERS).contains(&cfg.workers) {
+        return Err(format!(
+            "--workers (or WMN_THREADS) must be in 1..={MAX_WORKERS}, got {}",
+            cfg.workers
+        ));
+    }
+    if cfg.queue_cap == 0 {
+        return Err("--queue-cap must be at least 1".into());
     }
     Ok(cfg)
 }
@@ -75,4 +91,32 @@ fn main() {
         stats.warm_imports,
         stats.warm_exports,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<ServerConfig, String> {
+        parse_args(Argv::new(
+            args.split_whitespace().map(str::to_string).collect(),
+        ))
+    }
+
+    #[test]
+    fn worker_and_queue_counts_it_cannot_serve_are_refused() {
+        for (args, flag) in [
+            ("--workers 0", "--workers"),
+            ("--workers 1025", "--workers"),
+            ("--workers 1 --queue-cap 0", "--queue-cap"),
+        ] {
+            let err = parse(&format!("--socket s {args}")).expect_err(args);
+            assert!(err.starts_with(flag), "{err}");
+        }
+        let cfg = parse("--socket s --workers 1024 --queue-cap 1").expect("in range");
+        assert_eq!((cfg.workers, cfg.queue_cap), (1024, 1));
+        let cfg = parse("--socket s --workers 1").expect("in range");
+        assert_eq!((cfg.workers, cfg.queue_cap), (1, 64));
+        assert_eq!(parse("--workers 2").unwrap_err(), "--socket is required");
+    }
 }

@@ -8,12 +8,13 @@
 //! ```
 //!
 //! Default action submits one job and waits for its result. `--stream`
-//! additionally prints the daemon's 1 Hz probe lines and the job manifest
-//! as they arrive. Exit codes: 0 success, 1 job failed/cancelled or
-//! connection error, 2 usage, 3 daemon busy. Daemon status and the
-//! per-job listing are `wmn-trace jobs PATH`.
+//! additionally prints the daemon's 1 Hz probe lines as they arrive.
+//! Exit codes: 0 success, 1 job failed/cancelled or connection error, 2
+//! usage, 3 daemon busy. Daemon status and the per-job listing are
+//! `wmn-trace jobs PATH`.
 
 use cnlr::cli::{self, Argv};
+use cnlr::outln;
 use std::time::Duration;
 use wmn_served::{Client, ClientError, ScenarioSpec};
 
@@ -30,7 +31,7 @@ fn help() -> String {
          {}\n\
          submission\n\
          \x20 --priority P      higher runs first [0]\n\
-         \x20 --stream          stream 1 Hz probes + manifest to stdout\n\
+         \x20 --stream          stream 1 Hz probe lines to stdout\n\
          \x20 --retry-busy S    retry on busy for up to S seconds [0]\n\
          \x20 --json            raw JSON output instead of a summary",
         ScenarioSpec::flag_help()
@@ -91,19 +92,18 @@ fn main() {
         }
     };
     let outcome = match action {
-        Action::Ping => client.ping().map(|()| println!("pong")),
-        Action::Shutdown => client.shutdown().map(|()| println!("draining")),
-        Action::Cancel(id) => client.cancel(id).map(|o| println!("job {id}: {o}")),
+        Action::Ping => client.ping().map(|()| outln!("pong")),
+        Action::Shutdown => client.shutdown().map(|()| outln!("draining")),
+        Action::Cancel(id) => client.cancel(id).map(|o| outln!("job {id}: {o}")),
         Action::Submit => {
-            let run = client.run_retrying(&spec, priority, stream, retry_busy, |line| {
-                println!("{line}")
-            });
+            let run =
+                client.run_retrying(&spec, priority, stream, retry_busy, |line| outln!("{line}"));
             match run {
                 Ok(result) if result.ok => {
                     if json {
-                        println!("{}", result.to_line());
+                        outln!("{}", result.to_line());
                     } else {
-                        println!(
+                        outln!(
                             "job {}: done in {:.2}s ({} events, prefix {}, warm cache {})",
                             result.job,
                             result.wall_s,
@@ -120,7 +120,7 @@ fn main() {
                             },
                         );
                         for (k, v) in &result.metrics {
-                            println!("  {k:<20} {v}");
+                            outln!("  {k:<20} {v}");
                         }
                     }
                     Ok(())

@@ -45,12 +45,13 @@ impl From<std::io::Error> for ClientError {
 }
 
 /// Longest response line the client reads, so a broken daemon cannot grow
-/// the client without bound either. The largest fixed-size response is the
-/// `manifest` stream line — 1 947 bytes measured for a mobile, churning
-/// 8×8 job, whose counter registry is the fullest — and the `jobs` listing
+/// the client without bound either. The largest per-job line is the
+/// terminal `result` — 1 641 bytes measured for a mobile, churning 8×8
+/// job, whose counter registry is the fullest — and the `jobs` listing
 /// adds 25–70 bytes per job on record, of which the daemon keeps every
-/// unfinished one (its queue is bounded) and the newest 1 024 finished:
-/// 1 MiB is 500 manifests, or ten such listings.
+/// unfinished one (its queue is bounded) and the newest 1 024 finished,
+/// about 76 KB at the default queue cap: 1 MiB is 600 such results, or
+/// over ten such listings.
 const MAX_RESPONSE_LINE: usize = 1024 * 1024;
 
 /// A connected protocol client (one request/response in flight at a time).
@@ -153,8 +154,9 @@ impl Client {
     }
 
     /// Pump stream lines for a submitted job until its terminal result.
-    /// Every non-terminal line (probes, the manifest) is handed to
-    /// `on_line` verbatim.
+    /// Every non-terminal line (the `probe` lines of a streamed job; a
+    /// job that did not ask to stream sends none) is handed to `on_line`
+    /// verbatim.
     pub fn wait(
         &mut self,
         job: u64,

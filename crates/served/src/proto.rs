@@ -6,17 +6,17 @@
 //! the daemon writes with `to_line` and the client reads with `from_json`,
 //! so the two sides cannot disagree about a key. Requests carry `"v":1` and an
 //! `"op"`; responses to a `run` are an immediate ack followed, on the same
-//! connection, by `"stream"`-tagged lines (`probe`, `manifest`, `result`)
-//! until the terminal `result` line. 64-bit seeds travel as strings (the
-//! wire form; a bare integer is accepted too and read exactly); metric
-//! values travel as shortest-roundtrip decimals, which Rust's `{}`
-//! formatting guarantees re-parse to the identical bits — the
+//! connection, by `"stream"`-tagged lines: the job's `probe` lines if it
+//! asked to stream, then the terminal `result` line. 64-bit seeds travel
+//! as strings (the wire form; a bare integer is accepted too and read
+//! exactly); metric values travel as shortest-roundtrip decimals, which
+//! Rust's `{}` formatting guarantees re-parse to the identical bits — the
 //! byte-identity of served figure CSVs rests on that.
 
 use crate::spec::ScenarioSpec;
 use cnlr::RunResults;
 use std::io::{BufRead, Error, ErrorKind::InvalidData, Read};
-use wmn_telemetry::json::{get, object, FromJson, JsonValue, Layout, Seq, ToJson};
+use wmn_telemetry::json::{get, object, FromJson, JsonValue, Layout, Seq};
 use wmn_telemetry::{json_members, parse_object};
 
 /// Wire-protocol version; bumped on any incompatible change.
@@ -138,13 +138,6 @@ impl Request {
             };
         })
     }
-}
-
-/// Format an `f64` for the wire: shortest-roundtrip decimal, or `null`
-/// for non-finite values (JSON has no NaN/Inf). The client maps `null`
-/// back to NaN.
-pub fn fmt_f64(v: f64) -> String {
-    v.to_json_in(Layout::Compact)
 }
 
 /// The one-line answer to a request the daemon will not serve.

@@ -1,8 +1,9 @@
 //! The service core: Unix-socket listener, bounded priority queue, worker
 //! pool, prefix-dedup cache and graceful drain.
 //!
-//! Correctness stance: the daemon never writes result files — it streams
-//! metrics, counters and a per-job `RunManifest` back over the socket and
+//! Correctness stance: the daemon never writes result files — it sends a
+//! job's metrics and counters back over the socket in one terminal
+//! `result` line (after its `probe` lines, when the job asked for them) and
 //! lets the *client* persist them, so a cancelled job can never leave a
 //! partial CSV or manifest on disk. Dedup and warm-cache hand-offs are
 //! pure performance; every guarantee is re-checked at the `cnlr` layer
@@ -10,11 +11,11 @@
 //! cache import).
 
 use crate::proto::{
-    fmt_f64, read_line_capped, refusal, standard_metrics, JobInfo, JobListing, JobResult, Request,
+    read_line_capped, refusal, standard_metrics, JobInfo, JobListing, JobResult, Request,
     ServiceStats, ServiceStatus, PROTOCOL_VERSION,
 };
 use crate::spec::ScenarioSpec;
-use cnlr::{LinkCacheSnapshot, ScenarioPrefix, Scheme};
+use cnlr::{LinkCacheSnapshot, ScenarioPrefix};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -25,10 +26,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use wmn_sim::{SimDuration, StopReason};
-use wmn_telemetry::json::{object, Layout};
-use wmn_telemetry::{
-    EventKind, EventSink, RunManifest, SharedSink, TelemetryConfig, TelemetryEvent,
-};
+use wmn_telemetry::{EventKind, EventSink, SharedSink, TelemetryConfig, TelemetryEvent};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -626,15 +624,6 @@ fn run_job(
             }
         }
     }
-    let manifest = job_manifest(id, spec, &results, wall_s, fp, prefix_reused, warm_import);
-    let _ = reply.send(JobLine {
-        text: object(Layout::Compact, |o| {
-            o.field("stream", "manifest")
-                .field("job", &id)
-                .field("manifest", &manifest.to_json());
-        }),
-        last: false,
-    });
     let result = JobResult {
         job: id,
         ok: true,
@@ -657,59 +646,6 @@ fn run_job(
         warm_import,
     };
     core.finish(id, JobState::Done, &result);
-}
-
-/// The per-job provenance manifest streamed after a successful run. It
-/// records the dedup facts (fingerprint, prefix reuse, warm-cache import)
-/// next to the run's own counters — "the batch reports link-budget cache
-/// reuse in its manifest" lives here and in the aggregated sweep manifest.
-fn job_manifest(
-    id: u64,
-    spec: &ScenarioSpec,
-    results: &cnlr::RunResults,
-    wall_s: f64,
-    fingerprint: u64,
-    prefix_reused: bool,
-    warm_import: bool,
-) -> RunManifest {
-    let scheme_label = Scheme::parse(&spec.scheme)
-        .map(|s| s.label())
-        .unwrap_or_else(|_| spec.scheme.clone());
-    RunManifest {
-        schemes: vec![scheme_label],
-        seeds: vec![spec.seed],
-        xs: vec![],
-        params: vec![
-            ("scheme".into(), spec.scheme.clone()),
-            (
-                "grid".into(),
-                format!("{}x{}", spec.grid_rows, spec.grid_cols),
-            ),
-            ("flows".into(), spec.flows.to_string()),
-            ("pps".into(), fmt_f64(spec.pps)),
-            ("duration_s".into(), fmt_f64(spec.duration_s)),
-            ("warmup_s".into(), fmt_f64(spec.warmup_s)),
-            ("prefix_fingerprint".into(), format!("{fingerprint:016x}")),
-            ("prefix_reused".into(), prefix_reused.to_string()),
-            ("warm_cache_import".into(), warm_import.to_string()),
-            (
-                "pathloss_evals".into(),
-                results.medium.pathloss_evals.to_string(),
-            ),
-            (
-                "link_cache_hits".into(),
-                results.medium.link_cache_hits.to_string(),
-            ),
-            (
-                "link_budgets".into(),
-                results.medium.link_budgets.to_string(),
-            ),
-        ],
-        wall_s,
-        events_processed: results.events,
-        counters: results.counters(),
-        ..RunManifest::stamped(format!("job{id}"), "wmn-served job")
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use std::path::Path;
 /// On-disk magic for checkpoint files.
 pub const MAGIC: [u8; 8] = *b"WMNCKPT1";
 /// Current checkpoint layout version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Conventional file extension for checkpoint files.
 pub const EXTENSION: &str = "wmnckpt";
 
@@ -490,18 +490,19 @@ mod tests {
 
     #[test]
     fn open_rejects_version_mismatch() {
-        let mut img = seal(1, 1, 1, 1, 1, b"x");
-        // Patch version field (bytes 8..12) and re-seal the checksum.
-        img[8] = 99;
-        let body_len = img.len() - 8;
-        let sum = fnv1a(&img[..body_len]);
-        img[body_len..].copy_from_slice(&sum.to_le_bytes());
-        match open(&img) {
-            Err(CheckpointError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, VERSION);
-            }
-            other => panic!("expected version mismatch, got {other:?}"),
+        // Version 1 carried a second queue counter per region.
+        for found in [1u32, 99] {
+            let mut img = seal(1, 1, 1, 1, 1, b"x");
+            // Patch version field (bytes 8..12) and re-seal the checksum.
+            img[8..12].copy_from_slice(&found.to_le_bytes());
+            let body_len = img.len() - 8;
+            let sum = fnv1a(&img[..body_len]);
+            img[body_len..].copy_from_slice(&sum.to_le_bytes());
+            let expected = 2;
+            assert_eq!(
+                open(&img).err(),
+                Some(CheckpointError::VersionMismatch { found, expected })
+            );
         }
     }
 

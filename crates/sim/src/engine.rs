@@ -104,8 +104,6 @@ pub struct RunReport {
     pub reason: StopReason,
     /// Number of events dispatched.
     pub events_processed: u64,
-    /// Total events ever scheduled.
-    pub events_scheduled: u64,
     /// Final simulation time.
     pub end_time: SimTime,
 }
@@ -196,7 +194,6 @@ impl<E> Engine<E> {
         RunReport {
             reason,
             events_processed: self.events_processed,
-            events_scheduled: self.sched.queue.scheduled_total(),
             end_time: self.sched.now,
         }
     }

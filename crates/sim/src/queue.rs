@@ -136,7 +136,6 @@ pub struct EventQueue<E> {
     /// measured from.
     now: SimTime,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -153,7 +152,6 @@ impl<E> EventQueue<E> {
             far: Heap(Vec::new()),
             now: SimTime::ZERO,
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -195,7 +193,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.tier(time).push(Scheduled { time, seq, event });
     }
 
@@ -230,11 +227,6 @@ impl<E> EventQueue<E> {
         self.near.0.is_empty() && self.far.0.is_empty()
     }
 
-    /// Total number of events ever scheduled (for engine statistics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// Discard all pending events.
     pub fn clear(&mut self) {
         self.near.0.clear();
@@ -256,22 +248,21 @@ impl<E> EventQueue<E> {
     }
 
     /// Re-insert an event with an explicit sequence number (checkpoint
-    /// restore). Does not advance `next_seq` or `scheduled_total`; restore
-    /// those separately via [`EventQueue::set_seq_state`].
+    /// restore). Does not advance `next_seq`; restore it separately via
+    /// [`EventQueue::set_seq_state`].
     pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.tier(time).push(Scheduled { time, seq, event });
     }
 
-    /// The `(next_seq, scheduled_total)` counters — persistent tie-break
-    /// state that a checkpoint must carry.
-    pub fn seq_state(&self) -> (u64, u64) {
-        (self.next_seq, self.scheduled_total)
+    /// The next tie-break sequence number — persistent state that a
+    /// checkpoint must carry.
+    pub fn seq_state(&self) -> u64 {
+        self.next_seq
     }
 
-    /// Restore the counters captured by [`EventQueue::seq_state`].
-    pub fn set_seq_state(&mut self, next_seq: u64, scheduled_total: u64) {
+    /// Restore the counter captured by [`EventQueue::seq_state`].
+    pub fn set_seq_state(&mut self, next_seq: u64) {
         self.next_seq = next_seq;
-        self.scheduled_total = scheduled_total;
     }
 }
 
@@ -326,7 +317,6 @@ mod tests {
         q.schedule(SimTime::from_secs(1), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
@@ -335,8 +325,8 @@ mod tests {
         q.schedule(SimTime::ZERO, 1);
         q.clear();
         assert!(q.is_empty());
-        // scheduled_total is cumulative and unaffected by clear.
-        assert_eq!(q.scheduled_total(), 1);
+        // The sequence stream is cumulative and unaffected by clear.
+        assert_eq!(q.seq_state(), 1);
     }
 
     /// Each tier keeps its own budget: `with_capacity` (and `reserve`) size
@@ -409,7 +399,7 @@ mod tests {
         for (time, seq, ev) in entries {
             r.schedule_with_seq(time, seq, ev);
         }
-        r.set_seq_state(seq_state.0, seq_state.1);
+        r.set_seq_state(seq_state);
         assert_eq!(r.seq_state(), seq_state);
         // Restored queue pops identically and continues the seq stream so
         // later same-time events still lose ties to the restored ones.

@@ -1282,9 +1282,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
             b.u64(slot.committed.as_nanos());
             b.u64(slot.processed);
             b.u8(slot.stopped as u8);
-            let (next_seq, sched_total) = slot.queue.seq_state();
-            b.u64(next_seq);
-            b.u64(sched_total);
+            b.u64(slot.queue.seq_state());
             let entries = slot.queue.snapshot_entries();
             b.u64(entries.len() as u64);
             for (t, seq, ev) in entries {
@@ -1328,7 +1326,6 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
             slot.processed = br.u64()?;
             slot.stopped = br.u8()? != 0;
             let next_seq = br.u64()?;
-            let sched_total = br.u64()?;
             slot.outbox.clear();
             slot.queue.clear();
             let pending = br.u64()?;
@@ -1338,7 +1335,7 @@ impl<W: RegionWorld + CheckpointState> ShardedEngine<W> {
                 let ev = W::decode_event(&mut br)?;
                 slot.queue.schedule_with_seq(t, seq, ev);
             }
-            slot.queue.set_seq_state(next_seq, sched_total);
+            slot.queue.set_seq_state(next_seq);
             let wblob = br.bytes()?;
             let mut wr = ByteReader::new(wblob);
             slot.world.decode_state(&mut wr)?;

@@ -85,7 +85,7 @@ proptest! {
         let mut q: EventQueue<u64> = EventQueue::new();
         // The reference: (time, seq, payload), kept sorted by (time, seq).
         let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
-        let (mut next_seq, mut scheduled_total) = (0u64, 0u64);
+        let mut next_seq = 0u64;
         // `schedule_with_seq` restores checkpointed entries, whose seqs are
         // below `next_seq` and distinct from every pending one: draw them
         // from a range of their own, far from the live counter.
@@ -98,7 +98,6 @@ proptest! {
                     q.schedule(time, payload);
                     reference.push((time, next_seq, payload));
                     next_seq += 1;
-                    scheduled_total += 1;
                 }
                 3 | 4 => {
                     reference.sort_unstable();
@@ -123,8 +122,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.seq_state(), (next_seq, scheduled_total));
-            prop_assert_eq!(q.scheduled_total(), scheduled_total);
+            prop_assert_eq!(q.seq_state(), next_seq);
             reference.sort_unstable();
             prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
             let snapshot: Vec<(SimTime, u64, u64)> = q
@@ -154,8 +152,8 @@ proptest! {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
         let live_base = 1u64 << 20;
-        q.set_seq_state(live_base, 0);
-        let (mut next_seq, mut scheduled_total) = (live_base, 0u64);
+        q.set_seq_state(live_base);
+        let mut next_seq = live_base;
         let (mut restored_lo, mut restored_hi) = (0u64, 1u64 << 40);
         let mut now = SimTime::ZERO;
         for (op, class, x, payload) in ops {
@@ -172,7 +170,6 @@ proptest! {
                     q.schedule(time, payload);
                     reference.push((time, next_seq, payload));
                     next_seq += 1;
-                    scheduled_total += 1;
                 }
                 4..=6 => {
                     reference.sort_unstable();
@@ -197,7 +194,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.seq_state(), (next_seq, scheduled_total));
+            prop_assert_eq!(q.seq_state(), next_seq);
             reference.sort_unstable();
             prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
             let snapshot: Vec<(SimTime, u64, u64)> = q

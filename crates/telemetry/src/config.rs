@@ -5,7 +5,6 @@
 //! sink, the daemon's probe stream), and nothing otherwise.
 
 use crate::sink::{FileSink, SharedSink};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use wmn_sim::SimDuration;
 
@@ -63,14 +62,6 @@ impl TelemetryConfig {
     }
 }
 
-static NEXT_RUN: AtomicU32 = AtomicU32::new(0);
-
-/// Allocate the next process-unique run id (stamped on every event of one
-/// simulation so several runs recorded into one sink stay separable).
-pub fn next_run_id() -> u32 {
-    NEXT_RUN.fetch_add(1, Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +79,6 @@ mod tests {
         assert!(cfg.enabled);
         assert_eq!(cfg.probe_interval, Some(SimDuration::from_secs(1)));
         assert!(!cfg.profile);
-    }
-
-    #[test]
-    fn run_ids_are_unique() {
-        let a = next_run_id();
-        let b = next_run_id();
-        assert_ne!(a, b);
     }
 
     #[test]

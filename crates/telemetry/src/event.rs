@@ -290,11 +290,10 @@ macro_rules! event_schema {
         /// Instrumentation emits these kinds exactly adjacent to the
         /// corresponding counter increment, so for a complete trace
         /// `count(kind) == counters.get(counter_for_event(kind))` — the
-        /// invariant `wmn-trace summary --verify` and the conservation test
-        /// check. Kinds without an entry (queue/backoff micro-events,
-        /// probes) are diagnostic only; `data_drop` and `ctrl_drop` map per
-        /// reason ([`crate::counter_for_drop`],
-        /// [`crate::counter_for_ctrl_drop`]).
+        /// invariant the conservation test checks. Kinds without an entry
+        /// (queue/backoff micro-events, probes) are diagnostic only;
+        /// `data_drop` and `ctrl_drop` map per reason
+        /// ([`crate::counter_for_drop`], [`crate::counter_for_ctrl_drop`]).
         pub fn counter_for_event(kind_name: &str) -> Option<&'static str> {
             match kind_name {
                 $($name => $counter,)*
@@ -498,7 +497,8 @@ event_schema! {
 pub struct TelemetryEvent {
     /// Simulation time, nanoseconds.
     pub t_ns: u64,
-    /// Run id (distinguishes runs that record into one sink).
+    /// Run id: always 0 for the runs the workspace builds (each sink
+    /// records one simulation); kept on the wire as `"run":0`.
     pub run: u32,
     /// Node the event happened at.
     pub node: u32,

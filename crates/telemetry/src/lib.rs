@@ -26,7 +26,7 @@ pub mod merge;
 pub mod profile;
 pub mod sink;
 
-pub use config::{next_run_id, TelemetryConfig};
+pub use config::TelemetryConfig;
 pub use counters::{counter_for_ctrl_drop, Counters};
 pub use event::{
     counter_for_drop, counter_for_event, DropReason, EventKind, FaultCode, TelemetryEvent,

@@ -114,7 +114,7 @@ impl RunManifest {
 }
 
 /// The current git revision, or `"unknown"` outside a repository. `git` is
-/// asked once per process: a daemon stamps a manifest per job.
+/// asked once per process, however many manifests it stamps.
 pub fn git_rev() -> String {
     static REV: OnceLock<String> = OnceLock::new();
     REV.get_or_init(|| {

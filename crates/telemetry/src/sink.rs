@@ -2,8 +2,7 @@
 //!
 //! The handle is the hot-path boundary: a disabled `Tel` is a `None` and
 //! every `emit` is a single branch. Enabled handles share one
-//! `Arc<Mutex<dyn EventSink>>`: every layer of a run records into it, and
-//! runs that share one sink stay separable by their records' `run` id.
+//! `Arc<Mutex<dyn EventSink>>`: every layer of a run records into it.
 
 use crate::event::{EventKind, TelemetryEvent};
 use std::io::Write;
@@ -133,8 +132,9 @@ impl Tel {
         Tel::default()
     }
 
-    /// An enabled handle for `run`, reporting as node 0 until
-    /// [`Tel::for_node`] re-homes it.
+    /// An enabled handle stamping `run` on its records (0 for every run
+    /// the workspace builds), reporting as node 0 until [`Tel::for_node`]
+    /// re-homes it.
     pub fn new(sink: SharedSink, run: u32) -> Self {
         Tel {
             sink: Some(sink),

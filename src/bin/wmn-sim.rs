@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 use wmn::cnlr::cli::{self, parse, Argv};
-use wmn::cnlr::ScenarioSpec;
+use wmn::cnlr::{outln, ScenarioSpec};
 use wmn::sim::{SimDuration, SimTime};
 use wmn::telemetry::{ConsoleSink, EventSink, FileSink, RunManifest, SharedSink, TelemetryConfig};
 use wmn::topology::{Placement, Region};
@@ -433,8 +433,8 @@ fn run_parmesh(opts: &Options, trace_file: Option<Arc<Mutex<FileSink>>>) {
     }
 
     if opts.csv {
-        println!("nodes,regions,threads,seed,pdr,mean_delay_ms,mean_hops,originated,delivered,forwards,events,epochs,cross_region,wall_s");
-        println!(
+        outln!("nodes,regions,threads,seed,pdr,mean_delay_ms,mean_hops,originated,delivered,forwards,events,epochs,cross_region,wall_s");
+        outln!(
             "{},{},{},{},{:.4},{:.2},{:.2},{},{},{},{},{},{},{:.3}",
             r.nodes,
             r.regions,
@@ -457,28 +457,35 @@ fn run_parmesh(opts: &Options, trace_file: Option<Arc<Mutex<FileSink>>>) {
         return;
     }
 
-    println!("model                   : parmesh (shard-parallel)");
-    println!(
+    outln!("model                   : parmesh (shard-parallel)");
+    outln!(
         "nodes / regions / threads: {} / {} / {}",
-        r.nodes, r.regions, opts.threads
+        r.nodes,
+        r.regions,
+        opts.threads
     );
-    println!(
+    outln!(
         "originated / delivered  : {} / {}",
-        r.originated, r.delivered
+        r.originated,
+        r.delivered
     );
-    println!("delivery ratio          : {:.4}", r.pdr());
-    println!(
+    outln!("delivery ratio          : {:.4}", r.pdr());
+    outln!(
         "mean delay / hops       : {:.1} ms / {:.2}",
         r.mean_delay_s * 1e3,
         r.mean_hops
     );
-    println!(
+    outln!(
         "drops (nr/exp/down)     : {}/{}/{}",
-        r.dropped_no_route, r.dropped_expired, r.dropped_node_down
+        r.dropped_no_route,
+        r.dropped_expired,
+        r.dropped_node_down
     );
-    println!(
+    outln!(
         "events / epochs / cross : {} / {} / {}",
-        r.events, r.epochs, r.cross_region
+        r.events,
+        r.epochs,
+        r.cross_region
     );
     print_wall_and_rss(wall);
     if interrupted {
@@ -490,9 +497,9 @@ fn run_parmesh(opts: &Options, trace_file: Option<Arc<Mutex<FileSink>>>) {
 /// The last two report lines of both modes: the run's wall time and the
 /// process's high-water resident set (`VmHWM`).
 fn print_wall_and_rss(wall_s: f64) {
-    println!("wall-clock              : {wall_s:.3} s");
+    outln!("wall-clock              : {wall_s:.3} s");
     let peak_rss = wmn::telemetry::sample_host().peak_rss_bytes;
-    println!(
+    outln!(
         "peak RSS                : {:.1} MiB",
         peak_rss as f64 / 1048576.0
     );
@@ -571,10 +578,10 @@ fn main() {
     }
 
     if opts.csv {
-        println!(
+        outln!(
             "scheme,nodes,flows,seed,pdr,mean_delay_ms,p95_delay_ms,goodput_kbps,rreq_per_disc,srb,nrl,jain,collisions,energy_mj_per_pkt"
         );
-        println!(
+        outln!(
             "{},{},{},{},{:.4},{:.2},{:.2},{:.1},{:.2},{:.3},{:.3},{:.3},{},{:.2}",
             r.scheme,
             r.nodes,
@@ -594,38 +601,43 @@ fn main() {
         return;
     }
 
-    println!("scheme                  : {}", r.scheme);
-    println!(
+    outln!("scheme                  : {}", r.scheme);
+    outln!(
         "nodes / flows / seed    : {} / {} / {}",
-        r.nodes, r.flows, opts.spec.seed
+        r.nodes,
+        r.flows,
+        opts.spec.seed
     );
-    println!(
+    outln!(
         "sent / delivered        : {} / {}",
-        r.summary.sent, r.summary.delivered
+        r.summary.sent,
+        r.summary.delivered
     );
-    println!("delivery ratio          : {:.4}", r.pdr());
-    println!(
+    outln!("delivery ratio          : {:.4}", r.pdr());
+    outln!(
         "mean / p95 delay        : {:.1} / {:.1} ms",
         r.mean_delay_ms(),
         r.summary.p95_delay_s * 1e3
     );
-    println!("goodput                 : {:.1} kb/s", r.goodput_kbps);
-    println!("RREQ tx / discovery     : {:.1}", r.rreq_tx_per_discovery);
-    println!(
+    outln!("goodput                 : {:.1} kb/s", r.goodput_kbps);
+    outln!("RREQ tx / discovery     : {:.1}", r.rreq_tx_per_discovery);
+    outln!(
         "saved rebroadcasts      : {:.1} %",
         r.saved_rebroadcast * 100.0
     );
-    println!("normalized routing load : {:.3}", r.normalized_routing_load);
-    println!("discovery success       : {:.3}", r.discovery_success);
-    println!(
+    outln!("normalized routing load : {:.3}", r.normalized_routing_load);
+    outln!("discovery success       : {:.3}", r.discovery_success);
+    outln!(
         "Jain fairness / hotspot : {:.3} / {:.1}",
-        r.jain_forwarding, r.hotspot
+        r.jain_forwarding,
+        r.hotspot
     );
-    println!(
+    outln!(
         "collisions / noise loss : {} / {}",
-        r.medium.collisions, r.medium.noise_losses
+        r.medium.collisions,
+        r.medium.noise_losses
     );
-    println!(
+    outln!(
         "drops (q/nr/bo/df/lf/ex): {}/{}/{}/{}/{}/{}",
         r.drops.queue_full,
         r.drops.no_route,
@@ -634,15 +646,17 @@ fn main() {
         r.drops.link_failure,
         r.drops.expired
     );
-    println!("ctrl drops (queue full) : {}", r.drops.ctrl_queue_full);
-    println!(
+    outln!("ctrl drops (queue full) : {}", r.drops.ctrl_queue_full);
+    outln!(
         "comm energy / delivered : {:.2} mJ",
         r.comm_energy_per_delivered_mj
     );
     if r.faults.node_down + r.faults.injected > 0 {
-        println!(
+        outln!(
             "faults (down/up/other)  : {}/{}/{}",
-            r.faults.node_down, r.faults.node_up, r.faults.injected
+            r.faults.node_down,
+            r.faults.node_up,
+            r.faults.injected
         );
         let repair = if r.repair_latency_s.is_empty() {
             "-".to_string()
@@ -650,14 +664,14 @@ fn main() {
             let mean = r.repair_latency_s.iter().sum::<f64>() / r.repair_latency_s.len() as f64;
             format!("{mean:.2} s")
         };
-        println!("mean route repair       : {repair}");
+        outln!("mean route repair       : {repair}");
         match r.pdr_during_outage {
-            Some(p) => println!("PDR during outages      : {p:.4}"),
-            None => println!("PDR during outages      : -"),
+            Some(p) => outln!("PDR during outages      : {p:.4}"),
+            None => outln!("PDR during outages      : -"),
         }
     }
-    println!("events processed        : {}", r.events);
-    println!("set-up                  : {setup:.3} s");
+    outln!("events processed        : {}", r.events);
+    outln!("set-up                  : {setup:.3} s");
     print_wall_and_rss(wall);
 }
 

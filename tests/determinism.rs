@@ -94,17 +94,18 @@ fn stochastic_fault_schedules_are_a_pure_function_of_the_seed() {
     assert_eq!(a.outages_s, b.outages_s);
     assert_eq!(a.repair_latency_s, b.repair_latency_s);
     assert_eq!(a.counters(), b.counters());
-    // Identical trace event-for-event (modulo the process-global run id).
-    let key = |evs: &[TelemetryEvent]| -> Vec<(u64, u32, wmn::telemetry::EventKind)> {
-        evs.iter().map(|e| (e.t_ns, e.node, e.kind)).collect()
-    };
-    let (ka, kb) = (key(&ta), key(&tb));
-    for (i, (x, y)) in ka.iter().zip(kb.iter()).enumerate() {
+    // Identical trace event-for-event, run id included: every simulation
+    // a process builds records run 0, however many it built before.
+    assert!(
+        ta.iter().chain(&tb).all(|e| e.run == 0),
+        "a run id other than 0"
+    );
+    for (i, (x, y)) in ta.iter().zip(tb.iter()).enumerate() {
         assert_eq!(x, y, "trace diverges at event {i}");
     }
     assert_eq!(
-        ka.len(),
-        kb.len(),
+        ta.len(),
+        tb.len(),
         "trace must be identical event-for-event"
     );
 

@@ -11,9 +11,7 @@ use wmn::telemetry::{MemorySink, SharedSink, TelemetryConfig};
 
 const SIM: &str = env!("CARGO_BIN_EXE_wmn-sim");
 
-/// The scenario both sides run; no other test in this file builds a
-/// simulation in-process, so the in-memory run is run id 0 as the
-/// binary's is.
+/// The scenario both sides run.
 const SCENARIO: &str = "--grid 5 --flows 4 --duration 10 --warmup 2 --seed 3";
 
 #[test]

@@ -4,8 +4,8 @@
 //! and the order of that FIFO fixes the `sched.at` sequence numbers, the
 //! shared medium RNG draws and the trace order. Counters are too coarse to
 //! notice two items swapping places; the full JSONL trace is not. Each
-//! constant below is the FNV-1a hash of every JSONL line (run id zeroed)
-//! of one 5×5, 10 s scenario, captured on the commit before the work queue
+//! constant below is the FNV-1a hash of every JSONL line of one 5×5, 10 s
+//! scenario, captured on the commit before the work queue
 //! was compacted (PR 13). A change that is meant to keep results must
 //! reproduce all of them; a change that is meant to alter results replaces
 //! them and says so.
@@ -24,10 +24,6 @@ struct JsonlHash {
 
 impl EventSink for JsonlHash {
     fn record(&mut self, ev: &TelemetryEvent) {
-        // The run id is a process-wide counter: which test ran first must
-        // not show in the fingerprint.
-        let mut ev = *ev;
-        ev.run = 0;
         for b in ev.to_jsonl().bytes().chain(std::iter::once(b'\n')) {
             self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
