@@ -57,9 +57,13 @@ fn main() {
             .warmup(warm)
     };
     let panels = [
-        Panel::local(spec, "", "PDR", |r| r.pdr()),
-        Panel::local(spec, "hotspot", "hotspot factor (max/mean)", |r| r.hotspot),
-        Panel::local(spec, "delay", "mean delay (ms)", |r| r.mean_delay_ms()),
+        Panel::new(spec, "", "PDR", |r| r.metric("pdr")),
+        Panel::new(spec, "hotspot", "hotspot factor (max/mean)", |r| {
+            r.metric("hotspot")
+        }),
+        Panel::new(spec, "delay", "mean delay (ms)", |r| {
+            r.metric("mean_delay_ms")
+        }),
     ];
     for (panel, table) in sweep_figure_multi(&panels, &xs, &schemes, build) {
         emit(&panel.figure, panel.suffix, &table);

@@ -34,10 +34,16 @@ fn main() {
     };
     let schemes = Scheme::evaluation_set();
     let panels = [
-        Panel::wire(spec, "", "PDR", "pdr"),
-        Panel::wire(spec, "outage_pdr", "PDR during outages", "pdr_outage"),
-        Panel::wire(spec, "repair", "route-repair latency s", "repair_latency_s"),
-        Panel::wire(spec, "reconverge", "time-to-reconverge s", "reconverge_s"),
+        Panel::new(spec, "", "PDR", |r| r.metric("pdr")),
+        Panel::new(spec, "outage_pdr", "PDR during outages", |r| {
+            r.metric("pdr_outage")
+        }),
+        Panel::new(spec, "repair", "route-repair latency s", |r| {
+            r.metric("repair_latency_s")
+        }),
+        Panel::new(spec, "reconverge", "time-to-reconverge s", |r| {
+            r.metric("reconverge_s")
+        }),
     ];
     let build = |rate: f64, scheme: &Scheme, seed: u64| ScenarioSpec {
         grid_rows: 6,

@@ -17,6 +17,7 @@
 use cnlr::{presets, CnlrConfig, RunResults, Scheme};
 use wmn_bench::{emit, quick_mode, replication_seeds, write_manifest, FigureSpec};
 use wmn_metrics::{run_jobs, ResultTable};
+use wmn_served::JobResult;
 use wmn_sim::SimDuration;
 
 struct Column {
@@ -136,7 +137,7 @@ fn main() {
     let cell_walls: Vec<f64> = cell_results.iter().map(|(_, w)| *w).collect();
     let wall_max = cell_walls.iter().cloned().fold(0.0f64, f64::max);
     let wall_mean = cell_walls.iter().sum::<f64>() / cell_walls.len().max(1) as f64;
-    let mut runs: Vec<RunResults> = Vec::new();
+    let mut runs: Vec<JobResult> = Vec::new();
     let mut cells = cell_results.into_iter();
     for &x in &xs {
         let n = x as usize;
@@ -146,7 +147,7 @@ fn main() {
             for (mi, (_, _, f)) in metrics.iter().enumerate() {
                 rows[mi].push(format!("{:.4}", f(&r, wall)));
             }
-            runs.push(r);
+            runs.push(JobResult::from_run(&r));
         }
         for (table, row) in tables.iter_mut().zip(rows) {
             table.add_row(row);

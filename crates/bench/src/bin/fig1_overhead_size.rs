@@ -38,8 +38,12 @@ fn main() {
         }
     };
     let panels = [
-        Panel::wire(spec, "", "RREQ tx per discovery", "rreq_per_discovery"),
-        Panel::wire(spec, "srb", "saved-rebroadcast ratio", "saved_rebroadcast"),
+        Panel::new(spec, "", "RREQ tx per discovery", |r| {
+            r.metric("rreq_per_discovery")
+        }),
+        Panel::new(spec, "srb", "saved-rebroadcast ratio", |r| {
+            r.metric("saved_rebroadcast")
+        }),
     ];
     for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);

@@ -32,8 +32,10 @@ fn main() {
         ..base_spec(scheme, seed)
     };
     let panels = [
-        Panel::wire(spec, "", "discovery success ratio", "discovery_success"),
-        Panel::wire(spec, "pdr", "packet delivery ratio", "pdr"),
+        Panel::new(spec, "", "discovery success ratio", |r| {
+            r.metric("discovery_success")
+        }),
+        Panel::new(spec, "pdr", "packet delivery ratio", |r| r.metric("pdr")),
     ];
     for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {
         emit(&panel.figure, panel.suffix, &table);

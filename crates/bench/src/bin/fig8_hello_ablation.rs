@@ -6,8 +6,7 @@
 //! sparse ones leave the load view stale and link breaks undetected.
 //!
 //! `--served SOCKET` submits the sweep to a running `wmn-served` daemon
-//! instead; the PDR CSV is byte-identical, and the control-tx CSV, which
-//! only an in-process run holds, is not written.
+//! instead; both CSVs are byte-identical to the in-process path.
 
 use cnlr::{CnlrConfig, Scheme};
 use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
@@ -34,9 +33,9 @@ fn main() {
         ..base_spec(scheme, seed)
     };
     let panels = [
-        Panel::wire(spec, "", "PDR", "pdr"),
-        Panel::local(spec, "control", "control tx (total)", |r| {
-            r.control_tx as f64
+        Panel::new(spec, "", "PDR", |r| r.metric("pdr")),
+        Panel::new(spec, "control", "control tx (total)", |r| {
+            r.metric("control_tx")
         }),
     ];
     for (panel, table) in sweep_spec(&panels, &xs, &schemes, served.as_deref(), build) {

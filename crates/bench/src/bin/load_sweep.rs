@@ -11,9 +11,8 @@
 //! the channel is busy and routes around hot regions.
 //!
 //! `--served SOCKET` submits the sweep to a running `wmn-served` daemon
-//! instead. The wire-keyed CSVs (fig3, fig4, fig5, fig6) are
-//! byte-identical (the CI smoke job diffs them); the four panels only an
-//! in-process run holds are not written, and stderr names them.
+//! instead; all eight CSVs are byte-identical to the in-process path (the
+//! CI smoke job diffs them).
 
 use wmn_bench::spec_sweep::{base_spec, sweep_spec, Panel};
 use wmn_bench::{emit, parse_fig_args, FigureSpec};
@@ -32,19 +31,19 @@ fn main() {
     let fig6 = figure("fig6", "Forwarding-load balance vs offered load");
     let fig9 = figure("fig9", "Energy per delivered packet vs offered load");
     let panels = [
-        Panel::wire(fig3, "", "PDR", "pdr"),
-        Panel::wire(fig4, "", "mean delay (ms)", "mean_delay_ms"),
-        Panel::local(fig4, "p95", "p95 delay (ms)", |r| {
-            r.summary.p95_delay_s * 1000.0
+        Panel::new(fig3, "", "PDR", |r| r.metric("pdr")),
+        Panel::new(fig4, "", "mean delay (ms)", |r| r.metric("mean_delay_ms")),
+        Panel::new(fig4, "p95", "p95 delay (ms)", |r| r.metric("p95_delay_ms")),
+        Panel::new(fig5, "", "goodput (kb/s)", |r| r.metric("goodput_kbps")),
+        Panel::new(fig6, "", "Jain index", |r| r.metric("jain_forwarding")),
+        Panel::new(fig6, "hotspot", "hotspot factor (max/mean)", |r| {
+            r.metric("hotspot")
         }),
-        Panel::wire(fig5, "", "goodput (kb/s)", "goodput_kbps"),
-        Panel::wire(fig6, "", "Jain index", "jain_forwarding"),
-        Panel::local(fig6, "hotspot", "hotspot factor (max/mean)", |r| r.hotspot),
-        Panel::local(fig9, "", "comm energy per delivered pkt (mJ)", |r| {
-            r.comm_energy_per_delivered_mj
+        Panel::new(fig9, "", "comm energy per delivered pkt (mJ)", |r| {
+            r.metric("comm_energy_mj_per_pkt")
         }),
-        Panel::local(fig9, "max_node", "max single-node energy (J)", |r| {
-            r.energy_max_node_j
+        Panel::new(fig9, "max_node", "max single-node energy (J)", |r| {
+            r.metric("energy_max_node_j")
         }),
     ];
     let xs: Vec<f64> = if wmn_bench::quick_mode() {

@@ -3,9 +3,35 @@
 //! `QUICK=1` runs 15 flows, and the titles say so).
 
 use cnlr::Scheme;
-use wmn_bench::{emit, quick_mode, replication_seeds, sweep_durations, write_manifest, FigureSpec};
+use wmn_bench::{
+    counter_totals, emit, quick_mode, replication_seeds, sweep_durations, write_manifest,
+    FigureSpec,
+};
 use wmn_metrics::{run_replications, MeanCi, ResultTable};
-use wmn_telemetry::Counters;
+use wmn_served::JobResult;
+
+/// The summary's columns: `(header, wire metric key)`.
+const COLUMNS: [(&str, &str); 8] = [
+    ("PDR", "pdr"),
+    ("delay_ms", "mean_delay_ms"),
+    ("goodput_kbps", "goodput_kbps"),
+    ("rreq/disc", "rreq_per_discovery"),
+    ("SRB", "saved_rebroadcast"),
+    ("NRL", "nrl"),
+    ("Jain", "jain_forwarding"),
+    ("disc_success", "discovery_success"),
+];
+
+/// The counter table's registry columns, ahead of `drops_total`.
+const COUNTERS: [&str; 7] = [
+    "rreq_originated",
+    "rreq_forwarded",
+    "rrep_generated",
+    "hello_sent",
+    "data_delivered",
+    "mac_retries",
+    "phy_collisions",
+];
 
 fn main() {
     wmn_bench::parse_fig_args(env!("CARGO_BIN_NAME"), false);
@@ -14,79 +40,44 @@ fn main() {
     let flows = if quick_mode() { 15 } else { 30 };
     let schemes = Scheme::evaluation_set();
     let mut all_runs = Vec::new();
+    let mut headers = vec!["scheme"];
+    headers.extend(COLUMNS.map(|(header, _)| header));
     let mut table = ResultTable::new(
         format!("tab2 — Summary at the reference point (8×8, {flows} flows @ 8 pkt/s)"),
-        &[
-            "scheme",
-            "PDR",
-            "delay_ms",
-            "goodput_kbps",
-            "rreq/disc",
-            "SRB",
-            "NRL",
-            "Jain",
-            "disc_success",
-        ],
+        &headers,
     );
     // One source of truth for the per-scheme totals below: the unified
     // counter registry each run exports (same names the manifest uses).
+    let mut counter_headers = vec!["scheme"];
+    counter_headers.extend(COUNTERS);
+    counter_headers.push("drops_total");
     let mut counter_table = ResultTable::new(
         "tab2_counters — Counter totals over all replications (registry names)",
-        &[
-            "scheme",
-            "rreq_originated",
-            "rreq_forwarded",
-            "rrep_generated",
-            "hello_sent",
-            "data_delivered",
-            "mac_retries",
-            "phy_collisions",
-            "drops_total",
-        ],
+        &counter_headers,
     );
     for scheme in schemes.clone() {
         let seeds = replication_seeds();
         let runs = run_replications(&seeds, wmn_metrics::default_threads(), |seed| {
-            cnlr::presets::backbone(8, 0, seed)
+            let sim = cnlr::presets::backbone(8, 0, seed)
                 .scheme(scheme.clone())
                 .flows(flows, 8.0, 512)
                 .duration(dur)
                 .warmup(warm)
                 .build()
-                .expect("build")
-                .run()
+                .expect("build");
+            JobResult::from_run(&sim.run())
         });
-        let col = |f: &dyn Fn(&cnlr::RunResults) -> f64| {
-            MeanCi::from_samples(&runs.iter().map(f).collect::<Vec<_>>()).display(3)
-        };
-        table.add_row(vec![
-            scheme.label(),
-            col(&|r| r.pdr()),
-            col(&|r| r.mean_delay_ms()),
-            col(&|r| r.goodput_kbps),
-            col(&|r| r.rreq_tx_per_discovery),
-            col(&|r| r.saved_rebroadcast),
-            col(&|r| r.normalized_routing_load),
-            col(&|r| r.jain_forwarding),
-            col(&|r| r.discovery_success),
-        ]);
-        let mut totals = Counters::new();
-        for r in &runs {
-            for (name, v) in r.counters().iter() {
-                totals.add(name, v);
-            }
-        }
-        counter_table.add_row(vec![
-            scheme.label(),
-            totals.get("rreq_originated").to_string(),
-            totals.get("rreq_forwarded").to_string(),
-            totals.get("rrep_generated").to_string(),
-            totals.get("hello_sent").to_string(),
-            totals.get("data_delivered").to_string(),
-            totals.get("mac_retries").to_string(),
-            totals.get("phy_collisions").to_string(),
-            totals.sum_prefix("drop_").to_string(),
-        ]);
+        let mut row = vec![scheme.label()];
+        row.extend(COLUMNS.map(|(_, key)| {
+            let values: Vec<f64> = runs.iter().map(|r| r.metric(key)).collect();
+            MeanCi::from_samples(&values).display(3)
+        }));
+        table.add_row(row);
+        let totals = counter_totals(&runs);
+        let mut row = vec![scheme.label()];
+        row.extend(COUNTERS.map(|name| totals.get(name).to_string()));
+        row.push(totals.sum_prefix("drop_").to_string());
+        counter_table.add_row(row);
         all_runs.extend(runs);
         eprintln!("[tab2] {} done", scheme.label());
     }

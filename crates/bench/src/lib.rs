@@ -8,9 +8,10 @@
 //! environment shrinks seeds/durations for CI.
 
 use cnlr::cli::{self, Argv};
-use cnlr::{outln, RunResults, ScenarioBuilder, Scheme};
+use cnlr::{outln, ScenarioBuilder, Scheme};
 use spec_sweep::Panel;
 use wmn_metrics::{run_jobs, seeds_from, MeanCi, ResultTable};
+use wmn_served::JobResult;
 use wmn_sim::SimDuration;
 use wmn_telemetry::{Counters, RunManifest};
 
@@ -47,36 +48,35 @@ pub(crate) fn job_coords(i: usize, n_schemes: usize, n_seeds: usize) -> (usize, 
     (cell / n_schemes, cell % n_schemes, si)
 }
 
-/// Fold a finished sweep into one [`ResultTable`] per `(figure, metric
-/// label)` entry of `tables`: rows = x values, one column per scheme, each
-/// cell the mean ±95 % CI over the cell's seeds. `value(job, table)` reads
-/// one table's metric of one flattened job (indexed as [`job_coords`] lays
-/// them out).
-pub(crate) fn fold_tables(
-    tables: &[(&FigureSpec, &str)],
+/// Fold a finished sweep into one [`ResultTable`] per panel: rows = x
+/// values, one column per scheme, each cell the mean ±95 % CI of the
+/// panel's reading over the cell's seeds. `runs` holds one record per
+/// flattened job, laid out as [`job_coords`] orders them.
+fn fold_tables(
+    panels: &[Panel],
     xs: &[f64],
     schemes: &[Scheme],
     n_seeds: usize,
-    value: impl Fn(usize, usize) -> f64,
+    runs: &[JobResult],
 ) -> Vec<ResultTable> {
-    let mut out: Vec<ResultTable> = tables
+    let mut out: Vec<ResultTable> = panels
         .iter()
-        .map(|&(spec, name)| {
-            let mut headers = vec![spec.x_label.to_string()];
+        .map(|Panel { figure, label, .. }| {
+            let mut headers = vec![figure.x_label.to_string()];
             headers.extend(schemes.iter().map(Scheme::label));
             let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             ResultTable::new(
-                format!("{} — {} ({name})", spec.id, spec.title),
+                format!("{} — {} ({label})", figure.id, figure.title),
                 &header_refs,
             )
         })
         .collect();
     for (xi, &x) in xs.iter().enumerate() {
-        for (ti, table) in out.iter_mut().enumerate() {
+        for (panel, table) in panels.iter().zip(&mut out) {
             let mut row = vec![format!("{x}")];
             for schi in 0..schemes.len() {
                 let base = (xi * schemes.len() + schi) * n_seeds;
-                let values: Vec<f64> = (base..base + n_seeds).map(|job| value(job, ti)).collect();
+                let values: Vec<f64> = runs[base..base + n_seeds].iter().map(panel.read).collect();
                 row.push(MeanCi::from_samples(&values).display(3));
             }
             table.add_row(row);
@@ -86,12 +86,12 @@ pub(crate) fn fold_tables(
 }
 
 /// The one sweep executor behind [`sweep_figure_multi`] and
-/// [`spec_sweep::sweep_spec`]: one [`ResultTable`] per `(figure, metric
-/// label)` entry of `tables` (see [`fold_tables`]). `run` performs one job
-/// and `value(result, table)` reads one table's metric from its result;
-/// `how` finishes the banner line given the worker count. Returns
-/// `(tables, runs, seeds, wall_s)` — the tables, and what the sweep's
-/// manifest is written from.
+/// [`spec_sweep::sweep_spec`]: one [`ResultTable`] per panel (see
+/// [`fold_tables`]). `run` performs one job and returns its record, built
+/// in-process by [`JobResult::from_run`] or read from a daemon; `how`
+/// finishes the banner line given the worker count. Returns `(tables,
+/// runs, seeds, wall_s)` — the tables, and what the sweep's manifest is
+/// written from.
 ///
 /// The whole sweep is flattened into a single `(x, scheme, seed)` job queue
 /// so the thread pool stays saturated across cell boundaries (replication
@@ -99,34 +99,32 @@ pub(crate) fn fold_tables(
 /// of its time waiting on the slowest seed). Results come back in job-index
 /// order, which keeps the aggregation — and therefore every table — exactly
 /// as deterministic as the nested-loop version.
-pub(crate) fn run_sweep<R: Send>(
-    tables: &[(&FigureSpec, &str)],
+pub(crate) fn run_sweep(
+    panels: &[Panel],
     how: impl Fn(usize) -> String,
     xs: &[f64],
     schemes: &[Scheme],
-    run: impl Fn(f64, &Scheme, u64) -> R + Sync,
-    value: impl Fn(&R, usize) -> f64,
-) -> (Vec<ResultTable>, Vec<R>, Vec<u64>, f64) {
+    run: impl Fn(f64, &Scheme, u64) -> JobResult + Sync,
+) -> (Vec<ResultTable>, Vec<JobResult>, Vec<u64>, f64) {
     let t0 = std::time::Instant::now();
     let seeds = replication_seeds();
     let threads = wmn_metrics::default_threads();
     let n_jobs = xs.len() * schemes.len() * seeds.len();
-    eprintln!("[{}] {n_jobs} jobs {}", tables[0].0.id, how(threads));
+    eprintln!("[{}] {n_jobs} jobs {}", panels[0].figure.id, how(threads));
     let runs = run_jobs(n_jobs, threads, |i| {
         let (xi, schi, si) = job_coords(i, schemes.len(), seeds.len());
         run(xs[xi], &schemes[schi], seeds[si])
     });
-    let tables = fold_tables(tables, xs, schemes, seeds.len(), |job, ti| {
-        value(&runs[job], ti)
-    });
+    let tables = fold_tables(panels, xs, schemes, seeds.len(), &runs);
     let wall_s = t0.elapsed().as_secs_f64();
     (tables, runs, seeds, wall_s)
 }
 
 /// Sweep a figure once in-process and return each panel's table, in
 /// panel order (see `run_sweep` for the table layout and job order); every
-/// job is built by `build` and run here, and the manifest is written under
-/// the first panel's figure id. For figures a [`wmn_served::ScenarioSpec`]
+/// job is built by `build`, run here and recorded by
+/// [`JobResult::from_run`], and the manifest is written under the first
+/// panel's figure id. For figures a [`wmn_served::ScenarioSpec`]
 /// describes, [`spec_sweep::sweep_spec`] is the path that can also run
 /// through a daemon.
 pub fn sweep_figure_multi<'p>(
@@ -136,26 +134,33 @@ pub fn sweep_figure_multi<'p>(
     build: impl Fn(f64, &Scheme, u64) -> ScenarioBuilder + Sync,
 ) -> Vec<(&'p Panel, ResultTable)> {
     let run = |x: f64, scheme: &Scheme, seed: u64| {
-        build(x, scheme, seed)
-            .build()
-            .unwrap_or_else(|e| panic!("scenario build failed at x={x}: {e}"))
-            .run()
+        let sim = (build(x, scheme, seed).build())
+            .unwrap_or_else(|e| panic!("scenario build failed at x={x}: {e}"));
+        JobResult::from_run(&sim.run())
     };
     let how = |threads| format!("on {threads} threads");
-    let headings: Vec<_> = panels.iter().map(Panel::heading).collect();
-    let value = |run: &RunResults, ti: usize| panels[ti].read(run);
-    let (tables, runs, seeds, wall_s) = run_sweep(&headings, how, xs, schemes, run, value);
+    let (tables, runs, seeds, wall_s) = run_sweep(panels, how, xs, schemes, run);
     write_manifest(&panels[0].figure, schemes, &seeds, xs, wall_s, &runs, &[]);
     panels.iter().zip(tables).collect()
 }
 
-/// What the runs of a sweep add to its manifest beyond the axes.
+/// What the runs of a sweep add to its manifest beyond the axes: their
+/// job count, summed events and summed counter registries, under
+/// `results/<id>_manifest.json`.
 pub(crate) struct ManifestTotals<'a> {
     pub id: String,
-    pub runs: usize,
-    pub events: u64,
-    pub counters: Counters,
+    pub runs: &'a [JobResult],
     pub extra_params: Vec<(&'a str, String)>,
+}
+
+/// The counter registries of `runs`, summed name by name in first-seen
+/// order.
+pub fn counter_totals(runs: &[JobResult]) -> Counters {
+    let mut totals = Counters::new();
+    for (name, v) in runs.iter().flat_map(|r| &r.counters) {
+        totals.add_named(name, *v);
+    }
+    totals
 }
 
 /// Aggregate the per-run counter registries and attach a provenance
@@ -168,22 +173,14 @@ pub fn write_manifest(
     seeds: &[u64],
     xs: &[f64],
     wall_s: f64,
-    runs: &[RunResults],
+    runs: &[JobResult],
     extra_params: &[(&str, String)],
 ) {
-    let mut totals = ManifestTotals {
+    let totals = ManifestTotals {
         id: spec.id.to_string(),
-        runs: runs.len(),
-        events: 0,
-        counters: Counters::new(),
+        runs,
         extra_params: extra_params.to_vec(),
     };
-    for r in runs {
-        for (name, v) in r.counters().iter() {
-            totals.counters.add(name, v);
-        }
-        totals.events += r.events;
-    }
     write_manifest_totals(spec, schemes, seeds, xs, wall_s, totals);
 }
 
@@ -206,7 +203,7 @@ pub(crate) fn write_manifest_totals(
         ("quick", quick_mode().to_string()),
         ("threads", wmn_metrics::default_threads().to_string()),
         ("replications", seeds.len().to_string()),
-        ("runs", totals.runs.to_string()),
+        ("runs", totals.runs.len().to_string()),
     ];
     let params = (standard.into_iter().chain(totals.extra_params))
         .map(|(k, v)| (k.to_string(), v))
@@ -217,8 +214,8 @@ pub(crate) fn write_manifest_totals(
         xs: xs.to_vec(),
         params,
         wall_s,
-        events_processed: totals.events,
-        counters: totals.counters,
+        events_processed: totals.runs.iter().map(|r| r.events).sum(),
+        counters: counter_totals(totals.runs),
         ..RunManifest::stamped(totals.id, spec.title)
     });
 }
@@ -233,19 +230,15 @@ pub fn save_manifest(manifest: &RunManifest) {
     }
 }
 
-/// `results/<id>[_suffix].csv`'s file name.
-pub(crate) fn csv_name(spec: &FigureSpec, suffix: &str) -> String {
-    match suffix {
-        "" => format!("{}.csv", spec.id),
-        _ => format!("{}_{suffix}.csv", spec.id),
-    }
-}
-
 /// Print a table and persist it under `results/<id>[_suffix].csv`. A
 /// failed write exits 1, as [`save_manifest`]'s does.
 pub fn emit(spec: &FigureSpec, suffix: &str, table: &ResultTable) {
     outln!("{}", table.to_markdown());
-    let path = std::path::Path::new("results").join(csv_name(spec, suffix));
+    let name = match suffix {
+        "" => format!("{}.csv", spec.id),
+        _ => format!("{}_{suffix}.csv", spec.id),
+    };
+    let path = std::path::Path::new("results").join(name);
     let written =
         std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, table.to_csv()));
     match written {

@@ -1,89 +1,49 @@
 //! Spec-driven figure sweeps: a figure described once, as a
 //! `ScenarioSpec` per `(x, scheme, seed)` plus the panels it reports, run
 //! in-process or through a `wmn-served` daemon (`--served SOCKET`). Both
-//! transports share the one executor (`run_sweep`) and its aggregation,
-//! and a wire-keyed panel reads the daemon's own [`standard_metrics`]
-//! either way (values cross the socket as shortest-roundtrip decimals), so
-//! its CSV is byte-identical. The served manifest also records the batch's
+//! transports share the one executor (`run_sweep`), its aggregation and
+//! its record: every job is a [`JobResult`] — built by
+//! [`JobResult::from_run`] in-process, read off the socket when served —
+//! and every panel reads its value from that record alone (wire metrics
+//! cross the socket as shortest-roundtrip decimals), so every CSV is
+//! byte-identical either way. The served manifest also records the batch's
 //! dedup economics: prefix reuse and warm link-budget cache hits.
 
 use crate::{
-    csv_name, run_sweep, sweep_durations, sweep_figure_multi, write_manifest_totals, FigureSpec,
+    run_sweep, sweep_durations, sweep_figure_multi, write_manifest_totals, FigureSpec,
     ManifestTotals,
 };
-use cnlr::{RunResults, Scheme};
+use cnlr::Scheme;
 use std::time::Duration;
 use wmn_metrics::ResultTable;
-use wmn_served::{standard_metrics, Client, JobResult, ScenarioSpec};
-use wmn_telemetry::Counters;
+use wmn_served::{Client, JobResult, ScenarioSpec, METRICS};
 
-/// Where a panel's per-run value comes from.
-enum Reading {
-    /// A [`standard_metrics`] wire key: computed from the run in-process,
-    /// read from the daemon's job result when served.
-    Wire(&'static str),
-    /// A value only an in-process [`RunResults`] holds; not written when
-    /// served.
-    Local(fn(&RunResults) -> f64),
-}
-
-/// One table of a spec-driven sweep: the figure it belongs to (its id,
-/// title and x label), its CSV suffix, its metric label and how a run's
-/// value is read.
+/// One table of a figure sweep: the figure it belongs to (its id, title
+/// and x label), its CSV suffix, its metric label and how a job's value
+/// is read from its record.
 pub struct Panel {
     /// The figure whose title, x label and CSV name the table carries.
     pub figure: FigureSpec<'static>,
     /// CSV suffix (`results/<id>[_suffix].csv`, see [`crate::emit`]).
     pub suffix: &'static str,
-    label: &'static str,
-    reading: Reading,
+    pub(crate) label: &'static str,
+    pub(crate) read: fn(&JobResult) -> f64,
 }
 
 impl Panel {
-    /// A panel read through the wire metric `key`: available in both
-    /// transports.
-    pub fn wire(
+    /// A panel whose per-job value is `read` of the job's record (most
+    /// panels read one wire metric: `|r| r.metric("pdr")`).
+    pub fn new(
         figure: FigureSpec<'static>,
         suffix: &'static str,
         label: &'static str,
-        key: &'static str,
+        read: fn(&JobResult) -> f64,
     ) -> Panel {
-        let reading = Reading::Wire(key);
         Panel {
             figure,
             suffix,
             label,
-            reading,
-        }
-    }
-
-    /// A panel only an in-process run can fill.
-    pub fn local(
-        figure: FigureSpec<'static>,
-        suffix: &'static str,
-        label: &'static str,
-        read: fn(&RunResults) -> f64,
-    ) -> Panel {
-        let reading = Reading::Local(read);
-        Panel {
-            figure,
-            suffix,
-            label,
-            reading,
-        }
-    }
-
-    pub(crate) fn heading(&self) -> (&FigureSpec<'static>, &str) {
-        (&self.figure, self.label)
-    }
-
-    /// This panel's value of an in-process run.
-    pub(crate) fn read(&self, run: &RunResults) -> f64 {
-        match &self.reading {
-            Reading::Wire(key) => (standard_metrics(run).into_iter())
-                .find(|(k, _)| k == key)
-                .map_or(f64::NAN, |(_, v)| v),
-            Reading::Local(read) => read(run),
+            read,
         }
     }
 }
@@ -102,10 +62,9 @@ pub fn base_spec(scheme: &Scheme, seed: u64) -> ScenarioSpec {
 }
 
 /// Run a spec-described sweep once and return each panel's table, in
-/// panel order. In-process (`served = None`) every panel is filled and the
-/// manifest is `results/<first panel's id>_manifest.json`. Through the
-/// daemon at `served`, the `Local` panels are skipped (and named on
-/// stderr) and the manifest is `<id>_served_manifest.json`.
+/// panel order. In-process (`served = None`) the manifest is
+/// `results/<first panel's id>_manifest.json`; through the daemon at
+/// `served` it is `<id>_served_manifest.json`.
 pub fn sweep_spec<'p, F>(
     panels: &'p [Panel],
     xs: &[f64],
@@ -124,20 +83,6 @@ where
         };
         return sweep_figure_multi(panels, xs, schemes, build);
     };
-    let keyed: Vec<(&Panel, &str)> = (panels.iter())
-        .filter_map(|p| match p.reading {
-            Reading::Wire(key) => Some((p, key)),
-            Reading::Local(_) => None,
-        })
-        .collect();
-    let skipped: Vec<String> = (panels.iter())
-        .filter(|p| matches!(p.reading, Reading::Local(_)))
-        .map(|p| csv_name(&p.figure, p.suffix))
-        .collect();
-    if !skipped.is_empty() {
-        let names = skipped.join(", ");
-        eprintln!("[{}] in-process only, not written: {names}", first.id);
-    }
     let run = |x: f64, scheme: &Scheme, seed: u64| {
         let mut client = Client::connect(socket)
             .unwrap_or_else(|e| panic!("cannot connect to daemon at {socket}: {e}"));
@@ -145,23 +90,33 @@ where
         let result = client
             .run_retrying(&build(x, scheme, seed), 0, false, hour, |_| {})
             .unwrap_or_else(|e| panic!("served job failed at x={x}: {e}"));
-        if !result.ok {
-            panic!(
-                "served job at x={x} reported failure: {}",
-                result.error.as_deref().unwrap_or("unknown")
-            );
-        }
-        result
+        checked(socket, x, result)
     };
     let how = |threads| format!("via daemon at {socket} ({threads} submit threads)");
-    let headings: Vec<_> = keyed.iter().map(|(p, _)| p.heading()).collect();
-    let (tables, runs, seeds, wall_s) =
-        run_sweep(&headings, how, xs, schemes, run, |run: &JobResult, ti| {
-            run.metric(keyed[ti].1)
-        });
+    let (tables, runs, seeds, wall_s) = run_sweep(panels, how, xs, schemes, run);
     let totals = served_totals(first, &runs);
     write_manifest_totals(first, schemes, &seeds, xs, wall_s, totals);
-    keyed.into_iter().map(|(p, _)| p).zip(tables).collect()
+    panels.iter().zip(tables).collect()
+}
+
+/// A served job's record as the sweep folds it. A failed job, or one
+/// whose metric names are not this build's [`METRICS`] keys (a daemon
+/// built with another metric set, whose absent values would print as
+/// `NaN`), panics: the figure exits non-zero instead of writing it.
+fn checked(socket: &str, x: f64, result: JobResult) -> JobResult {
+    if !result.ok {
+        panic!(
+            "served job at x={x} reported failure: {}",
+            result.error.as_deref().unwrap_or("unknown")
+        );
+    }
+    let names: Vec<&str> = result.metrics.iter().map(|(k, _)| k.as_str()).collect();
+    let keys = METRICS.map(|(key, _)| key);
+    if names != keys {
+        let missing: Vec<&str> = keys.into_iter().filter(|k| !names.contains(k)).collect();
+        panic!("daemon at {socket} speaks another metric set: missing {missing:?}, sent {names:?}");
+    }
+    result
 }
 
 /// The served manifest's share (`<id>_served_manifest.json`): the per-job
@@ -169,11 +124,7 @@ where
 /// facts — how many jobs reused a cached prefix, how many imported a warm
 /// link-budget cache, and the medium's cache hit economics summed across
 /// replications.
-fn served_totals(spec: &FigureSpec, runs: &[JobResult]) -> ManifestTotals<'static> {
-    let mut counters = Counters::new();
-    for (name, v) in runs.iter().flat_map(|r| &r.counters) {
-        counters.add_named(name, *v);
-    }
+fn served_totals<'a>(spec: &FigureSpec, runs: &'a [JobResult]) -> ManifestTotals<'a> {
     let sum = |field: fn(&JobResult) -> u64| runs.iter().map(field).sum::<u64>();
     let of_runs = |n: u64| format!("{n}/{}", runs.len());
     let extra_params = vec![
@@ -192,9 +143,26 @@ fn served_totals(spec: &FigureSpec, runs: &[JobResult]) -> ManifestTotals<'stati
     ];
     ManifestTotals {
         id: format!("{}_served", spec.id),
-        runs: runs.len(),
-        events: sum(|r| r.events),
-        counters,
+        runs,
         extra_params,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "daemon at d.sock speaks another metric set: missing [\"hotspot\"]")]
+    fn a_result_missing_a_metric_of_this_build_is_refused() {
+        let metrics = (METRICS.iter())
+            .filter(|(key, _)| *key != "hotspot")
+            .map(|(key, _)| (key.to_string(), 1.0));
+        let result = JobResult {
+            ok: true,
+            metrics: metrics.collect(),
+            ..JobResult::default()
+        };
+        checked("d.sock", 1.0, result);
     }
 }

@@ -1,7 +1,6 @@
 //! The spec-driven sweep through both transports: a tiny sweep run
-//! in-process and through an in-process `wmn-served` daemon must give the
-//! same CSV for every wire-keyed panel, and the served run must leave out
-//! the panels only an in-process run can fill.
+//! in-process and through an in-process `wmn-served` daemon must write
+//! every panel, each to the same CSV.
 
 use cnlr::Scheme;
 use wmn_bench::spec_sweep::{sweep_spec, Panel};
@@ -25,7 +24,7 @@ fn tiny(flows: f64, scheme: &Scheme, seed: u64) -> ScenarioSpec {
 }
 
 #[test]
-fn served_sweep_matches_in_process_on_wire_panels() {
+fn served_sweep_matches_in_process_on_every_panel() {
     // Both sweeps write their manifests under `./results`: run them in a
     // scratch directory, not in the source tree.
     let dir = std::env::temp_dir().join(format!("wmn_bench_spec_sweep_{}", std::process::id()));
@@ -38,9 +37,12 @@ fn served_sweep_matches_in_process_on_wire_panels() {
         x_label: "flows",
     };
     let panels = [
-        Panel::wire(figure, "", "PDR", "pdr"),
-        Panel::local(figure, "hotspot", "hotspot factor", |r| r.hotspot),
-        Panel::wire(figure, "goodput", "goodput (kb/s)", "goodput_kbps"),
+        Panel::new(figure, "", "PDR", |r| r.metric("pdr")),
+        Panel::new(figure, "hotspot", "hotspot factor", |r| r.metric("hotspot")),
+        Panel::new(figure, "goodput", "goodput (kb/s)", |r| {
+            r.metric("goodput_kbps")
+        }),
+        Panel::new(figure, "control", "control tx", |r| r.metric("control_tx")),
     ];
     let xs = [1.0, 3.0];
     let schemes = [Scheme::Flooding, Scheme::Cnlr(Default::default())];
@@ -51,7 +53,7 @@ fn served_sweep_matches_in_process_on_wire_panels() {
 
     let in_process = csvs(sweep_spec(&panels, &xs, &schemes, None, tiny));
     let suffixes: Vec<&str> = in_process.iter().map(|(s, _)| *s).collect();
-    assert_eq!(suffixes, ["", "hotspot", "goodput"]);
+    assert_eq!(suffixes, ["", "hotspot", "goodput", "control"]);
     assert!(in_process.iter().all(|(_, csv)| !csv.contains("NaN")));
 
     let socket = dir.join("daemon.sock");
@@ -66,8 +68,7 @@ fn served_sweep_matches_in_process_on_wire_panels() {
     server.request_shutdown();
     server.join();
 
-    let wire = in_process.into_iter().filter(|(s, _)| *s != "hotspot");
-    assert_eq!(served, wire.collect::<Vec<_>>());
+    assert_eq!(served, in_process);
     assert!(dir.join("results/tiny_manifest.json").is_file());
     assert!(dir.join("results/tiny_served_manifest.json").is_file());
     std::fs::remove_dir_all(&dir).unwrap();

@@ -61,12 +61,6 @@ impl MeanCi {
     pub fn display(&self, precision: usize) -> String {
         format!("{:.p$} ±{:.p$}", self.mean, self.half_width, p = precision)
     }
-
-    /// Whether `other`'s interval overlaps ours (a quick significance
-    /// screen for "who wins" claims).
-    pub fn overlaps(&self, other: &MeanCi) -> bool {
-        (self.mean - other.mean).abs() <= self.half_width + other.half_width
-    }
 }
 
 #[cfg(test)]
@@ -101,27 +95,6 @@ mod tests {
         let ci = MeanCi::from_samples(&[3.0]);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.mean, 3.0);
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = MeanCi {
-            mean: 1.0,
-            half_width: 0.2,
-            n: 5,
-        };
-        let b = MeanCi {
-            mean: 1.3,
-            half_width: 0.2,
-            n: 5,
-        };
-        let c = MeanCi {
-            mean: 2.0,
-            half_width: 0.2,
-            n: 5,
-        };
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use cnlr::spec;
 pub use client::{Client, ClientError};
 pub use proto::{
     standard_metrics, JobInfo, JobListing, JobResult, Request, ServiceStats, ServiceStatus,
-    PROTOCOL_VERSION,
+    METRICS, PROTOCOL_VERSION,
 };
 pub use server::{JobState, Server, ServerConfig};
 pub use spec::ScenarioSpec;

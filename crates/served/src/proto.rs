@@ -153,34 +153,48 @@ fn need<T: FromJson>(v: &JsonValue, key: &str) -> Result<T, String> {
         .ok_or_else(|| format!("response lacks a well-formed \"{key}\""))
 }
 
-/// The metric set the daemon extracts from every completed run, keyed for
-/// the wire. The served figures (fig3 reads `pdr`; fig11 reads `pdr`,
-/// `pdr_outage`, `repair_latency_s`, `reconverge_s`) read these same
-/// definitions in their in-process branch too, which is what keeps served
-/// and one-shot CSVs byte-identical.
+/// One wire metric: its key and its value of a run.
+pub type Metric = (&'static str, fn(&RunResults) -> f64);
+
+/// The metric set extracted from every completed run, in wire order.
+/// Every figure-sweep panel reads its value from these definitions through
+/// a [`JobResult`], in-process ([`JobResult::from_run`]) and served alike,
+/// which is what keeps served and one-shot CSVs byte-identical. The
+/// medium's perf counters stay off this list: a warm link-cache import
+/// moves them by design, and every value here must equal its one-shot
+/// run's bit for bit.
+pub const METRICS: [Metric; 16] = [
+    ("pdr", |r| r.pdr()),
+    ("pdr_outage", |r| r.pdr_during_outage.unwrap_or(0.0)),
+    ("repair_latency_s", |r| match r.repair_latency_s.len() {
+        0 => 0.0,
+        n => r.repair_latency_s.iter().sum::<f64>() / n as f64,
+    }),
+    ("reconverge_s", |r| r.reconverge_s.unwrap_or(0.0)),
+    ("mean_delay_ms", |r| r.mean_delay_ms()),
+    ("goodput_kbps", |r| r.goodput_kbps),
+    ("rreq_per_discovery", |r| r.rreq_tx_per_discovery),
+    ("saved_rebroadcast", |r| r.saved_rebroadcast),
+    ("discovery_success", |r| r.discovery_success),
+    ("nrl", |r| r.normalized_routing_load),
+    ("jain_forwarding", |r| r.jain_forwarding),
+    ("p95_delay_ms", |r| r.summary.p95_delay_s * 1000.0),
+    ("hotspot", |r| r.hotspot),
+    ("comm_energy_mj_per_pkt", |r| r.comm_energy_per_delivered_mj),
+    ("energy_max_node_j", |r| r.energy_max_node_j),
+    ("control_tx", |r| r.control_tx as f64),
+];
+
+/// [`METRICS`] of one run, keyed for the wire.
 pub fn standard_metrics(r: &RunResults) -> Vec<(&'static str, f64)> {
-    let repair = if r.repair_latency_s.is_empty() {
-        0.0
-    } else {
-        r.repair_latency_s.iter().sum::<f64>() / r.repair_latency_s.len() as f64
-    };
-    vec![
-        ("pdr", r.pdr()),
-        ("pdr_outage", r.pdr_during_outage.unwrap_or(0.0)),
-        ("repair_latency_s", repair),
-        ("reconverge_s", r.reconverge_s.unwrap_or(0.0)),
-        ("mean_delay_ms", r.mean_delay_ms()),
-        ("goodput_kbps", r.goodput_kbps),
-        ("rreq_per_discovery", r.rreq_tx_per_discovery),
-        ("saved_rebroadcast", r.saved_rebroadcast),
-        ("discovery_success", r.discovery_success),
-        ("nrl", r.normalized_routing_load),
-        ("jain_forwarding", r.jain_forwarding),
-    ]
+    METRICS
+        .iter()
+        .map(|&(key, value)| (key, value(r)))
+        .collect()
 }
 
 /// The terminal per-job response, as both sides see it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct JobResult {
     /// Job id.
     pub job: u64,
@@ -211,20 +225,39 @@ pub struct JobResult {
 impl JobResult {
     /// A failed/cancelled result.
     pub fn failure(job: u64, error: impl Into<String>) -> JobResult {
+        let error = Some(error.into());
         JobResult {
             job,
-            ok: false,
-            error: Some(error.into()),
-            wall_s: 0.0,
-            events: 0,
-            metrics: Vec::new(),
-            counters: Vec::new(),
-            pathloss_evals: 0,
-            link_cache_hits: 0,
-            link_budgets: 0,
-            prefix_reused: false,
-            warm_import: false,
+            error,
+            ..JobResult::default()
         }
+    }
+
+    /// A completed run's record. The four fields only the daemon knows
+    /// (`job`, `wall_s`, `prefix_reused`, `warm_import`) are left at zero.
+    pub fn from_run(r: &RunResults) -> JobResult {
+        JobResult {
+            ok: true,
+            events: r.events,
+            metrics: (standard_metrics(r).into_iter())
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            counters: (r.counters().iter())
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            pathloss_evals: r.medium.pathloss_evals,
+            link_cache_hits: r.medium.link_cache_hits,
+            link_budgets: r.medium.link_budgets,
+            ..JobResult::default()
+        }
+    }
+
+    /// Look up a counter by registry name (0 when absent, as
+    /// [`wmn_telemetry::Counters::get`]).
+    pub fn counter(&self, name: &str) -> u64 {
+        (self.counters.iter())
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     /// Look up a metric by wire key (NaN when absent).

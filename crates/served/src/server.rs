@@ -11,8 +11,8 @@
 //! cache import).
 
 use crate::proto::{
-    read_line_capped, refusal, standard_metrics, JobInfo, JobListing, JobResult, Request,
-    ServiceStats, ServiceStatus, PROTOCOL_VERSION,
+    read_line_capped, refusal, JobInfo, JobListing, JobResult, Request, ServiceStats,
+    ServiceStatus, PROTOCOL_VERSION,
 };
 use crate::spec::ScenarioSpec;
 use cnlr::{LinkCacheSnapshot, ScenarioPrefix};
@@ -626,24 +626,10 @@ fn run_job(
     }
     let result = JobResult {
         job: id,
-        ok: true,
-        error: None,
         wall_s,
-        events: results.events,
-        metrics: standard_metrics(&results)
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        counters: results
-            .counters()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        pathloss_evals: results.medium.pathloss_evals,
-        link_cache_hits: results.medium.link_cache_hits,
-        link_budgets: results.medium.link_budgets,
         prefix_reused,
         warm_import,
+        ..JobResult::from_run(&results)
     };
     core.finish(id, JobState::Done, &result);
 }

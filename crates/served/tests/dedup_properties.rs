@@ -6,22 +6,28 @@
 
 use cnlr::{LinkCacheSnapshot, RunResults, ScenarioBuilder, Scheme};
 use proptest::prelude::*;
+use wmn_served::standard_metrics;
 use wmn_sim::SimDuration;
 
 /// Everything observable about a run except the medium's perf counters
 /// (`pathloss_evals` / `link_cache_hits` differ across cache hand-offs by
-/// design). Floats compare as raw bits.
-fn signature(r: &RunResults) -> (String, Vec<u64>, u64, u64, Vec<u64>, String, String) {
+/// design), every wire metric included. Floats compare as raw bits.
+type Signature = (String, Vec<u64>, u64, Vec<u64>, String, String, Vec<u64>);
+
+fn signature(r: &RunResults) -> Signature {
     let mut physics = Vec::new();
     r.medium.visit(&mut |_, v| physics.push(v));
     (
         format!("{:?}", r.summary),
         physics,
         r.events,
-        r.goodput_kbps.to_bits(),
         r.delivery_rate_pps.iter().map(|v| v.to_bits()).collect(),
         format!("{:?} {:?}", r.routing, r.mac),
         format!("{:?}", r.drops),
+        standard_metrics(r)
+            .iter()
+            .map(|(_, v)| v.to_bits())
+            .collect(),
     )
 }
 

@@ -8,10 +8,10 @@
 # still runs, and the script reports the failed set and exits non-zero.
 #
 # --served: route every figure whose --help offers --served through a
-# wmn-served daemon instead of in-process sweeps. Every CSV they write is
-# byte-identical either way; a panel only an in-process run holds is not
-# written and keeps its last in-process output. The daemon's prefix-dedup
-# and warm link-budget-cache counters are recorded in EXPERIMENTS.md.
+# wmn-served daemon instead of in-process sweeps. They write every CSV,
+# byte-identical either way: each panel reads the job's result record,
+# which an in-process sweep builds too. The daemon's prefix-dedup and warm
+# link-budget-cache counters are recorded in EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,9 +89,10 @@ if [ -n "$served" ]; then
 ## Served mode — batch dedup economics
 
 \`./scripts/run_all_experiments.sh --served\` routed fig1, fig2, the
-offered-load sweep (fig3, fig4, fig5, fig6), fig7, fig8 and fig11 through
-a \`wmn-served\` daemon (rev ${rev}, QUICK=${QUICK:-0}); the emitted CSVs
-are byte-identical to the in-process runs. Daemon counters at end of batch:
+offered-load sweep (fig3, fig4, fig5, fig6, fig9), fig7, fig8 and fig11
+through a \`wmn-served\` daemon (rev ${rev}, QUICK=${QUICK:-0}); every CSV
+they wrote is byte-identical to the in-process runs. Daemon counters at
+end of batch:
 
 \`\`\`
 ${status}
