@@ -98,54 +98,41 @@ impl RadioState {
     }
 }
 
-/// Medium loss/delivery counters (inputs to several figures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MediumStats {
-    /// Transmissions started.
-    pub tx_started: u64,
-    /// Frame receptions destroyed by collision.
-    pub collisions: u64,
-    /// Receptions stolen by a stronger frame (counted once per loser).
-    pub captures: u64,
-    /// Frames lost to the noise draw.
-    pub noise_losses: u64,
-    /// Frames delivered to a MAC.
-    pub delivered: u64,
-    /// Receptions aborted because the radio started transmitting.
-    pub aborted_by_tx: u64,
-    /// Signal onsets ignored because the radio was already transmitting.
-    pub missed_while_tx: u64,
-    /// Perf counter: deterministic link-budget (pathloss) evaluations.
-    /// On a static topology this stops growing once every transmitter has
-    /// warmed its cache line — the per-tx hot path then performs zero
-    /// `log10` evaluations.
-    pub pathloss_evals: u64,
-    /// Perf counter: transmissions served entirely from the link cache.
-    pub link_cache_hits: u64,
-    /// Perf counter: link budgets consumed (Σ sensible receivers per
-    /// transmission). With `pathloss_evals` this yields the budget-level
-    /// reuse rate `1 − evals/budgets`: the fraction of per-receiver
-    /// budgets served from memory. Identical cached/uncached (the entry
-    /// lists are identical), unlike the eval/hit counters.
-    pub link_budgets: u64,
-}
-
-impl MediumStats {
-    /// Visit every physics counter as a stable snake_case `(name, value)`
-    /// pair — the export consumed by the unified `wmn_telemetry::Counters`
-    /// registry. The perf counters (`pathloss_evals`, `link_cache_hits`)
-    /// are deliberately excluded: they vary with the cache setting while
-    /// the physics must not, and manifests should agree across both.
-    /// Names are part of the trace/manifest format; do not rename without
-    /// updating `counter_for_event`.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("phy_tx_started", self.tx_started);
-        f("phy_collisions", self.collisions);
-        f("phy_captures", self.captures);
-        f("phy_noise_losses", self.noise_losses);
-        f("phy_delivered", self.delivered);
-        f("phy_aborted_by_tx", self.aborted_by_tx);
-        f("phy_missed_while_tx", self.missed_while_tx);
+wmn_telemetry::counter_set! {
+    /// Medium loss/delivery counters (inputs to several figures).
+    pub struct MediumStats: "phy_" {
+        /// Transmissions started.
+        tx_started,
+        /// Frame receptions destroyed by collision.
+        collisions,
+        /// Receptions stolen by a stronger frame (counted once per loser).
+        captures,
+        /// Frames lost to the noise draw.
+        noise_losses,
+        /// Frames delivered to a MAC.
+        delivered,
+        /// Receptions aborted because the radio started transmitting.
+        aborted_by_tx,
+        /// Signal onsets ignored because the radio was already transmitting.
+        missed_while_tx,
+    }
+    // The perf counters stay out of the registry: they vary with the cache
+    // setting (and a warm cache import) while the physics must not, and
+    // manifests agree across both.
+    unregistered {
+        /// Perf counter: deterministic link-budget (pathloss) evaluations.
+        /// On a static topology this stops growing once every transmitter
+        /// has warmed its cache line — the per-tx hot path then performs
+        /// zero `log10` evaluations.
+        pathloss_evals,
+        /// Perf counter: transmissions served entirely from the link cache.
+        link_cache_hits,
+        /// Perf counter: link budgets consumed (Σ sensible receivers per
+        /// transmission). With `pathloss_evals` this yields the budget-level
+        /// reuse rate `1 − evals/budgets`: the fraction of per-receiver
+        /// budgets served from memory. Identical cached/uncached (the entry
+        /// lists are identical), unlike the eval/hit counters.
+        link_budgets,
     }
 }
 

@@ -27,39 +27,47 @@ use crate::scheme::Scheme;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wmn_faults::{FaultKind, TimedFault};
-use wmn_mac::{DropReason, Mac, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
+use wmn_mac::{Mac, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
 use wmn_metrics::{RecoveryTracker, TimeSeries};
-use wmn_routing::{DataDropReason, DataPacket, NodeId, Packet, RoutingAction, RoutingConfig};
+use wmn_routing::{DataPacket, NodeId, Packet, RoutingAction, RoutingConfig};
 use wmn_sim::SimRng;
 use wmn_sim::{Scheduler, SimDuration, SimTime, World};
-use wmn_telemetry::{DropReason as TelDrop, EventKind, FaultCode, Tel};
+use wmn_telemetry::{DropReason, EventKind, FaultCode, Tel};
 use wmn_topology::{SpatialIndex, Vec2};
 use wmn_traffic::{FlowState, FlowTracker};
 
-/// Network-layer data-loss counters by cause.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DropCounters {
-    /// Interface queue overflow.
-    pub queue_full: u64,
-    /// No route at an intermediate hop.
-    pub no_route: u64,
-    /// Discovery buffer overflow at the origin.
-    pub buffer_overflow: u64,
-    /// Route discovery failed after all retries.
-    pub discovery_failed: u64,
-    /// Link-layer retry limit on the path.
-    pub link_failure: u64,
-    /// Packet expired in the origin buffer (RREQ TTL exhausted). Was
-    /// previously folded into `discovery_failed`.
-    pub expired: u64,
-    /// Control packets (RREQ/RREP/RERR/HELLO) rejected by a full interface
-    /// queue. Not part of [`DropCounters::total`], which counts data only.
-    pub ctrl_queue_full: u64,
-    /// Data packets lost in the queues/buffers of a crashing node.
-    pub node_down: u64,
-    /// Control packets lost in the queues of a crashing node. Like
-    /// `ctrl_queue_full`, not part of [`DropCounters::total`].
-    pub ctrl_node_down: u64,
+wmn_telemetry::counter_set! {
+    /// Network-layer loss counters by cause. A data drop is counted by
+    /// [`DropCounters::count`] under its [`DropReason`]'s name, so the
+    /// registry name is `counter_for_drop(reason)`. The crash counters
+    /// only appear once a crash actually discarded something, so fault-free
+    /// manifests do not name them.
+    pub struct DropCounters: "drop_" {
+        /// Interface queue overflow.
+        queue_full,
+        /// No route at an intermediate hop.
+        no_route,
+        /// Discovery buffer overflow at the origin.
+        buffer_overflow,
+        /// Route discovery failed after all retries.
+        discovery_failed,
+        /// Link-layer retry limit on the path.
+        link_failure,
+        /// Packet expired in the origin buffer. No full-stack code path
+        /// produces it (ParMesh does); kept for the registry's layout.
+        expired,
+        /// Control packets (RREQ/RREP/RERR/HELLO) rejected by a full
+        /// interface queue. Not part of [`DropCounters::total`], which
+        /// counts data only.
+        ctrl_queue_full,
+    }
+    if_nonzero {
+        /// Data packets lost in the queues/buffers of a crashing node.
+        node_down,
+        /// Control packets lost in the queues of a crashing node. Like
+        /// `ctrl_queue_full`, not part of [`DropCounters::total`].
+        ctrl_node_down,
+    }
 }
 
 impl DropCounters {
@@ -74,55 +82,45 @@ impl DropCounters {
             + self.node_down
     }
 
-    /// Visit every counter as a stable snake_case `(name, value)` pair —
-    /// the export consumed by the unified `wmn_telemetry::Counters`
-    /// registry. Names are part of the trace/manifest format; they match
-    /// `counter_for_drop` on the corresponding `DropReason`. The fault
-    /// counters only appear once a fault actually discarded something, so
-    /// no-fault manifests are byte-identical to pre-fault builds.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("drop_queue_full", self.queue_full);
-        f("drop_no_route", self.no_route);
-        f("drop_buffer_overflow", self.buffer_overflow);
-        f("drop_discovery_failed", self.discovery_failed);
-        f("drop_link_failure", self.link_failure);
-        f("drop_expired", self.expired);
-        f("drop_ctrl_queue_full", self.ctrl_queue_full);
-        if self.node_down > 0 {
-            f("drop_node_down", self.node_down);
-        }
-        if self.ctrl_node_down > 0 {
-            f("drop_ctrl_node_down", self.ctrl_node_down);
-        }
+    /// Count one data packet discarded for `reason`.
+    pub fn count(&mut self, reason: DropReason) {
+        *match reason {
+            DropReason::QueueFull => &mut self.queue_full,
+            DropReason::NoRoute => &mut self.no_route,
+            DropReason::BufferOverflow => &mut self.buffer_overflow,
+            DropReason::DiscoveryFailed => &mut self.discovery_failed,
+            DropReason::LinkFailure => &mut self.link_failure,
+            DropReason::Expired => &mut self.expired,
+            DropReason::NodeDown => &mut self.node_down,
+            // The MAC hands a retry-limit packet back to routing, which
+            // decides its fate (salvage or `LinkFailure`).
+            DropReason::RetryLimit => unreachable!("a retry-limit drop is never terminal data"),
+        } += 1;
+    }
+
+    /// Count one control packet discarded for `reason` (registry name
+    /// `counter_for_ctrl_drop(reason)`).
+    pub fn count_ctrl(&mut self, reason: DropReason) {
+        *match reason {
+            DropReason::QueueFull => &mut self.ctrl_queue_full,
+            DropReason::NodeDown => &mut self.ctrl_node_down,
+            _ => unreachable!("control is only discarded at a full queue or a crash"),
+        } += 1;
     }
 }
 
-/// Fault-injection counters (all zero — and absent from the registry —
-/// unless a fault schedule is active).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultCounters {
-    /// Node crashes applied.
-    pub node_down: u64,
-    /// Node reboots applied.
-    pub node_up: u64,
-    /// Non-churn faults applied (noise burst edges, link shifts).
-    pub injected: u64,
-}
-
-impl FaultCounters {
-    /// Export into the unified counter registry (names match
-    /// `counter_for_event` for the corresponding trace kinds). Only
-    /// nonzero counters are visited so no-fault manifests are unchanged.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        if self.node_down > 0 {
-            f("fault_node_down", self.node_down);
-        }
-        if self.node_up > 0 {
-            f("fault_node_up", self.node_up);
-        }
-        if self.injected > 0 {
-            f("fault_injected", self.injected);
-        }
+wmn_telemetry::counter_set! {
+    /// Fault-injection counters (all zero — and absent from the registry —
+    /// unless a fault schedule is active; names match `counter_for_event`
+    /// for the corresponding trace kinds).
+    pub struct FaultCounters: "fault_" {}
+    if_nonzero {
+        /// Node crashes applied.
+        node_down,
+        /// Node reboots applied.
+        node_up,
+        /// Non-churn faults applied (noise burst edges, link shifts).
+        injected,
     }
 }
 
@@ -553,41 +551,14 @@ impl Network {
                     );
                 }
             }
-            MacAction::Drop { sdu_id, reason } => match reason {
-                DropReason::QueueFull => {
-                    match self.nodes[node as usize].take_payload(sdu_id).as_deref() {
-                        Some(Packet::Data(data)) => {
-                            self.drops.queue_full += 1;
-                            self.tel.emit_at(
-                                node,
-                                now,
-                                EventKind::DataDrop {
-                                    reason: TelDrop::QueueFull,
-                                    flow: data.flow.0,
-                                    seq: data.seq,
-                                },
-                            );
-                        }
-                        // Control packets rejected by a full interface
-                        // queue were previously discarded uncounted.
-                        Some(_) => {
-                            self.drops.ctrl_queue_full += 1;
-                            self.tel.emit_at(
-                                node,
-                                now,
-                                EventKind::CtrlDrop {
-                                    reason: TelDrop::QueueFull,
-                                },
-                            );
-                        }
-                        None => {}
-                    }
-                }
-                // Retry-limit drops are followed by TxOutcome{ok: false},
-                // which owns the payload hand-off to routing (the packet's
-                // terminal fate — salvage or LinkFailure — is decided there).
-                DropReason::RetryLimit => {}
-            },
+            // Retry-limit drops are followed by TxOutcome{ok: false},
+            // which owns the payload hand-off to routing (the packet's
+            // terminal fate — salvage or LinkFailure — is decided there).
+            MacAction::Drop {
+                reason: DropReason::RetryLimit,
+                ..
+            } => {}
+            MacAction::Drop { sdu_id, reason } => self.drop_sdu(node, sdu_id, now, reason),
         }
     }
 
@@ -636,39 +607,34 @@ impl Network {
                 sched.at(at, Event::RoutingTimer { node, timer, inc });
             }
             RoutingAction::DataDropped { packet, reason } => {
-                let why = match reason {
-                    DataDropReason::NoRoute => {
-                        self.drops.no_route += 1;
-                        TelDrop::NoRoute
-                    }
-                    DataDropReason::BufferOverflow => {
-                        self.drops.buffer_overflow += 1;
-                        TelDrop::BufferOverflow
-                    }
-                    DataDropReason::DiscoveryFailed => {
-                        self.drops.discovery_failed += 1;
-                        TelDrop::DiscoveryFailed
-                    }
-                    DataDropReason::LinkFailure => {
-                        self.drops.link_failure += 1;
-                        TelDrop::LinkFailure
-                    }
-                    // Was previously folded into `discovery_failed`.
-                    DataDropReason::Expired => {
-                        self.drops.expired += 1;
-                        TelDrop::Expired
-                    }
-                };
-                self.tel.emit_at(
-                    node,
-                    now,
-                    EventKind::DataDrop {
-                        reason: why,
-                        flow: packet.flow.0,
-                        seq: packet.seq,
-                    },
-                );
+                self.drop_data(node, now, reason, &packet);
             }
+        }
+    }
+
+    /// Count and trace one data packet discarded at `node`.
+    fn drop_data(&mut self, node: u32, now: SimTime, reason: DropReason, data: &DataPacket) {
+        self.drops.count(reason);
+        self.tel.emit_at(
+            node,
+            now,
+            EventKind::DataDrop {
+                reason,
+                flow: data.flow.0,
+                seq: data.seq,
+            },
+        );
+    }
+
+    /// Count and trace the payload of SDU `sdu_id`, discarded at `node`.
+    fn drop_sdu(&mut self, node: u32, sdu_id: u64, now: SimTime, reason: DropReason) {
+        match self.nodes[node as usize].take_payload(sdu_id).as_deref() {
+            Some(Packet::Data(data)) => self.drop_data(node, now, reason, data),
+            Some(_) => {
+                self.drops.count_ctrl(reason);
+                self.tel.emit_at(node, now, EventKind::CtrlDrop { reason });
+            }
+            None => {}
         }
     }
 
@@ -842,45 +808,12 @@ impl Network {
         let mut sdus: Vec<u64> = self.nodes[node as usize].outgoing.keys().copied().collect();
         sdus.sort_unstable();
         for sdu in sdus {
-            match self.nodes[node as usize].take_payload(sdu).as_deref() {
-                Some(Packet::Data(data)) => {
-                    self.drops.node_down += 1;
-                    self.tel.emit_at(
-                        node,
-                        now,
-                        EventKind::DataDrop {
-                            reason: TelDrop::NodeDown,
-                            flow: data.flow.0,
-                            seq: data.seq,
-                        },
-                    );
-                }
-                Some(_) => {
-                    self.drops.ctrl_node_down += 1;
-                    self.tel.emit_at(
-                        node,
-                        now,
-                        EventKind::CtrlDrop {
-                            reason: TelDrop::NodeDown,
-                        },
-                    );
-                }
-                None => {}
-            }
+            self.drop_sdu(node, sdu, now, DropReason::NodeDown);
         }
         // Data parked in the routing layer awaiting route discovery is
         // lost too (disjoint from the interface queue drained above).
         for data in self.nodes[node as usize].routing.drain_buffered() {
-            self.drops.node_down += 1;
-            self.tel.emit_at(
-                node,
-                now,
-                EventKind::DataDrop {
-                    reason: TelDrop::NodeDown,
-                    flow: data.flow.0,
-                    seq: data.seq,
-                },
-            );
+            self.drop_data(node, now, DropReason::NodeDown, &data);
         }
         self.recovery.on_fault(now);
         self.outages.push((node, now.as_secs_f64(), None));

@@ -195,4 +195,12 @@ impl RunResults {
     pub fn mean_delay_ms(&self) -> f64 {
         self.summary.mean_delay_s * 1000.0
     }
+
+    /// Mean route-repair latency, seconds (`None` before the first repair).
+    pub fn mean_repair_latency_s(&self) -> Option<f64> {
+        match self.repair_latency_s.len() {
+            0 => None,
+            n => Some(self.repair_latency_s.iter().sum::<f64>() / n as f64),
+        }
+    }
 }

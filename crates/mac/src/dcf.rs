@@ -18,7 +18,7 @@ use crate::load::{LoadDigest, LoadMonitor};
 use crate::params::MacParams;
 use crate::queue::IfQueue;
 use wmn_sim::{SimDuration, SimRng, SimTime};
-use wmn_telemetry::{EventKind, Tel};
+use wmn_telemetry::{DropReason, EventKind, Tel};
 
 /// Which logical timer fired (each carries a generation for cancellation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,15 +29,6 @@ pub enum TimerKind {
     Ack,
     /// NAV (virtual carrier sense) expiry.
     Nav,
-}
-
-/// Why a frame was dropped by the MAC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// Interface queue full on enqueue.
-    QueueFull,
-    /// Retry limit exhausted without a CTS/ACK.
-    RetryLimit,
 }
 
 /// Output of the state machine, executed by the integration layer.
@@ -67,7 +58,8 @@ pub enum MacAction {
         /// Generation (stale generations must be ignored).
         gen: u64,
     },
-    /// An SDU was discarded.
+    /// An SDU was discarded: [`DropReason::QueueFull`] on enqueue or
+    /// [`DropReason::RetryLimit`] without a CTS/ACK.
     Drop {
         /// Correlation id of the SDU.
         sdu_id: u64,
@@ -76,85 +68,41 @@ pub enum MacAction {
     },
 }
 
-/// Lifetime MAC counters (inputs to several evaluation figures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MacStats {
-    /// Data-frame transmission attempts (including retries).
-    pub data_tx_attempts: u64,
-    /// Broadcast data frames sent.
-    pub broadcast_tx: u64,
-    /// ACK frames sent.
-    pub acks_sent: u64,
-    /// Control responses (ACK/CTS) skipped because the radio was busy.
-    pub acks_skipped: u64,
-    /// RTS frames sent.
-    pub rts_sent: u64,
-    /// CTS frames sent.
-    pub cts_sent: u64,
-    /// CTS timeouts (RTS unanswered).
-    pub cts_timeouts: u64,
-    /// Retransmissions triggered by ACK/CTS timeouts.
-    pub retries: u64,
-    /// Frames dropped at the retry limit.
-    pub drops_retry: u64,
-    /// Frames rejected by a full interface queue.
-    pub drops_queue_full: u64,
-    /// Data frames delivered to the network layer.
-    pub delivered: u64,
-    /// Duplicate data frames suppressed (retransmission already seen).
-    pub duplicates_suppressed: u64,
-    /// NAV reservations honoured from overheard frames.
-    pub nav_updates: u64,
-    /// SDUs accepted into the interface queue.
-    pub enqueued: u64,
-    /// SDUs taken off the interface queue for service.
-    pub dequeued: u64,
-    /// Contention backoffs armed (fresh draws, not freeze/resume).
-    pub backoffs: u64,
-}
-
-impl MacStats {
-    /// Visit every counter as a stable snake_case `(name, value)` pair —
-    /// the export consumed by the unified `wmn_telemetry::Counters`
-    /// registry. Names are part of the trace/manifest format; do not
-    /// rename without updating `counter_for_event`.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("mac_data_tx_attempts", self.data_tx_attempts);
-        f("mac_broadcast_tx", self.broadcast_tx);
-        f("mac_acks_sent", self.acks_sent);
-        f("mac_acks_skipped", self.acks_skipped);
-        f("mac_rts_sent", self.rts_sent);
-        f("mac_cts_sent", self.cts_sent);
-        f("mac_cts_timeouts", self.cts_timeouts);
-        f("mac_retries", self.retries);
-        f("mac_drops_retry", self.drops_retry);
-        f("mac_drops_queue_full", self.drops_queue_full);
-        f("mac_delivered", self.delivered);
-        f("mac_duplicates_suppressed", self.duplicates_suppressed);
-        f("mac_nav_updates", self.nav_updates);
-        f("mac_enqueued", self.enqueued);
-        f("mac_dequeued", self.dequeued);
-        f("mac_backoffs", self.backoffs);
-    }
-
-    /// Element-wise accumulation (for network-wide totals).
-    pub fn accumulate(&mut self, other: &MacStats) {
-        self.data_tx_attempts += other.data_tx_attempts;
-        self.broadcast_tx += other.broadcast_tx;
-        self.acks_sent += other.acks_sent;
-        self.acks_skipped += other.acks_skipped;
-        self.rts_sent += other.rts_sent;
-        self.cts_sent += other.cts_sent;
-        self.cts_timeouts += other.cts_timeouts;
-        self.retries += other.retries;
-        self.drops_retry += other.drops_retry;
-        self.drops_queue_full += other.drops_queue_full;
-        self.delivered += other.delivered;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.nav_updates += other.nav_updates;
-        self.enqueued += other.enqueued;
-        self.dequeued += other.dequeued;
-        self.backoffs += other.backoffs;
+wmn_telemetry::counter_set! {
+    /// Lifetime MAC counters (inputs to several evaluation figures).
+    pub struct MacStats: "mac_" {
+        /// Data-frame transmission attempts (including retries).
+        data_tx_attempts,
+        /// Broadcast data frames sent.
+        broadcast_tx,
+        /// ACK frames sent.
+        acks_sent,
+        /// Control responses (ACK/CTS) skipped because the radio was busy.
+        acks_skipped,
+        /// RTS frames sent.
+        rts_sent,
+        /// CTS frames sent.
+        cts_sent,
+        /// CTS timeouts (RTS unanswered).
+        cts_timeouts,
+        /// Retransmissions triggered by ACK/CTS timeouts.
+        retries,
+        /// Frames dropped at the retry limit.
+        drops_retry,
+        /// Frames rejected by a full interface queue.
+        drops_queue_full,
+        /// Data frames delivered to the network layer.
+        delivered,
+        /// Duplicate data frames suppressed (retransmission already seen).
+        duplicates_suppressed,
+        /// NAV reservations honoured from overheard frames.
+        nav_updates,
+        /// SDUs accepted into the interface queue.
+        enqueued,
+        /// SDUs taken off the interface queue for service.
+        dequeued,
+        /// Contention backoffs armed (fresh draws, not freeze/resume).
+        backoffs,
     }
 }
 
@@ -289,11 +237,6 @@ impl Mac {
     /// Lifetime counters.
     pub fn stats(&self) -> &MacStats {
         &self.stats
-    }
-
-    /// Current interface-queue length.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Queue statistics handle.
@@ -1081,7 +1024,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, MacAction::TxOutcome { sdu_id: 1, .. })));
         let (_at2, _gen2) = main_timer(&out);
-        assert_eq!(mac.queue_len(), 0);
+        assert!(mac.queue().is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod load;
 pub mod params;
 pub mod queue;
 
-pub use dcf::{DropReason, Mac, MacAction, MacStats, TimerKind};
+pub use dcf::{Mac, MacAction, MacStats, TimerKind};
 pub use frame::{FrameKind, MacAddr, MacFrame, MacSdu, BROADCAST};
 pub use load::{LoadDigest, LoadMonitor};
 pub use params::MacParams;

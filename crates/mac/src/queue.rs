@@ -19,9 +19,7 @@ pub struct IfQueue {
     /// EWMA of occupancy (in frames), updated per transition.
     occupancy_ewma: f64,
     alpha: f64,
-    /// Lifetime counters.
-    enqueued: u64,
-    dropped_full: u64,
+    /// Highest occupancy ever observed.
     peak: usize,
 }
 
@@ -44,16 +42,14 @@ impl IfQueue {
             capacity,
             occupancy_ewma: 0.0,
             alpha: 0.05,
-            enqueued: 0,
-            dropped_full: 0,
             peak: 0,
         }
     }
 
-    /// Try to append `sdu`; returns `false` (and counts a drop) when full.
+    /// Try to append `sdu`; returns `false` when full (the MAC counts the
+    /// drop in `MacStats::drops_queue_full`).
     pub fn push(&mut self, sdu: MacSdu) -> bool {
         if self.len() >= self.capacity {
-            self.dropped_full += 1;
             self.sample();
             return false;
         }
@@ -62,7 +58,6 @@ impl IfQueue {
         } else {
             self.items.push_back(sdu);
         }
-        self.enqueued += 1;
         self.peak = self.peak.max(self.len());
         self.sample();
         true
@@ -98,16 +93,6 @@ impl IfQueue {
     /// Smoothed utilisation in `[0, 1]` — the CNLR queue-load signal.
     pub fn utilisation_ewma(&self) -> f64 {
         self.occupancy_ewma / self.capacity as f64
-    }
-
-    /// Lifetime frames accepted.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Lifetime frames rejected because the queue was full.
-    pub fn total_dropped_full(&self) -> u64 {
-        self.dropped_full
     }
 
     /// Highest occupancy ever observed.
@@ -174,7 +159,6 @@ mod tests {
         assert!(q.push(ctl(2)));
         assert!(!q.push(ctl(3)), "capacity is shared");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_dropped_full(), 1);
     }
 
     #[test]
@@ -192,10 +176,8 @@ mod tests {
         let mut q = IfQueue::new(2);
         assert!(q.push(sdu(1)));
         assert!(q.push(sdu(2)));
-        assert!(!q.push(sdu(3)));
+        assert!(!q.push(sdu(3)), "a full queue refuses the push");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_dropped_full(), 1);
-        assert_eq!(q.total_enqueued(), 2);
         // The survivor set is the oldest frames (tail drop).
         assert_eq!(q.pop().unwrap().id, 1);
     }

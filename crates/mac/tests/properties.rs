@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 use wmn_mac::{
-    DropReason, FrameKind, IfQueue, Mac, MacAction, MacAddr, MacFrame, MacParams, MacSdu,
-    TimerKind, BROADCAST,
+    FrameKind, IfQueue, Mac, MacAction, MacAddr, MacFrame, MacParams, MacSdu, TimerKind, BROADCAST,
 };
 use wmn_sim::{SimRng, SimTime};
+use wmn_telemetry::DropReason;
 
 proptest! {
     /// The interface queue never exceeds capacity and preserves FIFO order

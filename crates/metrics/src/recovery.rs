@@ -46,15 +46,6 @@ impl RecoveryTracker {
     pub fn latencies(&self) -> &[f64] {
         &self.latencies
     }
-
-    /// Mean repair latency, seconds (`None` before the first repair).
-    pub fn mean_latency_s(&self) -> Option<f64> {
-        if self.latencies.is_empty() {
-            None
-        } else {
-            Some(self.latencies.iter().sum::<f64>() / self.latencies.len() as f64)
-        }
-    }
 }
 
 /// Packet delivery ratio restricted to outage windows.
@@ -149,7 +140,6 @@ mod tests {
         r.on_delivery(t(12.5));
         r.on_delivery(t(12.6)); // only the first post-fault delivery counts
         assert_eq!(r.latencies(), &[2.5]);
-        assert_eq!(r.mean_latency_s(), Some(2.5));
     }
 
     fn series(counts: &[u64]) -> TimeSeries {

@@ -17,7 +17,7 @@ use crate::table::{RouteTable, UpdateOutcome};
 use std::collections::VecDeque;
 use wmn_mac::LoadDigest;
 use wmn_sim::{IdMap, SimDuration, SimRng, SimTime};
-use wmn_telemetry::{EventKind, Tel};
+use wmn_telemetry::{DropReason, EventKind, Tel};
 
 /// Cross-layer inputs supplied by the node stack on every call.
 #[derive(Clone, Copy, Debug, Default)]
@@ -53,22 +53,6 @@ pub enum RoutingTimer {
     Sweep,
 }
 
-/// Why a data packet was dropped by the routing layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DataDropReason {
-    /// Intermediate node without a route.
-    NoRoute,
-    /// Discovery buffer overflowed.
-    BufferOverflow,
-    /// All discovery retries failed.
-    DiscoveryFailed,
-    /// Link-level transmission failure mid-path.
-    LinkFailure,
-    /// RREQ TTL exhausted before reaching the destination — packet expired
-    /// in the origin buffer.
-    Expired,
-}
-
 /// Engine output, executed by the node stack.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RoutingAction {
@@ -99,8 +83,9 @@ pub enum RoutingAction {
     DataDropped {
         /// The packet.
         packet: DataPacket,
-        /// Why.
-        reason: DataDropReason,
+        /// Why: [`DropReason::NoRoute`], [`DropReason::BufferOverflow`],
+        /// [`DropReason::DiscoveryFailed`] or [`DropReason::LinkFailure`].
+        reason: DropReason,
     },
 }
 
@@ -278,7 +263,7 @@ impl Routing {
                 self.stats.data_dropped_buffer += 1;
                 out.push(RoutingAction::DataDropped {
                     packet,
-                    reason: DataDropReason::BufferOverflow,
+                    reason: DropReason::BufferOverflow,
                 });
             } else {
                 p.buffer.push_back(packet);
@@ -570,7 +555,7 @@ impl Routing {
                         self.stats.data_dropped_discovery += 1;
                         out.push(RoutingAction::DataDropped {
                             packet: data,
-                            reason: DataDropReason::DiscoveryFailed,
+                            reason: DropReason::DiscoveryFailed,
                         });
                     }
                 }
@@ -677,7 +662,7 @@ impl Routing {
             self.tel.emit(now, EventKind::RerrSend { count: 1 });
             out.push(RoutingAction::DataDropped {
                 packet: data,
-                reason: DataDropReason::NoRoute,
+                reason: DropReason::NoRoute,
             });
             out.push(RoutingAction::Broadcast {
                 packet: Packet::Rerr(Rerr {
@@ -726,7 +711,7 @@ impl Routing {
                     self.stats.data_dropped_link += 1;
                     out.push(RoutingAction::DataDropped {
                         packet: data,
-                        reason: DataDropReason::LinkFailure,
+                        reason: DropReason::LinkFailure,
                     });
                 }
             }
@@ -886,7 +871,7 @@ impl Routing {
                     self.stats.data_dropped_discovery += 1;
                     out.push(RoutingAction::DataDropped {
                         packet: data,
-                        reason: DataDropReason::DiscoveryFailed,
+                        reason: DropReason::DiscoveryFailed,
                     });
                 }
             }
@@ -899,7 +884,7 @@ impl Routing {
                 self.stats.data_dropped_discovery += 1;
                 out.push(RoutingAction::DataDropped {
                     packet: data,
-                    reason: DataDropReason::DiscoveryFailed,
+                    reason: DropReason::DiscoveryFailed,
                 });
             }
             return;
@@ -1244,7 +1229,7 @@ mod tests {
         assert!(out.iter().any(|a| matches!(
             a,
             RoutingAction::DataDropped {
-                reason: DataDropReason::NoRoute,
+                reason: DropReason::NoRoute,
                 ..
             }
         )));
@@ -1358,7 +1343,7 @@ mod tests {
         assert!(out.iter().any(|a| matches!(
             a,
             RoutingAction::DataDropped {
-                reason: DataDropReason::LinkFailure,
+                reason: DropReason::LinkFailure,
                 ..
             }
         )));

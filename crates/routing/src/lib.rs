@@ -27,7 +27,7 @@ pub mod table;
 
 pub use addr::{NodeId, BROADCAST_NODE};
 pub use config::RoutingConfig;
-pub use engine::{CrossLayer, DataDropReason, RouteProbe, Routing, RoutingAction, RoutingTimer};
+pub use engine::{CrossLayer, RouteProbe, Routing, RoutingAction, RoutingTimer};
 pub use neighbors::NeighborTable;
 pub use packet::{DataPacket, FlowId, Hello, Packet, Rerr, Rrep, Rreq, RreqKey};
 pub use policy::{

@@ -1,48 +1,54 @@
 //! Routing-layer counters feeding the evaluation figures.
+//!
+//! One `counter_set!` table: each counter's registry name is its field
+//! name (the set has no prefix). Drops are counted once, by the network,
+//! under `wmn_telemetry::DropReason`; the `data_dropped_*` fields here are
+//! the routing layer's own view of the same losses.
 
-/// Lifetime per-node routing counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoutingStats {
-    /// Discoveries this node originated (including retries).
-    pub rreq_originated: u64,
-    /// RREQs this node rebroadcast.
-    pub rreq_forwarded: u64,
-    /// RREQ copies received (all copies).
-    pub rreq_received: u64,
-    /// First-copy RREQs the policy decided to suppress.
-    pub rreq_suppressed: u64,
-    /// Duplicate RREQ copies (never forwarded).
-    pub rreq_duplicates: u64,
-    /// RREPs generated as discovery target.
-    pub rrep_generated: u64,
-    /// RREPs forwarded towards an origin.
-    pub rrep_forwarded: u64,
-    /// RREPs dropped for lack of a reverse route.
-    pub rrep_dropped: u64,
-    /// RERR packets sent.
-    pub rerr_sent: u64,
-    /// HELLO beacons sent.
-    pub hello_sent: u64,
-    /// Data packets forwarded for other nodes.
-    pub data_forwarded: u64,
-    /// Data packets delivered to the local application.
-    pub data_delivered: u64,
-    /// Data packets originated by the local application.
-    pub data_originated: u64,
-    /// Data dropped: no route at an intermediate node.
-    pub data_dropped_no_route: u64,
-    /// Data dropped: discovery ultimately failed.
-    pub data_dropped_discovery: u64,
-    /// Data dropped: discovery buffer overflow.
-    pub data_dropped_buffer: u64,
-    /// Data dropped: link-level failure mid-path.
-    pub data_dropped_link: u64,
-    /// Discoveries begun (unique targets, not retries).
-    pub discoveries_started: u64,
-    /// Discoveries that produced a route.
-    pub discoveries_succeeded: u64,
-    /// Discoveries abandoned after all retries.
-    pub discoveries_failed: u64,
+wmn_telemetry::counter_set! {
+    /// Lifetime per-node routing counters.
+    pub struct RoutingStats: "" {
+        /// Discoveries this node originated (including retries).
+        rreq_originated,
+        /// RREQs this node rebroadcast.
+        rreq_forwarded,
+        /// RREQ copies received (all copies).
+        rreq_received,
+        /// First-copy RREQs the policy decided to suppress.
+        rreq_suppressed,
+        /// Duplicate RREQ copies (never forwarded).
+        rreq_duplicates,
+        /// RREPs generated as discovery target.
+        rrep_generated,
+        /// RREPs forwarded towards an origin.
+        rrep_forwarded,
+        /// RREPs dropped for lack of a reverse route.
+        rrep_dropped,
+        /// RERR packets sent.
+        rerr_sent,
+        /// HELLO beacons sent.
+        hello_sent,
+        /// Data packets forwarded for other nodes.
+        data_forwarded,
+        /// Data packets delivered to the local application.
+        data_delivered,
+        /// Data packets originated by the local application.
+        data_originated,
+        /// Data dropped: no route at an intermediate node.
+        data_dropped_no_route,
+        /// Data dropped: discovery ultimately failed.
+        data_dropped_discovery,
+        /// Data dropped: discovery buffer overflow.
+        data_dropped_buffer,
+        /// Data dropped: link-level failure mid-path.
+        data_dropped_link,
+        /// Discoveries begun (unique targets, not retries).
+        discoveries_started,
+        /// Discoveries that produced a route.
+        discoveries_succeeded,
+        /// Discoveries abandoned after all retries.
+        discoveries_failed,
+    }
 }
 
 impl RoutingStats {
@@ -55,57 +61,6 @@ impl RoutingStats {
             + self.rrep_forwarded
             + self.rerr_sent
             + self.hello_sent
-    }
-
-    /// Visit every counter as a stable snake_case `(name, value)` pair —
-    /// the export consumed by the unified `wmn_telemetry::Counters`
-    /// registry. Names are part of the trace/manifest format; do not
-    /// rename without updating `counter_for_event`.
-    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-        f("rreq_originated", self.rreq_originated);
-        f("rreq_forwarded", self.rreq_forwarded);
-        f("rreq_received", self.rreq_received);
-        f("rreq_suppressed", self.rreq_suppressed);
-        f("rreq_duplicates", self.rreq_duplicates);
-        f("rrep_generated", self.rrep_generated);
-        f("rrep_forwarded", self.rrep_forwarded);
-        f("rrep_dropped", self.rrep_dropped);
-        f("rerr_sent", self.rerr_sent);
-        f("hello_sent", self.hello_sent);
-        f("data_forwarded", self.data_forwarded);
-        f("data_delivered", self.data_delivered);
-        f("data_originated", self.data_originated);
-        f("data_dropped_no_route", self.data_dropped_no_route);
-        f("data_dropped_discovery", self.data_dropped_discovery);
-        f("data_dropped_buffer", self.data_dropped_buffer);
-        f("data_dropped_link", self.data_dropped_link);
-        f("discoveries_started", self.discoveries_started);
-        f("discoveries_succeeded", self.discoveries_succeeded);
-        f("discoveries_failed", self.discoveries_failed);
-    }
-
-    /// Element-wise accumulation (for network-wide totals).
-    pub fn accumulate(&mut self, other: &RoutingStats) {
-        self.rreq_originated += other.rreq_originated;
-        self.rreq_forwarded += other.rreq_forwarded;
-        self.rreq_received += other.rreq_received;
-        self.rreq_suppressed += other.rreq_suppressed;
-        self.rreq_duplicates += other.rreq_duplicates;
-        self.rrep_generated += other.rrep_generated;
-        self.rrep_forwarded += other.rrep_forwarded;
-        self.rrep_dropped += other.rrep_dropped;
-        self.rerr_sent += other.rerr_sent;
-        self.hello_sent += other.hello_sent;
-        self.data_forwarded += other.data_forwarded;
-        self.data_delivered += other.data_delivered;
-        self.data_originated += other.data_originated;
-        self.data_dropped_no_route += other.data_dropped_no_route;
-        self.data_dropped_discovery += other.data_dropped_discovery;
-        self.data_dropped_buffer += other.data_dropped_buffer;
-        self.data_dropped_link += other.data_dropped_link;
-        self.discoveries_started += other.discoveries_started;
-        self.discoveries_succeeded += other.discoveries_succeeded;
-        self.discoveries_failed += other.discoveries_failed;
     }
 }
 

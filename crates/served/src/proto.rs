@@ -166,9 +166,8 @@ pub type Metric = (&'static str, fn(&RunResults) -> f64);
 pub const METRICS: [Metric; 16] = [
     ("pdr", |r| r.pdr()),
     ("pdr_outage", |r| r.pdr_during_outage.unwrap_or(0.0)),
-    ("repair_latency_s", |r| match r.repair_latency_s.len() {
-        0 => 0.0,
-        n => r.repair_latency_s.iter().sum::<f64>() / n as f64,
+    ("repair_latency_s", |r| {
+        r.mean_repair_latency_s().unwrap_or(0.0)
     }),
     ("reconverge_s", |r| r.reconverge_s.unwrap_or(0.0)),
     ("mean_delay_ms", |r| r.mean_delay_ms()),

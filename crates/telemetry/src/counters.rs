@@ -1,13 +1,83 @@
 //! The unified counter registry.
 //!
 //! Every per-layer counter struct (`RoutingStats`, `MacStats`,
-//! `MediumStats`, the network drop counters) exports its fields into one
-//! flat registry with stable snake_case names — the single source of truth
-//! read by `tab2_summary`, the run manifest, and the `wmn-trace` verifier.
+//! `MediumStats`, the network's `DropCounters` and `FaultCounters`) is one
+//! [`counter_set!`](crate::counter_set) table: each field is written once,
+//! and the table gives the struct, its registry export (`visit`, names =
+//! prefix + field name) and its network-wide sum (`accumulate`). [`Counters`] is the one flat
+//! snake_case registry those exports fill — the single source of truth
+//! read by `tab2_summary`, the run manifest and the trace-conservation
+//! test. Drops are counted under one vocabulary, [`crate::DropReason`],
+//! from the MAC to the trace ([`crate::counter_for_drop`]).
 
 use crate::json::{FromJson, JsonValue, Layout, Pairs, ToJson};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
+
+/// Declare a per-layer counter set once:
+///
+/// ```text
+/// /// struct doc
+/// pub struct Name: "prefix_" {
+///     /// field doc
+///     field,
+/// }
+/// if_nonzero {     // optional: registered, visited only when above 0
+///     /// field doc
+///     field,
+/// }
+/// unregistered {   // optional: perf fields, summed but never visited
+///     /// field doc
+///     field,
+/// }
+/// ```
+///
+/// The table generates the struct (`Clone, Copy, Debug, Default`, one
+/// `pub u64` per entry in table order), `visit` (every registered field as
+/// `(prefix + name, value)`, in table order) and `accumulate` (every
+/// field, unregistered ones included). A counter is therefore named,
+/// exported and summed by its one entry.
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$doc:meta])*
+        $vis:vis struct $name:ident: $prefix:literal {
+            $($(#[$fdoc:meta])* $field:ident,)*
+        }
+        $(if_nonzero { $($(#[$ndoc:meta])* $nfield:ident,)* })?
+        $(unregistered { $($(#[$udoc:meta])* $ufield:ident,)* })?
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, Default)]
+        $vis struct $name {
+            $($(#[$fdoc])* pub $field: u64,)*
+            $($($(#[$ndoc])* pub $nfield: u64,)*)?
+            $($($(#[$udoc])* pub $ufield: u64,)*)?
+        }
+
+        impl $name {
+            /// Visit every registered counter as its stable registry
+            /// `(name, value)` pair, in declaration order — the export the
+            /// unified `Counters` registry is filled from. Names are part
+            /// of the trace/manifest format.
+            pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+                $(f(concat!($prefix, stringify!($field)), self.$field);)*
+                $($(
+                    if self.$nfield > 0 {
+                        f(concat!($prefix, stringify!($nfield)), self.$nfield);
+                    }
+                )*)?
+            }
+
+            /// Element-wise accumulation (for network-wide totals).
+            pub fn accumulate(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+                $($(self.$nfield += other.$nfield;)*)?
+                $($(self.$ufield += other.$ufield;)*)?
+            }
+        }
+    };
+}
 
 /// An ordered name → value registry. Insertion order is preserved so
 /// reports are stable; re-adding a name sums into the existing entry
@@ -133,6 +203,54 @@ mod tests {
         assert_eq!(names, vec!["b", "a"]);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
+    }
+
+    crate::counter_set! {
+        /// A set with every kind of entry.
+        struct Demo: "demo_" {
+            /// Declared first, though `a` sorts before it.
+            b,
+            /// Declared second.
+            a,
+        }
+        if_nonzero {
+            /// Visited only when above 0.
+            rare,
+        }
+        unregistered {
+            /// Never visited.
+            perf,
+        }
+    }
+
+    fn names(d: &Demo) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        d.visit(&mut |n, _| names.push(n));
+        names
+    }
+
+    #[test]
+    fn counter_set_visits_in_order_and_sums_every_field() {
+        let mut d = Demo::default();
+        assert_eq!(
+            names(&d),
+            ["demo_b", "demo_a"],
+            "declaration order, rare skipped at 0"
+        );
+        d.rare = 2;
+        d.perf = 7;
+        assert_eq!(names(&d), ["demo_b", "demo_a", "demo_rare"]);
+        let mut seen = Vec::new();
+        d.visit(&mut |n, v| seen.push((n, v)));
+        assert_eq!(seen, [("demo_b", 0), ("demo_a", 0), ("demo_rare", 2)]);
+        let mut sum = Demo {
+            a: 1,
+            b: 2,
+            rare: 3,
+            perf: 4,
+        };
+        sum.accumulate(&d);
+        assert_eq!((sum.b, sum.a, sum.rare, sum.perf), (2, 1, 5, 11));
     }
 
     #[test]

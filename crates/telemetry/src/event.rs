@@ -17,8 +17,11 @@
 //!
 //! `kind` names are stable snake_case identifiers; where an event mirrors a
 //! counter in the [`crate::Counters`] registry the table records which, and
-//! that mapping is what lets `wmn-trace summary` cross-check a trace
-//! against a run manifest exactly.
+//! that mapping is what lets the conservation test cross-check a trace
+//! against the counters exactly. [`DropReason`] is the one drop vocabulary:
+//! the MAC's and routing's drop actions, the network's `DropCounters` and
+//! ParMesh all use it, so a `data_drop` event's reason names its counter
+//! ([`counter_for_drop`]) without a translation table.
 
 use crate::json::{get, parse_object, JsonValue};
 use std::fmt::{self, Write};
@@ -160,8 +163,8 @@ macro_rules! wire_codes {
 }
 
 wire_codes! {
-    /// Why a packet was discarded — the single namespace every layer's drops
-    /// map into (exactly one `DropReason` per discarded packet).
+    /// Why a packet was discarded — the one vocabulary every layer drops
+    /// with, MAC to trace (exactly one `DropReason` per discarded packet).
     DropReason, "drop reason code", counters counter_for_drop = "drop_" {
         /// Routing: no route at an intermediate hop.
         0 NoRoute "no_route",
@@ -171,7 +174,8 @@ wire_codes! {
         2 BufferOverflow "buffer_overflow",
         /// Routing: link-layer retry limit mid-path.
         3 LinkFailure "link_failure",
-        /// Routing: packet expired in the origin buffer.
+        /// ParMesh: the packet's hop budget ran out (no full-stack layer
+        /// produces it).
         4 Expired "expired",
         /// MAC: interface queue overflow.
         5 QueueFull "queue_full",

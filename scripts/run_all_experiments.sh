@@ -2,10 +2,17 @@
 # Regenerate every reconstructed table/figure. QUICK=1 for a fast pass.
 #
 # Each figure that succeeds is stamped with the git revision that produced
-# it (results/.<bin>.ok); a rerun skips figures whose stamp matches HEAD so
-# a failed sweep can be retried without redoing finished figures. FORCE=1
-# reruns everything. Failures don't stop the sweep — every remaining figure
-# still runs, and the script reports the failed set and exits non-zero.
+# it (results/.<bin>.ok); a rerun skips figures whose stamp matches the
+# current revision so a failed sweep can be retried without redoing
+# finished figures. With uncommitted changes under crates/, src/ or
+# Cargo.*, the revision is HEAD plus "-dirty-" and a hash of those changes,
+# so a rerun after any source edit reruns every figure. FORCE=1 reruns
+# everything. Failures don't stop the sweep — every remaining figure still
+# runs, and the script reports the failed set and exits non-zero.
+#
+# A figure's stdout (the tables EXPERIMENTS.md quotes, deterministic) is
+# kept in results/<bin>.log; its stderr (progress, thread counts, socket
+# paths) goes to the terminal and to the untracked results/.<bin>.err.
 #
 # --served: route every figure whose --help offers --served through a
 # wmn-served daemon instead of in-process sweeps. They write every CSV,
@@ -30,6 +37,12 @@ bins=(tab1_params fig1_overhead_size fig2_reachability load_sweep fig7_mobility 
       fig8_hello_ablation fig10_gateway fig11_churn tab2_summary)
 mkdir -p results
 rev=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
+src=(crates src Cargo.toml Cargo.lock)
+if [ -n "$(git status --porcelain -- "${src[@]}" 2>/dev/null)" ]; then
+  rev="$rev-dirty-$({ git diff HEAD -- "${src[@]}"
+                      git ls-files -oz --exclude-standard -- "${src[@]}" | xargs -0r cat
+                    } | sha1sum | cut -c1-8)"
+fi
 
 daemon=""
 sock=""
@@ -61,10 +74,11 @@ for b in "${bins[@]}"; do
   else
     echo "=== $b ==="
   fi
-  if cargo run --release -q -p wmn-bench --bin "$b" "${args[@]}" 2>&1 | tee "results/${b}.log"; then
+  if cargo run --release -q -p wmn-bench --bin "$b" "${args[@]}" \
+       2> >(tee "results/.${b}.err" >&2) | tee "results/${b}.log"; then
     echo "$rev" > "$stamp"
   else
-    echo "!!! $b FAILED (log: results/${b}.log)" >&2
+    echo "!!! $b FAILED (stderr: results/.${b}.err)" >&2
     failed+=("$b")
   fi
 done

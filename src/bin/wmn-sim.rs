@@ -658,13 +658,10 @@ fn main() {
             r.faults.node_up,
             r.faults.injected
         );
-        let repair = if r.repair_latency_s.is_empty() {
-            "-".to_string()
-        } else {
-            let mean = r.repair_latency_s.iter().sum::<f64>() / r.repair_latency_s.len() as f64;
-            format!("{mean:.2} s")
-        };
-        outln!("mean route repair       : {repair}");
+        match r.mean_repair_latency_s() {
+            Some(mean) => outln!("mean route repair       : {mean:.2} s"),
+            None => outln!("mean route repair       : -"),
+        }
         match r.pdr_during_outage {
             Some(p) => outln!("PDR during outages      : {p:.4}"),
             None => outln!("PDR during outages      : -"),

@@ -129,6 +129,10 @@ fn relay_death_triggers_rerr_and_rediscovery_over_the_detour() {
     assert_eq!(results.outages_s[0].0, 2);
     assert_eq!(results.repair_latency_s.len(), 1);
     assert!(results.repair_latency_s[0] > 0.0);
+    assert_eq!(
+        results.mean_repair_latency_s(),
+        Some(results.repair_latency_s[0])
+    );
     assert!(results.pdr_during_outage.is_some());
 }
 
