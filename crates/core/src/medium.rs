@@ -356,7 +356,12 @@ pub struct Medium {
     /// Whether the link cache is consulted (disable to cross-check
     /// determinism; results must be bit-identical either way).
     cache_enabled: bool,
+    /// Receiver lists that `rx_end` is done with, reused by `start_tx`.
+    receiver_lists: Vec<Vec<u32>>,
     energy_params: EnergyParams,
+    /// Per radio. Its mode follows from the radio state, so
+    /// `update_energy` is called only where that can change: where a
+    /// transmission, a reception lock or the power starts or ends.
     energy: Vec<EnergyMeter>,
     tel: Tel,
     /// Per-node crashed flag (fault schedule): a down radio neither
@@ -401,6 +406,7 @@ impl Medium {
             scratch_entries: Vec::new(),
             links: vec![CachedLinks::empty(); n],
             cache_enabled: true,
+            receiver_lists: Vec::new(),
             energy_params: EnergyParams::default(),
             energy: vec![EnergyMeter::new(SimTime::ZERO); n],
             tel: Tel::off(),
@@ -495,11 +501,6 @@ impl Medium {
         self.energy[node as usize].comm_joules(until, &self.energy_params)
     }
 
-    /// The energy model in force.
-    pub fn energy_params(&self) -> &EnergyParams {
-        &self.energy_params
-    }
-
     /// Recompute a node's radio mode after a state transition.
     fn update_energy(&mut self, node: u32, now: SimTime) {
         let st = &self.states[node as usize];
@@ -513,6 +514,17 @@ impl Medium {
             RadioMode::Idle
         };
         self.energy[node as usize].set_mode(mode, now, &self.energy_params);
+    }
+
+    /// Test builds end every public state change here: recomputing every
+    /// radio's mode changes none, so each skipped `update_energy` was a no-op.
+    #[cfg(test)]
+    fn check_energy(&mut self) {
+        for node in 0..self.energy.len() {
+            let before = self.energy[node].mode();
+            self.update_energy(node as u32, SimTime::MAX);
+            assert_eq!(before, self.energy[node].mode(), "radio {node}");
+        }
     }
 
     /// True while `node` is crashed.
@@ -558,6 +570,8 @@ impl Medium {
         st.sensed_busy = false;
         self.bump_gain(node);
         self.update_energy(node, now);
+        #[cfg(test)]
+        self.check_energy();
     }
 
     /// Power `node`'s radio back on (state was cleaned at crash time).
@@ -566,6 +580,8 @@ impl Medium {
         self.down[node as usize] = false;
         self.bump_gain(node);
         self.update_energy(node, now);
+        #[cfg(test)]
+        self.check_energy();
     }
 
     /// Raise the noise floor at `nodes` by `delta_db` for the duration of
@@ -709,7 +725,8 @@ impl Medium {
             self.compute_links(src, positions, &mut entries);
         }
         self.stats.link_budgets += entries.len() as u64;
-        let mut receivers = Vec::with_capacity(entries.len());
+        let mut receivers = self.receiver_lists.pop().unwrap_or_default();
+        receivers.clear();
         for &LinkEntry { r, rx_dbm, .. } in entries.iter() {
             receivers.push(r);
             let st = &mut self.states[r as usize];
@@ -725,6 +742,8 @@ impl Medium {
                             power_dbm: rx_dbm,
                             corrupted: false,
                         });
+                        // The one change of mode here: idle to rx.
+                        self.update_energy(r, now);
                     }
                     Some(ref mut cur) => {
                         if self.phy.captures(rx_dbm, cur.power_dbm) {
@@ -752,7 +771,6 @@ impl Medium {
                 }
             }
             self.update_sense(r, out);
-            self.update_energy(r, now);
         }
         if !receivers.is_empty() {
             out.push_effect(MediumEffect::ScheduleRxEnd {
@@ -788,6 +806,8 @@ impl Medium {
                 receivers,
             },
         );
+        #[cfg(test)]
+        self.check_energy();
     }
 
     /// Evaluate the link budget from `src` at `src_pos` to `r`, returning
@@ -907,6 +927,8 @@ impl Medium {
             self.active.remove(&tx_id);
         }
         self.update_energy(src, now);
+        #[cfg(test)]
+        self.check_energy();
     }
 
     /// All reception windows for `tx_id` closed (they end at the same
@@ -934,6 +956,7 @@ impl Medium {
                 _ => None,
             };
             if let Some(a) = attempt {
+                self.update_energy(node, now); // the only mode change here
                 if a.corrupted {
                     self.stats.collisions += 1;
                     self.tel
@@ -959,8 +982,10 @@ impl Medium {
                 }
             }
             self.update_sense(node, out);
-            self.update_energy(node, now);
         }
+        self.receiver_lists.push(tx.receivers);
+        #[cfg(test)]
+        self.check_energy();
     }
 
     /// Probability that noise alone destroys a frame of `bits` bits at
@@ -1565,22 +1590,30 @@ mod tests {
 
         proptest! {
             /// Random interleavings of transmissions, crashes and reboots on
-            /// a 3 x 3 grid where every radio senses several others. Frames
-            /// last 1 ms and steps are under 0.4 ms apart, so frames
-            /// overlap, receivers and transmitters crash mid-frame, and
-            /// reboots land before the cut frame's RxEnd. The signal set has
-            /// one reader — `update_sense`, which in this build asserts that
-            /// the counter and the list it replaced agree — so a run that
-            /// gets through has made every carrier-sense decision, and with
-            /// it every `Channel` effect, as the list would have. What a
-            /// counter can still get wrong is leak: once the last frame has
-            /// ended, no radio may count a signal or sense a carrier.
+            /// a 3 x 3 grid where every radio senses several others: a
+            /// regular one (200 m pitch), or one whose rows and columns are
+            /// 60 m and 170 m apart, where a near frame captures a receiver
+            /// locked on a far one. Frames last 1 ms and steps are under
+            /// 0.4 ms apart, so frames overlap, receivers and transmitters
+            /// crash mid-frame, and reboots land before the cut frame's
+            /// RxEnd. The signal set has one reader — `update_sense`, which
+            /// in this build asserts that the counter and the list it
+            /// replaced agree — so a run that gets through has made every
+            /// carrier-sense decision, and with it every `Channel` effect,
+            /// as the list would have. In this build every public call also
+            /// ends by checking each energy meter against its radio's
+            /// state, so every transition that skips `update_energy` is
+            /// shown to change no mode. What a counter can still get wrong
+            /// is leak: once the last frame has ended, no radio may count a
+            /// signal or sense a carrier.
             #[test]
             fn counter_senses_what_the_signal_list_sensed(
                 ops in prop::collection::vec((0u8..8, 0u32..9, 0u64..400), 400..401),
+                layout in 0usize..2,
             ) {
+                let at = [[0.0, 200.0, 400.0], [0.0, 60.0, 230.0]][layout];
                 let pos = (0..9)
-                    .map(|i| Vec2::new(800.0 + 200.0 * (i % 3) as f64, 800.0 + 200.0 * (i / 3) as f64))
+                    .map(|i| Vec2::new(800.0 + at[i % 3], 800.0 + at[i / 3]))
                     .collect();
                 let (mut m, idx) = setup(pos);
                 // (time, schedule order, is RxEnd, tx id)
@@ -1633,6 +1666,7 @@ mod tests {
                     prop_assert!(!st.sensed_busy, "radio {} still senses a carrier", n);
                 }
                 prop_assert!(m.stats().tx_started > 100);
+                prop_assert!(layout == 0 || m.stats().captures > 0);
             }
         }
     }

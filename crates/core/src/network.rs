@@ -24,10 +24,9 @@ use crate::event::Event;
 use crate::medium::{EffectSink, Medium, MediumEffect};
 use crate::node::Node;
 use crate::scheme::Scheme;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use wmn_faults::{FaultKind, TimedFault};
-use wmn_mac::{Mac, MacAction, MacAddr, MacParams, TimerKind, BROADCAST};
+use wmn_mac::{Mac, MacAction, MacAddr, MacParams, BROADCAST};
 use wmn_metrics::{RecoveryTracker, TimeSeries};
 use wmn_routing::{DataPacket, NodeId, Packet, RoutingAction, RoutingConfig};
 use wmn_sim::SimRng;
@@ -137,57 +136,66 @@ pub struct RebootKit {
     pub scheme: Scheme,
 }
 
-/// One queued unit of cross-layer work other than a carrier-sense edge.
-/// Every item is written once and read once, so it is kept small: a frame's
-/// payload is shared by its receivers (`Arc<Packet>` inside
-/// `MediumEffect::Deliver`) and the wide, comparatively rare routing
-/// actions are boxed.
+/// One queued unit of cross-layer work other than a carrier-sense edge or a
+/// MAC action. Every item is written once and read once, so it is kept
+/// small: a frame's payload is shared by its receivers (`Arc<Packet>` inside
+/// `MediumEffect::Deliver`) and the wide, rare routing actions are boxed.
 enum Work {
-    Mac(u32, MacAction),
     Routing(u32, Box<RoutingAction>),
     Medium(MediumEffect),
 }
 
 /// What comes next in the FIFO: a carrier-sense edge, carried right here,
-/// or the front of [`WorkQueue::wide`].
+/// or the front of one of the two lanes of its [`Generation`].
 #[derive(Clone, Copy)]
 enum Next {
     Channel { node: u32, busy: bool },
+    Mac { node: u32 },
     Wide,
 }
 
 // Enum bloat multiplies into every queued item and every future-event-list
 // move; these fail the build instead of a benchmark.
 const _: () = assert!(std::mem::size_of::<Next>() == 8);
+const _: () = assert!(std::mem::size_of::<MacAction>() <= 40);
 const _: () = assert!(std::mem::size_of::<Work>() <= 56);
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
-/// The cross-layer FIFO (see the module doc for its contract).
-///
-/// Six items in ten are carrier-sense edges, and nine of those ten change
-/// nothing at the MAC. They are queued as 8-byte `Next::Channel` entries of
-/// `order`, which travel in a register; a wider item is an enum that is
-/// assembled on the stack and copied into its slot, so it waits in `wide`
-/// and `order` only records its turn. The two deques together are one
-/// queue: `wide` holds exactly one item per `Next::Wide` in `order`, in the
-/// same order.
+/// One generation of the FIFO. Six items in ten are carrier-sense edges,
+/// nine in ten of them no-ops at the MAC: 8-byte `order` entries that
+/// travel in a register. A `Mac` entry point writes its actions straight
+/// into `mac`; any other item is copied into `wide`. The lanes hold one
+/// item per `Next::Mac` and `Next::Wide` of `order`, in the same order.
+#[derive(Default)]
+struct Generation {
+    order: Vec<Next>,
+    mac: Vec<MacAction>,
+    wide: Vec<Work>,
+}
+
+/// The cross-layer FIFO (see the module doc for its contract), drained one
+/// generation at a time: items pushed while a generation is worked through
+/// collect in `next`, behind all of it, so the order is exactly one FIFO's.
 struct WorkQueue {
-    order: VecDeque<Next>,
-    wide: VecDeque<Work>,
+    next: Generation,
+    /// The last drained generation's emptied vectors, kept for their
+    /// capacity; taken while a drain runs, so a nested one is caught.
+    spare: Option<Generation>,
+}
+
+/// What [`WorkQueue::drain`] applies items to: the network, or a test model.
+trait Apply<C> {
+    fn queue(&mut self) -> &mut WorkQueue;
+    fn channel(&mut self, cx: &mut C, node: u32, busy: bool);
+    fn mac(&mut self, cx: &mut C, node: u32, act: MacAction);
+    fn wide(&mut self, cx: &mut C, work: Work);
 }
 
 impl WorkQueue {
-    fn new() -> Self {
-        WorkQueue {
-            order: VecDeque::with_capacity(64),
-            wide: VecDeque::with_capacity(64),
-        }
-    }
-
     #[inline]
     fn push(&mut self, work: Work) {
-        self.order.push_back(Next::Wide);
-        self.wide.push_back(work);
+        self.next.order.push(Next::Wide);
+        self.next.wide.push(work);
     }
 
     /// Queue what one routing entry point of `node` asked for.
@@ -196,6 +204,29 @@ impl WorkQueue {
         for a in actions.drain(..) {
             self.push(Work::Routing(node, Box::new(a)));
         }
+    }
+
+    /// Apply every queued item, and every item those produce, in FIFO order.
+    fn drain<C>(w: &mut impl Apply<C>, cx: &mut C) {
+        let queue = w.queue();
+        debug_assert!(queue.spare.is_some(), "WorkQueue::drain re-entered");
+        if queue.next.order.is_empty() {
+            return; // a stale timer fire, for one, queues nothing
+        }
+        let mut current = queue.spare.take().unwrap_or_default();
+        while !w.queue().next.order.is_empty() {
+            std::mem::swap(&mut current, &mut w.queue().next);
+            let Generation { order, mac, wide } = &mut current;
+            let (mut mac, mut wide) = (mac.drain(..), wide.drain(..));
+            for next in order.drain(..) {
+                match next {
+                    Next::Channel { node, busy } => w.channel(cx, node, busy),
+                    Next::Mac { node } => w.mac(cx, node, mac.next().expect("a turn per action")),
+                    Next::Wide => w.wide(cx, wide.next().expect("a turn per item")),
+                }
+            }
+        }
+        w.queue().spare = Some(current);
     }
 }
 
@@ -210,9 +241,31 @@ impl EffectSink for WorkQueue {
     fn push_effect(&mut self, effect: MediumEffect) {
         match effect {
             MediumEffect::Channel { node, busy } => {
-                self.order.push_back(Next::Channel { node, busy })
+                self.next.order.push(Next::Channel { node, busy })
             }
             other => self.push(Work::Medium(other)),
+        }
+    }
+}
+
+impl Apply<Scheduler<Event>> for Network {
+    fn queue(&mut self) -> &mut WorkQueue {
+        &mut self.work
+    }
+
+    fn channel(&mut self, sched: &mut Scheduler<Event>, node: u32, busy: bool) {
+        let now = sched.now();
+        self.with_mac(node, |mac, out| mac.on_channel(busy, now, out));
+    }
+
+    fn mac(&mut self, sched: &mut Scheduler<Event>, node: u32, act: MacAction) {
+        self.apply_mac(node, act, sched.now(), sched);
+    }
+
+    fn wide(&mut self, sched: &mut Scheduler<Event>, work: Work) {
+        match work {
+            Work::Routing(node, act) => self.apply_routing(node, *act, sched.now(), sched),
+            Work::Medium(eff) => self.apply_medium(eff, sched.now(), sched),
         }
     }
 }
@@ -258,12 +311,11 @@ pub struct Network {
     /// The cross-layer FIFO (see the module doc for its contract). Empty
     /// between events.
     work: WorkQueue,
-    /// Reusable output buffers for the MAC and routing entry points, which
-    /// report through `&mut Vec`: one short-lived `Vec` per call adds up to
-    /// hundreds of thousands of allocations per run. Each is filled by one
-    /// layer call and emptied into `work` right after it, so it is empty
-    /// whenever the next call borrows it.
-    scratch_mac: Vec<MacAction>,
+    /// Reusable output buffer for the routing entry points, which report
+    /// through `&mut Vec`: one short-lived `Vec` per call adds up to
+    /// hundreds of thousands of allocations per run. It is filled by one
+    /// call and emptied into `work` right after it, so it is empty whenever
+    /// the next call borrows it.
     scratch_routing: Vec<RoutingAction>,
     /// One gate per (node, MAC timer kind); see [`TimerGate`].
     timer_gates: Vec<[TimerGate; 3]>,
@@ -304,14 +356,6 @@ struct TimerGate {
     deferred: Option<(SimTime, u64, u32)>,
 }
 
-fn timer_ix(kind: TimerKind) -> usize {
-    match kind {
-        TimerKind::Main => 0,
-        TimerKind::Ack => 1,
-        TimerKind::Nav => 2,
-    }
-}
-
 impl Network {
     /// Assemble a network (used by the scenario builder).
     pub fn new(
@@ -350,8 +394,10 @@ impl Network {
             traffic_rng,
             position_sample,
             mobile_ids,
-            work: WorkQueue::new(),
-            scratch_mac: Vec::with_capacity(8),
+            work: WorkQueue {
+                next: Generation::default(),
+                spare: Some(Generation::default()),
+            },
             scratch_routing: Vec::with_capacity(8),
             timer_gates: vec![[TimerGate::default(); 3]; n_nodes],
             fault_schedule: Vec::new(),
@@ -366,11 +412,6 @@ impl Network {
     pub fn set_faults(&mut self, schedule: Vec<TimedFault>, kit: RebootKit) {
         self.fault_schedule = schedule;
         self.reboot_kit = Some(kit);
-    }
-
-    /// The installed fault schedule (empty without a fault plan).
-    pub fn fault_schedule(&self) -> &[TimedFault] {
-        &self.fault_schedule
     }
 
     /// True if any node can move.
@@ -449,35 +490,14 @@ impl Network {
         }
     }
 
-    fn drain(&mut self, sched: &mut Scheduler<Event>) {
-        let now = sched.now();
-        while let Some(next) = self.work.order.pop_front() {
-            if let Next::Channel { node, busy } = next {
-                self.on_channel(node, busy, now);
-                continue;
-            }
-            match self.work.wide.pop_front() {
-                Some(Work::Mac(node, act)) => self.apply_mac(node, act, now, sched),
-                Some(Work::Routing(node, act)) => self.apply_routing(node, *act, now, sched),
-                Some(Work::Medium(eff)) => self.apply_medium(eff, now, sched),
-                None => unreachable!("`order` promised a wide item"),
-            }
-        }
-    }
-
-    /// A carrier-sense edge reaches `node`'s MAC.
-    #[inline]
-    fn on_channel(&mut self, node: u32, busy: bool, now: SimTime) {
-        self.with_mac(node, |mac, out| mac.on_channel(busy, now, out));
-    }
-
-    /// Run one MAC entry point of `node` and queue what it asks for (most
-    /// carrier-sense edges ask for nothing).
+    /// Run one MAC entry point of `node`, which queues what it asks for in
+    /// the MAC lane (most carrier-sense edges ask for nothing).
     #[inline]
     fn with_mac(&mut self, node: u32, call: impl FnOnce(&mut Mac, &mut Vec<MacAction>)) {
-        call(&mut self.nodes[node as usize].mac, &mut self.scratch_mac);
-        for a in self.scratch_mac.drain(..) {
-            self.work.push(Work::Mac(node, a));
+        let from = self.work.next.mac.len();
+        call(&mut self.nodes[node as usize].mac, &mut self.work.next.mac);
+        for _ in from..self.work.next.mac.len() {
+            self.work.next.order.push(Next::Mac { node });
         }
     }
 
@@ -507,12 +527,9 @@ impl Network {
                 self.medium
                     .start_tx(node, frame, payload, now, &self.spatial, &mut self.work);
             }
-            MacAction::Deliver(frame) => {
-                // Deliveries are normally intercepted in `apply_medium`; a
-                // bare Deliver without payload can only be an ACK-free test
-                // path — ignore defensively.
-                debug_assert!(frame.sdu_id != 0, "unexpected bare Deliver");
-            }
+            // Only `on_rx_frame` delivers, and `apply_medium` takes its
+            // `Deliver` out of the lane.
+            MacAction::Deliver(_) => unreachable!("a Deliver in the MAC lane"),
             MacAction::TxOutcome {
                 sdu_id,
                 dst,
@@ -529,7 +546,7 @@ impl Network {
             }
             MacAction::SetTimer { kind, at, gen } => {
                 let inc = self.nodes[node as usize].incarnation;
-                let g = &mut self.timer_gates[node as usize][timer_ix(kind)];
+                let g = &mut self.timer_gates[node as usize][kind as usize];
                 if g.known && at >= g.front_at {
                     // An event with an earlier-or-equal deadline is already
                     // in flight: park this request behind it (replacing any
@@ -642,7 +659,7 @@ impl Network {
         match eff {
             // Queued as `Next::Channel`, never as a wide item; the arm keeps
             // the match total.
-            MediumEffect::Channel { node, busy } => self.on_channel(node, busy, now),
+            MediumEffect::Channel { node, busy } => self.channel(sched, node, busy),
             MediumEffect::ScheduleTxEnd { node, tx_id, at } => {
                 sched.at(at, Event::TxEnd { node, tx_id });
             }
@@ -659,15 +676,19 @@ impl Network {
                 rx_dbm,
             } => {
                 // The MAC's verdict is applied here rather than queued: a
-                // `Deliver` goes up to routing at once (only this arm holds
-                // the payload), everything else joins the FIFO in order.
+                // `Deliver` leaves the lane and goes up to routing at once
+                // (only this arm holds the payload), every other action
+                // keeps its place in the lane and gets its turn in order.
                 let n = &mut self.nodes[node as usize];
-                n.mac.on_rx_frame(frame, now, &mut self.scratch_mac);
-                for a in self.scratch_mac.drain(..) {
-                    let MacAction::Deliver(f) = a else {
-                        self.work.push(Work::Mac(node, a));
+                let mut i = self.work.next.mac.len();
+                n.mac.on_rx_frame(frame, now, &mut self.work.next.mac);
+                while i < self.work.next.mac.len() {
+                    let MacAction::Deliver(f) = self.work.next.mac[i] else {
+                        self.work.next.order.push(Next::Mac { node });
+                        i += 1;
                         continue;
                     };
+                    self.work.next.mac.remove(i);
                     let Some(pkt) = packet.as_deref() else {
                         continue;
                     };
@@ -871,7 +892,7 @@ impl World for Network {
                 gen,
                 inc,
             } => {
-                let g = &mut self.timer_gates[node as usize][timer_ix(kind)];
+                let g = &mut self.timer_gates[node as usize][kind as usize];
                 debug_assert!(g.inflight > 0, "timer fire with empty gate");
                 g.inflight -= 1;
                 g.known = false;
@@ -963,6 +984,198 @@ impl World for Network {
                 self.telemetry_probe(now, sched);
             }
         }
-        self.drain(sched);
+        WorkQueue::drain(self, sched);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+    use wmn_mac::TimerKind;
+
+    /// How a work item is queued: a carrier-sense edge, a MAC action or a
+    /// wide item.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Kind {
+        Edge,
+        Mac,
+        Wide,
+    }
+
+    fn kind(k: u8) -> Kind {
+        [Kind::Edge, Kind::Mac, Kind::Wide][k as usize % 3]
+    }
+
+    /// A random tree of work items. Ids are handed out in push order;
+    /// applying item `id` pushes the children `plan[id % plan.len()]`
+    /// names, until `cap` items exist. A run of MAC children is appended
+    /// to the lane by one call, as one `Mac` entry point's actions are.
+    struct Tree {
+        queue: WorkQueue,
+        plan: Vec<Vec<u8>>,
+        cap: u32,
+        created: u32,
+        applied: Vec<(Kind, u32)>,
+    }
+
+    impl Tree {
+        fn push_children(&mut self, parent: u32, kinds: &[u8]) {
+            let mut mac_from = None;
+            for &k in kinds {
+                if self.created == self.cap {
+                    break;
+                }
+                let id = self.created;
+                self.created += 1;
+                let kind = kind(k);
+                if kind != Kind::Mac {
+                    if let Some(from) = mac_from.take() {
+                        self.queue.next.order.extend(
+                            (from..self.queue.next.mac.len()).map(|_| Next::Mac { node: parent }),
+                        );
+                    }
+                }
+                let at = SimTime(id as u64);
+                match kind {
+                    Kind::Edge => self.queue.push_effect(MediumEffect::Channel {
+                        node: id,
+                        busy: id.is_multiple_of(2),
+                    }),
+                    Kind::Mac => {
+                        mac_from.get_or_insert(self.queue.next.mac.len());
+                        self.queue.next.mac.push(MacAction::SetTimer {
+                            kind: TimerKind::Main,
+                            at,
+                            gen: id as u64,
+                        });
+                    }
+                    Kind::Wide => self.queue.push_effect(MediumEffect::ScheduleRxEnd {
+                        tx_id: id as u64,
+                        at,
+                    }),
+                }
+            }
+            if let Some(from) = mac_from {
+                self.queue
+                    .next
+                    .order
+                    .extend((from..self.queue.next.mac.len()).map(|_| Next::Mac { node: parent }));
+            }
+        }
+
+        fn apply(&mut self, kind: Kind, id: u32) {
+            self.applied.push((kind, id));
+            let children = self.plan[id as usize % self.plan.len()].clone();
+            self.push_children(id, &children);
+        }
+    }
+
+    impl Apply<()> for Tree {
+        fn queue(&mut self) -> &mut WorkQueue {
+            &mut self.queue
+        }
+
+        fn channel(&mut self, _: &mut (), node: u32, busy: bool) {
+            assert_eq!(busy, node.is_multiple_of(2));
+            self.apply(Kind::Edge, node);
+        }
+
+        fn mac(&mut self, _: &mut (), _node: u32, act: MacAction) {
+            let MacAction::SetTimer { gen, .. } = act else {
+                panic!("the tree queues only timer requests, got {act:?}");
+            };
+            self.apply(Kind::Mac, gen as u32);
+        }
+
+        fn wide(&mut self, _: &mut (), work: Work) {
+            let Work::Medium(MediumEffect::ScheduleRxEnd { tx_id, .. }) = work else {
+                panic!("the tree queues only reception ends as wide items");
+            };
+            self.apply(Kind::Wide, tx_id as u32);
+        }
+    }
+
+    /// The same tree through one `VecDeque`, the FIFO by definition.
+    fn fifo_order(plan: &[Vec<u8>], roots: &[u8], cap: u32, created: &mut u32) -> Vec<(Kind, u32)> {
+        let mut fifo = VecDeque::new();
+        let mut push = |fifo: &mut VecDeque<(Kind, u32)>, kinds: &[u8]| {
+            for &k in kinds {
+                if *created == cap {
+                    break;
+                }
+                fifo.push_back((kind(k), *created));
+                *created += 1;
+            }
+        };
+        push(&mut fifo, roots);
+        let mut order = Vec::new();
+        while let Some((k, id)) = fifo.pop_front() {
+            order.push((k, id));
+            push(&mut fifo, &plan[id as usize % plan.len()]);
+        }
+        order
+    }
+
+    /// A drain started from inside another would apply the next
+    /// generation before the current one is done.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "re-entered")]
+    fn a_nested_drain_is_refused() {
+        struct Nested(WorkQueue);
+        impl Apply<()> for Nested {
+            fn queue(&mut self) -> &mut WorkQueue {
+                &mut self.0
+            }
+            fn channel(&mut self, cx: &mut (), _: u32, _: bool) {
+                WorkQueue::drain(self, cx);
+            }
+            fn mac(&mut self, _: &mut (), _: u32, _: MacAction) {}
+            fn wide(&mut self, _: &mut (), _: Work) {}
+        }
+        let mut nested = Nested(WorkQueue {
+            next: Generation::default(),
+            spare: Some(Generation::default()),
+        });
+        nested.0.push_effect(MediumEffect::Channel {
+            node: 0,
+            busy: true,
+        });
+        WorkQueue::drain(&mut nested, &mut ());
+    }
+
+    proptest! {
+        /// The generational drain applies a random tree's items — edges,
+        /// MAC actions in batches, wide items — in the order one FIFO
+        /// does, twice in a row (the second drain runs on the first's
+        /// recycled vectors), and leaves the queue empty.
+        #[test]
+        fn generations_apply_items_in_fifo_order(
+            plan in prop::collection::vec(prop::collection::vec(0u8..3, 0..5), 1..24),
+            roots in prop::collection::vec(0u8..3, 1..6),
+            cap in 1u32..600,
+        ) {
+            let mut tree = Tree {
+                queue: WorkQueue { next: Generation::default(), spare: Some(Generation::default()) },
+                plan: plan.clone(),
+                cap,
+                created: 0,
+                applied: Vec::new(),
+            };
+            let mut model_created = 0;
+            for round in 0..2 {
+                tree.applied.clear();
+                tree.cap = cap * (round + 1);
+                tree.push_children(u32::MAX, &roots);
+                WorkQueue::drain(&mut tree, &mut ());
+                let expected = fifo_order(&plan, &roots, cap * (round + 1), &mut model_created);
+                prop_assert_eq!(&tree.applied, &expected);
+                prop_assert!(tree.queue.next.order.is_empty());
+                prop_assert!(tree.queue.next.mac.is_empty() && tree.queue.next.wide.is_empty());
+                prop_assert!(tree.queue.spare.is_some());
+            }
+        }
     }
 }
